@@ -26,6 +26,18 @@ A_joint (the empirical joint measure) is what enters theta_separated; the
 prime product A_prod = prod_p A_p is reported separately, because strict
 multiplicativity of the empirical joint measure holds only in expectation
 at finite N_H (it is exact in constant_one mode).
+
+Every factor is a sum S(t_k) = sum_j w_j e^{i t_k x_j} on the grid
+t_k = k h, k = -K..K, which arithmetic_factors requires.  Only k >= 0 is
+computed: the sums are real-weighted, so the t < 0 half is the exact
+conjugate mirror S(-t_k) = conj S(t_k), bitwise.  With R = ceil(sqrt(K + 1))
+and k = b R + r the phase splits as e^{i b R h x} e^{i r h x}, so two exp
+tables of shapes (n_b, J) and (R, J) and one contraction over j replace the
+(2K + 1, J) table: about 2 sqrt(K) exps per point x_j instead of 2K + 1.
+The contraction is np.einsum without BLAS, and so is the t trapezoid sum.
+OpenBLAS splits long dot and matrix products across its threads, which
+would make the last bits of theta_separated and euler_gap depend on the
+BLAS thread count; numpy's own loops sum in a fixed order.
 """
 
 from __future__ import annotations
@@ -35,13 +47,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import CoefficientFamily, HeckeEnsemble, MassShifts, local_factor_grid
+from .arithmetic import CoefficientFamily, HeckeEnsemble, MassShifts
 from .floquet import BandStructure
 from .shift import TestFunction
 
 TAIL_HAT_CUTOFF = 1e-14
 TAIL_BOUND = 1e-10
 DEFAULT_H_MAX = 0.01
+# Primes per block of the A_prod tables, which bounds their size for any N_P.
+PRIME_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -110,15 +124,50 @@ def geometric_factor(bands: BandStructure, e_star: float, n: int, t: float) -> c
     return (2.0 * np.pi / L) * (raw / (bands.grid.n_nodes - 1))
 
 
-def _geometric_on_grid(bands: BandStructure, e_star: float, t_grid: np.ndarray) -> np.ndarray:
+def _half_grid_sums(x: np.ndarray, w: np.ndarray | None, h: float, K: int) -> np.ndarray:
+    """S[i, k] = sum_j w_j e^{i k h x[i, j]} for k = 0..K (w = None means all ones).
+
+    Two-level phase tables: k = b R + r with R = ceil(sqrt(K + 1)), one exp
+    per table entry, and a fixed-order einsum contraction over j.
+    """
+    R = math.isqrt(K) + 1
+    n_b = -(-(K + 1) // R)
+    rows = x[:, None, :]
+    coarse = np.exp(1j * ((np.arange(n_b) * R * h)[:, None] * rows))
+    fine = np.exp(1j * ((np.arange(R) * h)[:, None] * rows))
+    if w is not None:
+        fine *= w
+    # Both tables are contiguous along j, the summed axis: einsum then runs
+    # its dot-product inner loop.
+    sums = np.einsum("ibj,irj->ibr", coarse, fine, optimize=False)
+    return sums.reshape(len(x), n_b * R)[:, : K + 1]
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """Values at k = -K..K from those at k = 0..K, by S(-t) = conj S(t)."""
+    return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
+
+
+def _grid_step(t: np.ndarray) -> tuple[int, float]:
+    """(K, h) of the grid t_k = k h, k = -K..K, h > 0; ValueError for any other."""
+    K = (t.size - 1) // 2
+    if t.ndim == 1 and t.size == 2 * K + 1:
+        h = float(t[K + 1]) if K else 0.0
+        if (K == 0 or h > 0.0) and np.array_equal(t, np.arange(-K, K + 1) * h):
+            return K, h
+    raise ValueError(
+        "t_grid must be the symmetric uniform grid t_k = k*h for k = -K..K "
+        "with h > 0 (as default_t_grid builds it)"
+    )
+
+
+def _geometric_on_grid(bands: BandStructure, e_star: float, h: float, K: int) -> np.ndarray:
     c = _kappa_pattern(bands.grid.n_nodes)
     L = bands.potential.period
     scale = 2.0 * np.pi / L / (bands.grid.n_nodes - 1)
-    out = np.empty((bands.n_bands, len(t_grid)), dtype=complex)
-    for n in range(bands.n_bands):
-        q = bands.bands[n] - e_star
-        out[n] = scale * (np.exp(1j * np.multiply.outer(t_grid, q)) @ c)
-    return out
+    q = bands.bands - e_star
+    half = np.concatenate([_half_grid_sums(q[n : n + 1], c, h, K) for n in range(bands.n_bands)])
+    return _mirror(scale * half)
 
 
 def default_t_grid(
@@ -174,38 +223,48 @@ def arithmetic_factors(
     """Evaluate A_joint, A_prod, and (optionally) the geometric factors.
 
     A_joint(t) = mean_m e^{i t m_m}; A_prod(t) = prod_{p in S} A_p(t) in
-    ascending-prime order.  Both equal 1 at t = 0.
+    ascending-prime order.  Both equal 1 at t = 0.  t_grid must be the
+    symmetric uniform grid t_k = k h, k = -K..K, that default_t_grid builds.
     """
     t = np.asarray(t_grid, dtype=float)
-    a_joint = np.exp(1j * np.multiply.outer(t, shifts.values)).mean(axis=1)
-    a_prod = np.ones(len(t), dtype=complex)
-    for p in ensemble.primes:
-        a_prod *= local_factor_grid(ensemble, family, p, t)
+    K, h = _grid_step(t)
+    a_joint = _mirror(_half_grid_sums(shifts.values[None], None, h, K)[0] / len(shifts))
+    eta = np.array([family.eta(p, ensemble.samples[i]) for i, p in enumerate(ensemble.primes)])
+    a_prod_half = np.ones(K + 1, dtype=complex)
+    for lo in range(0, len(eta), PRIME_CHUNK):
+        for a_p in _half_grid_sums(eta[lo : lo + PRIME_CHUNK], None, h, K):
+            a_prod_half *= a_p / ensemble.n_modes
+    a_prod = _mirror(a_prod_half)
     geometric = (
-        _geometric_on_grid(bands, e_star, t)
+        _geometric_on_grid(bands, e_star, h, K)
         if bands is not None
         else np.zeros((0, len(t)), dtype=complex)
     )
-    h = float(t[1] - t[0]) if len(t) > 1 else 0.0
     return TraceFactors(
         t_grid=t, geometric=geometric, a_joint=a_joint, a_prod=a_prod,
-        h_t=h, t_max=float(abs(t).max()),
+        h_t=float(t[1] - t[0]) if K else 0.0, t_max=float(abs(t).max()),
     )
 
 
-def _separated_integral(phi: TestFunction, factors: TraceFactors) -> complex:
-    integrand = phi.fourier(factors.t_grid) * factors.geometric.sum(axis=0) * factors.a_joint
-    c = np.ones(len(factors.t_grid))
-    c[0] = 0.5
-    c[-1] = 0.5
-    return factors.h_t * complex(np.dot(c, integrand)) / np.pi
+def _separated_integrand(phi: TestFunction, factors: TraceFactors) -> np.ndarray:
+    """phihat(t) (sum_n G_n(t)) A_joint(t) on the t grid."""
+    return phi.fourier(factors.t_grid) * factors.geometric.sum(axis=0) * factors.a_joint
+
+
+def _separated_integral(integrand: np.ndarray, h_t: float) -> complex:
+    """(1/pi) times the trapezoid rule in t.
+
+    The sum is numpy's own (no BLAS dot), whose order does not depend on
+    the BLAS thread count.
+    """
+    return h_t * complex(integrand.sum() - 0.5 * (integrand[0] + integrand[-1])) / np.pi
 
 
 def theta_separated(phi: TestFunction, factors: TraceFactors) -> float:
     """Real part of the separated Fourier-side trace (1/pi normalization)."""
     if factors.geometric.shape[0] == 0:
         raise ValueError("factors were built without geometric data")
-    return _separated_integral(phi, factors).real
+    return _separated_integral(_separated_integrand(phi, factors), factors.h_t).real
 
 
 def log_local_coefficients(
@@ -248,14 +307,12 @@ def compare_trace_representations(
     t_grid = default_t_grid(bands, e_star, shifts, phi, h_max=h_max, t_max=t_max)
     factors = arithmetic_factors(ensemble, family, shifts, t_grid, bands=bands, e_star=e_star)
     fiber = theta_fiber(phi, bands, e_star, shifts)
-    integral = _separated_integral(phi, factors)
+    integrand = _separated_integrand(phi, factors)
+    integral = _separated_integral(integrand, factors.h_t)
     separated = integral.real
     scale = max(abs(fiber), np.finfo(float).tiny)
     euler_gap = float(np.abs(factors.a_joint - factors.a_prod).max())
-    magnitude = np.abs(
-        phi.fourier(factors.t_grid) * factors.geometric.sum(axis=0) * factors.a_joint
-    )
-    l1_mass = factors.h_t * float(magnitude.sum()) / np.pi
+    l1_mass = factors.h_t * float(np.abs(integrand).sum()) / np.pi
     return TraceReport(
         theta_fiber=fiber,
         theta_separated=separated,

@@ -28,7 +28,7 @@ def tridiagonal_oracle(kappa, M, count):
     m = np.arange(-M, M + 1)
     d = (kappa + 2.0 * np.pi * m) ** 2
     e = np.ones(2 * M)
-    return eigh_tridiagonal(d, e, eigvals_only=True)[:count]
+    return eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="stemr")[:count]
 
 
 def test_free_fiber_matrix_closed_form():

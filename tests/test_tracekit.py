@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from diracgap.arithmetic import (
     MassShifts,
     generate_primes,
     local_factor,
+    local_factor_grid,
     mass_shifts,
     sample_hecke_ensemble,
 )
@@ -114,14 +119,70 @@ def test_constant_one_factorizes_exactly():
 
 def test_euler_gap_shrinks_with_modes():
     primes = generate_primes(20)
+    t = np.arange(-4, 5) * 0.5
+    at = np.isin(t, [0.5, 1.0, 2.0])
     gaps = {}
     for n_h in (100, 10_000):
         ens = sample_hecke_ensemble(primes, n_h, seed=12345)
         shifts = mass_shifts(ens, FAM)
-        t = np.array([0.5, 1.0, 2.0])
         f = arithmetic_factors(ens, FAM, shifts, t)
-        gaps[n_h] = np.abs(f.a_joint - f.a_prod)
+        gaps[n_h] = np.abs(f.a_joint - f.a_prod)[at]
     assert np.all(gaps[10_000] < gaps[100])
+
+
+@pytest.mark.parametrize("t", [
+    [0.5, 1.0, 2.0],                      # not symmetric
+    np.linspace(-1.0, 1.0, 7)[::-1],      # descending
+    [-1.0, 0.0, 1.0, 2.0],                # even length
+    [-0.3, 0.0, 0.2],                     # not uniform
+    np.linspace(-0.7, 0.7, 11),           # not bitwise k*h
+    np.zeros((3, 3)),
+])
+def test_arithmetic_factors_rejects_other_grids(default_run, t):
+    r = default_run
+    with pytest.raises(ValueError, match=r"t_k = k\*h for k = -K\.\.K"):
+        arithmetic_factors(r.ensemble, r.family, r.shifts, np.asarray(t, dtype=float))
+
+
+def test_table_factors_match_direct_references(default_run):
+    # K = 6000 gives R = 78 and 77 coarse blocks.  The two lowest Mathieu
+    # bands and t <= 12 keep |t x| <= 360: each route rounds its phases at
+    # about eps |t x|, so at the default run's |t x| ~ 1e4 neither route is
+    # within 1e-13 of the exact sum and the bound would test rounding only.
+    r = default_run
+    pot = PotentialSpec.mathieu()
+    bands = compute_band_structure(pot, QuasiMomentumGrid(n_nodes=201, period=1.0), 32, 2)
+    e_star = 9.856938576832455
+    t = np.arange(-6000, 6001) * 0.002
+    f = arithmetic_factors(r.ensemble, r.family, r.shifts, t, bands=bands, e_star=e_star)
+    for n in range(bands.n_bands):
+        direct = np.array([geometric_factor(bands, e_star, n, tk) for tk in t])
+        assert np.abs(f.geometric[n] - direct).max() <= 1e-13
+    a_joint = np.exp(1j * np.multiply.outer(t, r.shifts.values)).mean(axis=1)
+    assert np.abs(f.a_joint - a_joint).max() <= 1e-13
+    a_prod = np.ones(len(t), dtype=complex)
+    for p in r.ensemble.primes:
+        a_prod *= local_factor_grid(r.ensemble, r.family, p, t)
+    assert np.abs(f.a_prod - a_prod).max() <= 1e-13
+
+
+def test_trace_is_bitwise_stable_across_blas_threads():
+    # h_t = 0.002 gives n_t ~ 22,700: long enough for OpenBLAS to split a
+    # dot product or a matrix product across threads.
+    code = (
+        "from diracgap import expcli; "
+        "r = expcli.compute_run(expcli.parse_config('{\"h_t\": 0.002}')); "
+        "print(r.trace.theta_separated.hex(), r.trace.euler_gap.hex())"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        outputs.append(proc.stdout.split())
+    assert outputs[0] == outputs[1]
 
 
 def test_separated_matches_fiber_on_golden_run(default_run):
