@@ -87,6 +87,26 @@ _CONFIG_KEYS = {
 _POTENTIAL_KEYS = {"period", "cosine_coefficients"}
 
 
+def _integer(doc: dict, key: str, default: int) -> int:
+    """An integer value; a bool or a float with a fractional part is rejected."""
+    value = doc.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(doc: dict, key: str, default: float) -> float:
+    """A real value; a bool, a string or an integer beyond float range is rejected."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{key} must be finite, got an integer beyond float range") from None
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON configuration document."""
     try:
@@ -121,20 +141,20 @@ def parse_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig(
         potential=potential,
-        M=int(doc.get("M", 32)),
-        N_kappa=int(doc.get("N_kappa", 201)),
-        n_bands=int(doc.get("n_bands", 8)),
-        gap_index=int(doc.get("gap_index", 0)),
-        N_P=int(doc.get("N_P", 20)),
-        N_H=int(doc.get("N_H", 20)),
-        epsilon=float(doc.get("epsilon", 0.35)),
-        seed=int(doc.get("seed", 12345)),
+        M=_integer(doc, "M", 32),
+        N_kappa=_integer(doc, "N_kappa", 201),
+        n_bands=_integer(doc, "n_bands", 8),
+        gap_index=_integer(doc, "gap_index", 0),
+        N_P=_integer(doc, "N_P", 20),
+        N_H=_integer(doc, "N_H", 20),
+        epsilon=_real(doc, "epsilon", 0.35),
+        seed=_integer(doc, "seed", 12345),
         mode=str(doc.get("mode", "iid_uniform")),
-        alpha=float(doc.get("alpha", 0.5)),
-        K=int(doc.get("K", 20)),
-        T=float(doc.get("T", 80.0)),
-        h_t=float(doc.get("h_t", 0.01)),
-        t_max=None if doc.get("t_max") is None else float(doc["t_max"]),
+        alpha=_real(doc, "alpha", 0.5),
+        K=_integer(doc, "K", 20),
+        T=_real(doc, "T", 80.0),
+        h_t=_real(doc, "h_t", 0.01),
+        t_max=None if doc.get("t_max") is None else _real(doc, "t_max", None),
     )
     validate_config(cfg)
     return cfg
@@ -173,12 +193,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValidationError(f"mode must be one of {arithmetic.MODES}")
     if cfg.K < 2:
         raise ValidationError("K must be >= 2 to fit the affine alignment")
-    if not cfg.T > 0.0:
-        raise ValidationError("T must be positive")
-    if not cfg.h_t > 0.0:
-        raise ValidationError("h_t must be positive")
-    if cfg.t_max is not None and not cfg.t_max > 0.0:
-        raise ValidationError("t_max must be positive when given")
+    n_zeros = len(zeta.load_zero_table("embedded"))
+    if cfg.K > n_zeros:
+        raise ValidationError(f"K={cfg.K} exceeds the {n_zeros} zeros of the bundled table")
+    if not (cfg.T > 0.0 and math.isfinite(2.0 * cfg.T)):
+        raise ValidationError("T must be positive and 2T finite (the window is [-T, T])")
+    if not (cfg.h_t > 0.0 and math.isfinite(cfg.h_t)):
+        raise ValidationError("h_t must be positive and finite")
+    if cfg.t_max is not None and not (cfg.t_max > 0.0 and math.isfinite(cfg.t_max)):
+        raise ValidationError("t_max must be positive and finite when given")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -441,6 +464,16 @@ def _staircase_rows(staircase: Staircase):
     return rows
 
 
+def _staircase_value(jumps: np.ndarray, cum: np.ndarray, x: float) -> int:
+    """Odd right-continuous staircase at x.
+
+    `jumps` holds the ascending positive jump locations and `cum` the heights
+    after 0, 1, 2, ... jumps (cum[0] = 0).
+    """
+    value = int(cum[np.searchsorted(jumps, abs(x), side="right")])
+    return -value if x < 0 else value
+
+
 def render_svg(
     staircase: Staircase, zeros: zeta.ZeroTable, affine: zeta.AffineMap, T: float
 ) -> str:
@@ -452,29 +485,14 @@ def render_svg(
         for lam, w in zip(staircase.locations, staircase.weights)
         if affine(lam) != 0.0
     )
-    model_jumps = [v for v, _ in mapped]
-    model_cum = []
-    run = 0
-    for _, w in mapped:
-        run += w
-        model_cum.append(run)
-    zero_jumps = list(zeros.ordinates)
-    zero_cum = list(range(1, len(zero_jumps) + 1))
-
-    def staircase_value(jumps, cum, x):
-        if x == 0.0:
-            return 0
-        sign = 1 if x > 0 else -1
-        x = abs(x)
-        k = 0
-        for j, loc in enumerate(jumps):
-            if loc <= x:
-                k = j + 1
-        return sign * (cum[k - 1] if k else 0)
+    model_jumps = np.array([v for v, _ in mapped], dtype=float)
+    model_cum = np.cumsum([0] + [w for _, w in mapped])
+    zero_jumps = np.array(zeros.ordinates, dtype=float)
+    zero_cum = np.arange(len(zero_jumps) + 1)
 
     y_max = max(
-        staircase_value(model_jumps, model_cum, T),
-        staircase_value(zero_jumps, zero_cum, T),
+        _staircase_value(model_jumps, model_cum, T),
+        _staircase_value(zero_jumps, zero_cum, T),
         1,
     )
 
@@ -486,13 +504,13 @@ def render_svg(
 
     def step_path(jumps, cum):
         breaks = sorted({-x for x in jumps if x < T} | {x for x in jumps if x < T})
-        points = [(-T, staircase_value(jumps, cum, -T))]
+        points = [(-T, _staircase_value(jumps, cum, -T))]
         for b in breaks:
-            before = staircase_value(jumps, cum, b if b < 0 else np.nextafter(b, -np.inf))
-            after = staircase_value(jumps, cum, b if b > 0 else np.nextafter(b, np.inf))
+            before = _staircase_value(jumps, cum, b if b < 0 else np.nextafter(b, -np.inf))
+            after = _staircase_value(jumps, cum, b if b > 0 else np.nextafter(b, np.inf))
             points.append((b, before))
             points.append((b, after))
-        points.append((T, staircase_value(jumps, cum, T)))
+        points.append((T, _staircase_value(jumps, cum, T)))
         coords = " ".join(f"{x_pix(x):.3f},{y_pix(y):.3f}" for x, y in points)
         return coords
 
@@ -602,6 +620,8 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
             "E_step": result.diagnostics.e_step,
             "T": result.diagnostics.T,
             "flags": list(result.diagnostics.flags),
+            "scan_warnings": list(result.scan.warnings),
+            "stationary_roots": len(result.scan.roots),
         }))
         emit("staircase.svg", lambda p: p.write_text(
             render_svg(result.staircase, result.zeros, result.affine, cfg.T)
@@ -666,6 +686,14 @@ def scaling_suite(axis: str, values, base: ExperimentConfig, out_dir) -> Path:
 def _load_cli_config(path: str | None) -> ExperimentConfig:
     text = Path(path).read_text() if path else "{}"
     return parse_config(text)
+
+
+def _print_checks(result: RunResult) -> None:
+    """One line per consistency check, then one per scan warning."""
+    for check in result.checks:
+        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
+    for warning in result.scan.warnings:
+        print(f"WARN scan: {warning}")
 
 
 def main(argv=None) -> int:
@@ -737,14 +765,12 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
-        for check in result.checks:
-            print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
+        _print_checks(result)
         return 0 if result.all_checks_pass else 1
 
     # run
     artifacts = write_artifacts(result, args.out)
-    for check in result.checks:
-        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
+    _print_checks(result)
     print(f"wrote {len(artifacts.paths)} artifacts to {artifacts.directory}")
     return 0 if result.all_checks_pass else 1
 

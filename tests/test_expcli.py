@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracgap import expcli
 from diracgap.expcli import (
@@ -297,3 +303,85 @@ def test_narrow_window_trace_is_noise_floor_limited():
     assert abs(trace.theta_fiber) < 1e-50
     assert trace.rel_gap > 1e-6  # relative resolution genuinely lost
     assert trace.abs_gap <= 1e-12 * trace.l1_mass
+
+
+@pytest.mark.parametrize("doc,rule", [
+    ('{"M": true}', "M must be an integer"),
+    ('{"M": 32.9}', "M must be an integer"),
+    ('{"N_H": false}', "N_H must be an integer"),
+    ('{"seed": 1.5}', "seed must be an integer"),
+    ('{"K": 101}', "exceeds the 100 zeros"),
+    ('{"t_max": 1e400}', "t_max must be positive and finite"),
+    ('{"T": 1e308}', "2T finite"),
+    ('{"alpha": "0.5"}', "alpha must be a number"),
+])
+def test_strict_config_rejections(tmp_path, capsys, doc, rule):
+    with pytest.raises(ValidationError, match=rule):
+        parse_config(doc)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(doc)
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert rule in capsys.readouterr().err
+
+
+def test_integral_values_are_accepted_as_integers():
+    cfg = parse_config('{"M": 32.0, "K": 100, "T": 8.98e307}')
+    assert (cfg.M, cfg.K) == (32, 100) and isinstance(cfg.M, int)
+
+
+def test_scan_warnings_reach_diagnostics_and_cli(tmp_path, capsys):
+    assert main(["run", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    spacing = [w for w in diag["scan_warnings"] if "minimum jump spacing" in w]
+    assert len(spacing) == 2
+    warn_lines = [ln for ln in out if ln.startswith("WARN scan: ")]
+    assert warn_lines == [f"WARN scan: {w}" for w in diag["scan_warnings"]]
+    last_check = max(i for i, ln in enumerate(out) if ln.startswith(("PASS", "FAIL")))
+    assert min(out.index(ln) for ln in warn_lines) > last_check
+    rows = (tmp_path / "stationary.csv").read_text().splitlines()
+    assert diag["stationary_roots"] == len(rows) - 1
+
+
+def old_staircase_value(jumps, cum, x):
+    """The SVG staircase as first written: a scan over every jump per call."""
+    if x == 0.0:
+        return 0
+    sign = 1 if x > 0 else -1
+    x = abs(x)
+    k = 0
+    for j, loc in enumerate(jumps):
+        if loc <= x:
+            k = j + 1
+    return sign * (cum[k - 1] if k else 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    jumps=st.lists(st.floats(min_value=1e-3, max_value=100.0), max_size=30),
+    weights=st.lists(st.integers(min_value=1, max_value=5), min_size=30, max_size=30),
+    probes=st.lists(st.floats(min_value=-120.0, max_value=120.0), min_size=1, max_size=10),
+)
+def test_svg_staircase_value_matches_the_old_loop(jumps, weights, probes):
+    jumps = sorted(jumps)
+    weights = weights[: len(jumps)]
+    cum = [sum(weights[: k + 1]) for k in range(len(jumps))]
+    as_arrays = (np.array(jumps, dtype=float), np.array([0] + cum))
+    for x in probes + jumps + [-v for v in jumps] + [0.0]:
+        for y in (x, float(np.nextafter(x, -np.inf)), float(np.nextafter(x, np.inf))):
+            assert expcli._staircase_value(*as_arrays, y) == old_staircase_value(jumps, cum, y)
+
+
+def test_python_dash_m_runs_without_runpy_warning(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(REDUCED)
+    src = str(Path(expcli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "diracgap", "verify",
+         "--config", str(cfg_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "PASS trace_agreement" in proc.stdout

@@ -197,3 +197,15 @@ def test_mae_recomputable(default_run):
     assert d.max_abs == max(abs(x) for x in d.deviations)
     assert len(d.deviations) == d.K
     assert all(math.isfinite(x) for x in d.deviations)
+
+
+@pytest.mark.slow
+def test_embedded_table_matches_mpmath_zetazero():
+    # The table rounds each ordinate to 9 decimals, so the deviation from the
+    # high-precision value is at most half a unit there; 1e-12 covers the
+    # double-precision representation of ordinates up to ~240.
+    mpmath = pytest.importorskip("mpmath")
+    table = load_zero_table("embedded")
+    worst = max(abs(float(mpmath.zetazero(n).imag) - gamma)
+                for n, gamma in enumerate(table.ordinates, start=1))
+    assert worst <= 0.5e-9 + 1e-12
