@@ -32,7 +32,10 @@ MODES = ("iid_uniform", "constant_one")
 
 
 def splitmix64(x: int) -> int:
-    """One splitmix64 step: golden-ratio increment plus the standard finalizer."""
+    """One splitmix64 step: golden-ratio increment plus the standard finalizer.
+
+    x may also be a np.uint64 array, whose arithmetic wraps mod 2^64 too.
+    """
     x = (x + _GAMMA) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
@@ -41,7 +44,7 @@ def splitmix64(x: int) -> int:
 
 
 def sample_unit(seed: int, p: int, m: int) -> float:
-    """Deterministic sample in [-1, 1) keyed by (seed, p, m)."""
+    """Deterministic sample in [-1, 1) keyed by (seed, p, m); p, m may be np.uint64 arrays."""
     key = (seed ^ ((p * _GAMMA) & _MASK64) ^ ((m * _MIX1) & _MASK64)) & _MASK64
     z = splitmix64(key)
     return 2.0 * (z >> 11) / 2.0**53 - 1.0
@@ -152,9 +155,8 @@ def sample_hecke_ensemble(
     if mode == "constant_one":
         samples = np.ones((len(primes), n_modes))
     else:
-        samples = np.empty((len(primes), n_modes))
-        for i, p in enumerate(primes):
-            samples[i] = [sample_unit(seed, p, m) for m in range(1, n_modes + 1)]
+        p = np.array(primes.primes, dtype=np.uint64)[:, None]
+        samples = sample_unit(seed, p, np.arange(1, n_modes + 1, dtype=np.uint64))
     samples.setflags(write=False)
     return HeckeEnsemble(primes=primes, n_modes=n_modes, seed=seed, mode=mode, samples=samples)
 

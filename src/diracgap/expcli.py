@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .floquet import (
     PotentialSpec,
     QuasiMomentumGrid,
     compute_band_structure,
+    fiber_eigenvalues,
     select_reference_energy,
 )
 from .shift import (
@@ -52,6 +54,10 @@ TRACE_IMAG_RESIDUE = 1e-10
 PAIRING_TOL = 1e-10
 KREIN_TOL = 1e-9
 EULER_EXACT_TOL = 1e-12
+KAPPA_REFLECTION_TOL = 1e-12
+
+# Largest t grid a configuration may ask for; M=64, N_kappa=1001, n_bands=16 uses 18,201.
+MAX_T_POINTS = 2**22
 
 MODEL_MAX_FIBERS = 128
 MODEL_MAX_MODES = 16
@@ -202,6 +208,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValidationError("h_t must be positive and finite")
     if cfg.t_max is not None and not (cfg.t_max > 0.0 and math.isfinite(cfg.t_max)):
         raise ValidationError("t_max must be positive and finite when given")
+    T = cfg.t_max or tracekit.tail_half_width(cfg.alpha, cfg.n_bands, cfg.potential.period)
+    h = min(cfg.h_t, 2.0 * math.pi / (8.0 * cfg.alpha + 1.0))  # default_t_grid's step is <= h
+    if not (math.isfinite(T / h) and 2 * math.ceil(T / h) + 1 <= MAX_T_POINTS):
+        raise ValidationError(f"the t grid needs 2*ceil(T/h)+1 > MAX_T_POINTS={MAX_T_POINTS} points "
+                              f"(half-width T={T:.6g}, step h <= {h:.6g} from h_t and alpha)")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -251,7 +262,7 @@ class RunResult:
     family: arithmetic.CoefficientFamily
     shifts: arithmetic.MassShifts
     band_set: gapspec.DiracBandSet
-    gap_values: list
+    gap_values: gapspec.GapValues
     spectrum: gapspec.GapSpectrum
     staircase: Staircase
     trace: tracekit.TraceReport
@@ -339,7 +350,7 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
         )
     scan = stationary_scan(spectrum, phi, _scan_grid(staircase, cfg.alpha))
 
-    checks = _consistency_checks(cfg, gap_values, staircase, trace, chiral, krein,
+    checks = _consistency_checks(cfg, bands, staircase, trace, chiral, krein,
                                  norm_report, diag)
     return RunResult(
         config=cfg, bands=bands, e_star=e_star, ensemble=ensemble, family=family,
@@ -350,7 +361,19 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
     )
 
 
-def _consistency_checks(cfg, gap_values, staircase, trace, chiral, krein,
+def _kappa_reflection_defect(bands: BandStructure) -> tuple[float, int]:
+    """Largest |E - E_mirrored| / max(1, |E|) at -pi/L, a middle node and the node left of 0.
+
+    Bands are solved for kappa >= 0 and mirrored, which holds only for an even potential.
+    """
+    nodes = sorted({0, bands.grid.half_index // 2, bands.grid.half_index - 1})
+    solved = np.array([fiber_eigenvalues(bands.potential, bands.grid.nodes[j], bands.truncation,
+                                         bands.n_bands) for j in nodes]).T
+    defect = np.abs(solved - bands.bands[:, nodes]) / np.maximum(1.0, np.abs(solved))
+    return float(defect.max()), len(nodes)
+
+
+def _consistency_checks(cfg, bands, staircase, trace, chiral, krein,
                         norm_report, diag) -> tuple[Check, ...]:
     checks = []
 
@@ -379,10 +402,10 @@ def _consistency_checks(cfg, gap_values, staircase, trace, chiral, krein,
     add("norm_bounds", norm_report.all_bounds_hold,
         f"tail_norms={[f'{x:.3e}' for x in norm_report.tail_norms]}")
 
-    values = sorted(g.value for g in gap_values)
-    negated = sorted(-g.value for g in gap_values)
-    add("spectrum_symmetric", values == negated,
-        f"{len(values)} emitted values")
+    defect, n_nodes = _kappa_reflection_defect(bands)
+    add("kappa_reflection", defect <= KAPPA_REFLECTION_TOL,
+        f"defect={defect:.3e} at {n_nodes} directly solved negative kappa nodes "
+        f"(tol {KAPPA_REFLECTION_TOL} max(1, |E|))")
 
     rng = np.random.default_rng(0)
     odd_ok = True
@@ -423,45 +446,34 @@ class RunArtifacts:
     result: RunResult
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(r) for r in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, lines) -> None:
+    """Write a header and the lines, joined in blocks of 4096 lines to bound memory."""
+    lines = iter(lines)
+    with path.open("w") as f:
+        f.write(header + "\n")
+        while block := list(islice(lines, 4096)):
+            f.write("\n".join(block) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _bands_rows(bands: BandStructure):
-    for n in range(bands.n_bands):
-        for j, kappa in enumerate(bands.grid.nodes):
-            yield (str(n), _fmt(kappa), _fmt(bands.bands[n, j]))
+def _bands_lines(bands: BandStructure):
+    nodes = bands.grid.nodes.tolist()
+    return (f"{n},{kappa:.17g},{e:.17g}"
+            for n, row in enumerate(bands.bands) for kappa, e in zip(nodes, row.tolist()))
 
 
-def _gaps_rows(bands: BandStructure):
-    for gap in bands.gaps:
-        yield (str(gap.index), _fmt(gap.lower), _fmt(gap.upper), _fmt(gap.width))
+def _gaps_lines(bands: BandStructure) -> list[str]:
+    return [f"{g.index},{g.lower:.17g},{g.upper:.17g},{g.width:.17g}" for g in bands.gaps]
 
 
-def _staircase_rows(staircase: Staircase):
-    locs = staircase.locations
-    cum = staircase.cumulative
-    rows = []
-    for k in range(len(locs) - 1, -1, -1):
-        before = cum[k]
-        after = cum[k - 1] if k else 0
-        rows.append((_fmt(-locs[k]), str(-before)))
-        rows.append((_fmt(-locs[k]), str(-after)))
-    for k in range(len(locs)):
-        before = cum[k - 1] if k else 0
-        rows.append((_fmt(locs[k]), str(before)))
-        rows.append((_fmt(locs[k]), str(cum[k])))
-    return rows
+def _staircase_lines(staircase: Staircase) -> list[str]:
+    """Two points per jump (before, after), from -lambda_max up to lambda_max."""
+    cum = (0,) + staircase.cumulative
+    pos = [(x, c) for k, x in enumerate(staircase.locations) for c in (cum[k], cum[k + 1])]
+    return [f"{-x:.17g},{-c}" for x, c in reversed(pos)] + [f"{x:.17g},{c}" for x, c in pos]
 
 
 def _staircase_value(jumps: np.ndarray, cum: np.ndarray, x: float) -> int:
@@ -480,13 +492,12 @@ def render_svg(
     """Deterministic SVG of the two aligned odd staircases on [-T, T]."""
     width, height, pad = 900.0, 480.0, 45.0
 
-    mapped = sorted(
-        (abs(float(affine(lam))), w)
-        for lam, w in zip(staircase.locations, staircase.weights)
-        if affine(lam) != 0.0
-    )
-    model_jumps = np.array([v for v, _ in mapped], dtype=float)
-    model_cum = np.cumsum([0] + [w for _, w in mapped])
+    mapped = affine(np.array(staircase.locations, dtype=float))
+    weights = np.array(staircase.weights, dtype=np.int64)[mapped != 0.0]
+    mapped = np.abs(mapped[mapped != 0.0])
+    order = np.lexsort((weights, mapped))
+    model_jumps = mapped[order]
+    model_cum = np.concatenate([[0], np.cumsum(weights[order])])
     zero_jumps = np.array(zeros.ordinates, dtype=float)
     zero_cum = np.arange(len(zero_jumps) + 1)
 
@@ -546,48 +557,34 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
 
     def emit(name: str, writer) -> None:
         path = out / name
+        written.append(path)  # before writing: a writer failing midway leaves a partial file
         writer(path)
-        written.append(path)
         paths[name] = path
 
     cfg = result.config
     try:
-        emit("bands.csv", lambda p: _write_csv(p, "n,kappa,energy", _bands_rows(result.bands)))
-        emit("gaps.csv", lambda p: _write_csv(p, "n,beta_n,alpha_n1,width", _gaps_rows(result.bands)))
-        emit("ensemble.csv", lambda p: _write_csv(
-            p, "p,m,lambda",
-            (
-                (str(prime), str(m + 1), _fmt(result.ensemble.samples[i, m]))
-                for i, prime in enumerate(result.ensemble.primes)
-                for m in range(result.ensemble.n_modes)
-            ),
-        ))
-        emit("massshifts.csv", lambda p: _write_csv(
-            p, "m,mass",
-            ((str(m + 1), _fmt(v)) for m, v in enumerate(result.shifts.values)),
-        ))
-        emit("spectrum.csv", lambda p: _write_csv(
-            p, "k,lambda_k,multiplicity",
-            (
-                (str(k + 1), _fmt(lam), str(mult))
-                for k, (lam, mult) in enumerate(
-                    zip(result.spectrum.positive_values, result.spectrum.multiplicities)
-                )
-            ),
-        ))
-        emit("spectrum_fibers.csv", lambda p: _write_csv(
-            p, "k,n,j,m",
-            (
-                (str(k + 1), str(n), str(j), str(m))
-                for k, fibers in enumerate(result.spectrum.provenance)
-                for (n, j, m) in fibers
-            ),
-        ))
-        emit("staircase.csv", lambda p: _write_csv(p, "lambda,xi", _staircase_rows(result.staircase)))
-        emit("stationary.csv", lambda p: _write_csv(
-            p, "t_root,kind",
-            ((_fmt(r), k) for r, k in zip(result.scan.roots, result.scan.kinds)),
-        ))
+        emit("bands.csv", lambda p: _write_csv(p, "n,kappa,energy", _bands_lines(result.bands)))
+        emit("gaps.csv", lambda p: _write_csv(p, "n,beta_n,alpha_n1,width", _gaps_lines(result.bands)))
+        emit("ensemble.csv", lambda p: _write_csv(p, "p,m,lambda", (
+            f"{prime},{m},{x:.17g}"
+            for prime, row in zip(result.ensemble.primes, result.ensemble.samples)
+            for m, x in enumerate(row.tolist(), start=1)
+        )))
+        emit("massshifts.csv", lambda p: _write_csv(p, "m,mass", (
+            f"{m},{v:.17g}" for m, v in enumerate(result.shifts.values.tolist(), start=1)
+        )))
+        emit("spectrum.csv", lambda p: _write_csv(p, "k,lambda_k,multiplicity", (
+            f"{k},{lam:.17g},{mult}" for k, (lam, mult) in enumerate(
+                zip(result.spectrum.positive_values, result.spectrum.multiplicities), start=1)
+        )))
+        emit("spectrum_fibers.csv", lambda p: _write_csv(p, "k,n,j,m", (
+            f"{k},{n},{j},{m}" for k, fibers in enumerate(result.spectrum.provenance, start=1)
+            for (n, j, m) in fibers
+        )))
+        emit("staircase.csv", lambda p: _write_csv(p, "lambda,xi", _staircase_lines(result.staircase)))
+        emit("stationary.csv", lambda p: _write_csv(p, "t_root,kind", (
+            f"{r:.17g},{k}" for r, k in zip(result.scan.roots, result.scan.kinds)
+        )))
         emit("trace_report.json", lambda p: _write_json(p, {
             "theta_fiber": result.trace.theta_fiber,
             "theta_separated": result.trace.theta_separated,
@@ -672,7 +669,7 @@ def scaling_suite(axis: str, values, base: ExperimentConfig, out_dir) -> Path:
         except Exception as err:
             raise SuiteError(f"suite aborted at {axis}={v}: {err}") from err
         d = result.diagnostics
-        rows.append((str(int(v)), _fmt(d.mae), _fmt(d.max_abs), _fmt(d.e_step)))
+        rows.append(f"{int(v)},{d.mae:.17g},{d.max_abs:.17g},{d.e_step:.17g}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"suite_{axis}.csv"
@@ -731,8 +728,8 @@ def main(argv=None) -> int:
         bands = compute_band_structure(cfg.potential, grid, cfg.M, cfg.n_bands)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "bands.csv", "n,kappa,energy", _bands_rows(bands))
-        _write_csv(out / "gaps.csv", "n,beta_n,alpha_n1,width", _gaps_rows(bands))
+        _write_csv(out / "bands.csv", "n,kappa,energy", _bands_lines(bands))
+        _write_csv(out / "gaps.csv", "n,beta_n,alpha_n1,width", _gaps_lines(bands))
         print(f"wrote {out / 'bands.csv'} and {out / 'gaps.csv'}")
         return 0
 

@@ -15,7 +15,6 @@ spectrum; the full spectrum is its symmetric closure {+-lambda_k}.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +43,18 @@ class DiracBandSet:
 
 
 @dataclass(frozen=True)
-class GapEigenvalue:
-    value: float
-    fiber: tuple[int, int, int]  # (band n, node j, mode m), m 1-based
+class GapValues:
+    """Kept fibers and their signed values; each value stands for the pair +-v.
+
+    values[i] = E_n(kappa_j) - E* + m_m for fibers[i] = (n, j, m), m 1-based,
+    in lexicographic (n, j, m) order.  len() counts the +- eigenvalues.
+    """
+
+    values: np.ndarray = field(repr=False, compare=False)
+    fibers: np.ndarray = field(repr=False, compare=False)  # shape (k, 3), integer
+
+    def __len__(self) -> int:
+        return 2 * len(self.values)
 
 
 @dataclass(frozen=True)
@@ -118,64 +126,54 @@ def fiber_gap_eigenvalues(
     shifts: MassShifts,
     band_set: DiracBandSet,
     margin: float = MEMBERSHIP_MARGIN,
-) -> list[GapEigenvalue]:
-    """Enumerate +-(E_n(kappa_j) - E* + m_m) surviving the gap filter.
+) -> GapValues:
+    """Enumerate the fibers whose +-(E_n(kappa_j) - E* + m_m) survive the gap filter.
 
-    Emission order is lexicographic in (n, j, m, sign) with + before -, so
-    the result is schedule-independent.  An empty list is a valid outcome.
+    Fibers come in lexicographic (n, j, m) order, so the result is
+    schedule-independent.  An empty result is a valid outcome.
+
+    Rounding is monotone, so every v = q_nj + m of a row (n, j) lies between
+    q_nj + min(m) and q_nj + max(m).  A row whose two ends lie in one closed
+    band interval has distance 0 everywhere and is dropped before the
+    (rows x modes) candidates are built.  The band set is negation-symmetric,
+    so one distance test covers both signs of each candidate.
     """
-    q = bands.bands - e_star
-    n_bands, n_nodes = q.shape
+    q = (bands.bands - e_star).ravel()
     m_vals = shifts.values
-    # v[n, j, m]; the band set is negation-symmetric, so one distance test
-    # covers both signs of each candidate.
-    v = q[:, :, None] + m_vals[None, None, :]
-    keep = outside_bands(v.ravel(), band_set, margin).reshape(v.shape)
-    out: list[GapEigenvalue] = []
-    for n in range(n_bands):
-        for j in range(n_nodes):
-            for m in range(len(m_vals)):
-                if keep[n, j, m]:
-                    val = v[n, j, m]
-                    fiber = (n, j, m + 1)
-                    out.append(GapEigenvalue(value=float(val), fiber=fiber))
-                    out.append(GapEigenvalue(value=float(-val), fiber=fiber))
-    return out
+    rows = np.arange(q.size)
+    if len(m_vals) and not 0.0 > margin:
+        ends = np.stack([q + m_vals.min(), q + m_vals.max()])
+        idx = np.searchsorted(band_set.lowers, ends, side="right") - 1
+        inside = (idx >= 0) & (ends <= band_set.uppers[np.maximum(idx, 0)])
+        rows = rows[~(inside.all(axis=0) & (idx[0] == idx[1]))]
+    v = q[rows, None] + m_vals[None, :]
+    row, m = np.nonzero(outside_bands(v.ravel(), band_set, margin).reshape(v.shape))
+    n, j = np.divmod(rows[row], bands.grid.n_nodes)
+    return GapValues(values=v[row, m], fibers=np.stack([n, j, m + 1], axis=1))
 
 
-def aggregate_spectrum(values: list[GapEigenvalue]) -> GapSpectrum:
-    """Group positive values within the grouping tolerance, ascending.
+def aggregate_spectrum(gap_values: GapValues) -> GapSpectrum:
+    """Group the positive values within the grouping tolerance, ascending.
 
-    Values are rounded to 12 decimals first; groups chain while consecutive
-    rounded values are within GROUPING_TOLERANCE.  Multiplicity is group
-    size and the group's smallest rounded value is the representative.
+    Each |v| is rounded to 12 decimals (Python's correctly rounded `round`)
+    and ties sort by fiber; groups chain while consecutive rounded values are
+    within GROUPING_TOLERANCE.  Multiplicity is group size and the group's
+    smallest rounded value is the representative.
     """
-    positives = [
-        (round(gev.value, GROUPING_DECIMALS), gev.fiber)
-        for gev in values
-        if round(gev.value, GROUPING_DECIMALS) > 0.0
-    ]
-    positives.sort()
-    lams: list[float] = []
-    mults: list[int] = []
-    prov: list[list] = []
-    previous = -np.inf
-    for val, fiber in positives:
-        if lams and val - previous <= GROUPING_TOLERANCE:
-            mults[-1] += 1
-            prov[-1].append(fiber)
-        else:
-            lams.append(val)
-            mults.append(1)
-            prov.append([fiber])
-        previous = val
+    rounded = np.array([round(x, GROUPING_DECIMALS) for x in np.abs(gap_values.values).tolist()])
+    keep = rounded > 0.0
+    lam, fib = rounded[keep], gap_values.fibers[keep]
+    order = np.lexsort((fib[:, 2], fib[:, 1], fib[:, 0], lam))
+    lam, fibers = lam[order], [tuple(f) for f in fib[order].tolist()]
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(lam) > GROUPING_TOLERANCE])[: lam.size])
+    bounds = starts.tolist() + [lam.size]
     return GapSpectrum(
-        positive_values=tuple(lams),
-        multiplicities=tuple(mults),
-        provenance=tuple(tuple(p) for p in prov),
+        positive_values=tuple(lam[starts].tolist()),
+        multiplicities=tuple(np.diff(bounds).tolist()),
+        provenance=tuple(tuple(fibers[a:b]) for a, b in zip(bounds, bounds[1:])),
     )
 
 
 def gap_index_of(value: float, band_set: DiracBandSet) -> int:
     """Index of the band-set gap containing value (-1 below, len-1 above)."""
-    return bisect_right([iv[0] for iv in band_set.intervals], value) - 1
+    return int(np.searchsorted(band_set.lowers, value, side="right")) - 1

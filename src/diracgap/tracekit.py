@@ -170,6 +170,24 @@ def _geometric_on_grid(bands: BandStructure, e_star: float, h: float, K: int) ->
     return _mirror(scale * half)
 
 
+def tail_half_width(alpha: float, n_bands: int, period: float) -> float:
+    """Half-width T of the t grid: phihat(T) = TAIL_HAT_CUTOFF, widened until the
+    analytic Gaussian tail bound on the truncated integral falls below TAIL_BOUND."""
+    a = alpha
+    if not a * a > 0.0:  # a^2 underflows: no finite t grid reaches the Gaussian tail
+        return math.inf
+    # phihat(T) < cutoff  <=>  T > (2/a) sqrt(log(a sqrt(pi) / cutoff))
+    arg = a * math.sqrt(math.pi) / TAIL_HAT_CUTOFF
+    T = (2.0 / a) * math.sqrt(max(math.log(arg), 1.0))
+    amp = (1.0 / math.pi) * n_bands * (2.0 * math.pi / period)
+    coef = a * math.sqrt(math.pi)
+    aa = a * a / 4.0
+    # two-sided tail of int_T^inf e^{-aa t^2} <= e^{-aa T^2} / (2 aa T)
+    while 2.0 * amp * coef * math.exp(-aa * T * T) / (2.0 * aa * T) > TAIL_BOUND:
+        T *= 1.25
+    return T
+
+
 def default_t_grid(
     bands: BandStructure,
     e_star: float,
@@ -180,30 +198,15 @@ def default_t_grid(
 ) -> np.ndarray:
     """Symmetric uniform t grid satisfying the tail and aliasing rules.
 
-    The half-width T starts at the solution of phihat(T) = TAIL_HAT_CUTOFF
-    and is widened until the analytic Gaussian tail bound on the truncated
-    integral falls below TAIL_BOUND.  The step obeys h <= h_max and keeps
-    2 pi / h beyond the largest fiber value by a multiple of alpha, so the
-    trapezoid aliasing images of phi are negligible.
+    The half-width is t_max, or tail_half_width when t_max is None.  The step
+    obeys h <= h_max and keeps 2 pi / h beyond the largest fiber value by a
+    multiple of alpha, so the trapezoid aliasing images of phi are negligible.
     """
     a = phi.alpha
     q_extreme = max(abs(bands.bands.max() - e_star), abs(bands.bands.min() - e_star))
     m_extreme = max(abs(float(shifts.values.max())), abs(float(shifts.values.min()))) if len(shifts) else 0.0
     v_max = q_extreme + m_extreme
-
-    if t_max is None:
-        # phihat(T) < cutoff  <=>  T > (2/a) sqrt(log(a sqrt(pi) / cutoff))
-        arg = a * math.sqrt(math.pi) / TAIL_HAT_CUTOFF
-        T = (2.0 / a) * math.sqrt(max(math.log(arg), 1.0))
-        L = bands.potential.period
-        amp = (1.0 / math.pi) * bands.n_bands * (2.0 * math.pi / L)
-        coef = a * math.sqrt(math.pi)
-        aa = a * a / 4.0
-        # two-sided tail of int_T^inf e^{-aa t^2} <= e^{-aa T^2} / (2 aa T)
-        while 2.0 * amp * coef * math.exp(-aa * T * T) / (2.0 * aa * T) > TAIL_BOUND:
-            T *= 1.25
-    else:
-        T = float(t_max)
+    T = tail_half_width(a, bands.n_bands, bands.potential.period) if t_max is None else float(t_max)
 
     h = min(h_max, 2.0 * math.pi / (v_max + 8.0 * a + 1.0))
     half_steps = max(int(math.ceil(T / h)), 1)

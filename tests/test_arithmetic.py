@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracgap.arithmetic import (
@@ -78,6 +78,18 @@ def test_sample_matches_independent_reimplementation():
     assert sample_unit(12345, 2, 1) == SAMPLE_12345_P2_M1
     for seed, p, m in [(0, 2, 1), (54321, 71, 20), (2**63, 97, 3)]:
         assert sample_unit(seed, p, m) == reference_sample(seed, p, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, MASK), n_primes=st.integers(1, 60), n_modes=st.integers(1, 12))
+@example(seed=0, n_primes=25, n_modes=12)
+@example(seed=MASK, n_primes=25, n_modes=12)
+@example(seed=2**63 + 17, n_primes=1, n_modes=1)
+def test_ensemble_block_matches_reference_sample(seed, n_primes, n_modes):
+    primes = generate_primes(n_primes)
+    samples = sample_hecke_ensemble(primes, n_modes, seed).samples
+    expected = [[reference_sample(seed, p, m) for m in range(1, n_modes + 1)] for p in primes]
+    assert samples.tolist() == expected
 
 
 def test_ensemble_constant_one():

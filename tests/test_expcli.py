@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,22 @@ def test_failed_run_removes_partial_artifacts(tmp_path, reduced_run, monkeypatch
     assert list(out.iterdir()) == []
 
 
+def test_writer_failing_midway_leaves_no_partial_file(tmp_path, reduced_run, monkeypatch):
+    original = expcli._write_csv
+
+    def failing(path, header, lines):
+        if path.name == "spectrum.csv":
+            path.write_text(header + "\n")  # the file exists when the writer fails
+            raise OSError("disk full (simulated)")
+        original(path, header, lines)
+
+    monkeypatch.setattr(expcli, "_write_csv", failing)
+    out = tmp_path / "broken"
+    with pytest.raises(OSError, match="disk full"):
+        expcli.write_artifacts(reduced_run, out)
+    assert list(out.iterdir()) == []
+
+
 def test_csv_float_format_is_17_digits(tmp_path, reduced_run):
     arts = expcli.write_artifacts(reduced_run, tmp_path / "fmt")
     line = (tmp_path / "fmt" / "bands.csv").read_text().splitlines()[1]
@@ -263,9 +280,21 @@ def test_checks_cover_spec_contract(reduced_run):
     names = {c.name for c in reduced_run.checks}
     assert {
         "trace_agreement", "chiral_anticommutator", "chiral_pairing",
-        "krein_identity", "norm_bounds", "spectrum_symmetric",
+        "krein_identity", "norm_bounds", "kappa_reflection",
         "staircase_odd", "diagnostics_finite",
     } <= names
+
+
+def test_kappa_reflection_detects_a_wrong_mirror(reduced_run):
+    bands = reduced_run.bands
+    defect, n_nodes = expcli._kappa_reflection_defect(bands)
+    assert defect <= expcli.KAPPA_REFLECTION_TOL and n_nodes == 3
+    half = bands.grid.half_index
+    for j in (0, half // 2, half - 1):
+        wrong = bands.bands.copy()
+        wrong[:, j] += 1e-9 * np.maximum(1.0, np.abs(wrong[:, j]))
+        defect, _ = expcli._kappa_reflection_defect(replace(bands, bands=wrong))
+        assert defect > expcli.KAPPA_REFLECTION_TOL
 
 
 @pytest.mark.parametrize("name,doc", [
@@ -314,6 +343,11 @@ def test_narrow_window_trace_is_noise_floor_limited():
     ('{"t_max": 1e400}', "t_max must be positive and finite"),
     ('{"T": 1e308}', "2T finite"),
     ('{"alpha": "0.5"}', "alpha must be a number"),
+    ('{"alpha": 1e-9}', "MAX_T_POINTS"),
+    ('{"h_t": 1e-300}', "MAX_T_POINTS"),
+    ('{"alpha": 1e300}', "MAX_T_POINTS"),
+    ('{"alpha": 1e-200}', "MAX_T_POINTS"),
+    ('{"alpha": 1e-160, "h_t": 1e300}', "MAX_T_POINTS"),
 ])
 def test_strict_config_rejections(tmp_path, capsys, doc, rule):
     with pytest.raises(ValidationError, match=rule):
@@ -322,6 +356,14 @@ def test_strict_config_rejections(tmp_path, capsys, doc, rule):
     cfg_path.write_text(doc)
     assert main(["verify", "--config", str(cfg_path)]) == 2
     assert rule in capsys.readouterr().err
+
+
+def test_t_grid_precheck_is_the_lower_bound_at_the_limit():
+    # 2*ceil(T/h)+1 with T = t_max and h = h_t: 4,194,303 points pass, 4,194,305 do not
+    assert expcli.MAX_T_POINTS == 2**22
+    parse_config('{"t_max": 2097151.0, "h_t": 1.0}')
+    with pytest.raises(ValidationError, match="MAX_T_POINTS"):
+        parse_config('{"t_max": 2097151.5, "h_t": 1.0}')
 
 
 def test_integral_values_are_accepted_as_integers():

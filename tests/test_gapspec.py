@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import toy_band_structure
 from diracgap.arithmetic import (
@@ -11,8 +13,11 @@ from diracgap.arithmetic import (
     sample_hecke_ensemble,
 )
 from diracgap.gapspec import (
+    GROUPING_DECIMALS,
+    GROUPING_TOLERANCE,
     MEMBERSHIP_MARGIN,
     DiracBandSet,
+    GapValues,
     aggregate_spectrum,
     band_distance,
     dirac_band_set,
@@ -38,6 +43,29 @@ def brute_force_gap_values(bands, e_star, shifts, intervals, margin=MEMBERSHIP_M
                     out.append((v, (n, j, m)))
                     out.append((-v, (n, j, m)))
     return out
+
+
+def brute_force_spectrum(pairs):
+    """The list-based grouping of the +- pairs: round, keep positives, sort, chain."""
+    positives = sorted(
+        (round(v, GROUPING_DECIMALS), f) for v, f in pairs if round(v, GROUPING_DECIMALS) > 0.0
+    )
+    lams, mults, prov = [], [], []
+    previous = None
+    for val, fiber in positives:
+        if lams and val - previous <= GROUPING_TOLERANCE:
+            mults[-1] += 1
+            prov[-1].append(fiber)
+        else:
+            lams.append(val)
+            mults.append(1)
+            prov.append([fiber])
+        previous = val
+    return tuple(lams), tuple(mults), tuple(tuple(p) for p in prov)
+
+
+def fiber_tuples(gap_values):
+    return [tuple(f) for f in gap_values.fibers.tolist()]
 
 
 def test_toy_band_set():
@@ -76,42 +104,59 @@ def test_boundary_value_not_emitted():
     bands = toy_band_structure([[2.0, 2.0, 2.0]])
     band_set = DiracBandSet(intervals=((-1.5, -0.5), (0.5, 1.5)))
     got = fiber_gap_eigenvalues(bands, 1.5, MassShifts(values=np.zeros(1)), band_set)
-    assert got == []
+    assert len(got) == 0
+    assert got.values.shape == (0,) and got.fibers.shape == (0, 3)
 
 
 def test_toy_fiber_emission():
     bands = toy_band_structure([[1.0, 1.0, 1.0]])
     band_set = DiracBandSet(intervals=((-1.5, -0.5), (0.5, 1.5)))
     got = fiber_gap_eigenvalues(bands, 1.5, MassShifts(values=np.array([0.6])), band_set)
-    # v = 1.0 - 1.5 + 0.6 = 0.1 inside the central gap, one fiber per node
-    assert [g.value for g in got] == pytest.approx([0.1, -0.1] * 3, abs=1e-15)
-    assert [g.fiber for g in got] == [(0, 0, 1), (0, 0, 1), (0, 1, 1), (0, 1, 1), (0, 2, 1), (0, 2, 1)]
+    # v = 1.0 - 1.5 + 0.6 = 0.1 inside the central gap, one fiber per node;
+    # each value stands for the pair +-0.1
+    assert got.values.tolist() == pytest.approx([0.1] * 3, abs=1e-15)
+    assert len(got) == 6
+    assert fiber_tuples(got) == [(0, 0, 1), (0, 1, 1), (0, 2, 1)]
 
 
 def test_emission_is_lexicographic_and_symmetric(default_run):
     vals = default_run.gap_values
-    fibers = [g.fiber for g in vals[::2]]
-    assert fibers == sorted(fibers)
-    emitted = sorted(g.value for g in vals)
-    assert emitted == sorted(-g.value for g in vals)
+    fibers = fiber_tuples(vals)
+    assert fibers == sorted(set(fibers))
+    # the +- closure is implicit: one stored value per emitted pair
+    assert len(vals) == 2 * len(vals.values) == 2 * len(fibers)
 
 
 def test_aggregate_trivial_cases():
     bands = toy_band_structure([[1.0, 1.0, 1.0]])
     band_set = DiracBandSet(intervals=((-1.5, -0.5), (0.5, 1.5)))
-    one = fiber_gap_eigenvalues(
-        bands, 1.5, MassShifts(values=np.array([0.6])), band_set
-    )[:2]  # single fiber's +-0.1
+    got = fiber_gap_eigenvalues(bands, 1.5, MassShifts(values=np.array([0.6])), band_set)
+    one = GapValues(values=got.values[:1], fibers=got.fibers[:1])  # single fiber's +-0.1
     spec = aggregate_spectrum(one)
     assert spec.positive_values == (0.1,)
     assert spec.multiplicities == (1,)
 
     # two fibers at exactly the same value group with multiplicity 2
-    spec2 = aggregate_spectrum(one + one)
+    two = GapValues(values=np.tile(one.values, 2), fibers=np.tile(one.fibers, (2, 1)))
+    spec2 = aggregate_spectrum(two)
     assert spec2.positive_values == (0.1,)
     assert spec2.multiplicities == (2,)
 
-    assert aggregate_spectrum([]).positive_values == ()
+    empty = GapValues(values=np.empty(0), fibers=np.empty((0, 3), dtype=np.int64))
+    assert aggregate_spectrum(empty).positive_values == ()
+
+
+def test_aggregate_chains_at_the_tolerance_and_breaks_ties_by_fiber():
+    # 2e-9 - 1e-9 == 1e-9 exactly: the chain continues at the tolerance itself
+    fibers = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 0, 1)]
+    got = GapValues(values=np.array([2e-9, 1e-9, 3.5e-9, -1e-9]), fibers=np.array(fibers))
+    spec = aggregate_spectrum(got)
+    assert spec.positive_values == (1e-9, 3.5e-9)
+    assert spec.multiplicities == (3, 1)
+    assert spec.provenance == (((0, 0, 1), (0, 1, 1), (0, 0, 2)), ((1, 0, 1),))
+    pairs = [(s * v, f) for v, f in zip(got.values.tolist(), fibers) for s in (1, -1)]
+    assert brute_force_spectrum(pairs) == (
+        spec.positive_values, spec.multiplicities, spec.provenance)
 
 
 def test_golden_configuration_against_brute_force(default_run):
@@ -121,10 +166,9 @@ def test_golden_configuration_against_brute_force(default_run):
         r.bands, r.e_star, r.shifts, list(r.band_set.intervals)
     )
     assert len(got) == len(brute)
-    assert all(
-        g.value == pytest.approx(v, abs=1e-12) and g.fiber == f
-        for g, (v, f) in zip(got, brute)
-    )
+    assert got.values.tolist() == [v for v, _ in brute[::2]]
+    assert [v for v, _ in brute[1::2]] == (-got.values).tolist()
+    assert fiber_tuples(got) == [f for _, f in brute[::2]] == [f for _, f in brute[1::2]]
     # frozen regression anchors for the default configuration
     assert len(got) == 432
     assert len(r.spectrum) == 118
@@ -135,8 +179,9 @@ def test_golden_configuration_against_brute_force(default_run):
 
 def test_filtering_idempotent(default_run):
     r = default_run
-    values = np.array([g.value for g in r.gap_values])
+    values = r.gap_values.values
     assert outside_bands(values, r.band_set).all()
+    assert outside_bands(-values, r.band_set).all()
 
 
 def test_permutation_invariance_of_spectrum(default_run):
@@ -174,3 +219,49 @@ def test_gap_index_of():
     assert gap_index_of(-2.0, bs) == -1
     assert gap_index_of(0.0, bs) == 0
     assert gap_index_of(2.0, bs) == 1
+
+
+# Band rows on a 1/8 grid inside [2n, 2n + 1] and masses on a 1/16 grid plus
+# offsets at the grouping tolerance and the membership margin: whole rows land
+# inside a band, and candidates hit band edges exactly or within the margin.
+OFFSETS = (0.0, 5e-10, -5e-10, MEMBERSHIP_MARGIN, -MEMBERSHIP_MARGIN, 2 * MEMBERSHIP_MARGIN)
+MASSES = st.one_of(
+    st.builds(lambda k, d: k / 16 + d, st.integers(-16, 80), st.sampled_from(OFFSETS)),
+    st.floats(min_value=-3.0, max_value=10.0),
+)
+
+
+@st.composite
+def toy_problems(draw):
+    n_bands = draw(st.integers(1, 3))
+    n_nodes = draw(st.sampled_from([3, 5]))
+    rows = [[2 * n + draw(st.integers(0, 8)) / 8 for _ in range(n_nodes)] for n in range(n_bands)]
+    e_star = draw(st.sampled_from([2 * n + 1.5 for n in range(-1, n_bands)]))
+    masses = draw(st.lists(MASSES, min_size=1, max_size=6))
+    margin = draw(st.sampled_from([MEMBERSHIP_MARGIN, 0.0, 0.2, -0.01]))
+    return rows, e_star, masses, margin
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=toy_problems())
+# every row stays inside its band: the row prefilter drops all of them
+@example(problem=([[0.0, 0.5, 1.0], [2.0, 2.25, 3.0]], 1.5, [0.0, 0.0625], MEMBERSHIP_MARGIN))
+# masses straddling the band edges, at and around the margin
+@example(problem=([[0.0, 0.5, 1.0], [2.0, 2.25, 3.0]], 1.5,
+                  [0.0, 1.0, 1.0 + MEMBERSHIP_MARGIN, 1.0 + 2 * MEMBERSHIP_MARGIN, 1.5],
+                  MEMBERSHIP_MARGIN))
+# a negative margin keeps the values inside a band as well
+@example(problem=([[0.0, 0.5, 1.0]], 1.5, [0.0, 0.25], -0.01))
+def test_array_path_matches_brute_force(problem):
+    rows, e_star, masses, margin = problem
+    bands = toy_band_structure(rows)
+    band_set = dirac_band_set(bands, e_star)
+    shifts = MassShifts(values=np.array(masses))
+    got = fiber_gap_eigenvalues(bands, e_star, shifts, band_set, margin)
+    brute = brute_force_gap_values(bands, e_star, shifts, band_set.intervals, margin)
+    assert len(got) == len(brute)
+    assert got.fibers.shape == (len(got.values), 3)
+    assert got.values.tolist() == [v for v, _ in brute[::2]]
+    assert fiber_tuples(got) == [f for _, f in brute[::2]]
+    spec = aggregate_spectrum(got)
+    assert (spec.positive_values, spec.multiplicities, spec.provenance) == brute_force_spectrum(brute)

@@ -66,7 +66,7 @@ def test_golden_staircase_matches_cumulative_recount(default_run):
     s = default_run.staircase
     spectrum = default_run.spectrum
     # independent recount: sort raw positive emitted values, count <= lambda
-    raw = sorted(g.value for g in default_run.gap_values if g.value > 0)
+    raw = sorted(abs(v) for v in default_run.gap_values.values.tolist() if v != 0.0)
     for lam in np.linspace(0.0, float(s.locations[-1]) * 1.05, 137):
         expected = sum(1 for v in raw if v <= lam)
         assert eval_staircase(s, lam) == expected

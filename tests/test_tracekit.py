@@ -25,6 +25,7 @@ from diracgap.tracekit import (
     compare_trace_representations,
     default_t_grid,
     geometric_factor,
+    tail_half_width,
     log_local_coefficients,
     theta_fiber,
     theta_separated,
@@ -234,6 +235,17 @@ def test_default_grid_obeys_tail_and_alias_rules(mathieu_bands):
     assert phi.fourier(t[-1]) < 1e-13
     v_max = abs(mathieu_bands.bands.max() - 9.85)
     assert 2.0 * np.pi / h > v_max + 4.0 * phi.alpha
+
+
+def test_tail_half_width_sets_the_default_grid(mathieu_bands):
+    # the config precheck's lower bound 2*ceil(T/h_t)+1 holds for the built grid
+    phi = TestFunction(alpha=0.5)
+    T = tail_half_width(0.5, mathieu_bands.n_bands, mathieu_bands.potential.period)
+    t = default_t_grid(mathieu_bands, 9.85, zero_shifts(2), phi, h_max=0.01)
+    assert t[-1] == pytest.approx(T, rel=1e-15)
+    assert t.size >= 2 * math.ceil(T / 0.01) + 1
+    assert phi.fourier(T) <= 1e-14 * (1 + 1e-12)  # phihat(T) = TAIL_HAT_CUTOFF, up to rounding
+    assert tail_half_width(0.25, 8, 1.0) > T  # a narrower window needs a wider grid
 
 
 def test_geometric_factors_conjugate_symmetry(mathieu_bands):
