@@ -200,17 +200,6 @@ def summability_report(
     return partial, tail
 
 
-def local_factor(
-    ensemble: HeckeEnsemble, family: CoefficientFamily, p: int, t: float
-) -> complex:
-    """Empirical local factor A_p(t) = mean_m exp(i t eta_p(lambda_p(m))).
-
-    A_p(0) = 1 exactly, |A_p(t)| <= 1, and A_p(-t) = conj(A_p(t)).
-    """
-    eta = family.eta(p, ensemble.row(p))
-    return complex(np.mean(np.exp(1j * t * eta)))
-
-
 def local_factor_grid(
     ensemble: HeckeEnsemble, family: CoefficientFamily, p: int, t_grid: np.ndarray
 ) -> np.ndarray:

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import arithmetic, gapspec, matmodel, tracekit, zeta
 from .floquet import (
+    GAP_TOLERANCE,
     BandStructure,
     PotentialSpec,
     QuasiMomentumGrid,
@@ -189,6 +190,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"M={cfg.M} must be >= the number of potential harmonics "
             f"R={cfg.potential.harmonic_count}"
         )
+    # largest |kappa + 2 pi m / L|: its square is the largest fiber diagonal entry
+    wave_max = (2 * cfg.M + 1) * math.pi / cfg.potential.period
+    if not math.isfinite(4.0 * wave_max * wave_max):
+        raise ValidationError(
+            f"period L={cfg.potential.period:g} is too small for M={cfg.M}: the largest fiber "
+            "diagonal entry ((2M+1) pi / L)^2 must stay a factor 4 inside the float range"
+        )
     if cfg.n_bands < 1 or cfg.n_bands > 2 * cfg.M:
         raise ValidationError(f"n_bands must lie in [1, 2M] = [1, {2 * cfg.M}]")
     if cfg.gap_index < 0:
@@ -300,7 +308,12 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
     """Execute the full pipeline for one configuration (no file output)."""
     grid = QuasiMomentumGrid(n_nodes=cfg.N_kappa, period=cfg.potential.period)
     bands = compute_band_structure(cfg.potential, grid, cfg.M, cfg.n_bands)
-    e_star = select_reference_energy(bands, cfg.gap_index)
+    try:
+        e_star = select_reference_energy(bands, cfg.gap_index)
+    except ValueError as err:  # NoOpenGapError, or gap_index beyond the open gaps
+        raise ValidationError(
+            f"gap_index={cfg.gap_index} must select an open gap (width > {GAP_TOLERANCE:g}): {err}"
+        ) from err
 
     primes = arithmetic.generate_primes(cfg.N_P)
     ensemble = arithmetic.sample_hecke_ensemble(primes, cfg.N_H, cfg.seed, cfg.mode)
@@ -749,6 +762,9 @@ def main(argv=None) -> int:
 
     try:
         result = compute_run(cfg)
+    except ValidationError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except Exception as err:
         print(f"error: {type(err).__module__}.{type(err).__name__}: {err}", file=sys.stderr)
         return 1

@@ -14,9 +14,16 @@ ranges of the ascending fiber eigenvalues E_n(kappa); evenness of U gives
 E_n(-kappa) = E_n(kappa), which we exploit by solving the non-negative half
 grid only and mirroring.
 
-Fiber eigenvalues are computed with a bisection-based banded solver
-(LAPACK sbevx via scipy), which resolves the low-lying spectrum far below
-the 1e-10 contract even though the matrix norm grows like (2 pi M / L)^2.
+Fiber eigenvalues are computed with a bisection-based banded solver, which
+resolves the low-lying spectrum far below the 1e-10 contract even though the
+matrix norm grows like (2 pi M / L)^2.  fiber_eigenvalues calls LAPACK's
+dsbevx directly through a handle fetched once at import, with the arguments
+scipy.linalg.eigvals_banded(select="i") passes (eigenvalues only, index
+range 1..count, upper storage), so the values are bitwise those of that call
+without its per-call argument handling.  The absolute tolerance is pinned
+here to 2 dlamch('s'), twice the safe minimum, the value the dsbevx manual
+recommends for the most accurate eigenvalues; it no longer follows a scipy
+default.
 """
 
 from __future__ import annotations
@@ -25,10 +32,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvals_banded
+from scipy.linalg import get_lapack_funcs
 
 # A gap narrower than this is treated as closed (numerically touching bands).
 GAP_TOLERANCE = 1e-6
+
+_DSBEVX, _DLAMCH = get_lapack_funcs(("sbevx", "lamch"), (np.zeros(1),))
+SBEVX_ABSTOL = 2.0 * _DLAMCH("s")
 
 
 class NoOpenGapError(ValueError):
@@ -182,7 +192,7 @@ def _check_fiber_args(potential: PotentialSpec, kappa: float, M: int) -> None:
 
 
 def _fiber_band_storage(potential: PotentialSpec, kappa: float, M: int) -> np.ndarray:
-    # Upper banded storage for scipy.linalg.eigvals_banded (row R is the diagonal).
+    # Upper banded LAPACK storage (row R is the diagonal).
     L = potential.period
     R = potential.harmonic_count
     n = 2 * M + 1
@@ -198,13 +208,14 @@ def fiber_eigenvalues(potential: PotentialSpec, kappa: float, M: int, count: int
     """Lowest `count` fiber eigenvalues, ascending."""
     _check_fiber_args(potential, kappa, M)
     n = 2 * M + 1
-    if count > n:
+    if not 1 <= count <= n:
         raise ValueError(f"requested {count} eigenvalues from a fiber of size {n}")
-    ab = _fiber_band_storage(potential, kappa, M)
-    try:
-        return eigvals_banded(ab, select="i", select_range=(0, count - 1))
-    except np.linalg.LinAlgError as err:  # pragma: no cover - driver failure
-        raise FiberSolveError(f"eigensolver failed at kappa={kappa}: {err}") from err
+    ab = np.asarray_chkfinite(_fiber_band_storage(potential, kappa, M))
+    w, _, m, _, info = _DSBEVX(ab, 0.0, 1.0, 1, count, compute_v=0, range=2, lower=0,
+                               abstol=SBEVX_ABSTOL, mmax=1)
+    if info != 0:
+        raise FiberSolveError(f"dsbevx failed at kappa={kappa}: info={info}")
+    return w[:m]
 
 
 def compute_band_structure(

@@ -34,10 +34,25 @@ conjugate mirror S(-t_k) = conj S(t_k), bitwise.  With R = ceil(sqrt(K + 1))
 and k = b R + r the phase splits as e^{i b R h x} e^{i r h x}, so two exp
 tables of shapes (n_b, J) and (R, J) and one contraction over j replace the
 (2K + 1, J) table: about 2 sqrt(K) exps per point x_j instead of 2K + 1.
-The contraction is np.einsum without BLAS, and so is the t trapezoid sum.
-OpenBLAS splits long dot and matrix products across its threads, which
-would make the last bits of theta_separated and euler_gap depend on the
-BLAS thread count; numpy's own loops sum in a fixed order.
+
+The geometric factors are also folded in kappa.  The bands are solved on
+kappa >= 0 and mirrored, so E_n(-kappa_j) = E_n(kappa_j) holds bitwise, and
+the trapezoid sum over the whole grid equals the sum over the kappa >= 0
+half with weights 1 at kappa = 0, 2 on the interior nodes and 2 * 1/2 = 1
+at pi/L.  That halves the exp tables and the contraction.  The mirror is
+checked bitwise before folding (ValueError otherwise).  theta_fiber stays
+on the whole grid on purpose: it is the independent route that rel_gap
+compares the folded Fourier side against.
+
+The contraction is np.einsum without BLAS, and so are the t trapezoid sum
+and the kappa sum of theta_fiber.  OpenBLAS splits long dot and matrix
+products across its threads, which would make the last bits of the trace
+depend on the BLAS thread count; numpy's own loops sum in a fixed order.
+Measured on the wide config (M = 64, N_kappa = 1001, n_bands = 16; 2-vCPU
+Xeon, NumPy 2.4 with its bundled OpenBLAS): the 16 per-band (95, 501) x
+(501, 96) products take about 14-20 ms with matmul (zgemm) against about
+180 ms with einsum, but the matmul products hash differently under
+OPENBLAS_NUM_THREADS=1 and 2, while the einsum ones are identical.
 """
 
 from __future__ import annotations
@@ -105,23 +120,9 @@ def theta_fiber(phi, bands: BandStructure, e_star: float, shifts: MassShifts) ->
     vals = q[:, :, None] + shifts.values[None, None, :]
     mean_over_modes = np.asarray(phi(vals)).mean(axis=2)
     c = _kappa_pattern(bands.grid.n_nodes)
-    raw = float(np.dot(mean_over_modes.sum(axis=0), c))
+    raw = float((mean_over_modes.sum(axis=0) * c).sum())
     L = bands.potential.period
     return 2.0 * (2.0 * np.pi / L) * (raw / (bands.grid.n_nodes - 1))
-
-
-def geometric_factor(bands: BandStructure, e_star: float, n: int, t: float) -> complex:
-    """Trapezoid quadrature of e^{i t (E_n(kappa) - E*)} over the kappa grid.
-
-    G_n(0) = 2 pi / L exactly (the grid measure).
-    """
-    if not 0 <= n < bands.n_bands:
-        raise ValueError(f"band index {n} not stored (n_bands={bands.n_bands})")
-    q = bands.bands[n] - e_star
-    c = _kappa_pattern(bands.grid.n_nodes)
-    raw = complex(np.dot(c, np.exp(1j * t * q)))
-    L = bands.potential.period
-    return (2.0 * np.pi / L) * (raw / (bands.grid.n_nodes - 1))
 
 
 def _half_grid_sums(x: np.ndarray, w: np.ndarray | None, h: float, K: int) -> np.ndarray:
@@ -162,11 +163,20 @@ def _grid_step(t: np.ndarray) -> tuple[int, float]:
 
 
 def _geometric_on_grid(bands: BandStructure, e_star: float, h: float, K: int) -> np.ndarray:
-    c = _kappa_pattern(bands.grid.n_nodes)
+    """G_n(t_k) for k = -K..K, summed over the kappa >= 0 half of the grid."""
+    mid = bands.grid.half_index
+    if not np.array_equal(bands.bands[:, :mid], bands.bands[:, :mid:-1]):
+        raise ValueError(
+            "the geometric factor folds the kappa grid by E_n(-kappa) = E_n(kappa), "
+            "which requires bands[:, j] == bands[:, N_kappa - 1 - j] bitwise"
+        )
+    # Folded trapezoid weights: 1 at kappa = 0, 2 inside, 2 * 1/2 at pi/L.
+    w = np.full(bands.grid.n_nodes - mid, 2.0)
+    w[0] = w[-1] = 1.0
     L = bands.potential.period
     scale = 2.0 * np.pi / L / (bands.grid.n_nodes - 1)
-    q = bands.bands - e_star
-    half = np.concatenate([_half_grid_sums(q[n : n + 1], c, h, K) for n in range(bands.n_bands)])
+    q = bands.bands[:, mid:] - e_star
+    half = np.concatenate([_half_grid_sums(q[n : n + 1], w, h, K) for n in range(bands.n_bands)])
     return _mirror(scale * half)
 
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import local_factor
 from diracgap.arithmetic import (
     CoefficientFamily,
     HeckeEnsemble,
     eta_eval,
     generate_primes,
-    local_factor,
     local_factor_grid,
     mass_shifts,
     sample_hecke_ensemble,

@@ -348,6 +348,7 @@ def test_narrow_window_trace_is_noise_floor_limited():
     ('{"alpha": 1e300}', "MAX_T_POINTS"),
     ('{"alpha": 1e-200}', "MAX_T_POINTS"),
     ('{"alpha": 1e-160, "h_t": 1e300}', "MAX_T_POINTS"),
+    ('{"potential": {"period": 1e-300}}', "too small for M=32: the largest fiber diagonal"),
 ])
 def test_strict_config_rejections(tmp_path, capsys, doc, rule):
     with pytest.raises(ValidationError, match=rule):
@@ -356,6 +357,25 @@ def test_strict_config_rejections(tmp_path, capsys, doc, rule):
     cfg_path.write_text(doc)
     assert main(["verify", "--config", str(cfg_path)]) == 2
     assert rule in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,rule", [
+    ('{"potential": {"period": 1.0, "cosine_coefficients": []}}', "no open gaps"),
+    ('{"potential": {"period": 1.0, "cosine_coefficients": [1e-9]}}', "no open gaps"),
+    ('{"potential": {"period": 1e-150}}', "no open gaps"),
+    ('{"gap_index": 7}', "3 open gaps available"),
+])
+def test_config_errors_found_by_the_compute_stage_exit_2(tmp_path, capsys, doc, rule):
+    # Whether a gap is open is known only once the bands are solved.
+    with pytest.raises(ValidationError, match="must select an open gap"):
+        compute_run(parse_config(doc))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(doc)
+    for command in (["verify"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "must select an open gap" in err and rule in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_t_grid_precheck_is_the_lower_bound_at_the_limit():

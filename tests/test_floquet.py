@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvals_banded
 
 from conftest import toy_band_structure
 from diracgap.floquet import (
@@ -62,6 +62,36 @@ def test_fiber_eigenvalue_count_and_order():
     assert np.all(np.diff(full) >= 0)
     dense = np.linalg.eigvalsh(build_fiber_matrix(pot, 0.3, M=6))
     assert np.allclose(full, dense, atol=1e-9)
+
+
+@pytest.mark.parametrize("M,coefficients,period", [
+    (M, (2.0,), 1.0) for M in (1, 8, 32, 64)
+] + [
+    (M, (2.0, 0.7, 0.3), 2.0) for M in (8, 32, 64)  # M = 1 < R = 3 is rejected
+])
+def test_fiber_eigenvalues_bitwise_equal_to_eigvals_banded(M, coefficients, period):
+    # The direct dsbevx call must give exactly what scipy's wrapper gives.
+    # The oracle's band storage comes from the dense fiber matrix.
+    pot = PotentialSpec(period=period, cosine_coefficients=coefficients)
+    R = pot.harmonic_count
+    count = min(16, 2 * M + 1)
+    edge = np.pi / period
+    for kappa in (-edge, 0.0, edge, 0.37 * edge):
+        dense = build_fiber_matrix(pot, kappa, M)
+        ab = np.array([np.concatenate([np.zeros(R - r), np.diag(dense, R - r)])
+                       for r in range(R + 1)])
+        expected = eigvals_banded(ab, select="i", select_range=(0, count - 1))
+        got = fiber_eigenvalues(pot, kappa, M, count)
+        assert got.tobytes() == expected.tobytes(), kappa
+
+
+def test_fiber_eigenvalues_rejects_non_finite_storage_and_bad_counts():
+    # the diagonal (2 pi M / L)^2 overflows; LAPACK must never see the inf
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        fiber_eigenvalues(PotentialSpec(period=1e-300, cosine_coefficients=(2.0,)), 0.0, 4, 2)
+    for count in (0, 10):
+        with pytest.raises(ValueError, match="eigenvalues from a fiber of size 9"):
+            fiber_eigenvalues(PotentialSpec.mathieu(), 0.0, 4, count)
 
 
 def test_golden_lowest_eigenvalue_at_zone_edge():

@@ -8,23 +8,28 @@ import numpy as np
 import pytest
 
 from conftest import toy_band_structure
+from oracles import geometric_factor, local_factor
 from diracgap.arithmetic import (
     CoefficientFamily,
     HeckeEnsemble,
     MassShifts,
     generate_primes,
-    local_factor,
     local_factor_grid,
     mass_shifts,
     sample_hecke_ensemble,
 )
-from diracgap.floquet import PotentialSpec, QuasiMomentumGrid, compute_band_structure
+from diracgap import tracekit
+from diracgap.floquet import (
+    PotentialSpec,
+    QuasiMomentumGrid,
+    compute_band_structure,
+    select_reference_energy,
+)
 from diracgap.shift import TestFunction
 from diracgap.tracekit import (
     arithmetic_factors,
     compare_trace_representations,
     default_t_grid,
-    geometric_factor,
     tail_half_width,
     log_local_coefficients,
     theta_fiber,
@@ -167,23 +172,65 @@ def test_table_factors_match_direct_references(default_run):
     assert np.abs(f.a_prod - a_prod).max() <= 1e-13
 
 
+@pytest.mark.parametrize("case", ["default", "three-harmonic"])
+def test_folded_geometric_factor_matches_full_grid_oracle(default_run, case):
+    if case == "default":
+        bands, e_star = default_run.bands, default_run.e_star
+    else:
+        pot = PotentialSpec(period=2.0, cosine_coefficients=(2.0, 0.7, 0.3))
+        bands = compute_band_structure(pot, QuasiMomentumGrid(n_nodes=81, period=2.0), 16, 6)
+        e_star = select_reference_energy(bands, 0)
+    h = default_run.trace.h_t
+    K = round(default_run.trace.t_max / h)
+    folded = tracekit._geometric_on_grid(bands, e_star, h, K)
+    # The scalar oracle rounds its phases at about eps |t q|; |t q| <= 700
+    # keeps that, summed over the kappa grid, below the 1e-13 bound.
+    q = bands.bands - e_star
+    k_max = int(700.0 / (h * np.abs(q).max()))
+    for k in range(-k_max, k_max + 1):
+        for n in range(bands.n_bands):
+            assert abs(folded[n, K + k] - geometric_factor(bands, e_star, n, k * h)) <= 1e-13
+    # On the whole grid, against the unfolded trapezoid sum from the same
+    # phase tables: only the fold differs between the two.
+    c = np.ones(bands.grid.n_nodes)
+    c[0] = c[-1] = 0.5
+    scale = 2.0 * np.pi / bands.potential.period / (bands.grid.n_nodes - 1)
+    unfolded = tracekit._mirror(
+        scale * np.concatenate([tracekit._half_grid_sums(row[None], c, h, K) for row in q]))
+    assert np.abs(folded - unfolded).max() <= 1e-13
+
+
+def test_geometric_factor_requires_bitwise_mirrored_bands():
+    ens = sample_hecke_ensemble(generate_primes(2), 2, seed=1)
+    t = np.arange(-4, 5) * 0.5
+    for row in ([1.0, 2.0, 3.0], [1.0, 2.0, np.nextafter(1.0, 2.0)]):
+        with pytest.raises(ValueError, match=r"E_n\(-kappa\) = E_n\(kappa\)"):
+            arithmetic_factors(ens, FAM, zero_shifts(2), t,
+                               bands=toy_band_structure([row]), e_star=0.0)
+    mirrored = arithmetic_factors(ens, FAM, zero_shifts(2), t,
+                                  bands=toy_band_structure([[1.0, 2.0, 1.0]]), e_star=0.0)
+    assert mirrored.geometric[0, 4] == 2.0 * np.pi  # G(0) = 2 pi / L, the folded weights sum to N - 1
+
+
 def test_trace_is_bitwise_stable_across_blas_threads():
     # h_t = 0.002 gives n_t ~ 22,700: long enough for OpenBLAS to split a
-    # dot product or a matrix product across threads.
+    # dot product or a matrix product across threads.  The wide config has
+    # the largest geometric-factor operands (16 bands x 501 folded nodes).
     code = (
-        "from diracgap import expcli; "
-        "r = expcli.compute_run(expcli.parse_config('{\"h_t\": 0.002}')); "
-        "print(r.trace.theta_separated.hex(), r.trace.euler_gap.hex())"
+        "import sys; from diracgap import expcli; "
+        "r = expcli.compute_run(expcli.parse_config(sys.argv[1])); "
+        "print(r.trace.theta_fiber.hex(), r.trace.theta_separated.hex(), r.trace.euler_gap.hex())"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
-        outputs.append(proc.stdout.split())
-    assert outputs[0] == outputs[1]
+    for config in ('{"h_t": 0.002}', '{"M": 64, "N_kappa": 1001, "n_bands": 16}'):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", code, config], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            outputs.append(proc.stdout.split())
+        assert outputs[0] == outputs[1], config
 
 
 def test_separated_matches_fiber_on_golden_run(default_run):
