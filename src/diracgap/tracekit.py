@@ -25,7 +25,20 @@ automatically until the analytic tail bound drops below 1e-10).
 A_joint (the empirical joint measure) is what enters theta_separated; the
 prime product A_prod = prod_p A_p is reported separately, because strict
 multiplicativity of the empirical joint measure holds only in expectation
-at finite N_H (it is exact in constant_one mode).
+at finite N_H (it is exact in constant_one mode).  Write eta_p = c_p + y with
+c_p = mean_m eta_p and beta_p = max_m |y|.  For |z| beta_p <= s0, where
+e^{s0} - 1 - s0 = 1/2, |log mean_m e^{z y}| <= ln 2, so by Cauchy the log
+series of A_p (its cumulants) cut after degree D = 30 errs by at most
+ln 2 q^{D+1} / (1 - q) on |t| <= T, with q = T beta_p / s0.  The primes with
+q <= 0.2 (euler_series_primes; summed bound euler_series_bound) take that
+series: their coefficients are summed, one polynomial is evaluated on the
+grid and exponentiated.  The few with large phases take the phase tables.
+
+Only the bands the window sees enter sum_n G_n.  With d_n = min_kappa
+|E_n - E*| - max_m |m_m|, band n adds at most 2 (2 pi / L) e^{-d_n^2 / alpha^2}
+to theta; bands with d_n > 40 alpha are left out, and their summed bound
+(band_prune_bound; it underflows to 0) widens the agreement floor.  All bands
+still set the t grid, and theta_fiber keeps them, so rel_gap checks the pruning.
 
 Every factor is a sum S(t_k) = sum_j w_j e^{i t_k x_j} on the grid
 t_k = k h, k = -K..K, which arithmetic_factors requires.  Only k >= 0 is
@@ -36,23 +49,18 @@ tables of shapes (n_b, J) and (R, J) and one contraction over j replace the
 (2K + 1, J) table: about 2 sqrt(K) exps per point x_j instead of 2K + 1.
 
 The geometric factors are also folded in kappa.  The bands are solved on
-kappa >= 0 and mirrored, so E_n(-kappa_j) = E_n(kappa_j) holds bitwise, and
-the trapezoid sum over the whole grid equals the sum over the kappa >= 0
-half with weights 1 at kappa = 0, 2 on the interior nodes and 2 * 1/2 = 1
-at pi/L.  That halves the exp tables and the contraction.  The mirror is
-checked bitwise before folding (ValueError otherwise).  theta_fiber stays
-on the whole grid on purpose: it is the independent route that rel_gap
-compares the folded Fourier side against.
+kappa >= 0 and mirrored, so E_n(-kappa_j) = E_n(kappa_j) holds bitwise (checked
+before folding), and the trapezoid sum over the whole grid equals the sum
+over kappa >= 0 with weights 1 at kappa = 0, 2 inside and 2 * 1/2 = 1 at pi/L,
+which halves the exp tables and the contraction.  theta_fiber stays on the
+whole grid: it is the independent route that rel_gap checks the fold against.
 
 The contraction is np.einsum without BLAS, and so are the t trapezoid sum
-and the kappa sum of theta_fiber.  OpenBLAS splits long dot and matrix
-products across its threads, which would make the last bits of the trace
-depend on the BLAS thread count; numpy's own loops sum in a fixed order.
-Measured on the wide config (M = 64, N_kappa = 1001, n_bands = 16; 2-vCPU
-Xeon, NumPy 2.4 with its bundled OpenBLAS): the 16 per-band (95, 501) x
-(501, 96) products take about 14-20 ms with matmul (zgemm) against about
-180 ms with einsum, but the matmul products hash differently under
-OPENBLAS_NUM_THREADS=1 and 2, while the einsum ones are identical.
+and the kappa sum of theta_fiber: OpenBLAS splits long dot and matrix
+products across its threads, so their last bits depend on the thread count.
+On the wide config (2-vCPU Xeon, NumPy 2.4) the per-band products take about
+14-20 ms with matmul (zgemm) against 180 ms with einsum, but the matmul
+products hash differently under OPENBLAS_NUM_THREADS=1 and 2.
 """
 
 from __future__ import annotations
@@ -71,6 +79,13 @@ TAIL_BOUND = 1e-10
 DEFAULT_H_MAX = 0.01
 # Primes per block of the A_prod tables, which bounds their size for any N_P.
 PRIME_CHUNK = 16
+# A band farther than this many alpha from the window is left out of sum_n G_n.
+BAND_PRUNE_WIDTH = 40.0
+# Primes with q_p = T beta_p / EULER_SERIES_S0 <= EULER_SERIES_RATIO take the
+# log series of A_p to this degree; EULER_SERIES_S0 solves e^s - 1 - s = 1/2.
+EULER_SERIES_DEGREE = 30
+EULER_SERIES_RATIO = 0.2
+EULER_SERIES_S0 = 0.8576766739458992
 
 
 @dataclass(frozen=True)
@@ -83,6 +98,9 @@ class TraceFactors:
     a_prod: np.ndarray = field(repr=False)
     h_t: float = 0.0
     t_max: float = 0.0
+    band_prune_bound: float = 0.0  # on the theta mass of the bands left out of geometric
+    euler_series_primes: int = 0
+    euler_series_bound: float = 0.0  # on |log A_prod| lost by truncating the series
 
 
 @dataclass(frozen=True)
@@ -93,13 +111,16 @@ class TraceReport:
     euler_gap: float
     t_max: float
     h_t: float
-    imag_residue: float
     abs_gap: float = 0.0
     # L1 mass of the Fourier-side integrand: the quadrature's rounding noise
     # scales with it, so agreement below ~eps * l1_mass is at resolution.
     l1_mass: float = 0.0
     # The fiber sum is the ground truth that fixes the Fourier-side constant.
     resolved_prefactor: str = "1/pi"
+    bands_kept: int = 0
+    band_prune_bound: float = 0.0
+    euler_series_primes: int = 0
+    euler_series_bound: float = 0.0
 
 
 def _kappa_pattern(n_nodes: int) -> np.ndarray:
@@ -162,8 +183,9 @@ def _grid_step(t: np.ndarray) -> tuple[int, float]:
     )
 
 
-def _geometric_on_grid(bands: BandStructure, e_star: float, h: float, K: int) -> np.ndarray:
-    """G_n(t_k) for k = -K..K, summed over the kappa >= 0 half of the grid."""
+def _geometric_on_grid(bands: BandStructure, e_star: float, h: float, K: int,
+                       rows=slice(None)) -> np.ndarray:
+    """G_n(t_k) for the bands n in rows, k = -K..K, summed over the kappa >= 0 half grid."""
     mid = bands.grid.half_index
     if not np.array_equal(bands.bands[:, :mid], bands.bands[:, :mid:-1]):
         raise ValueError(
@@ -175,8 +197,8 @@ def _geometric_on_grid(bands: BandStructure, e_star: float, h: float, K: int) ->
     w[0] = w[-1] = 1.0
     L = bands.potential.period
     scale = 2.0 * np.pi / L / (bands.grid.n_nodes - 1)
-    q = bands.bands[:, mid:] - e_star
-    half = np.concatenate([_half_grid_sums(q[n : n + 1], w, h, K) for n in range(bands.n_bands)])
+    q = bands.bands[rows, mid:] - e_star
+    half = np.array([_half_grid_sums(row[None], w, h, K)[0] for row in q]).reshape(len(q), K + 1)
     return _mirror(scale * half)
 
 
@@ -213,9 +235,7 @@ def default_t_grid(
     multiple of alpha, so the trapezoid aliasing images of phi are negligible.
     """
     a = phi.alpha
-    q_extreme = max(abs(bands.bands.max() - e_star), abs(bands.bands.min() - e_star))
-    m_extreme = max(abs(float(shifts.values.max())), abs(float(shifts.values.min()))) if len(shifts) else 0.0
-    v_max = q_extreme + m_extreme
+    v_max = float(np.abs(bands.bands - e_star).max() + np.abs(shifts.values).max(initial=0.0))
     T = tail_half_width(a, bands.n_bands, bands.potential.period) if t_max is None else float(t_max)
 
     h = min(h_max, 2.0 * math.pi / (v_max + 8.0 * a + 1.0))
@@ -232,30 +252,41 @@ def arithmetic_factors(
     t_grid: np.ndarray,
     bands: BandStructure | None = None,
     e_star: float = 0.0,
+    alpha: float = math.inf,
 ) -> TraceFactors:
     """Evaluate A_joint, A_prod, and (optionally) the geometric factors.
 
-    A_joint(t) = mean_m e^{i t m_m}; A_prod(t) = prod_{p in S} A_p(t) in
-    ascending-prime order.  Both equal 1 at t = 0.  t_grid must be the
-    symmetric uniform grid t_k = k h, k = -K..K, that default_t_grid builds.
+    A_joint(t) = mean_m e^{i t m_m}; A_prod(t) = prod_{p in S} A_p(t).  Both
+    equal 1 at t = 0.  t_grid must be the symmetric uniform grid t_k = k h,
+    k = -K..K, that default_t_grid builds.  G_n is left out for the bands
+    farther than BAND_PRUNE_WIDTH * alpha from a window of width alpha.
     """
     t = np.asarray(t_grid, dtype=float)
     K, h = _grid_step(t)
     a_joint = _mirror(_half_grid_sums(shifts.values[None], None, h, K)[0] / len(shifts))
     eta = np.array([family.eta(p, ensemble.samples[i]) for i, p in enumerate(ensemble.primes)])
-    a_prod_half = np.ones(K + 1, dtype=complex)
-    for lo in range(0, len(eta), PRIME_CHUNK):
-        for a_p in _half_grid_sums(eta[lo : lo + PRIME_CHUNK], None, h, K):
+    beta = np.abs(eta - eta.mean(axis=1, keepdims=True)).max(axis=1)
+    q = K * h * beta / EULER_SERIES_S0
+    series = q <= EULER_SERIES_RATIO
+    coef = _log_series(eta[series], EULER_SERIES_DEGREE).sum(axis=0)  # of t^1..t^D
+    a_prod_half = np.exp(np.polyval(np.append(coef[::-1], 0.0), t[K:]))  # Horner
+    table = eta[~series]
+    for lo in range(0, len(table), PRIME_CHUNK):
+        for a_p in _half_grid_sums(table[lo : lo + PRIME_CHUNK], None, h, K):
             a_prod_half *= a_p / ensemble.n_modes
-    a_prod = _mirror(a_prod_half)
-    geometric = (
-        _geometric_on_grid(bands, e_star, h, K)
-        if bands is not None
-        else np.zeros((0, len(t)), dtype=complex)
-    )
+    q = q[series]
+    if bands is None:
+        geometric, pruned = np.zeros((0, len(t)), dtype=complex), 0.0
+    else:  # d_n = min_kappa |E_n - E*| - max_m |m_m|
+        d = np.abs(bands.bands - e_star).min(axis=1) - np.abs(shifts.values).max(initial=0.0)
+        far = d > BAND_PRUNE_WIDTH * alpha
+        pruned = float(np.exp(-(d[far] / alpha) ** 2).sum() * 4.0 * np.pi / bands.potential.period)
+        geometric = _geometric_on_grid(bands, e_star, h, K, np.flatnonzero(~far))
     return TraceFactors(
-        t_grid=t, geometric=geometric, a_joint=a_joint, a_prod=a_prod,
+        t_grid=t, geometric=geometric, a_joint=a_joint, a_prod=_mirror(a_prod_half),
         h_t=float(t[1] - t[0]) if K else 0.0, t_max=float(abs(t).max()),
+        band_prune_bound=pruned, euler_series_primes=int(series.sum()),
+        euler_series_bound=float((math.log(2) * q ** (EULER_SERIES_DEGREE + 1) / (1 - q)).sum()),
     )
 
 
@@ -280,30 +311,27 @@ def theta_separated(phi: TestFunction, factors: TraceFactors) -> float:
     return _separated_integral(_separated_integrand(phi, factors), factors.h_t).real
 
 
-def log_local_coefficients(
-    ensemble: HeckeEnsemble, family: CoefficientFamily, p: int, r_max: int
-) -> list[complex]:
-    """Taylor coefficients c_{p,r} of log A_p(t) at t = 0, r = 1..r_max.
+def _log_series(eta: np.ndarray, degree: int) -> np.ndarray:
+    """c[i, r - 1], the coefficient of t^r in log mean_m e^{i t eta[i, m]}, r = 1..degree.
 
-    c_{p,r} = kappa_r i^r / r! with kappa_r the cumulants of the empirical
-    distribution of eta_p values, obtained from raw moments by the standard
-    recursion kappa_r = mu_r - sum_{j<r} C(r-1, j-1) kappa_j mu_{r-j}.
+    With eta = mu + y (mu the mean over m), mean_m e^{z y} = sum_r a_r z^r with
+    a_r = mean_m y^r / r!, and its logarithm sum_r l_r z^r (l_r = kappa_r / r!, the
+    cumulants) follows from l' M = M': r l_r = r a_r - sum_{j<r} j l_j a_{r-j}.
+    Then c_r = l_r i^r, plus i mu at r = 1.
     """
-    if not 1 <= r_max <= 6:
-        raise ValueError("r_max must be between 1 and 6")
-    eta = family.eta(p, ensemble.row(p))
-    moments = [1.0]
-    power = np.ones_like(eta)
-    for _ in range(r_max):
-        power = power * eta
-        moments.append(float(power.mean()))
-    cumulants = [0.0]
-    for r in range(1, r_max + 1):
-        k = moments[r]
-        for j in range(1, r):
-            k -= math.comb(r - 1, j - 1) * cumulants[j] * moments[r - j]
-        cumulants.append(k)
-    return [cumulants[r] * (1j**r) / math.factorial(r) for r in range(1, r_max + 1)]
+    mu = eta.mean(axis=1)
+    y = eta - mu[:, None]
+    a = np.ones((len(eta), degree + 1))
+    power = np.ones_like(y)
+    for r in range(1, degree + 1):
+        power = power * y / r
+        a[:, r] = power.mean(axis=1)
+    ell = np.zeros_like(a)
+    for r in range(1, degree + 1):
+        ell[:, r] = a[:, r] - (np.arange(1, r) * ell[:, 1:r] * a[:, r - 1 : 0 : -1]).sum(axis=1) / r
+    c = ell[:, 1:] * np.array([1, 1j, -1, -1j])[np.arange(1, degree + 1) % 4]
+    c[:, 0] += 1j * mu
+    return c
 
 
 def compare_trace_representations(
@@ -318,11 +346,11 @@ def compare_trace_representations(
 ) -> TraceReport:
     """Run both trace routes on one configuration and report the gaps."""
     t_grid = default_t_grid(bands, e_star, shifts, phi, h_max=h_max, t_max=t_max)
-    factors = arithmetic_factors(ensemble, family, shifts, t_grid, bands=bands, e_star=e_star)
+    factors = arithmetic_factors(ensemble, family, shifts, t_grid, bands=bands, e_star=e_star,
+                                 alpha=phi.alpha)
     fiber = theta_fiber(phi, bands, e_star, shifts)
     integrand = _separated_integrand(phi, factors)
-    integral = _separated_integral(integrand, factors.h_t)
-    separated = integral.real
+    separated = _separated_integral(integrand, factors.h_t).real
     scale = max(abs(fiber), np.finfo(float).tiny)
     euler_gap = float(np.abs(factors.a_joint - factors.a_prod).max())
     l1_mass = factors.h_t * float(np.abs(integrand).sum()) / np.pi
@@ -333,7 +361,10 @@ def compare_trace_representations(
         euler_gap=euler_gap,
         t_max=factors.t_max,
         h_t=factors.h_t,
-        imag_residue=abs(integral.imag),
         abs_gap=abs(fiber - separated),
         l1_mass=l1_mass,
+        bands_kept=len(factors.geometric),
+        band_prune_bound=factors.band_prune_bound,
+        euler_series_primes=factors.euler_series_primes,
+        euler_series_bound=factors.euler_series_bound,
     )

@@ -250,7 +250,7 @@ def test_cli_verify_and_plot(tmp_path, capsys):
     cfg_path.write_text(REDUCED)
     assert main(["verify", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") >= 10
+    assert out.count("PASS") == 9  # every check of an iid_uniform run
     assert "FAIL" not in out
     assert main(["plot", "--config", str(cfg_path), "--out", str(tmp_path / "p")]) == 0
     assert (tmp_path / "p" / "staircase.svg").is_file()
@@ -376,6 +376,49 @@ def test_config_errors_found_by_the_compute_stage_exit_2(tmp_path, capsys, doc, 
         err = capsys.readouterr().err
         assert "must select an open gap" in err and rule in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    '{"potential": {"period": 1e-151}}',
+    '{"potential": {"period": 1e-140, "cosine_coefficients": [1e280]}}',
+    '{"potential": {"period": 1.0, "cosine_coefficients": [2.0, 0.0, 1e30]}}',
+])
+def test_t_grid_rechecked_with_the_band_energies_exits_2(tmp_path, capsys, doc):
+    # The step 2 pi / (v_max + 8 alpha + 1) shrinks with the bands, which are known
+    # only once they are solved.
+    with pytest.raises(ValidationError, match="MAX_T_POINTS"):
+        compute_run(parse_config(doc))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(doc)
+    for command in (["verify"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(cfg_path)]) == 2
+        assert "MAX_T_POINTS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_whose_window_sees_no_band_passes(tmp_path):
+    # At alpha = 0.01 every band is >= 0.55 > 40 alpha from the window.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"M": 16, "N_kappa": 81, "n_bands": 6, "N_P": 8, "N_H": 8,'
+                        ' "alpha": 0.01, "K": 5, "T": 40.0}')
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "trace_report.json").read_text())
+    assert report["bands_kept"] == 0 and report["theta_separated"] == 0.0
+
+
+def test_suite_config_errors_exit_2(tmp_path, capsys):
+    no_gap = tmp_path / "no_gap.json"
+    no_gap.write_text('{"potential": {"period": 1.0, "cosine_coefficients": []}}')
+    assert main(["suite", "--config", str(no_gap), "--axis", "N_H", "--values", "5",
+                 "--out", str(tmp_path / "s")]) == 2
+    assert "must select an open gap" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(REDUCED)
+    for values, rule in ((",", "values must be nonempty"), ("5,0", "N_P must be >= 1")):
+        assert main(["suite", "--config", str(cfg_path), "--axis", "N_P", "--values", values,
+                     "--out", str(tmp_path / "s")]) == 2
+        assert rule in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_t_grid_precheck_is_the_lower_bound_at_the_limit():

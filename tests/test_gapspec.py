@@ -46,9 +46,14 @@ def brute_force_gap_values(bands, e_star, shifts, intervals, margin=MEMBERSHIP_M
 
 
 def brute_force_spectrum(pairs):
-    """The list-based grouping of the +- pairs: round, keep positives, sort, chain."""
+    """The list-based grouping of the +- pairs: round, keep positives, sort, chain.
+
+    Python's correctly rounded round on a float: np.float64's own __round__ scales by
+    10^12 first and can round the other way near a tie (4.86111057182349970...).
+    """
     positives = sorted(
-        (round(v, GROUPING_DECIMALS), f) for v, f in pairs if round(v, GROUPING_DECIMALS) > 0.0
+        (round(float(v), GROUPING_DECIMALS), f) for v, f in pairs
+        if round(float(v), GROUPING_DECIMALS) > 0.0
     )
     lams, mults, prov = [], [], []
     previous = None
@@ -252,6 +257,8 @@ def toy_problems(draw):
                   MEMBERSHIP_MARGIN))
 # a negative margin keeps the values inside a band as well
 @example(problem=([[0.0, 0.5, 1.0]], 1.5, [0.0, 0.25], -0.01))
+# |v| = 4.86111057182349970...: rounds down to 12 decimals, np.float64 rounds it up
+@example(problem=([[0.0, 0.0, 0.0]], -0.5, [4.3611105718235], 1e-08))
 def test_array_path_matches_brute_force(problem):
     rows, e_star, masses, margin = problem
     bands = toy_band_structure(rows)

@@ -1,15 +1,19 @@
 import math
 import os
+from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import toy_band_structure
 from oracles import geometric_factor, local_factor
 from diracgap.arithmetic import (
+    MODES,
     CoefficientFamily,
     HeckeEnsemble,
     MassShifts,
@@ -31,12 +35,16 @@ from diracgap.tracekit import (
     compare_trace_representations,
     default_t_grid,
     tail_half_width,
-    log_local_coefficients,
     theta_fiber,
     theta_separated,
 )
 
 FAM = CoefficientFamily(0.35)
+
+
+def log_coefficients(ens, p, degree):
+    """Coefficients of t^1..t^degree in log A_p, from the production series helper."""
+    return tracekit._log_series(FAM.eta(p, ens.row(p))[None], degree)[0]
 
 
 def zero_shifts(n):
@@ -215,14 +223,15 @@ def test_geometric_factor_requires_bitwise_mirrored_bands():
 def test_trace_is_bitwise_stable_across_blas_threads():
     # h_t = 0.002 gives n_t ~ 22,700: long enough for OpenBLAS to split a
     # dot product or a matrix product across threads.  The wide config has
-    # the largest geometric-factor operands (16 bands x 501 folded nodes).
+    # the largest geometric-factor operands (16 bands x 501 folded nodes),
+    # and N_P = 1000 sums the Euler series over 991 primes.
     code = (
         "import sys; from diracgap import expcli; "
         "r = expcli.compute_run(expcli.parse_config(sys.argv[1])); "
         "print(r.trace.theta_fiber.hex(), r.trace.theta_separated.hex(), r.trace.euler_gap.hex())"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
-    for config in ('{"h_t": 0.002}', '{"M": 64, "N_kappa": 1001, "n_bands": 16}'):
+    for config in ('{"h_t": 0.002}', '{"M": 64, "N_kappa": 1001, "n_bands": 16}', '{"N_P": 1000}'):
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -236,7 +245,6 @@ def test_trace_is_bitwise_stable_across_blas_threads():
 def test_separated_matches_fiber_on_golden_run(default_run):
     assert default_run.trace.rel_gap < 1e-6
     assert default_run.trace.h_t <= 0.01
-    assert default_run.trace.imag_residue < 1e-10
     assert default_run.trace.resolved_prefactor == "1/pi"
 
 
@@ -309,7 +317,7 @@ def test_geometric_factors_conjugate_symmetry(mathieu_bands):
 def test_log_coefficients_constant_one():
     ens = sample_hecke_ensemble(generate_primes(3), 6, seed=4, mode="constant_one")
     for p in (2, 3, 5):
-        c = log_local_coefficients(ens, FAM, p, 5)
+        c = log_coefficients(ens, p, 5)
         assert abs(c[0] - 1j * p**-1.35) < 1e-15
         # cumulants of a point mass vanish up to rounding in the mode mean
         assert all(abs(x) < 1e-15 for x in c[1:])
@@ -319,12 +327,12 @@ def test_log_coefficients_zero_samples():
     primes = generate_primes(2)
     ens = HeckeEnsemble(primes=primes, n_modes=4, seed=0, mode="iid_uniform",
                         samples=np.zeros((2, 4)))
-    assert all(x == 0.0 for x in log_local_coefficients(ens, FAM, 2, 6))
+    assert all(x == 0.0 for x in log_coefficients(ens, 2, 6))
 
 
 def test_log_coefficients_match_finite_differences():
     ens = sample_hecke_ensemble(generate_primes(5), 200, seed=12345)
-    c = log_local_coefficients(ens, FAM, 2, 2)
+    c = log_coefficients(ens, 2, 2)
     # five-point central differences of log A_2 near t = 0 (principal branch
     # is fine: A_2 stays near 1)
     h = 1e-3
@@ -338,16 +346,11 @@ def test_log_coefficients_match_finite_differences():
 def test_log_coefficients_taylor_remainder():
     ens = sample_hecke_ensemble(generate_primes(4), 64, seed=7)
     p = 3
-    c = log_local_coefficients(ens, FAM, p, 6)
+    c = log_coefficients(ens, p, 6)
     t = 0.05
     taylor = sum(ck * t ** (r + 1) for r, ck in enumerate(c))
     direct = complex(np.log(local_factor(ens, FAM, p, t)))
     assert abs(taylor - direct) < 1e-9
-
-
-def test_log_coefficients_r_max_validation(default_run):
-    with pytest.raises(ValueError):
-        log_local_coefficients(default_run.ensemble, FAM, 2, 7)
 
 
 def test_compare_report_fields(default_run):
@@ -355,3 +358,99 @@ def test_compare_report_fields(default_run):
     assert r.theta_fiber == pytest.approx(0.05803138952821934, rel=1e-9)
     assert r.euler_gap > 0.0  # iid mode: empirical joint is not multiplicative
     assert r.t_max > 0 and r.h_t > 0
+
+
+def table_product(ens, family, h, K):
+    """A_prod on k = 0..K with every prime on the phase tables, in ascending order."""
+    eta = np.array([family.eta(p, ens.row(p)) for p in ens.primes])
+    a = np.ones(K + 1, dtype=complex)
+    for lo in range(0, len(eta), tracekit.PRIME_CHUNK):
+        for a_p in tracekit._half_grid_sums(eta[lo : lo + tracekit.PRIME_CHUNK], None, h, K):
+            a *= a_p / ens.n_modes
+    return a
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_p=st.integers(1, 40), n_h=st.integers(1, 30), seed=st.integers(0, 2**64 - 1),
+       mode=st.sampled_from(MODES), zero=st.booleans(), epsilon=st.floats(0.1, 4.0),
+       K=st.integers(1, 300), h=st.floats(0.005, 0.1))
+@example(n_p=20, n_h=20, seed=12345, mode="constant_one", zero=False, epsilon=0.35, K=2267, h=0.01)
+@example(n_p=5, n_h=4, seed=0, mode="iid_uniform", zero=True, epsilon=0.35, K=100, h=0.05)
+@example(n_p=40, n_h=30, seed=3, mode="iid_uniform", zero=False, epsilon=0.35, K=2267, h=0.01)
+def test_euler_series_matches_the_table_route(n_p, n_h, seed, mode, zero, epsilon, K, h):
+    ens = sample_hecke_ensemble(generate_primes(n_p), n_h, seed, mode)
+    if zero:
+        ens = replace(ens, samples=np.zeros_like(ens.samples))
+    family = CoefficientFamily(epsilon)
+    t = np.arange(-K, K + 1) * h
+    f = arithmetic_factors(ens, family, mass_shifts(ens, family), t)
+    assert np.abs(f.a_prod[K:] - table_product(ens, family, h, K)).max() <= 1e-12
+    if zero or mode == "constant_one":  # beta_p = 0: every prime takes the series
+        assert f.euler_series_primes == n_p and f.euler_series_bound == 0.0
+
+
+@pytest.mark.slow
+def test_euler_series_is_at_least_as_close_to_mpmath_as_the_tables():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    ens = sample_hecke_ensemble(generate_primes(1000), 20, seed=3)
+    h, K = 0.1, 227
+    t = np.arange(-K, K + 1) * h
+    f = arithmetic_factors(ens, FAM, mass_shifts(ens, FAM), t)
+    assert f.euler_series_primes == 991
+    table = table_product(ens, FAM, h, K)
+    eta = np.array([FAM.eta(p, ens.row(p)) for p in ens.primes])
+    for k in (32, 113, 227):  # t = 3.2, 11.3, 22.7
+        tk = mpmath.mpf(float(t[K + k]))
+        exact = mpmath.mpf(1)
+        for row in eta:
+            exact *= mpmath.fsum(mpmath.expj(tk * mpmath.mpf(float(x))) for x in row) / len(row)
+        assert abs(complex(f.a_prod[K + k]) - exact) <= abs(complex(table[k]) - exact)
+
+
+def test_band_pruning_keeps_a_band_at_40_alpha_and_drops_one_an_ulp_beyond():
+    # max|m| = 0.5: the band at 20.5 is d = 20 = 40 alpha from the window, the
+    # one at -nextafter(20.5) an ulp farther.
+    edge = 20.5
+    bands = toy_band_structure([[-np.nextafter(edge, np.inf)] * 3, [1.0, 2.0, 1.0], [edge] * 3])
+    shifts = MassShifts(values=np.array([0.25, -0.5]))
+    ens = sample_hecke_ensemble(generate_primes(2), 2, seed=1)
+    t = np.arange(-50, 51) * 0.05
+    pruned = arithmetic_factors(ens, FAM, shifts, t, bands=bands, e_star=0.0, alpha=0.5)
+    full = arithmetic_factors(ens, FAM, shifts, t, bands=bands, e_star=0.0)
+    assert np.array_equal(pruned.geometric, full.geometric[1:])
+    assert pruned.band_prune_bound == 0.0  # 2 (2 pi / L) e^{-1600} underflows
+    assert full.band_prune_bound == 0.0
+
+
+def test_band_prune_bound_holds_the_mass_of_the_dropped_band(monkeypatch):
+    # At width 1 alpha the bound does not underflow: it must hold theta_fiber of the band.
+    monkeypatch.setattr(tracekit, "BAND_PRUNE_WIDTH", 1.0)
+    phi = TestFunction(alpha=0.5)
+    shifts = MassShifts(values=np.array([0.1, -0.2]))
+    band = toy_band_structure([[1.3, 1.0, 0.8, 1.0, 1.3]], period=2.0)
+    ens = sample_hecke_ensemble(generate_primes(2), 2, seed=1)
+    f = arithmetic_factors(ens, FAM, shifts, np.arange(-5, 6) * 0.1, bands=band, e_star=0.0,
+                           alpha=phi.alpha)
+    assert f.geometric.shape == (0, 11)
+    bound = f.band_prune_bound  # d = 0.8 - 0.2
+    assert bound == pytest.approx(4.0 * np.pi / 2.0 * np.exp(-(0.6 / 0.5) ** 2), rel=1e-15)
+    assert 0.0 < theta_fiber(phi, band, 0.0, shifts) <= bound
+
+
+def test_trace_with_no_visible_band_is_finite_and_agrees():
+    bands = toy_band_structure([[0.0] * 3, [100.0] * 3])
+    ens = sample_hecke_ensemble(generate_primes(3), 4, seed=1)
+    r = compare_trace_representations(bands, 50.0, mass_shifts(ens, FAM), ens, FAM,
+                                      TestFunction(alpha=0.5))
+    assert r.bands_kept == 0
+    assert r.theta_fiber == 0.0 and r.theta_separated == 0.0  # every fiber value is >= 49 from 0
+    assert all(math.isfinite(x) for x in (r.rel_gap, r.abs_gap, r.l1_mass, r.euler_gap))
+    assert r.abs_gap <= 1e-12 * r.l1_mass + r.band_prune_bound
+
+
+def test_default_run_keeps_two_bands_and_sends_the_primes_from_23_to_the_series(default_run):
+    # q_p = T beta_p / s0 is 0.30 at p = 19 and 0.18 at p = 23 on this run
+    r = default_run.trace
+    assert (r.bands_kept, r.euler_series_primes) == (2, 12)
+    assert r.band_prune_bound == 0.0 and 0.0 < r.euler_series_bound < 1e-22
