@@ -78,26 +78,19 @@ class PrimeSet:
     def __iter__(self):
         return iter(self.primes)
 
-    @property
-    def largest(self) -> int:
-        return self.primes[-1]
-
 
 @dataclass(frozen=True)
 class CoefficientFamily:
-    """Even coefficient family eta_p; only the quadratic kind is implemented.
+    """Even quadratic coefficient family eta_p.
 
-    Quadratic: eta_p(lambda) = p^-(1+epsilon) * lambda^2, with sup norm
+    eta_p(lambda) = p^-(1+epsilon) * lambda^2, with sup norm
     p^-(1+epsilon) on [-1, 1].  epsilon > 0 is required for summability of
     sum_p ||eta_p||_inf.
     """
 
     epsilon: float
-    kind: str = "quadratic"
 
     def __post_init__(self):
-        if self.kind != "quadratic":
-            raise ValueError(f"unsupported coefficient family kind {self.kind!r}")
         if not self.epsilon > 0.0:
             raise ValueError(
                 f"epsilon must be positive (got {self.epsilon}): the prime sum "
@@ -111,11 +104,6 @@ class CoefficientFamily:
 
     def sup_norm(self, p: int) -> float:
         return p ** -(1.0 + self.epsilon)
-
-
-def eta_eval(family: CoefficientFamily, p: int, lam: float) -> float:
-    """Scalar evaluation of eta_p at lambda."""
-    return float(family.eta(p, lam))
 
 
 @dataclass(frozen=True)
@@ -132,14 +120,6 @@ class HeckeEnsemble:
     seed: int
     mode: str
     samples: np.ndarray = field(repr=False, compare=False)
-
-    def row(self, p: int) -> np.ndarray:
-        """Samples for one prime, indexed by mode."""
-        try:
-            i = self.primes.primes.index(p)
-        except ValueError:
-            raise ValueError(f"prime {p} is not in the ensemble's prime set") from None
-        return self.samples[i]
 
 
 def sample_hecke_ensemble(
@@ -181,28 +161,3 @@ def mass_shifts(ensemble: HeckeEnsemble, family: CoefficientFamily) -> MassShift
         total += family.eta(p, ensemble.samples[i])
     total.setflags(write=False)
     return MassShifts(values=total)
-
-
-def summability_report(
-    family: CoefficientFamily, primes: PrimeSet
-) -> tuple[float, float]:
-    """(partial_sum, analytic_tail_bound) for sum_p ||eta_p||_inf.
-
-    The tail over omitted primes is overcounted by the integer tail
-    sum_{n > P_max} n^-(1+eps) <= P_max^-eps / eps, which is rigorous and
-    monotone decreasing as the prime set grows.
-    """
-    eps = family.epsilon
-    partial = 0.0
-    for p in primes:
-        partial += family.sup_norm(p)
-    tail = primes.largest**-eps / eps
-    return partial, tail
-
-
-def local_factor_grid(
-    ensemble: HeckeEnsemble, family: CoefficientFamily, p: int, t_grid: np.ndarray
-) -> np.ndarray:
-    """A_p evaluated on a whole grid of t values at once."""
-    eta = family.eta(p, ensemble.row(p))
-    return np.exp(1j * np.multiply.outer(np.asarray(t_grid, dtype=float), eta)).mean(axis=1)

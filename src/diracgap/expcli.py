@@ -1,8 +1,8 @@
 """Experiment configuration, orchestration, artifact emission, and the CLI.
 
-A single JSON document configures the whole pipeline; an empty document is
-the default configuration (Mathieu potential, M=32, N_kappa=201, n_bands=8,
-N_P=20, N_H=20, epsilon=0.35, seed=12345, alpha=0.5, K=20, T=80).
+A single JSON document configures the whole pipeline; its keys are the
+fields of ExperimentConfig, and an empty document is the default
+configuration.  Each value is coerced by the rule of its field's type.
 Validation failures name the standing assumption they violate where one
 applies (B: summability, C: even potential, G: monotone window).
 
@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
@@ -39,14 +39,7 @@ from .floquet import (
     fiber_eigenvalues,
     select_reference_energy,
 )
-from .shift import (
-    Staircase,
-    StationaryScan,
-    TestFunction,
-    build_staircase,
-    eval_staircase,
-    stationary_scan,
-)
+from .shift import Staircase, StationaryScan, TestFunction, build_staircase, stationary_scan
 
 VERSION = "0.1.0"
 
@@ -69,6 +62,8 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The configuration schema: each field is a JSON key, with its default."""
+
     potential: PotentialSpec = field(default_factory=PotentialSpec.mathieu)
     M: int = 32
     N_kappa: int = 201
@@ -86,25 +81,20 @@ class ExperimentConfig:
     t_max: float | None = None
 
 
-_CONFIG_KEYS = {
-    "potential", "M", "N_kappa", "n_bands", "gap_index", "N_P", "N_H",
-    "epsilon", "seed", "mode", "alpha", "K", "T", "h_t", "t_max",
-}
-_POTENTIAL_KEYS = {"period", "cosine_coefficients"}
+_DEFAULT = ExperimentConfig()
 
 
-def _integer(doc: dict, key: str, default: int) -> int:
-    """An integer value; a bool or a float with a fractional part is rejected."""
-    value = doc.get(key, default)
+def _integer(key: str, value) -> int:
+    """An integer value; a bool, a fraction or an integer beyond float range is rejected."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or (isinstance(value, float) and not value.is_integer())):
         raise ValidationError(f"{key} must be an integer, got {value!r}")
+    _real(key, value)  # rejects an integer beyond float range
     return int(value)
 
 
-def _real(doc: dict, key: str, default: float) -> float:
+def _real(key: str, value) -> float:
     """A real value; a bool, a string or an integer beyond float range is rejected."""
-    value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key} must be a number, got {value!r}")
     try:
@@ -113,55 +103,54 @@ def _real(doc: dict, key: str, default: float) -> float:
         raise ValidationError(f"{key} must be finite, got an integer beyond float range") from None
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON configuration document."""
-    try:
-        doc = json.loads(text) if text.strip() else {}
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"configuration is not valid JSON: {err}") from err
+def _potential(key: str, doc) -> PotentialSpec:
+    """An even potential; omitted keys take the default potential's values."""
     if not isinstance(doc, dict):
-        raise ValidationError("configuration must be a JSON object")
-
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ValidationError(f"unknown configuration keys: {sorted(unknown)}")
-
-    pot_doc = doc.get("potential", {"period": 1.0, "cosine_coefficients": [2.0]})
-    if not isinstance(pot_doc, dict):
-        raise ValidationError("potential must be an object")
-    if "sine_coefficients" in pot_doc or any(k.startswith("sine") for k in pot_doc):
+        raise ValidationError(f"{key} must be an object")
+    if any(k.startswith("sine") for k in doc):
         raise ValidationError(
             "Assumption C violated: the potential must be even; only "
             "cosine_coefficients are accepted"
         )
-    pot_unknown = set(pot_doc) - _POTENTIAL_KEYS
-    if pot_unknown:
-        raise ValidationError(f"unknown potential keys: {sorted(pot_unknown)}")
+    unknown = set(doc) - {f.name for f in fields(PotentialSpec)}
+    if unknown:
+        raise ValidationError(f"unknown {key} keys: {sorted(unknown)}")
+    coefficients = doc.get("cosine_coefficients", _DEFAULT.potential.cosine_coefficients)
+    if not isinstance(coefficients, (list, tuple)):
+        raise ValidationError(f"{key}.cosine_coefficients must be a list, got {coefficients!r}")
+    period = _real(f"{key}.period", doc.get("period", _DEFAULT.potential.period))
+    coefficients = tuple(_real(f"{key}.cosine_coefficients[{i}]", c)
+                         for i, c in enumerate(coefficients))
     try:
-        potential = PotentialSpec(
-            period=float(pot_doc.get("period", 1.0)),
-            cosine_coefficients=tuple(pot_doc.get("cosine_coefficients", [2.0])),
-        )
+        return PotentialSpec(period=period, cosine_coefficients=coefficients)
     except ValueError as err:
-        raise ValidationError(f"Assumption C violated: {err}") from err
+        raise ValidationError(f"{key}: {err}") from err
 
-    cfg = ExperimentConfig(
-        potential=potential,
-        M=_integer(doc, "M", 32),
-        N_kappa=_integer(doc, "N_kappa", 201),
-        n_bands=_integer(doc, "n_bands", 8),
-        gap_index=_integer(doc, "gap_index", 0),
-        N_P=_integer(doc, "N_P", 20),
-        N_H=_integer(doc, "N_H", 20),
-        epsilon=_real(doc, "epsilon", 0.35),
-        seed=_integer(doc, "seed", 12345),
-        mode=str(doc.get("mode", "iid_uniform")),
-        alpha=_real(doc, "alpha", 0.5),
-        K=_integer(doc, "K", 20),
-        T=_real(doc, "T", 80.0),
-        h_t=_real(doc, "h_t", 0.01),
-        t_max=None if doc.get("t_max") is None else _real(doc, "t_max", None),
-    )
+
+# The coercion rule of each ExperimentConfig field, by its annotated type.
+_COERCE = {
+    "PotentialSpec": _potential,
+    "int": _integer,
+    "float": _real,
+    "float | None": lambda key, value: None if value is None else _real(key, value),
+    "str": lambda key, value: str(value),
+}
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate a JSON configuration document."""
+    try:
+        doc = json.loads(text) if text.strip() else {}
+    except ValueError as err:  # JSONDecodeError, or an integer literal over the digit limit
+        raise ValidationError(f"configuration is not valid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise ValidationError("configuration must be a JSON object")
+
+    unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
+    if unknown:
+        raise ValidationError(f"unknown configuration keys: {sorted(unknown)}")
+    cfg = replace(_DEFAULT, **{f.name: _COERCE[f.type](f.name, doc[f.name])
+                               for f in fields(ExperimentConfig) if f.name in doc})
     validate_config(cfg)
     return cfg
 
@@ -190,7 +179,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"R={cfg.potential.harmonic_count}"
         )
     # largest |kappa + 2 pi m / L|: its square is the largest fiber diagonal entry
-    wave_max = (2 * cfg.M + 1) * math.pi / cfg.potential.period
+    wave_max = (2.0 * cfg.M + 1.0) * math.pi / cfg.potential.period
     if not math.isfinite(4.0 * wave_max * wave_max):
         raise ValidationError(
             f"period L={cfg.potential.period:g} is too small for M={cfg.M}: the largest fiber "
@@ -230,27 +219,7 @@ def _check_t_grid(cfg: ExperimentConfig, q_max: float) -> None:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON for hashing and manifests; parse round-trips exactly."""
-    doc = {
-        "potential": {
-            "period": cfg.potential.period,
-            "cosine_coefficients": list(cfg.potential.cosine_coefficients),
-        },
-        "M": cfg.M,
-        "N_kappa": cfg.N_kappa,
-        "n_bands": cfg.n_bands,
-        "gap_index": cfg.gap_index,
-        "N_P": cfg.N_P,
-        "N_H": cfg.N_H,
-        "epsilon": cfg.epsilon,
-        "seed": cfg.seed,
-        "mode": cfg.mode,
-        "alpha": cfg.alpha,
-        "K": cfg.K,
-        "T": cfg.T,
-        "h_t": cfg.h_t,
-        "t_max": cfg.t_max,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -425,13 +394,9 @@ def _consistency_checks(cfg, bands, staircase, trace, chiral, krein,
         f"defect={defect:.3e} at {n_nodes} directly solved negative kappa nodes "
         f"(tol {KAPPA_REFLECTION_TOL} max(1, |E|))")
 
-    rng = np.random.default_rng(0)
-    odd_ok = True
-    for x in rng.uniform(0.0, 2.0, size=64):
-        if eval_staircase(staircase, -x) != -eval_staircase(staircase, x):
-            odd_ok = False
-            break
-    add("staircase_odd", odd_ok, "64 random probes, exact integer oddness")
+    x = np.random.default_rng(0).uniform(0.0, 2.0, size=64)
+    add("staircase_odd", np.array_equal(staircase(-x), -staircase(x)),
+        "64 random probes, exact integer oddness")
 
     finite = all(
         math.isfinite(v)
@@ -489,19 +454,9 @@ def _gaps_lines(bands: BandStructure) -> list[str]:
 
 def _staircase_lines(staircase: Staircase) -> list[str]:
     """Two points per jump (before, after), from -lambda_max up to lambda_max."""
-    cum = (0,) + staircase.cumulative
+    cum = staircase.heights.tolist()
     pos = [(x, c) for k, x in enumerate(staircase.locations) for c in (cum[k], cum[k + 1])]
     return [f"{-x:.17g},{-c}" for x, c in reversed(pos)] + [f"{x:.17g},{c}" for x, c in pos]
-
-
-def _staircase_value(jumps: np.ndarray, cum: np.ndarray, x: float) -> int:
-    """Odd right-continuous staircase at x.
-
-    `jumps` holds the ascending positive jump locations and `cum` the heights
-    after 0, 1, 2, ... jumps (cum[0] = 0).
-    """
-    value = int(cum[np.searchsorted(jumps, abs(x), side="right")])
-    return -value if x < 0 else value
 
 
 def render_svg(
@@ -510,20 +465,9 @@ def render_svg(
     """Deterministic SVG of the two aligned odd staircases on [-T, T]."""
     width, height, pad = 900.0, 480.0, 45.0
 
-    mapped = affine(np.array(staircase.locations, dtype=float))
-    weights = np.array(staircase.weights, dtype=np.int64)[mapped != 0.0]
-    mapped = np.abs(mapped[mapped != 0.0])
-    order = np.lexsort((weights, mapped))
-    model_jumps = mapped[order]
-    model_cum = np.concatenate([[0], np.cumsum(weights[order])])
-    zero_jumps = np.array(zeros.ordinates, dtype=float)
-    zero_cum = np.arange(len(zero_jumps) + 1)
-
-    y_max = max(
-        _staircase_value(model_jumps, model_cum, T),
-        _staircase_value(zero_jumps, zero_cum, T),
-        1,
-    )
+    model = zeta.mapped_staircase(affine(np.array(staircase.locations)), staircase.weights)
+    zero = zeta.zero_staircase(zeros)
+    y_max = max(int(model(T)), int(zero(T)), 1)
 
     def x_pix(x):
         return pad + (x + T) / (2.0 * T) * (width - 2.0 * pad)
@@ -531,20 +475,18 @@ def render_svg(
     def y_pix(y):
         return height / 2.0 - y * (height / 2.0 - pad) / y_max
 
-    def step_path(jumps, cum):
-        breaks = sorted({-x for x in jumps if x < T} | {x for x in jumps if x < T})
-        points = [(-T, _staircase_value(jumps, cum, -T))]
-        for b in breaks:
-            before = _staircase_value(jumps, cum, b if b < 0 else np.nextafter(b, -np.inf))
-            after = _staircase_value(jumps, cum, b if b > 0 else np.nextafter(b, np.inf))
-            points.append((b, before))
-            points.append((b, after))
-        points.append((T, _staircase_value(jumps, cum, T)))
-        coords = " ".join(f"{x_pix(x):.3f},{y_pix(y):.3f}" for x, y in points)
-        return coords
+    def step_path(s: Staircase) -> str:
+        """(-T, xi(-T)), then the values before and after each jump in (-T, T), then (T, xi(T))."""
+        jumps = np.array(s.locations)
+        b = np.unique(np.concatenate([-jumps[jumps < T], jumps[jumps < T]]))
+        before = s(np.where(b < 0, b, np.nextafter(b, -np.inf)))
+        after = s(np.where(b > 0, b, np.nextafter(b, np.inf)))
+        xs = [-T] + np.repeat(b, 2).tolist() + [T]
+        ys = [int(s(-T))] + np.stack([before, after], axis=1).ravel().tolist() + [int(s(T))]
+        return " ".join(f"{x_pix(x):.3f},{y_pix(y):.3f}" for x, y in zip(xs, ys))
 
-    model_path = step_path(model_jumps, model_cum)
-    zero_path = step_path(zero_jumps, zero_cum)
+    model_path = step_path(model)
+    zero_path = step_path(zero)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
@@ -603,21 +545,7 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
         emit("stationary.csv", lambda p: _write_csv(p, "t_root,kind", (
             f"{r:.17g},{k}" for r, k in zip(result.scan.roots, result.scan.kinds)
         )))
-        emit("trace_report.json", lambda p: _write_json(p, {
-            "theta_fiber": result.trace.theta_fiber,
-            "theta_separated": result.trace.theta_separated,
-            "rel_gap": result.trace.rel_gap,
-            "abs_gap": result.trace.abs_gap,
-            "l1_mass": result.trace.l1_mass,
-            "euler_gap": result.trace.euler_gap,
-            "t_max": result.trace.t_max,
-            "h_t": result.trace.h_t,
-            "resolved_prefactor": result.trace.resolved_prefactor,
-            "bands_kept": result.trace.bands_kept,
-            "band_prune_bound": result.trace.band_prune_bound,
-            "euler_series_primes": result.trace.euler_series_primes,
-            "euler_series_bound": result.trace.euler_series_bound,
-        }))
+        emit("trace_report.json", lambda p: _write_json(p, asdict(result.trace)))
         emit("matmodel_report.json", lambda p: _write_json(p, {
             "anticommutator_norm": result.chiral.anticommutator_norm,
             "pairing_defect": result.chiral.pairing_defect,
@@ -660,12 +588,6 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
             path.unlink(missing_ok=True)
         raise
     return RunArtifacts(directory=out, paths=paths, result=result)
-
-
-def run_experiment(cfg: ExperimentConfig, out_dir) -> RunArtifacts:
-    """Compute the pipeline and write all artifacts into out_dir."""
-    result = compute_run(cfg)
-    return write_artifacts(result, out_dir)
 
 
 class SuiteError(RuntimeError):

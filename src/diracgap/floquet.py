@@ -73,22 +73,10 @@ class PotentialSpec:
     def harmonic_count(self) -> int:
         return len(self.cosine_coefficients)
 
-    def evaluate(self, y):
-        """U(y), vectorized over y."""
-        y = np.asarray(y, dtype=float)
-        u = np.zeros_like(y)
-        for r, c in enumerate(self.cosine_coefficients, start=1):
-            u += c * np.cos(2.0 * np.pi * r * y / self.period)
-        return u
-
     @classmethod
     def mathieu(cls) -> "PotentialSpec":
         """Default potential U(y) = 2 cos(2 pi y), period 1."""
         return cls(period=1.0, cosine_coefficients=(2.0,))
-
-    @classmethod
-    def free(cls, period: float = 1.0) -> "PotentialSpec":
-        return cls(period=period, cosine_coefficients=())
 
 
 @dataclass(frozen=True)
@@ -160,25 +148,6 @@ class BandStructure:
         return self.bands.shape[0]
 
 
-def build_fiber_matrix(potential: PotentialSpec, kappa: float, M: int) -> np.ndarray:
-    """Dense real symmetric fiber matrix of size 2M+1 at quasi-momentum kappa.
-
-    Rejects M < R, since the potential harmonics beyond the band width would
-    be silently dropped, and rejects non-finite or out-of-zone kappa.
-    """
-    _check_fiber_args(potential, kappa, M)
-    L = potential.period
-    m = np.arange(-M, M + 1)
-    a = np.diag((kappa + 2.0 * np.pi * m / L) ** 2)
-    n = 2 * M + 1
-    for r, c in enumerate(potential.cosine_coefficients, start=1):
-        half = c / 2.0
-        idx = np.arange(n - r)
-        a[idx, idx + r] = half
-        a[idx + r, idx] = half
-    return a
-
-
 def _check_fiber_args(potential: PotentialSpec, kappa: float, M: int) -> None:
     R = potential.harmonic_count
     if M < max(R, 1):
@@ -223,13 +192,12 @@ def compute_band_structure(
     grid: QuasiMomentumGrid,
     M: int,
     n_bands: int,
-    gap_tolerance: float = GAP_TOLERANCE,
 ) -> BandStructure:
     """Solve every fiber on the non-negative half grid and mirror.
 
     Only the lowest n_bands eigenvalues per fiber are kept; n_bands <= 2M
     keeps them well resolved.  Band edges are grid extrema, and gaps wider
-    than gap_tolerance are recorded as open.
+    than GAP_TOLERANCE are recorded as open.
     """
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
@@ -255,7 +223,7 @@ def compute_band_structure(
     for b in range(n_bands - 1):
         lower = edges[b][1]
         upper = edges[b + 1][0]
-        if upper - lower > gap_tolerance:
+        if upper - lower > GAP_TOLERANCE:
             gaps.append(GapInterval(lower=lower, upper=upper, index=b))
     return BandStructure(
         potential=potential,

@@ -172,8 +172,3 @@ def aggregate_spectrum(gap_values: GapValues) -> GapSpectrum:
         multiplicities=tuple(np.diff(bounds).tolist()),
         provenance=tuple(tuple(fibers[a:b]) for a, b in zip(bounds, bounds[1:])),
     )
-
-
-def gap_index_of(value: float, band_set: DiracBandSet) -> int:
-    """Index of the band-set gap containing value (-1 below, len-1 above)."""
-    return int(np.searchsorted(band_set.lowers, value, side="right")) - 1

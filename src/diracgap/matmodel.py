@@ -7,9 +7,8 @@ Both operators are block off-diagonal with commuting diagonal blocks,
 with B = diag(q_i) (tensored over modes) for the background and
 B = diag(q_i + m_m) for the deformed operator, q_i = E_n(kappa_j) - E*.
 Every spectral quantity is therefore closed form: the spectrum is {+-b} over
-the diagonal entries b of B.  Full matrices are materialized only by the
-dense-oracle helpers used in tests; production paths stay on the diagonal
-fiber data.
+the diagonal entries b of B, and the module never materializes a full
+matrix; it works on the diagonal fiber data alone.
 
 The block sign involution Gamma = diag(+I, -I) anticommutes with any such D
 structurally (the anticommutator blocks are differences of identical
@@ -134,22 +133,6 @@ def assemble(
     )
 
 
-def model_from_values(q_values, mass_values) -> MatrixModel:
-    """Toy model straight from fiber energies and mode shifts (tests, demos)."""
-    q = np.asarray(q_values, dtype=float)
-    mass = np.asarray(mass_values, dtype=float)
-    if q.size == 0 or mass.size == 0:
-        raise ValueError("empty band structure")
-    fibers = tuple((0, j) for j in range(len(q)))
-    return MatrixModel(
-        q=q,
-        mass=mass,
-        fibers=fibers,
-        mode_indices=tuple(range(len(mass))),
-        reflection=tuple(range(len(q))),
-    )
-
-
 @dataclass(frozen=True)
 class ChiralReport:
     anticommutator_norm: float
@@ -240,19 +223,6 @@ def krein_from_counting(model: MatrixModel, probe_grid, phi) -> KreinReport:
     )
 
 
-def materialize_dense(model: MatrixModel, deformed: bool) -> np.ndarray:
-    """Dense block matrix for oracle tests; dimension capped at 512."""
-    b = model.arith_positive() if deformed else model.glob_positive()
-    dim = 2 * len(b)
-    if dim > 512:
-        raise ValueError(f"dense oracle limited to dimension 512, requested {dim}")
-    top = np.diag(b)
-    out = np.zeros((dim, dim))
-    out[: len(b), len(b) :] = top
-    out[len(b) :, : len(b)] = top
-    return out
-
-
 @dataclass(frozen=True)
 class NormBoundReport:
     per_prime_norms: tuple[float, ...]
@@ -282,22 +252,21 @@ def norm_bound_checks(
     if primes.primes != ensemble.primes.primes:
         raise ValueError("primes and ensemble prime set disagree")
 
+    # One pass in ascending-prime order: each eta_p row is computed once and
+    # added to every tail that holds p, so each tail sums in a fixed order.
+    s_max = nested_sizes[-1]
+    tails = [np.zeros(ensemble.n_modes) for _ in nested_sizes]
+    tail_bounds = [0.0] * len(nested_sizes)
     norms, bounds = [], []
     for i, p in enumerate(primes):
-        norms.append(float(np.abs(family.eta(p, ensemble.samples[i])).max()))
+        row = family.eta(p, ensemble.samples[i])
+        norms.append(float(np.abs(row).max()))
         bounds.append(family.sup_norm(p))
-
-    plist = primes.primes
-    s_max = nested_sizes[-1]
-    tail_norms, tail_bounds = [], []
-    for size in nested_sizes:
-        tail = np.zeros(ensemble.n_modes)
-        bound = 0.0
-        for i in range(size, s_max):
-            tail += family.eta(plist[i], ensemble.samples[i])
-            bound += family.sup_norm(plist[i])
-        tail_norms.append(float(np.abs(tail).max()))
-        tail_bounds.append(bound)
+        for k, size in enumerate(nested_sizes):
+            if size <= i < s_max:
+                tails[k] += row
+                tail_bounds[k] += bounds[i]
+    tail_norms = [float(np.abs(tail).max()) for tail in tails]
 
     slack = 1.0 + 1e-12
     holds = all(n <= b * slack for n, b in zip(norms, bounds)) and all(

@@ -1,4 +1,4 @@
-"""Spectral-shift staircase, Krein pairing, and stationary-point diagnostics.
+"""Spectral-shift staircase and stationary-point diagnostics.
 
 The truncated spectral shift is an odd right-continuous step function built
 from the positive gap eigenvalues lambda_k with integer weights m_k:
@@ -6,11 +6,10 @@ from the positive gap eigenvalues lambda_k with integer weights m_k:
     xi(lambda) = sum_{lambda_k <= lambda} m_k    for lambda > 0,
     xi(0) = 0,    xi(-lambda) = -xi(lambda).
 
-Evaluation is integer arithmetic throughout, so oddness holds exactly.  The
-Krein pairing treats the jump data as the signed measure
-sum_k m_k (delta_{+lambda_k} - delta_{-lambda_k}) and pairs it against an
-arbitrary differentiable probe psi by exact summation; even probes cancel
-identically.
+`Staircase` is its one evaluator: a vectorised search for |lambda| among the
+jumps, then the sign of lambda, in integer arithmetic, so oddness holds
+exactly.  The mapped model staircase of the zero alignment is a Staircase
+too.
 
 The stationary scan evaluates the translated-trace response
 
@@ -26,13 +25,10 @@ diagnostic rather than an exact detector.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
-from .arithmetic import CoefficientFamily, HeckeEnsemble, local_factor_grid
 from .gapspec import GapSpectrum
 
 BISECTION_TOLERANCE = 1e-10
@@ -50,11 +46,8 @@ class TestFunction:
     """
 
     alpha: float
-    kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.kind != "gaussian":
-            raise ValueError(f"unsupported test function kind {self.kind!r}")
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError("the Gaussian width alpha must be positive and finite")
 
@@ -69,11 +62,15 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class Staircase:
-    """Odd right-continuous step function stored by its positive jumps."""
+    """Odd right-continuous step function stored by its positive jumps.
+
+    Calling it evaluates xi elementwise: the height after the jumps at or
+    below |x|, negated for x < 0, so xi(-x) = -xi(x) and xi(0) = 0 exactly.
+    """
 
     locations: tuple[float, ...]
     weights: tuple[int, ...]
-    cumulative: tuple[int, ...] = field(repr=False, default=())
+    heights: np.ndarray = field(init=False, repr=False, compare=False)  # xi after 0, 1, ... jumps
 
     def __post_init__(self):
         if len(self.locations) != len(self.weights):
@@ -84,33 +81,18 @@ class Staircase:
             raise ValueError("jump locations must be ascending")
         if any(w <= 0 for w in self.weights):
             raise ValueError("jump weights must be positive integers")
-        object.__setattr__(self, "cumulative", tuple(accumulate(map(int, self.weights))))
+        heights = np.concatenate([[0], np.cumsum(np.array(self.weights, dtype=np.int64))])
+        object.__setattr__(self, "heights", heights)
 
-    @property
-    def total_weight(self) -> int:
-        return self.cumulative[-1] if self.cumulative else 0
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        value = self.heights[np.searchsorted(self.locations, np.abs(x), side="right")]
+        return np.where(x < 0.0, -value, value)
 
 
 def build_staircase(spectrum: GapSpectrum) -> Staircase:
     """Staircase with jump +m_k at +lambda_k; the negative side is implied."""
     return Staircase(locations=spectrum.positive_values, weights=spectrum.multiplicities)
-
-
-def eval_staircase(s: Staircase, lam: float) -> int:
-    """xi(lambda) under the right-continuous odd convention (exact integers)."""
-    k = bisect_right(s.locations, abs(lam))
-    value = s.cumulative[k - 1] if k else 0
-    return -value if lam < 0.0 else value
-
-
-def krein_pairing(s: Staircase, probe) -> float:
-    """sum_k m_k (psi(lambda_k) - psi(-lambda_k)) for a differentiable probe.
-
-    This is the pairing of the probe with the signed jump measure; it equals
-    -integral psi' xi_signed and vanishes identically for even probes.
-    """
-    return sum((w * (float(probe(lam)) - float(probe(-lam)))
-                for lam, w in zip(s.locations, s.weights)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -120,13 +102,6 @@ class StationaryScan:
     roots: tuple[float, ...]
     kinds: tuple[str, ...]  # "max" | "min"
     warnings: tuple[str, ...]
-
-
-def trace_response(s: Staircase, phi: TestFunction, t):
-    """F(t) = sum over the symmetric spectrum of phi(lambda - t)."""
-    t = np.asarray(t, dtype=float)
-    return sum((w * (phi(lam - t) + phi(-lam - t)) for lam, w in zip(s.locations, s.weights)),
-               np.zeros_like(t))
 
 
 def trace_response_derivative(s: Staircase, phi: TestFunction, t):
@@ -213,49 +188,3 @@ def stationary_scan(spectrum: GapSpectrum, phi: TestFunction, t_grid: np.ndarray
     return StationaryScan(roots=tuple(roots.tolist()),
                           kinds=tuple(np.where(rising, "max", "min").tolist()),
                           warnings=tuple(warnings))
-
-
-def arithmetic_shift_density(ensemble: HeckeEnsemble, family: CoefficientFamily,
-                             lambda_grid: np.ndarray) -> np.ndarray:
-    """EXPLORATORY prime-indexed shift density on a uniform grid.
-
-    Computes sum_p log A_p(lambda) with the branch tracked continuously along
-    the grid (anchored to the principal branch at the node nearest 0, where
-    A_p = 1 when the grid contains 0), then returns the real part of the
-    central-difference derivative divided by 2 pi i.  Grid points where some
-    |A_p| < 1e-12 are rejected since the branch becomes ambiguous.
-    """
-    grid = np.asarray(lambda_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 3:
-        raise ValueError("lambda_grid must be a 1-d grid with at least 3 nodes")
-    steps = np.diff(grid)
-    h = float(steps[0])
-    if h <= 0.0 or np.abs(steps - h).max() > 1e-9 * abs(h):
-        raise ValueError("lambda_grid must be uniform and increasing")
-    total_log = np.zeros(len(grid), dtype=complex)
-    anchor = int(np.argmin(np.abs(grid)))
-    for p in ensemble.primes:
-        a = local_factor_grid(ensemble, family, p, grid)
-        mods = np.abs(a)
-        if mods.min() < 1e-12:
-            bad = grid[int(np.argmin(mods))]
-            raise ValueError(
-                f"|A_{p}| vanishes near lambda={bad:.6g}; branch tracking is ambiguous"
-            )
-        # Continuous phase: accumulate principal increments between nodes,
-        # then pin the node nearest 0 to its principal argument.
-        increments = np.angle(a[1:] / a[:-1])
-        phase = np.concatenate([[0.0], np.cumsum(increments)])
-        phase += np.angle(a[anchor]) - phase[anchor]
-        total_log += np.log(mods) + 1j * phase
-    density = np.empty(len(grid), dtype=complex)
-    density[1:-1] = (total_log[2:] - total_log[:-2]) / (2.0 * h)
-    density[0] = (total_log[1] - total_log[0]) / h
-    density[-1] = (total_log[-1] - total_log[-2]) / h
-    return (density / (2.0j * np.pi)).real
-
-
-def is_jump_location(s: Staircase, lam: float) -> bool:
-    """True when |lam| coincides with a stored jump location."""
-    k = bisect_left(s.locations, abs(lam))
-    return k < len(s.locations) and s.locations[k] == abs(lam)

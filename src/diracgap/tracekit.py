@@ -304,13 +304,6 @@ def _separated_integral(integrand: np.ndarray, h_t: float) -> complex:
     return h_t * complex(integrand.sum() - 0.5 * (integrand[0] + integrand[-1])) / np.pi
 
 
-def theta_separated(phi: TestFunction, factors: TraceFactors) -> float:
-    """Real part of the separated Fourier-side trace (1/pi normalization)."""
-    if factors.geometric.shape[0] == 0:
-        raise ValueError("factors were built without geometric data")
-    return _separated_integral(_separated_integrand(phi, factors), factors.h_t).real
-
-
 def _log_series(eta: np.ndarray, degree: int) -> np.ndarray:
     """c[i, r - 1], the coefficient of t^r in log mean_m e^{i t eta[i, m]}, r = 1..degree.
 

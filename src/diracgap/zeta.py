@@ -9,21 +9,22 @@ with a documented fallback when the unconstrained slope is not positive.
 The staircase mismatch E_step(T) is the time-averaged L1 distance between
 two odd integer staircases on [-T, T]: the mapped model staircase (jumps at
 +-(a lambda_k + b) with weights m_k) and the signed zero staircase (unit
-jumps at +-gamma_k).  The integrand is piecewise constant, so the integral
-is evaluated exactly by a breakpoint sweep; both halves are swept in
-mirrored order, which makes the half-interval symmetry exact in floating
-point, not just in theory.
+jumps at +-gamma_k), both `shift.Staircase`s.  The integrand is piecewise
+constant, so the integral is evaluated exactly by a breakpoint sweep; both
+halves are swept in mirrored order, which makes the half-interval symmetry
+exact in floating point, not just in theory.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+
+from .shift import Staircase
 
 GAMMA1_GATE = (14.13, 14.14)
 
@@ -129,36 +130,23 @@ def fit_affine(lambdas, zeros: ZeroTable, K: int) -> AffineMap:
     return AffineMap(a=a, b=float(np.mean(y) - a * np.mean(x)), flagged=True)
 
 
-def _odd_staircase_eval(locations, cumulative, lam: float) -> int:
-    if lam == 0.0:
-        return 0
-    if lam < 0.0:
-        return -_odd_staircase_eval(locations, cumulative, -lam)
-    k = bisect_right(locations, lam)
-    return cumulative[k - 1] if k else 0
+def mapped_staircase(mapped_locations, multiplicities) -> Staircase:
+    """The model staircase after the alignment map: jump m_k at |a lambda_k + b|.
+
+    Locations mapped onto 0 are dropped; the rest are sorted by location, then
+    weight (the mapped spectrum is symmetric, so a negative image folds onto
+    its absolute value).
+    """
+    v = np.asarray(mapped_locations, dtype=float)
+    keep = v != 0.0
+    v, w = np.abs(v[keep]), np.asarray(multiplicities, dtype=np.int64)[keep]
+    order = np.lexsort((w, v))
+    return Staircase(locations=tuple(v[order].tolist()), weights=tuple(w[order].tolist()))
 
 
-def _half_sweep(model_jumps, model_cum, zero_jumps, zero_cum, T: float, side: float) -> float:
-    # Sweep [0, T] in ascending |x|; evaluate both staircases at side * x.
-    # Mirrored sides produce bitwise-identical |differences|, so the two
-    # half-integrals agree exactly.
-    points = sorted({0.0, T} | {x for x in model_jumps if x < T} | {x for x in zero_jumps if x < T})
-    total = 0.0
-    for a, b in zip(points, points[1:]):
-        mid = side * (0.5 * (a + b))
-        diff = _odd_staircase_eval(model_jumps, model_cum, mid) - _odd_staircase_eval(
-            zero_jumps, zero_cum, mid
-        )
-        total += (b - a) * abs(diff)
-    return total
-
-
-def _cumulate(weights) -> list[int]:
-    out, run = [], 0
-    for w in weights:
-        run += int(w)
-        out.append(run)
-    return out
+def zero_staircase(zeros: ZeroTable) -> Staircase:
+    """The signed zero staircase: unit jumps at the ordinates."""
+    return Staircase(locations=zeros.ordinates, weights=(1,) * len(zeros))
 
 
 def staircase_mismatch(
@@ -166,21 +154,21 @@ def staircase_mismatch(
 ) -> tuple[float, float, float]:
     """Exact (1/2T) integral of |xi_model - xi_zero| over [-T, T].
 
-    Returns (e_step, positive_half, negative_half); the halves are exactly
-    equal by the mirrored sweep.  Mapped locations at or below zero are
-    folded to their absolute value (the mapped spectrum is symmetric).
+    xi_model is the mapped_staircase of the arguments.  Returns (e_step,
+    positive_half, negative_half); each half is summed left to right over the
+    same breakpoint intervals at mirrored midpoints, so the halves are
+    exactly equal.
     """
     if not T > 0.0:
         raise ValueError(f"T must be positive, got {T}")
-    pairs = sorted(
-        (abs(float(v)), int(m)) for v, m in zip(mapped_locations, multiplicities) if v != 0.0
-    )
-    model_jumps = [v for v, _ in pairs]
-    model_cum = _cumulate(m for _, m in pairs)
-    zero_jumps = list(zeros.ordinates)
-    zero_cum = _cumulate([1] * len(zero_jumps))
-    pos = _half_sweep(model_jumps, model_cum, zero_jumps, zero_cum, T, +1.0)
-    neg = _half_sweep(model_jumps, model_cum, zero_jumps, zero_cum, T, -1.0)
+    model = mapped_staircase(mapped_locations, multiplicities)
+    zero = zero_staircase(zeros)
+    jumps = np.array(model.locations + zero.locations)
+    points = np.unique(np.concatenate([[0.0, T], jumps[jumps < T]]))
+    widths = np.diff(points)
+    mid = 0.5 * (points[:-1] + points[1:])
+    # cumsum adds strictly left to right, as the interval-by-interval sweep did.
+    pos, neg = (float(np.cumsum(widths * np.abs(model(m) - zero(m)))[-1]) for m in (mid, -mid))
     return (pos + neg) / (2.0 * T), pos, neg
 
 

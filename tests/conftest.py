@@ -41,7 +41,7 @@ def toy_band_structure(rows, period=1.0):
         if edges[n + 1][0] - edges[n][1] > GAP_TOLERANCE:
             gaps.append(GapInterval(lower=edges[n][1], upper=edges[n + 1][0], index=n))
     return BandStructure(
-        potential=PotentialSpec.free(period),
+        potential=PotentialSpec(period=period),
         grid=grid,
         truncation=max(1, bands.shape[0]),
         bands=bands,

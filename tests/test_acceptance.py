@@ -25,18 +25,16 @@ from diracgap.gapspec import GapSpectrum
 from diracgap.matmodel import (
     assemble,
     krein_from_counting,
-    materialize_dense,
     norm_bound_checks,
     verify_chiral,
 )
 from diracgap.shift import (
     TestFunction,
     build_staircase,
-    eval_staircase,
-    is_jump_location,
     stationary_scan,
     trace_response_derivative,
 )
+from oracles import materialize_dense
 from diracgap.tracekit import arithmetic_factors, compare_trace_representations
 from diracgap.zeta import fit_affine, staircase_mismatch
 
@@ -50,7 +48,7 @@ def report(n, text):
 def test_c01_free_potential_control():
     t0 = time.perf_counter()
     grid = QuasiMomentumGrid(n_nodes=41, period=1.0)
-    bands = compute_band_structure(PotentialSpec.free(), grid, M=8, n_bands=5)
+    bands = compute_band_structure(PotentialSpec(), grid, M=8, n_bands=5)
     elapsed = time.perf_counter() - t0
     widths = [bands.band_edges[n + 1][0] - bands.band_edges[n][1] for n in range(4)]
     assert all(w < 1e-8 for w in widths)
@@ -166,7 +164,7 @@ def test_c07_euler_factorization():
 
 def test_c08_norm_bounds():
     primes = generate_primes(20)
-    assert primes.largest == 71
+    assert primes.primes[-1] == 71
     ens = sample_hecke_ensemble(primes, 20, seed=12345)
     rep = norm_bound_checks(FAM, primes, ens, (5, 10, 20))
     for norm, bound in zip(rep.per_prime_norms, rep.per_prime_bounds):
@@ -184,9 +182,9 @@ def test_c09_staircase_oddness_and_estep_symmetry(default_run):
     count = 0
     while count < 1000:
         x = float(rng.uniform(-700.0, 700.0))
-        if x == 0.0 or is_jump_location(s, x):
+        if x == 0.0 or abs(x) in s.locations:
             continue
-        assert eval_staircase(s, -x) == -eval_staircase(s, x)
+        assert s(-x) == -s(x)
         count += 1
     mapped = default_run.affine(np.array(default_run.spectrum.positive_values))
     _, pos, neg = staircase_mismatch(

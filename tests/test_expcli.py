@@ -3,12 +3,12 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracgap import expcli
@@ -20,7 +20,6 @@ from diracgap.expcli import (
     main,
     parse_config,
     render_svg,
-    run_experiment,
     scaling_suite,
     serialize_config,
 )
@@ -56,7 +55,7 @@ def test_assumption_named_rejections():
         parse_config('{"epsilon": 0}')
     with pytest.raises(ValidationError, match="Assumption C"):
         parse_config('{"potential": {"sine_coefficients": [1.0]}}')
-    with pytest.raises(ValidationError, match="Assumption C"):
+    with pytest.raises(ValidationError, match="period must be positive and finite"):
         parse_config('{"potential": {"period": -2.0}}')
     with pytest.raises(ValidationError, match="Assumption G"):
         parse_config('{"alpha": 0.0}')
@@ -117,8 +116,8 @@ def test_manifest_hashes_and_config_echo(tmp_path, reduced_run):
 
 def test_reruns_are_byte_identical(tmp_path):
     cfg = parse_config(REDUCED)
-    run_experiment(cfg, tmp_path / "a")
-    run_experiment(cfg, tmp_path / "b")
+    expcli.write_artifacts(compute_run(cfg), tmp_path / "a")
+    expcli.write_artifacts(compute_run(cfg), tmp_path / "b")
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
@@ -192,7 +191,7 @@ def test_zero_mass_run_degrades_gracefully(tmp_path):
     assert result.krein.gap < 1e-9
     assert "insufficient-spectrum" in result.diagnostics.flags
     assert result.all_checks_pass
-    arts = run_experiment(cfg, tmp_path / "zm")
+    expcli.write_artifacts(result, tmp_path / "zm")
     assert (tmp_path / "zm" / "staircase.svg").is_file()
 
 
@@ -434,6 +433,69 @@ def test_integral_values_are_accepted_as_integers():
     assert (cfg.M, cfg.K) == (32, 100) and isinstance(cfg.M, int)
 
 
+@pytest.mark.parametrize("potential,rule", [
+    ('{"cosine_coefficients": 5}', "potential.cosine_coefficients must be a list"),
+    ('{"cosine_coefficients": null}', "potential.cosine_coefficients must be a list"),
+    ('{"cosine_coefficients": [true]}', "potential.cosine_coefficients[0] must be a number"),
+    ('{"cosine_coefficients": [2.0, "1"]}', "potential.cosine_coefficients[1] must be a number"),
+    ('{"period": [1]}', "potential.period must be a number"),
+    ('{"period": true}', "potential.period must be a number"),
+    ('{"period": 1' + "0" * 400 + "}", "potential.period must be finite"),
+    ('{"period": 0.0}', "period must be positive and finite"),
+])
+def test_potential_values_take_the_strict_number_rule(tmp_path, capsys, potential, rule):
+    doc = f'{{"potential": {potential}}}'
+    with pytest.raises(ValidationError) as err:
+        parse_config(doc)
+    assert rule in str(err.value) and "Assumption C" not in str(err.value)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(doc)
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert rule in capsys.readouterr().err
+
+
+# Any JSON value, biased towards the kinds of value the configuration keys take.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.integers() | st.just(10**400)
+    | st.floats() | st.sampled_from(["iid_uniform", "constant_one", "0.5"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["period", "cosine_coefficients", "sine_coefficients", "other"]),
+        inner, max_size=3),
+    max_leaves=5,
+)
+# A valid value for every configuration key, so that a good share of documents parse.
+VALID_VALUES = {
+    "potential": st.fixed_dictionaries({}, optional={
+        "period": st.floats(0.5, 4.0),
+        "cosine_coefficients": st.lists(st.floats(-5.0, 5.0), max_size=3)}),
+    "M": st.integers(8, 64), "N_kappa": st.integers(1, 200).map(lambda k: 2 * k + 1),
+    "n_bands": st.integers(1, 16), "gap_index": st.integers(0, 5),
+    "N_P": st.integers(1, 100), "N_H": st.integers(1, 100), "epsilon": st.floats(0.01, 10.0),
+    "seed": st.integers(0, 2**64 - 1), "mode": st.sampled_from(["iid_uniform", "constant_one"]),
+    "alpha": st.floats(0.05, 5.0), "K": st.integers(2, 100), "T": st.floats(1.0, 200.0),
+    "h_t": st.floats(1e-3, 1.0), "t_max": st.none() | st.floats(1.0, 100.0),
+}
+
+
+# Every field needs a valid-value strategy (a KeyError here names a new one).
+@settings(max_examples=50, deadline=None)
+@given(doc=st.fixed_dictionaries({}, optional={
+    f.name: st.sampled_from([VALID_VALUES[f.name]] * 3 + [JSON_VALUES]).flatmap(lambda v: v)
+    for f in fields(expcli.ExperimentConfig)}) | st.dictionaries(st.text(max_size=3), JSON_VALUES))
+@example(doc={"potential": {"cosine_coefficients": 5}})
+@example(doc={"potential": {"cosine_coefficients": None}})
+@example(doc={"potential": {"period": [1]}})
+@example(doc={"potential": {"period": 10**400}})
+@example(doc={"M": 10**400})
+@example(doc={"potential": {"period": 2.0, "cosine_coefficients": [1.5, -0.25]}, "t_max": 9.5})
+def test_any_json_object_is_rejected_or_round_trips(doc):
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ValidationError:
+        return
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_scan_warnings_reach_diagnostics_and_cli(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -471,10 +533,10 @@ def test_svg_staircase_value_matches_the_old_loop(jumps, weights, probes):
     jumps = sorted(jumps)
     weights = weights[: len(jumps)]
     cum = [sum(weights[: k + 1]) for k in range(len(jumps))]
-    as_arrays = (np.array(jumps, dtype=float), np.array([0] + cum))
+    staircase = Staircase(locations=tuple(jumps), weights=tuple(weights))
     for x in probes + jumps + [-v for v in jumps] + [0.0]:
         for y in (x, float(np.nextafter(x, -np.inf)), float(np.nextafter(x, np.inf))):
-            assert expcli._staircase_value(*as_arrays, y) == old_staircase_value(jumps, cum, y)
+            assert staircase(y) == old_staircase_value(jumps, cum, y)
 
 
 def test_python_dash_m_runs_without_runpy_warning(tmp_path):

@@ -6,11 +6,11 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, eigvals_banded
 
 from conftest import toy_band_structure
+from oracles import build_fiber_matrix
 from diracgap.floquet import (
     NoOpenGapError,
     PotentialSpec,
     QuasiMomentumGrid,
-    build_fiber_matrix,
     compute_band_structure,
     fiber_eigenvalues,
     select_reference_energy,
@@ -32,7 +32,7 @@ def tridiagonal_oracle(kappa, M, count):
 
 
 def test_free_fiber_matrix_closed_form():
-    a = build_fiber_matrix(PotentialSpec.free(), kappa=0.0, M=2)
+    a = build_fiber_matrix(PotentialSpec(), kappa=0.0, M=2)
     expected = np.diag([16 * PI2, 4 * PI2, 0.0, 4 * PI2, 16 * PI2])
     assert np.array_equal(a, expected)
 
@@ -48,11 +48,11 @@ def test_mathieu_fiber_matrix_m1():
 def test_fiber_matrix_rejections():
     pot = PotentialSpec.mathieu()
     with pytest.raises(ValueError, match="harmonics"):
-        build_fiber_matrix(pot, kappa=0.0, M=0)
+        fiber_eigenvalues(pot, kappa=0.0, M=0, count=1)
     with pytest.raises(ValueError, match="non-finite"):
-        build_fiber_matrix(pot, kappa=float("nan"), M=4)
+        fiber_eigenvalues(pot, kappa=float("nan"), M=4, count=1)
     with pytest.raises(ValueError, match="Brillouin"):
-        build_fiber_matrix(pot, kappa=4.0, M=4)
+        fiber_eigenvalues(pot, kappa=4.0, M=4, count=1)
 
 
 def test_fiber_eigenvalue_count_and_order():
@@ -130,7 +130,7 @@ def test_grid_validation():
 
 def test_free_potential_has_no_open_gaps():
     grid = QuasiMomentumGrid(n_nodes=41, period=1.0)
-    bands = compute_band_structure(PotentialSpec.free(), grid, M=8, n_bands=4)
+    bands = compute_band_structure(PotentialSpec(), grid, M=8, n_bands=4)
     assert bands.gaps == ()
     for n in range(3):
         assert bands.band_edges[n + 1][0] - bands.band_edges[n][1] < 1e-8
@@ -184,15 +184,9 @@ def test_reference_energy(mathieu_bands):
 
 def test_reference_energy_requires_open_gap():
     grid = QuasiMomentumGrid(n_nodes=21, period=1.0)
-    bands = compute_band_structure(PotentialSpec.free(), grid, M=6, n_bands=3)
+    bands = compute_band_structure(PotentialSpec(), grid, M=6, n_bands=3)
     with pytest.raises(NoOpenGapError, match="potential strength"):
         select_reference_energy(bands, 0)
-
-
-def test_potential_evenness_by_sampling():
-    pot = PotentialSpec(period=2.0, cosine_coefficients=(1.0, -0.3, 0.05))
-    y = np.linspace(-3.0, 3.0, 101)
-    assert np.array_equal(pot.evaluate(y), pot.evaluate(-y))
 
 
 def test_potential_validation():

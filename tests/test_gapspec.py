@@ -22,7 +22,6 @@ from diracgap.gapspec import (
     band_distance,
     dirac_band_set,
     fiber_gap_eigenvalues,
-    gap_index_of,
     outside_bands,
 )
 
@@ -217,13 +216,6 @@ def test_monotone_response_to_pointwise_larger_samples(default_run):
     v_lo = r.bands.bands[..., None] - r.e_star + r.shifts.values
     v_hi = r.bands.bands[..., None] - r.e_star + shifts_hi.values
     assert np.all(v_hi >= v_lo)
-
-
-def test_gap_index_of():
-    bs = DiracBandSet(intervals=((-1.5, -0.5), (0.5, 1.5)))
-    assert gap_index_of(-2.0, bs) == -1
-    assert gap_index_of(0.0, bs) == 0
-    assert gap_index_of(2.0, bs) == 1
 
 
 # Band rows on a 1/8 grid inside [2n, 2n + 1] and masses on a 1/16 grid plus

@@ -12,11 +12,10 @@ from diracgap.matmodel import (
     assemble,
     counting_difference,
     krein_from_counting,
-    materialize_dense,
-    model_from_values,
     norm_bound_checks,
     verify_chiral,
 )
+from oracles import materialize_dense, model_from_values
 from diracgap.shift import TestFunction
 
 FAM = CoefficientFamily(0.35)
@@ -162,6 +161,28 @@ def test_norm_bounds_iid_chain():
     assert report.tail_norms[2] == 0.0
     for n, b in zip(report.tail_norms, report.tail_bounds):
         assert n <= b
+
+
+def test_norm_bounds_evaluate_each_eta_row_once():
+    calls = []
+
+    class CountingFamily(CoefficientFamily):
+        def eta(self, p, lam):
+            calls.append(p)
+            return super().eta(p, lam)
+
+    primes = generate_primes(40)
+    ens = sample_hecke_ensemble(primes, 30, seed=7)
+    sizes = (10, 20, 40)
+    report = norm_bound_checks(CountingFamily(0.35), primes, ens, sizes)
+    assert calls == list(primes)
+    # Oracle: every tail summed afresh in ascending-prime order, bitwise equal.
+    for size, norm, bound in zip(sizes, report.tail_norms, report.tail_bounds):
+        tail, total = np.zeros(30), 0.0
+        for i in range(size, 40):
+            tail += FAM.eta(primes.primes[i], ens.samples[i])
+            total += FAM.sup_norm(primes.primes[i])
+        assert (norm, bound) == (float(np.abs(tail).max()), total)
 
 
 def test_norm_bounds_validation():

@@ -11,14 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_band_structure
-from oracles import geometric_factor, local_factor
+from oracles import geometric_factor, local_factor, local_factor_grid, sample_row
 from diracgap.arithmetic import (
     MODES,
     CoefficientFamily,
     HeckeEnsemble,
     MassShifts,
     generate_primes,
-    local_factor_grid,
     mass_shifts,
     sample_hecke_ensemble,
 )
@@ -36,7 +35,6 @@ from diracgap.tracekit import (
     default_t_grid,
     tail_half_width,
     theta_fiber,
-    theta_separated,
 )
 
 FAM = CoefficientFamily(0.35)
@@ -44,7 +42,7 @@ FAM = CoefficientFamily(0.35)
 
 def log_coefficients(ens, p, degree):
     """Coefficients of t^1..t^degree in log A_p, from the production series helper."""
-    return tracekit._log_series(FAM.eta(p, ens.row(p))[None], degree)[0]
+    return tracekit._log_series(FAM.eta(p, sample_row(ens, p))[None], degree)[0]
 
 
 def zero_shifts(n):
@@ -259,7 +257,7 @@ def test_separated_zero_mass_consistency():
     factors = arithmetic_factors(ens, FAM, shifts, t, bands=bands, e_star=e_star)
     assert np.all(factors.a_joint == 1.0 + 0.0j)  # A == 1 when mass vanishes
     fiber = theta_fiber(phi, bands, e_star, shifts)
-    separated = theta_separated(phi, factors)
+    separated = compare_trace_representations(bands, e_star, shifts, ens, FAM, phi).theta_separated
     assert abs(fiber - separated) / abs(fiber) < 1e-6
 
 
@@ -272,10 +270,8 @@ def test_separated_saturation_limit():
     phi = TestFunction(alpha=1e5)
     fiber = theta_fiber(phi, bands, e_star, shifts)
     assert fiber == pytest.approx(2.0 * 2.0 * np.pi * 4, rel=1e-4)
-    t = default_t_grid(bands, e_star, shifts, phi)
     ens = sample_hecke_ensemble(generate_primes(2), 2, seed=1)
-    factors = arithmetic_factors(ens, FAM, shifts, t, bands=bands, e_star=e_star)
-    separated = theta_separated(phi, factors)
+    separated = compare_trace_representations(bands, e_star, shifts, ens, FAM, phi).theta_separated
     assert abs(fiber - separated) / abs(fiber) < 1e-6
 
 
@@ -362,7 +358,7 @@ def test_compare_report_fields(default_run):
 
 def table_product(ens, family, h, K):
     """A_prod on k = 0..K with every prime on the phase tables, in ascending order."""
-    eta = np.array([family.eta(p, ens.row(p)) for p in ens.primes])
+    eta = np.array([family.eta(p, row) for p, row in zip(ens.primes, ens.samples)])
     a = np.ones(K + 1, dtype=complex)
     for lo in range(0, len(eta), tracekit.PRIME_CHUNK):
         for a_p in tracekit._half_grid_sums(eta[lo : lo + tracekit.PRIME_CHUNK], None, h, K):
@@ -399,7 +395,7 @@ def test_euler_series_is_at_least_as_close_to_mpmath_as_the_tables():
     f = arithmetic_factors(ens, FAM, mass_shifts(ens, FAM), t)
     assert f.euler_series_primes == 991
     table = table_product(ens, FAM, h, K)
-    eta = np.array([FAM.eta(p, ens.row(p)) for p in ens.primes])
+    eta = np.array([FAM.eta(p, row) for p, row in zip(ens.primes, ens.samples)])
     for k in (32, 113, 227):  # t = 3.2, 11.3, 22.7
         tk = mpmath.mpf(float(t[K + k]))
         exact = mpmath.mpf(1)

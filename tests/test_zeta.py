@@ -1,7 +1,10 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracgap.zeta import (
     AffineMap,
@@ -9,6 +12,7 @@ from diracgap.zeta import (
     diagnostics,
     fit_affine,
     load_zero_table,
+    mapped_staircase,
     staircase_mismatch,
 )
 
@@ -148,6 +152,48 @@ def test_e_step_half_interval_symmetry_is_exact(default_run):
     )
     assert pos == neg  # bitwise, by the mirrored sweep
     assert e_step == default_run.diagnostics.e_step
+
+
+def scalar_sweep(mapped, mults, zeros, T, side):
+    """One half of E_step as first written: a bisection per interval, summed in a loop."""
+    pairs = sorted((abs(float(v)), int(m)) for v, m in zip(mapped, mults) if v != 0.0)
+    model = [v for v, _ in pairs]
+    model_cum = np.cumsum([m for _, m in pairs]).tolist()
+    zero = list(zeros.ordinates)
+
+    def xi(jumps, cum, x):
+        k = bisect_right(jumps, abs(x))
+        value = cum[k - 1] if k else 0
+        return -value if x < 0.0 else value
+
+    points = sorted({0.0, T} | {x for x in model if x < T} | {x for x in zero if x < T})
+    total = 0.0
+    for a, b in zip(points, points[1:]):
+        mid = side * (0.5 * (a + b))
+        total += (b - a) * abs(xi(model, model_cum, mid) - xi(zero, list(range(1, len(zero) + 1)), mid))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mapped=st.lists(st.floats(-60.0, 60.0) | st.sampled_from([0.0, 14.134725142, -21.022039639]),
+                    max_size=40),
+    mults=st.lists(st.integers(1, 4), min_size=40, max_size=40),
+    T=st.floats(0.5, 80.0) | st.sampled_from([14.134725142, 33.3]),
+)
+def test_e_step_matches_the_scalar_sweep_bitwise(mapped, mults, T):
+    zeros = load_zero_table("embedded")
+    mults = mults[: len(mapped)]
+    e_step, pos, neg = staircase_mismatch(mapped, mults, zeros, T)
+    assert pos == scalar_sweep(mapped, mults, zeros, T, +1.0)
+    assert neg == scalar_sweep(mapped, mults, zeros, T, -1.0)
+    assert e_step == (pos + neg) / (2.0 * T)
+
+
+def test_mapped_staircase_folds_and_drops_zero():
+    s = mapped_staircase(np.array([-2.0, 0.0, 1.0, 2.0]), (3, 5, 1, 2))
+    assert s.locations == (1.0, 2.0, 2.0) and s.weights == (1, 2, 3)
+    assert s(2.0) == 6 and s(-1.5) == -1 and s(0.0) == 0
 
 
 def test_e_step_matches_riemann_oracle(default_run):
