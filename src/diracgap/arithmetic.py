@@ -50,7 +50,7 @@ def sample_unit(seed: int, p: int, m: int) -> float:
     return 2.0 * (z >> 11) / 2.0**53 - 1.0
 
 
-def generate_primes(count: int) -> "PrimeSet":
+def generate_primes(count: int) -> tuple[int, ...]:
     """First `count` primes, ascending, by sieve of Eratosthenes."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -64,19 +64,8 @@ def generate_primes(count: int) -> "PrimeSet":
                 sieve[q * q :: q] = False
         primes = np.flatnonzero(sieve)
         if len(primes) >= count:
-            return PrimeSet(primes=tuple(int(p) for p in primes[:count]))
+            return tuple(int(p) for p in primes[:count])
         bound *= 2
-
-
-@dataclass(frozen=True)
-class PrimeSet:
-    primes: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __iter__(self):
-        return iter(self.primes)
 
 
 @dataclass(frozen=True)
@@ -115,7 +104,7 @@ class HeckeEnsemble:
     identically.
     """
 
-    primes: PrimeSet
+    primes: tuple[int, ...]
     n_modes: int
     seed: int
     mode: str
@@ -123,7 +112,7 @@ class HeckeEnsemble:
 
 
 def sample_hecke_ensemble(
-    primes: PrimeSet, n_modes: int, seed: int, mode: str = "iid_uniform"
+    primes: tuple[int, ...], n_modes: int, seed: int, mode: str = "iid_uniform"
 ) -> HeckeEnsemble:
     """Generate the deterministic ensemble for (seed, primes, n_modes, mode)."""
     if n_modes < 1:
@@ -135,7 +124,7 @@ def sample_hecke_ensemble(
     if mode == "constant_one":
         samples = np.ones((len(primes), n_modes))
     else:
-        p = np.array(primes.primes, dtype=np.uint64)[:, None]
+        p = np.array(primes, dtype=np.uint64)[:, None]
         samples = sample_unit(seed, p, np.arange(1, n_modes + 1, dtype=np.uint64))
     samples.setflags(write=False)
     return HeckeEnsemble(primes=primes, n_modes=n_modes, seed=seed, mode=mode, samples=samples)
@@ -143,9 +132,14 @@ def sample_hecke_ensemble(
 
 @dataclass(frozen=True)
 class MassShifts:
-    """Per-mode mass shifts m_m, on the same energy scale as the bands."""
+    """Per-mode mass shifts m_m, on the same energy scale as the bands.
+
+    terms[i, m-1] = eta_p(lambda_p(m)) for the i-th prime p; values[m-1] = m_m
+    is the sum of column m-1 over the primes.
+    """
 
     values: np.ndarray = field(repr=False, compare=False)
+    terms: np.ndarray = field(repr=False, compare=False)  # shape (N_P, N_H)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -154,10 +148,13 @@ class MassShifts:
 def mass_shifts(ensemble: HeckeEnsemble, family: CoefficientFamily) -> MassShifts:
     """m_m = sum_{p in S} eta_p(lambda_p(m)), accumulated in ascending-prime order.
 
-    The summation order is fixed for float reproducibility.
+    Each eta_p row is evaluated once, and the summation order is fixed for
+    float reproducibility.
     """
+    terms = np.array([family.eta(p, row) for p, row in zip(ensemble.primes, ensemble.samples)])
     total = np.zeros(ensemble.n_modes)
-    for i, p in enumerate(ensemble.primes):
-        total += family.eta(p, ensemble.samples[i])
+    for row in terms:
+        total += row
+    terms.setflags(write=False)
     total.setflags(write=False)
-    return MassShifts(values=total)
+    return MassShifts(values=total, terms=terms)

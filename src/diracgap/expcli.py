@@ -44,7 +44,6 @@ from .shift import Staircase, StationaryScan, TestFunction, build_staircase, sta
 VERSION = "0.1.0"
 
 TRACE_REL_GAP = 1e-6
-PAIRING_TOL = 1e-10
 KREIN_TOL = 1e-9
 EULER_EXACT_TOL = 1e-12
 KAPPA_REFLECTION_TOL = 1e-12
@@ -195,7 +194,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValidationError(f"mode must be one of {arithmetic.MODES}")
     if cfg.K < 2:
         raise ValidationError("K must be >= 2 to fit the affine alignment")
-    n_zeros = len(zeta.load_zero_table("embedded"))
+    n_zeros = len(zeta.load_zero_table())
     if cfg.K > n_zeros:
         raise ValidationError(f"K={cfg.K} exceeds the {n_zeros} zeros of the bundled table")
     if not (cfg.T > 0.0 and math.isfinite(2.0 * cfg.T)):
@@ -248,7 +247,6 @@ class RunResult:
     spectrum: gapspec.GapSpectrum
     staircase: Staircase
     trace: tracekit.TraceReport
-    chiral: matmodel.ChiralReport
     krein: matmodel.KreinReport
     norm_report: matmodel.NormBoundReport
     model_dimension: int
@@ -271,11 +269,6 @@ def _scan_grid(staircase: Staircase, alpha: float) -> np.ndarray:
     half = min(int(math.ceil(hi / step)), 10000)
     k = np.arange(-half, half + 1)
     return k * (hi / half)
-
-
-def _nested_sizes(n_primes: int) -> tuple[int, ...]:
-    sizes = sorted({max(1, n_primes // 4), max(1, n_primes // 2), n_primes})
-    return tuple(sizes)
 
 
 def compute_run(cfg: ExperimentConfig) -> RunResult:
@@ -302,50 +295,27 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
 
     phi = TestFunction(alpha=cfg.alpha)
     trace = tracekit.compare_trace_representations(
-        bands, e_star, shifts, ensemble, family, phi, h_max=cfg.h_t, t_max=cfg.t_max
+        bands, e_star, shifts, phi, h_max=cfg.h_t, t_max=cfg.t_max
     )
 
     model = matmodel.assemble(
         bands, e_star, shifts, max_fibers=MODEL_MAX_FIBERS, max_modes=MODEL_MAX_MODES
     )
-    chiral = matmodel.verify_chiral(model)
-    spec_hi = float(np.abs(model.arith_spectrum()).max()) if model.dimension else 1.0
-    probe_grid = np.linspace(-1.1 * spec_hi, 1.1 * spec_hi, 201)
-    krein = matmodel.krein_from_counting(model, probe_grid, phi)
-    norm_report = matmodel.norm_bound_checks(
-        family, primes, ensemble, _nested_sizes(len(primes))
-    )
+    krein = matmodel.krein_from_counting(model, phi)
+    norm_report = matmodel.norm_bound_checks(family, primes, shifts)
 
-    zeros = zeta.load_zero_table("embedded", min_count=cfg.K)
-    if len(spectrum.positive_values) >= cfg.K:
-        affine = zeta.fit_affine(spectrum.positive_values, zeros, cfg.K)
-        diag = zeta.diagnostics(
-            affine, spectrum.positive_values, zeros, cfg.K, cfg.T,
-            multiplicities=spectrum.multiplicities,
-        )
-    else:
-        # Degenerate spectrum (e.g. a near-zero mass deformation): no K-point
-        # fit exists, so plot against the identity map and flag it; E_step is
-        # still well defined.
-        affine = zeta.AffineMap(a=1.0, b=0.0, flagged=True)
-        e_step, _, _ = zeta.staircase_mismatch(
-            affine(np.array(spectrum.positive_values)),
-            spectrum.multiplicities, zeros, cfg.T,
-        )
-        diag = zeta.DiagnosticsReport(
-            K=0, deviations=(), mae=0.0, max_abs=0.0, e_step=e_step,
-            T=cfg.T, affine=affine, flags=("insufficient-spectrum",),
-        )
+    zeros = zeta.load_zero_table()
+    diag = zeta.diagnostics(spectrum.positive_values, spectrum.multiplicities, zeros,
+                            cfg.K, cfg.T)
     scan = stationary_scan(spectrum, phi, _scan_grid(staircase, cfg.alpha))
 
-    checks = _consistency_checks(cfg, bands, staircase, trace, chiral, krein,
-                                 norm_report, diag)
+    checks = _consistency_checks(cfg, bands, staircase, trace, krein, norm_report, diag)
     return RunResult(
         config=cfg, bands=bands, e_star=e_star, ensemble=ensemble, family=family,
         shifts=shifts, band_set=band_set, gap_values=gap_values, spectrum=spectrum,
-        staircase=staircase, trace=trace, chiral=chiral, krein=krein,
-        norm_report=norm_report, model_dimension=model.dimension, zeros=zeros,
-        affine=affine, diagnostics=diag, scan=scan, checks=checks,
+        staircase=staircase, trace=trace, krein=krein, norm_report=norm_report,
+        model_dimension=model.dimension, zeros=zeros, affine=diag.affine,
+        diagnostics=diag, scan=scan, checks=checks,
     )
 
 
@@ -361,8 +331,8 @@ def _kappa_reflection_defect(bands: BandStructure) -> tuple[float, int]:
     return float(defect.max()), len(nodes)
 
 
-def _consistency_checks(cfg, bands, staircase, trace, chiral, krein,
-                        norm_report, diag) -> tuple[Check, ...]:
+def _consistency_checks(cfg, bands, staircase, trace, krein, norm_report,
+                        diag) -> tuple[Check, ...]:
     checks = []
 
     def add(name, passed, detail):
@@ -377,13 +347,6 @@ def _consistency_checks(cfg, bands, staircase, trace, chiral, krein,
     add("trace_agreement", trace_ok,
         f"rel_gap={trace.rel_gap:.3e} (tol {TRACE_REL_GAP}), "
         f"abs_gap={trace.abs_gap:.3e} (noise floor {noise_floor:.3e})")
-    add("chiral_anticommutator", chiral.anticommutator_norm == 0.0,
-        f"norm={chiral.anticommutator_norm!r} (must be exactly 0)")
-    add("chiral_pairing", chiral.pairing_defect < PAIRING_TOL,
-        f"defect={chiral.pairing_defect:.3e} (tol {PAIRING_TOL})")
-    add("reflection_involution_commutes", chiral.reflection_commute_defect == 0.0,
-        f"commute defect={chiral.reflection_commute_defect!r}, "
-        f"defect from -D={chiral.reflection_anticommute_defect:.3e}")
     add("krein_identity", krein.gap < KREIN_TOL,
         f"gap={krein.gap:.3e} (tol {KREIN_TOL})")
     add("norm_bounds", norm_report.all_bounds_hold,
@@ -547,10 +510,6 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
         )))
         emit("trace_report.json", lambda p: _write_json(p, asdict(result.trace)))
         emit("matmodel_report.json", lambda p: _write_json(p, {
-            "anticommutator_norm": result.chiral.anticommutator_norm,
-            "pairing_defect": result.chiral.pairing_defect,
-            "reflection_commute_defect": result.chiral.reflection_commute_defect,
-            "reflection_anticommute_defect": result.chiral.reflection_anticommute_defect,
             "krein_gap": result.krein.gap,
             "tail_norms": list(result.norm_report.tail_norms),
             "tail_bounds": list(result.norm_report.tail_bounds),
@@ -573,10 +532,10 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
             render_svg(result.staircase, result.zeros, result.affine, cfg.T)
         ))
 
-        hashes = {
-            name: hashlib.sha256(paths[name].read_bytes()).hexdigest()
-            for name in sorted(paths)
-        }
+        hashes = {}
+        for name in sorted(paths):  # streamed: no artifact is held in memory whole
+            with paths[name].open("rb") as f:
+                hashes[name] = hashlib.file_digest(f, "sha256").hexdigest()
         emit("manifest.json", lambda p: _write_json(p, {
             "config": json.loads(serialize_config(cfg)),
             "config_hash": config_hash(cfg),
@@ -590,29 +549,29 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
     return RunArtifacts(directory=out, paths=paths, result=result)
 
 
-class SuiteError(RuntimeError):
-    """A scaling-suite row failed; the message names the failing value."""
-
-
 SUITE_AXES = ("N_P", "N_H", "seed")
 
 
 def scaling_suite(axis: str, values, base: ExperimentConfig, out_dir) -> Path:
-    """One diagnostics row per axis value, written as suite_<axis>.csv."""
+    """One diagnostics row per axis value, written as suite_<axis>.csv.
+
+    Every row's configuration is validated before any row is computed; a
+    rejected row raises ValidationError naming its value.
+    """
     if axis not in SUITE_AXES:
         raise ValidationError(f"axis must be one of {SUITE_AXES}, got {axis!r}")
     values = list(values)
     if not values:
         raise ValidationError("values must be nonempty")
-    rows = []
-    for v in values:
-        cfg = replace(base, **{axis: int(v)})
+    configs = [replace(base, **{axis: int(v)}) for v in values]
+    for v, cfg in zip(values, configs):
         try:
             validate_config(cfg)
-            result = compute_run(cfg)
-        except Exception as err:
-            raise SuiteError(f"suite aborted at {axis}={v}: {err}") from err
-        d = result.diagnostics
+        except ValidationError as err:
+            raise ValidationError(f"suite row {axis}={v}: {err}") from None
+    rows = []
+    for v, cfg in zip(values, configs):
+        d = compute_run(cfg).diagnostics
         rows.append(f"{int(v)},{d.mae:.17g},{d.max_abs:.17g},{d.e_step:.17g}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -677,21 +636,14 @@ def main(argv=None) -> int:
         print(f"wrote {out / 'bands.csv'} and {out / 'gaps.csv'}")
         return 0
 
-    if args.command == "suite":
-        try:
-            values = [int(v) for v in args.values.split(",") if v.strip()]
-        except ValueError:
-            print("error: --values must be comma-separated integers", file=sys.stderr)
-            return 2
-        try:
-            path = scaling_suite(args.axis, values, cfg, args.out)
-        except (SuiteError, ValidationError) as err:
-            print(f"error: {err}", file=sys.stderr)  # exit 2 when a row's config is at fault
-            return 2 if ValidationError in {type(err), type(err.__cause__)} else 1
-        print(f"wrote {path}")
-        return 0
-
     try:
+        if args.command == "suite":
+            try:
+                values = [int(v) for v in args.values.split(",") if v.strip()]
+            except ValueError:
+                raise ValidationError("--values must be comma-separated integers") from None
+            print(f"wrote {scaling_suite(args.axis, values, cfg, args.out)}")
+            return 0
         result = compute_run(cfg)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

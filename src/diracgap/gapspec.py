@@ -115,17 +115,11 @@ def band_distance(values, band_set: DiracBandSet) -> np.ndarray:
     return dist
 
 
-def outside_bands(values, band_set: DiracBandSet, margin: float = MEMBERSHIP_MARGIN) -> np.ndarray:
-    """Boolean mask of values clearing every band interval by more than margin."""
-    return band_distance(values, band_set) > margin
-
-
 def fiber_gap_eigenvalues(
     bands: BandStructure,
     e_star: float,
     shifts: MassShifts,
     band_set: DiracBandSet,
-    margin: float = MEMBERSHIP_MARGIN,
 ) -> GapValues:
     """Enumerate the fibers whose +-(E_n(kappa_j) - E* + m_m) survive the gap filter.
 
@@ -140,14 +134,12 @@ def fiber_gap_eigenvalues(
     """
     q = (bands.bands - e_star).ravel()
     m_vals = shifts.values
-    rows = np.arange(q.size)
-    if len(m_vals) and not 0.0 > margin:
-        ends = np.stack([q + m_vals.min(), q + m_vals.max()])
-        idx = np.searchsorted(band_set.lowers, ends, side="right") - 1
-        inside = (idx >= 0) & (ends <= band_set.uppers[np.maximum(idx, 0)])
-        rows = rows[~(inside.all(axis=0) & (idx[0] == idx[1]))]
+    ends = np.stack([q + m_vals.min(), q + m_vals.max()])
+    idx = np.searchsorted(band_set.lowers, ends, side="right") - 1
+    inside = (idx >= 0) & (ends <= band_set.uppers[np.maximum(idx, 0)])
+    rows = np.flatnonzero(~(inside.all(axis=0) & (idx[0] == idx[1])))
     v = q[rows, None] + m_vals[None, :]
-    row, m = np.nonzero(outside_bands(v.ravel(), band_set, margin).reshape(v.shape))
+    row, m = np.nonzero(band_distance(v, band_set) > MEMBERSHIP_MARGIN)
     n, j = np.divmod(rows[row], bands.grid.n_nodes)
     return GapValues(values=v[row, m], fibers=np.stack([n, j, m + 1], axis=1))
 

@@ -70,13 +70,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import CoefficientFamily, HeckeEnsemble, MassShifts
+from .arithmetic import MassShifts
 from .floquet import BandStructure
 from .shift import TestFunction
 
 TAIL_HAT_CUTOFF = 1e-14
 TAIL_BOUND = 1e-10
-DEFAULT_H_MAX = 0.01
 # Primes per block of the A_prod tables, which bounds their size for any N_P.
 PRIME_CHUNK = 16
 # A band farther than this many alpha from the window is left out of sum_n G_n.
@@ -90,17 +89,12 @@ EULER_SERIES_S0 = 0.8576766739458992
 
 @dataclass(frozen=True)
 class TraceFactors:
-    """Fourier-side factors on a shared symmetric t grid."""
+    """Arithmetic factors A_joint and A_prod on the symmetric t grid."""
 
-    t_grid: np.ndarray = field(repr=False)
-    geometric: np.ndarray = field(repr=False)  # shape (n_bands, nt)
     a_joint: np.ndarray = field(repr=False)
     a_prod: np.ndarray = field(repr=False)
-    h_t: float = 0.0
-    t_max: float = 0.0
-    band_prune_bound: float = 0.0  # on the theta mass of the bands left out of geometric
-    euler_series_primes: int = 0
-    euler_series_bound: float = 0.0  # on |log A_prod| lost by truncating the series
+    euler_series_primes: int
+    euler_series_bound: float  # on |log A_prod| lost by truncating the series
 
 
 @dataclass(frozen=True)
@@ -225,7 +219,7 @@ def default_t_grid(
     e_star: float,
     shifts: MassShifts,
     phi: TestFunction,
-    h_max: float = DEFAULT_H_MAX,
+    h_max: float,
     t_max: float | None = None,
 ) -> np.ndarray:
     """Symmetric uniform t grid satisfying the tail and aliasing rules.
@@ -245,26 +239,18 @@ def default_t_grid(
     return k * h
 
 
-def arithmetic_factors(
-    ensemble: HeckeEnsemble,
-    family: CoefficientFamily,
-    shifts: MassShifts,
-    t_grid: np.ndarray,
-    bands: BandStructure | None = None,
-    e_star: float = 0.0,
-    alpha: float = math.inf,
-) -> TraceFactors:
-    """Evaluate A_joint, A_prod, and (optionally) the geometric factors.
+def arithmetic_factors(shifts: MassShifts, t_grid: np.ndarray) -> TraceFactors:
+    """Evaluate A_joint and A_prod on the grid.
 
-    A_joint(t) = mean_m e^{i t m_m}; A_prod(t) = prod_{p in S} A_p(t).  Both
-    equal 1 at t = 0.  t_grid must be the symmetric uniform grid t_k = k h,
-    k = -K..K, that default_t_grid builds.  G_n is left out for the bands
-    farther than BAND_PRUNE_WIDTH * alpha from a window of width alpha.
+    A_joint(t) = mean_m e^{i t m_m}; A_prod(t) = prod_{p in S} A_p(t), with
+    A_p(t) = mean_m e^{i t eta_p} from the rows of shifts.terms.  Both equal 1
+    at t = 0.  t_grid must be the symmetric uniform grid t_k = k h,
+    k = -K..K, that default_t_grid builds.
     """
     t = np.asarray(t_grid, dtype=float)
     K, h = _grid_step(t)
     a_joint = _mirror(_half_grid_sums(shifts.values[None], None, h, K)[0] / len(shifts))
-    eta = np.array([family.eta(p, ensemble.samples[i]) for i, p in enumerate(ensemble.primes)])
+    eta = shifts.terms
     beta = np.abs(eta - eta.mean(axis=1, keepdims=True)).max(axis=1)
     q = K * h * beta / EULER_SERIES_S0
     series = q <= EULER_SERIES_RATIO
@@ -273,26 +259,12 @@ def arithmetic_factors(
     table = eta[~series]
     for lo in range(0, len(table), PRIME_CHUNK):
         for a_p in _half_grid_sums(table[lo : lo + PRIME_CHUNK], None, h, K):
-            a_prod_half *= a_p / ensemble.n_modes
+            a_prod_half *= a_p / len(shifts)
     q = q[series]
-    if bands is None:
-        geometric, pruned = np.zeros((0, len(t)), dtype=complex), 0.0
-    else:  # d_n = min_kappa |E_n - E*| - max_m |m_m|
-        d = np.abs(bands.bands - e_star).min(axis=1) - np.abs(shifts.values).max(initial=0.0)
-        far = d > BAND_PRUNE_WIDTH * alpha
-        pruned = float(np.exp(-(d[far] / alpha) ** 2).sum() * 4.0 * np.pi / bands.potential.period)
-        geometric = _geometric_on_grid(bands, e_star, h, K, np.flatnonzero(~far))
     return TraceFactors(
-        t_grid=t, geometric=geometric, a_joint=a_joint, a_prod=_mirror(a_prod_half),
-        h_t=float(t[1] - t[0]) if K else 0.0, t_max=float(abs(t).max()),
-        band_prune_bound=pruned, euler_series_primes=int(series.sum()),
+        a_joint=a_joint, a_prod=_mirror(a_prod_half), euler_series_primes=int(series.sum()),
         euler_series_bound=float((math.log(2) * q ** (EULER_SERIES_DEGREE + 1) / (1 - q)).sum()),
     )
-
-
-def _separated_integrand(phi: TestFunction, factors: TraceFactors) -> np.ndarray:
-    """phihat(t) (sum_n G_n(t)) A_joint(t) on the t grid."""
-    return phi.fourier(factors.t_grid) * factors.geometric.sum(axis=0) * factors.a_joint
 
 
 def _separated_integral(integrand: np.ndarray, h_t: float) -> complex:
@@ -331,33 +303,42 @@ def compare_trace_representations(
     bands: BandStructure,
     e_star: float,
     shifts: MassShifts,
-    ensemble: HeckeEnsemble,
-    family: CoefficientFamily,
     phi: TestFunction,
-    h_max: float = DEFAULT_H_MAX,
+    h_max: float,
     t_max: float | None = None,
 ) -> TraceReport:
-    """Run both trace routes on one configuration and report the gaps."""
-    t_grid = default_t_grid(bands, e_star, shifts, phi, h_max=h_max, t_max=t_max)
-    factors = arithmetic_factors(ensemble, family, shifts, t_grid, bands=bands, e_star=e_star,
-                                 alpha=phi.alpha)
+    """Run both trace routes on one configuration and report the gaps.
+
+    G_n is left out for the bands farther than BAND_PRUNE_WIDTH * alpha from
+    the window, d_n = min_kappa |E_n - E*| - max_m |m_m|.
+    """
+    # The fiber sum first: its (n_bands, N_kappa, N_H) temporaries are freed
+    # before the phase tables are built, which keeps the peak memory down.
     fiber = theta_fiber(phi, bands, e_star, shifts)
-    integrand = _separated_integrand(phi, factors)
-    separated = _separated_integral(integrand, factors.h_t).real
+    t_grid = default_t_grid(bands, e_star, shifts, phi, h_max=h_max, t_max=t_max)
+    K, h = _grid_step(t_grid)
+    factors = arithmetic_factors(shifts, t_grid)
+    d = np.abs(bands.bands - e_star).min(axis=1) - np.abs(shifts.values).max(initial=0.0)
+    far = d > BAND_PRUNE_WIDTH * phi.alpha
+    pruned = float(np.exp(-(d[far] / phi.alpha) ** 2).sum() * 4.0 * np.pi / bands.potential.period)
+    geometric = _geometric_on_grid(bands, e_star, h, K, np.flatnonzero(~far))
+    integrand = phi.fourier(t_grid) * geometric.sum(axis=0) * factors.a_joint
+    h_t = float(t_grid[1] - t_grid[0])
+    separated = _separated_integral(integrand, h_t).real
     scale = max(abs(fiber), np.finfo(float).tiny)
     euler_gap = float(np.abs(factors.a_joint - factors.a_prod).max())
-    l1_mass = factors.h_t * float(np.abs(integrand).sum()) / np.pi
+    l1_mass = h_t * float(np.abs(integrand).sum()) / np.pi
     return TraceReport(
         theta_fiber=fiber,
         theta_separated=separated,
         rel_gap=abs(fiber - separated) / scale,
         euler_gap=euler_gap,
-        t_max=factors.t_max,
-        h_t=factors.h_t,
+        t_max=float(t_grid[-1]),
+        h_t=h_t,
         abs_gap=abs(fiber - separated),
         l1_mass=l1_mass,
-        bands_kept=len(factors.geometric),
-        band_prune_bound=factors.band_prune_bound,
+        bands_kept=len(geometric),
+        band_prune_bound=pruned,
         euler_series_primes=factors.euler_series_primes,
         euler_series_bound=factors.euler_series_bound,
     )

@@ -17,9 +17,9 @@ exact in floating point, not just in theory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +31,9 @@ GAMMA1_GATE = (14.13, 14.14)
 
 @dataclass(frozen=True)
 class ZeroTable:
-    """Ascending positive zero ordinates with a source tag."""
+    """Ascending positive zero ordinates."""
 
     ordinates: tuple[float, ...]
-    source: str = "embedded"
 
     def __len__(self) -> int:
         return len(self.ordinates)
@@ -70,35 +69,37 @@ class DiagnosticsReport:
     flags: tuple[str, ...] = ()
 
 
-def _parse_zero_rows(lines, source: str) -> ZeroTable:
+def _parse_zero_rows(lines) -> ZeroTable:
     header, *rows = [ln.strip() for ln in lines if ln.strip()]
     if header != "gamma":
-        raise ValueError(f"zero table {source}: expected header 'gamma', got {header!r}")
+        raise ValueError(f"zero table: expected header 'gamma', got {header!r}")
     vals = tuple(float(r) for r in rows)
     if not vals:
-        raise ValueError(f"zero table {source} is empty")
+        raise ValueError("zero table is empty")
     if not GAMMA1_GATE[0] < vals[0] < GAMMA1_GATE[1]:
-        raise ValueError(
-            f"zero table {source} failed the gamma_1 gate {GAMMA1_GATE}: got {vals[0]}"
-        )
+        raise ValueError(f"zero table failed the gamma_1 gate {GAMMA1_GATE}: got {vals[0]}")
     if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ValueError(f"zero table {source} is not strictly ascending")
-    return ZeroTable(ordinates=vals, source=source)
+        raise ValueError("zero table is not strictly ascending")
+    return ZeroTable(ordinates=vals)
+
+
+@functools.cache
+def _bundled_table() -> ZeroTable:
+    """data/zeros.csv next to this module, read and validated once per process."""
+    text = (Path(__file__).parent / "data" / "zeros.csv").read_text()
+    table = _parse_zero_rows(text.splitlines())
+    if len(table) < 100:
+        raise ValueError("bundled zero table is corrupt: fewer than 100 ordinates")
+    return table
 
 
 def load_zero_table(source: str = "embedded", min_count: int | None = None) -> ZeroTable:
-    """Load and validate the ordinate table (bundled resource or CSV path)."""
-    if source == "embedded":
-        text = resources.files("diracgap").joinpath("data/zeros.csv").read_text()
-        table = _parse_zero_rows(text.splitlines(), "embedded")
-        if len(table) < 100:
-            raise ValueError("bundled zero table is corrupt: fewer than 100 ordinates")
-    else:
-        table = _parse_zero_rows(Path(source).read_text().splitlines(), str(source))
+    """The bundled ordinate table ("embedded", the only source), of at least min_count ordinates."""
+    if source != "embedded":
+        raise ValueError(f"unknown zero table source {source!r}: only 'embedded' is bundled")
+    table = _bundled_table()
     if min_count is not None and len(table) < min_count:
-        raise ValueError(
-            f"insufficient zeros: requested {min_count}, table holds {len(table)}"
-        )
+        raise ValueError(f"insufficient zeros: requested {min_count}, table holds {len(table)}")
     return table
 
 
@@ -172,32 +173,27 @@ def staircase_mismatch(
     return (pos + neg) / (2.0 * T), pos, neg
 
 
-def diagnostics(
-    affine: AffineMap,
-    lambdas,
-    zeros: ZeroTable,
-    K: int,
-    T: float,
-    multiplicities=None,
-) -> DiagnosticsReport:
-    """Deviations Delta_k = (a lambda_k + b) - gamma_k plus E_step(T)."""
+def diagnostics(lambdas, multiplicities, zeros: ZeroTable, K: int, T: float) -> DiagnosticsReport:
+    """Affine fit on the leading K values, Delta_k = (a lambda_k + b) - gamma_k, and E_step(T).
+
+    With fewer than K values (a degenerate spectrum, e.g. a near-zero mass
+    deformation) no K-point fit exists: the identity map stands in, flagged,
+    no deviations are reported, and E_step is still well defined.
+    """
     lam = np.asarray(lambdas, dtype=float)
-    if len(lam) < K:
-        raise ValueError(f"insufficient gap eigenvalues: requested K={K}, have {len(lam)}")
-    if len(zeros) < K:
-        raise ValueError(f"insufficient zeros: requested K={K}, table holds {len(zeros)}")
-    if not T > 0.0:
-        raise ValueError(f"T must be positive, got {T}")
-    mult = [1] * len(lam) if multiplicities is None else list(multiplicities)
-    deltas = tuple(float(affine(lam[k]) - zeros.ordinates[k]) for k in range(K))
-    mae = sum(abs(d) for d in deltas) / K
-    e_step, _, _ = staircase_mismatch(affine(lam), mult, zeros, T)
-    flags = ("affine-fallback",) if affine.flagged else ()
+    short = len(lam) < K
+    affine = AffineMap(a=1.0, b=0.0, flagged=True) if short else fit_affine(lam, zeros, K)
+    deltas = () if short else tuple(float(affine(lam[k]) - zeros.ordinates[k]) for k in range(K))
+    e_step, _, _ = staircase_mismatch(affine(lam), multiplicities, zeros, T)
+    if short:
+        flags = ("insufficient-spectrum",)
+    else:
+        flags = ("affine-fallback",) if affine.flagged else ()
     return DiagnosticsReport(
-        K=K,
+        K=len(deltas),
         deviations=deltas,
-        mae=mae,
-        max_abs=max(abs(d) for d in deltas),
+        mae=sum(abs(d) for d in deltas) / K,
+        max_abs=max((abs(d) for d in deltas), default=0.0),
         e_step=e_step,
         T=T,
         affine=affine,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diracgap import expcli
+from diracgap.arithmetic import MassShifts
 from diracgap.floquet import (
     GAP_TOLERANCE,
     BandStructure,
@@ -24,6 +25,12 @@ def mathieu_bands():
 def default_run():
     """Full pipeline result for the default configuration."""
     return expcli.compute_run(expcli.parse_config("{}"))
+
+
+def one_row_shifts(values):
+    """Mode shifts carried by a single eta row."""
+    values = np.asarray(values, dtype=float)
+    return MassShifts(values=values, terms=values[None])
 
 
 def toy_band_structure(rows, period=1.0):

@@ -35,7 +35,7 @@ def geometric_factor(bands: BandStructure, e_star: float, n: int, t: float) -> c
 
 def sample_row(ensemble: HeckeEnsemble, p: int) -> np.ndarray:
     """The samples lambda_p(m) of one prime, indexed by mode."""
-    return ensemble.samples[ensemble.primes.primes.index(p)]
+    return ensemble.samples[ensemble.primes.index(p)]
 
 
 def local_factor(ensemble: HeckeEnsemble, family: CoefficientFamily, p: int, t: float) -> complex:
@@ -74,13 +74,7 @@ def model_from_values(q_values, mass_values) -> MatrixModel:
     mass = np.asarray(mass_values, dtype=float)
     if q.size == 0 or mass.size == 0:
         raise ValueError("empty band structure")
-    return MatrixModel(
-        q=q,
-        mass=mass,
-        fibers=tuple((0, j) for j in range(len(q))),
-        mode_indices=tuple(range(len(mass))),
-        reflection=tuple(range(len(q))),
-    )
+    return MatrixModel(q=q, mass=mass)
 
 
 def materialize_dense(model: MatrixModel, deformed: bool) -> np.ndarray:

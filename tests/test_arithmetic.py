@@ -45,15 +45,15 @@ def is_prime(n):
 
 
 def test_generate_primes_basics():
-    assert generate_primes(1).primes == (2,)
-    assert generate_primes(5).primes == (2, 3, 5, 7, 11)
-    twenty = generate_primes(20).primes
+    assert generate_primes(1) == (2,)
+    assert generate_primes(5) == (2, 3, 5, 7, 11)
+    twenty = generate_primes(20)
     assert twenty[-1] == 71
     assert len(twenty) == 20
 
 
 def test_generate_primes_against_trial_division():
-    got = generate_primes(100).primes
+    got = generate_primes(100)
     assert all(is_prime(p) for p in got)
     assert list(got) == sorted(got)
     # no prime skipped: every prime below the largest is present

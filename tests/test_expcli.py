@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracgap import expcli
+from diracgap.arithmetic import CoefficientFamily, generate_primes
 from diracgap.expcli import (
-    SuiteError,
     ValidationError,
     compute_run,
     config_hash,
@@ -114,6 +114,27 @@ def test_manifest_hashes_and_config_echo(tmp_path, reduced_run):
     )
 
 
+def test_matmodel_report_holds_the_five_model_checks(tmp_path, default_run):
+    # The default run's values, bitwise (JSON floats round-trip exactly).
+    expcli.write_artifacts(default_run, tmp_path / "d")
+    assert json.loads((tmp_path / "d" / "matmodel_report.json").read_text()) == {
+        "krein_gap": 8.881784197001252e-16,
+        "tail_norms": [0.08692798123341418, 0.02533554692740619, 0.0],
+        "tail_bounds": [0.15206758866736872, 0.054999430292716193, 0.0],
+        "norm_bounds_hold": True,
+        "dimension": 2400,
+    }
+
+
+def test_compute_run_evaluates_each_eta_row_once(monkeypatch):
+    calls = []
+    eta = CoefficientFamily.eta
+    monkeypatch.setattr(CoefficientFamily, "eta",
+                        lambda self, p, lam: calls.append(p) or eta(self, p, lam))
+    compute_run(parse_config(REDUCED.replace('"N_P": 5', '"N_P": 40')))
+    assert calls == list(generate_primes(40))
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg = parse_config(REDUCED)
     expcli.write_artifacts(compute_run(cfg), tmp_path / "a")
@@ -171,9 +192,11 @@ def test_suite_single_row_matches_standalone(tmp_path):
     assert rows[1] == f"5,{d.mae:.17g},{d.max_abs:.17g},{d.e_step:.17g}"
 
 
-def test_suite_aborts_naming_value(tmp_path):
+def test_suite_aborts_naming_value(tmp_path, monkeypatch):
     cfg = parse_config(REDUCED)
-    with pytest.raises(SuiteError, match="N_P=0"):
+    # every row is validated before any row is computed
+    monkeypatch.setattr(expcli, "compute_run", lambda cfg: pytest.fail("a row was computed"))
+    with pytest.raises(ValidationError, match="N_P=0: N_P must be >= 1"):
         scaling_suite("N_P", [5, 0], cfg, tmp_path)
     with pytest.raises(ValidationError):
         scaling_suite("M", [8], cfg, tmp_path)
@@ -249,7 +272,7 @@ def test_cli_verify_and_plot(tmp_path, capsys):
     cfg_path.write_text(REDUCED)
     assert main(["verify", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 9  # every check of an iid_uniform run
+    assert out.count("PASS") == 6  # every check of an iid_uniform run
     assert "FAIL" not in out
     assert main(["plot", "--config", str(cfg_path), "--out", str(tmp_path / "p")]) == 0
     assert (tmp_path / "p" / "staircase.svg").is_file()
@@ -278,10 +301,9 @@ def test_cli_bad_inputs(tmp_path):
 def test_checks_cover_spec_contract(reduced_run):
     names = {c.name for c in reduced_run.checks}
     assert {
-        "trace_agreement", "chiral_anticommutator", "chiral_pairing",
-        "krein_identity", "norm_bounds", "kappa_reflection",
+        "trace_agreement", "krein_identity", "norm_bounds", "kappa_reflection",
         "staircase_odd", "diagnostics_finite",
-    } <= names
+    } == names
 
 
 def test_kappa_reflection_detects_a_wrong_mirror(reduced_run):

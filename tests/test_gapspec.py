@@ -3,11 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_band_structure
+from conftest import one_row_shifts, toy_band_structure
 from diracgap.arithmetic import (
     CoefficientFamily,
     HeckeEnsemble,
-    MassShifts,
     generate_primes,
     mass_shifts,
     sample_hecke_ensemble,
@@ -22,13 +21,12 @@ from diracgap.gapspec import (
     band_distance,
     dirac_band_set,
     fiber_gap_eigenvalues,
-    outside_bands,
 )
 
 TOY = toy_band_structure([[0.0, 0.5, 1.0], [2.0, 2.5, 3.0]])
 
 
-def brute_force_gap_values(bands, e_star, shifts, intervals, margin=MEMBERSHIP_MARGIN):
+def brute_force_gap_values(bands, e_star, shifts, intervals):
     """Plain-Python double loop; independent of the vectorized path."""
     out = []
     for n in range(bands.bands.shape[0]):
@@ -38,7 +36,7 @@ def brute_force_gap_values(bands, e_star, shifts, intervals, margin=MEMBERSHIP_M
                 dist = min(
                     max(lo - v, v - hi, 0.0) for lo, hi in intervals
                 )
-                if dist > margin:
+                if dist > MEMBERSHIP_MARGIN:
                     out.append((v, (n, j, m)))
                     out.append((-v, (n, j, m)))
     return out
@@ -107,7 +105,7 @@ def test_boundary_value_not_emitted():
     # fiber at E = 2.0 with zero mass: v = 0.5 is a band edge, distance 0
     bands = toy_band_structure([[2.0, 2.0, 2.0]])
     band_set = DiracBandSet(intervals=((-1.5, -0.5), (0.5, 1.5)))
-    got = fiber_gap_eigenvalues(bands, 1.5, MassShifts(values=np.zeros(1)), band_set)
+    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.0]), band_set)
     assert len(got) == 0
     assert got.values.shape == (0,) and got.fibers.shape == (0, 3)
 
@@ -115,7 +113,7 @@ def test_boundary_value_not_emitted():
 def test_toy_fiber_emission():
     bands = toy_band_structure([[1.0, 1.0, 1.0]])
     band_set = DiracBandSet(intervals=((-1.5, -0.5), (0.5, 1.5)))
-    got = fiber_gap_eigenvalues(bands, 1.5, MassShifts(values=np.array([0.6])), band_set)
+    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.6]), band_set)
     # v = 1.0 - 1.5 + 0.6 = 0.1 inside the central gap, one fiber per node;
     # each value stands for the pair +-0.1
     assert got.values.tolist() == pytest.approx([0.1] * 3, abs=1e-15)
@@ -134,7 +132,7 @@ def test_emission_is_lexicographic_and_symmetric(default_run):
 def test_aggregate_trivial_cases():
     bands = toy_band_structure([[1.0, 1.0, 1.0]])
     band_set = DiracBandSet(intervals=((-1.5, -0.5), (0.5, 1.5)))
-    got = fiber_gap_eigenvalues(bands, 1.5, MassShifts(values=np.array([0.6])), band_set)
+    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.6]), band_set)
     one = GapValues(values=got.values[:1], fibers=got.fibers[:1])  # single fiber's +-0.1
     spec = aggregate_spectrum(one)
     assert spec.positive_values == (0.1,)
@@ -184,8 +182,8 @@ def test_golden_configuration_against_brute_force(default_run):
 def test_filtering_idempotent(default_run):
     r = default_run
     values = r.gap_values.values
-    assert outside_bands(values, r.band_set).all()
-    assert outside_bands(-values, r.band_set).all()
+    assert (band_distance(values, r.band_set) > MEMBERSHIP_MARGIN).all()
+    assert (band_distance(-values, r.band_set) > MEMBERSHIP_MARGIN).all()
 
 
 def test_permutation_invariance_of_spectrum(default_run):
@@ -235,29 +233,25 @@ def toy_problems(draw):
     rows = [[2 * n + draw(st.integers(0, 8)) / 8 for _ in range(n_nodes)] for n in range(n_bands)]
     e_star = draw(st.sampled_from([2 * n + 1.5 for n in range(-1, n_bands)]))
     masses = draw(st.lists(MASSES, min_size=1, max_size=6))
-    margin = draw(st.sampled_from([MEMBERSHIP_MARGIN, 0.0, 0.2, -0.01]))
-    return rows, e_star, masses, margin
+    return rows, e_star, masses
 
 
 @settings(max_examples=300, deadline=None)
 @given(problem=toy_problems())
 # every row stays inside its band: the row prefilter drops all of them
-@example(problem=([[0.0, 0.5, 1.0], [2.0, 2.25, 3.0]], 1.5, [0.0, 0.0625], MEMBERSHIP_MARGIN))
+@example(problem=([[0.0, 0.5, 1.0], [2.0, 2.25, 3.0]], 1.5, [0.0, 0.0625]))
 # masses straddling the band edges, at and around the margin
 @example(problem=([[0.0, 0.5, 1.0], [2.0, 2.25, 3.0]], 1.5,
-                  [0.0, 1.0, 1.0 + MEMBERSHIP_MARGIN, 1.0 + 2 * MEMBERSHIP_MARGIN, 1.5],
-                  MEMBERSHIP_MARGIN))
-# a negative margin keeps the values inside a band as well
-@example(problem=([[0.0, 0.5, 1.0]], 1.5, [0.0, 0.25], -0.01))
+                  [0.0, 1.0, 1.0 + MEMBERSHIP_MARGIN, 1.0 + 2 * MEMBERSHIP_MARGIN, 1.5]))
 # |v| = 4.86111057182349970...: rounds down to 12 decimals, np.float64 rounds it up
-@example(problem=([[0.0, 0.0, 0.0]], -0.5, [4.3611105718235], 1e-08))
+@example(problem=([[0.0, 0.0, 0.0]], -0.5, [4.3611105718235]))
 def test_array_path_matches_brute_force(problem):
-    rows, e_star, masses, margin = problem
+    rows, e_star, masses = problem
     bands = toy_band_structure(rows)
     band_set = dirac_band_set(bands, e_star)
-    shifts = MassShifts(values=np.array(masses))
-    got = fiber_gap_eigenvalues(bands, e_star, shifts, band_set, margin)
-    brute = brute_force_gap_values(bands, e_star, shifts, band_set.intervals, margin)
+    shifts = one_row_shifts(masses)
+    got = fiber_gap_eigenvalues(bands, e_star, shifts, band_set)
+    brute = brute_force_gap_values(bands, e_star, shifts, band_set.intervals)
     assert len(got) == len(brute)
     assert got.fibers.shape == (len(got.values), 3)
     assert got.values.tolist() == [v for v, _ in brute[::2]]

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_band_structure
+from conftest import one_row_shifts, toy_band_structure
 from oracles import geometric_factor, local_factor, local_factor_grid, sample_row
 from diracgap.arithmetic import (
     MODES,
     CoefficientFamily,
     HeckeEnsemble,
-    MassShifts,
     generate_primes,
     mass_shifts,
     sample_hecke_ensemble,
@@ -46,7 +45,7 @@ def log_coefficients(ens, p, degree):
 
 
 def zero_shifts(n):
-    return MassShifts(values=np.zeros(n))
+    return one_row_shifts(np.zeros(n))
 
 
 def test_theta_fiber_zero_function():
@@ -111,7 +110,7 @@ def test_geometric_factor_grid_refinement(mathieu_bands):
 def test_arithmetic_factors_at_zero(default_run):
     r = default_run
     t = np.array([-0.5, 0.0, 0.5])
-    factors = arithmetic_factors(r.ensemble, r.family, r.shifts, t)
+    factors = arithmetic_factors(r.shifts, t)
     assert factors.a_joint[1] == 1.0 + 0.0j
     assert factors.a_prod[1] == 1.0 + 0.0j
     assert np.all(np.abs(factors.a_joint) <= 1.0 + 1e-15)
@@ -122,7 +121,7 @@ def test_constant_one_factorizes_exactly():
     ens = sample_hecke_ensemble(primes, 20, seed=12345, mode="constant_one")
     shifts = mass_shifts(ens, FAM)
     t = np.arange(-2000, 2001) * 0.01
-    factors = arithmetic_factors(ens, FAM, shifts, t)
+    factors = arithmetic_factors(shifts, t)
     total = sum(p**-1.35 for p in primes)
     closed = np.exp(1j * t * total)
     assert np.abs(factors.a_joint - closed).max() < 1e-12
@@ -136,8 +135,7 @@ def test_euler_gap_shrinks_with_modes():
     gaps = {}
     for n_h in (100, 10_000):
         ens = sample_hecke_ensemble(primes, n_h, seed=12345)
-        shifts = mass_shifts(ens, FAM)
-        f = arithmetic_factors(ens, FAM, shifts, t)
+        f = arithmetic_factors(mass_shifts(ens, FAM), t)
         gaps[n_h] = np.abs(f.a_joint - f.a_prod)[at]
     assert np.all(gaps[10_000] < gaps[100])
 
@@ -153,7 +151,7 @@ def test_euler_gap_shrinks_with_modes():
 def test_arithmetic_factors_rejects_other_grids(default_run, t):
     r = default_run
     with pytest.raises(ValueError, match=r"t_k = k\*h for k = -K\.\.K"):
-        arithmetic_factors(r.ensemble, r.family, r.shifts, np.asarray(t, dtype=float))
+        arithmetic_factors(r.shifts, np.asarray(t, dtype=float))
 
 
 def test_table_factors_match_direct_references(default_run):
@@ -166,10 +164,11 @@ def test_table_factors_match_direct_references(default_run):
     bands = compute_band_structure(pot, QuasiMomentumGrid(n_nodes=201, period=1.0), 32, 2)
     e_star = 9.856938576832455
     t = np.arange(-6000, 6001) * 0.002
-    f = arithmetic_factors(r.ensemble, r.family, r.shifts, t, bands=bands, e_star=e_star)
+    geometric = tracekit._geometric_on_grid(bands, e_star, 0.002, 6000)
     for n in range(bands.n_bands):
         direct = np.array([geometric_factor(bands, e_star, n, tk) for tk in t])
-        assert np.abs(f.geometric[n] - direct).max() <= 1e-13
+        assert np.abs(geometric[n] - direct).max() <= 1e-13
+    f = arithmetic_factors(r.shifts, t)
     a_joint = np.exp(1j * np.multiply.outer(t, r.shifts.values)).mean(axis=1)
     assert np.abs(f.a_joint - a_joint).max() <= 1e-13
     a_prod = np.ones(len(t), dtype=complex)
@@ -207,15 +206,12 @@ def test_folded_geometric_factor_matches_full_grid_oracle(default_run, case):
 
 
 def test_geometric_factor_requires_bitwise_mirrored_bands():
-    ens = sample_hecke_ensemble(generate_primes(2), 2, seed=1)
-    t = np.arange(-4, 5) * 0.5
+    phi = TestFunction(alpha=0.5)
     for row in ([1.0, 2.0, 3.0], [1.0, 2.0, np.nextafter(1.0, 2.0)]):
         with pytest.raises(ValueError, match=r"E_n\(-kappa\) = E_n\(kappa\)"):
-            arithmetic_factors(ens, FAM, zero_shifts(2), t,
-                               bands=toy_band_structure([row]), e_star=0.0)
-    mirrored = arithmetic_factors(ens, FAM, zero_shifts(2), t,
-                                  bands=toy_band_structure([[1.0, 2.0, 1.0]]), e_star=0.0)
-    assert mirrored.geometric[0, 4] == 2.0 * np.pi  # G(0) = 2 pi / L, the folded weights sum to N - 1
+            compare_trace_representations(toy_band_structure([row]), 0.0, zero_shifts(2), phi, 0.5)
+    mirrored = tracekit._geometric_on_grid(toy_band_structure([[1.0, 2.0, 1.0]]), 0.0, 0.5, 4)
+    assert mirrored[0, 4] == 2.0 * np.pi  # G(0) = 2 pi / L, the folded weights sum to N - 1
 
 
 def test_trace_is_bitwise_stable_across_blas_threads():
@@ -252,12 +248,11 @@ def test_separated_zero_mass_consistency():
     e_star = 9.856938576832455
     shifts = zero_shifts(3)
     phi = TestFunction(alpha=0.5)
-    t = default_t_grid(bands, e_star, shifts, phi)
-    ens = sample_hecke_ensemble(generate_primes(2), 3, seed=1)
-    factors = arithmetic_factors(ens, FAM, shifts, t, bands=bands, e_star=e_star)
+    t = default_t_grid(bands, e_star, shifts, phi, 0.01)
+    factors = arithmetic_factors(shifts, t)
     assert np.all(factors.a_joint == 1.0 + 0.0j)  # A == 1 when mass vanishes
     fiber = theta_fiber(phi, bands, e_star, shifts)
-    separated = compare_trace_representations(bands, e_star, shifts, ens, FAM, phi).theta_separated
+    separated = compare_trace_representations(bands, e_star, shifts, phi, 0.01).theta_separated
     assert abs(fiber - separated) / abs(fiber) < 1e-6
 
 
@@ -270,8 +265,7 @@ def test_separated_saturation_limit():
     phi = TestFunction(alpha=1e5)
     fiber = theta_fiber(phi, bands, e_star, shifts)
     assert fiber == pytest.approx(2.0 * 2.0 * np.pi * 4, rel=1e-4)
-    ens = sample_hecke_ensemble(generate_primes(2), 2, seed=1)
-    separated = compare_trace_representations(bands, e_star, shifts, ens, FAM, phi).theta_separated
+    separated = compare_trace_representations(bands, e_star, shifts, phi, 0.01).theta_separated
     assert abs(fiber - separated) / abs(fiber) < 1e-6
 
 
@@ -300,13 +294,15 @@ def test_tail_half_width_sets_the_default_grid(mathieu_bands):
 
 
 def test_geometric_factors_conjugate_symmetry(mathieu_bands):
-    shifts = zero_shifts(2)
     phi = TestFunction(alpha=0.5)
     ens = sample_hecke_ensemble(generate_primes(2), 2, seed=1)
+    shifts = mass_shifts(ens, FAM)
     t = default_t_grid(mathieu_bands, 9.85, shifts, phi, h_max=0.05)
-    factors = arithmetic_factors(ens, FAM, shifts, t, bands=mathieu_bands, e_star=9.85)
+    K = len(t) // 2
+    geometric = tracekit._geometric_on_grid(mathieu_bands, 9.85, t[K + 1], K)
+    factors = arithmetic_factors(shifts, t)
     # G_n(-t) = conj(G_n(t)) holds bitwise on the symmetric grid
-    assert np.array_equal(factors.geometric[:, ::-1], np.conj(factors.geometric))
+    assert np.array_equal(geometric[:, ::-1], np.conj(geometric))
     assert np.array_equal(factors.a_prod[::-1], np.conj(factors.a_prod))
 
 
@@ -379,7 +375,7 @@ def test_euler_series_matches_the_table_route(n_p, n_h, seed, mode, zero, epsilo
         ens = replace(ens, samples=np.zeros_like(ens.samples))
     family = CoefficientFamily(epsilon)
     t = np.arange(-K, K + 1) * h
-    f = arithmetic_factors(ens, family, mass_shifts(ens, family), t)
+    f = arithmetic_factors(mass_shifts(ens, family), t)
     assert np.abs(f.a_prod[K:] - table_product(ens, family, h, K)).max() <= 1e-12
     if zero or mode == "constant_one":  # beta_p = 0: every prime takes the series
         assert f.euler_series_primes == n_p and f.euler_series_bound == 0.0
@@ -392,7 +388,7 @@ def test_euler_series_is_at_least_as_close_to_mpmath_as_the_tables():
     ens = sample_hecke_ensemble(generate_primes(1000), 20, seed=3)
     h, K = 0.1, 227
     t = np.arange(-K, K + 1) * h
-    f = arithmetic_factors(ens, FAM, mass_shifts(ens, FAM), t)
+    f = arithmetic_factors(mass_shifts(ens, FAM), t)
     assert f.euler_series_primes == 991
     table = table_product(ens, FAM, h, K)
     eta = np.array([FAM.eta(p, row) for p, row in zip(ens.primes, ens.samples)])
@@ -406,30 +402,24 @@ def test_euler_series_is_at_least_as_close_to_mpmath_as_the_tables():
 
 def test_band_pruning_keeps_a_band_at_40_alpha_and_drops_one_an_ulp_beyond():
     # max|m| = 0.5: the band at 20.5 is d = 20 = 40 alpha from the window, the
-    # one at -nextafter(20.5) an ulp farther.
+    # one at -nextafter(20.5) an ulp farther; the band at 1..2 is always kept.
     edge = 20.5
     bands = toy_band_structure([[-np.nextafter(edge, np.inf)] * 3, [1.0, 2.0, 1.0], [edge] * 3])
-    shifts = MassShifts(values=np.array([0.25, -0.5]))
-    ens = sample_hecke_ensemble(generate_primes(2), 2, seed=1)
-    t = np.arange(-50, 51) * 0.05
-    pruned = arithmetic_factors(ens, FAM, shifts, t, bands=bands, e_star=0.0, alpha=0.5)
-    full = arithmetic_factors(ens, FAM, shifts, t, bands=bands, e_star=0.0)
-    assert np.array_equal(pruned.geometric, full.geometric[1:])
-    assert pruned.band_prune_bound == 0.0  # 2 (2 pi / L) e^{-1600} underflows
-    assert full.band_prune_bound == 0.0
+    r = compare_trace_representations(bands, 0.0, one_row_shifts([0.25, -0.5]),
+                                      TestFunction(alpha=0.5), 0.05)
+    assert r.bands_kept == 2
+    assert r.band_prune_bound == 0.0  # 2 (2 pi / L) e^{-1600} underflows
 
 
 def test_band_prune_bound_holds_the_mass_of_the_dropped_band(monkeypatch):
     # At width 1 alpha the bound does not underflow: it must hold theta_fiber of the band.
     monkeypatch.setattr(tracekit, "BAND_PRUNE_WIDTH", 1.0)
     phi = TestFunction(alpha=0.5)
-    shifts = MassShifts(values=np.array([0.1, -0.2]))
+    shifts = one_row_shifts([0.1, -0.2])
     band = toy_band_structure([[1.3, 1.0, 0.8, 1.0, 1.3]], period=2.0)
-    ens = sample_hecke_ensemble(generate_primes(2), 2, seed=1)
-    f = arithmetic_factors(ens, FAM, shifts, np.arange(-5, 6) * 0.1, bands=band, e_star=0.0,
-                           alpha=phi.alpha)
-    assert f.geometric.shape == (0, 11)
-    bound = f.band_prune_bound  # d = 0.8 - 0.2
+    r = compare_trace_representations(band, 0.0, shifts, phi, 0.1)
+    assert r.bands_kept == 0 and r.theta_separated == 0.0
+    bound = r.band_prune_bound  # d = 0.8 - 0.2
     assert bound == pytest.approx(4.0 * np.pi / 2.0 * np.exp(-(0.6 / 0.5) ** 2), rel=1e-15)
     assert 0.0 < theta_fiber(phi, band, 0.0, shifts) <= bound
 
@@ -437,8 +427,8 @@ def test_band_prune_bound_holds_the_mass_of_the_dropped_band(monkeypatch):
 def test_trace_with_no_visible_band_is_finite_and_agrees():
     bands = toy_band_structure([[0.0] * 3, [100.0] * 3])
     ens = sample_hecke_ensemble(generate_primes(3), 4, seed=1)
-    r = compare_trace_representations(bands, 50.0, mass_shifts(ens, FAM), ens, FAM,
-                                      TestFunction(alpha=0.5))
+    r = compare_trace_representations(bands, 50.0, mass_shifts(ens, FAM), TestFunction(alpha=0.5),
+                                      0.01)
     assert r.bands_kept == 0
     assert r.theta_fiber == 0.0 and r.theta_separated == 0.0  # every fiber value is >= 49 from 0
     assert all(math.isfinite(x) for x in (r.rel_gap, r.abs_gap, r.l1_mass, r.euler_gap))

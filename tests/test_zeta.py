@@ -11,6 +11,7 @@ from diracgap.zeta import (
     ZeroTable,
     diagnostics,
     fit_affine,
+    _parse_zero_rows,
     load_zero_table,
     mapped_staircase,
     staircase_mismatch,
@@ -30,22 +31,23 @@ def test_embedded_table():
     assert all(b > a for a, b in zip(table.ordinates, table.ordinates[1:]))
 
 
-def test_table_gate_and_order_validation(tmp_path):
-    bad = tmp_path / "zeros.csv"
-    bad.write_text("gamma\n21.0\n14.1\n")
+def test_table_gate_and_order_validation():
     with pytest.raises(ValueError, match="gamma_1 gate"):
-        load_zero_table(str(bad))
-    bad.write_text("gamma\n14.135\n25.0\n21.0\n")
+        _parse_zero_rows(["gamma", "21.0", "14.1"])
     with pytest.raises(ValueError, match="ascending"):
-        load_zero_table(str(bad))
-    bad.write_text("ordinate\n14.135\n")
+        _parse_zero_rows(["gamma", "14.135", "25.0", "21.0"])
     with pytest.raises(ValueError, match="header"):
-        load_zero_table(str(bad))
+        _parse_zero_rows(["ordinate", "14.135"])
+    with pytest.raises(ValueError, match="empty"):
+        _parse_zero_rows(["gamma", ""])
 
 
 def test_insufficient_zeros():
     with pytest.raises(ValueError, match="insufficient zeros"):
         load_zero_table("embedded", min_count=1000)
+    with pytest.raises(ValueError, match="only 'embedded'"):
+        load_zero_table("zeros.csv")
+    assert load_zero_table() is load_zero_table("embedded", min_count=100)  # parsed once
 
 
 def test_fit_identity():
@@ -128,7 +130,8 @@ def test_fit_affine_equivariance():
 def test_diagnostics_identical_staircases():
     zeros = load_zero_table("embedded")
     lam = np.array(zeros.ordinates)
-    report = diagnostics(AffineMap(a=1.0, b=0.0), lam, zeros, K=20, T=80.0)
+    report = diagnostics(lam, [1] * len(lam), zeros, K=20, T=80.0)
+    assert (report.affine.a, report.affine.b) == (1.0, 0.0)
     assert report.mae == 0.0
     assert report.max_abs == 0.0
     assert report.e_step == 0.0
@@ -232,9 +235,13 @@ def test_diagnostics_validation(default_run):
     zeros = default_run.zeros
     lam = np.array(zeros.ordinates[:30])
     with pytest.raises(ValueError, match="T must be positive"):
-        diagnostics(AffineMap(1.0, 0.0), lam, zeros, K=5, T=0.0)
-    with pytest.raises(ValueError, match="insufficient"):
-        diagnostics(AffineMap(1.0, 0.0), lam[:3], zeros, K=5, T=10.0)
+        diagnostics(lam, [1] * 30, zeros, K=5, T=0.0)
+    # fewer than K values: the identity map stands in, flagged, with E_step only
+    short = diagnostics(lam[:3], [1] * 3, zeros, K=5, T=10.0)
+    assert (short.K, short.deviations, short.mae, short.max_abs) == (0, (), 0.0, 0.0)
+    assert short.flags == ("insufficient-spectrum",)
+    assert short.affine == AffineMap(a=1.0, b=0.0, flagged=True)
+    assert short.e_step == staircase_mismatch(lam[:3], [1] * 3, zeros, 10.0)[0]
 
 
 def test_mae_recomputable(default_run):
