@@ -4,7 +4,9 @@ A single JSON document configures the whole pipeline; its keys are the
 fields of ExperimentConfig, and an empty document is the default
 configuration.  Each value is coerced by the rule of its field's type.
 Validation failures name the standing assumption they violate where one
-applies (B: summability, C: even potential, G: monotone window).
+applies (B: summability, C: even potential, G: monotone window).  The
+trace's t grid (tracekit.t_grid) is checked with v_max = 0 by validation and
+derived by compute_run after the mass shifts, from the exact v_max.
 
 A run executes the five pipeline steps (bands, ensemble, mass shifts, gap
 filter, staircase), then the trace-formula cross-check, the matrix-model
@@ -48,9 +50,6 @@ KREIN_TOL = 1e-9
 EULER_EXACT_TOL = 1e-12
 KAPPA_REFLECTION_TOL = 1e-12
 
-# Largest t grid a configuration may ask for; M=64, N_kappa=1001, n_bands=16 uses 18,201.
-MAX_T_POINTS = 2**22
-
 MODEL_MAX_FIBERS = 128
 MODEL_MAX_MODES = 16
 
@@ -76,8 +75,6 @@ class ExperimentConfig:
     alpha: float = 0.5
     K: int = 20
     T: float = 80.0
-    h_t: float = 0.01
-    t_max: float | None = None
 
 
 _DEFAULT = ExperimentConfig()
@@ -131,7 +128,6 @@ _COERCE = {
     "PotentialSpec": _potential,
     "int": _integer,
     "float": _real,
-    "float | None": lambda key, value: None if value is None else _real(key, value),
     "str": lambda key, value: str(value),
 }
 
@@ -199,21 +195,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValidationError(f"K={cfg.K} exceeds the {n_zeros} zeros of the bundled table")
     if not (cfg.T > 0.0 and math.isfinite(2.0 * cfg.T)):
         raise ValidationError("T must be positive and 2T finite (the window is [-T, T])")
-    if not (cfg.h_t > 0.0 and math.isfinite(cfg.h_t)):
-        raise ValidationError("h_t must be positive and finite")
-    if cfg.t_max is not None and not (cfg.t_max > 0.0 and math.isfinite(cfg.t_max)):
-        raise ValidationError("t_max must be positive and finite when given")
-    _check_t_grid(cfg, 0.0)
+    _t_grid(cfg, 0.0)
 
 
-def _check_t_grid(cfg: ExperimentConfig, q_max: float) -> None:
-    """Reject a t grid over MAX_T_POINTS; h bounds default_t_grid's step if q_max <= max|E - E*|."""
-    T = cfg.t_max or tracekit.tail_half_width(cfg.alpha, cfg.n_bands, cfg.potential.period)
-    h = min(cfg.h_t, 2.0 * math.pi / (q_max + 8.0 * cfg.alpha + 1.0))
-    if not (math.isfinite(T / h) and 2 * math.ceil(T / h) + 1 <= MAX_T_POINTS):
-        raise ValidationError(f"the t grid needs 2*ceil(T/h)+1 > MAX_T_POINTS={MAX_T_POINTS} points "
-                              f"(half-width T={T:.6g}, step h <= {h:.6g} from h_t, alpha "
-                              f"and the band energies up to {q_max:.6g} from E*)")
+def _t_grid(cfg: ExperimentConfig, v_max: float) -> tuple[int, float]:
+    """(K, h) of the trace's t grid; a grid over tracekit.MAX_T_POINTS is a ValidationError."""
+    try:
+        return tracekit.t_grid(cfg.alpha, cfg.n_bands, cfg.potential.period, v_max)
+    except ValueError as err:
+        raise ValidationError(str(err)) from None
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -240,9 +230,7 @@ class RunResult:
     bands: BandStructure
     e_star: float
     ensemble: arithmetic.HeckeEnsemble
-    family: arithmetic.CoefficientFamily
     shifts: arithmetic.MassShifts
-    band_set: gapspec.DiracBandSet
     gap_values: gapspec.GapValues
     spectrum: gapspec.GapSpectrum
     staircase: Staircase
@@ -281,12 +269,13 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
         raise ValidationError(
             f"gap_index={cfg.gap_index} must select an open gap (width > {GAP_TOLERANCE:g}): {err}"
         ) from err
-    _check_t_grid(cfg, float(np.abs(bands.bands - e_star).max()))
 
     primes = arithmetic.generate_primes(cfg.N_P)
     ensemble = arithmetic.sample_hecke_ensemble(primes, cfg.N_H, cfg.seed, cfg.mode)
     family = arithmetic.CoefficientFamily(epsilon=cfg.epsilon)
     shifts = arithmetic.mass_shifts(ensemble, family)
+    K, h = _t_grid(cfg, float(np.abs(bands.bands - e_star).max()
+                              + np.abs(shifts.values).max(initial=0.0)))
 
     band_set = gapspec.dirac_band_set(bands, e_star)
     gap_values = gapspec.fiber_gap_eigenvalues(bands, e_star, shifts, band_set)
@@ -294,9 +283,7 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
     staircase = build_staircase(spectrum)
 
     phi = TestFunction(alpha=cfg.alpha)
-    trace = tracekit.compare_trace_representations(
-        bands, e_star, shifts, phi, h_max=cfg.h_t, t_max=cfg.t_max
-    )
+    trace = tracekit.compare_trace_representations(bands, e_star, shifts, phi, K, h)
 
     model = matmodel.assemble(
         bands, e_star, shifts, max_fibers=MODEL_MAX_FIBERS, max_modes=MODEL_MAX_MODES
@@ -309,13 +296,12 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
                             cfg.K, cfg.T)
     scan = stationary_scan(spectrum, phi, _scan_grid(staircase, cfg.alpha))
 
-    checks = _consistency_checks(cfg, bands, staircase, trace, krein, norm_report, diag)
+    checks = _consistency_checks(cfg, bands, trace, krein, norm_report, diag)
     return RunResult(
-        config=cfg, bands=bands, e_star=e_star, ensemble=ensemble, family=family,
-        shifts=shifts, band_set=band_set, gap_values=gap_values, spectrum=spectrum,
-        staircase=staircase, trace=trace, krein=krein, norm_report=norm_report,
-        model_dimension=model.dimension, zeros=zeros, affine=diag.affine,
-        diagnostics=diag, scan=scan, checks=checks,
+        config=cfg, bands=bands, e_star=e_star, ensemble=ensemble, shifts=shifts,
+        gap_values=gap_values, spectrum=spectrum, staircase=staircase, trace=trace,
+        krein=krein, norm_report=norm_report, model_dimension=model.dimension, zeros=zeros,
+        affine=diag.affine, diagnostics=diag, scan=scan, checks=checks,
     )
 
 
@@ -331,8 +317,7 @@ def _kappa_reflection_defect(bands: BandStructure) -> tuple[float, int]:
     return float(defect.max()), len(nodes)
 
 
-def _consistency_checks(cfg, bands, staircase, trace, krein, norm_report,
-                        diag) -> tuple[Check, ...]:
+def _consistency_checks(cfg, bands, trace, krein, norm_report, diag) -> tuple[Check, ...]:
     checks = []
 
     def add(name, passed, detail):
@@ -356,10 +341,6 @@ def _consistency_checks(cfg, bands, staircase, trace, krein, norm_report,
     add("kappa_reflection", defect <= KAPPA_REFLECTION_TOL,
         f"defect={defect:.3e} at {n_nodes} directly solved negative kappa nodes "
         f"(tol {KAPPA_REFLECTION_TOL} max(1, |E|))")
-
-    x = np.random.default_rng(0).uniform(0.0, 2.0, size=64)
-    add("staircase_odd", np.array_equal(staircase(-x), -staircase(x)),
-        "64 random probes, exact integer oddness")
 
     finite = all(
         math.isfinite(v)
@@ -389,7 +370,6 @@ ARTIFACT_NAMES = (
 class RunArtifacts:
     directory: Path
     paths: dict
-    result: RunResult
 
 
 def _write_csv(path: Path, header: str, lines) -> None:
@@ -546,7 +526,7 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
         for path in written:
             path.unlink(missing_ok=True)
         raise
-    return RunArtifacts(directory=out, paths=paths, result=result)
+    return RunArtifacts(directory=out, paths=paths)
 
 
 SUITE_AXES = ("N_P", "N_H", "seed")

@@ -17,10 +17,11 @@ weights the two sides agree identically up to the t-quadrature error; the
 together with the factor 2 in the fiber sum, and is pinned here by requiring
 agreement with the fiber sum.
 
-The t grid is symmetric about 0 with a step small enough to keep the
-trapezoid aliasing images phi(v - 2 pi k / h) negligible for every fiber
-value v, and a half-width set by the tail rule phihat(T) < 1e-14 (widened
-automatically until the analytic tail bound drops below 1e-10).
+Only t_grid knows the t grid t_k = k h, k = -K..K: from alpha, n_bands, L and
+v_max = max |E_n - E* + m_m| it sets K h by the tail rule phihat(T) < 1e-14
+(widened until the analytic tail bound drops below 1e-10) and h so that the
+trapezoid aliasing images phi(v - 2 pi k / h) are negligible for every fiber
+value v, and it rejects a grid over MAX_T_POINTS points.
 
 A_joint (the empirical joint measure) is what enters theta_separated; the
 prime product A_prod = prod_p A_p is reported separately, because strict
@@ -40,8 +41,8 @@ to theta; bands with d_n > 40 alpha are left out, and their summed bound
 (band_prune_bound; it underflows to 0) widens the agreement floor.  All bands
 still set the t grid, and theta_fiber keeps them, so rel_gap checks the pruning.
 
-Every factor is a sum S(t_k) = sum_j w_j e^{i t_k x_j} on the grid
-t_k = k h, k = -K..K, which arithmetic_factors requires.  Only k >= 0 is
+Every factor is a sum S(t_k) = sum_j w_j e^{i t_k x_j} on that grid, and
+every function here takes the grid as (K, h).  Only k >= 0 is
 computed: the sums are real-weighted, so the t < 0 half is the exact
 conjugate mirror S(-t_k) = conj S(t_k), bitwise.  With R = ceil(sqrt(K + 1))
 and k = b R + r the phase splits as e^{i b R h x} e^{i r h x}, so two exp
@@ -85,6 +86,11 @@ BAND_PRUNE_WIDTH = 40.0
 EULER_SERIES_DEGREE = 30
 EULER_SERIES_RATIO = 0.2
 EULER_SERIES_S0 = 0.8576766739458992
+# Largest t grid a configuration may ask for; M=64, N_kappa=1001, n_bands=16 uses 18,201.
+MAX_T_POINTS = 2**22
+# Cap on the t step.  The aliasing rule alone would do (h = 0.010012 on the default run,
+# rel_gap 4.2e-14), but dropping the cap moves the trace bits that perfbench/reference pins.
+H_MAX = 0.01
 
 
 @dataclass(frozen=True)
@@ -129,13 +135,14 @@ def theta_fiber(phi, bands: BandStructure, e_star: float, shifts: MassShifts) ->
 
     phi may be any callable acting elementwise on arrays.  The weights are
     applied as (2 pi / L) * c_j / (N - 1) with c the half-end trapezoid
-    pattern, so a constant integrand integrates exactly.
+    pattern, so a constant integrand integrates exactly.  The bands are taken
+    one at a time, in order, which bounds the temporaries to (N_kappa, N_H).
     """
-    q = bands.bands - e_star
-    vals = q[:, :, None] + shifts.values[None, None, :]
-    mean_over_modes = np.asarray(phi(vals)).mean(axis=2)
+    mean_over_modes = np.zeros(bands.grid.n_nodes)
+    for row in bands.bands - e_star:
+        mean_over_modes += np.asarray(phi(row[:, None] + shifts.values)).mean(axis=1)
     c = _kappa_pattern(bands.grid.n_nodes)
-    raw = float((mean_over_modes.sum(axis=0) * c).sum())
+    raw = float((mean_over_modes * c).sum())
     L = bands.potential.period
     return 2.0 * (2.0 * np.pi / L) * (raw / (bands.grid.n_nodes - 1))
 
@@ -164,20 +171,7 @@ def _mirror(half: np.ndarray) -> np.ndarray:
     return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
 
 
-def _grid_step(t: np.ndarray) -> tuple[int, float]:
-    """(K, h) of the grid t_k = k h, k = -K..K, h > 0; ValueError for any other."""
-    K = (t.size - 1) // 2
-    if t.ndim == 1 and t.size == 2 * K + 1:
-        h = float(t[K + 1]) if K else 0.0
-        if (K == 0 or h > 0.0) and np.array_equal(t, np.arange(-K, K + 1) * h):
-            return K, h
-    raise ValueError(
-        "t_grid must be the symmetric uniform grid t_k = k*h for k = -K..K "
-        "with h > 0 (as default_t_grid builds it)"
-    )
-
-
-def _geometric_on_grid(bands: BandStructure, e_star: float, h: float, K: int,
+def _geometric_on_grid(bands: BandStructure, e_star: float, K: int, h: float,
                        rows=slice(None)) -> np.ndarray:
     """G_n(t_k) for the bands n in rows, k = -K..K, summed over the kappa >= 0 half grid."""
     mid = bands.grid.half_index
@@ -214,48 +208,38 @@ def tail_half_width(alpha: float, n_bands: int, period: float) -> float:
     return T
 
 
-def default_t_grid(
-    bands: BandStructure,
-    e_star: float,
-    shifts: MassShifts,
-    phi: TestFunction,
-    h_max: float,
-    t_max: float | None = None,
-) -> np.ndarray:
-    """Symmetric uniform t grid satisfying the tail and aliasing rules.
+def t_grid(alpha: float, n_bands: int, period: float, v_max: float) -> tuple[int, float]:
+    """(K, h) of the t grid t_k = k h, k = -K..K, for fiber values |v| <= v_max.
 
-    The half-width is t_max, or tail_half_width when t_max is None.  The step
-    obeys h <= h_max and keeps 2 pi / h beyond the largest fiber value by a
-    multiple of alpha, so the trapezoid aliasing images of phi are negligible.
+    K h is tail_half_width.  The step obeys h <= H_MAX and keeps 2 pi / h
+    beyond v_max by 8 alpha + 1, so the trapezoid aliasing images of phi are
+    negligible.  ValueError if the grid has more than MAX_T_POINTS points.
     """
-    a = phi.alpha
-    v_max = float(np.abs(bands.bands - e_star).max() + np.abs(shifts.values).max(initial=0.0))
-    T = tail_half_width(a, bands.n_bands, bands.potential.period) if t_max is None else float(t_max)
+    T = tail_half_width(alpha, n_bands, period)
+    h = min(H_MAX, 2.0 * math.pi / (v_max + 8.0 * alpha + 1.0))
+    steps = T / h if h > 0.0 else math.inf
+    if not (math.isfinite(steps) and 2 * math.ceil(steps) + 1 <= MAX_T_POINTS):
+        raise ValueError(f"the t grid needs 2*ceil(T/h)+1 > MAX_T_POINTS={MAX_T_POINTS} points "
+                         f"(half-width T={T:.6g}, step h={h:.6g} from alpha and "
+                         f"v_max={v_max:.6g}, the largest |E - E* + m| known)")
+    K = max(math.ceil(steps), 1)
+    return K, T / K
 
-    h = min(h_max, 2.0 * math.pi / (v_max + 8.0 * a + 1.0))
-    half_steps = max(int(math.ceil(T / h)), 1)
-    h = T / half_steps
-    k = np.arange(-half_steps, half_steps + 1)
-    return k * h
 
-
-def arithmetic_factors(shifts: MassShifts, t_grid: np.ndarray) -> TraceFactors:
-    """Evaluate A_joint and A_prod on the grid.
+def arithmetic_factors(shifts: MassShifts, K: int, h: float) -> TraceFactors:
+    """Evaluate A_joint and A_prod on the grid t_k = k h, k = -K..K.
 
     A_joint(t) = mean_m e^{i t m_m}; A_prod(t) = prod_{p in S} A_p(t), with
     A_p(t) = mean_m e^{i t eta_p} from the rows of shifts.terms.  Both equal 1
-    at t = 0.  t_grid must be the symmetric uniform grid t_k = k h,
-    k = -K..K, that default_t_grid builds.
+    at t = 0.
     """
-    t = np.asarray(t_grid, dtype=float)
-    K, h = _grid_step(t)
     a_joint = _mirror(_half_grid_sums(shifts.values[None], None, h, K)[0] / len(shifts))
     eta = shifts.terms
     beta = np.abs(eta - eta.mean(axis=1, keepdims=True)).max(axis=1)
     q = K * h * beta / EULER_SERIES_S0
     series = q <= EULER_SERIES_RATIO
     coef = _log_series(eta[series], EULER_SERIES_DEGREE).sum(axis=0)  # of t^1..t^D
-    a_prod_half = np.exp(np.polyval(np.append(coef[::-1], 0.0), t[K:]))  # Horner
+    a_prod_half = np.exp(np.polyval(np.append(coef[::-1], 0.0), np.arange(K + 1) * h))
     table = eta[~series]
     for lo in range(0, len(table), PRIME_CHUNK):
         for a_p in _half_grid_sums(table[lo : lo + PRIME_CHUNK], None, h, K):
@@ -304,10 +288,10 @@ def compare_trace_representations(
     e_star: float,
     shifts: MassShifts,
     phi: TestFunction,
-    h_max: float,
-    t_max: float | None = None,
+    K: int,
+    h: float,
 ) -> TraceReport:
-    """Run both trace routes on one configuration and report the gaps.
+    """Run both trace routes on one configuration, on the t grid (K, h), and report the gaps.
 
     G_n is left out for the bands farther than BAND_PRUNE_WIDTH * alpha from
     the window, d_n = min_kappa |E_n - E*| - max_m |m_m|.
@@ -315,15 +299,14 @@ def compare_trace_representations(
     # The fiber sum first: its (n_bands, N_kappa, N_H) temporaries are freed
     # before the phase tables are built, which keeps the peak memory down.
     fiber = theta_fiber(phi, bands, e_star, shifts)
-    t_grid = default_t_grid(bands, e_star, shifts, phi, h_max=h_max, t_max=t_max)
-    K, h = _grid_step(t_grid)
-    factors = arithmetic_factors(shifts, t_grid)
+    factors = arithmetic_factors(shifts, K, h)
     d = np.abs(bands.bands - e_star).min(axis=1) - np.abs(shifts.values).max(initial=0.0)
     far = d > BAND_PRUNE_WIDTH * phi.alpha
     pruned = float(np.exp(-(d[far] / phi.alpha) ** 2).sum() * 4.0 * np.pi / bands.potential.period)
-    geometric = _geometric_on_grid(bands, e_star, h, K, np.flatnonzero(~far))
-    integrand = phi.fourier(t_grid) * geometric.sum(axis=0) * factors.a_joint
-    h_t = float(t_grid[1] - t_grid[0])
+    geometric = _geometric_on_grid(bands, e_star, K, h, np.flatnonzero(~far))
+    t = np.arange(-K, K + 1) * h
+    integrand = phi.fourier(t) * geometric.sum(axis=0) * factors.a_joint
+    h_t = float(t[1] - t[0])  # the step as the grid holds it: it may differ from h in the last bit
     separated = _separated_integral(integrand, h_t).real
     scale = max(abs(fiber), np.finfo(float).tiny)
     euler_gap = float(np.abs(factors.a_joint - factors.a_prod).max())
@@ -333,7 +316,7 @@ def compare_trace_representations(
         theta_separated=separated,
         rel_gap=abs(fiber - separated) / scale,
         euler_gap=euler_gap,
-        t_max=float(t_grid[-1]),
+        t_max=float(t[-1]),
         h_t=h_t,
         abs_gap=abs(fiber - separated),
         l1_mass=l1_mass,

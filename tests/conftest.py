@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diracgap import expcli
+from diracgap import expcli, tracekit
 from diracgap.arithmetic import MassShifts
 from diracgap.floquet import (
     GAP_TOLERANCE,
@@ -31,6 +31,12 @@ def one_row_shifts(values):
     """Mode shifts carried by a single eta row."""
     values = np.asarray(values, dtype=float)
     return MassShifts(values=values, terms=values[None])
+
+
+def trace_grid(bands, e_star, shifts, alpha):
+    """(K, h) of the t grid that compute_run derives for these bands and shifts."""
+    v_max = float(np.abs(bands.bands - e_star).max() + np.abs(shifts.values).max(initial=0.0))
+    return tracekit.t_grid(alpha, bands.n_bands, bands.potential.period, v_max)
 
 
 def toy_band_structure(rows, period=1.0):

@@ -2,9 +2,11 @@
 
 geometric_factor is the unfolded trapezoid sum over the whole kappa grid, one
 t at a time; the library folds the grid onto kappa >= 0 and evaluates whole t
-grids from phase tables.  local_factor is A_p at one t and local_factor_grid
-A_p on a whole t grid, straight from the samples; the library sums the primes
-on phase tables or on the cumulant series.  build_fiber_matrix and
+grids from phase tables.  theta_fiber_whole_array is the fiber sum from one
+(n_bands, N_kappa, N_H) array; the library adds one band at a time.
+local_factor is A_p at one t and local_factor_grid A_p on a whole t grid,
+straight from the samples; the library sums the primes on phase tables or on
+the cumulant series.  build_fiber_matrix and
 materialize_dense write out the dense matrices that the library keeps as
 banded or diagonal data, and trace_response sums F(t) over every jump, where
 the library's F' sums only the jumps near |t|.
@@ -31,6 +33,16 @@ def geometric_factor(bands: BandStructure, e_star: float, n: int, t: float) -> c
     raw = complex(np.dot(c, np.exp(1j * t * q)))
     L = bands.potential.period
     return (2.0 * np.pi / L) * (raw / (bands.grid.n_nodes - 1))
+
+
+def theta_fiber_whole_array(phi, bands: BandStructure, e_star: float, shifts) -> float:
+    """theta_fiber with every band's values and Gaussian temporaries in one array."""
+    vals = (bands.bands - e_star)[:, :, None] + shifts.values[None, None, :]
+    mean_over_modes = np.asarray(phi(vals)).mean(axis=2)
+    c = np.ones(bands.grid.n_nodes)
+    c[0] = c[-1] = 0.5
+    raw = float((mean_over_modes.sum(axis=0) * c).sum())
+    return 2.0 * (2.0 * np.pi / bands.potential.period) * (raw / (bands.grid.n_nodes - 1))
 
 
 def sample_row(ensemble: HeckeEnsemble, p: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from diracgap.shift import (
     stationary_scan,
     trace_response_derivative,
 )
+from conftest import trace_grid
 from oracles import materialize_dense
 from diracgap.tracekit import arithmetic_factors, compare_trace_representations
 from diracgap.zeta import fit_affine, staircase_mismatch
@@ -128,9 +129,8 @@ def test_c05_krein_identity_matrix_scale(default_run, mathieu_bands):
 def test_c06_trace_representation_agreement(default_run):
     t0 = time.perf_counter()
     r = default_run
-    rep = compare_trace_representations(
-        r.bands, r.e_star, r.shifts, TestFunction(alpha=0.5), h_max=0.01
-    )
+    grid = trace_grid(r.bands, r.e_star, r.shifts, 0.5)
+    rep = compare_trace_representations(r.bands, r.e_star, r.shifts, TestFunction(alpha=0.5), *grid)
     elapsed = time.perf_counter() - t0
     assert rep.h_t <= 0.01
     assert rep.rel_gap < 1e-6
@@ -143,8 +143,7 @@ def test_c07_euler_factorization():
     primes = generate_primes(20)
     ones = sample_hecke_ensemble(primes, 20, seed=12345, mode="constant_one")
     shifts = mass_shifts(ones, FAM)
-    t = np.arange(-2500, 2501) * 0.01
-    f = arithmetic_factors(shifts, t)
+    f = arithmetic_factors(shifts, 2500, 0.01)  # |t| <= 25
     sup = float(np.abs(f.a_joint - f.a_prod).max())
     assert sup < 1e-12
     t_small = np.arange(-4, 5) * 0.5
@@ -152,7 +151,7 @@ def test_c07_euler_factorization():
     gaps = {}
     for n_h in (100, 10_000):
         ens = sample_hecke_ensemble(primes, n_h, seed=12345)
-        fi = arithmetic_factors(mass_shifts(ens, FAM), t_small)
+        fi = arithmetic_factors(mass_shifts(ens, FAM), 4, 0.5)  # t_small
         gaps[n_h] = np.abs(fi.a_joint - fi.a_prod)[at]
     assert np.all(gaps[10_000] < gaps[100])
     report(7, f"constant_one sup gap {sup:.2e} < 1e-12; iid gap shrinks "

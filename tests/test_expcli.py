@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracgap import expcli
+from diracgap import expcli, tracekit
 from diracgap.arithmetic import CoefficientFamily, generate_primes
 from diracgap.expcli import (
     ValidationError,
@@ -46,6 +46,7 @@ def test_empty_document_gives_defaults():
     assert (cfg.N_P, cfg.N_H, cfg.epsilon, cfg.seed) == (20, 20, 0.35, 12345)
     assert (cfg.mode, cfg.alpha, cfg.K, cfg.T) == ("iid_uniform", 0.5, 20, 80.0)
     assert parse_config("") == cfg
+    assert len(fields(expcli.ExperimentConfig)) == 13
 
 
 def test_assumption_named_rejections():
@@ -82,7 +83,7 @@ def test_structural_rejections():
 
 
 def test_config_round_trip():
-    for doc in ("{}", REDUCED, '{"mode": "constant_one", "epsilon": 7.5, "t_max": 4.0}'):
+    for doc in ("{}", REDUCED, '{"mode": "constant_one", "epsilon": 7.5}'):
         cfg = parse_config(doc)
         assert parse_config(serialize_config(cfg)) == cfg
     a = config_hash(parse_config("{}"))
@@ -272,7 +273,7 @@ def test_cli_verify_and_plot(tmp_path, capsys):
     cfg_path.write_text(REDUCED)
     assert main(["verify", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6  # every check of an iid_uniform run
+    assert out.count("PASS") == 5  # every check of an iid_uniform run
     assert "FAIL" not in out
     assert main(["plot", "--config", str(cfg_path), "--out", str(tmp_path / "p")]) == 0
     assert (tmp_path / "p" / "staircase.svg").is_file()
@@ -302,7 +303,7 @@ def test_checks_cover_spec_contract(reduced_run):
     names = {c.name for c in reduced_run.checks}
     assert {
         "trace_agreement", "krein_identity", "norm_bounds", "kappa_reflection",
-        "staircase_odd", "diagnostics_finite",
+        "diagnostics_finite",
     } == names
 
 
@@ -361,14 +362,14 @@ def test_narrow_window_trace_is_noise_floor_limited():
     ('{"N_H": false}', "N_H must be an integer"),
     ('{"seed": 1.5}', "seed must be an integer"),
     ('{"K": 101}', "exceeds the 100 zeros"),
-    ('{"t_max": 1e400}', "t_max must be positive and finite"),
     ('{"T": 1e308}', "2T finite"),
     ('{"alpha": "0.5"}', "alpha must be a number"),
     ('{"alpha": 1e-9}', "MAX_T_POINTS"),
-    ('{"h_t": 1e-300}', "MAX_T_POINTS"),
     ('{"alpha": 1e300}', "MAX_T_POINTS"),
+    ('{"alpha": 1e308}', "MAX_T_POINTS"),  # 8 alpha overflows: h = 0
     ('{"alpha": 1e-200}', "MAX_T_POINTS"),
-    ('{"alpha": 1e-160, "h_t": 1e300}', "MAX_T_POINTS"),
+    ('{"h_t": 0.01}', "unknown configuration keys"),
+    ('{"t_max": 9.5}', "unknown configuration keys"),
     ('{"potential": {"period": 1e-300}}', "too small for M=32: the largest fiber diagonal"),
 ])
 def test_strict_config_rejections(tmp_path, capsys, doc, rule):
@@ -443,11 +444,49 @@ def test_suite_config_errors_exit_2(tmp_path, capsys):
 
 
 def test_t_grid_precheck_is_the_lower_bound_at_the_limit():
-    # 2*ceil(T/h)+1 with T = t_max and h = h_t: 4,194,303 points pass, 4,194,305 do not
-    assert expcli.MAX_T_POINTS == 2**22
-    parse_config('{"t_max": 2097151.0, "h_t": 1.0}')
+    # v_max chosen so that T/h = K -+ 1/2: 2K+1 = 4,194,303 points pass, 2K+3 = 4,194,305 do not
+    assert tracekit.MAX_T_POINTS == 2**22
+    T = tracekit.tail_half_width(0.5, 8, 1.0)
+    K = 2**21 - 1
+
+    def v_max(steps):
+        return 2.0 * np.pi / (T / steps) - 8.0 * 0.5 - 1.0
+
+    assert tracekit.t_grid(0.5, 8, 1.0, v_max(K - 0.5))[0] == K
+    with pytest.raises(ValueError, match="MAX_T_POINTS"):
+        tracekit.t_grid(0.5, 8, 1.0, v_max(K + 0.5))
+
+
+def test_t_grid_check_counts_the_mass_shifts(monkeypatch):
+    # With 16 bands the aliasing rule, not H_MAX, sets the step, so max|m| alone
+    # adds grid points: a limit that the bands alone fit under rejects the run.
+    cfg = parse_config('{"n_bands": 16}')
+    r = compute_run(cfg)
+    v_bands = float(np.abs(r.bands.bands - r.e_star).max())
+    K_bands, _ = tracekit.t_grid(cfg.alpha, cfg.n_bands, 1.0, v_bands)
+    K_all, _ = tracekit.t_grid(cfg.alpha, cfg.n_bands, 1.0, v_bands + np.abs(r.shifts.values).max())
+    assert K_all > K_bands
+    monkeypatch.setattr(tracekit, "MAX_T_POINTS", 2 * K_bands + 1)
     with pytest.raises(ValidationError, match="MAX_T_POINTS"):
-        parse_config('{"t_max": 2097151.5, "h_t": 1.0}')
+        compute_run(cfg)
+
+
+@pytest.mark.parametrize("doc", [REDUCED, '{"n_bands": 16}'])  # h = H_MAX; h set by v_max
+def test_compute_run_derives_the_t_grid_once(monkeypatch, doc):
+    calls, t_grid = [], tracekit.t_grid
+
+    def counted(*args):
+        calls.append((args, t_grid(*args)))
+        return calls[-1][1]
+
+    cfg = parse_config(doc)
+    monkeypatch.setattr(tracekit, "t_grid", counted)
+    r = compute_run(cfg)
+    [(args, (K, h))] = calls
+    v_max = np.abs(r.bands.bands - r.e_star).max() + np.abs(r.shifts.values).max()
+    assert args == (cfg.alpha, cfg.n_bands, cfg.potential.period, v_max)
+    t = np.arange(-K, K + 1) * h
+    assert (r.trace.t_max, r.trace.h_t) == (t[-1], t[1] - t[0])
 
 
 def test_integral_values_are_accepted_as_integers():
@@ -495,7 +534,6 @@ VALID_VALUES = {
     "N_P": st.integers(1, 100), "N_H": st.integers(1, 100), "epsilon": st.floats(0.01, 10.0),
     "seed": st.integers(0, 2**64 - 1), "mode": st.sampled_from(["iid_uniform", "constant_one"]),
     "alpha": st.floats(0.05, 5.0), "K": st.integers(2, 100), "T": st.floats(1.0, 200.0),
-    "h_t": st.floats(1e-3, 1.0), "t_max": st.none() | st.floats(1.0, 100.0),
 }
 
 
@@ -509,12 +547,17 @@ VALID_VALUES = {
 @example(doc={"potential": {"period": [1]}})
 @example(doc={"potential": {"period": 10**400}})
 @example(doc={"M": 10**400})
-@example(doc={"potential": {"period": 2.0, "cosine_coefficients": [1.5, -0.25]}, "t_max": 9.5})
+@example(doc={"potential": {"period": 2.0, "cosine_coefficients": [1.5, -0.25]}})
+@example(doc={"h_t": 0.01})
+@example(doc={"t_max": 9.5})
 def test_any_json_object_is_rejected_or_round_trips(doc):
+    unknown = set(doc) - {f.name for f in fields(expcli.ExperimentConfig)}
     try:
         cfg = parse_config(json.dumps(doc))
-    except ValidationError:
+    except ValidationError as err:
+        assert not unknown or "unknown configuration keys" in str(err)
         return
+    assert not unknown
     assert parse_config(serialize_config(cfg)) == cfg
 
 

@@ -24,6 +24,7 @@ from diracgap.gapspec import (
 )
 
 TOY = toy_band_structure([[0.0, 0.5, 1.0], [2.0, 2.5, 3.0]])
+FAM = CoefficientFamily(0.35)  # the default run's epsilon
 
 
 def brute_force_gap_values(bands, e_star, shifts, intervals):
@@ -165,7 +166,7 @@ def test_golden_configuration_against_brute_force(default_run):
     r = default_run
     got = r.gap_values
     brute = brute_force_gap_values(
-        r.bands, r.e_star, r.shifts, list(r.band_set.intervals)
+        r.bands, r.e_star, r.shifts, list(dirac_band_set(r.bands, r.e_star).intervals)
     )
     assert len(got) == len(brute)
     assert got.values.tolist() == [v for v, _ in brute[::2]]
@@ -182,8 +183,9 @@ def test_golden_configuration_against_brute_force(default_run):
 def test_filtering_idempotent(default_run):
     r = default_run
     values = r.gap_values.values
-    assert (band_distance(values, r.band_set) > MEMBERSHIP_MARGIN).all()
-    assert (band_distance(-values, r.band_set) > MEMBERSHIP_MARGIN).all()
+    band_set = dirac_band_set(r.bands, r.e_star)
+    assert (band_distance(values, band_set) > MEMBERSHIP_MARGIN).all()
+    assert (band_distance(-values, band_set) > MEMBERSHIP_MARGIN).all()
 
 
 def test_permutation_invariance_of_spectrum(default_run):
@@ -197,8 +199,8 @@ def test_permutation_invariance_of_spectrum(default_run):
         mode=r.ensemble.mode,
         samples=r.ensemble.samples[:, perm],
     )
-    shifts = mass_shifts(permuted, r.family)
-    vals = fiber_gap_eigenvalues(r.bands, r.e_star, shifts, r.band_set)
+    shifts = mass_shifts(permuted, FAM)
+    vals = fiber_gap_eigenvalues(r.bands, r.e_star, shifts, dirac_band_set(r.bands, r.e_star))
     spec = aggregate_spectrum(vals)
     assert spec.positive_values == r.spectrum.positive_values
     assert spec.multiplicities == r.spectrum.multiplicities
@@ -209,7 +211,7 @@ def test_monotone_response_to_pointwise_larger_samples(default_run):
     r = default_run
     ones = sample_hecke_ensemble(r.ensemble.primes, r.ensemble.n_modes,
                                  r.ensemble.seed, mode="constant_one")
-    shifts_hi = mass_shifts(ones, r.family)
+    shifts_hi = mass_shifts(ones, FAM)
     assert np.all(shifts_hi.values >= r.shifts.values)
     v_lo = r.bands.bands[..., None] - r.e_star + r.shifts.values
     v_hi = r.bands.bands[..., None] - r.e_star + shifts_hi.values

@@ -2,9 +2,11 @@
 
 import ast
 from collections import defaultdict
+from dataclasses import fields
 from pathlib import Path
 
 import diracgap
+from diracgap.expcli import ExperimentConfig
 
 SOURCES = sorted(Path(diracgap.__file__).parent.glob("*.py"))
 # Defaults that only callers outside src/ pass: the tests call main(argv),
@@ -64,3 +66,16 @@ def test_every_defaulted_parameter_is_passed_by_some_caller():
             unpassed += [f"{path.stem}.{name}({arg}=)" for i, arg in defaulted
                          if not {i, arg, "*"} & passed[f.name]]
     assert sorted(set(unpassed) - EXTERNAL_DEFAULTS) == []
+
+
+def test_every_config_field_is_read_by_the_pipeline():
+    # A configuration key that only the parser reads changes nothing but the
+    # manifest's config echo: a knob without an effect.
+    parser = {"parse_config", "validate_config"}
+    read = set()
+    for path in SOURCES:
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, ast.FunctionDef) and f.name not in parser:
+                read |= {node.attr for node in ast.walk(f) if isinstance(node, ast.Attribute)
+                         and getattr(node.value, "id", None) == "cfg"}
+    assert sorted({f.name for f in fields(ExperimentConfig)} - read) == []

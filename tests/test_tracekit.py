@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import one_row_shifts, toy_band_structure
-from oracles import geometric_factor, local_factor, local_factor_grid, sample_row
+from conftest import one_row_shifts, toy_band_structure, trace_grid
+from oracles import (geometric_factor, local_factor, local_factor_grid, sample_row,
+                     theta_fiber_whole_array)
 from diracgap.arithmetic import (
     MODES,
     CoefficientFamily,
@@ -31,7 +32,7 @@ from diracgap.shift import TestFunction
 from diracgap.tracekit import (
     arithmetic_factors,
     compare_trace_representations,
-    default_t_grid,
+    t_grid,
     tail_half_width,
     theta_fiber,
 )
@@ -80,6 +81,14 @@ def test_theta_fiber_brute_force_oracle(default_run):
     assert got == pytest.approx(2.0 * acc, rel=1e-12)
 
 
+def test_theta_fiber_matches_the_whole_array_sum_bitwise(default_run):
+    # Eight bands of 201 nodes and 20 modes; a mode-by-mode sum changes the last bits here.
+    r = default_run
+    phi = TestFunction(alpha=0.5)
+    got = theta_fiber(phi, r.bands, r.e_star, r.shifts)
+    assert got.hex() == theta_fiber_whole_array(phi, r.bands, r.e_star, r.shifts).hex()
+
+
 def test_geometric_factor_at_zero_is_exact(mathieu_bands):
     for n in (0, 3, 7):
         assert geometric_factor(mathieu_bands, 9.85, n, 0.0) == 2.0 * np.pi + 0.0j
@@ -109,8 +118,7 @@ def test_geometric_factor_grid_refinement(mathieu_bands):
 
 def test_arithmetic_factors_at_zero(default_run):
     r = default_run
-    t = np.array([-0.5, 0.0, 0.5])
-    factors = arithmetic_factors(r.shifts, t)
+    factors = arithmetic_factors(r.shifts, 1, 0.5)  # t = -0.5, 0, 0.5
     assert factors.a_joint[1] == 1.0 + 0.0j
     assert factors.a_prod[1] == 1.0 + 0.0j
     assert np.all(np.abs(factors.a_joint) <= 1.0 + 1e-15)
@@ -121,7 +129,7 @@ def test_constant_one_factorizes_exactly():
     ens = sample_hecke_ensemble(primes, 20, seed=12345, mode="constant_one")
     shifts = mass_shifts(ens, FAM)
     t = np.arange(-2000, 2001) * 0.01
-    factors = arithmetic_factors(shifts, t)
+    factors = arithmetic_factors(shifts, 2000, 0.01)
     total = sum(p**-1.35 for p in primes)
     closed = np.exp(1j * t * total)
     assert np.abs(factors.a_joint - closed).max() < 1e-12
@@ -135,23 +143,9 @@ def test_euler_gap_shrinks_with_modes():
     gaps = {}
     for n_h in (100, 10_000):
         ens = sample_hecke_ensemble(primes, n_h, seed=12345)
-        f = arithmetic_factors(mass_shifts(ens, FAM), t)
+        f = arithmetic_factors(mass_shifts(ens, FAM), 4, 0.5)
         gaps[n_h] = np.abs(f.a_joint - f.a_prod)[at]
     assert np.all(gaps[10_000] < gaps[100])
-
-
-@pytest.mark.parametrize("t", [
-    [0.5, 1.0, 2.0],                      # not symmetric
-    np.linspace(-1.0, 1.0, 7)[::-1],      # descending
-    [-1.0, 0.0, 1.0, 2.0],                # even length
-    [-0.3, 0.0, 0.2],                     # not uniform
-    np.linspace(-0.7, 0.7, 11),           # not bitwise k*h
-    np.zeros((3, 3)),
-])
-def test_arithmetic_factors_rejects_other_grids(default_run, t):
-    r = default_run
-    with pytest.raises(ValueError, match=r"t_k = k\*h for k = -K\.\.K"):
-        arithmetic_factors(r.shifts, np.asarray(t, dtype=float))
 
 
 def test_table_factors_match_direct_references(default_run):
@@ -164,16 +158,16 @@ def test_table_factors_match_direct_references(default_run):
     bands = compute_band_structure(pot, QuasiMomentumGrid(n_nodes=201, period=1.0), 32, 2)
     e_star = 9.856938576832455
     t = np.arange(-6000, 6001) * 0.002
-    geometric = tracekit._geometric_on_grid(bands, e_star, 0.002, 6000)
+    geometric = tracekit._geometric_on_grid(bands, e_star, 6000, 0.002)
     for n in range(bands.n_bands):
         direct = np.array([geometric_factor(bands, e_star, n, tk) for tk in t])
         assert np.abs(geometric[n] - direct).max() <= 1e-13
-    f = arithmetic_factors(r.shifts, t)
+    f = arithmetic_factors(r.shifts, 6000, 0.002)
     a_joint = np.exp(1j * np.multiply.outer(t, r.shifts.values)).mean(axis=1)
     assert np.abs(f.a_joint - a_joint).max() <= 1e-13
     a_prod = np.ones(len(t), dtype=complex)
     for p in r.ensemble.primes:
-        a_prod *= local_factor_grid(r.ensemble, r.family, p, t)
+        a_prod *= local_factor_grid(r.ensemble, FAM, p, t)
     assert np.abs(f.a_prod - a_prod).max() <= 1e-13
 
 
@@ -187,7 +181,7 @@ def test_folded_geometric_factor_matches_full_grid_oracle(default_run, case):
         e_star = select_reference_energy(bands, 0)
     h = default_run.trace.h_t
     K = round(default_run.trace.t_max / h)
-    folded = tracekit._geometric_on_grid(bands, e_star, h, K)
+    folded = tracekit._geometric_on_grid(bands, e_star, K, h)
     # The scalar oracle rounds its phases at about eps |t q|; |t q| <= 700
     # keeps that, summed over the kappa grid, below the 1e-13 bound.
     q = bands.bands - e_star
@@ -209,13 +203,14 @@ def test_geometric_factor_requires_bitwise_mirrored_bands():
     phi = TestFunction(alpha=0.5)
     for row in ([1.0, 2.0, 3.0], [1.0, 2.0, np.nextafter(1.0, 2.0)]):
         with pytest.raises(ValueError, match=r"E_n\(-kappa\) = E_n\(kappa\)"):
-            compare_trace_representations(toy_band_structure([row]), 0.0, zero_shifts(2), phi, 0.5)
-    mirrored = tracekit._geometric_on_grid(toy_band_structure([[1.0, 2.0, 1.0]]), 0.0, 0.5, 4)
+            compare_trace_representations(toy_band_structure([row]), 0.0, zero_shifts(2), phi,
+                                          4, 0.5)
+    mirrored = tracekit._geometric_on_grid(toy_band_structure([[1.0, 2.0, 1.0]]), 0.0, 4, 0.5)
     assert mirrored[0, 4] == 2.0 * np.pi  # G(0) = 2 pi / L, the folded weights sum to N - 1
 
 
 def test_trace_is_bitwise_stable_across_blas_threads():
-    # h_t = 0.002 gives n_t ~ 22,700: long enough for OpenBLAS to split a
+    # alpha = 0.1 gives n_t = 22,095: long enough for OpenBLAS to split a
     # dot product or a matrix product across threads.  The wide config has
     # the largest geometric-factor operands (16 bands x 501 folded nodes),
     # and N_P = 1000 sums the Euler series over 991 primes.
@@ -225,7 +220,7 @@ def test_trace_is_bitwise_stable_across_blas_threads():
         "print(r.trace.theta_fiber.hex(), r.trace.theta_separated.hex(), r.trace.euler_gap.hex())"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
-    for config in ('{"h_t": 0.002}', '{"M": 64, "N_kappa": 1001, "n_bands": 16}', '{"N_P": 1000}'):
+    for config in ('{"alpha": 0.1}', '{"M": 64, "N_kappa": 1001, "n_bands": 16}', '{"N_P": 1000}'):
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -248,11 +243,11 @@ def test_separated_zero_mass_consistency():
     e_star = 9.856938576832455
     shifts = zero_shifts(3)
     phi = TestFunction(alpha=0.5)
-    t = default_t_grid(bands, e_star, shifts, phi, 0.01)
-    factors = arithmetic_factors(shifts, t)
+    K, h = trace_grid(bands, e_star, shifts, phi.alpha)
+    factors = arithmetic_factors(shifts, K, h)
     assert np.all(factors.a_joint == 1.0 + 0.0j)  # A == 1 when mass vanishes
     fiber = theta_fiber(phi, bands, e_star, shifts)
-    separated = compare_trace_representations(bands, e_star, shifts, phi, 0.01).theta_separated
+    separated = compare_trace_representations(bands, e_star, shifts, phi, K, h).theta_separated
     assert abs(fiber - separated) / abs(fiber) < 1e-6
 
 
@@ -265,42 +260,39 @@ def test_separated_saturation_limit():
     phi = TestFunction(alpha=1e5)
     fiber = theta_fiber(phi, bands, e_star, shifts)
     assert fiber == pytest.approx(2.0 * 2.0 * np.pi * 4, rel=1e-4)
-    separated = compare_trace_representations(bands, e_star, shifts, phi, 0.01).theta_separated
+    grid = trace_grid(bands, e_star, shifts, phi.alpha)
+    separated = compare_trace_representations(bands, e_star, shifts, phi, *grid).theta_separated
     assert abs(fiber - separated) / abs(fiber) < 1e-6
 
 
 def test_default_grid_obeys_tail_and_alias_rules(mathieu_bands):
-    shifts = zero_shifts(2)
     phi = TestFunction(alpha=0.5)
-    t = default_t_grid(mathieu_bands, 9.85, shifts, phi, h_max=0.01)
-    h = t[1] - t[0]
-    assert h <= 0.01
-    assert t[0] == -t[-1]
-    assert 0.0 in t
-    assert phi.fourier(t[-1]) < 1e-13
     v_max = abs(mathieu_bands.bands.max() - 9.85)
+    K, h = t_grid(0.5, mathieu_bands.n_bands, mathieu_bands.potential.period, v_max)
+    assert h <= tracekit.H_MAX
+    assert phi.fourier(K * h) < 1e-13
     assert 2.0 * np.pi / h > v_max + 4.0 * phi.alpha
+    # a fiber value far enough out makes the aliasing rule, not H_MAX, set the step
+    _, h_far = t_grid(0.5, mathieu_bands.n_bands, mathieu_bands.potential.period, 1e4)
+    assert h_far < h and 2.0 * np.pi / h_far > 1e4 + 4.0 * phi.alpha
 
 
 def test_tail_half_width_sets_the_default_grid(mathieu_bands):
-    # the config precheck's lower bound 2*ceil(T/h_t)+1 holds for the built grid
     phi = TestFunction(alpha=0.5)
     T = tail_half_width(0.5, mathieu_bands.n_bands, mathieu_bands.potential.period)
-    t = default_t_grid(mathieu_bands, 9.85, zero_shifts(2), phi, h_max=0.01)
-    assert t[-1] == pytest.approx(T, rel=1e-15)
-    assert t.size >= 2 * math.ceil(T / 0.01) + 1
+    K, h = t_grid(0.5, mathieu_bands.n_bands, mathieu_bands.potential.period, 0.0)
+    assert K * h == pytest.approx(T, rel=1e-15)
+    assert K == math.ceil(T / tracekit.H_MAX)
     assert phi.fourier(T) <= 1e-14 * (1 + 1e-12)  # phihat(T) = TAIL_HAT_CUTOFF, up to rounding
     assert tail_half_width(0.25, 8, 1.0) > T  # a narrower window needs a wider grid
 
 
 def test_geometric_factors_conjugate_symmetry(mathieu_bands):
-    phi = TestFunction(alpha=0.5)
     ens = sample_hecke_ensemble(generate_primes(2), 2, seed=1)
     shifts = mass_shifts(ens, FAM)
-    t = default_t_grid(mathieu_bands, 9.85, shifts, phi, h_max=0.05)
-    K = len(t) // 2
-    geometric = tracekit._geometric_on_grid(mathieu_bands, 9.85, t[K + 1], K)
-    factors = arithmetic_factors(shifts, t)
+    K, h = 500, 0.05
+    geometric = tracekit._geometric_on_grid(mathieu_bands, 9.85, K, h)
+    factors = arithmetic_factors(shifts, K, h)
     # G_n(-t) = conj(G_n(t)) holds bitwise on the symmetric grid
     assert np.array_equal(geometric[:, ::-1], np.conj(geometric))
     assert np.array_equal(factors.a_prod[::-1], np.conj(factors.a_prod))
@@ -374,8 +366,7 @@ def test_euler_series_matches_the_table_route(n_p, n_h, seed, mode, zero, epsilo
     if zero:
         ens = replace(ens, samples=np.zeros_like(ens.samples))
     family = CoefficientFamily(epsilon)
-    t = np.arange(-K, K + 1) * h
-    f = arithmetic_factors(mass_shifts(ens, family), t)
+    f = arithmetic_factors(mass_shifts(ens, family), K, h)
     assert np.abs(f.a_prod[K:] - table_product(ens, family, h, K)).max() <= 1e-12
     if zero or mode == "constant_one":  # beta_p = 0: every prime takes the series
         assert f.euler_series_primes == n_p and f.euler_series_bound == 0.0
@@ -388,7 +379,7 @@ def test_euler_series_is_at_least_as_close_to_mpmath_as_the_tables():
     ens = sample_hecke_ensemble(generate_primes(1000), 20, seed=3)
     h, K = 0.1, 227
     t = np.arange(-K, K + 1) * h
-    f = arithmetic_factors(mass_shifts(ens, FAM), t)
+    f = arithmetic_factors(mass_shifts(ens, FAM), K, h)
     assert f.euler_series_primes == 991
     table = table_product(ens, FAM, h, K)
     eta = np.array([FAM.eta(p, row) for p, row in zip(ens.primes, ens.samples)])
@@ -406,7 +397,7 @@ def test_band_pruning_keeps_a_band_at_40_alpha_and_drops_one_an_ulp_beyond():
     edge = 20.5
     bands = toy_band_structure([[-np.nextafter(edge, np.inf)] * 3, [1.0, 2.0, 1.0], [edge] * 3])
     r = compare_trace_representations(bands, 0.0, one_row_shifts([0.25, -0.5]),
-                                      TestFunction(alpha=0.5), 0.05)
+                                      TestFunction(alpha=0.5), 500, 0.05)
     assert r.bands_kept == 2
     assert r.band_prune_bound == 0.0  # 2 (2 pi / L) e^{-1600} underflows
 
@@ -417,7 +408,7 @@ def test_band_prune_bound_holds_the_mass_of_the_dropped_band(monkeypatch):
     phi = TestFunction(alpha=0.5)
     shifts = one_row_shifts([0.1, -0.2])
     band = toy_band_structure([[1.3, 1.0, 0.8, 1.0, 1.3]], period=2.0)
-    r = compare_trace_representations(band, 0.0, shifts, phi, 0.1)
+    r = compare_trace_representations(band, 0.0, shifts, phi, 250, 0.1)
     assert r.bands_kept == 0 and r.theta_separated == 0.0
     bound = r.band_prune_bound  # d = 0.8 - 0.2
     assert bound == pytest.approx(4.0 * np.pi / 2.0 * np.exp(-(0.6 / 0.5) ** 2), rel=1e-15)
@@ -427,12 +418,21 @@ def test_band_prune_bound_holds_the_mass_of_the_dropped_band(monkeypatch):
 def test_trace_with_no_visible_band_is_finite_and_agrees():
     bands = toy_band_structure([[0.0] * 3, [100.0] * 3])
     ens = sample_hecke_ensemble(generate_primes(3), 4, seed=1)
-    r = compare_trace_representations(bands, 50.0, mass_shifts(ens, FAM), TestFunction(alpha=0.5),
-                                      0.01)
+    shifts = mass_shifts(ens, FAM)
+    r = compare_trace_representations(bands, 50.0, shifts, TestFunction(alpha=0.5),
+                                      *trace_grid(bands, 50.0, shifts, 0.5))
     assert r.bands_kept == 0
     assert r.theta_fiber == 0.0 and r.theta_separated == 0.0  # every fiber value is >= 49 from 0
     assert all(math.isfinite(x) for x in (r.rel_gap, r.abs_gap, r.l1_mass, r.euler_gap))
     assert r.abs_gap <= 1e-12 * r.l1_mass + r.band_prune_bound
+
+
+def test_default_run_t_grid_is_pinned(default_run):
+    # K = 2267 steps of T / K: T from the tail rule, the step capped at H_MAX.  The
+    # perfbench references were taken on this grid, so a change to it shows here first.
+    r = default_run.trace
+    assert round(r.t_max / r.h_t) == 2267
+    assert (r.t_max.hex(), r.h_t.hex()) == ("0x1.6ab0e13966df1p+4", "0x1.47a75bc8ce000p-7")
 
 
 def test_default_run_keeps_two_bands_and_sends_the_primes_from_23_to_the_series(default_run):
