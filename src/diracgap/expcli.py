@@ -13,9 +13,11 @@ filter, staircase), then the trace-formula cross-check, the matrix-model
 verification, and the zero-alignment diagnostics, and finally writes the
 artifact set with a manifest of content hashes.  Reruns of the same
 configuration are byte-identical; no timestamps or environment state enter
-any output.  Failed runs delete whatever partial artifacts were written.
+any output.  _emit writes every output file of every subcommand and removes
+what it wrote when a writer fails.
 
-CLI subcommands: bands, run, suite, plot, verify.
+CLI subcommands: bands, run, suite, plot, verify.  Each prints one `error:`
+line and exits 2 on a rejected configuration, 1 on any other failure.
 """
 
 from __future__ import annotations
@@ -356,50 +358,62 @@ def _consistency_checks(cfg, bands, trace, krein, norm_report, diag) -> tuple[Ch
 
 
 # ---------------------------------------------------------------------------
-# artifact emission
-
-ARTIFACT_NAMES = (
-    "bands.csv", "gaps.csv", "ensemble.csv", "massshifts.csv", "spectrum.csv",
-    "spectrum_fibers.csv", "staircase.csv", "stationary.csv",
-    "trace_report.json", "matmodel_report.json", "diagnostics.json",
-    "staircase.svg", "manifest.json",
-)
-
+# artifact emission: _emit writes every output file, with the writers of _csv, _json, _svg
 
 @dataclass(frozen=True)
 class RunArtifacts:
-    directory: Path
     paths: dict
 
 
-def _write_csv(path: Path, header: str, lines) -> None:
-    """Write a header and the lines, joined in blocks of 4096 lines to bound memory."""
-    lines = iter(lines)
-    with path.open("w") as f:
-        f.write(header + "\n")
-        while block := list(islice(lines, 4096)):
-            f.write("\n".join(block) + "\n")
+def _emit(out_dir, writers: dict) -> dict[str, Path]:
+    """Run each writer on out_dir/name, in order; on any failure remove every file registered."""
+    out = Path(out_dir)
+    paths: dict[str, Path] = {}
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in writers.items():
+            paths[name] = out / name  # registered first: a failing writer may leave a partial file
+            write(paths[name])
+    except BaseException:
+        for path in paths.values():
+            path.unlink(missing_ok=True)
+        raise
+    return paths
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _csv(header: str, lines):
+    """A writer of a header and the lines, joined in blocks of 4096 lines to bound memory."""
+    def write(path: Path) -> None:
+        rows = iter(lines)
+        with path.open("w") as f:
+            f.write(header + "\n")
+            while block := list(islice(rows, 4096)):
+                f.write("\n".join(block) + "\n")
+    return write
 
 
-def _bands_lines(bands: BandStructure):
+def _json(obj):
+    return lambda path: path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _svg(result: RunResult):
+    """A writer of the aligned staircase SVG, rendered when it runs."""
+    return lambda path: path.write_text(
+        render_svg(result.staircase, result.zeros, result.affine, result.config.T))
+
+
+def _band_writers(bands: BandStructure) -> dict:
+    """bands.csv and gaps.csv, written by both `run` and `bands`."""
     nodes = bands.grid.nodes.tolist()
-    return (f"{n},{kappa:.17g},{e:.17g}"
-            for n, row in enumerate(bands.bands) for kappa, e in zip(nodes, row.tolist()))
-
-
-def _gaps_lines(bands: BandStructure) -> list[str]:
-    return [f"{g.index},{g.lower:.17g},{g.upper:.17g},{g.width:.17g}" for g in bands.gaps]
-
-
-def _staircase_lines(staircase: Staircase) -> list[str]:
-    """Two points per jump (before, after), from -lambda_max up to lambda_max."""
-    cum = staircase.heights.tolist()
-    pos = [(x, c) for k, x in enumerate(staircase.locations) for c in (cum[k], cum[k + 1])]
-    return [f"{-x:.17g},{-c}" for x, c in reversed(pos)] + [f"{x:.17g},{c}" for x, c in pos]
+    return {
+        "bands.csv": _csv("n,kappa,energy", (
+            f"{n},{kappa:.17g},{e:.17g}"
+            for n, row in enumerate(bands.bands) for kappa, e in zip(nodes, row.tolist())
+        )),
+        "gaps.csv": _csv("n,beta_n,alpha_n1,width", [
+            f"{g.index},{g.lower:.17g},{g.upper:.17g},{g.width:.17g}" for g in bands.gaps
+        ]),
+    }
 
 
 def render_svg(
@@ -452,51 +466,41 @@ def render_svg(
 
 
 def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
-    """Write the full artifact set; on any failure remove what was written."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    paths: dict[str, Path] = {}
-
-    def emit(name: str, writer) -> None:
-        path = out / name
-        written.append(path)  # before writing: a writer failing midway leaves a partial file
-        writer(path)
-        paths[name] = path
-
-    cfg = result.config
-    try:
-        emit("bands.csv", lambda p: _write_csv(p, "n,kappa,energy", _bands_lines(result.bands)))
-        emit("gaps.csv", lambda p: _write_csv(p, "n,beta_n,alpha_n1,width", _gaps_lines(result.bands)))
-        emit("ensemble.csv", lambda p: _write_csv(p, "p,m,lambda", (
+    """Write the full artifact set, manifest last; on any failure remove what was written."""
+    cum = result.staircase.heights.tolist()
+    # staircase.csv: two points per jump (before, after), from -lambda_max up to lambda_max
+    steps = [(x, c) for k, x in enumerate(result.staircase.locations) for c in (cum[k], cum[k + 1])]
+    writers = _band_writers(result.bands) | {
+        "ensemble.csv": _csv("p,m,lambda", (
             f"{prime},{m},{x:.17g}"
             for prime, row in zip(result.ensemble.primes, result.ensemble.samples)
             for m, x in enumerate(row.tolist(), start=1)
-        )))
-        emit("massshifts.csv", lambda p: _write_csv(p, "m,mass", (
+        )),
+        "massshifts.csv": _csv("m,mass", (
             f"{m},{v:.17g}" for m, v in enumerate(result.shifts.values.tolist(), start=1)
-        )))
-        emit("spectrum.csv", lambda p: _write_csv(p, "k,lambda_k,multiplicity", (
+        )),
+        "spectrum.csv": _csv("k,lambda_k,multiplicity", (
             f"{k},{lam:.17g},{mult}" for k, (lam, mult) in enumerate(
                 zip(result.spectrum.positive_values, result.spectrum.multiplicities), start=1)
-        )))
-        emit("spectrum_fibers.csv", lambda p: _write_csv(p, "k,n,j,m", (
+        )),
+        "spectrum_fibers.csv": _csv("k,n,j,m", (
             f"{k},{n},{j},{m}" for k, fibers in enumerate(result.spectrum.provenance, start=1)
             for (n, j, m) in fibers
-        )))
-        emit("staircase.csv", lambda p: _write_csv(p, "lambda,xi", _staircase_lines(result.staircase)))
-        emit("stationary.csv", lambda p: _write_csv(p, "t_root,kind", (
+        )),
+        "staircase.csv": _csv("lambda,xi", [f"{-x:.17g},{-c}" for x, c in reversed(steps)]
+                              + [f"{x:.17g},{c}" for x, c in steps]),
+        "stationary.csv": _csv("t_root,kind", (
             f"{r:.17g},{k}" for r, k in zip(result.scan.roots, result.scan.kinds)
-        )))
-        emit("trace_report.json", lambda p: _write_json(p, asdict(result.trace)))
-        emit("matmodel_report.json", lambda p: _write_json(p, {
+        )),
+        "trace_report.json": _json(asdict(result.trace)),
+        "matmodel_report.json": _json({
             "krein_gap": result.krein.gap,
             "tail_norms": list(result.norm_report.tail_norms),
             "tail_bounds": list(result.norm_report.tail_bounds),
             "norm_bounds_hold": result.norm_report.all_bounds_hold,
             "dimension": result.model_dimension,
-        }))
-        emit("diagnostics.json", lambda p: _write_json(p, {
+        }),
+        "diagnostics.json": _json({
             "K": result.diagnostics.K,
             "a": result.affine.a,
             "b": result.affine.b,
@@ -507,26 +511,23 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
             "flags": list(result.diagnostics.flags),
             "scan_warnings": list(result.scan.warnings),
             "stationary_roots": len(result.scan.roots),
-        }))
-        emit("staircase.svg", lambda p: p.write_text(
-            render_svg(result.staircase, result.zeros, result.affine, cfg.T)
-        ))
+        }),
+        "staircase.svg": _svg(result),
+    }
 
+    def manifest(path: Path) -> None:
         hashes = {}
-        for name in sorted(paths):  # streamed: no artifact is held in memory whole
-            with paths[name].open("rb") as f:
+        for name in sorted(writers):  # streamed: no artifact is held in memory whole
+            with (path.parent / name).open("rb") as f:
                 hashes[name] = hashlib.file_digest(f, "sha256").hexdigest()
-        emit("manifest.json", lambda p: _write_json(p, {
-            "config": json.loads(serialize_config(cfg)),
-            "config_hash": config_hash(cfg),
+        _json({
+            "config": json.loads(serialize_config(result.config)),
+            "config_hash": config_hash(result.config),
             "artifact_hashes": hashes,
             "version": VERSION,
-        }))
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    return RunArtifacts(directory=out, paths=paths)
+        })(path)
+
+    return RunArtifacts(paths=_emit(out_dir, writers | {"manifest.json": manifest}))
 
 
 SUITE_AXES = ("N_P", "N_H", "seed")
@@ -535,46 +536,32 @@ SUITE_AXES = ("N_P", "N_H", "seed")
 def scaling_suite(axis: str, values, base: ExperimentConfig, out_dir) -> Path:
     """One diagnostics row per axis value, written as suite_<axis>.csv.
 
-    Every row's configuration is validated before any row is computed; a
-    rejected row raises ValidationError naming its value.
+    Every row's value is coerced and its configuration validated before any
+    row is computed; a rejected row raises ValidationError naming its value.
     """
     if axis not in SUITE_AXES:
         raise ValidationError(f"axis must be one of {SUITE_AXES}, got {axis!r}")
     values = list(values)
     if not values:
         raise ValidationError("values must be nonempty")
-    configs = [replace(base, **{axis: int(v)}) for v in values]
-    for v, cfg in zip(values, configs):
+    configs = []
+    for v in values:
         try:
+            cfg = replace(base, **{axis: _integer(axis, v)})
             validate_config(cfg)
         except ValidationError as err:
             raise ValidationError(f"suite row {axis}={v}: {err}") from None
+        configs.append(cfg)
     rows = []
-    for v, cfg in zip(values, configs):
+    for cfg in configs:
         d = compute_run(cfg).diagnostics
-        rows.append(f"{int(v)},{d.mae:.17g},{d.max_abs:.17g},{d.e_step:.17g}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"suite_{axis}.csv"
-    _write_csv(path, "axis_value,MAE,max_abs,E_step", rows)
-    return path
+        rows.append(f"{getattr(cfg, axis)},{d.mae:.17g},{d.max_abs:.17g},{d.e_step:.17g}")
+    name = f"suite_{axis}.csv"
+    return _emit(out_dir, {name: _csv("axis_value,MAE,max_abs,E_step", rows)})[name]
 
 
 # ---------------------------------------------------------------------------
 # command line
-
-def _load_cli_config(path: str | None) -> ExperimentConfig:
-    text = Path(path).read_text() if path else "{}"
-    return parse_config(text)
-
-
-def _print_checks(result: RunResult) -> None:
-    """One line per consistency check, then one per scan warning."""
-    for check in result.checks:
-        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
-    for warning in result.scan.warnings:
-        print(f"WARN scan: {warning}")
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -601,22 +588,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = _load_cli_config(args.config)
-    except (ValidationError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        try:
+            text = Path(args.config).read_bytes().decode() if args.config else "{}"
+        except OSError as err:
+            raise ValidationError(str(err)) from None
+        except UnicodeDecodeError as err:
+            raise ValidationError(f"configuration is not UTF-8 text: {err}") from None
+        cfg = parse_config(text)
 
-    if args.command == "bands":
-        grid = QuasiMomentumGrid(n_nodes=cfg.N_kappa, period=cfg.potential.period)
-        bands = compute_band_structure(cfg.potential, grid, cfg.M, cfg.n_bands)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "bands.csv", "n,kappa,energy", _bands_lines(bands))
-        _write_csv(out / "gaps.csv", "n,beta_n,alpha_n1,width", _gaps_lines(bands))
-        print(f"wrote {out / 'bands.csv'} and {out / 'gaps.csv'}")
-        return 0
-
-    try:
+        if args.command == "bands":
+            grid = QuasiMomentumGrid(n_nodes=cfg.N_kappa, period=cfg.potential.period)
+            bands = compute_band_structure(cfg.potential, grid, cfg.M, cfg.n_bands)
+            paths = _emit(args.out, _band_writers(bands))
+            print(f"wrote {paths['bands.csv']} and {paths['gaps.csv']}")
+            return 0
         if args.command == "suite":
             try:
                 values = [int(v) for v in args.values.split(",") if v.strip()]
@@ -624,31 +609,25 @@ def main(argv=None) -> int:
                 raise ValidationError("--values must be comma-separated integers") from None
             print(f"wrote {scaling_suite(args.axis, values, cfg, args.out)}")
             return 0
+
         result = compute_run(cfg)
+        if args.command == "plot":
+            print(f"wrote {_emit(args.out, {'staircase.svg': _svg(result)})['staircase.svg']}")
+            return 0
+        for check in result.checks:  # run and verify: one line per check, then per warning
+            print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
+        for warning in result.scan.warnings:
+            print(f"WARN scan: {warning}")
+        if args.command == "run":
+            paths = write_artifacts(result, args.out).paths
+            print(f"wrote {len(paths)} artifacts to {Path(args.out)}")
+        return 0 if result.all_checks_pass else 1
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:
         print(f"error: {type(err).__module__}.{type(err).__name__}: {err}", file=sys.stderr)
         return 1
-
-    if args.command == "plot":
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        svg = out / "staircase.svg"
-        svg.write_text(render_svg(result.staircase, result.zeros, result.affine, cfg.T))
-        print(f"wrote {svg}")
-        return 0
-
-    if args.command == "verify":
-        _print_checks(result)
-        return 0 if result.all_checks_pass else 1
-
-    # run
-    artifacts = write_artifacts(result, args.out)
-    _print_checks(result)
-    print(f"wrote {len(artifacts.paths)} artifacts to {artifacts.directory}")
-    return 0 if result.all_checks_pass else 1
 
 
 if __name__ == "__main__":

@@ -24,8 +24,6 @@ import numpy as np
 from .arithmetic import CoefficientFamily, MassShifts
 from .floquet import BandStructure
 
-DENSE_CAP = 4096  # max fibers x modes for the structured model
-
 
 @dataclass(frozen=True)
 class MatrixModel:
@@ -80,15 +78,10 @@ def assemble(
 ) -> MatrixModel:
     """Flatten fiber energies into a model, subsampling by stride under caps.
 
-    max_fibers * max_modes <= 4096 keeps dense verification desk-scale.
     Fibers are ordered lexicographically by (band, node).
     """
     if max_fibers < 1 or max_modes < 1:
         raise ValueError("caps must be >= 1")
-    if max_fibers * max_modes > DENSE_CAP:
-        raise ValueError(
-            f"caps product {max_fibers * max_modes} exceeds the dense-scale cap {DENSE_CAP}"
-        )
     if bands.n_bands == 0 or bands.bands.size == 0:
         raise ValueError("empty band structure")
 

@@ -27,6 +27,12 @@ from diracgap.shift import Staircase
 from diracgap.zeta import AffineMap, ZeroTable, load_zero_table
 
 REDUCED = '{"M": 8, "N_kappa": 41, "n_bands": 4, "N_P": 5, "N_H": 5, "K": 5, "T": 40.0}'
+ARTIFACTS = (
+    "bands.csv", "gaps.csv", "ensemble.csv", "massshifts.csv", "spectrum.csv",
+    "spectrum_fibers.csv", "staircase.csv", "stationary.csv",
+    "trace_report.json", "matmodel_report.json", "diagnostics.json",
+    "staircase.svg", "manifest.json",
+)
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +99,8 @@ def test_config_round_trip():
 
 def test_run_experiment_writes_full_artifact_set(tmp_path, reduced_run):
     arts = expcli.write_artifacts(reduced_run, tmp_path / "run")
-    assert sorted(arts.paths) == sorted(expcli.ARTIFACT_NAMES)
-    for name in expcli.ARTIFACT_NAMES:
+    assert list(arts.paths) == list(ARTIFACTS)  # written in this order, manifest last
+    for name in ARTIFACTS:
         assert (tmp_path / "run" / name).is_file()
     spectrum_csv = (tmp_path / "run" / "spectrum.csv").read_text().splitlines()
     assert spectrum_csv[0] == "k,lambda_k,multiplicity"
@@ -111,7 +117,7 @@ def test_manifest_hashes_and_config_echo(tmp_path, reduced_run):
     for name, digest in manifest["artifact_hashes"].items():
         assert hashlib.sha256((tmp_path / "m" / name).read_bytes()).hexdigest() == digest
     assert sorted(manifest["artifact_hashes"]) == sorted(
-        n for n in expcli.ARTIFACT_NAMES if n != "manifest.json"
+        n for n in ARTIFACTS if n != "manifest.json"
     )
 
 
@@ -144,36 +150,63 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_failed_run_removes_partial_artifacts(tmp_path, reduced_run, monkeypatch):
-    calls = {"n": 0}
-    original = expcli._write_json
+    def failing(*args):
+        raise OSError("disk full (simulated)")
 
-    def failing(path, obj):
-        calls["n"] += 1
-        if calls["n"] >= 2:
-            raise OSError("disk full (simulated)")
-        original(path, obj)
-
-    monkeypatch.setattr(expcli, "_write_json", failing)
+    monkeypatch.setattr(expcli, "render_svg", failing)  # in the 12th writer, after 11 files
     out = tmp_path / "broken"
     with pytest.raises(OSError, match="disk full"):
         expcli.write_artifacts(reduced_run, out)
     assert list(out.iterdir()) == []
+
+
+def fail_csv_midway(monkeypatch, name):
+    """Make the CSV writer of `name` leave its header behind and raise."""
+    csv = expcli._csv
+
+    def factory(header, lines):
+        def write(path):
+            if path.name != name:
+                return csv(header, lines)(path)
+            path.write_text(header + "\n")  # the file exists when the writer fails
+            raise OSError("disk full (simulated)")
+        return write
+
+    monkeypatch.setattr(expcli, "_csv", factory)
 
 
 def test_writer_failing_midway_leaves_no_partial_file(tmp_path, reduced_run, monkeypatch):
-    original = expcli._write_csv
-
-    def failing(path, header, lines):
-        if path.name == "spectrum.csv":
-            path.write_text(header + "\n")  # the file exists when the writer fails
-            raise OSError("disk full (simulated)")
-        original(path, header, lines)
-
-    monkeypatch.setattr(expcli, "_write_csv", failing)
+    fail_csv_midway(monkeypatch, "spectrum.csv")
     out = tmp_path / "broken"
     with pytest.raises(OSError, match="disk full"):
         expcli.write_artifacts(reduced_run, out)
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,name", [
+    (["bands"], "gaps.csv"),
+    (["suite", "--axis", "N_H", "--values", "5"], "suite_N_H.csv"),
+])
+def test_cli_writer_failing_midway_leaves_no_file(tmp_path, capsys, monkeypatch, command, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(REDUCED)
+    fail_csv_midway(monkeypatch, name)
+    out = tmp_path / "broken"
+    assert main([*command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "error: builtins.OSError: disk full (simulated)" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["bands", "run", "plot"])
+def test_cli_output_under_a_regular_file_exits_1(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(REDUCED)
+    not_a_dir = tmp_path / "notadir"
+    not_a_dir.write_text("")
+    assert main([command, "--config", str(cfg_path), "--out", str(not_a_dir / "x")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: builtins.NotADirectoryError: ")
+    assert not_a_dir.read_text() == ""
 
 
 def test_csv_float_format_is_17_digits(tmp_path, reduced_run):
@@ -203,6 +236,12 @@ def test_suite_aborts_naming_value(tmp_path, monkeypatch):
         scaling_suite("M", [8], cfg, tmp_path)
     with pytest.raises(ValidationError):
         scaling_suite("N_P", [], cfg, tmp_path)
+    # a fractional or boolean value is rejected, not truncated to a row for int(value)
+    with pytest.raises(ValidationError, match=r"suite row N_H=5\.7: N_H must be an integer"):
+        scaling_suite("N_H", [5.7, 6], cfg, tmp_path)
+    with pytest.raises(ValidationError, match="suite row N_H=True: N_H must be an integer"):
+        scaling_suite("N_H", [5, True], cfg, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_zero_mass_run_degrades_gracefully(tmp_path):
@@ -261,9 +300,12 @@ def test_svg_deterministic(reduced_run):
 def test_cli_bands_and_run(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(REDUCED)
-    assert main(["bands", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
-    assert (tmp_path / "b" / "bands.csv").is_file()
-    assert (tmp_path / "b" / "gaps.csv").is_file()
+    free = tmp_path / "free.json"  # no open gap, which bands does not need
+    free.write_text(REDUCED.replace('"M": 8', '"potential": {"cosine_coefficients": []}, "M": 8'))
+    for path, out in ((cfg_path, tmp_path / "b"), (free, tmp_path / "free")):
+        assert main(["bands", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "bands.csv").is_file()
+        assert (out / "gaps.csv").is_file()
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
     assert (tmp_path / "r" / "manifest.json").is_file()
 
@@ -288,11 +330,15 @@ def test_cli_suite(tmp_path):
     assert len(rows) == 3
 
 
-def test_cli_bad_inputs(tmp_path):
+def test_cli_bad_inputs(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"epsilon": -2}')
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
+    bad.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert main(["verify", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: configuration is not UTF-8 text: ")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(REDUCED)
     assert main(["suite", "--config", str(cfg_path), "--axis", "N_P",

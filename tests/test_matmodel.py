@@ -41,8 +41,8 @@ def test_model_validation():
 
 
 def test_assemble_caps(mathieu_bands, default_run):
-    with pytest.raises(ValueError, match="cap"):
-        assemble(mathieu_bands, default_run.e_star, default_run.shifts, 1000, 1000)
+    with pytest.raises(ValueError, match="caps must be >= 1"):
+        assemble(mathieu_bands, default_run.e_star, default_run.shifts, 24, 0)
     model = assemble(mathieu_bands, default_run.e_star, default_run.shifts, 24, 8)
     assert len(model.q) <= 24
     assert len(model.mass) <= 8

@@ -79,3 +79,43 @@ def test_every_config_field_is_read_by_the_pipeline():
                 read |= {node.attr for node in ast.walk(f) if isinstance(node, ast.Attribute)
                          and getattr(node.value, "id", None) == "cfg"}
     assert sorted({f.name for f in fields(ExperimentConfig)} - read) == []
+
+
+def test_every_public_constant_is_read_by_the_library():
+    # A public constant that no module reads exists only for the tests, which
+    # can state the value themselves.
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))}
+    constants = {target.id for tree in trees for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)
+                 and target.id.isupper() and not target.id.startswith("_")}
+    assert sorted(constants - read) == []
+
+
+# The only functions that create directories or open files for writing: _emit,
+# and the writer factories whose writers it runs.
+WRITERS = {"_emit", "_csv", "_json", "_svg"}
+
+
+def writes_output(call):
+    """Whether a call creates a directory or writes a file (`open` in a w, a, x or + mode)."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    if name in {"mkdir", "makedirs", "write_text", "write_bytes", "touch"}:
+        return True
+    if name != "open":
+        return False
+    # the mode is open(file, mode) or path.open(mode), or passed as mode=
+    position = 1 if isinstance(call.func, ast.Name) else 0
+    modes = call.args[position:position + 1] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+
+
+def test_output_is_created_only_by_emit_and_the_writer_factories():
+    sites = [f"{path.stem}.{getattr(top, 'name', '<module>')}:{call.lineno}"
+             for path in SOURCES for top in ast.parse(path.read_text()).body
+             for call in ast.walk(top) if isinstance(call, ast.Call) and writes_output(call)
+             and getattr(top, "name", None) not in WRITERS]
+    assert sites == []
