@@ -4,7 +4,8 @@ Submodules follow the pipeline order: `floquet` (band structure of the even
 periodic background), `arithmetic` (primes, deterministic synthetic Hecke
 ensembles, mass shifts), `gapspec` (gap-eigenvalue enumeration), `shift`
 (spectral-shift staircases and scans), `tracekit` (trace-formula
-cross-checks), `matmodel` (finite matrix-model verification), `zeta`
+cross-checks), `matmodel` (the spectral shift's jumps in the chiral gap
+against the gap filter, and tail-norm bounds), `zeta`
 (zero-ordinate alignment diagnostics), and `expcli` (configuration,
 orchestration, artifacts, CLI).
 """

@@ -48,12 +48,8 @@ from .shift import Staircase, StationaryScan, TestFunction, build_staircase, sta
 VERSION = "0.1.0"
 
 TRACE_REL_GAP = 1e-6
-KREIN_TOL = 1e-9
 EULER_EXACT_TOL = 1e-12
 KAPPA_REFLECTION_TOL = 1e-12
-
-MODEL_MAX_FIBERS = 128
-MODEL_MAX_MODES = 16
 
 
 class ValidationError(ValueError):
@@ -237,7 +233,7 @@ class RunResult:
     spectrum: gapspec.GapSpectrum
     staircase: Staircase
     trace: tracekit.TraceReport
-    krein: matmodel.KreinReport
+    gap_jumps: matmodel.GapJumpReport
     norm_report: matmodel.NormBoundReport
     model_dimension: int
     zeros: zeta.ZeroTable
@@ -252,9 +248,7 @@ class RunResult:
 
 
 def _scan_grid(staircase: Staircase, alpha: float) -> np.ndarray:
-    if not staircase.locations:
-        return np.linspace(-1.0, 1.0, 9)
-    hi = max(staircase.locations) + 5.0 * alpha
+    hi = max(staircase.locations, default=0.0) + 5.0 * alpha
     step = alpha / 8.0
     half = min(int(math.ceil(hi / step)), 10000)
     k = np.arange(-half, half + 1)
@@ -287,10 +281,7 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
     phi = TestFunction(alpha=cfg.alpha)
     trace = tracekit.compare_trace_representations(bands, e_star, shifts, phi, K, h)
 
-    model = matmodel.assemble(
-        bands, e_star, shifts, max_fibers=MODEL_MAX_FIBERS, max_modes=MODEL_MAX_MODES
-    )
-    krein = matmodel.krein_from_counting(model, phi)
+    gap_jumps = matmodel.chiral_gap_jumps(bands, e_star, shifts, band_set, gap_values)
     norm_report = matmodel.norm_bound_checks(family, primes, shifts)
 
     zeros = zeta.load_zero_table()
@@ -298,11 +289,12 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
                             cfg.K, cfg.T)
     scan = stationary_scan(spectrum, phi, _scan_grid(staircase, cfg.alpha))
 
-    checks = _consistency_checks(cfg, bands, trace, krein, norm_report, diag)
+    checks = _consistency_checks(cfg, bands, trace, gap_jumps, norm_report, diag)
     return RunResult(
         config=cfg, bands=bands, e_star=e_star, ensemble=ensemble, shifts=shifts,
         gap_values=gap_values, spectrum=spectrum, staircase=staircase, trace=trace,
-        krein=krein, norm_report=norm_report, model_dimension=model.dimension, zeros=zeros,
+        gap_jumps=gap_jumps, norm_report=norm_report,
+        model_dimension=2 * bands.bands.size * len(shifts), zeros=zeros,
         affine=diag.affine, diagnostics=diag, scan=scan, checks=checks,
     )
 
@@ -319,7 +311,7 @@ def _kappa_reflection_defect(bands: BandStructure) -> tuple[float, int]:
     return float(defect.max()), len(nodes)
 
 
-def _consistency_checks(cfg, bands, trace, krein, norm_report, diag) -> tuple[Check, ...]:
+def _consistency_checks(cfg, bands, trace, gap_jumps, norm_report, diag) -> tuple[Check, ...]:
     checks = []
 
     def add(name, passed, detail):
@@ -334,8 +326,10 @@ def _consistency_checks(cfg, bands, trace, krein, norm_report, diag) -> tuple[Ch
     add("trace_agreement", trace_ok,
         f"rel_gap={trace.rel_gap:.3e} (tol {TRACE_REL_GAP}), "
         f"abs_gap={trace.abs_gap:.3e} (noise floor {noise_floor:.3e})")
-    add("krein_identity", krein.gap < KREIN_TOL,
-        f"gap={krein.gap:.3e} (tol {KREIN_TOL})")
+    add("krein_identity", gap_jumps.matches,
+        f"{gap_jumps.jumps} jump pairs +-v of xi in the chiral gap (-{gap_jumps.above:.6g}, "
+        f"{gap_jumps.above:.6g}), {gap_jumps.kept} gap values there: "
+        + ("equal fiber for fiber" if gap_jumps.matches else "not equal"))
     add("norm_bounds", norm_report.all_bounds_hold,
         f"tail_norms={[f'{x:.3e}' for x in norm_report.tail_norms]}")
 
@@ -494,7 +488,7 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
         )),
         "trace_report.json": _json(asdict(result.trace)),
         "matmodel_report.json": _json({
-            "krein_gap": result.krein.gap,
+            "chiral_gap_jumps": result.gap_jumps.jumps,
             "tail_norms": list(result.norm_report.tail_norms),
             "tail_bounds": list(result.norm_report.tail_bounds),
             "norm_bounds_hold": result.norm_report.all_bounds_hold,

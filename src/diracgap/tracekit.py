@@ -115,8 +115,6 @@ class TraceReport:
     # L1 mass of the Fourier-side integrand: the quadrature's rounding noise
     # scales with it, so agreement below ~eps * l1_mass is at resolution.
     l1_mass: float = 0.0
-    # The fiber sum is the ground truth that fixes the Fourier-side constant.
-    resolved_prefactor: str = "1/pi"
     bands_kept: int = 0
     band_prune_bound: float = 0.0
     euler_series_primes: int = 0

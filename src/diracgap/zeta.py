@@ -10,9 +10,9 @@ The staircase mismatch E_step(T) is the time-averaged L1 distance between
 two odd integer staircases on [-T, T]: the mapped model staircase (jumps at
 +-(a lambda_k + b) with weights m_k) and the signed zero staircase (unit
 jumps at +-gamma_k), both `shift.Staircase`s.  The integrand is piecewise
-constant, so the integral is evaluated exactly by a breakpoint sweep; both
-halves are swept in mirrored order, which makes the half-interval symmetry
-exact in floating point, not just in theory.
+constant, so the integral is evaluated exactly by a breakpoint sweep.  Both
+staircases are exactly odd in floating point, so the integrand is exactly
+even and one half is swept.
 """
 
 from __future__ import annotations
@@ -150,15 +150,12 @@ def zero_staircase(zeros: ZeroTable) -> Staircase:
     return Staircase(locations=zeros.ordinates, weights=(1,) * len(zeros))
 
 
-def staircase_mismatch(
-    mapped_locations, multiplicities, zeros: ZeroTable, T: float
-) -> tuple[float, float, float]:
+def staircase_mismatch(mapped_locations, multiplicities, zeros: ZeroTable, T: float) -> float:
     """Exact (1/2T) integral of |xi_model - xi_zero| over [-T, T].
 
-    xi_model is the mapped_staircase of the arguments.  Returns (e_step,
-    positive_half, negative_half); each half is summed left to right over the
-    same breakpoint intervals at mirrored midpoints, so the halves are
-    exactly equal.
+    xi_model is the mapped_staircase of the arguments.  The integrand is
+    exactly even, so this is (1/T) times the integral over [0, T], summed left
+    to right over the breakpoint intervals.
     """
     if not T > 0.0:
         raise ValueError(f"T must be positive, got {T}")
@@ -169,8 +166,7 @@ def staircase_mismatch(
     widths = np.diff(points)
     mid = 0.5 * (points[:-1] + points[1:])
     # cumsum adds strictly left to right, as the interval-by-interval sweep did.
-    pos, neg = (float(np.cumsum(widths * np.abs(model(m) - zero(m)))[-1]) for m in (mid, -mid))
-    return (pos + neg) / (2.0 * T), pos, neg
+    return float(np.cumsum(widths * np.abs(model(mid) - zero(mid)))[-1]) / T
 
 
 def diagnostics(lambdas, multiplicities, zeros: ZeroTable, K: int, T: float) -> DiagnosticsReport:
@@ -184,7 +180,7 @@ def diagnostics(lambdas, multiplicities, zeros: ZeroTable, K: int, T: float) -> 
     short = len(lam) < K
     affine = AffineMap(a=1.0, b=0.0, flagged=True) if short else fit_affine(lam, zeros, K)
     deltas = () if short else tuple(float(affine(lam[k]) - zeros.ordinates[k]) for k in range(K))
-    e_step, _, _ = staircase_mismatch(affine(lam), multiplicities, zeros, T)
+    e_step = staircase_mismatch(affine(lam), multiplicities, zeros, T)
     if short:
         flags = ("insufficient-spectrum",)
     else:

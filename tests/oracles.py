@@ -6,18 +6,20 @@ grids from phase tables.  theta_fiber_whole_array is the fiber sum from one
 (n_bands, N_kappa, N_H) array; the library adds one band at a time.
 local_factor is A_p at one t and local_factor_grid A_p on a whole t grid,
 straight from the samples; the library sums the primes on phase tables or on
-the cumulant series.  build_fiber_matrix and
-materialize_dense write out the dense matrices that the library keeps as
-banded or diagonal data, and trace_response sums F(t) over every jump, where
-the library's F' sums only the jumps near |t|.
+the cumulant series.  build_fiber_matrix and dense_block_model write out the
+dense matrices that the library keeps as banded or diagonal data, the latter
+on the fibers and modes that subsample_entries picks.  trace_response sums
+F(t) over every jump, where the library's F' sums only the jumps near |t|,
+and two_half_mismatch sweeps both halves of [-T, T], where the library sweeps
+one.
 """
 
 import numpy as np
 
 from diracgap.arithmetic import CoefficientFamily, HeckeEnsemble
 from diracgap.floquet import BandStructure, PotentialSpec
-from diracgap.matmodel import MatrixModel
 from diracgap.shift import Staircase, TestFunction
+from diracgap.zeta import ZeroTable, mapped_staircase, zero_staircase
 
 
 def geometric_factor(bands: BandStructure, e_star: float, n: int, t: float) -> complex:
@@ -80,18 +82,20 @@ def build_fiber_matrix(potential: PotentialSpec, kappa: float, M: int) -> np.nda
     return a
 
 
-def model_from_values(q_values, mass_values) -> MatrixModel:
-    """Toy matrix model straight from fiber energies and mode shifts."""
-    q = np.asarray(q_values, dtype=float)
-    mass = np.asarray(mass_values, dtype=float)
-    if q.size == 0 or mass.size == 0:
-        raise ValueError("empty band structure")
-    return MatrixModel(q=q, mass=mass)
+def block_entries(q, mass, deformed: bool) -> np.ndarray:
+    """Diagonal of B over (fiber i, mode m), i major: q_i + m_m, or q_i for the background."""
+    q, mass = np.asarray(q, dtype=float), np.asarray(mass, dtype=float)
+    return (q[:, None] + mass[None, :]).ravel() if deformed else np.repeat(q, len(mass))
 
 
-def materialize_dense(model: MatrixModel, deformed: bool) -> np.ndarray:
-    """Dense block matrix [[0, B], [B, 0]]; dimension capped at 512."""
-    b = model.arith_positive() if deformed else model.glob_positive()
+def subsample_entries(bands: BandStructure, e_star: float, shifts, nodes, mode_stride: int):
+    """(q, mass) of every band at the kappa nodes, band major, and every mode_stride-th mode."""
+    return (bands.bands[:, nodes] - e_star).ravel(), shifts.values[::mode_stride]
+
+
+def dense_block_model(b) -> np.ndarray:
+    """Dense block matrix [[0, B], [B, 0]] with B = diag(b); dimension capped at 512."""
+    b = np.asarray(b, dtype=float)
     dim = 2 * len(b)
     if dim > 512:
         raise ValueError(f"dense oracle limited to dimension 512, requested {dim}")
@@ -106,3 +110,15 @@ def trace_response(s: Staircase, phi: TestFunction, t):
     t = np.asarray(t, dtype=float)
     return sum((w * (phi(lam - t) + phi(-lam - t)) for lam, w in zip(s.locations, s.weights)),
                np.zeros_like(t))
+
+
+def two_half_mismatch(mapped_locations, multiplicities, zeros: ZeroTable, T: float):
+    """(E_step, positive half, negative half): both halves swept at mirrored midpoints."""
+    model = mapped_staircase(mapped_locations, multiplicities)
+    zero = zero_staircase(zeros)
+    jumps = np.array(model.locations + zero.locations)
+    points = np.unique(np.concatenate([[0.0, T], jumps[jumps < T]]))
+    widths = np.diff(points)
+    mid = 0.5 * (points[:-1] + points[1:])
+    pos, neg = (float(np.cumsum(widths * np.abs(model(m) - zero(m)))[-1]) for m in (mid, -mid))
+    return (pos + neg) / (2.0 * T), pos, neg

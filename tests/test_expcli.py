@@ -125,11 +125,11 @@ def test_matmodel_report_holds_the_five_model_checks(tmp_path, default_run):
     # The default run's values, bitwise (JSON floats round-trip exactly).
     expcli.write_artifacts(default_run, tmp_path / "d")
     assert json.loads((tmp_path / "d" / "matmodel_report.json").read_text()) == {
-        "krein_gap": 8.881784197001252e-16,
+        "chiral_gap_jumps": 192,
         "tail_norms": [0.08692798123341418, 0.02533554692740619, 0.0],
         "tail_bounds": [0.15206758866736872, 0.054999430292716193, 0.0],
         "norm_bounds_hold": True,
-        "dimension": 2400,
+        "dimension": 64320,
     }
 
 
@@ -251,7 +251,7 @@ def test_zero_mass_run_degrades_gracefully(tmp_path):
     )
     result = compute_run(cfg)
     assert len(result.spectrum) == 0  # mass ~ 2^-51 stays inside the margin
-    assert result.krein.gap < 1e-9
+    assert (result.gap_jumps.jumps, result.gap_jumps.matches) == (0, True)
     assert "insufficient-spectrum" in result.diagnostics.flags
     assert result.all_checks_pass
     expcli.write_artifacts(result, tmp_path / "zm")

@@ -1,6 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from conftest import one_row_shifts, toy_band_structure
+from diracgap import expcli, gapspec
 from diracgap.arithmetic import (
     CoefficientFamily,
     HeckeEnsemble,
@@ -8,68 +12,53 @@ from diracgap.arithmetic import (
     mass_shifts,
     sample_hecke_ensemble,
 )
-from diracgap.matmodel import (
-    MatrixModel,
-    _mirror_closed_nodes,
-    assemble,
-    krein_from_counting,
-    norm_bound_checks,
-)
-from oracles import materialize_dense, model_from_values
-from diracgap.shift import TestFunction
+from diracgap.gapspec import GapValues, dirac_band_set, fiber_gap_eigenvalues
+from diracgap.matmodel import chiral_gap_jumps, norm_bound_checks
+from oracles import block_entries, dense_block_model, subsample_entries
 
 FAM = CoefficientFamily(0.35)
+# Chiral gap (-0.5, 0.5) around E* = 1.5: q runs over -1.5, -1.0, -0.5 and 0.5, 1.0, 1.5.
+TOY = toy_band_structure([[0.0, 0.5, 1.0], [2.0, 2.5, 3.0]])
+
+
+def closed_form_spectrum(b):
+    return np.sort(np.concatenate([b, -b]))
+
+
+def jumps_of(bands, e_star, shifts, gap_values=None):
+    band_set = dirac_band_set(bands, e_star)
+    if gap_values is None:
+        gap_values = fiber_gap_eigenvalues(bands, e_star, shifts, band_set)
+    return chiral_gap_jumps(bands, e_star, shifts, band_set, gap_values)
 
 
 def test_single_fiber_closed_form():
-    model = model_from_values([1.0], [0.5])
-    assert np.allclose(model.glob_spectrum(), [-1.0, 1.0])
-    assert np.allclose(model.arith_spectrum(), [-1.5, 1.5])
-    assert model.dimension == 2
+    for deformed, expected in ((False, [-1.0, 1.0]), (True, [-1.5, 1.5])):
+        b = block_entries([1.0], [0.5], deformed)
+        assert np.array_equal(closed_form_spectrum(b), expected)
+        assert np.allclose(np.linalg.eigvalsh(dense_block_model(b)), expected)
 
 
 def test_two_fiber_enumeration():
-    model = model_from_values([1.0, 2.0], [0.0, 0.5])
-    assert np.allclose(model.arith_spectrum(),
-                       [-2.5, -2.0, -1.5, -1.0, 1.0, 1.5, 2.0, 2.5])
-    assert model.dimension == 8
+    b = block_entries([1.0, 2.0], [0.0, 0.5], True)
+    assert np.array_equal(b, [1.0, 1.5, 2.0, 2.5])
+    assert dense_block_model(b).shape == (8, 8)
+    assert np.array_equal(block_entries([1.0, 2.0], [0.0, 0.5], False), [1.0, 1.0, 2.0, 2.0])
 
 
-def test_model_validation():
-    with pytest.raises(ValueError, match="empty"):
-        model_from_values([], [1.0])
-
-
-def test_assemble_caps(mathieu_bands, default_run):
-    with pytest.raises(ValueError, match="caps must be >= 1"):
-        assemble(mathieu_bands, default_run.e_star, default_run.shifts, 24, 0)
-    model = assemble(mathieu_bands, default_run.e_star, default_run.shifts, 24, 8)
-    assert len(model.q) <= 24
-    assert len(model.mass) <= 8
-    assert model.dimension <= 4096
-    # zone-edge nodes are kept: the near-gap fibers |q| ~ 1 are in the model
-    assert np.abs(model.q).min() < 1.1
-    # kappa subsample is mirror-closed: each band's fibers read the same backwards
-    nodes = _mirror_closed_nodes(mathieu_bands.grid.n_nodes, 24 // mathieu_bands.n_bands)
-    assert nodes == [mathieu_bands.grid.n_nodes - 1 - j for j in reversed(nodes)]
-    q = model.q.reshape(mathieu_bands.n_bands, len(nodes))
-    assert np.array_equal(q, q[:, ::-1])
-
-
-def test_closed_form_spectra_match_dense_oracle(mathieu_bands, default_run):
-    model = assemble(mathieu_bands, default_run.e_star, default_run.shifts, 24, 8)
+def test_closed_form_spectra_match_dense_oracle(default_run):
+    # zone edges and centre of every band, every third mode: 8 * 3 * 7 fibers
+    q, mass = subsample_entries(default_run.bands, default_run.e_star, default_run.shifts,
+                                [0, 100, 200], 3)
     for deformed in (False, True):
-        dense = materialize_dense(model, deformed=deformed)
-        assert dense.shape[0] <= 512
-        oracle = np.linalg.eigvalsh(dense)
-        closed = model.arith_spectrum() if deformed else model.glob_spectrum()
-        assert np.abs(oracle - closed).max() < 1e-10
+        b = block_entries(q, mass, deformed)
+        oracle = np.linalg.eigvalsh(dense_block_model(b))
+        assert np.abs(oracle - closed_form_spectrum(b)).max() < 1e-10
 
 
 def test_reflection_involution_on_dense_4x4():
     # two mirror-paired fibers with equal energies, one mode
-    model = MatrixModel(q=np.array([1.0, 1.0]), mass=np.array([0.5]))
-    d = materialize_dense(model, deformed=True)
+    d = dense_block_model(block_entries([1.0, 1.0], [0.5], True))
     r = np.array([[0.0, 1.0], [1.0, 0.0]])
     j = np.block([[np.zeros((2, 2)), r], [r, np.zeros((2, 2))]])
     gamma = np.diag([1.0, 1.0, -1.0, -1.0])
@@ -78,44 +67,67 @@ def test_reflection_involution_on_dense_4x4():
     assert np.abs(gamma @ d + d @ gamma).max() == 0.0  # the honest involution
 
 
-def test_counting_difference_zero_mass():
-    model = model_from_values([1.0, 2.0], [0.0])
-    assert np.array_equal(model.arith_spectrum(), model.glob_spectrum())
-    report = krein_from_counting(model, TestFunction(alpha=0.5))
-    assert report.trace_diff == 0.0
-    assert report.jump_pairing == 0.0
-
-
 def test_krein_hand_example():
-    model = model_from_values([1.0], [0.5])
-    phi = TestFunction(alpha=0.3)
-    report = krein_from_counting(model, phi)
-    expected = (phi(1.5) - phi(1.0)) + (phi(-1.5) - phi(-1.0))
-    assert report.trace_diff == pytest.approx(float(expected), abs=1e-15)
-    assert report.jump_pairing == pytest.approx(float(expected), abs=1e-15)
-    assert report.gap < 1e-15
+    # The shift 0.25 moves fiber (0, 2) from the edge -0.5 to -0.25, inside the
+    # chiral gap; 1.5 + 0.25 leaves the band set too, but above the gap.
+    shifts = one_row_shifts([0.0, 0.25])
+    kept = fiber_gap_eigenvalues(TOY, 1.5, shifts, dirac_band_set(TOY, 1.5))
+    assert kept.values.tolist() == [-0.25, 1.75]
+    assert kept.fibers.tolist() == [[0, 2, 2], [1, 2, 2]]
+    report = jumps_of(TOY, 1.5, shifts)
+    assert (report.above, report.jumps, report.kept, report.matches) == (0.5, 1, 1, True)
+    lost = GapValues(values=kept.values[1:], fibers=kept.fibers[1:])
+    assert not jumps_of(TOY, 1.5, shifts, lost).matches
 
 
-def test_krein_identity_on_golden_subsample(mathieu_bands, default_run):
-    model = assemble(mathieu_bands, default_run.e_star, default_run.shifts, 24, 8)
-    for alpha in (0.05, 0.5, 5.0):
-        phi = TestFunction(alpha=alpha)
-        report = krein_from_counting(model, phi)
-        assert report.gap < 1e-9
-        # independent dense functional-calculus oracle
-        dense_arith = np.linalg.eigvalsh(materialize_dense(model, True))
-        dense_glob = np.linalg.eigvalsh(materialize_dense(model, False))
-        oracle = float(np.sum(phi(dense_arith)) - np.sum(phi(dense_glob)))
-        assert report.trace_diff == pytest.approx(oracle, abs=1e-9)
+def test_counting_difference_zero_mass(default_run):
+    # With every m = 0 the two block models coincide, so xi = 0: no jumps, none kept.
+    assert np.array_equal(block_entries([1.0, 2.0], [0.0], True),
+                          block_entries([1.0, 2.0], [0.0], False))
+    shifts = one_row_shifts(np.zeros(4))
+    report = jumps_of(default_run.bands, default_run.e_star, shifts)
+    assert (report.jumps, report.kept, report.matches) == (0, 0, True)
+
+
+def test_default_run_jumps_match_the_kept_values(default_run):
+    r = default_run
+    report = jumps_of(r.bands, r.e_star, r.shifts, r.gap_values)
+    assert (report.jumps, report.kept, report.matches) == (192, 192, True)
+    assert r.gap_jumps == report
+
+
+@pytest.mark.parametrize("fault", ["drop", "ulp"])
+def test_one_wrong_kept_value_fails_the_check(default_run, fault):
+    r = default_run
+    values, fibers = r.gap_values.values.copy(), r.gap_values.fibers
+    k = int(np.flatnonzero(np.abs(values) < 0.99)[7])  # a kept value inside the chiral gap
+    if fault == "drop":
+        values, fibers = np.delete(values, k), np.delete(fibers, k, axis=0)
+    else:
+        values[k] = np.nextafter(values[k], np.inf)
+    report = jumps_of(r.bands, r.e_star, r.shifts, GapValues(values=values, fibers=fibers))
+    assert not report.matches
+
+
+def test_any_inside_prefilter_fails_krein_identity(monkeypatch, capsys):
+    # Drop every row with one end inside a band, not only rows inside one band.
+    source = inspect.getsource(gapspec.fiber_gap_eigenvalues)
+    kept_rows = "~(inside.all(axis=0) & (idx[0] == idx[1]))"
+    assert source.count(kept_rows) == 1
+    namespace = dict(vars(gapspec))
+    exec(source.replace(kept_rows, "~inside.any(axis=0)"), namespace)
+    monkeypatch.setattr(gapspec, "fiber_gap_eigenvalues", namespace["fiber_gap_eigenvalues"])
+    assert expcli.main(["verify"]) == 1
+    assert "FAIL krein_identity" in capsys.readouterr().out
 
 
 def test_norm_bounds_constant_one_saturates():
     primes = generate_primes(5)
-    ens = sample_hecke_ensemble(primes, 6, seed=2, mode="constant_one")
-    report = norm_bound_checks(FAM, primes, mass_shifts(ens, FAM))
+    shifts = mass_shifts(sample_hecke_ensemble(primes, 6, seed=2, mode="constant_one"), FAM)
+    report = norm_bound_checks(FAM, primes, shifts)
     assert report.all_bounds_hold
     # lambda = 1 saturates the functional-calculus bound with equality
-    assert all(n == b for n, b in zip(report.per_prime_norms, report.per_prime_bounds))
+    assert np.abs(shifts.terms).max(axis=1).tolist() == [FAM.sup_norm(p) for p in primes]
     # the nested prefixes hold N_P/4, N_P/2 and N_P primes
     assert report.tail_bounds == pytest.approx(
         (sum(FAM.sup_norm(p) for p in primes[1:]), sum(FAM.sup_norm(p) for p in primes[2:]), 0.0),
@@ -126,9 +138,10 @@ def test_norm_bounds_zero_samples():
     primes = generate_primes(4)
     ens = HeckeEnsemble(primes=primes, n_modes=3, seed=0, mode="iid_uniform",
                         samples=np.zeros((4, 3)))
-    report = norm_bound_checks(FAM, primes, mass_shifts(ens, FAM))
+    shifts = mass_shifts(ens, FAM)
+    report = norm_bound_checks(FAM, primes, shifts)
     assert report.all_bounds_hold
-    assert all(n == 0.0 for n in report.per_prime_norms)
+    assert np.all(shifts.terms == 0.0)
     assert all(n == 0.0 for n in report.tail_norms)
 
 

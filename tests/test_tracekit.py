@@ -234,7 +234,6 @@ def test_trace_is_bitwise_stable_across_blas_threads():
 def test_separated_matches_fiber_on_golden_run(default_run):
     assert default_run.trace.rel_gap < 1e-6
     assert default_run.trace.h_t <= 0.01
-    assert default_run.trace.resolved_prefactor == "1/pi"
 
 
 def test_separated_zero_mass_consistency():

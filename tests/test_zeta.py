@@ -16,6 +16,7 @@ from diracgap.zeta import (
     mapped_staircase,
     staircase_mismatch,
 )
+from oracles import two_half_mismatch
 
 GAMMA1 = 14.134725142
 GAMMA2 = 21.022039639
@@ -141,20 +142,20 @@ def test_e_step_hand_example():
     # single model jump at 1, zero staircase truncated to gamma_1, T = 20:
     # |diff| is 1 exactly on (1, gamma_1), zero elsewhere
     zeros = ZeroTable(ordinates=(GAMMA1,))
-    e_step, pos, neg = staircase_mismatch([1.0], [1], zeros, 20.0)
+    e_step = staircase_mismatch([1.0], [1], zeros, 20.0)
     expected_half = GAMMA1 - 1.0
-    assert pos == pytest.approx(expected_half, abs=1e-12)
-    assert pos == neg
     assert e_step == pytest.approx(2.0 * expected_half / 40.0, abs=1e-13)
 
 
 def test_e_step_half_interval_symmetry_is_exact(default_run):
     mapped = default_run.affine(np.array(default_run.spectrum.positive_values))
-    e_step, pos, neg = staircase_mismatch(
+    e_step, pos, neg = two_half_mismatch(
         mapped, default_run.spectrum.multiplicities, default_run.zeros, 80.0
     )
     assert pos == neg  # bitwise, by the mirrored sweep
     assert e_step == default_run.diagnostics.e_step
+    assert e_step == staircase_mismatch(
+        mapped, default_run.spectrum.multiplicities, default_run.zeros, 80.0)
 
 
 def scalar_sweep(mapped, mults, zeros, T, side):
@@ -187,10 +188,10 @@ def scalar_sweep(mapped, mults, zeros, T, side):
 def test_e_step_matches_the_scalar_sweep_bitwise(mapped, mults, T):
     zeros = load_zero_table("embedded")
     mults = mults[: len(mapped)]
-    e_step, pos, neg = staircase_mismatch(mapped, mults, zeros, T)
-    assert pos == scalar_sweep(mapped, mults, zeros, T, +1.0)
-    assert neg == scalar_sweep(mapped, mults, zeros, T, -1.0)
-    assert e_step == (pos + neg) / (2.0 * T)
+    e_step = staircase_mismatch(mapped, mults, zeros, T)
+    pos = scalar_sweep(mapped, mults, zeros, T, +1.0)
+    assert e_step == pos / T
+    assert e_step == (pos + scalar_sweep(mapped, mults, zeros, T, -1.0)) / (2.0 * T)
 
 
 def test_mapped_staircase_folds_and_drops_zero():
@@ -204,7 +205,7 @@ def test_e_step_matches_riemann_oracle(default_run):
     mults = list(default_run.spectrum.multiplicities)
     zeros = default_run.zeros
     T = 80.0
-    e_step, _, _ = staircase_mismatch(mapped, mults, zeros, T)
+    e_step = staircase_mismatch(mapped, mults, zeros, T)
 
     # midpoint Riemann oracle; its error is rigorously bounded by
     # sum(|jump|) * h / (2T) since the integrand is a step function
@@ -241,7 +242,7 @@ def test_diagnostics_validation(default_run):
     assert (short.K, short.deviations, short.mae, short.max_abs) == (0, (), 0.0, 0.0)
     assert short.flags == ("insufficient-spectrum",)
     assert short.affine == AffineMap(a=1.0, b=0.0, flagged=True)
-    assert short.e_step == staircase_mismatch(lam[:3], [1] * 3, zeros, 10.0)[0]
+    assert short.e_step == staircase_mismatch(lam[:3], [1] * 3, zeros, 10.0)
 
 
 def test_mae_recomputable(default_run):
