@@ -17,27 +17,51 @@ grid only and mirroring.
 Fiber eigenvalues are computed with a bisection-based banded solver, which
 resolves the low-lying spectrum far below the 1e-10 contract even though the
 matrix norm grows like (2 pi M / L)^2.  fiber_eigenvalues calls LAPACK's
-dsbevx directly through a handle fetched once at import, with the arguments
-scipy.linalg.eigvals_banded(select="i") passes (eigenvalues only, index
-range 1..count, upper storage), so the values are bitwise those of that call
-without its per-call argument handling.  The absolute tolerance is pinned
-here to 2 dlamch('s'), twice the safe minimum, the value the dsbevx manual
-recommends for the most accurate eigenvalues; it no longer follows a scipy
-default.
+dsbevx with the arguments scipy.linalg.eigvals_banded(select="i") passes
+(eigenvalues only, index range 1..count, upper storage), so the values are
+bitwise those of that call without its per-call argument handling.  The
+routine comes from SciPy's compiled LAPACK extension, scipy/linalg/_flapack,
+loaded once at import from its file alone: importing scipy.linalg would
+cost about 0.4 s of start-up and 19 MiB.  Python files the extension in
+sys.modules under its own name, so scipy.linalg, if imported later, reuses
+this module, and if imported earlier, supplies it.  The absolute tolerance
+is pinned here to 2 dlamch('s'), twice the safe minimum, the value the
+dsbevx manual recommends for the most accurate eigenvalues; it no longer
+follows a scipy default.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 # A gap narrower than this is treated as closed (numerically touching bands).
 GAP_TOLERANCE = 1e-6
 
-_DSBEVX, _DLAMCH = get_lapack_funcs(("sbevx", "lamch"), (np.zeros(1),))
+
+def _load_flapack():
+    """scipy.linalg._flapack, loaded from its file without importing scipy or scipy.linalg."""
+    scipy_spec = find_spec("scipy")  # locates the package without importing it
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("diracgap needs SciPy's LAPACK extension; no scipy package found")
+    folder = Path(scipy_spec.submodule_search_locations[0]) / "linalg"
+    for suffix in EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            spec = spec_from_file_location("scipy.linalg._flapack", path)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no _flapack extension in {folder}")
+
+
+_FLAPACK = _load_flapack()
+_DSBEVX, _DLAMCH = _FLAPACK.dsbevx, _FLAPACK.dlamch
 SBEVX_ABSTOL = 2.0 * _DLAMCH("s")
 
 

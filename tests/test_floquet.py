@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,9 @@ from diracgap.floquet import (
     fiber_eigenvalues,
     select_reference_energy,
 )
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # True lowest eigenvalue of the Mathieu fiber at kappa = pi (L=1, c1=2),
 # from a 40-digit arbitrary-precision diagonalization at M=20.
@@ -64,11 +71,14 @@ def test_fiber_eigenvalue_count_and_order():
     assert np.allclose(full, dense, atol=1e-9)
 
 
-@pytest.mark.parametrize("M,coefficients,period", [
+BITWISE_CASES = [
     (M, (2.0,), 1.0) for M in (1, 8, 32, 64)
 ] + [
     (M, (2.0, 0.7, 0.3), 2.0) for M in (8, 32, 64)  # M = 1 < R = 3 is rejected
-])
+]
+
+
+@pytest.mark.parametrize("M,coefficients,period", BITWISE_CASES)
 def test_fiber_eigenvalues_bitwise_equal_to_eigvals_banded(M, coefficients, period):
     # The direct dsbevx call must give exactly what scipy's wrapper gives.
     # The oracle's band storage comes from the dense fiber matrix.
@@ -83,6 +93,56 @@ def test_fiber_eigenvalues_bitwise_equal_to_eigvals_banded(M, coefficients, peri
         expected = eigvals_banded(ab, select="i", select_range=(0, count - 1))
         got = fiber_eigenvalues(pot, kappa, M, count)
         assert got.tobytes() == expected.tobytes(), kappa
+
+
+def run_python(code, *pythonpath):
+    """Run code in a fresh interpreter whose path starts with pythonpath, then src/ and tests/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [*map(str, pythonpath), str(SRC), str(TESTS), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_a_default_run_leaves_scipy_linalg_unloaded():
+    # floquet loads only the _flapack extension; `import scipy.linalg` costs
+    # about 0.4 s of start-up and 19 MiB.
+    proc = run_python(
+        "import sys, diracgap\n"
+        "from diracgap.expcli import compute_run, parse_config\n"
+        "compute_run(parse_config('{}'))\n"
+        "assert 'scipy.linalg' not in sys.modules, sorted(sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("order", ["diracgap first", "scipy.linalg first"])
+def test_both_import_orders_give_eigvals_banded_bitwise(order):
+    # Imported before scipy.linalg, floquet loads the extension that
+    # scipy.linalg then reuses; imported after, it gets scipy.linalg's.
+    proc = run_python(
+        "import sys\n"
+        f"if {order == 'scipy.linalg first'}: import scipy.linalg\n"
+        "from diracgap import floquet\n"
+        f"assert ('scipy.linalg' in sys.modules) == {order == 'scipy.linalg first'}\n"
+        "import scipy.linalg, test_floquet\n"
+        "for case in test_floquet.BITWISE_CASES:\n"
+        "    test_floquet.test_fiber_eigenvalues_bitwise_equal_to_eigvals_banded(*case)\n"
+        "assert floquet.SBEVX_ABSTOL == 2 * scipy.linalg.lapack.dlamch('s')\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_missing_lapack_extension_fails_the_import(tmp_path):
+    # A scipy package without linalg/_flapack*: the import fails and names
+    # the directory it searched; nothing falls back to another route.
+    package, module = tmp_path / "package", tmp_path / "module"
+    (package / "scipy" / "linalg").mkdir(parents=True)
+    (package / "scipy" / "__init__.py").write_text("")
+    module.mkdir()
+    (module / "scipy.py").write_text("")  # a plain module named scipy is no package
+    proc = run_python("import diracgap", package)
+    assert f"ImportError: no _flapack extension in {package / 'scipy' / 'linalg'}\n" in proc.stderr
+    proc = run_python("import diracgap", module)
+    assert "ImportError: diracgap needs SciPy's LAPACK extension; no scipy package found" in proc.stderr
 
 
 def test_fiber_eigenvalues_rejects_non_finite_storage_and_bad_counts():

@@ -119,3 +119,21 @@ def test_output_is_created_only_by_emit_and_the_writer_factories():
              for call in ast.walk(top) if isinstance(call, ast.Call) and writes_output(call)
              and getattr(top, "name", None) not in WRITERS]
     assert sites == []
+
+
+def imported_modules(node):
+    """The modules an import statement names (none for other nodes)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def test_no_module_imports_scipy():
+    # floquet loads scipy.linalg's _flapack extension from its file; an import
+    # of scipy or any of its subpackages brings back about 0.4 s of start-up.
+    imports = [f"{path.stem}:{node.lineno}" for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text()))
+               for name in imported_modules(node) if name.split(".")[0] == "scipy"]
+    assert imports == []
