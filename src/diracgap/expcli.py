@@ -398,10 +398,10 @@ def _svg(result: RunResult):
 
 def _band_writers(bands: BandStructure) -> dict:
     """bands.csv and gaps.csv, written by both `run` and `bands`."""
-    nodes = bands.grid.nodes.tolist()
+    nodes = [f"{kappa:.17g}" for kappa in bands.grid.nodes.tolist()]  # shared by every band
     return {
         "bands.csv": _csv("n,kappa,energy", (
-            f"{n},{kappa:.17g},{e:.17g}"
+            f"{n},{kappa},{e:.17g}"
             for n, row in enumerate(bands.bands) for kappa, e in zip(nodes, row.tolist())
         )),
         "gaps.csv": _csv("n,beta_n,alpha_n1,width", [
@@ -416,7 +416,7 @@ def render_svg(
     """Deterministic SVG of the two aligned odd staircases on [-T, T]."""
     width, height, pad = 900.0, 480.0, 45.0
 
-    model = zeta.mapped_staircase(affine(np.array(staircase.locations)), staircase.weights)
+    model = zeta.mapped_staircase(affine(staircase.jump_array), staircase.weights)
     zero = zeta.zero_staircase(zeros)
     y_max = max(int(model(T)), int(zero(T)), 1)
 
@@ -428,7 +428,7 @@ def render_svg(
 
     def step_path(s: Staircase) -> str:
         """(-T, xi(-T)), then the values before and after each jump in (-T, T), then (T, xi(T))."""
-        jumps = np.array(s.locations)
+        jumps = s.jump_array
         b = np.unique(np.concatenate([-jumps[jumps < T], jumps[jumps < T]]))
         before = s(np.where(b < 0, b, np.nextafter(b, -np.inf)))
         after = s(np.where(b > 0, b, np.nextafter(b, np.inf)))

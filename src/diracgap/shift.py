@@ -71,6 +71,9 @@ class Staircase:
     locations: tuple[float, ...]
     weights: tuple[int, ...]
     heights: np.ndarray = field(init=False, repr=False, compare=False)  # xi after 0, 1, ... jumps
+    # locations and weights as float arrays, for the vectorised evaluators
+    jump_array: np.ndarray = field(init=False, repr=False, compare=False)
+    weight_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.locations) != len(self.weights):
@@ -83,10 +86,12 @@ class Staircase:
             raise ValueError("jump weights must be positive integers")
         heights = np.concatenate([[0], np.cumsum(np.array(self.weights, dtype=np.int64))])
         object.__setattr__(self, "heights", heights)
+        object.__setattr__(self, "jump_array", np.array(self.locations, dtype=float))
+        object.__setattr__(self, "weight_array", np.array(self.weights, dtype=float))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        value = self.heights[np.searchsorted(self.locations, np.abs(x), side="right")]
+        value = self.heights[np.searchsorted(self.jump_array, np.abs(x), side="right")]
         return np.where(x < 0.0, -value, value)
 
 
@@ -110,28 +115,33 @@ def trace_response_derivative(s: Staircase, phi: TestFunction, t):
     A dropped term is below exp(-64) of the largest (a truncated Gauss
     transform).  Each jump enters as the pair (lambda_k - t) phi(lambda_k - t)
     + (-lambda_k - t) phi(-lambda_k - t) and the window depends on |t| only,
-    so F'(-t) = -F'(t) bitwise and F'(0) = 0 exactly.
+    so F'(-t) = -F'(t) bitwise and F'(0) = 0 exactly.  F' is therefore
+    evaluated once per distinct |t| whose window holds a jump, and signed.
     """
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
-    lam = np.asarray(s.locations, dtype=float)
-    w = np.asarray(s.weights, dtype=float)
+    lam, w = s.jump_array, s.weight_array
     reach = WINDOW_ALPHAS * phi.alpha
     lo = np.searchsorted(lam, np.abs(flat) - reach, side="left")
     count = np.searchsorted(lam, np.abs(flat) + reach, side="right") - lo
+    seen = np.flatnonzero(count)  # points with an empty window stay 0.0
+    u, first, inverse = np.unique(np.abs(flat[seen]), return_index=True, return_inverse=True)
+    lo, count = lo[seen[first]], count[seen[first]]
     scale = 2.0 / (phi.alpha * phi.alpha)
-    out = np.zeros(len(flat))
-    rows = np.flatnonzero(count)  # rows with an empty window stay 0.0
+    value = np.zeros(len(u))
+    rows = np.arange(len(u))
     while len(rows):
         widest = np.maximum.accumulate(count[rows[:TILE_CELLS]])
         n = max(1, np.count_nonzero(widest * np.arange(1, len(widest) + 1) <= TILE_CELLS))
         block, rows = rows[:n], rows[n:]
         offset = np.arange(widest[n - 1])
         idx = np.minimum(lo[block, None] + offset, len(lam) - 1)
-        x, tt = lam[idx], flat[block, None]
+        x, tt = lam[idx], u[block, None]
         terms = w[idx] * scale * ((x - tt) * phi(x - tt) + (-x - tt) * phi(-x - tt))
         # cumsum adds strictly left to right, unlike sum's pairwise blocking.
-        out[block] = np.cumsum(np.where(offset < count[block, None], terms, 0.0), axis=1)[:, -1]
+        value[block] = np.cumsum(np.where(offset < count[block, None], terms, 0.0), axis=1)[:, -1]
+    out = np.zeros(len(flat))
+    out[seen] = np.where(flat[seen] < 0.0, -value[inverse], value[inverse])
     return out.reshape(t.shape)
 
 
@@ -150,7 +160,7 @@ def stationary_scan(spectrum: GapSpectrum, phi: TestFunction, t_grid: np.ndarray
     if not s.locations:
         return StationaryScan(roots=(), kinds=(), warnings=())
     warnings: list[str] = []
-    lam = np.asarray(s.locations)
+    lam = s.jump_array
     spacing = min(2.0 * float(lam[0]), float(np.diff(lam).min(initial=math.inf)))
     step = float(t[1] - t[0]) if len(t) > 1 else math.inf
     if step > spacing / 2.0:

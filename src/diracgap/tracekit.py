@@ -44,10 +44,32 @@ still set the t grid, and theta_fiber keeps them, so rel_gap checks the pruning.
 Every factor is a sum S(t_k) = sum_j w_j e^{i t_k x_j} on that grid, and
 every function here takes the grid as (K, h).  Only k >= 0 is
 computed: the sums are real-weighted, so the t < 0 half is the exact
-conjugate mirror S(-t_k) = conj S(t_k), bitwise.  With R = ceil(sqrt(K + 1))
-and k = b R + r the phase splits as e^{i b R h x} e^{i r h x}, so two exp
-tables of shapes (n_b, J) and (R, J) and one contraction over j replace the
-(2K + 1, J) table: about 2 sqrt(K) exps per point x_j instead of 2K + 1.
+conjugate mirror S(-t_k) = conj S(t_k), bitwise.  Each call of
+_half_grid_sums (one band, A_joint, or a block of PRIME_CHUNK primes) takes
+one of two routes:
+
+- Tables.  With R = ceil(sqrt(K + 1)) and k = b R + r the phase splits as
+  e^{i b R h x} e^{i r h x}, so two exp tables of shapes (n_b, J) and (R, J)
+  and one contraction over j replace the (2K + 1, J) table: about
+  2 sqrt(K) exps per point x_j and K J multiply-adds per row.
+- Taylor moments.  Write x = mid + y, mid the centre of each row and beta
+  the largest |y| of the call, and cut k = 0..K into segments of at most
+  span = 2 floor(rho / (beta h)) + 1 points (rho = TAYLOR_RHO = 2), as few
+  as cover the grid, filled evenly.  Around a segment centre t_c,
+  S(t_c + s h) = e^{i s h mid} sum_r (i s h)^r m_r with the moments
+  m_r = sum_j w_j e^{i t_c x_j} y_j^r / r!, r <= D = TAYLOR_DEGREE = 26.
+  As |s h y| <= rho, the cut errs by at most sum_{r > D} rho^r / r!
+  ~ 1.3e-20 per unit weight: far below the rounding of either route.  It
+  costs (D + 1)(K / span + K / J) multiply-adds per row.
+
+A call takes the Taylor route exactly when (D + 1)(1 / span + 1 / J) < 1,
+span the length of its segments, so only rows whose phases turn slowly over
+many points take it.  On the four benchmark shapes that is band 0 (rule
+value 0.57 at the default step, 0.13 at h = 0.0025) and band 1 at
+h = 0.0025 (0.29); A_joint and the table primes at N_H = 500 (0.08); band 1
+at the default step (1.27), and A_joint and the table primes at N_H = 20
+(1.37), keep the tables.  trace_report.json counts the rows of the Taylor
+route in taylor_rows.
 
 The geometric factors are also folded in kappa.  The bands are solved on
 kappa >= 0 and mirrored, so E_n(-kappa_j) = E_n(kappa_j) holds bitwise (checked
@@ -56,12 +78,11 @@ over kappa >= 0 with weights 1 at kappa = 0, 2 inside and 2 * 1/2 = 1 at pi/L,
 which halves the exp tables and the contraction.  theta_fiber stays on the
 whole grid: it is the independent route that rel_gap checks the fold against.
 
-The contraction is np.einsum without BLAS, and so are the t trapezoid sum
-and the kappa sum of theta_fiber: OpenBLAS splits long dot and matrix
-products across its threads, so their last bits depend on the thread count.
-On the wide config (2-vCPU Xeon, NumPy 2.4) the per-band products take about
-14-20 ms with matmul (zgemm) against 180 ms with einsum, but the matmul
-products hash differently under OPENBLAS_NUM_THREADS=1 and 2.
+Both contractions over j are np.einsum without BLAS, and so are the t
+trapezoid sum and the kappa sum of theta_fiber: OpenBLAS splits long dot and
+matrix products across its threads, so their last bits depend on the thread
+count (matmul products hash differently under OPENBLAS_NUM_THREADS=1 and 2).
+tests/test_source.py rejects any BLAS call in the library.
 """
 
 from __future__ import annotations
@@ -91,6 +112,10 @@ MAX_T_POINTS = 2**22
 # Cap on the t step.  The aliasing rule alone would do (h = 0.010012 on the default run,
 # rel_gap 4.2e-14), but dropping the cap moves the trace bits that perfbench/reference pins.
 H_MAX = 0.01
+# Taylor route of _half_grid_sums: segments with |s h y| <= TAYLOR_RHO, series
+# cut after TAYLOR_DEGREE, which errs by sum_{r > 26} 2^r / r! ~ 1.3e-20 per unit weight.
+TAYLOR_RHO = 2.0
+TAYLOR_DEGREE = 26
 
 
 @dataclass(frozen=True)
@@ -101,6 +126,7 @@ class TraceFactors:
     a_prod: np.ndarray = field(repr=False)
     euler_series_primes: int
     euler_series_bound: float  # on |log A_prod| lost by truncating the series
+    taylor_rows: int  # rows of A_joint and the A_prod tables summed on the Taylor route
 
 
 @dataclass(frozen=True)
@@ -119,6 +145,7 @@ class TraceReport:
     band_prune_bound: float = 0.0
     euler_series_primes: int = 0
     euler_series_bound: float = 0.0
+    taylor_rows: int = 0
 
 
 def _kappa_pattern(n_nodes: int) -> np.ndarray:
@@ -145,11 +172,30 @@ def theta_fiber(phi, bands: BandStructure, e_star: float, shifts: MassShifts) ->
     return 2.0 * (2.0 * np.pi / L) * (raw / (bands.grid.n_nodes - 1))
 
 
-def _half_grid_sums(x: np.ndarray, w: np.ndarray | None, h: float, K: int) -> np.ndarray:
-    """S[i, k] = sum_j w_j e^{i k h x[i, j]} for k = 0..K (w = None means all ones).
+def _half_grid_sums(x: np.ndarray, w: np.ndarray | None, h: float,
+                    K: int) -> tuple[np.ndarray, bool]:
+    """S[i, k] = sum_j w_j e^{i k h x[i, j]} for k = 0..K (w = None means all ones),
+    and whether the Taylor route summed them.
 
-    Two-level phase tables: k = b R + r with R = ceil(sqrt(K + 1)), one exp
-    per table entry, and a fixed-order einsum contraction over j.
+    The Taylor route serves the rows whose phases turn slowly: it takes
+    (D + 1)(K / span + K / J) multiply-adds against the K J of the tables.
+    """
+    beta = 0.5 * float(np.ptp(x, axis=1).max())  # the largest half-range of a row
+    # |s h beta| <= TAYLOR_RHO for |s| <= half; half = K (one segment) when every
+    # s of the grid keeps it, which also spares beta h = 0 a division.
+    half = K if beta * h * K <= TAYLOR_RHO else int(TAYLOR_RHO / (beta * h))
+    n_seg = -(-(K + 1) // (2 * half + 1))
+    half = -(-(K + 1) // n_seg) // 2  # as many segments, evenly filled
+    if (TAYLOR_DEGREE + 1) * (1.0 / (2 * half + 1) + 1.0 / x.shape[1]) >= 1.0:
+        return _table_sums(x, w, h, K), False
+    return _taylor_sums(x, w, h, K, half), True
+
+
+def _table_sums(x: np.ndarray, w: np.ndarray | None, h: float, K: int) -> np.ndarray:
+    """The half-grid sums from two-level phase tables.
+
+    k = b R + r with R = ceil(sqrt(K + 1)): one exp per entry of an (n_b, J)
+    and an (R, J) table, and a fixed-order einsum contraction over j.
     """
     R = math.isqrt(K) + 1
     n_b = -(-(K + 1) // R)
@@ -164,14 +210,49 @@ def _half_grid_sums(x: np.ndarray, w: np.ndarray | None, h: float, K: int) -> np
     return sums.reshape(len(x), n_b * R)[:, : K + 1]
 
 
+def _taylor_sums(x: np.ndarray, w: np.ndarray | None, h: float, K: int,
+                 half: int) -> np.ndarray:
+    """The half-grid sums from local Taylor moments, on segments of 2 half + 1 points.
+
+    Each row is x = mid + beta u, mid its centre and |u| <= 1.  With t_c = k_c h
+    a segment centre and k = k_c + s, S = e^{i s h mid} sum_r (i s h beta)^r m_r,
+    where m_r = sum_j w_j e^{i t_c x_j} u_j^r / r! are taken with one einsum and
+    the series is evaluated by Horner.  The cut after TAYLOR_DEGREE errs by at
+    most sum_{r > D} rho^r / r! per unit weight, rho = half h beta.
+    """
+    mid = 0.5 * (x.max(axis=1) + x.min(axis=1))
+    y = x - mid[:, None]
+    beta = float(np.abs(y).max())
+    u = y / beta if beta > 0.0 else y
+    span = 2 * half + 1
+    n_seg = -(-(K + 1) // span)
+    centre = (half + span * np.arange(n_seg)) * h
+    phase = np.exp(1j * (centre[:, None] * x[:, None, :]))  # (rows, n_seg, J)
+    # Real values stored as complex: einsum then runs its same-type inner loop.
+    moments = np.empty((len(x), TAYLOR_DEGREE + 1, x.shape[1]), dtype=complex)
+    moments[:, 0] = 1.0 if w is None else w
+    for r in range(1, TAYLOR_DEGREE + 1):
+        moments[:, r] = moments[:, r - 1].real * u / r
+    m = np.einsum("icj,irj->icr", phase, moments, optimize=False)  # (rows, n_seg, D + 1)
+    s = np.arange(-half, half + 1) * h
+    z = 1j * beta * s
+    series = np.zeros((len(x), n_seg, span), dtype=complex)
+    for r in range(TAYLOR_DEGREE, -1, -1):
+        series *= z
+        series += m[:, :, r, None]
+    series *= np.exp(1j * np.multiply.outer(mid, s))[:, None, :]
+    return series.reshape(len(x), n_seg * span)[:, : K + 1]
+
+
 def _mirror(half: np.ndarray) -> np.ndarray:
     """Values at k = -K..K from those at k = 0..K, by S(-t) = conj S(t)."""
     return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
 
 
 def _geometric_on_grid(bands: BandStructure, e_star: float, K: int, h: float,
-                       rows=slice(None)) -> np.ndarray:
-    """G_n(t_k) for the bands n in rows, k = -K..K, summed over the kappa >= 0 half grid."""
+                       rows=slice(None)) -> tuple[np.ndarray, int]:
+    """G_n(t_k) for the bands n in rows, k = -K..K, summed over the kappa >= 0 half grid,
+    and the number of bands summed on the Taylor route."""
     mid = bands.grid.half_index
     if not np.array_equal(bands.bands[:, :mid], bands.bands[:, :mid:-1]):
         raise ValueError(
@@ -184,8 +265,9 @@ def _geometric_on_grid(bands: BandStructure, e_star: float, K: int, h: float,
     L = bands.potential.period
     scale = 2.0 * np.pi / L / (bands.grid.n_nodes - 1)
     q = bands.bands[rows, mid:] - e_star
-    half = np.array([_half_grid_sums(row[None], w, h, K)[0] for row in q]).reshape(len(q), K + 1)
-    return _mirror(scale * half)
+    sums = [_half_grid_sums(row[None], w, h, K) for row in q]
+    half = np.array([band[0] for band, _ in sums]).reshape(len(q), K + 1)
+    return _mirror(scale * half), sum(taylor for _, taylor in sums)
 
 
 def tail_half_width(alpha: float, n_bands: int, period: float) -> float:
@@ -231,7 +313,9 @@ def arithmetic_factors(shifts: MassShifts, K: int, h: float) -> TraceFactors:
     A_p(t) = mean_m e^{i t eta_p} from the rows of shifts.terms.  Both equal 1
     at t = 0.
     """
-    a_joint = _mirror(_half_grid_sums(shifts.values[None], None, h, K)[0] / len(shifts))
+    joint, taylor = _half_grid_sums(shifts.values[None], None, h, K)
+    a_joint = _mirror(joint[0] / len(shifts))
+    taylor_rows = int(taylor)
     eta = shifts.terms
     beta = np.abs(eta - eta.mean(axis=1, keepdims=True)).max(axis=1)
     q = K * h * beta / EULER_SERIES_S0
@@ -240,12 +324,15 @@ def arithmetic_factors(shifts: MassShifts, K: int, h: float) -> TraceFactors:
     a_prod_half = np.exp(np.polyval(np.append(coef[::-1], 0.0), np.arange(K + 1) * h))
     table = eta[~series]
     for lo in range(0, len(table), PRIME_CHUNK):
-        for a_p in _half_grid_sums(table[lo : lo + PRIME_CHUNK], None, h, K):
+        chunk, taylor = _half_grid_sums(table[lo : lo + PRIME_CHUNK], None, h, K)
+        taylor_rows += taylor * len(chunk)
+        for a_p in chunk:
             a_prod_half *= a_p / len(shifts)
     q = q[series]
     return TraceFactors(
         a_joint=a_joint, a_prod=_mirror(a_prod_half), euler_series_primes=int(series.sum()),
         euler_series_bound=float((math.log(2) * q ** (EULER_SERIES_DEGREE + 1) / (1 - q)).sum()),
+        taylor_rows=taylor_rows,
     )
 
 
@@ -301,7 +388,7 @@ def compare_trace_representations(
     d = np.abs(bands.bands - e_star).min(axis=1) - np.abs(shifts.values).max(initial=0.0)
     far = d > BAND_PRUNE_WIDTH * phi.alpha
     pruned = float(np.exp(-(d[far] / phi.alpha) ** 2).sum() * 4.0 * np.pi / bands.potential.period)
-    geometric = _geometric_on_grid(bands, e_star, K, h, np.flatnonzero(~far))
+    geometric, taylor_bands = _geometric_on_grid(bands, e_star, K, h, np.flatnonzero(~far))
     t = np.arange(-K, K + 1) * h
     integrand = phi.fourier(t) * geometric.sum(axis=0) * factors.a_joint
     h_t = float(t[1] - t[0])  # the step as the grid holds it: it may differ from h in the last bit
@@ -322,4 +409,5 @@ def compare_trace_representations(
         band_prune_bound=pruned,
         euler_series_primes=factors.euler_series_primes,
         euler_series_bound=factors.euler_series_bound,
+        taylor_rows=taylor_bands + factors.taylor_rows,
     )

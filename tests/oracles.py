@@ -5,10 +5,13 @@ t at a time; the library folds the grid onto kappa >= 0 and evaluates whole t
 grids from phase tables.  theta_fiber_whole_array is the fiber sum from one
 (n_bands, N_kappa, N_H) array; the library adds one band at a time.
 local_factor is A_p at one t and local_factor_grid A_p on a whole t grid,
-straight from the samples; the library sums the primes on phase tables or on
-the cumulant series.  build_fiber_matrix and dense_block_model write out the
-dense matrices that the library keeps as banded or diagonal data, the latter
-on the fibers and modes that subsample_entries picks.  trace_response sums
+straight from the samples; the library sums the primes on phase tables, on
+local Taylor moments or on the cumulant series.  phase_sums is every phase
+sum of the trace from its full exp table, summed in order; the library sums
+them on two-level tables or on local Taylor moments.  build_fiber_matrix
+and dense_block_model write out the dense matrices that the library keeps as
+banded or diagonal data, the latter on the fibers and modes that
+subsample_entries picks.  trace_response sums
 F(t) over every jump, where the library's F' sums only the jumps near |t|,
 and two_half_mismatch sweeps both halves of [-T, T], where the library sweeps
 one.
@@ -67,6 +70,18 @@ def local_factor_grid(
     """A_p evaluated on a whole grid of t values at once."""
     eta = family.eta(p, sample_row(ensemble, p))
     return np.exp(1j * np.multiply.outer(np.asarray(t_grid, dtype=float), eta)).mean(axis=1)
+
+
+def phase_sums(x, w, h: float, K: int) -> np.ndarray:
+    """S[i, k] = sum_j w_j e^{i k h x[i, j]}, k = 0..K (w = None means all ones).
+
+    Each row takes its full (K + 1, J) exp table, summed over j left to right.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    weights = np.ones(x.shape[1]) if w is None else np.asarray(w, dtype=float)
+    t = np.arange(K + 1) * h
+    return np.array([np.cumsum(np.exp(1j * np.multiply.outer(t, row)) * weights, axis=1)[:, -1]
+                     for row in x]).reshape(len(x), K + 1)
 
 
 def build_fiber_matrix(potential: PotentialSpec, kappa: float, M: int) -> np.ndarray:

@@ -90,6 +90,22 @@ def test_derivative_keeps_the_shape_of_t():
     assert trace_response_derivative(s, phi, 0.7).shape == ()
 
 
+@settings(max_examples=30, deadline=None)
+@given(locs=st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=20,
+                     unique=True),
+       probes=st.lists(st.floats(min_value=-12.0, max_value=12.0), min_size=1, max_size=30))
+def test_each_value_is_the_one_its_point_gets_alone(locs, probes):
+    # F' is evaluated once per distinct |t| and then signed, so a point's bits
+    # must not depend on which other points, or their mirrors, come with it.
+    s = Staircase(locations=tuple(sorted(locs)), weights=(2,) * len(locs))
+    phi = TestFunction(alpha=0.3)
+    t = np.array(probes + [-x for x in probes] + probes[:3] + [0.0, -0.0])
+    got = trace_response_derivative(s, phi, t)
+    alone = np.array([trace_response_derivative(s, phi, t[i : i + 1])[0] for i in range(len(t))])
+    assert got.tobytes() == alone.tobytes()
+    assert np.array_equal(trace_response_derivative(s, phi, -t), -got)
+
+
 def test_refined_roots_match_scalar_bisection():
     spec = spectrum_of([(0.6, 1), (1.1, 2), (2.5, 1), (2.9, 3)])
     phi = TestFunction(alpha=0.25)

@@ -137,3 +137,38 @@ def test_no_module_imports_scipy():
                for node in ast.walk(ast.parse(path.read_text()))
                for name in imported_modules(node) if name.split(".")[0] == "scipy"]
     assert imports == []
+
+
+# The BLAS entry points of numpy: OpenBLAS splits long dot and matrix products
+# across its threads, so their last bits depend on the thread count.
+BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}
+
+
+def blas_sites(tree):
+    """Line numbers of the matrix products and BLAS calls in a module, and of the
+    einsum calls that do not pass optimize=False (einsum may then call tensordot)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in BLAS_CALLS:
+                yield node.lineno
+            elif node.func.attr == "einsum" and not any(
+                    k.arg == "optimize" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in node.keywords):
+                yield node.lineno
+
+
+def test_no_module_calls_blas():
+    # The trace's bits must not depend on the BLAS thread count;
+    # test_trace_is_bitwise_stable_across_blas_threads checks it on three runs.
+    sites = [f"{path.stem}:{line}" for path in SOURCES
+             for line in blas_sites(ast.parse(path.read_text()))]
+    assert sites == []
+
+
+def test_the_blas_check_sees_every_form():
+    code = ("a @ b\na @= b\nnp.dot(a, b)\na.dot(b)\nnp.matmul(a, b)\nnp.tensordot(a, b)\n"
+            "np.inner(a, b)\nnp.vdot(a, b)\nnp.einsum('ij,jk', a, b)\n"
+            "np.einsum('ij,jk', a, b, optimize=True)\nnp.einsum('ij,jk', a, b, optimize=False)\n")
+    assert sorted(blas_sites(ast.parse(code))) == list(range(1, 11))

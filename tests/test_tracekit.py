@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import one_row_shifts, toy_band_structure, trace_grid
-from oracles import (geometric_factor, local_factor, local_factor_grid, sample_row,
+from oracles import (geometric_factor, local_factor, local_factor_grid, phase_sums, sample_row,
                      theta_fiber_whole_array)
 from diracgap.arithmetic import (
     MODES,
@@ -21,7 +21,7 @@ from diracgap.arithmetic import (
     mass_shifts,
     sample_hecke_ensemble,
 )
-from diracgap import tracekit
+from diracgap import expcli, tracekit
 from diracgap.floquet import (
     PotentialSpec,
     QuasiMomentumGrid,
@@ -158,7 +158,7 @@ def test_table_factors_match_direct_references(default_run):
     bands = compute_band_structure(pot, QuasiMomentumGrid(n_nodes=201, period=1.0), 32, 2)
     e_star = 9.856938576832455
     t = np.arange(-6000, 6001) * 0.002
-    geometric = tracekit._geometric_on_grid(bands, e_star, 6000, 0.002)
+    geometric, _ = tracekit._geometric_on_grid(bands, e_star, 6000, 0.002)
     for n in range(bands.n_bands):
         direct = np.array([geometric_factor(bands, e_star, n, tk) for tk in t])
         assert np.abs(geometric[n] - direct).max() <= 1e-13
@@ -171,6 +171,70 @@ def test_table_factors_match_direct_references(default_run):
     assert np.abs(f.a_prod - a_prod).max() <= 1e-13
 
 
+def largest_taylor_half(x, h, K):
+    """The widest segment half-width with |s h (x - mid)| <= TAYLOR_RHO, at most K."""
+    beta = np.abs(x - 0.5 * (x.max(axis=1) + x.min(axis=1))[:, None]).max()
+    return K if beta * h * K <= tracekit.TAYLOR_RHO else int(tracekit.TAYLOR_RHO / (beta * h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 3), J=st.integers(1, 40), K=st.integers(1, 3000),
+       h=st.floats(1e-3, 0.1), centre=st.floats(-1.0, 1.0), spread=st.floats(0.0, 1.0),
+       weighted=st.booleans(), fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(rows=2, J=30, K=3000, h=0.01, centre=0.3, spread=0.0, weighted=False, fraction=1.0,
+         seed=0)  # beta = 0, as in constant_one mode: one segment
+@example(rows=1, J=1, K=2267, h=0.01, centre=-0.5, spread=0.5, weighted=True, fraction=1.0,
+         seed=1)
+@example(rows=3, J=40, K=1, h=0.05, centre=0.9, spread=0.1, weighted=True, fraction=1.0, seed=2)
+@example(rows=1, J=40, K=3000, h=0.01, centre=0.0, spread=1e-310, weighted=False, fraction=1.0,
+         seed=3)  # beta h subnormal
+def test_half_grid_sums_match_the_direct_oracle_on_both_routes(rows, J, K, h, centre, spread,
+                                                               weighted, fraction, seed):
+    # |t x| <= 50: each route rounds its phases at about eps |t x|, so the bound
+    # tests the summation and not the rounding of the phases.
+    rng = np.random.default_rng(seed)
+    x = 25.0 / (K * h) * (centre + spread * rng.uniform(-1.0, 1.0, (rows, J)))
+    w = rng.uniform(0.5, 2.0, J) if weighted else None
+    bound = 1e-13 * (J if w is None else np.abs(w).sum())
+    direct = phase_sums(x, w, h, K)
+    half = int(fraction * largest_taylor_half(x, h, K))
+    assert np.abs(tracekit._taylor_sums(x, w, h, K, half) - direct).max() <= bound
+    assert np.abs(tracekit._table_sums(x, w, h, K) - direct).max() <= bound
+    sums, taylor = tracekit._half_grid_sums(x, w, h, K)
+    assert np.abs(sums - direct).max() <= bound
+    if J == 1:  # the moments cost more than the tables
+        assert not taylor
+
+
+@pytest.mark.parametrize("row, h", [
+    ([0.0] * 40, 0.01),  # beta = 0
+    ([0.0, 5e-324] * 20, 0.01),  # beta subnormal
+    ([1e-200, -1e-200] * 20, 1e-200),  # beta h underflows to 0
+    ([0.0, 1e-300] * 20, 1e-10),  # beta h subnormal
+])
+def test_half_grid_sums_take_one_taylor_segment_when_beta_h_vanishes(row, h):
+    x = np.array([row])
+    sums, taylor = tracekit._half_grid_sums(x, None, h, 3000)
+    assert taylor
+    assert np.abs(sums - phase_sums(x, None, h, 3000)).max() <= 1e-13 * len(row)
+
+
+@pytest.mark.parametrize("config, rows", [
+    # band 0 (rule value 0.57); band 1 (1.27), A_joint and the 8 table primes
+    # at N_H = 20 (1.37) keep the tables
+    ("{}", 1),
+    ('{"N_P": 1000}', 1),
+    # band 0, A_joint and the 9 table primes, whose N_H = 500 rows (0.08)
+    # outweigh the moments
+    ('{"N_H": 500}', 11),
+    # h = 0.0025: bands 0 and 1 (0.13 and 0.29); A_joint and the primes keep the tables
+    ('{"M": 64, "N_kappa": 1001, "n_bands": 16}', 2),
+])
+def test_taylor_route_takes_the_rows_the_rule_predicts_on_the_benchmark_shapes(config, rows):
+    r = expcli.compute_run(expcli.parse_config(config))
+    assert r.trace.taylor_rows == rows
+
+
 @pytest.mark.parametrize("case", ["default", "three-harmonic"])
 def test_folded_geometric_factor_matches_full_grid_oracle(default_run, case):
     if case == "default":
@@ -181,7 +245,7 @@ def test_folded_geometric_factor_matches_full_grid_oracle(default_run, case):
         e_star = select_reference_energy(bands, 0)
     h = default_run.trace.h_t
     K = round(default_run.trace.t_max / h)
-    folded = tracekit._geometric_on_grid(bands, e_star, K, h)
+    folded, _ = tracekit._geometric_on_grid(bands, e_star, K, h)
     # The scalar oracle rounds its phases at about eps |t q|; |t q| <= 700
     # keeps that, summed over the kappa grid, below the 1e-13 bound.
     q = bands.bands - e_star
@@ -190,12 +254,13 @@ def test_folded_geometric_factor_matches_full_grid_oracle(default_run, case):
         for n in range(bands.n_bands):
             assert abs(folded[n, K + k] - geometric_factor(bands, e_star, n, k * h)) <= 1e-13
     # On the whole grid, against the unfolded trapezoid sum from the same
-    # phase tables: only the fold differs between the two.
+    # phase-sum routes (a band's route depends on its half-range, which the
+    # fold keeps): only the fold differs between the two.
     c = np.ones(bands.grid.n_nodes)
     c[0] = c[-1] = 0.5
     scale = 2.0 * np.pi / bands.potential.period / (bands.grid.n_nodes - 1)
     unfolded = tracekit._mirror(
-        scale * np.concatenate([tracekit._half_grid_sums(row[None], c, h, K) for row in q]))
+        scale * np.concatenate([tracekit._half_grid_sums(row[None], c, h, K)[0] for row in q]))
     assert np.abs(folded - unfolded).max() <= 1e-13
 
 
@@ -205,7 +270,7 @@ def test_geometric_factor_requires_bitwise_mirrored_bands():
         with pytest.raises(ValueError, match=r"E_n\(-kappa\) = E_n\(kappa\)"):
             compare_trace_representations(toy_band_structure([row]), 0.0, zero_shifts(2), phi,
                                           4, 0.5)
-    mirrored = tracekit._geometric_on_grid(toy_band_structure([[1.0, 2.0, 1.0]]), 0.0, 4, 0.5)
+    mirrored, _ = tracekit._geometric_on_grid(toy_band_structure([[1.0, 2.0, 1.0]]), 0.0, 4, 0.5)
     assert mirrored[0, 4] == 2.0 * np.pi  # G(0) = 2 pi / L, the folded weights sum to N - 1
 
 
@@ -290,7 +355,7 @@ def test_geometric_factors_conjugate_symmetry(mathieu_bands):
     ens = sample_hecke_ensemble(generate_primes(2), 2, seed=1)
     shifts = mass_shifts(ens, FAM)
     K, h = 500, 0.05
-    geometric = tracekit._geometric_on_grid(mathieu_bands, 9.85, K, h)
+    geometric, _ = tracekit._geometric_on_grid(mathieu_bands, 9.85, K, h)
     factors = arithmetic_factors(shifts, K, h)
     # G_n(-t) = conj(G_n(t)) holds bitwise on the symmetric grid
     assert np.array_equal(geometric[:, ::-1], np.conj(geometric))
@@ -343,13 +408,12 @@ def test_compare_report_fields(default_run):
     assert r.t_max > 0 and r.h_t > 0
 
 
-def table_product(ens, family, h, K):
-    """A_prod on k = 0..K with every prime on the phase tables, in ascending order."""
+def prime_product(ens, family, h, K, sums):
+    """A_prod on k = 0..K with every prime's A_p from sums(x, w, h, K), in ascending order."""
     eta = np.array([family.eta(p, row) for p, row in zip(ens.primes, ens.samples)])
     a = np.ones(K + 1, dtype=complex)
-    for lo in range(0, len(eta), tracekit.PRIME_CHUNK):
-        for a_p in tracekit._half_grid_sums(eta[lo : lo + tracekit.PRIME_CHUNK], None, h, K):
-            a *= a_p / ens.n_modes
+    for a_p in sums(eta, None, h, K):
+        a *= a_p / ens.n_modes
     return a
 
 
@@ -366,7 +430,7 @@ def test_euler_series_matches_the_table_route(n_p, n_h, seed, mode, zero, epsilo
         ens = replace(ens, samples=np.zeros_like(ens.samples))
     family = CoefficientFamily(epsilon)
     f = arithmetic_factors(mass_shifts(ens, family), K, h)
-    assert np.abs(f.a_prod[K:] - table_product(ens, family, h, K)).max() <= 1e-12
+    assert np.abs(f.a_prod[K:] - prime_product(ens, family, h, K, phase_sums)).max() <= 1e-12
     if zero or mode == "constant_one":  # beta_p = 0: every prime takes the series
         assert f.euler_series_primes == n_p and f.euler_series_bound == 0.0
 
@@ -380,7 +444,7 @@ def test_euler_series_is_at_least_as_close_to_mpmath_as_the_tables():
     t = np.arange(-K, K + 1) * h
     f = arithmetic_factors(mass_shifts(ens, FAM), K, h)
     assert f.euler_series_primes == 991
-    table = table_product(ens, FAM, h, K)
+    table = prime_product(ens, FAM, h, K, tracekit._table_sums)
     eta = np.array([FAM.eta(p, row) for p, row in zip(ens.primes, ens.samples)])
     for k in (32, 113, 227):  # t = 3.2, 11.3, 22.7
         tk = mpmath.mpf(float(t[K + k]))
