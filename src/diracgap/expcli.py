@@ -43,7 +43,7 @@ from .floquet import (
     fiber_eigenvalues,
     select_reference_energy,
 )
-from .shift import Staircase, StationaryScan, TestFunction, build_staircase, stationary_scan
+from .shift import Staircase, StationaryScan, TestFunction, stationary_scan
 
 VERSION = "0.1.0"
 
@@ -248,11 +248,10 @@ class RunResult:
 
 
 def _scan_grid(staircase: Staircase, alpha: float) -> np.ndarray:
-    hi = max(staircase.locations, default=0.0) + 5.0 * alpha
-    step = alpha / 8.0
-    half = min(int(math.ceil(hi / step)), 10000)
-    k = np.arange(-half, half + 1)
-    return k * (hi / half)
+    """Uniform t grid over +-(lambda_max + 5 alpha), step at most alpha / 8, at most 20,001 points."""
+    hi = float(staircase.locations.max(initial=0.0)) + 5.0 * alpha
+    half = min(int(math.ceil(hi / (alpha / 8.0))), 10000)
+    return np.arange(-half, half + 1) * (hi / half)
 
 
 def compute_run(cfg: ExperimentConfig) -> RunResult:
@@ -276,7 +275,7 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
     band_set = gapspec.dirac_band_set(bands, e_star)
     gap_values = gapspec.fiber_gap_eigenvalues(bands, e_star, shifts, band_set)
     spectrum = gapspec.aggregate_spectrum(gap_values)
-    staircase = build_staircase(spectrum)
+    staircase = Staircase(spectrum.positive_values, spectrum.multiplicities)  # shares the arrays
 
     phi = TestFunction(alpha=cfg.alpha)
     trace = tracekit.compare_trace_representations(bands, e_star, shifts, phi, K, h)
@@ -285,9 +284,8 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
     norm_report = matmodel.norm_bound_checks(family, primes, shifts)
 
     zeros = zeta.load_zero_table()
-    diag = zeta.diagnostics(spectrum.positive_values, spectrum.multiplicities, zeros,
-                            cfg.K, cfg.T)
-    scan = stationary_scan(spectrum, phi, _scan_grid(staircase, cfg.alpha))
+    diag = zeta.diagnostics(staircase.locations, staircase.weights, zeros, cfg.K, cfg.T)
+    scan = stationary_scan(staircase, phi, _scan_grid(staircase, cfg.alpha))
 
     checks = _consistency_checks(cfg, bands, trace, gap_jumps, norm_report, diag)
     return RunResult(
@@ -392,8 +390,8 @@ def _json(obj):
 
 def _svg(result: RunResult):
     """A writer of the aligned staircase SVG, rendered when it runs."""
-    return lambda path: path.write_text(
-        render_svg(result.staircase, result.zeros, result.affine, result.config.T))
+    d = result.diagnostics
+    return lambda path: path.write_text(render_svg(d.model, d.zero, d.affine, d.T))
 
 
 def _band_writers(bands: BandStructure) -> dict:
@@ -410,14 +408,9 @@ def _band_writers(bands: BandStructure) -> dict:
     }
 
 
-def render_svg(
-    staircase: Staircase, zeros: zeta.ZeroTable, affine: zeta.AffineMap, T: float
-) -> str:
-    """Deterministic SVG of the two aligned odd staircases on [-T, T]."""
+def render_svg(model: Staircase, zero: Staircase, affine: zeta.AffineMap, T: float) -> str:
+    """Deterministic SVG of the mapped model and zero staircases on [-T, T]."""
     width, height, pad = 900.0, 480.0, 45.0
-
-    model = zeta.mapped_staircase(affine(staircase.jump_array), staircase.weights)
-    zero = zeta.zero_staircase(zeros)
     y_max = max(int(model(T)), int(zero(T)), 1)
 
     def x_pix(x):
@@ -428,7 +421,7 @@ def render_svg(
 
     def step_path(s: Staircase) -> str:
         """(-T, xi(-T)), then the values before and after each jump in (-T, T), then (T, xi(T))."""
-        jumps = s.jump_array
+        jumps = s.locations
         b = np.unique(np.concatenate([-jumps[jumps < T], jumps[jumps < T]]))
         before = s(np.where(b < 0, b, np.nextafter(b, -np.inf)))
         after = s(np.where(b > 0, b, np.nextafter(b, np.inf)))
@@ -459,11 +452,19 @@ def render_svg(
     return "\n".join(parts) + "\n"
 
 
+def _staircase_rows(s: Staircase):
+    """staircase.csv: xi before and after each jump, from -lambda_max up to lambda_max.
+
+    Each location is formatted once; the negative side prefixes "-" (locations are positive).
+    """
+    x, h = [f"{v:.17g}" for v in s.locations.tolist()], s.heights.tolist()
+    yield from (f"-{x[k]},{-h[k + i]}" for k in reversed(range(len(x))) for i in (1, 0))
+    yield from (f"{x[k]},{h[k + i]}" for k in range(len(x)) for i in (0, 1))
+
+
 def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
     """Write the full artifact set, manifest last; on any failure remove what was written."""
-    cum = result.staircase.heights.tolist()
-    # staircase.csv: two points per jump (before, after), from -lambda_max up to lambda_max
-    steps = [(x, c) for k, x in enumerate(result.staircase.locations) for c in (cum[k], cum[k + 1])]
+    h = result.staircase.heights.tolist()  # group k's fibers are spectrum.fibers[h[k - 1]:h[k]]
     writers = _band_writers(result.bands) | {
         "ensemble.csv": _csv("p,m,lambda", (
             f"{prime},{m},{x:.17g}"
@@ -474,15 +475,15 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
             f"{m},{v:.17g}" for m, v in enumerate(result.shifts.values.tolist(), start=1)
         )),
         "spectrum.csv": _csv("k,lambda_k,multiplicity", (
-            f"{k},{lam:.17g},{mult}" for k, (lam, mult) in enumerate(
-                zip(result.spectrum.positive_values, result.spectrum.multiplicities), start=1)
+            f"{k},{lam:.17g},{mult}" for k, (lam, mult) in enumerate(zip(
+                result.spectrum.positive_values.tolist(), result.spectrum.multiplicities.tolist()),
+                start=1)
         )),
         "spectrum_fibers.csv": _csv("k,n,j,m", (
-            f"{k},{n},{j},{m}" for k, fibers in enumerate(result.spectrum.provenance, start=1)
-            for (n, j, m) in fibers
+            f"{k},{n},{j},{m}" for k, (a, b) in enumerate(zip(h, h[1:]), start=1)
+            for n, j, m in result.spectrum.fibers[a:b].tolist()
         )),
-        "staircase.csv": _csv("lambda,xi", [f"{-x:.17g},{-c}" for x, c in reversed(steps)]
-                              + [f"{x:.17g},{c}" for x, c in steps]),
+        "staircase.csv": _csv("lambda,xi", _staircase_rows(result.staircase)),
         "stationary.csv": _csv("t_root,kind", (
             f"{r:.17g},{k}" for r, k in zip(result.scan.roots, result.scan.kinds)
         )),

@@ -10,7 +10,8 @@ symmetric band set by more than a membership margin.  Values are filtered
 against the full chiral band set (bands and their negations), not just the
 gap containing E*, since that set is the essential spectrum of the doubled
 operator.  Positive survivors are grouped into a multiplicity-weighted gap
-spectrum; the full spectrum is its symmetric closure {+-lambda_k}.
+spectrum of three arrays, the first two shared by the spectral-shift
+staircase; the full spectrum is its symmetric closure {+-lambda_k}.
 """
 
 from __future__ import annotations
@@ -57,18 +58,19 @@ class GapValues:
         return 2 * len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapSpectrum:
-    """Sorted positive gap eigenvalues with multiplicities and provenance.
+    """Sorted positive gap eigenvalues with multiplicities and their fibers.
 
-    positive_values[k] carries multiplicity multiplicities[k]; provenance[k]
-    lists the (n, j, m) fibers grouped into it.  The physical spectrum is the
-    symmetric closure {+-lambda_k}.
+    positive_values[k] (float64, ascending) carries multiplicity
+    multiplicities[k] (int64).  fibers holds the (n, j, m) fibers, one row
+    each, in group order: group k is fibers[h[k]:h[k + 1]], h the heights
+    [0, cumsum(multiplicities)] of the staircase built on these arrays.
     """
 
-    positive_values: tuple[float, ...]
-    multiplicities: tuple[int, ...]
-    provenance: tuple[tuple[tuple[int, int, int], ...], ...] = field(repr=False)
+    positive_values: np.ndarray
+    multiplicities: np.ndarray
+    fibers: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.positive_values)
@@ -156,11 +158,10 @@ def aggregate_spectrum(gap_values: GapValues) -> GapSpectrum:
     keep = rounded > 0.0
     lam, fib = rounded[keep], gap_values.fibers[keep]
     order = np.lexsort((fib[:, 2], fib[:, 1], fib[:, 0], lam))
-    lam, fibers = lam[order], [tuple(f) for f in fib[order].tolist()]
+    lam = lam[order]
     starts = np.flatnonzero(np.concatenate([[True], np.diff(lam) > GROUPING_TOLERANCE])[: lam.size])
-    bounds = starts.tolist() + [lam.size]
     return GapSpectrum(
-        positive_values=tuple(lam[starts].tolist()),
-        multiplicities=tuple(np.diff(bounds).tolist()),
-        provenance=tuple(tuple(fibers[a:b]) for a, b in zip(bounds, bounds[1:])),
+        positive_values=lam[starts],
+        multiplicities=np.diff(np.append(starts, lam.size)),
+        fibers=fib[order],
     )

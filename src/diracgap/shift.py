@@ -6,10 +6,12 @@ from the positive gap eigenvalues lambda_k with integer weights m_k:
     xi(lambda) = sum_{lambda_k <= lambda} m_k    for lambda > 0,
     xi(0) = 0,    xi(-lambda) = -xi(lambda).
 
-`Staircase` is its one evaluator: a vectorised search for |lambda| among the
-jumps, then the sign of lambda, in integer arithmetic, so oddness holds
-exactly.  The mapped model staircase of the zero alignment is a Staircase
-too.
+`Staircase` is its one representation and its one evaluator: jump arrays,
+then a vectorised search for |lambda| among the jumps and the sign of
+lambda, in integer arithmetic, so oddness holds exactly.  A run builds its
+staircase once, on the gap spectrum's own arrays, and the stationary scan
+takes it as built.  The mapped model and zero staircases of the zero
+alignment are Staircases too.
 
 The stationary scan evaluates the translated-trace response
 
@@ -28,8 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .gapspec import GapSpectrum
 
 BISECTION_TOLERANCE = 1e-10
 NOISE_FLOOR = 1e-12  # relative to max|F'| on the scan grid
@@ -60,44 +60,40 @@ class TestFunction:
         return a * math.sqrt(math.pi) * np.exp(-(a * a) * (t * t) / 4.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Staircase:
     """Odd right-continuous step function stored by its positive jumps.
 
-    Calling it evaluates xi elementwise: the height after the jumps at or
-    below |x|, negated for x < 0, so xi(-x) = -xi(x) and xi(0) = 0 exactly.
+    locations (float64, strictly positive, ascending) and weights (int64,
+    positive) are arrays; arrays of those dtypes are kept without a copy, so
+    the run's staircase shares the gap spectrum's.  Calling it evaluates xi
+    elementwise: the height after the jumps at or below |x|, negated for
+    x < 0, so xi(-x) = -xi(x) and xi(0) = 0 exactly.
     """
 
-    locations: tuple[float, ...]
-    weights: tuple[int, ...]
-    heights: np.ndarray = field(init=False, repr=False, compare=False)  # xi after 0, 1, ... jumps
-    # locations and weights as float arrays, for the vectorised evaluators
-    jump_array: np.ndarray = field(init=False, repr=False, compare=False)
-    weight_array: np.ndarray = field(init=False, repr=False, compare=False)
+    locations: np.ndarray
+    weights: np.ndarray
+    heights: np.ndarray = field(init=False, repr=False)  # xi after 0, 1, ... jumps
 
     def __post_init__(self):
-        if len(self.locations) != len(self.weights):
-            raise ValueError("locations and weights must have equal length")
-        if any(x <= 0.0 for x in self.locations):
+        x = np.asarray(self.locations, dtype=float)
+        w = np.asarray(self.weights, dtype=np.int64)
+        if x.shape != w.shape or x.ndim != 1:
+            raise ValueError("locations and weights must be 1-d and of equal length")
+        if not np.all(x > 0.0):
             raise ValueError("jump locations must be strictly positive")
-        if list(self.locations) != sorted(self.locations):
+        if np.any(x[1:] < x[:-1]):
             raise ValueError("jump locations must be ascending")
-        if any(w <= 0 for w in self.weights):
+        if not np.all(w > 0):
             raise ValueError("jump weights must be positive integers")
-        heights = np.concatenate([[0], np.cumsum(np.array(self.weights, dtype=np.int64))])
-        object.__setattr__(self, "heights", heights)
-        object.__setattr__(self, "jump_array", np.array(self.locations, dtype=float))
-        object.__setattr__(self, "weight_array", np.array(self.weights, dtype=float))
+        object.__setattr__(self, "locations", x)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "heights", np.concatenate([[0], np.cumsum(w)]))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        value = self.heights[np.searchsorted(self.jump_array, np.abs(x), side="right")]
+        value = self.heights[np.searchsorted(self.locations, np.abs(x), side="right")]
         return np.where(x < 0.0, -value, value)
-
-
-def build_staircase(spectrum: GapSpectrum) -> Staircase:
-    """Staircase with jump +m_k at +lambda_k; the negative side is implied."""
-    return Staircase(locations=spectrum.positive_values, weights=spectrum.multiplicities)
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,7 @@ def trace_response_derivative(s: Staircase, phi: TestFunction, t):
     """
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
-    lam, w = s.jump_array, s.weight_array
+    lam, w = s.locations, s.weights
     reach = WINDOW_ALPHAS * phi.alpha
     lo = np.searchsorted(lam, np.abs(flat) - reach, side="left")
     count = np.searchsorted(lam, np.abs(flat) + reach, side="right") - lo
@@ -145,7 +141,7 @@ def trace_response_derivative(s: Staircase, phi: TestFunction, t):
     return out.reshape(t.shape)
 
 
-def stationary_scan(spectrum: GapSpectrum, phi: TestFunction, t_grid: np.ndarray) -> StationaryScan:
+def stationary_scan(s: Staircase, phi: TestFunction, t_grid: np.ndarray) -> StationaryScan:
     """Locate stationary points of the translated trace on a uniform grid.
 
     Grid values of F' at or below NOISE_FLOOR * max|F'| count as zero.  Sign
@@ -155,12 +151,11 @@ def stationary_scan(spectrum: GapSpectrum, phi: TestFunction, t_grid: np.ndarray
     jump), counted in a warning.  A grid too coarse to separate adjacent jump
     locations is flagged in the warnings rather than rejected.
     """
-    s = build_staircase(spectrum)
     t = np.asarray(t_grid, dtype=float)
-    if not s.locations:
+    if not len(s.locations):
         return StationaryScan(roots=(), kinds=(), warnings=())
     warnings: list[str] = []
-    lam = s.jump_array
+    lam = s.locations
     spacing = min(2.0 * float(lam[0]), float(np.diff(lam).min(initial=math.inf)))
     step = float(t[1] - t[0]) if len(t) > 1 else math.inf
     if step > spacing / 2.0:

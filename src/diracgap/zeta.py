@@ -9,17 +9,17 @@ with a documented fallback when the unconstrained slope is not positive.
 The staircase mismatch E_step(T) is the time-averaged L1 distance between
 two odd integer staircases on [-T, T]: the mapped model staircase (jumps at
 +-(a lambda_k + b) with weights m_k) and the signed zero staircase (unit
-jumps at +-gamma_k), both `shift.Staircase`s.  The integrand is piecewise
-constant, so the integral is evaluated exactly by a breakpoint sweep.  Both
-staircases are exactly odd in floating point, so the integrand is exactly
-even and one half is swept.
+jumps at +-gamma_k), `shift.Staircase`s that `diagnostics` builds once and
+keeps for the SVG.  The integrand is piecewise constant, so the integral is
+evaluated exactly by a breakpoint sweep.  Both staircases are exactly odd in
+floating point, so the integrand is exactly even and one half is swept.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,7 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Per-zero deviations and staircase mismatch for one configuration."""
+    """Per-zero deviations, and the two staircases with their mismatch E_step."""
 
     K: int
     deviations: tuple[float, ...]
@@ -66,6 +66,8 @@ class DiagnosticsReport:
     e_step: float
     T: float
     affine: AffineMap
+    model: Staircase = field(repr=False)
+    zero: Staircase = field(repr=False)
     flags: tuple[str, ...] = ()
 
 
@@ -78,6 +80,8 @@ def _parse_zero_rows(lines) -> ZeroTable:
         raise ValueError("zero table is empty")
     if not GAMMA1_GATE[0] < vals[0] < GAMMA1_GATE[1]:
         raise ValueError(f"zero table failed the gamma_1 gate {GAMMA1_GATE}: got {vals[0]}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError("zero table holds a non-finite ordinate")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValueError("zero table is not strictly ascending")
     return ZeroTable(ordinates=vals)
@@ -142,26 +146,23 @@ def mapped_staircase(mapped_locations, multiplicities) -> Staircase:
     keep = v != 0.0
     v, w = np.abs(v[keep]), np.asarray(multiplicities, dtype=np.int64)[keep]
     order = np.lexsort((w, v))
-    return Staircase(locations=tuple(v[order].tolist()), weights=tuple(w[order].tolist()))
+    return Staircase(locations=v[order], weights=w[order])
 
 
 def zero_staircase(zeros: ZeroTable) -> Staircase:
     """The signed zero staircase: unit jumps at the ordinates."""
-    return Staircase(locations=zeros.ordinates, weights=(1,) * len(zeros))
+    return Staircase(locations=zeros.ordinates, weights=np.ones(len(zeros), dtype=np.int64))
 
 
-def staircase_mismatch(mapped_locations, multiplicities, zeros: ZeroTable, T: float) -> float:
+def staircase_mismatch(model: Staircase, zero: Staircase, T: float) -> float:
     """Exact (1/2T) integral of |xi_model - xi_zero| over [-T, T].
 
-    xi_model is the mapped_staircase of the arguments.  The integrand is
-    exactly even, so this is (1/T) times the integral over [0, T], summed left
-    to right over the breakpoint intervals.
+    The integrand is exactly even, so this is (1/T) times the integral over
+    [0, T], summed left to right over the breakpoint intervals.
     """
     if not T > 0.0:
         raise ValueError(f"T must be positive, got {T}")
-    model = mapped_staircase(mapped_locations, multiplicities)
-    zero = zero_staircase(zeros)
-    jumps = np.array(model.locations + zero.locations)
+    jumps = np.concatenate([model.locations, zero.locations])
     points = np.unique(np.concatenate([[0.0, T], jumps[jumps < T]]))
     widths = np.diff(points)
     mid = 0.5 * (points[:-1] + points[1:])
@@ -180,11 +181,10 @@ def diagnostics(lambdas, multiplicities, zeros: ZeroTable, K: int, T: float) -> 
     short = len(lam) < K
     affine = AffineMap(a=1.0, b=0.0, flagged=True) if short else fit_affine(lam, zeros, K)
     deltas = () if short else tuple(float(affine(lam[k]) - zeros.ordinates[k]) for k in range(K))
-    e_step = staircase_mismatch(affine(lam), multiplicities, zeros, T)
-    if short:
-        flags = ("insufficient-spectrum",)
-    else:
-        flags = ("affine-fallback",) if affine.flagged else ()
+    model, zero = mapped_staircase(affine(lam), multiplicities), zero_staircase(zeros)
+    e_step = staircase_mismatch(model, zero, T)
+    flags = (("insufficient-spectrum",) if short
+             else ("affine-fallback",) if affine.flagged else ())
     return DiagnosticsReport(
         K=len(deltas),
         deviations=deltas,
@@ -193,5 +193,7 @@ def diagnostics(lambdas, multiplicities, zeros: ZeroTable, K: int, T: float) -> 
         e_step=e_step,
         T=T,
         affine=affine,
+        model=model,
+        zero=zero,
         flags=flags,
     )

@@ -11,6 +11,8 @@ from diracgap.floquet import (
     QuasiMomentumGrid,
     compute_band_structure,
 )
+from diracgap.gapspec import GapSpectrum
+from diracgap.shift import Staircase
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +33,19 @@ def one_row_shifts(values):
     """Mode shifts carried by a single eta row."""
     values = np.asarray(values, dtype=float)
     return MassShifts(values=values, terms=values[None])
+
+
+def staircase_of(pairs):
+    """The staircase a run builds on a hand-built gap spectrum of (lambda_k, m_k) pairs.
+
+    Every group's fibers are m_k rows (0, 0, 1): group k is fibers[h[k]:h[k + 1]].
+    """
+    spec = GapSpectrum(
+        positive_values=np.array([v for v, _ in pairs], dtype=float),
+        multiplicities=np.array([m for _, m in pairs], dtype=np.int64),
+        fibers=np.tile([0, 0, 1], (sum(m for _, m in pairs), 1)),
+    )
+    return Staircase(spec.positive_values, spec.multiplicities)
 
 
 def trace_grid(bands, e_star, shifts, alpha):

@@ -131,7 +131,7 @@ def two_half_mismatch(mapped_locations, multiplicities, zeros: ZeroTable, T: flo
     """(E_step, positive half, negative half): both halves swept at mirrored midpoints."""
     model = mapped_staircase(mapped_locations, multiplicities)
     zero = zero_staircase(zeros)
-    jumps = np.array(model.locations + zero.locations)
+    jumps = np.concatenate([model.locations, zero.locations])
     points = np.unique(np.concatenate([[0.0, T], jumps[jumps < T]]))
     widths = np.diff(points)
     mid = 0.5 * (points[:-1] + points[1:])

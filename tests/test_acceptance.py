@@ -21,15 +21,14 @@ from diracgap.floquet import (
     compute_band_structure,
     fiber_eigenvalues,
 )
-from diracgap.gapspec import MEMBERSHIP_MARGIN, GapSpectrum, dirac_band_set
+from diracgap.gapspec import MEMBERSHIP_MARGIN, dirac_band_set
 from diracgap.matmodel import norm_bound_checks
 from diracgap.shift import (
     TestFunction,
-    build_staircase,
     stationary_scan,
     trace_response_derivative,
 )
-from conftest import trace_grid
+from conftest import staircase_of, trace_grid
 from oracles import block_entries, dense_block_model, subsample_entries, two_half_mismatch
 from diracgap.tracekit import arithmetic_factors, compare_trace_representations
 from diracgap.zeta import fit_affine
@@ -211,12 +210,11 @@ def test_c09_staircase_oddness_and_estep_symmetry(default_run):
 
 
 def test_c10_stationary_scan():
-    spec = GapSpectrum(positive_values=(1.0,), multiplicities=(1,), provenance=(((0, 0, 1),),))
+    s = staircase_of([(1.0, 1)])
     phi = TestFunction(alpha=0.2)
-    s = build_staircase(spec)
     d0 = abs(float(trace_response_derivative(s, phi, 0.0)))
     assert d0 <= 1e-12
-    scan = stationary_scan(spec, phi, np.arange(-200, 201) * 0.01)
+    scan = stationary_scan(s, phi, np.arange(-200, 201) * 0.01)
     maxima = sorted(r for r, k in zip(scan.roots, scan.kinds) if k == "max")
     assert len(maxima) == 2
     assert abs(maxima[0] + 1.0) < 0.02

@@ -24,7 +24,7 @@ from diracgap.expcli import (
     serialize_config,
 )
 from diracgap.shift import Staircase
-from diracgap.zeta import AffineMap, ZeroTable, load_zero_table
+from diracgap.zeta import AffineMap, ZeroTable, load_zero_table, zero_staircase
 
 REDUCED = '{"M": 8, "N_kappa": 41, "n_bands": 4, "N_P": 5, "N_H": 5, "K": 5, "T": 40.0}'
 ARTIFACTS = (
@@ -267,15 +267,17 @@ def test_small_constant_mass_shifts_unperturbed_positions():
     mass = float(result.shifts.values[0])
     assert 0 < mass < 0.01
     # jump locations are exactly |E - E* + mass| for the surviving fibers
-    for lam, fibers in zip(result.spectrum.positive_values, result.spectrum.provenance):
-        n, j, m = fibers[0]
+    h = result.staircase.heights
+    for k, lam in enumerate(result.spectrum.positive_values):
+        n, j, m = result.spectrum.fibers[h[k]:h[k + 1]][0]
         v = result.bands.bands[n, j] - result.e_star + mass
         assert abs(lam - abs(v)) < 1e-10
 
 
 def test_svg_empty_staircase():
     zeros = load_zero_table("embedded")
-    svg = render_svg(Staircase(locations=(), weights=()), zeros, AffineMap(1.0, 0.0), 80.0)
+    svg = render_svg(Staircase(locations=(), weights=()), zero_staircase(zeros),
+                     AffineMap(1.0, 0.0), 80.0)
     assert svg.count("<polyline") == 2
     assert "svg" in svg and "zero staircase" in svg
 
@@ -283,7 +285,7 @@ def test_svg_empty_staircase():
 def test_svg_identical_jump_sets_overlap():
     zeros = ZeroTable(ordinates=(14.0, 21.0, 25.0))
     model = Staircase(locations=(14.0, 21.0, 25.0), weights=(1, 1, 1))
-    svg = render_svg(model, zeros, AffineMap(1.0, 0.0), 30.0)
+    svg = render_svg(model, zero_staircase(zeros), AffineMap(1.0, 0.0), 30.0)
     points = [ln.split('points="')[1].split('"')[0]
               for ln in svg.splitlines() if "polyline" in ln]
     assert len(points) == 2
@@ -291,10 +293,24 @@ def test_svg_identical_jump_sets_overlap():
 
 
 def test_svg_deterministic(reduced_run):
-    zeros = reduced_run.zeros
-    one = render_svg(reduced_run.staircase, zeros, reduced_run.affine, 40.0)
-    two = render_svg(reduced_run.staircase, zeros, reduced_run.affine, 40.0)
-    assert one == two
+    d = reduced_run.diagnostics
+    assert render_svg(d.model, d.zero, d.affine, 40.0) == render_svg(d.model, d.zero, d.affine, 40.0)
+
+
+def test_a_run_builds_three_staircases(tmp_path, monkeypatch):
+    # The run's staircase, then the mapped model and zero staircases of the
+    # diagnostics; the scan, E_step and the SVG reuse them instead of rebuilding.
+    built = []
+    post_init = Staircase.__post_init__
+    monkeypatch.setattr(Staircase, "__post_init__", lambda s: built.append(s) or post_init(s))
+    result = compute_run(parse_config(REDUCED))
+    expcli.write_artifacts(result, tmp_path)
+    assert len(built) == 3
+    assert built[0] is result.staircase
+    assert built[1] is result.diagnostics.model and built[2] is result.diagnostics.zero
+    # the run's staircase holds the gap spectrum's arrays, not copies
+    assert result.staircase.locations is result.spectrum.positive_values
+    assert result.staircase.weights is result.spectrum.multiplicities
 
 
 def test_cli_bands_and_run(tmp_path):

@@ -71,6 +71,13 @@ def fiber_tuples(gap_values):
     return [tuple(f) for f in gap_values.fibers.tolist()]
 
 
+def spectrum_tuples(spec):
+    """(values, multiplicities, groups) as tuples; group k is fibers[h[k]:h[k + 1]]."""
+    h = np.concatenate([[0], np.cumsum(spec.multiplicities)]).tolist()
+    groups = tuple(tuple(map(tuple, spec.fibers[a:b].tolist())) for a, b in zip(h, h[1:]))
+    return tuple(spec.positive_values.tolist()), tuple(spec.multiplicities.tolist()), groups
+
+
 def test_toy_band_set():
     bs = dirac_band_set(TOY, 1.5)
     assert bs.intervals == ((-1.5, -0.5), (0.5, 1.5))
@@ -136,17 +143,18 @@ def test_aggregate_trivial_cases():
     got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.6]), band_set)
     one = GapValues(values=got.values[:1], fibers=got.fibers[:1])  # single fiber's +-0.1
     spec = aggregate_spectrum(one)
-    assert spec.positive_values == (0.1,)
-    assert spec.multiplicities == (1,)
+    assert spectrum_tuples(spec) == ((0.1,), (1,), ((tuple(one.fibers[0].tolist()),),))
 
     # two fibers at exactly the same value group with multiplicity 2
     two = GapValues(values=np.tile(one.values, 2), fibers=np.tile(one.fibers, (2, 1)))
     spec2 = aggregate_spectrum(two)
-    assert spec2.positive_values == (0.1,)
-    assert spec2.multiplicities == (2,)
+    assert spectrum_tuples(spec2)[:2] == ((0.1,), (2,))
+    assert spec2.fibers.tolist() == np.tile(one.fibers, (2, 1)).tolist()
 
-    empty = GapValues(values=np.empty(0), fibers=np.empty((0, 3), dtype=np.int64))
-    assert aggregate_spectrum(empty).positive_values == ()
+    empty = aggregate_spectrum(
+        GapValues(values=np.empty(0), fibers=np.empty((0, 3), dtype=np.int64)))
+    assert spectrum_tuples(empty) == ((), (), ())
+    assert empty.fibers.shape == (0, 3)
 
 
 def test_aggregate_chains_at_the_tolerance_and_breaks_ties_by_fiber():
@@ -154,12 +162,12 @@ def test_aggregate_chains_at_the_tolerance_and_breaks_ties_by_fiber():
     fibers = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 0, 1)]
     got = GapValues(values=np.array([2e-9, 1e-9, 3.5e-9, -1e-9]), fibers=np.array(fibers))
     spec = aggregate_spectrum(got)
-    assert spec.positive_values == (1e-9, 3.5e-9)
-    assert spec.multiplicities == (3, 1)
-    assert spec.provenance == (((0, 0, 1), (0, 1, 1), (0, 0, 2)), ((1, 0, 1),))
+    assert spectrum_tuples(spec) == (
+        (1e-9, 3.5e-9), (3, 1), (((0, 0, 1), (0, 1, 1), (0, 0, 2)), ((1, 0, 1),)))
+    assert (spec.positive_values.dtype, spec.multiplicities.dtype) == (np.float64, np.int64)
+    assert spec.fibers.shape == (4, 3)
     pairs = [(s * v, f) for v, f in zip(got.values.tolist(), fibers) for s in (1, -1)]
-    assert brute_force_spectrum(pairs) == (
-        spec.positive_values, spec.multiplicities, spec.provenance)
+    assert brute_force_spectrum(pairs) == spectrum_tuples(spec)
 
 
 def test_golden_configuration_against_brute_force(default_run):
@@ -202,8 +210,8 @@ def test_permutation_invariance_of_spectrum(default_run):
     shifts = mass_shifts(permuted, FAM)
     vals = fiber_gap_eigenvalues(r.bands, r.e_star, shifts, dirac_band_set(r.bands, r.e_star))
     spec = aggregate_spectrum(vals)
-    assert spec.positive_values == r.spectrum.positive_values
-    assert spec.multiplicities == r.spectrum.multiplicities
+    assert spec.positive_values.tolist() == r.spectrum.positive_values.tolist()
+    assert spec.multiplicities.tolist() == r.spectrum.multiplicities.tolist()
 
 
 def test_monotone_response_to_pointwise_larger_samples(default_run):
@@ -259,4 +267,4 @@ def test_array_path_matches_brute_force(problem):
     assert got.values.tolist() == [v for v, _ in brute[::2]]
     assert fiber_tuples(got) == [f for _, f in brute[::2]]
     spec = aggregate_spectrum(got)
-    assert (spec.positive_values, spec.multiplicities, spec.provenance) == brute_force_spectrum(brute)
+    assert spectrum_tuples(spec) == brute_force_spectrum(brute)

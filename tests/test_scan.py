@@ -10,25 +10,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracgap.gapspec import GapSpectrum
+from conftest import staircase_of
 from diracgap.shift import (
     BISECTION_TOLERANCE,
     NOISE_FLOOR,
     Staircase,
     TestFunction,
-    build_staircase,
     stationary_scan,
     trace_response_derivative,
 )
 from oracles import trace_response
-
-
-def spectrum_of(pairs):
-    return GapSpectrum(
-        positive_values=tuple(v for v, _ in pairs),
-        multiplicities=tuple(m for _, m in pairs),
-        provenance=tuple(((0, 0, 1),) * m for _, m in pairs),
-    )
 
 
 def direct_derivative(s, phi, t):
@@ -107,11 +98,10 @@ def test_each_value_is_the_one_its_point_gets_alone(locs, probes):
 
 
 def test_refined_roots_match_scalar_bisection():
-    spec = spectrum_of([(0.6, 1), (1.1, 2), (2.5, 1), (2.9, 3)])
+    s = staircase_of([(0.6, 1), (1.1, 2), (2.5, 1), (2.9, 3)])
     phi = TestFunction(alpha=0.25)
-    s = build_staircase(spec)
     t = np.arange(-400, 401) * 0.01
-    scan = stationary_scan(spec, phi, t)
+    scan = stationary_scan(s, phi, t)
     d = direct_derivative(s, phi, t)
     floor = NOISE_FLOOR * np.abs(d).max()
     expected = [0.0]  # the isolated zero F'(0) = 0
@@ -139,20 +129,20 @@ def test_default_run_reports_only_roots_above_the_floor(default_run):
 def test_noise_level_minimum_between_separated_jumps_is_not_reported():
     # Between jumps 12 alpha apart F dips to ~1e-16 of its peak; F' there is
     # nonzero (both jumps lie inside the 8 alpha window) but below the floor.
-    spec = spectrum_of([(1.0, 1), (7.0, 1)])
+    s = staircase_of([(1.0, 1), (7.0, 1)])
     phi = TestFunction(alpha=0.5)
     t = np.arange(-900, 901) * 0.01
-    scan = stationary_scan(spec, phi, t)
+    scan = stationary_scan(s, phi, t)
     assert not [r for r in scan.roots if 2.0 < abs(r) < 6.0]
     assert sorted(np.round(np.abs(scan.roots), 2)) == [0.0, 1.0, 1.0, 7.0, 7.0]
     assert any("flat runs" in w for w in scan.warnings)
 
 
 def test_far_outlier_leaves_the_empty_stretch_without_roots():
-    spec = spectrum_of([(0.3, 1), (0.31, 1), (600.0, 1)])
+    s = staircase_of([(0.3, 1), (0.31, 1), (600.0, 1)])
     phi = TestFunction(alpha=0.5)
     t = np.arange(-9700, 9701) * 0.0625
-    scan = stationary_scan(spec, phi, t)
+    scan = stationary_scan(s, phi, t)
     assert scan.roots
     assert all(abs(r) < 1.0 or abs(abs(r) - 600.0) < 1.0 for r in scan.roots)
     maxima = [r for r, k in zip(scan.roots, scan.kinds) if k == "max"]

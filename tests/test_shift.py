@@ -3,27 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracgap.gapspec import GapSpectrum
+from conftest import staircase_of
 from diracgap.shift import (
     Staircase,
     TestFunction,
-    build_staircase,
     stationary_scan,
     trace_response_derivative,
 )
 from oracles import trace_response
 
 
-def spectrum_of(pairs):
-    return GapSpectrum(
-        positive_values=tuple(v for v, _ in pairs),
-        multiplicities=tuple(m for _, m in pairs),
-        provenance=tuple(((0, 0, 1),) * m for _, m in pairs),
-    )
-
-
 def test_empty_staircase_is_zero():
-    s = build_staircase(spectrum_of([]))
+    s = staircase_of([])
     for x in (-5.0, -0.1, 0.0, 0.1, 5.0):
         assert s(x) == 0
 
@@ -47,6 +38,12 @@ def test_staircase_validation():
         Staircase(locations=(0.2, 0.1), weights=(1, 1))
     with pytest.raises(ValueError):
         Staircase(locations=(0.1,), weights=(0,))
+    with pytest.raises(ValueError):
+        Staircase(locations=(0.1, np.nan), weights=(1, 1))
+    with pytest.raises(ValueError):
+        Staircase(locations=(0.1, 0.2), weights=(1,))
+    with pytest.raises(ValueError):
+        Staircase(locations=np.ones((1, 1)), weights=np.ones((1, 1), dtype=np.int64))
 
 
 def test_golden_staircase_matches_cumulative_recount(default_run):
@@ -74,21 +71,21 @@ def test_oddness_is_exact(locs, weights, probes):
 
 
 def test_scan_zero_is_always_stationary():
-    spec = spectrum_of([(1.0, 1)])
+    s = staircase_of([(1.0, 1)])
     phi = TestFunction(alpha=0.2)
     t = np.arange(-200, 201) * 0.01
-    assert float(trace_response_derivative(build_staircase(spec), phi, 0.0)) == 0.0
-    scan = stationary_scan(spec, phi, t)
+    assert float(trace_response_derivative(s, phi, 0.0)) == 0.0
+    scan = stationary_scan(s, phi, t)
     assert any(r == 0.0 for r in scan.roots)
 
 
 def test_scan_localizes_isolated_pair():
     # lambda = 1.0 >= 5 alpha: extrema within alpha/10 of +-1, and within
     # the 0.02 gate; the cross term phi'(2 lambda) displaces them slightly.
-    spec = spectrum_of([(1.0, 1)])
+    s = staircase_of([(1.0, 1)])
     phi = TestFunction(alpha=0.2)
     t = np.arange(-200, 201) * 0.01
-    scan = stationary_scan(spec, phi, t)
+    scan = stationary_scan(s, phi, t)
     maxima = [r for r, k in zip(scan.roots, scan.kinds) if k == "max"]
     assert len(maxima) == 2
     for target in (-1.0, 1.0):
@@ -98,11 +95,10 @@ def test_scan_localizes_isolated_pair():
 
 
 def test_scan_against_brute_force_response():
-    spec = spectrum_of([(0.8, 1), (2.0, 2)])
+    s = staircase_of([(0.8, 1), (2.0, 2)])
     phi = TestFunction(alpha=0.15)
-    s = build_staircase(spec)
     t = np.arange(-300, 301) * 0.01
-    scan = stationary_scan(spec, phi, t)
+    scan = stationary_scan(s, phi, t)
     fine = np.arange(-300_000, 300_001) * 1e-5
     f = trace_response(s, phi, fine)
     # every detected maximum is a genuine local maximum of F on the fine grid
@@ -118,9 +114,8 @@ def test_scan_against_brute_force_response():
 
 
 def test_response_evenness():
-    spec = spectrum_of([(0.7, 2), (1.9, 1)])
+    s = staircase_of([(0.7, 2), (1.9, 1)])
     phi = TestFunction(alpha=0.2)
-    s = build_staircase(spec)
     t = np.arange(0, 301) * 0.01
     f_pos = trace_response(s, phi, t)
     f_neg = trace_response(s, phi, -t)
@@ -129,14 +124,14 @@ def test_response_evenness():
 
 
 def test_scan_empty_spectrum():
-    scan = stationary_scan(spectrum_of([]), TestFunction(alpha=0.2), np.linspace(-1, 1, 21))
+    scan = stationary_scan(staircase_of([]), TestFunction(alpha=0.2), np.linspace(-1, 1, 21))
     assert scan.roots == ()
     assert scan.warnings == ()
 
 
 def test_scan_warns_on_coarse_grid():
-    spec = spectrum_of([(1.0, 1), (1.05, 1)])
-    scan = stationary_scan(spec, TestFunction(alpha=0.01), np.arange(-30, 31) * 0.1)
+    s = staircase_of([(1.0, 1), (1.05, 1)])
+    scan = stationary_scan(s, TestFunction(alpha=0.01), np.arange(-30, 31) * 0.1)
     assert any("unresolved" in w for w in scan.warnings)
 
 
