@@ -397,13 +397,15 @@ def _svg(result: RunResult):
 def _band_writers(bands: BandStructure) -> dict:
     """bands.csv and gaps.csv, written by both `run` and `bands`."""
     nodes = [f"{kappa:.17g}" for kappa in bands.grid.nodes.tolist()]  # shared by every band
+    beta, alpha = bands.uppers.tolist(), bands.lowers.tolist()
     return {
         "bands.csv": _csv("n,kappa,energy", (
             f"{n},{kappa},{e:.17g}"
             for n, row in enumerate(bands.bands) for kappa, e in zip(nodes, row.tolist())
         )),
         "gaps.csv": _csv("n,beta_n,alpha_n1,width", [
-            f"{g.index},{g.lower:.17g},{g.upper:.17g},{g.width:.17g}" for g in bands.gaps
+            f"{n},{beta[n]:.17g},{alpha[n + 1]:.17g},{alpha[n + 1] - beta[n]:.17g}"
+            for n in bands.gaps.tolist()
         ]),
     }
 

@@ -12,7 +12,8 @@ m = -M..M, each fiber is the real symmetric matrix
 banded with bandwidth R (tridiagonal for a single cosine).  Bands are the
 ranges of the ascending fiber eigenvalues E_n(kappa); evenness of U gives
 E_n(-kappa) = E_n(kappa), which we exploit by solving the non-negative half
-grid only and mirroring.
+grid only and mirroring.  Band edges and open gaps are arrays derived from
+the bands in one place, BandStructure.
 
 Fiber eigenvalues are computed with a bisection-based banded solver, which
 resolves the low-lying spectrum far below the 1e-10 contract even though the
@@ -132,40 +133,30 @@ class QuasiMomentumGrid:
         """Index of the kappa = 0 node."""
         return (self.n_nodes - 1) // 2
 
-    def mirror(self, j: int) -> int:
-        return self.n_nodes - 1 - j
 
-
-@dataclass(frozen=True)
-class GapInterval:
-    """Open spectral gap (beta_n, alpha_{n+1}) between bands n and n+1."""
-
-    lower: float
-    upper: float
-    index: int
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandStructure:
-    """Band functions E_n(kappa_j) with edges and open gaps.
+    """Band functions E_n(kappa_j), shape (n_bands, n_nodes), and what they imply.
 
-    bands has shape (n_bands, n_nodes); band_edges[n] = (alpha_n, beta_n).
+    Derived once, as read-only arrays: the band edges lowers[n] = alpha_n and
+    uppers[n] = beta_n (grid extrema), and gaps, the ascending n whose gap
+    (beta_n, alpha_{n+1}) is wider than GAP_TOLERANCE.
     """
 
     potential: PotentialSpec
     grid: QuasiMomentumGrid
     truncation: int
     bands: np.ndarray
-    band_edges: tuple[tuple[float, float], ...]
-    gaps: tuple[GapInterval, ...]
+    lowers: np.ndarray = field(init=False, repr=False)
+    uppers: np.ndarray = field(init=False, repr=False)
+    gaps: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        lowers, uppers = self.bands.min(axis=1), self.bands.max(axis=1)
+        gaps = np.flatnonzero(lowers[1:] - uppers[:-1] > GAP_TOLERANCE)
+        for name, value in (("lowers", lowers), ("uppers", uppers), ("gaps", gaps)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_bands(self) -> int:
@@ -180,7 +171,7 @@ def _check_fiber_args(potential: PotentialSpec, kappa: float, M: int) -> None:
         )
     if not math.isfinite(kappa):
         raise ValueError(f"non-finite quasi-momentum {kappa!r}")
-    if abs(kappa) > np.pi / potential.period + 1e-12:
+    if abs(kappa) > (np.pi / potential.period) * (1.0 + 1e-12):
         raise ValueError(f"kappa={kappa} outside the Brillouin zone [-pi/L, pi/L]")
 
 
@@ -220,8 +211,9 @@ def compute_band_structure(
     """Solve every fiber on the non-negative half grid and mirror.
 
     Only the lowest n_bands eigenvalues per fiber are kept; n_bands <= 2M
-    keeps them well resolved.  Band edges are grid extrema, and gaps wider
-    than GAP_TOLERANCE are recorded as open.
+    keeps them well resolved.  The mirror is one slice, column j < half
+    copying column n - 1 - j, so E_n(-kappa_j) = E_n(kappa_j) bitwise;
+    BandStructure derives the edges and open gaps.
     """
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
@@ -238,30 +230,14 @@ def compute_band_structure(
             bands[:, j] = fiber_eigenvalues(potential, grid.nodes[j], M, n_bands)
         except FiberSolveError as err:
             raise FiberSolveError(f"fiber j={j}: {err}") from err
-    for j in range(half):
-        bands[:, j] = bands[:, grid.mirror(j)]
+    bands[:, :half] = bands[:, :half:-1]
     bands.setflags(write=False)
-
-    edges = tuple((float(bands[b].min()), float(bands[b].max())) for b in range(n_bands))
-    gaps = []
-    for b in range(n_bands - 1):
-        lower = edges[b][1]
-        upper = edges[b + 1][0]
-        if upper - lower > GAP_TOLERANCE:
-            gaps.append(GapInterval(lower=lower, upper=upper, index=b))
-    return BandStructure(
-        potential=potential,
-        grid=grid,
-        truncation=M,
-        bands=bands,
-        band_edges=edges,
-        gaps=tuple(gaps),
-    )
+    return BandStructure(potential=potential, grid=grid, truncation=M, bands=bands)
 
 
 def select_reference_energy(bands: BandStructure, gap_index: int) -> float:
     """Midpoint of the selected open gap."""
-    if not bands.gaps:
+    if not len(bands.gaps):
         raise NoOpenGapError(
             "no open gaps in the band structure; increase the potential strength"
         )
@@ -269,4 +245,5 @@ def select_reference_energy(bands: BandStructure, gap_index: int) -> float:
         raise ValueError(
             f"gap_index={gap_index} out of range; {len(bands.gaps)} open gaps available"
         )
-    return bands.gaps[gap_index].midpoint
+    n = bands.gaps[gap_index]
+    return float(0.5 * (bands.uppers[n] + bands.lowers[n + 1]))

@@ -28,19 +28,12 @@ GROUPING_TOLERANCE = 1e-9
 GROUPING_DECIMALS = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiracBandSet:
-    """Disjoint sorted closed intervals, symmetric under negation."""
+    """Disjoint ascending closed intervals [lowers[i], uppers[i]], symmetric under negation."""
 
-    intervals: tuple[tuple[float, float], ...]
-
-    @property
-    def lowers(self) -> np.ndarray:
-        return np.array([iv[0] for iv in self.intervals])
-
-    @property
-    def uppers(self) -> np.ndarray:
-        return np.array([iv[1] for iv in self.intervals])
+    lowers: np.ndarray
+    uppers: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,32 +73,26 @@ def dirac_band_set(bands: BandStructure, e_star: float) -> DiracBandSet:
     """Shift bands by -E*, close under negation, and merge overlaps.
 
     E* must lie outside every band (inside a gap); a reference energy inside
-    a band is rejected.
+    a band is rejected.  Sorted by lower end, an interval starts a new merged
+    interval when it begins past the running max of the upper ends before it.
     """
-    raw = []
-    for alpha, beta in bands.band_edges:
-        if alpha <= e_star <= beta:
-            raise ValueError(
-                f"reference energy {e_star} lies inside the band [{alpha}, {beta}]"
-            )
-        lo, hi = alpha - e_star, beta - e_star
-        raw.append((lo, hi))
-        raw.append((-hi, -lo))
-    raw.sort()
-    merged = [raw[0]]
-    for lo, hi in raw[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return DiracBandSet(intervals=tuple(merged))
+    inside = np.flatnonzero((bands.lowers <= e_star) & (e_star <= bands.uppers))
+    if len(inside):
+        n = inside[0]
+        raise ValueError(f"reference energy {e_star} lies inside the band "
+                         f"[{float(bands.lowers[n])}, {float(bands.uppers[n])}]")
+    lo, hi = bands.lowers - e_star, bands.uppers - e_star
+    lo, hi = np.concatenate([lo, -hi]), np.concatenate([hi, -lo])
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    starts = np.flatnonzero(np.concatenate([[True], lo[1:] > np.maximum.accumulate(hi)[:-1]]))
+    return DiracBandSet(lowers=lo[starts], uppers=np.maximum.reduceat(hi, starts))
 
 
 def band_distance(values, band_set: DiracBandSet) -> np.ndarray:
     """Distance from each value to the union of band intervals (0 if inside)."""
     v = np.atleast_1d(np.asarray(values, dtype=float))
-    lows = band_set.lowers
-    highs = band_set.uppers
+    lows, highs = band_set.lowers, band_set.uppers
     idx = np.searchsorted(lows, v, side="right") - 1
     dist = np.full(v.shape, np.inf)
     has_left = idx >= 0

@@ -145,8 +145,9 @@ def stationary_scan(s: Staircase, phi: TestFunction, t_grid: np.ndarray) -> Stat
     """Locate stationary points of the translated trace on a uniform grid.
 
     Grid values of F' at or below NOISE_FLOOR * max|F'| count as zero.  Sign
-    changes between above-floor neighbours are bisected together to 1e-10; a
-    below-floor point between opposite signs (t = 0) is a root as it stands.
+    changes between above-floor neighbours are bisected together to 1e-10, or
+    to two adjacent floats (wider once |t| > 2^19); a below-floor point
+    between opposite signs (t = 0) is a root as it stands.
     Longer below-floor runs are flat noise (Gaussian underflow far from every
     jump), counted in a warning.  A grid too coarse to separate adjacent jump
     locations is flagged in the warnings rather than rejected.
@@ -180,6 +181,9 @@ def stationary_scan(s: Staircase, phi: TestFunction, t_grid: np.ndarray) -> Stat
     live = np.flatnonzero(hi - lo > BISECTION_TOLERANCE)
     while len(live):
         mid = 0.5 * (lo[live] + hi[live])
+        # Two adjacent floats have no float between them: such a bracket is done.
+        moved = (lo[live] < mid) & (mid < hi[live])
+        live, mid = live[moved], mid[moved]
         f_mid = trace_response_derivative(s, phi, mid)
         exact = f_mid == 0.0  # collapse the bracket onto mid
         up = exact | ((f_lo[live] > 0) == (f_mid > 0))

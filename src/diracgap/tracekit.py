@@ -122,8 +122,8 @@ TAYLOR_DEGREE = 26
 class TraceFactors:
     """Arithmetic factors A_joint and A_prod on the symmetric t grid."""
 
-    a_joint: np.ndarray = field(repr=False)
-    a_prod: np.ndarray = field(repr=False)
+    a_joint: np.ndarray = field(repr=False, compare=False)
+    a_prod: np.ndarray = field(repr=False, compare=False)
     euler_series_primes: int
     euler_series_bound: float  # on |log A_prod| lost by truncating the series
     taylor_rows: int  # rows of A_joint and the A_prod tables summed on the Taylor route

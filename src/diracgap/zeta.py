@@ -110,10 +110,11 @@ def load_zero_table(source: str = "embedded", min_count: int | None = None) -> Z
 def fit_affine(lambdas, zeros: ZeroTable, K: int) -> AffineMap:
     """Least-squares a, b minimizing sum_{k<=K} (a lambda_k + b - gamma_k)^2.
 
-    Uses the closed-form normal equations.  If the unconstrained slope is
-    not positive (degenerate alignment), falls back to the span ratio
-    (gamma_K - gamma_1) / (lambda_K - lambda_1) with b matching the means,
-    and flags the result.
+    Uses the closed-form normal equations with the centred (two-pass)
+    variance and covariance, which do not cancel when the lambda_k are close.
+    If the unconstrained slope is not positive (degenerate alignment), falls
+    back to the span ratio (gamma_K - gamma_1) / (lambda_K - lambda_1) with
+    b matching the means, and flags the result.
     """
     lam = np.asarray(lambdas, dtype=float)
     if K < 2:
@@ -124,10 +125,11 @@ def fit_affine(lambdas, zeros: ZeroTable, K: int) -> AffineMap:
         raise ValueError(f"insufficient zeros: requested K={K}, table holds {len(zeros)}")
     x = lam[:K]
     y = np.asarray(zeros.ordinates[:K])
-    var = float(np.mean(x * x) - np.mean(x) ** 2)
-    if var <= 0.0:
+    dx, dy = x - np.mean(x), y - np.mean(y)
+    var = float(np.mean(dx * dx))
+    if x.min() == x.max() or var == 0.0:  # the mean of equal values may round off them
         raise ValueError("degenerate eigenvalue list: all lambda_k equal")
-    cov = float(np.mean(x * y) - np.mean(x) * np.mean(y))
+    cov = float(np.mean(dx * dy))
     a = cov / var
     if a > 0.0:
         return AffineMap(a=a, b=float(np.mean(y) - a * np.mean(x)))

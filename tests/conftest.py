@@ -4,9 +4,7 @@ import pytest
 from diracgap import expcli, tracekit
 from diracgap.arithmetic import MassShifts
 from diracgap.floquet import (
-    GAP_TOLERANCE,
     BandStructure,
-    GapInterval,
     PotentialSpec,
     QuasiMomentumGrid,
     compute_band_structure,
@@ -61,18 +59,9 @@ def toy_band_structure(rows, period=1.0):
     odd and >= 3 (pad constant bands by repetition).
     """
     bands = np.array(rows, dtype=float)
-    n_nodes = bands.shape[1]
-    grid = QuasiMomentumGrid(n_nodes=n_nodes, period=period)
-    edges = tuple((float(r.min()), float(r.max())) for r in bands)
-    gaps = []
-    for n in range(len(edges) - 1):
-        if edges[n + 1][0] - edges[n][1] > GAP_TOLERANCE:
-            gaps.append(GapInterval(lower=edges[n][1], upper=edges[n + 1][0], index=n))
     return BandStructure(
         potential=PotentialSpec(period=period),
-        grid=grid,
+        grid=QuasiMomentumGrid(n_nodes=bands.shape[1], period=period),
         truncation=max(1, bands.shape[0]),
         bands=bands,
-        band_edges=edges,
-        gaps=tuple(gaps),
     )

@@ -45,9 +45,9 @@ def test_c01_free_potential_control():
     grid = QuasiMomentumGrid(n_nodes=41, period=1.0)
     bands = compute_band_structure(PotentialSpec(), grid, M=8, n_bands=5)
     elapsed = time.perf_counter() - t0
-    widths = [bands.band_edges[n + 1][0] - bands.band_edges[n][1] for n in range(4)]
-    assert all(w < 1e-8 for w in widths)
-    assert bands.gaps == ()
+    widths = (bands.lowers[1:] - bands.uppers[:-1]).tolist()
+    assert len(widths) == 4 and all(w < 1e-8 for w in widths)
+    assert bands.gaps.tolist() == []
     assert elapsed < 1.0
     report(1, f"free potential: max pseudo-gap {max(widths):.2e} < 1e-8, {elapsed:.2f}s")
 
@@ -58,10 +58,7 @@ def test_c02_floquet_evenness_and_convergence():
     t0 = time.perf_counter()
     b32 = compute_band_structure(pot, grid, M=32, n_bands=8)
     b64 = compute_band_structure(pot, grid, M=64, n_bands=8)
-    edge_diff = max(
-        max(abs(a32 - a64), abs(c32 - c64))
-        for (a32, c32), (a64, c64) in zip(b32.band_edges, b64.band_edges)
-    )
+    edge_diff = max(np.abs(b32.lowers - b64.lowers).max(), np.abs(b32.uppers - b64.uppers).max())
     assert edge_diff < 1e-8
     # independent +-kappa solves, no mirroring, full negative half grid
     worst = 0.0
@@ -75,8 +72,8 @@ def test_c02_floquet_evenness_and_convergence():
 
 
 def test_c03_open_first_gap(mathieu_bands):
-    beta0 = mathieu_bands.band_edges[0][1]
-    alpha1 = mathieu_bands.band_edges[1][0]
+    beta0 = mathieu_bands.uppers[0]
+    alpha1 = mathieu_bands.lowers[1]
     assert alpha1 - beta0 > 0.1
     # M = 128 full-spectrum tridiagonal desk oracle (edges at kappa = 0, pi)
     m = np.arange(-128, 129)
@@ -85,8 +82,8 @@ def test_c03_open_first_gap(mathieu_bands):
     oracle_alpha = np.minimum(e0, epi)
     oracle_beta = np.maximum(e0, epi)
     diff = max(
-        float(np.abs(oracle_alpha - [a for a, _ in mathieu_bands.band_edges]).max()),
-        float(np.abs(oracle_beta - [b for _, b in mathieu_bands.band_edges]).max()),
+        float(np.abs(oracle_alpha - mathieu_bands.lowers).max()),
+        float(np.abs(oracle_beta - mathieu_bands.uppers).max()),
     )
     assert diff < 1e-8
     report(3, f"first gap width {alpha1 - beta0:.4f} > 0.1; edges vs M=128 oracle {diff:.2e} < 1e-8")

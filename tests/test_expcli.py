@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -466,6 +467,8 @@ def test_config_errors_found_by_the_compute_stage_exit_2(tmp_path, capsys, doc, 
     '{"potential": {"period": 1e-151}}',
     '{"potential": {"period": 1e-140, "cosine_coefficients": [1e280]}}',
     '{"potential": {"period": 1.0, "cosine_coefficients": [2.0, 0.0, 1e30]}}',
+    # the grid's edge node rounds one ulp past pi/L; the zone check must take it
+    '{"potential": {"period": 1e-40}, "N_kappa": 7}',
 ])
 def test_t_grid_rechecked_with_the_band_energies_exits_2(tmp_path, capsys, doc):
     # The step 2 pi / (v_max + 8 alpha + 1) shrinks with the bands, which are known
@@ -621,6 +624,52 @@ def test_any_json_object_is_rejected_or_round_trips(doc):
         return
     assert not unknown
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+@st.composite
+def cheap_configs(draw):
+    """A cheap configuration: small fibers, grids and ensembles, but periods,
+    coefficients, windows and sweep ranges across many orders of magnitude.
+    M covers the harmonics, n_bands <= 2M and the gap index has a gap above it,
+    so that most documents get past the parser."""
+    M = draw(st.integers(1, 6))
+    n_bands = draw(st.integers(1, 2 * M))
+    return {
+        # half the periods where a band scale (2 pi / L)^2 leaves gaps resolvable
+        "potential": {"period": 10.0 ** draw(st.floats(-40.0, 3.0) | st.floats(-2.0, 3.0)),
+                      "cosine_coefficients": draw(st.lists(st.floats(-1e4, 1e4),
+                                                           max_size=min(M, 3)))},
+        "M": M, "n_bands": n_bands, "gap_index": draw(st.integers(0, max(0, min(3, n_bands - 2)))),
+        "N_kappa": draw(st.sampled_from([3, 5, 7, 9, 13, 15])),
+        "N_P": draw(st.integers(1, 8)), "N_H": draw(st.integers(1, 8)),
+        "epsilon": draw(st.floats(0.01, 10.0)), "seed": draw(st.integers(0, 2**64 - 1)),
+        "mode": draw(st.sampled_from(["iid_uniform", "constant_one"])),
+        "alpha": draw(st.sampled_from([0.2, 0.5, 5.0, 1e3])),
+        "K": draw(st.sampled_from([2, 3, 20, 100])),
+        "T": draw(st.sampled_from([1e-6, 0.5, 80.0, 1e6])),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=cheap_configs())
+# |t| > 2^19: a bisection bracket ends as two adjacent floats wider than 1e-10
+@example(doc={"potential": {"period": 0.001, "cosine_coefficients": [-30.0]}, "M": 5,
+              "N_kappa": 5, "alpha": 1000.0, "n_bands": 2})
+# the grid's edge node rounds one ulp past pi/L
+@example(doc={"potential": {"period": 1e-40}, "N_kappa": 7})
+# lambda_1..3 spread 7.4e-6 near 1e3: a one-pass variance cancels to below 0
+@example(doc={"potential": {"period": 1000.0, "cosine_coefficients": [-1e-09, -10000.0]},
+              "M": 4, "N_kappa": 9, "N_P": 7, "N_H": 4, "alpha": 0.2, "epsilon": 0.001,
+              "K": 3, "T": 0.5, "seed": 4304291062942567561, "n_bands": 8, "gap_index": 2})
+def test_cheap_configurations_are_rejected_or_run_to_finite_results(doc):
+    try:
+        result = compute_run(parse_config(json.dumps(doc)))
+    except ValidationError:
+        return
+    trace = [getattr(result.trace, f.name) for f in fields(result.trace)]
+    d = result.diagnostics
+    values = [*trace, d.mae, d.max_abs, d.e_step, d.affine.a, d.affine.b]
+    assert all(math.isfinite(v) for v in values), values
 
 
 def test_scan_warnings_reach_diagnostics_and_cli(tmp_path, capsys):

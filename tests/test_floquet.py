@@ -60,6 +60,9 @@ def test_fiber_matrix_rejections():
         fiber_eigenvalues(pot, kappa=float("nan"), M=4, count=1)
     with pytest.raises(ValueError, match="Brillouin"):
         fiber_eigenvalues(pot, kappa=4.0, M=4, count=1)
+    # kappa = 1e-13 is 3e6 times pi/L here: the zone's slack is relative to pi/L
+    with pytest.raises(ValueError, match="Brillouin"):
+        fiber_eigenvalues(PotentialSpec(period=1e20, cosine_coefficients=(1.0,)), 1e-13, 1, 1)
 
 
 def test_fiber_eigenvalue_count_and_order():
@@ -191,9 +194,20 @@ def test_grid_validation():
 def test_free_potential_has_no_open_gaps():
     grid = QuasiMomentumGrid(n_nodes=41, period=1.0)
     bands = compute_band_structure(PotentialSpec(), grid, M=8, n_bands=4)
-    assert bands.gaps == ()
+    assert bands.gaps.tolist() == []
     for n in range(3):
-        assert bands.band_edges[n + 1][0] - bands.band_edges[n][1] < 1e-8
+        assert bands.lowers[n + 1] - bands.uppers[n] < 1e-8
+
+
+def test_band_structure_derives_edges_and_gaps_once(mathieu_bands):
+    bands = mathieu_bands
+    assert bands.lowers.tolist() == [float(row.min()) for row in bands.bands]
+    assert bands.uppers.tolist() == [float(row.max()) for row in bands.bands]
+    widths = bands.lowers[1:] - bands.uppers[:-1]
+    assert bands.gaps.tolist() == [n for n, w in enumerate(widths.tolist()) if w > 1e-6]
+    for derived in (bands.lowers, bands.uppers, bands.gaps):
+        assert not derived.flags.writeable
+    assert bands == bands and bands != toy_band_structure([[0.0, 1.0, 0.0]])
 
 
 def test_band_structure_rejects_underresolved_bands():
@@ -219,18 +233,17 @@ def test_evenness_bitwise_and_independent(mathieu_bands):
 def test_band_ordering_and_interlacing(mathieu_bands):
     bands = mathieu_bands
     assert np.all(np.diff(bands.bands, axis=0) >= 0)
-    for gap in bands.gaps:
-        alpha_n, beta_n = bands.band_edges[gap.index]
-        assert alpha_n <= beta_n < bands.band_edges[gap.index + 1][0]
-        assert gap.lower == beta_n
-        assert gap.width > 1e-6
+    for n in bands.gaps:
+        alpha_n, beta_n = bands.lowers[n], bands.uppers[n]
+        assert alpha_n <= beta_n < bands.lowers[n + 1]
+        assert bands.lowers[n + 1] - beta_n > 1e-6
 
 
 def test_mathieu_open_gaps(mathieu_bands):
     # Gap widths ~ 2.0, 5.06e-2, 3.2e-4; gap 3 (9e-7) is below tolerance.
-    indices = [g.index for g in mathieu_bands.gaps]
-    assert indices == [0, 1, 2]
-    assert abs(mathieu_bands.gaps[0].width - 1.999679250962929) < 1e-8
+    assert mathieu_bands.gaps.tolist() == [0, 1, 2]
+    width = mathieu_bands.lowers[1] - mathieu_bands.uppers[0]
+    assert abs(width - 1.999679250962929) < 1e-8
 
 
 def test_reference_energy(mathieu_bands):
@@ -261,10 +274,7 @@ def test_truncation_convergence_fast():
     grid = QuasiMomentumGrid(n_nodes=21, period=1.0)
     e16 = compute_band_structure(PotentialSpec.mathieu(), grid, M=16, n_bands=6)
     e32 = compute_band_structure(PotentialSpec.mathieu(), grid, M=32, n_bands=6)
-    diff = max(
-        max(abs(a - b), abs(c - d))
-        for (a, c), (b, d) in zip(e16.band_edges, e32.band_edges)
-    )
+    diff = max(np.abs(e16.lowers - e32.lowers).max(), np.abs(e16.uppers - e32.uppers).max())
     assert diff < 1e-8
 
 

@@ -67,6 +67,27 @@ def brute_force_spectrum(pairs):
     return tuple(lams), tuple(mults), tuple(tuple(p) for p in prov)
 
 
+def intervals(band_set):
+    """The band set's intervals as (lower, upper) float pairs."""
+    return list(zip(band_set.lowers.tolist(), band_set.uppers.tolist()))
+
+
+def brute_force_band_set(bands, e_star):
+    """Plain-Python merge of the shifted bands and their negations, sorted by (lower, upper)."""
+    raw = sorted(iv for a, b in zip(bands.lowers.tolist(), bands.uppers.tolist())
+                 for iv in ((a - e_star, b - e_star), (-(b - e_star), -(a - e_star))))
+    merged = [raw[0]]
+    for lo, hi in raw[1:]:
+        if lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+TOY_SET = DiracBandSet(lowers=np.array([-1.5, 0.5]), uppers=np.array([-0.5, 1.5]))
+
+
 def fiber_tuples(gap_values):
     return [tuple(f) for f in gap_values.fibers.tolist()]
 
@@ -80,10 +101,11 @@ def spectrum_tuples(spec):
 
 def test_toy_band_set():
     bs = dirac_band_set(TOY, 1.5)
-    assert bs.intervals == ((-1.5, -0.5), (0.5, 1.5))
+    assert intervals(bs) == [(-1.5, -0.5), (0.5, 1.5)]
+    assert (bs.lowers.dtype, bs.uppers.dtype) == (np.float64, np.float64)
     # the set equals its own negation
-    negated = sorted((-hi, -lo) for lo, hi in bs.intervals)
-    assert tuple(negated) == bs.intervals
+    negated = sorted((-hi, -lo) for lo, hi in intervals(bs))
+    assert negated == intervals(bs)
 
 
 def test_band_set_rejects_reference_inside_band():
@@ -94,34 +116,31 @@ def test_band_set_rejects_reference_inside_band():
 def test_band_set_merges_touching_intervals():
     touching = toy_band_structure([[0.0, 0.5, 1.0], [1.0, 1.5, 2.0]])
     bs = dirac_band_set(touching, 2.5)
-    assert bs.intervals == ((-2.5, -0.5), (0.5, 2.5))
+    assert intervals(bs) == [(-2.5, -0.5), (0.5, 2.5)]
 
 
 def test_band_set_symmetry_mathieu(mathieu_bands):
     bs = dirac_band_set(mathieu_bands, 9.856938576832455)
-    negated = sorted((-hi, -lo) for lo, hi in bs.intervals)
-    assert tuple(negated) == bs.intervals
+    negated = sorted((-hi, -lo) for lo, hi in intervals(bs))
+    assert negated == intervals(bs)
 
 
 def test_band_distance():
-    bs = DiracBandSet(intervals=((-1.5, -0.5), (0.5, 1.5)))
-    d = band_distance([0.0, 0.5, 0.6, -2.0, 1.7], bs)
+    d = band_distance([0.0, 0.5, 0.6, -2.0, 1.7], TOY_SET)
     assert np.allclose(d, [0.5, 0.0, 0.0, 0.5, 0.2])
 
 
 def test_boundary_value_not_emitted():
     # fiber at E = 2.0 with zero mass: v = 0.5 is a band edge, distance 0
     bands = toy_band_structure([[2.0, 2.0, 2.0]])
-    band_set = DiracBandSet(intervals=((-1.5, -0.5), (0.5, 1.5)))
-    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.0]), band_set)
+    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.0]), TOY_SET)
     assert len(got) == 0
     assert got.values.shape == (0,) and got.fibers.shape == (0, 3)
 
 
 def test_toy_fiber_emission():
     bands = toy_band_structure([[1.0, 1.0, 1.0]])
-    band_set = DiracBandSet(intervals=((-1.5, -0.5), (0.5, 1.5)))
-    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.6]), band_set)
+    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.6]), TOY_SET)
     # v = 1.0 - 1.5 + 0.6 = 0.1 inside the central gap, one fiber per node;
     # each value stands for the pair +-0.1
     assert got.values.tolist() == pytest.approx([0.1] * 3, abs=1e-15)
@@ -139,8 +158,7 @@ def test_emission_is_lexicographic_and_symmetric(default_run):
 
 def test_aggregate_trivial_cases():
     bands = toy_band_structure([[1.0, 1.0, 1.0]])
-    band_set = DiracBandSet(intervals=((-1.5, -0.5), (0.5, 1.5)))
-    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.6]), band_set)
+    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.6]), TOY_SET)
     one = GapValues(values=got.values[:1], fibers=got.fibers[:1])  # single fiber's +-0.1
     spec = aggregate_spectrum(one)
     assert spectrum_tuples(spec) == ((0.1,), (1,), ((tuple(one.fibers[0].tolist()),),))
@@ -174,7 +192,7 @@ def test_golden_configuration_against_brute_force(default_run):
     r = default_run
     got = r.gap_values
     brute = brute_force_gap_values(
-        r.bands, r.e_star, r.shifts, list(dirac_band_set(r.bands, r.e_star).intervals)
+        r.bands, r.e_star, r.shifts, intervals(dirac_band_set(r.bands, r.e_star))
     )
     assert len(got) == len(brute)
     assert got.values.tolist() == [v for v, _ in brute[::2]]
@@ -259,9 +277,10 @@ def test_array_path_matches_brute_force(problem):
     rows, e_star, masses = problem
     bands = toy_band_structure(rows)
     band_set = dirac_band_set(bands, e_star)
+    assert intervals(band_set) == brute_force_band_set(bands, e_star)
     shifts = one_row_shifts(masses)
     got = fiber_gap_eigenvalues(bands, e_star, shifts, band_set)
-    brute = brute_force_gap_values(bands, e_star, shifts, band_set.intervals)
+    brute = brute_force_gap_values(bands, e_star, shifts, intervals(band_set))
     assert len(got) == len(brute)
     assert got.fibers.shape == (len(got.values), 3)
     assert got.values.tolist() == [v for v, _ in brute[::2]]

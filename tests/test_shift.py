@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import staircase_of
+from diracgap import shift
 from diracgap.shift import (
     Staircase,
     TestFunction,
@@ -121,6 +127,28 @@ def test_response_evenness():
     f_neg = trace_response(s, phi, -t)
     f0 = float(trace_response(s, phi, 0.0))
     assert np.abs(f_pos - f_neg).max() <= 1e-12 * abs(f0)
+
+
+SCAN_PAST_2_19 = """
+import numpy as np
+from diracgap.shift import Staircase, TestFunction, stationary_scan
+scan = stationary_scan(Staircase(np.array([1e6, 1.003e6]), np.array([1, 2])),
+                       TestFunction(1000.0), np.linspace(-2e6, 2e6, 4001))
+print(len(scan.roots), scan.kinds)
+"""
+
+
+def test_scan_stops_at_adjacent_floats_past_2_19():
+    # Near 1e6 one ulp (2^-33) exceeds BISECTION_TOLERANCE, so a bracket can
+    # end as two adjacent floats wider than the tolerance.  The scan runs in a
+    # fresh interpreter with a timeout, so a bisection that spins fails here.
+    assert np.spacing(1e6) > shift.BISECTION_TOLERANCE
+    src = str(Path(shift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", SCAN_PAST_2_19], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(None, 1) == ["6", "('max', 'min', 'max', 'max', 'min', 'max')\n"]
 
 
 def test_scan_empty_spectrum():

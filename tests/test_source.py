@@ -172,3 +172,40 @@ def test_the_blas_check_sees_every_form():
             "np.inner(a, b)\nnp.vdot(a, b)\nnp.einsum('ij,jk', a, b)\n"
             "np.einsum('ij,jk', a, b, optimize=True)\nnp.einsum('ij,jk', a, b, optimize=False)\n")
     assert sorted(blas_sites(ast.parse(code))) == list(range(1, 11))
+
+
+def keyword_is_false(call, name):
+    return any(k.arg == name and isinstance(k.value, ast.Constant) and k.value.value is False
+               for k in getattr(call, "keywords", ()))
+
+
+def compared_array_fields(tree):
+    """Class.field of every dataclass field annotated np.ndarray that the
+    generated __eq__ compares: `==` on two such instances would raise."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d for d in node.decorator_list
+                      if ast.unparse(getattr(d, "func", d)) in {"dataclass", "dataclasses.dataclass"}]
+        if not decorators or any(keyword_is_false(d, "eq") for d in decorators):
+            continue
+        for item in node.body:
+            if (isinstance(item, ast.AnnAssign) and ast.unparse(item.annotation) == "np.ndarray"
+                    and not keyword_is_false(item.value, "compare")):
+                yield f"{node.name}.{item.target.id}"
+
+
+def test_no_dataclass_compares_an_array_field():
+    compared = [f"{path.stem}.{name}" for path in SOURCES
+               for name in compared_array_fields(ast.parse(path.read_text()))]
+    assert compared == []
+
+
+def test_the_array_field_check_sees_every_form():
+    code = ("@dataclass(frozen=True)\nclass A:\n    x: np.ndarray\n"
+            "    y: np.ndarray = field(repr=False)\n    z: np.ndarray = field(compare=False)\n"
+            "    n: int = 0\n"
+            "@dataclass\nclass B:\n    x: np.ndarray = None\n"
+            "@dataclass(frozen=True, eq=False)\nclass C:\n    x: np.ndarray\n"
+            "class D:\n    x: np.ndarray\n")
+    assert list(compared_array_fields(ast.parse(code))) == ["A.x", "A.y", "B.x"]

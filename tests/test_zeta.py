@@ -86,10 +86,25 @@ def test_fit_validation():
         fit_affine([1.0, 2.0], zeros, 1)
     with pytest.raises(ValueError, match="degenerate"):
         fit_affine([1.0, 1.0, 1.0], zeros, 3)
+    with pytest.raises(ValueError, match="degenerate"):
+        fit_affine([0.1, 0.1, 0.1], zeros, 3)  # their mean rounds to 0.10000000000000002
     with pytest.raises(ValueError, match="insufficient gap eigenvalues"):
         fit_affine([1.0], zeros, 2)
     with pytest.raises(ValueError, match="insufficient zeros"):
         fit_affine(np.arange(1000.0) + 1.0, zeros, 500)
+
+
+def test_fit_of_closely_spaced_lambdas_is_centred():
+    # Spread 2.7e-6 on values near 2.7e3: the one-pass mean(x^2) - mean(x)^2
+    # loses every digit to cancellation (it gave a = 1354, not 4e6); the
+    # centred fit recovers the exact map.
+    zeros = load_zero_table("embedded")
+    gamma = np.array(zeros.ordinates[:3])
+    lam = 2700.0 + (gamma - gamma[0]) * 2.5e-7
+    fit = fit_affine(lam, zeros, 3)
+    assert not fit.flagged
+    assert fit.a == pytest.approx(4e6, rel=1e-6)
+    assert np.abs(fit.a * lam + fit.b - gamma).max() < 1e-6 * gamma.max()
 
 
 def test_fit_fallback_when_slope_nonpositive():
