@@ -91,9 +91,6 @@ class CoefficientFamily:
         lam = np.asarray(lam, dtype=float)
         return p ** -(1.0 + self.epsilon) * lam * lam
 
-    def sup_norm(self, p: int) -> float:
-        return p ** -(1.0 + self.epsilon)
-
 
 @dataclass(frozen=True)
 class HeckeEnsemble:

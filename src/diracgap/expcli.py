@@ -11,7 +11,9 @@ derived by compute_run after the mass shifts, from the exact v_max.
 A run executes the five pipeline steps (bands, ensemble, mass shifts, gap
 filter, staircase), then the trace-formula cross-check, the matrix-model
 verification, and the zero-alignment diagnostics, and finally writes the
-artifact set with a manifest of content hashes.  Reruns of the same
+artifact set with a manifest of content hashes.  Each consistency check is
+one Check record, a value against a budget; run and verify print one line
+per record and diagnostics.json holds them all.  Reruns of the same
 configuration are byte-identical; no timestamps or environment state enter
 any output.  _emit writes every output file of every subcommand and removes
 what it wrote when a writer fails.
@@ -49,7 +51,6 @@ VERSION = "0.1.0"
 
 TRACE_REL_GAP = 1e-6
 EULER_EXACT_TOL = 1e-12
-KAPPA_REFLECTION_TOL = 1e-12
 
 
 class ValidationError(ValueError):
@@ -215,9 +216,16 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class Check:
+    """A consistency check: a value against its budget, and what the value means."""
+
     name: str
-    passed: bool
-    detail: str
+    value: float
+    budget: float
+    meaning: str
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.budget)  # a NaN value fails
 
 
 @dataclass(frozen=True)
@@ -234,7 +242,6 @@ class RunResult:
     staircase: Staircase
     trace: tracekit.TraceReport
     gap_jumps: matmodel.GapJumpReport
-    norm_report: matmodel.NormBoundReport
     model_dimension: int
     zeros: zeta.ZeroTable
     affine: zeta.AffineMap
@@ -267,8 +274,7 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
 
     primes = arithmetic.generate_primes(cfg.N_P)
     ensemble = arithmetic.sample_hecke_ensemble(primes, cfg.N_H, cfg.seed, cfg.mode)
-    family = arithmetic.CoefficientFamily(epsilon=cfg.epsilon)
-    shifts = arithmetic.mass_shifts(ensemble, family)
+    shifts = arithmetic.mass_shifts(ensemble, arithmetic.CoefficientFamily(epsilon=cfg.epsilon))
     K, h = _t_grid(cfg, float(np.abs(bands.bands - e_star).max()
                               + np.abs(shifts.values).max(initial=0.0)))
 
@@ -281,71 +287,53 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
     trace = tracekit.compare_trace_representations(bands, e_star, shifts, phi, K, h)
 
     gap_jumps = matmodel.chiral_gap_jumps(bands, e_star, shifts, band_set, gap_values)
-    norm_report = matmodel.norm_bound_checks(family, primes, shifts)
 
     zeros = zeta.load_zero_table()
     diag = zeta.diagnostics(staircase.locations, staircase.weights, zeros, cfg.K, cfg.T)
     scan = stationary_scan(staircase, phi, _scan_grid(staircase, cfg.alpha))
 
-    checks = _consistency_checks(cfg, bands, trace, gap_jumps, norm_report, diag)
+    checks = _consistency_checks(cfg, bands, trace, gap_jumps, diag)
     return RunResult(
         config=cfg, bands=bands, e_star=e_star, ensemble=ensemble, shifts=shifts,
         gap_values=gap_values, spectrum=spectrum, staircase=staircase, trace=trace,
-        gap_jumps=gap_jumps, norm_report=norm_report,
+        gap_jumps=gap_jumps,
         model_dimension=2 * bands.bands.size * len(shifts), zeros=zeros,
         affine=diag.affine, diagnostics=diag, scan=scan, checks=checks,
     )
 
 
-def _kappa_reflection_defect(bands: BandStructure) -> tuple[float, int]:
-    """Largest |E - E_mirrored| / max(1, |E|) at -pi/L, a middle node and the node left of 0.
-
-    Bands are solved for kappa >= 0 and mirrored, which holds only for an even potential.
-    """
-    nodes = sorted({0, bands.grid.half_index // 2, bands.grid.half_index - 1})
-    solved = np.array([fiber_eigenvalues(bands.potential, bands.grid.nodes[j], bands.truncation,
-                                         bands.n_bands) for j in nodes]).T
-    defect = np.abs(solved - bands.bands[:, nodes]) / np.maximum(1.0, np.abs(solved))
-    return float(defect.max()), len(nodes)
+def _truncation_defect(bands: BandStructure) -> float:
+    """max_n |E_n(M) - E_n(2M)| at kappa = 0, a middle node and pi/L: a Hill operator's
+    band edges lie at 0 and pi/L, so this is the truncation error of the gap filter's edges."""
+    g = bands.grid
+    nodes = [g.half_index, (g.half_index + g.n_nodes - 1) // 2, g.n_nodes - 1]
+    fine = np.array([fiber_eigenvalues(bands.potential, g.nodes[j], 2 * bands.truncation,
+                                       bands.n_bands) for j in nodes]).T
+    return float(np.abs(bands.bands[:, nodes] - fine).max())
 
 
-def _consistency_checks(cfg, bands, trace, gap_jumps, norm_report, diag) -> tuple[Check, ...]:
-    checks = []
-
-    def add(name, passed, detail):
-        checks.append(Check(name=name, passed=bool(passed), detail=detail))
-
-    # A trace far below the quadrature noise floor (eps-scale of the
-    # integrand's L1 mass) cannot be resolved relatively; agreement at the
-    # floor is the honest criterion there.  The Fourier side leaves out the
-    # bands the window cannot see, so the floor also holds their bounded mass.
+def _consistency_checks(cfg, bands, trace, gap_jumps, diag) -> tuple[Check, ...]:
+    # A trace far below the quadrature noise floor (eps-scale of the integrand's L1 mass)
+    # cannot be resolved relatively: agreement at the floor is the criterion there.  The
+    # floor also holds the bounded mass of the bands the Fourier side leaves out.
     noise_floor = 1e-12 * trace.l1_mass + trace.band_prune_bound
-    trace_ok = trace.rel_gap < TRACE_REL_GAP or trace.abs_gap <= noise_floor
-    add("trace_agreement", trace_ok,
-        f"rel_gap={trace.rel_gap:.3e} (tol {TRACE_REL_GAP}), "
-        f"abs_gap={trace.abs_gap:.3e} (noise floor {noise_floor:.3e})")
-    add("krein_identity", gap_jumps.matches,
-        f"{gap_jumps.jumps} jump pairs +-v of xi in the chiral gap (-{gap_jumps.above:.6g}, "
-        f"{gap_jumps.above:.6g}), {gap_jumps.kept} gap values there: "
-        + ("equal fiber for fiber" if gap_jumps.matches else "not equal"))
-    add("norm_bounds", norm_report.all_bounds_hold,
-        f"tail_norms={[f'{x:.3e}' for x in norm_report.tail_norms]}")
-
-    defect, n_nodes = _kappa_reflection_defect(bands)
-    add("kappa_reflection", defect <= KAPPA_REFLECTION_TOL,
-        f"defect={defect:.3e} at {n_nodes} directly solved negative kappa nodes "
-        f"(tol {KAPPA_REFLECTION_TOL} max(1, |E|))")
-
-    finite = all(
-        math.isfinite(v)
-        for v in (diag.mae, diag.max_abs, diag.e_step, diag.affine.a, diag.affine.b)
-    )
-    add("diagnostics_finite", finite,
-        f"MAE={diag.mae:.3f}, max={diag.max_abs:.3f}, E_step={diag.e_step:.3f}")
-
+    diag_values = (diag.mae, diag.max_abs, diag.e_step, diag.affine.a, diag.affine.b)
+    checks = [
+        Check("trace_agreement", trace.abs_gap,
+              max(TRACE_REL_GAP * max(abs(trace.theta_fiber), np.finfo(float).tiny), noise_floor),
+              f"|theta_fiber - theta_separated|; budget max({TRACE_REL_GAP} |theta_fiber|, "
+              "1e-12 l1_mass + band_prune_bound)"),
+        Check("krein_identity", gap_jumps.differing, 0,
+              f"jumps of xi in the chiral gap (-{gap_jumps.above:.6g}, {gap_jumps.above:.6g}) not "
+              f"equal to the kept gap values ({gap_jumps.jumps} jumps, {gap_jumps.kept} kept)"),
+        Check("band_truncation", _truncation_defect(bands), gapspec.MEMBERSHIP_MARGIN,
+              f"max_n |E_n(M) - E_n(2M)| at kappa = 0, a middle node, pi/L, M={bands.truncation}"),
+        Check("diagnostics_finite", sum(not math.isfinite(v) for v in diag_values), 0,
+              "non-finite values among MAE, max_abs, E_step, a, b"),
+    ]
     if cfg.mode == "constant_one":
-        add("euler_factorization_exact", trace.euler_gap < EULER_EXACT_TOL,
-            f"euler_gap={trace.euler_gap:.3e} (tol {EULER_EXACT_TOL})")
+        checks.append(Check("euler_factorization_exact", trace.euler_gap, EULER_EXACT_TOL,
+                            "max_t |A_joint - A_prod|"))
     return tuple(checks)
 
 
@@ -492,9 +480,6 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
         "trace_report.json": _json(asdict(result.trace)),
         "matmodel_report.json": _json({
             "chiral_gap_jumps": result.gap_jumps.jumps,
-            "tail_norms": list(result.norm_report.tail_norms),
-            "tail_bounds": list(result.norm_report.tail_bounds),
-            "norm_bounds_hold": result.norm_report.all_bounds_hold,
             "dimension": result.model_dimension,
         }),
         "diagnostics.json": _json({
@@ -508,6 +493,7 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
             "flags": list(result.diagnostics.flags),
             "scan_warnings": list(result.scan.warnings),
             "stationary_roots": len(result.scan.roots),
+            "checks": [asdict(c) | {"passed": c.passed} for c in result.checks],
         }),
         "staircase.svg": _svg(result),
     }
@@ -611,8 +597,9 @@ def main(argv=None) -> int:
         if args.command == "plot":
             print(f"wrote {_emit(args.out, {'staircase.svg': _svg(result)})['staircase.svg']}")
             return 0
-        for check in result.checks:  # run and verify: one line per check, then per warning
-            print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
+        for c in result.checks:  # run and verify: one line per check, then per warning
+            print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.value:.4g} "
+                  f"{'<=' if c.passed else '>'} {c.budget:.4g} ({c.meaning})")
         for warning in result.scan.warnings:
             print(f"WARN scan: {warning}")
         if args.command == "run":

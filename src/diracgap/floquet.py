@@ -210,10 +210,10 @@ def compute_band_structure(
 ) -> BandStructure:
     """Solve every fiber on the non-negative half grid and mirror.
 
-    Only the lowest n_bands eigenvalues per fiber are kept; n_bands <= 2M
-    keeps them well resolved.  The mirror is one slice, column j < half
-    copying column n - 1 - j, so E_n(-kappa_j) = E_n(kappa_j) bitwise;
-    BandStructure derives the edges and open gaps.
+    Only the lowest n_bands <= 2M eigenvalues per fiber are kept; a run's
+    band_truncation check measures how well M resolves them.  The mirror is
+    one slice, column j < half copying column n - 1 - j, so
+    E_n(-kappa_j) = E_n(kappa_j) bitwise; BandStructure derives the edges and open gaps.
     """
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")

@@ -161,7 +161,7 @@ def test_mass_shifts_bounded_by_partial_sum():
     primes = generate_primes(20)
     ens = sample_hecke_ensemble(primes, 100, seed=5)
     shifts = mass_shifts(ens, fam)
-    partial = sum(fam.sup_norm(p) for p in primes)
+    partial = sum(p ** -(1.0 + fam.epsilon) for p in primes)
     assert np.all(shifts.values >= 0.0)
     assert np.all(shifts.values <= partial)
 

@@ -24,6 +24,7 @@ from diracgap.expcli import (
     scaling_suite,
     serialize_config,
 )
+from diracgap.floquet import QuasiMomentumGrid, fiber_eigenvalues
 from diracgap.shift import Staircase
 from diracgap.zeta import AffineMap, ZeroTable, load_zero_table, zero_staircase
 
@@ -127,9 +128,6 @@ def test_matmodel_report_holds_the_five_model_checks(tmp_path, default_run):
     expcli.write_artifacts(default_run, tmp_path / "d")
     assert json.loads((tmp_path / "d" / "matmodel_report.json").read_text()) == {
         "chiral_gap_jumps": 192,
-        "tail_norms": [0.08692798123341418, 0.02533554692740619, 0.0],
-        "tail_bounds": [0.15206758866736872, 0.054999430292716193, 0.0],
-        "norm_bounds_hold": True,
         "dimension": 64320,
     }
 
@@ -252,7 +250,7 @@ def test_zero_mass_run_degrades_gracefully(tmp_path):
     )
     result = compute_run(cfg)
     assert len(result.spectrum) == 0  # mass ~ 2^-51 stays inside the margin
-    assert (result.gap_jumps.jumps, result.gap_jumps.matches) == (0, True)
+    assert (result.gap_jumps.jumps, result.gap_jumps.differing) == (0, 0)
     assert "insufficient-spectrum" in result.diagnostics.flags
     assert result.all_checks_pass
     expcli.write_artifacts(result, tmp_path / "zm")
@@ -332,7 +330,7 @@ def test_cli_verify_and_plot(tmp_path, capsys):
     cfg_path.write_text(REDUCED)
     assert main(["verify", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5  # every check of an iid_uniform run
+    assert out.count("PASS") == 4  # every check of an iid_uniform run
     assert "FAIL" not in out
     assert main(["plot", "--config", str(cfg_path), "--out", str(tmp_path / "p")]) == 0
     assert (tmp_path / "p" / "staircase.svg").is_file()
@@ -363,23 +361,59 @@ def test_cli_bad_inputs(tmp_path, capsys):
 
 
 def test_checks_cover_spec_contract(reduced_run):
-    names = {c.name for c in reduced_run.checks}
-    assert {
-        "trace_agreement", "krein_identity", "norm_bounds", "kappa_reflection",
-        "diagnostics_finite",
-    } == names
+    assert [c.name for c in reduced_run.checks] == [
+        "trace_agreement", "krein_identity", "band_truncation", "diagnostics_finite",
+    ]
 
 
-def test_kappa_reflection_detects_a_wrong_mirror(reduced_run):
-    bands = reduced_run.bands
-    defect, n_nodes = expcli._kappa_reflection_defect(bands)
-    assert defect <= expcli.KAPPA_REFLECTION_TOL and n_nodes == 3
-    half = bands.grid.half_index
-    for j in (0, half // 2, half - 1):
+@pytest.mark.parametrize("j", ["first", "middle", "next_to_zero"])
+def test_a_wrong_kappa_mirror_makes_the_run_raise(monkeypatch, j):
+    # The bands are solved for kappa >= 0 and mirrored; the trace folds the grid
+    # only if the mirror holds bitwise, so a wrong column is an error, not a FAIL.
+    solve = expcli.compute_band_structure
+
+    def wrong_mirror(*args):
+        bands = solve(*args)
+        half = bands.grid.half_index
+        column = {"first": 0, "middle": half // 2, "next_to_zero": half - 1}[j]
         wrong = bands.bands.copy()
-        wrong[:, j] += 1e-9 * np.maximum(1.0, np.abs(wrong[:, j]))
-        defect, _ = expcli._kappa_reflection_defect(replace(bands, bands=wrong))
-        assert defect > expcli.KAPPA_REFLECTION_TOL
+        wrong[:, column] = np.nextafter(wrong[:, column], np.inf)
+        return replace(bands, bands=wrong)
+
+    monkeypatch.setattr(expcli, "compute_band_structure", wrong_mirror)
+    with pytest.raises(ValueError, match="bitwise"):
+        compute_run(parse_config(REDUCED))
+
+
+# Two runs whose plane-wave truncation M is too small for their bands: band 15
+# moves by 1.6e-3 between M = 8 and 16, and the three-harmonic bands by 1.0e4.
+UNDERRESOLVED = [
+    '{"M": 8, "n_bands": 16}',
+    '{"potential": {"period": 1000.0, "cosine_coefficients": [2.0, -10000.0, 0.5]}, "M": 5,'
+    ' "N_kappa": 9, "n_bands": 10, "mode": "constant_one", "alpha": 1000.0, "K": 3}',
+]
+
+
+@pytest.mark.parametrize("doc", UNDERRESOLVED, ids=["M8-16-bands", "M5-three-harmonics"])
+def test_verify_fails_an_underresolved_truncation(tmp_path, capsys, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(doc)
+    assert main(["verify", "--config", str(cfg_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in out if ln.startswith("FAIL")] == ["FAIL band_truncation"]
+
+
+@pytest.mark.parametrize("doc", ["{}", UNDERRESOLVED[0]], ids=["default", "M8-16-bands"])
+def test_a_finer_truncation_never_raises_a_band(doc):
+    # Rayleigh-Ritz: the 2M basis holds the M basis, so E_n(2M) <= E_n(M) up to rounding.
+    # Each solve errs by about eps max|E| (1.3 eps max|E| at most, measured on six configs).
+    cfg = parse_config(doc)
+    grid = QuasiMomentumGrid(n_nodes=cfg.N_kappa, period=cfg.potential.period)
+    for kappa in (0.0, grid.nodes[(grid.half_index + cfg.N_kappa - 1) // 2], grid.nodes[-1]):
+        coarse, fine = (fiber_eigenvalues(cfg.potential, kappa, M, cfg.n_bands)
+                        for M in (cfg.M, 2 * cfg.M))
+        slack = 4.0 * np.finfo(float).eps * np.abs(coarse).max()
+        assert np.all(fine <= coarse + slack)
 
 
 @pytest.mark.parametrize("name,doc", [
@@ -669,7 +703,24 @@ def test_cheap_configurations_are_rejected_or_run_to_finite_results(doc):
     trace = [getattr(result.trace, f.name) for f in fields(result.trace)]
     d = result.diagnostics
     values = [*trace, d.mae, d.max_abs, d.e_step, d.affine.a, d.affine.b]
+    values += [x for c in result.checks for x in (c.value, c.budget)]
     assert all(math.isfinite(v) for v in values), values
+
+
+@pytest.mark.parametrize("doc", [REDUCED, UNDERRESOLVED[0]], ids=["reduced", "M8-16-bands"])
+def test_check_lines_match_the_diagnostics_checks(tmp_path, capsys, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(doc)
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    checks = json.loads((tmp_path / "out" / "diagnostics.json").read_text())["checks"]
+    assert len(lines) == len(checks) > 0
+    for line, c in zip(lines, checks):
+        assert sorted(c) == ["budget", "meaning", "name", "passed", "value"]
+        assert c["passed"] == (c["value"] <= c["budget"])
+        assert line == (f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['value']:.4g} "
+                        f"{'<=' if c['passed'] else '>'} {c['budget']:.4g} ({c['meaning']})")
+    assert code == (0 if all(c["passed"] for c in checks) else 1)
 
 
 def test_scan_warnings_reach_diagnostics_and_cli(tmp_path, capsys):
