@@ -12,11 +12,11 @@ A run executes the five pipeline steps (bands, ensemble, mass shifts, gap
 filter, staircase), then the trace-formula cross-check, the matrix-model
 verification, and the zero-alignment diagnostics, and finally writes the
 artifact set with a manifest of content hashes.  Each consistency check is
-one Check record, a value against a budget; run and verify print one line
-per record and diagnostics.json holds them all.  Reruns of the same
-configuration are byte-identical; no timestamps or environment state enter
-any output.  _emit writes every output file of every subcommand and removes
-what it wrote when a writer fails.
+one Check record, a value against a budget; run, verify, plot and each suite
+row print one line per record, and diagnostics.json holds them all.  Reruns
+of the same configuration are byte-identical; no timestamps or environment
+state enter any output.  _emit writes every output file of every subcommand
+and removes what it wrote when a writer fails.
 
 CLI subcommands: bands, run, suite, plot, verify.  Each prints one `error:`
 line and exits 2 on a rejected configuration, 1 on any other failure.
@@ -42,8 +42,8 @@ from .floquet import (
     PotentialSpec,
     QuasiMomentumGrid,
     compute_band_structure,
-    fiber_eigenvalues,
     select_reference_energy,
+    truncation_defect,
 )
 from .shift import Staircase, StationaryScan, TestFunction, stationary_scan
 
@@ -302,16 +302,6 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
     )
 
 
-def _truncation_defect(bands: BandStructure) -> float:
-    """max_n |E_n(M) - E_n(2M)| at kappa = 0, a middle node and pi/L: a Hill operator's
-    band edges lie at 0 and pi/L, so this is the truncation error of the gap filter's edges."""
-    g = bands.grid
-    nodes = [g.half_index, (g.half_index + g.n_nodes - 1) // 2, g.n_nodes - 1]
-    fine = np.array([fiber_eigenvalues(bands.potential, g.nodes[j], 2 * bands.truncation,
-                                       bands.n_bands) for j in nodes]).T
-    return float(np.abs(bands.bands[:, nodes] - fine).max())
-
-
 def _consistency_checks(cfg, bands, trace, gap_jumps, diag) -> tuple[Check, ...]:
     # A trace far below the quadrature noise floor (eps-scale of the integrand's L1 mass)
     # cannot be resolved relatively: agreement at the floor is the criterion there.  The
@@ -326,7 +316,7 @@ def _consistency_checks(cfg, bands, trace, gap_jumps, diag) -> tuple[Check, ...]
         Check("krein_identity", gap_jumps.differing, 0,
               f"jumps of xi in the chiral gap (-{gap_jumps.above:.6g}, {gap_jumps.above:.6g}) not "
               f"equal to the kept gap values ({gap_jumps.jumps} jumps, {gap_jumps.kept} kept)"),
-        Check("band_truncation", _truncation_defect(bands), gapspec.MEMBERSHIP_MARGIN,
+        Check("band_truncation", truncation_defect(bands), gapspec.MEMBERSHIP_MARGIN,
               f"max_n |E_n(M) - E_n(2M)| at kappa = 0, a middle node, pi/L, M={bands.truncation}"),
         Check("diagnostics_finite", sum(not math.isfinite(v) for v in diag_values), 0,
               "non-finite values among MAE, max_abs, E_step, a, b"),
@@ -442,25 +432,10 @@ def render_svg(model: Staircase, zero: Staircase, affine: zeta.AffineMap, T: flo
     return "\n".join(parts) + "\n"
 
 
-def _staircase_rows(s: Staircase):
-    """staircase.csv: xi before and after each jump, from -lambda_max up to lambda_max.
-
-    Each location is formatted once; the negative side prefixes "-" (locations are positive).
-    """
-    x, h = [f"{v:.17g}" for v in s.locations.tolist()], s.heights.tolist()
-    yield from (f"-{x[k]},{-h[k + i]}" for k in reversed(range(len(x))) for i in (1, 0))
-    yield from (f"{x[k]},{h[k + i]}" for k in range(len(x)) for i in (0, 1))
-
-
 def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
     """Write the full artifact set, manifest last; on any failure remove what was written."""
     h = result.staircase.heights.tolist()  # group k's fibers are spectrum.fibers[h[k - 1]:h[k]]
     writers = _band_writers(result.bands) | {
-        "ensemble.csv": _csv("p,m,lambda", (
-            f"{prime},{m},{x:.17g}"
-            for prime, row in zip(result.ensemble.primes, result.ensemble.samples)
-            for m, x in enumerate(row.tolist(), start=1)
-        )),
         "massshifts.csv": _csv("m,mass", (
             f"{m},{v:.17g}" for m, v in enumerate(result.shifts.values.tolist(), start=1)
         )),
@@ -473,7 +448,6 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
             f"{k},{n},{j},{m}" for k, (a, b) in enumerate(zip(h, h[1:]), start=1)
             for n, j, m in result.spectrum.fibers[a:b].tolist()
         )),
-        "staircase.csv": _csv("lambda,xi", _staircase_rows(result.staircase)),
         "stationary.csv": _csv("t_root,kind", (
             f"{r:.17g},{k}" for r, k in zip(result.scan.roots, result.scan.kinds)
         )),
@@ -516,11 +490,12 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
 SUITE_AXES = ("N_P", "N_H", "seed")
 
 
-def scaling_suite(axis: str, values, base: ExperimentConfig, out_dir) -> Path:
+def scaling_suite(axis: str, values, base: ExperimentConfig, out_dir, *, report=None) -> Path:
     """One diagnostics row per axis value, written as suite_<axis>.csv.
 
     Every row's value is coerced and its configuration validated before any
     row is computed; a rejected row raises ValidationError naming its value.
+    Each row's RunResult goes to `report`, if given, as soon as it is computed.
     """
     if axis not in SUITE_AXES:
         raise ValidationError(f"axis must be one of {SUITE_AXES}, got {axis!r}")
@@ -537,7 +512,10 @@ def scaling_suite(axis: str, values, base: ExperimentConfig, out_dir) -> Path:
         configs.append(cfg)
     rows = []
     for cfg in configs:
-        d = compute_run(cfg).diagnostics
+        result = compute_run(cfg)
+        if report is not None:
+            report(result)
+        d = result.diagnostics
         rows.append(f"{getattr(cfg, axis)},{d.mae:.17g},{d.max_abs:.17g},{d.e_step:.17g}")
     name = f"suite_{axis}.csv"
     return _emit(out_dir, {name: _csv("axis_value,MAE,max_abs,E_step", rows)})[name]
@@ -545,6 +523,16 @@ def scaling_suite(axis: str, values, base: ExperimentConfig, out_dir) -> Path:
 
 # ---------------------------------------------------------------------------
 # command line
+
+def _report(result: RunResult, prefix: str = "") -> bool:
+    """Print one line per check, then per scan warning; whether every check passed."""
+    for c in result.checks:
+        print(f"{prefix}{'PASS' if c.passed else 'FAIL'} {c.name}: {c.value:.4g} "
+              f"{'<=' if c.passed else '>'} {c.budget:.4g} ({c.meaning})")
+    for warning in result.scan.warnings:
+        print(f"{prefix}WARN scan: {warning}")
+    return result.all_checks_pass
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -585,27 +573,24 @@ def main(argv=None) -> int:
             paths = _emit(args.out, _band_writers(bands))
             print(f"wrote {paths['bands.csv']} and {paths['gaps.csv']}")
             return 0
+        passed = []  # whether each computed run passed its checks
         if args.command == "suite":
             try:
                 values = [int(v) for v in args.values.split(",") if v.strip()]
             except ValueError:
                 raise ValidationError("--values must be comma-separated integers") from None
-            print(f"wrote {scaling_suite(args.axis, values, cfg, args.out)}")
-            return 0
-
-        result = compute_run(cfg)
-        if args.command == "plot":
-            print(f"wrote {_emit(args.out, {'staircase.svg': _svg(result)})['staircase.svg']}")
-            return 0
-        for c in result.checks:  # run and verify: one line per check, then per warning
-            print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.value:.4g} "
-                  f"{'<=' if c.passed else '>'} {c.budget:.4g} ({c.meaning})")
-        for warning in result.scan.warnings:
-            print(f"WARN scan: {warning}")
-        if args.command == "run":
-            paths = write_artifacts(result, args.out).paths
-            print(f"wrote {len(paths)} artifacts to {Path(args.out)}")
-        return 0 if result.all_checks_pass else 1
+            path = scaling_suite(args.axis, values, cfg, args.out, report=lambda r: passed.append(
+                _report(r, f"{args.axis}={getattr(r.config, args.axis)}: ")))
+            print(f"wrote {path}")
+        else:
+            result = compute_run(cfg)
+            passed.append(_report(result))
+            if args.command == "run":
+                paths = write_artifacts(result, args.out).paths
+                print(f"wrote {len(paths)} artifacts to {Path(args.out)}")
+            elif args.command == "plot":
+                print(f"wrote {_emit(args.out, {'staircase.svg': _svg(result)})['staircase.svg']}")
+        return 0 if all(passed) else 1
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -210,8 +210,8 @@ def compute_band_structure(
 ) -> BandStructure:
     """Solve every fiber on the non-negative half grid and mirror.
 
-    Only the lowest n_bands <= 2M eigenvalues per fiber are kept; a run's
-    band_truncation check measures how well M resolves them.  The mirror is
+    Only the lowest n_bands <= 2M eigenvalues per fiber are kept;
+    truncation_defect measures how well M resolves them.  The mirror is
     one slice, column j < half copying column n - 1 - j, so
     E_n(-kappa_j) = E_n(kappa_j) bitwise; BandStructure derives the edges and open gaps.
     """
@@ -233,6 +233,16 @@ def compute_band_structure(
     bands[:, :half] = bands[:, :half:-1]
     bands.setflags(write=False)
     return BandStructure(potential=potential, grid=grid, truncation=M, bands=bands)
+
+
+def truncation_defect(bands: BandStructure) -> float:
+    """max_n |E_n(M) - E_n(2M)| at kappa = 0, a middle node and pi/L: a Hill operator's
+    band edges lie at 0 and pi/L, so this is the truncation error of the gap filter's edges."""
+    g = bands.grid
+    nodes = [g.half_index, (g.half_index + g.n_nodes - 1) // 2, g.n_nodes - 1]
+    fine = np.array([fiber_eigenvalues(bands.potential, g.nodes[j], 2 * bands.truncation,
+                                       bands.n_bands) for j in nodes]).T
+    return float(np.abs(bands.bands[:, nodes] - fine).max())
 
 
 def select_reference_energy(bands: BandStructure, gap_index: int) -> float:

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracgap import expcli, tracekit
-from diracgap.arithmetic import CoefficientFamily, generate_primes
+from diracgap import expcli, floquet, tracekit
+from diracgap.arithmetic import CoefficientFamily, generate_primes, sample_hecke_ensemble
 from diracgap.expcli import (
     ValidationError,
     compute_run,
@@ -30,9 +30,8 @@ from diracgap.zeta import AffineMap, ZeroTable, load_zero_table, zero_staircase
 
 REDUCED = '{"M": 8, "N_kappa": 41, "n_bands": 4, "N_P": 5, "N_H": 5, "K": 5, "T": 40.0}'
 ARTIFACTS = (
-    "bands.csv", "gaps.csv", "ensemble.csv", "massshifts.csv", "spectrum.csv",
-    "spectrum_fibers.csv", "staircase.csv", "stationary.csv",
-    "trace_report.json", "matmodel_report.json", "diagnostics.json",
+    "bands.csv", "gaps.csv", "massshifts.csv", "spectrum.csv", "spectrum_fibers.csv",
+    "stationary.csv", "trace_report.json", "matmodel_report.json", "diagnostics.json",
     "staircase.svg", "manifest.json",
 )
 
@@ -123,7 +122,32 @@ def test_manifest_hashes_and_config_echo(tmp_path, reduced_run):
     )
 
 
-def test_matmodel_report_holds_the_five_model_checks(tmp_path, default_run):
+def test_spectrum_csv_rebuilds_the_staircase(tmp_path, default_run):
+    # xi is the odd cumulative sum of the multiplicities over the jumps +-lambda_k
+    expcli.write_artifacts(default_run, tmp_path)
+    _, lam, mult = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1, unpack=True)
+
+    def xi(x):
+        return np.sign(x) * np.array([mult[lam <= abs(v)].sum() for v in x])
+
+    assert len(lam) > 1
+    for x in (lam, -lam):
+        probes = np.concatenate([np.nextafter(x, 0.0), x, np.nextafter(x, 2.0 * x)])
+        assert np.array_equal(default_run.staircase(probes), xi(probes))
+
+
+@pytest.mark.parametrize("doc", [REDUCED, REDUCED[:-1] + ', "seed": 18446744073709551615}',
+                                 REDUCED[:-1] + ', "mode": "constant_one"}'])
+def test_manifest_config_regenerates_the_ensemble_bitwise(tmp_path, doc):
+    result = compute_run(parse_config(doc))
+    expcli.write_artifacts(result, tmp_path)
+    cfg = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    ensemble = sample_hecke_ensemble(generate_primes(cfg["N_P"]), cfg["N_H"], cfg["seed"],
+                                     cfg["mode"])
+    assert ensemble.samples.tobytes() == result.ensemble.samples.tobytes()
+
+
+def test_matmodel_report_holds_the_jump_count_and_dimension(tmp_path, default_run):
     # The default run's values, bitwise (JSON floats round-trip exactly).
     expcli.write_artifacts(default_run, tmp_path / "d")
     assert json.loads((tmp_path / "d" / "matmodel_report.json").read_text()) == {
@@ -152,7 +176,7 @@ def test_failed_run_removes_partial_artifacts(tmp_path, reduced_run, monkeypatch
     def failing(*args):
         raise OSError("disk full (simulated)")
 
-    monkeypatch.setattr(expcli, "render_svg", failing)  # in the 12th writer, after 11 files
+    monkeypatch.setattr(expcli, "render_svg", failing)  # in the 10th writer, after 9 files
     out = tmp_path / "broken"
     with pytest.raises(OSError, match="disk full"):
         expcli.write_artifacts(reduced_run, out)
@@ -401,6 +425,40 @@ def test_verify_fails_an_underresolved_truncation(tmp_path, capsys, doc):
     assert main(["verify", "--config", str(cfg_path)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert [ln.split(":")[0] for ln in out if ln.startswith("FAIL")] == ["FAIL band_truncation"]
+
+
+@pytest.mark.parametrize("doc,code", [("{}", 0), (UNDERRESOLVED[0], 1)],
+                         ids=["default", "M8-16-bands"])
+def test_plot_and_suite_report_every_run(tmp_path, capsys, doc, code):
+    # plot and each suite row print the check lines of verify; a failing check exits 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(doc)
+    assert main(["plot", "--config", str(cfg_path), "--out", str(tmp_path / "p")]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert ("FAIL band_truncation" in [ln.split(":")[0] for ln in out]) == bool(code)
+    assert out[-1] == f"wrote {tmp_path / 'p' / 'staircase.svg'}"
+    assert main(["suite", "--config", str(cfg_path), "--axis", "seed", "--values", "1,2",
+                 "--out", str(tmp_path / "s")]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert len((tmp_path / "s" / "suite_seed.csv").read_text().splitlines()) == 3
+    for seed in (1, 2):
+        prefix = f"seed={seed}: "
+        lines = [ln.removeprefix(prefix) for ln in out if ln.startswith(prefix)]
+        assert len([ln for ln in lines if ln.startswith(("PASS", "FAIL"))]) == 4
+        assert ("FAIL band_truncation" in [ln.split(":")[0] for ln in lines]) == bool(code)
+        run = compute_run(replace(parse_config(doc), seed=seed))
+        assert [ln for ln in lines if ln.startswith("WARN")] == [
+            f"WARN scan: {w}" for w in run.scan.warnings]
+
+
+def test_every_fiber_solve_goes_through_floquet(monkeypatch):
+    # The half grid and the band_truncation check's three nodes at 2M: a counter
+    # on floquet.fiber_eigenvalues sees every solve of a run.
+    calls, solve = [], floquet.fiber_eigenvalues
+    monkeypatch.setattr(floquet, "fiber_eigenvalues", lambda *a: calls.append(a[2]) or solve(*a))
+    result = compute_run(parse_config(REDUCED))
+    M, fibers = result.config.M, result.config.N_kappa // 2 + 1
+    assert calls == [M] * fibers + [2 * M] * 3
 
 
 @pytest.mark.parametrize("doc", ["{}", UNDERRESOLVED[0]], ids=["default", "M8-16-bands"])

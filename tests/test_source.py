@@ -1,12 +1,13 @@
 """Checks on the library source itself, read as syntax trees."""
 
 import ast
+import re
 from collections import defaultdict
 from dataclasses import fields
 from pathlib import Path
 
 import diracgap
-from diracgap.expcli import ExperimentConfig
+from diracgap.expcli import ExperimentConfig, compute_run, parse_config, write_artifacts
 
 SOURCES = sorted(Path(diracgap.__file__).parent.glob("*.py"))
 # Defaults that only callers outside src/ pass: the tests call main(argv),
@@ -209,3 +210,13 @@ def test_the_array_field_check_sees_every_form():
             "@dataclass(frozen=True, eq=False)\nclass C:\n    x: np.ndarray\n"
             "class D:\n    x: np.ndarray\n")
     assert list(compared_array_fields(ast.parse(code))) == ["A.x", "A.y", "B.x"]
+
+
+def test_readme_lists_the_files_run_writes(tmp_path):
+    # The sentence of README.md that begins "`run` writes" names every artifact,
+    # in the order write_artifacts writes them.
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    sentence = re.search(r"`run` writes (.*?)\.\s", readme).group(1)
+    listed = re.findall(r"`([\w.]+\.\w+)`", sentence)
+    run = compute_run(parse_config('{"M": 8, "N_kappa": 41, "n_bands": 4, "N_P": 5, "N_H": 5}'))
+    assert listed == list(write_artifacts(run, tmp_path).paths)
