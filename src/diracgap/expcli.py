@@ -227,6 +227,10 @@ class Check:
     def passed(self) -> bool:
         return bool(self.value <= self.budget)  # a NaN value fails
 
+    def __str__(self) -> str:
+        return (f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.value:.4g} "
+                f"{'<=' if self.passed else '>'} {self.budget:.4g} ({self.meaning})")
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -302,6 +306,13 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
     )
 
 
+def _band_truncation_check(bands: BandStructure) -> Check:
+    """Whether the truncation M resolves the band edges the gap filter uses."""
+    return Check(
+        "band_truncation", truncation_defect(bands), gapspec.MEMBERSHIP_MARGIN,
+        f"max_n |E_n(M) - E_n(2M)| at kappa = 0, a middle node, pi/L, M={bands.truncation}")
+
+
 def _consistency_checks(cfg, bands, trace, gap_jumps, diag) -> tuple[Check, ...]:
     # A trace far below the quadrature noise floor (eps-scale of the integrand's L1 mass)
     # cannot be resolved relatively: agreement at the floor is the criterion there.  The
@@ -316,8 +327,7 @@ def _consistency_checks(cfg, bands, trace, gap_jumps, diag) -> tuple[Check, ...]
         Check("krein_identity", gap_jumps.differing, 0,
               f"jumps of xi in the chiral gap (-{gap_jumps.above:.6g}, {gap_jumps.above:.6g}) not "
               f"equal to the kept gap values ({gap_jumps.jumps} jumps, {gap_jumps.kept} kept)"),
-        Check("band_truncation", truncation_defect(bands), gapspec.MEMBERSHIP_MARGIN,
-              f"max_n |E_n(M) - E_n(2M)| at kappa = 0, a middle node, pi/L, M={bands.truncation}"),
+        _band_truncation_check(bands),
         Check("diagnostics_finite", sum(not math.isfinite(v) for v in diag_values), 0,
               "non-finite values among MAE, max_abs, E_step, a, b"),
     ]
@@ -527,8 +537,7 @@ def scaling_suite(axis: str, values, base: ExperimentConfig, out_dir, *, report=
 def _report(result: RunResult, prefix: str = "") -> bool:
     """Print one line per check, then per scan warning; whether every check passed."""
     for c in result.checks:
-        print(f"{prefix}{'PASS' if c.passed else 'FAIL'} {c.name}: {c.value:.4g} "
-              f"{'<=' if c.passed else '>'} {c.budget:.4g} ({c.meaning})")
+        print(f"{prefix}{c}")
     for warning in result.scan.warnings:
         print(f"{prefix}WARN scan: {warning}")
     return result.all_checks_pass
@@ -570,9 +579,11 @@ def main(argv=None) -> int:
         if args.command == "bands":
             grid = QuasiMomentumGrid(n_nodes=cfg.N_kappa, period=cfg.potential.period)
             bands = compute_band_structure(cfg.potential, grid, cfg.M, cfg.n_bands)
+            check = _band_truncation_check(bands)
+            print(check)
             paths = _emit(args.out, _band_writers(bands))
             print(f"wrote {paths['bands.csv']} and {paths['gaps.csv']}")
-            return 0
+            return 0 if check.passed else 1
         passed = []  # whether each computed run passed its checks
         if args.command == "suite":
             try:

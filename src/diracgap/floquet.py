@@ -19,24 +19,26 @@ Fiber eigenvalues are computed with a bisection-based banded solver, which
 resolves the low-lying spectrum far below the 1e-10 contract even though the
 matrix norm grows like (2 pi M / L)^2.  fiber_eigenvalues calls LAPACK's
 dsbevx with the arguments scipy.linalg.eigvals_banded(select="i") passes
-(eigenvalues only, index range 1..count, upper storage), so the values are
-bitwise those of that call without its per-call argument handling.  The
-routine comes from SciPy's compiled LAPACK extension, scipy/linalg/_flapack,
-loaded once at import from its file alone: importing scipy.linalg would
-cost about 0.4 s of start-up and 19 MiB.  Python files the extension in
-sys.modules under its own name, so scipy.linalg, if imported later, reuses
-this module, and if imported earlier, supplies it.  The absolute tolerance
-is pinned here to 2 dlamch('s'), twice the safe minimum, the value the
-dsbevx manual recommends for the most accurate eigenvalues; it no longer
-follows a scipy default.
+(eigenvalues only, index range 1..count, upper storage).  The routine is
+the one in the OpenBLAS that NumPy's wheel bundles and has already loaded,
+numpy.libs/libscipy_openblas64_*.so (64-bit LAPACK integers), bound once at
+import through ctypes; SciPy is not imported.  One call solves a batch of
+fibers: their band storage is built in one NumPy expression, and contiguous
+chunks of them, one per CPU, are solved concurrently, since ctypes releases
+the GIL for the duration of each LAPACK call.  Every fiber is solved alone
+with the same arguments, so the eigenvalues do not depend on the thread
+count, and they are bitwise those of eigvals_banded.  The absolute tolerance
+is pinned to 2 dlamch('s'), twice the safe minimum, the value the dsbevx
+manual recommends for the most accurate eigenvalues.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 from dataclasses import dataclass, field
-from importlib.machinery import EXTENSION_SUFFIXES
-from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
 
 import numpy as np
@@ -45,25 +47,25 @@ import numpy as np
 GAP_TOLERANCE = 1e-6
 
 
-def _load_flapack():
-    """scipy.linalg._flapack, loaded from its file without importing scipy or scipy.linalg."""
-    scipy_spec = find_spec("scipy")  # locates the package without importing it
-    if scipy_spec is None or not scipy_spec.submodule_search_locations:
-        raise ImportError("diracgap needs SciPy's LAPACK extension; no scipy package found")
-    folder = Path(scipy_spec.submodule_search_locations[0]) / "linalg"
-    for suffix in EXTENSION_SUFFIXES:
-        path = folder / f"_flapack{suffix}"
-        if path.is_file():
-            spec = spec_from_file_location("scipy.linalg._flapack", path)
-            module = module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    raise ImportError(f"no _flapack extension in {folder}")
+def _load_lapack(folder: Path) -> ctypes.CDLL:
+    """The ILP64 OpenBLAS bundled with NumPy's wheel, whose LAPACK symbols read scipy_*_64_."""
+    found = sorted(folder.glob("libscipy_openblas64_*.so"))
+    if len(found) != 1:
+        raise ImportError(f"expected one libscipy_openblas64_ library in {folder}, "
+                          f"found {len(found)}")
+    return ctypes.CDLL(str(found[0]))
 
 
-_FLAPACK = _load_flapack()
-_DSBEVX, _DLAMCH = _FLAPACK.dsbevx, _FLAPACK.dlamch
-SBEVX_ABSTOL = 2.0 * _DLAMCH("s")
+_LAPACK = _load_lapack(Path(np.__file__).parent.parent / "numpy.libs")
+# Every pointer is a c_void_p: an address passed as a plain int would be cut to 32 bits.
+# The three trailing lengths are gfortran's hidden lengths of JOBZ, RANGE and UPLO.
+_DSBEVX = _LAPACK.scipy_dsbevx_64_
+_DSBEVX.argtypes = [ctypes.c_void_p] * 21 + [ctypes.c_size_t] * 3
+_DSBEVX.restype = None
+_DLAMCH = _LAPACK.scipy_dlamch_64_
+_DLAMCH.argtypes = [ctypes.c_void_p, ctypes.c_size_t]
+_DLAMCH.restype = ctypes.c_double
+SBEVX_ABSTOL = 2.0 * _DLAMCH(b"S", 1)
 
 
 class NoOpenGapError(ValueError):
@@ -163,43 +165,92 @@ class BandStructure:
         return self.bands.shape[0]
 
 
-def _check_fiber_args(potential: PotentialSpec, kappa: float, M: int) -> None:
+def _check_fiber_args(potential: PotentialSpec, kappas: np.ndarray, M: int, count: int) -> None:
     R = potential.harmonic_count
     if M < max(R, 1):
         raise ValueError(
             f"truncation M={M} must be >= R={R}; smaller M drops potential harmonics"
         )
-    if not math.isfinite(kappa):
-        raise ValueError(f"non-finite quasi-momentum {kappa!r}")
-    if abs(kappa) > (np.pi / potential.period) * (1.0 + 1e-12):
-        raise ValueError(f"kappa={kappa} outside the Brillouin zone [-pi/L, pi/L]")
-
-
-def _fiber_band_storage(potential: PotentialSpec, kappa: float, M: int) -> np.ndarray:
-    # Upper banded LAPACK storage (row R is the diagonal).
-    L = potential.period
-    R = potential.harmonic_count
-    n = 2 * M + 1
-    m = np.arange(-M, M + 1)
-    ab = np.zeros((R + 1, n))
-    ab[R, :] = (kappa + 2.0 * np.pi * m / L) ** 2
-    for r, c in enumerate(potential.cosine_coefficients, start=1):
-        ab[R - r, r:] = c / 2.0
-    return ab
-
-
-def fiber_eigenvalues(potential: PotentialSpec, kappa: float, M: int, count: int) -> np.ndarray:
-    """Lowest `count` fiber eigenvalues, ascending."""
-    _check_fiber_args(potential, kappa, M)
+    if kappas.ndim != 1:
+        raise ValueError(f"kappas must be one-dimensional, got shape {kappas.shape}")
+    bad = kappas[~np.isfinite(kappas)].tolist()
+    if bad:
+        raise ValueError(f"non-finite quasi-momentum {bad[0]!r}")
+    outside = kappas[np.abs(kappas) > (np.pi / potential.period) * (1.0 + 1e-12)].tolist()
+    if outside:
+        raise ValueError(f"kappa={outside[0]} outside the Brillouin zone [-pi/L, pi/L]")
     n = 2 * M + 1
     if not 1 <= count <= n:
         raise ValueError(f"requested {count} eigenvalues from a fiber of size {n}")
-    ab = np.asarray_chkfinite(_fiber_band_storage(potential, kappa, M))
-    w, _, m, _, info = _DSBEVX(ab, 0.0, 1.0, 1, count, compute_v=0, range=2, lower=0,
-                               abstol=SBEVX_ABSTOL, mmax=1)
-    if info != 0:
-        raise FiberSolveError(f"dsbevx failed at kappa={kappa}: info={info}")
-    return w[:m]
+
+
+def _fiber_band_storage(potential: PotentialSpec, kappas: np.ndarray, M: int) -> np.ndarray:
+    # Upper banded LAPACK storage of every fiber, column-major: ab[f, j] is column j of
+    # fiber f and ab[f, :, R] its diagonal.
+    R = potential.harmonic_count
+    m = np.arange(-M, M + 1)
+    ab = np.zeros((len(kappas), 2 * M + 1, R + 1))
+    ab[:, :, R] = (kappas[:, None] + 2.0 * np.pi * m / potential.period) ** 2
+    for r, c in enumerate(potential.cosine_coefficients, start=1):
+        ab[:, r:, R - r] = c / 2.0
+    return ab
+
+
+def _solve_chunk(ab: np.ndarray, count: int, out: np.ndarray, done: list, slot: int) -> None:
+    """dsbevx on the fibers ab[0], ab[1], ... in turn, each one's eigenvalues into its row
+    of out; done[slot] = (fibers solved, dsbevx's info or what the next fiber raised)."""
+    n, ldab = ab.shape[1], ab.shape[2]
+    # n, kd, ldab, il, iu, ldq = ldz, then the outputs m and info, all by reference
+    ints = np.array([n, ldab - 1, ldab, 1, count, 1, 0, 0], dtype=np.int64)
+    reals = np.array([0.0, 1.0, SBEVX_ABSTOL])  # vl, vu (unused for an index range), abstol
+    w, dummy = np.empty(n), np.empty(1)  # dummy stands for Q, Z and IFAIL, never referenced
+    work, iwork = np.empty(7 * n), np.empty(5 * n, dtype=np.int64)
+    i, r = ints.ctypes.data, reals.ctypes.data
+    solved = 0
+    try:
+        for fiber in ab:
+            _DSBEVX(b"N", b"I", b"U", i, i + 8, fiber.ctypes.data, i + 16, dummy.ctypes.data,
+                    i + 40, r, r + 8, i + 24, i + 32, r + 16, i + 48, w.ctypes.data,
+                    dummy.ctypes.data, i + 40, work.ctypes.data, iwork.ctypes.data,
+                    dummy.ctypes.data, i + 56, 1, 1, 1)
+            if ints[7] != 0:
+                break
+            out[solved] = w[:count]
+            solved += 1
+        done[slot] = (solved, int(ints[7]))
+    except Exception as err:  # raised again in the caller's thread, naming the fiber
+        done[slot] = (solved, err)
+
+
+def fiber_eigenvalues(potential: PotentialSpec, kappas, M: int, count: int) -> np.ndarray:
+    """Lowest `count` eigenvalues of each fiber H(kappa), ascending: shape (len(kappas), count).
+
+    The fibers are split into contiguous chunks, one per CPU this process may run on; the
+    caller's thread solves the first and one thread each the others, with the GIL released
+    inside LAPACK.  Each row depends only on its own fiber, so not on the chunking.
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    _check_fiber_args(potential, kappas, M, count)
+    ab = np.asarray_chkfinite(_fiber_band_storage(potential, kappas, M))
+    out = np.empty((len(kappas), count))
+    chunks = max(1, min(len(os.sched_getaffinity(0)), len(kappas)))
+    bounds = [len(kappas) * k // chunks for k in range(chunks + 1)]
+    done = [None] * chunks
+    threads = [threading.Thread(target=_solve_chunk, args=(ab[lo:hi], count, out[lo:hi], done, k))
+               for k, lo, hi in zip(range(1, chunks), bounds[1:], bounds[2:])]
+    for thread in threads:
+        thread.start()
+    try:
+        _solve_chunk(ab[:bounds[1]], count, out[:bounds[1]], done, 0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for lo, hi, (solved, info) in zip(bounds, bounds[1:], done):
+        if lo + solved < hi:
+            j, cause = lo + solved, info if isinstance(info, Exception) else None
+            raise FiberSolveError(
+                f"dsbevx failed on fiber {j} (kappa={kappas[j]}): info={info!r}") from cause
+    return out
 
 
 def compute_band_structure(
@@ -208,7 +259,7 @@ def compute_band_structure(
     M: int,
     n_bands: int,
 ) -> BandStructure:
-    """Solve every fiber on the non-negative half grid and mirror.
+    """Solve every fiber on the non-negative half grid in one batch and mirror.
 
     Only the lowest n_bands <= 2M eigenvalues per fiber are kept;
     truncation_defect measures how well M resolves them.  The mirror is
@@ -222,14 +273,9 @@ def compute_band_structure(
     if grid.period != potential.period:
         raise ValueError("grid and potential periods disagree")
 
-    n = grid.n_nodes
     half = grid.half_index
-    bands = np.empty((n_bands, n))
-    for j in range(half, n):
-        try:
-            bands[:, j] = fiber_eigenvalues(potential, grid.nodes[j], M, n_bands)
-        except FiberSolveError as err:
-            raise FiberSolveError(f"fiber j={j}: {err}") from err
+    bands = np.empty((n_bands, grid.n_nodes))
+    bands[:, half:] = fiber_eigenvalues(potential, grid.nodes[half:], M, n_bands).T
     bands[:, :half] = bands[:, :half:-1]
     bands.setflags(write=False)
     return BandStructure(potential=potential, grid=grid, truncation=M, bands=bands)
@@ -240,9 +286,8 @@ def truncation_defect(bands: BandStructure) -> float:
     band edges lie at 0 and pi/L, so this is the truncation error of the gap filter's edges."""
     g = bands.grid
     nodes = [g.half_index, (g.half_index + g.n_nodes - 1) // 2, g.n_nodes - 1]
-    fine = np.array([fiber_eigenvalues(bands.potential, g.nodes[j], 2 * bands.truncation,
-                                       bands.n_bands) for j in nodes]).T
-    return float(np.abs(bands.bands[:, nodes] - fine).max())
+    fine = fiber_eigenvalues(bands.potential, g.nodes[nodes], 2 * bands.truncation, bands.n_bands)
+    return float(np.abs(bands.bands[:, nodes] - fine.T).max())
 
 
 def select_reference_energy(bands: BandStructure, gap_index: int) -> float:

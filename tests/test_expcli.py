@@ -429,6 +429,22 @@ def test_verify_fails_an_underresolved_truncation(tmp_path, capsys, doc):
 
 @pytest.mark.parametrize("doc,code", [("{}", 0), (UNDERRESOLVED[0], 1)],
                          ids=["default", "M8-16-bands"])
+def test_bands_checks_the_truncation_of_what_it_writes(tmp_path, capsys, doc, code):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(doc)
+    assert main(["bands", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in out if ln.startswith(("PASS", "FAIL"))] == [
+        f"{'FAIL' if code else 'PASS'} band_truncation"]
+    run = compute_run(parse_config(doc))
+    assert out[0] == str(next(c for c in run.checks if c.name == "band_truncation"))
+    # the files are written either way: one line per band value, and the gaps
+    assert (tmp_path / "b" / "bands.csv").read_text().count("\n") == run.bands.bands.size + 1
+    assert (tmp_path / "b" / "gaps.csv").is_file()
+
+
+@pytest.mark.parametrize("doc,code", [("{}", 0), (UNDERRESOLVED[0], 1)],
+                         ids=["default", "M8-16-bands"])
 def test_plot_and_suite_report_every_run(tmp_path, capsys, doc, code):
     # plot and each suite row print the check lines of verify; a failing check exits 1
     cfg_path = tmp_path / "cfg.json"
@@ -452,13 +468,14 @@ def test_plot_and_suite_report_every_run(tmp_path, capsys, doc, code):
 
 
 def test_every_fiber_solve_goes_through_floquet(monkeypatch):
-    # The half grid and the band_truncation check's three nodes at 2M: a counter
-    # on floquet.fiber_eigenvalues sees every solve of a run.
+    # One batch for the half grid and one for the band_truncation check's three nodes
+    # at 2M: a counter on floquet.fiber_eigenvalues sees every solve of a run.
     calls, solve = [], floquet.fiber_eigenvalues
-    monkeypatch.setattr(floquet, "fiber_eigenvalues", lambda *a: calls.append(a[2]) or solve(*a))
+    monkeypatch.setattr(floquet, "fiber_eigenvalues",
+                        lambda *a: calls.append((a[2], len(a[1]))) or solve(*a))
     result = compute_run(parse_config(REDUCED))
     M, fibers = result.config.M, result.config.N_kappa // 2 + 1
-    assert calls == [M] * fibers + [2 * M] * 3
+    assert calls == [(M, fibers), (2 * M, 3)]
 
 
 @pytest.mark.parametrize("doc", ["{}", UNDERRESOLVED[0]], ids=["default", "M8-16-bands"])
@@ -468,7 +485,7 @@ def test_a_finer_truncation_never_raises_a_band(doc):
     cfg = parse_config(doc)
     grid = QuasiMomentumGrid(n_nodes=cfg.N_kappa, period=cfg.potential.period)
     for kappa in (0.0, grid.nodes[(grid.half_index + cfg.N_kappa - 1) // 2], grid.nodes[-1]):
-        coarse, fine = (fiber_eigenvalues(cfg.potential, kappa, M, cfg.n_bands)
+        coarse, fine = (fiber_eigenvalues(cfg.potential, [kappa], M, cfg.n_bands)[0]
                         for M in (cfg.M, 2 * cfg.M))
         slack = 4.0 * np.finfo(float).eps * np.abs(coarse).max()
         assert np.all(fine <= coarse + slack)

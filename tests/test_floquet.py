@@ -1,17 +1,21 @@
+import ctypes
 import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, eigvals_banded
+from scipy.linalg import eigh_tridiagonal, eigvals_banded, lapack
 
 from conftest import toy_band_structure
 from oracles import build_fiber_matrix
+from diracgap import floquet
 from diracgap.floquet import (
+    FiberSolveError,
     NoOpenGapError,
     PotentialSpec,
     QuasiMomentumGrid,
@@ -55,19 +59,21 @@ def test_mathieu_fiber_matrix_m1():
 def test_fiber_matrix_rejections():
     pot = PotentialSpec.mathieu()
     with pytest.raises(ValueError, match="harmonics"):
-        fiber_eigenvalues(pot, kappa=0.0, M=0, count=1)
+        fiber_eigenvalues(pot, [0.0], M=0, count=1)
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(\)"):
+        fiber_eigenvalues(pot, 0.0, M=4, count=1)
     with pytest.raises(ValueError, match="non-finite"):
-        fiber_eigenvalues(pot, kappa=float("nan"), M=4, count=1)
+        fiber_eigenvalues(pot, [0.0, float("nan")], M=4, count=1)
     with pytest.raises(ValueError, match="Brillouin"):
-        fiber_eigenvalues(pot, kappa=4.0, M=4, count=1)
+        fiber_eigenvalues(pot, [0.0, 4.0], M=4, count=1)
     # kappa = 1e-13 is 3e6 times pi/L here: the zone's slack is relative to pi/L
     with pytest.raises(ValueError, match="Brillouin"):
-        fiber_eigenvalues(PotentialSpec(period=1e20, cosine_coefficients=(1.0,)), 1e-13, 1, 1)
+        fiber_eigenvalues(PotentialSpec(period=1e20, cosine_coefficients=(1.0,)), [1e-13], 1, 1)
 
 
 def test_fiber_eigenvalue_count_and_order():
     pot = PotentialSpec.mathieu()
-    full = fiber_eigenvalues(pot, 0.3, M=6, count=13)
+    full = fiber_eigenvalues(pot, [0.3], M=6, count=13)[0]
     assert len(full) == 13  # 2M + 1
     assert np.all(np.diff(full) >= 0)
     dense = np.linalg.eigvalsh(build_fiber_matrix(pot, 0.3, M=6))
@@ -83,83 +89,114 @@ BITWISE_CASES = [
 
 @pytest.mark.parametrize("M,coefficients,period", BITWISE_CASES)
 def test_fiber_eigenvalues_bitwise_equal_to_eigvals_banded(M, coefficients, period):
-    # The direct dsbevx call must give exactly what scipy's wrapper gives.
-    # The oracle's band storage comes from the dense fiber matrix.
+    # NumPy's OpenBLAS, called directly on a batch, must give exactly what SciPy's
+    # wrapper gives on its own OpenBLAS build, fiber by fiber.  The oracle's band
+    # storage comes from the dense fiber matrix.
     pot = PotentialSpec(period=period, cosine_coefficients=coefficients)
     R = pot.harmonic_count
     count = min(16, 2 * M + 1)
     edge = np.pi / period
-    for kappa in (-edge, 0.0, edge, 0.37 * edge):
+    kappas = [-edge, 0.0, edge, 0.37 * edge]
+    got = fiber_eigenvalues(pot, kappas, M, count)
+    assert floquet.SBEVX_ABSTOL == 2 * lapack.dlamch("s")  # the abstol eigvals_banded passes
+    assert got.shape == (len(kappas), count)
+    for kappa, row in zip(kappas, got):
         dense = build_fiber_matrix(pot, kappa, M)
         ab = np.array([np.concatenate([np.zeros(R - r), np.diag(dense, R - r)])
                        for r in range(R + 1)])
         expected = eigvals_banded(ab, select="i", select_range=(0, count - 1))
-        got = fiber_eigenvalues(pot, kappa, M, count)
-        assert got.tobytes() == expected.tobytes(), kappa
+        assert row.tobytes() == expected.tobytes(), kappa
 
 
-def run_python(code, *pythonpath):
-    """Run code in a fresh interpreter whose path starts with pythonpath, then src/ and tests/."""
+def run_python(code):
+    """Run code in a fresh interpreter whose path starts with src/ and tests/."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [*map(str, pythonpath), str(SRC), str(TESTS), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(TESTS), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
-def test_a_default_run_leaves_scipy_linalg_unloaded():
-    # floquet loads only the _flapack extension; `import scipy.linalg` costs
-    # about 0.4 s of start-up and 19 MiB.
+def test_a_default_run_loads_no_scipy_module_and_one_openblas():
+    # floquet calls dsbevx in the OpenBLAS that NumPy already maps; SciPy's own
+    # OpenBLAS build is never loaded beside it.
     proc = run_python(
         "import sys, diracgap\n"
         "from diracgap.expcli import compute_run, parse_config\n"
         "compute_run(parse_config('{}'))\n"
-        "assert 'scipy.linalg' not in sys.modules, sorted(sys.modules)\n")
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], sorted(sys.modules)\n"
+        "maps = open('/proc/self/maps').read().splitlines()\n"
+        "libs = {line.split()[-1] for line in maps if 'openblas' in line.lower()}\n"
+        "assert len(libs) == 1, libs\n"
+        "assert 'libscipy_openblas64_' in libs.pop()\n")
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("order", ["diracgap first", "scipy.linalg first"])
-def test_both_import_orders_give_eigvals_banded_bitwise(order):
-    # Imported before scipy.linalg, floquet loads the extension that
-    # scipy.linalg then reuses; imported after, it gets scipy.linalg's.
-    proc = run_python(
-        "import sys\n"
-        f"if {order == 'scipy.linalg first'}: import scipy.linalg\n"
-        "from diracgap import floquet\n"
-        f"assert ('scipy.linalg' in sys.modules) == {order == 'scipy.linalg first'}\n"
-        "import scipy.linalg, test_floquet\n"
-        "for case in test_floquet.BITWISE_CASES:\n"
-        "    test_floquet.test_fiber_eigenvalues_bitwise_equal_to_eigvals_banded(*case)\n"
-        "assert floquet.SBEVX_ABSTOL == 2 * scipy.linalg.lapack.dlamch('s')\n")
-    assert proc.returncode == 0, proc.stderr
+def test_a_missing_openblas_fails_the_loader(tmp_path):
+    # No library in the folder: the loader names it; nothing falls back to another route.
+    with pytest.raises(ImportError) as err:
+        floquet._load_lapack(tmp_path)
+    assert str(err.value) == f"expected one libscipy_openblas64_ library in {tmp_path}, found 0"
 
 
-def test_a_missing_lapack_extension_fails_the_import(tmp_path):
-    # A scipy package without linalg/_flapack*: the import fails and names
-    # the directory it searched; nothing falls back to another route.
-    package, module = tmp_path / "package", tmp_path / "module"
-    (package / "scipy" / "linalg").mkdir(parents=True)
-    (package / "scipy" / "__init__.py").write_text("")
-    module.mkdir()
-    (module / "scipy.py").write_text("")  # a plain module named scipy is no package
-    proc = run_python("import diracgap", package)
-    assert f"ImportError: no _flapack extension in {package / 'scipy' / 'linalg'}\n" in proc.stderr
-    proc = run_python("import diracgap", module)
-    assert "ImportError: diracgap needs SciPy's LAPACK extension; no scipy package found" in proc.stderr
+def patch_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+THREE_HARMONICS = PotentialSpec(period=2.0, cosine_coefficients=(2.0, 0.7, 0.3))
+
+
+def test_bands_do_not_depend_on_the_thread_count(monkeypatch):
+    # 21 half-grid fibers in 1, 2, 3 or 7 chunks, and 3 truncation fibers, fewer than 7
+    grid = QuasiMomentumGrid(n_nodes=41, period=2.0)
+    solved = {}
+    for cpus in (1, 2, 3, 7):
+        patch_cpus(monkeypatch, cpus)
+        bands = compute_band_structure(THREE_HARMONICS, grid, M=16, n_bands=8)
+        solved[cpus] = (bands.bands.tobytes(), floquet.truncation_defect(bands))
+    assert len(set(solved.values())) == 1
+
+
+@pytest.mark.parametrize("failure", ["info", "raise"])
+def test_a_failed_fiber_names_itself_and_leaves_no_thread(monkeypatch, failure):
+    # 21 fibers in 3 chunks of 7: fiber 17 is in the last chunk, solved by a worker thread.
+    # The fake finds it by its m = 0 diagonal entry, kappa^2, read before dsbevx overwrites it.
+    grid = QuasiMomentumGrid(n_nodes=41, period=2.0)
+    kappa = grid.nodes[grid.half_index + 17]
+    M, real, solvers = 16, floquet._DSBEVX, []
+
+    def fake(*args):
+        ldab = ctypes.c_int64.from_address(args[6]).value
+        diagonal = ctypes.c_double.from_address(args[5] + 8 * (M * ldab + ldab - 1)).value
+        real(*args)
+        if diagonal == kappa ** 2:
+            solvers.append(threading.current_thread())
+            if failure == "raise":
+                raise MemoryError("no room for the fiber")
+            ctypes.c_int64.from_address(args[21]).value = 1
+
+    patch_cpus(monkeypatch, 3)
+    monkeypatch.setattr(floquet, "_DSBEVX", fake)
+    threads = threading.active_count()
+    with pytest.raises(FiberSolveError) as err:
+        compute_band_structure(THREE_HARMONICS, grid, M=M, n_bands=8)
+    info = "1" if failure == "info" else "MemoryError('no room for the fiber')"
+    assert str(err.value) == f"dsbevx failed on fiber 17 (kappa={kappa}): info={info}"
+    assert solvers != [threading.current_thread()] and len(solvers) == 1
+    assert threading.active_count() == threads
 
 
 def test_fiber_eigenvalues_rejects_non_finite_storage_and_bad_counts():
     # the diagonal (2 pi M / L)^2 overflows; LAPACK must never see the inf
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
-        fiber_eigenvalues(PotentialSpec(period=1e-300, cosine_coefficients=(2.0,)), 0.0, 4, 2)
+        fiber_eigenvalues(PotentialSpec(period=1e-300, cosine_coefficients=(2.0,)), [0.0], 4, 2)
     for count in (0, 10):
         with pytest.raises(ValueError, match="eigenvalues from a fiber of size 9"):
-            fiber_eigenvalues(PotentialSpec.mathieu(), 0.0, 4, count)
+            fiber_eigenvalues(PotentialSpec.mathieu(), [0.0], 4, count)
 
 
 def test_golden_lowest_eigenvalue_at_zone_edge():
     # Production truncation M=32 against the high-truncation desk oracle.
-    prod = fiber_eigenvalues(PotentialSpec.mathieu(), np.pi, M=32, count=1)[0]
+    prod = fiber_eigenvalues(PotentialSpec.mathieu(), [np.pi], M=32, count=1)[0, 0]
     oracle = tridiagonal_oracle(np.pi, 128, 1)[0]
     assert abs(prod - oracle) < 1e-10
     assert abs(prod - TRUE_LOWEST_AT_PI) < 1e-10
@@ -223,11 +260,10 @@ def test_evenness_bitwise_and_independent(mathieu_bands):
         assert np.array_equal(bands.bands[:, j], bands.bands[:, n - 1 - j])
     # Re-solve a few negative nodes independently, without mirroring.
     pot = bands.potential
-    for j in (0, 17, 60, 99):
-        kappa = bands.grid.nodes[j]
-        assert kappa < 0
-        fresh = fiber_eigenvalues(pot, kappa, M=32, count=bands.n_bands)
-        assert np.abs(fresh - bands.bands[:, j]).max() < 1e-10
+    nodes = [0, 17, 60, 99]
+    assert np.all(bands.grid.nodes[nodes] < 0)
+    fresh = fiber_eigenvalues(pot, bands.grid.nodes[nodes], M=32, count=bands.n_bands)
+    assert np.abs(fresh.T - bands.bands[:, nodes]).max() < 1e-10
 
 
 def test_band_ordering_and_interlacing(mathieu_bands):

@@ -132,8 +132,8 @@ def imported_modules(node):
 
 
 def test_no_module_imports_scipy():
-    # floquet loads scipy.linalg's _flapack extension from its file; an import
-    # of scipy or any of its subpackages brings back about 0.4 s of start-up.
+    # floquet calls the LAPACK in NumPy's own OpenBLAS; SciPy is a test dependency
+    # only, and an import of scipy.linalg costs about 0.4 s of start-up.
     imports = [f"{path.stem}:{node.lineno}" for path in SOURCES
                for node in ast.walk(ast.parse(path.read_text()))
                for name in imported_modules(node) if name.split(".")[0] == "scipy"]
