@@ -69,30 +69,6 @@ def generate_primes(count: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class CoefficientFamily:
-    """Even quadratic coefficient family eta_p.
-
-    eta_p(lambda) = p^-(1+epsilon) * lambda^2, with sup norm
-    p^-(1+epsilon) on [-1, 1].  epsilon > 0 is required for summability of
-    sum_p ||eta_p||_inf.
-    """
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(
-                f"epsilon must be positive (got {self.epsilon}): the prime sum "
-                "sum_p p^-(1+epsilon) diverges otherwise"
-            )
-
-    def eta(self, p: int, lam):
-        """eta_p(lambda), vectorized over lambda."""
-        lam = np.asarray(lam, dtype=float)
-        return p ** -(1.0 + self.epsilon) * lam * lam
-
-
-@dataclass(frozen=True)
 class HeckeEnsemble:
     """Joint synthetic eigenvalue samples lambda_p(m), p in S, m = 1..N_H.
 
@@ -142,13 +118,19 @@ class MassShifts:
         return len(self.values)
 
 
-def mass_shifts(ensemble: HeckeEnsemble, family: CoefficientFamily) -> MassShifts:
+def mass_shifts(ensemble: HeckeEnsemble, epsilon: float) -> MassShifts:
     """m_m = sum_{p in S} eta_p(lambda_p(m)), accumulated in ascending-prime order.
 
-    Each eta_p row is evaluated once, and the summation order is fixed for
-    float reproducibility.
+    eta_p(lambda) = p^-(1+epsilon) lambda^2 is the even quadratic family, with
+    sup norm p^-(1+epsilon) on [-1, 1]; epsilon > 0 is required for summability
+    of sum_p ||eta_p||_inf.  Each eta_p row is evaluated once, and the
+    summation order is fixed for float reproducibility.
     """
-    terms = np.array([family.eta(p, row) for p, row in zip(ensemble.primes, ensemble.samples)])
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive (got {epsilon}): the prime sum "
+                         "sum_p p^-(1+epsilon) diverges otherwise")
+    terms = np.array([p ** -(1.0 + epsilon) * lam * lam
+                      for p, lam in zip(ensemble.primes, ensemble.samples)])
     total = np.zeros(ensemble.n_modes)
     for row in terms:
         total += row

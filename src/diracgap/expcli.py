@@ -278,7 +278,7 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
 
     primes = arithmetic.generate_primes(cfg.N_P)
     ensemble = arithmetic.sample_hecke_ensemble(primes, cfg.N_H, cfg.seed, cfg.mode)
-    shifts = arithmetic.mass_shifts(ensemble, arithmetic.CoefficientFamily(epsilon=cfg.epsilon))
+    shifts = arithmetic.mass_shifts(ensemble, cfg.epsilon)
     K, h = _t_grid(cfg, float(np.abs(bands.bands - e_star).max()
                               + np.abs(shifts.values).max(initial=0.0)))
 
@@ -301,7 +301,7 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
         config=cfg, bands=bands, e_star=e_star, ensemble=ensemble, shifts=shifts,
         gap_values=gap_values, spectrum=spectrum, staircase=staircase, trace=trace,
         gap_jumps=gap_jumps,
-        model_dimension=2 * bands.bands.size * len(shifts), zeros=zeros,
+        model_dimension=2 * bands.n_bands * bands.grid.n_nodes * len(shifts), zeros=zeros,
         affine=diag.affine, diagnostics=diag, scan=scan, checks=checks,
     )
 
@@ -383,8 +383,8 @@ def _svg(result: RunResult):
 
 
 def _band_writers(bands: BandStructure) -> dict:
-    """bands.csv and gaps.csv, written by both `run` and `bands`."""
-    nodes = [f"{kappa:.17g}" for kappa in bands.grid.nodes.tolist()]  # shared by every band
+    """bands.csv (kappa >= 0 only) and gaps.csv, written by both `run` and `bands`."""
+    nodes = [f"{kappa:.17g}" for kappa in bands.grid.nodes[bands.grid.half_index:].tolist()]
     beta, alpha = bands.uppers.tolist(), bands.lowers.tolist()
     return {
         "bands.csv": _csv("n,kappa,energy", (
@@ -444,19 +444,18 @@ def render_svg(model: Staircase, zero: Staircase, affine: zeta.AffineMap, T: flo
 
 def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
     """Write the full artifact set, manifest last; on any failure remove what was written."""
-    h = result.staircase.heights.tolist()  # group k's fibers are spectrum.fibers[h[k - 1]:h[k]]
+    spectrum = result.spectrum
+    group = np.repeat(np.arange(1, len(spectrum) + 1), spectrum.multiplicities)  # of each fiber
     writers = _band_writers(result.bands) | {
         "massshifts.csv": _csv("m,mass", (
             f"{m},{v:.17g}" for m, v in enumerate(result.shifts.values.tolist(), start=1)
         )),
         "spectrum.csv": _csv("k,lambda_k,multiplicity", (
             f"{k},{lam:.17g},{mult}" for k, (lam, mult) in enumerate(zip(
-                result.spectrum.positive_values.tolist(), result.spectrum.multiplicities.tolist()),
-                start=1)
+                spectrum.positive_values.tolist(), spectrum.multiplicities.tolist()), start=1)
         )),
         "spectrum_fibers.csv": _csv("k,n,j,m", (
-            f"{k},{n},{j},{m}" for k, (a, b) in enumerate(zip(h, h[1:]), start=1)
-            for n, j, m in result.spectrum.fibers[a:b].tolist()
+            f"{k},{n},{j},{m}" for k, n, j, m in np.column_stack([group, spectrum.fibers]).tolist()
         )),
         "stationary.csv": _csv("t_root,kind", (
             f"{r:.17g},{k}" for r, k in zip(result.scan.roots, result.scan.kinds)

@@ -11,9 +11,10 @@ m = -M..M, each fiber is the real symmetric matrix
 
 banded with bandwidth R (tridiagonal for a single cosine).  Bands are the
 ranges of the ascending fiber eigenvalues E_n(kappa); evenness of U gives
-E_n(-kappa) = E_n(kappa), which we exploit by solving the non-negative half
-grid only and mirroring.  Band edges and open gaps are arrays derived from
-the bands in one place, BandStructure.
+E_n(-kappa) = E_n(kappa), so only the kappa >= 0 half of the grid is solved
+and stored; the grid's fold_weights, copies and unfold, the one place that
+knows the fold, turn half-grid sums, counts and fiber lists into whole-grid
+ones.  Band edges and open gaps are derived in one place, BandStructure.
 
 Fiber eigenvalues are computed with a bisection-based banded solver, which
 resolves the low-lying spectrum far below the 1e-10 contract even though the
@@ -135,10 +136,30 @@ class QuasiMomentumGrid:
         """Index of the kappa = 0 node."""
         return (self.n_nodes - 1) // 2
 
+    def fold_weights(self) -> np.ndarray:
+        """The whole grid's trapezoid weights 1/2, 1, ..., 1, 1/2 folded onto nodes[half_index:]
+        by E(-kappa) = E(kappa): 1 at kappa = 0, 2 inside and 2 * 1/2 = 1 at pi/L."""
+        return np.concatenate([[1.0], np.full(self.half_index - 1, 2.0), [1.0]])
+
+    def copies(self, j: np.ndarray) -> np.ndarray:
+        """How many fibers of the whole grid node j >= half_index stands for: 1 at kappa = 0,
+        2 elsewhere (kappa_j and its mirror -kappa_j)."""
+        return 1 + (j > self.half_index)
+
+    def unfold(self, fibers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, whole): whole lists the fibers (n, j, m), then the mirror (n, N_kappa - 1 - j, m)
+        of each with j > half_index, in order; whole[i] repeats fibers[rows[i]]."""
+        k = len(fibers)
+        rows = np.concatenate([np.arange(k), np.flatnonzero(fibers[:, 1] > self.half_index)])
+        whole = fibers[rows]
+        whole[k:, 1] = self.n_nodes - 1 - whole[k:, 1]
+        return rows, whole
+
 
 @dataclass(frozen=True, eq=False)
 class BandStructure:
-    """Band functions E_n(kappa_j), shape (n_bands, n_nodes), and what they imply.
+    """Band functions E_n(kappa_j) on kappa >= 0, shape (n_bands, n_nodes // 2 + 1) with
+    column i at grid.nodes[half_index + i], and what they imply.
 
     Derived once, as read-only arrays: the band edges lowers[n] = alpha_n and
     uppers[n] = beta_n (grid extrema), and gaps, the ascending n whose gap
@@ -154,6 +175,9 @@ class BandStructure:
     gaps: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.bands.shape[1] != self.grid.half_index + 1:
+            raise ValueError(f"bands hold {self.bands.shape[1]} nodes, not the "
+                             f"{self.grid.half_index + 1} of the grid's kappa >= 0 half")
         lowers, uppers = self.bands.min(axis=1), self.bands.max(axis=1)
         gaps = np.flatnonzero(lowers[1:] - uppers[:-1] > GAP_TOLERANCE)
         for name, value in (("lowers", lowers), ("uppers", uppers), ("gaps", gaps)):
@@ -259,12 +283,12 @@ def compute_band_structure(
     M: int,
     n_bands: int,
 ) -> BandStructure:
-    """Solve every fiber on the non-negative half grid in one batch and mirror.
+    """Solve every fiber on the kappa >= 0 half grid in one batch.
 
     Only the lowest n_bands <= 2M eigenvalues per fiber are kept;
-    truncation_defect measures how well M resolves them.  The mirror is
-    one slice, column j < half copying column n - 1 - j, so
-    E_n(-kappa_j) = E_n(kappa_j) bitwise; BandStructure derives the edges and open gaps.
+    truncation_defect measures how well M resolves them.  E_n(-kappa) = E_n(kappa)
+    holds exactly, so the negative half is never stored; BandStructure derives the
+    edges and open gaps.
     """
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
@@ -273,10 +297,8 @@ def compute_band_structure(
     if grid.period != potential.period:
         raise ValueError("grid and potential periods disagree")
 
-    half = grid.half_index
-    bands = np.empty((n_bands, grid.n_nodes))
-    bands[:, half:] = fiber_eigenvalues(potential, grid.nodes[half:], M, n_bands).T
-    bands[:, :half] = bands[:, :half:-1]
+    bands = np.ascontiguousarray(
+        fiber_eigenvalues(potential, grid.nodes[grid.half_index:], M, n_bands).T)
     bands.setflags(write=False)
     return BandStructure(potential=potential, grid=grid, truncation=M, bands=bands)
 
@@ -284,10 +306,11 @@ def compute_band_structure(
 def truncation_defect(bands: BandStructure) -> float:
     """max_n |E_n(M) - E_n(2M)| at kappa = 0, a middle node and pi/L: a Hill operator's
     band edges lie at 0 and pi/L, so this is the truncation error of the gap filter's edges."""
-    g = bands.grid
-    nodes = [g.half_index, (g.half_index + g.n_nodes - 1) // 2, g.n_nodes - 1]
-    fine = fiber_eigenvalues(bands.potential, g.nodes[nodes], 2 * bands.truncation, bands.n_bands)
-    return float(np.abs(bands.bands[:, nodes] - fine.T).max())
+    h = bands.grid.half_index
+    columns = [0, h // 2, h]
+    kappas = bands.grid.nodes[h:][columns]
+    fine = fiber_eigenvalues(bands.potential, kappas, 2 * bands.truncation, bands.n_bands)
+    return float(np.abs(bands.bands[:, columns] - fine.T).max())
 
 
 def select_reference_energy(bands: BandStructure, gap_index: int) -> float:

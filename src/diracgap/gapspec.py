@@ -1,7 +1,7 @@
 """Gap eigenvalue enumeration and aggregation for the truncated Dirac model.
 
-The chiral background has spectrum +-(band - E*) for every stored Floquet
-band; a fiber (n, j, m) contributes the candidate pair
+The chiral background has spectrum +-(band - E*) for every Floquet band; a
+fiber (n, j, m) contributes the candidate pair
 
     +-v,   v = E_n(kappa_j) - E* + m_m,
 
@@ -9,9 +9,11 @@ which is a gap eigenvalue exactly when it clears every interval of the
 symmetric band set by more than a membership margin.  Values are filtered
 against the full chiral band set (bands and their negations), not just the
 gap containing E*, since that set is the essential spectrum of the doubled
-operator.  Positive survivors are grouped into a multiplicity-weighted gap
-spectrum of three arrays, the first two shared by the spectral-shift
-staircase; the full spectrum is its symmetric closure {+-lambda_k}.
+operator.  The filter runs on the stored kappa >= 0 half: a mirror fiber at
+-kappa_j has the value of its fiber at kappa_j, and the grid's copies and
+unfold count and list it where the whole grid is meant.  Positive survivors
+are grouped into a multiplicity-weighted gap spectrum of three arrays, the
+first two shared by the staircase; the full spectrum is {+-lambda_k}.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetic import MassShifts
-from .floquet import BandStructure
+from .floquet import BandStructure, QuasiMomentumGrid
 
 MEMBERSHIP_MARGIN = 1e-8
 GROUPING_TOLERANCE = 1e-9
@@ -38,17 +40,20 @@ class DiracBandSet:
 
 @dataclass(frozen=True)
 class GapValues:
-    """Kept fibers and their signed values; each value stands for the pair +-v.
+    """Kept fibers on the kappa >= 0 half of grid and their signed values.
 
-    values[i] = E_n(kappa_j) - E* + m_m for fibers[i] = (n, j, m), m 1-based,
-    in lexicographic (n, j, m) order.  len() counts the +- eigenvalues.
+    values[i] = E_n(kappa_j) - E* + m_m for fibers[i] = (n, j, m), m 1-based and
+    j >= grid.half_index, in lexicographic (n, j, m) order.  Each value stands
+    for the pair +-v at (n, j, m) and, for j > half_index, at its mirror fiber
+    too; len() counts the +- eigenvalues of the whole grid.
     """
 
     values: np.ndarray = field(repr=False, compare=False)
     fibers: np.ndarray = field(repr=False, compare=False)  # shape (k, 3), integer
+    grid: QuasiMomentumGrid
 
     def __len__(self) -> int:
-        return 2 * len(self.values)
+        return 2 * int(self.grid.copies(self.fibers[:, 1]).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +115,7 @@ def fiber_gap_eigenvalues(
     shifts: MassShifts,
     band_set: DiracBandSet,
 ) -> GapValues:
-    """Enumerate the fibers whose +-(E_n(kappa_j) - E* + m_m) survive the gap filter.
+    """Enumerate the kappa >= 0 fibers whose +-(E_n(kappa_j) - E* + m_m) pass the gap filter.
 
     Fibers come in lexicographic (n, j, m) order, so the result is
     schedule-independent.  An empty result is a valid outcome.
@@ -129,21 +134,24 @@ def fiber_gap_eigenvalues(
     rows = np.flatnonzero(~(inside.all(axis=0) & (idx[0] == idx[1])))
     v = q[rows, None] + m_vals[None, :]
     row, m = np.nonzero(band_distance(v, band_set) > MEMBERSHIP_MARGIN)
-    n, j = np.divmod(rows[row], bands.grid.n_nodes)
-    return GapValues(values=v[row, m], fibers=np.stack([n, j, m + 1], axis=1))
+    n, j = np.divmod(rows[row], bands.bands.shape[1])
+    j += bands.grid.half_index
+    return GapValues(values=v[row, m], fibers=np.stack([n, j, m + 1], axis=1), grid=bands.grid)
 
 
 def aggregate_spectrum(gap_values: GapValues) -> GapSpectrum:
-    """Group the positive values within the grouping tolerance, ascending.
+    """Group the positive values of the whole grid within the grouping tolerance, ascending.
 
     Each |v| is rounded to 12 decimals (Python's correctly rounded `round`)
-    and ties sort by fiber; groups chain while consecutive rounded values are
-    within GROUPING_TOLERANCE.  Multiplicity is group size and the group's
-    smallest rounded value is the representative.
+    once, and then stands for its fiber and the fiber's mirror (the grid's
+    unfold); ties sort by fiber, and groups chain while consecutive rounded
+    values are within GROUPING_TOLERANCE.  Multiplicity is group size and the
+    group's smallest rounded value is the representative.
     """
     rounded = np.array([round(x, GROUPING_DECIMALS) for x in np.abs(gap_values.values).tolist()])
     keep = rounded > 0.0
-    lam, fib = rounded[keep], gap_values.fibers[keep]
+    rows, fib = gap_values.grid.unfold(gap_values.fibers[keep])
+    lam = rounded[keep][rows]
     order = np.lexsort((fib[:, 2], fib[:, 1], fib[:, 0], lam))
     lam = lam[order]
     starts = np.flatnonzero(np.concatenate([[True], np.diff(lam) > GROUPING_TOLERANCE])[: lam.size])

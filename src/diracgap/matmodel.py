@@ -9,8 +9,9 @@ with q_nj = E_n(kappa_j) - E*.  The spectra are {+-b} over the diagonal
 entries b, so the spectral shift xi = N_arith - N_glob jumps only at
 +-(q_nj + m_m) and +-q_nj.  Each q_nj lies in its band, so inside the chiral
 gap around 0 every jump of xi comes from a deformed entry v = q_nj + m_m, and
-those jumps must be exactly the gap values that gapspec keeps there.  The
-run's krein_identity check counts the jumps that differ.
+those jumps must be exactly the gap values that gapspec keeps there.  Both
+lists are taken on kappa >= 0, and each entry counts as the grid's copies of
+its node.  The run's krein_identity check counts the jumps that differ.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .gapspec import MEMBERSHIP_MARGIN, DiracBandSet, GapValues
 class GapJumpReport:
     """The jump pairs +-v of xi in the chiral gap (-above, above), against gapspec's values.
 
-    differing counts the jumps whose value or fiber is not the kept one at the
-    same position, plus the difference of the two list lengths.
+    Counts are of the whole grid; differing counts the jumps whose value or fiber is
+    not the kept one at the same position, plus the difference of the two list lengths.
     """
 
     above: float
@@ -61,11 +62,14 @@ def chiral_gap_jumps(
     rows = np.flatnonzero((q + m_vals.min() < above) & (q + m_vals.max() > below))
     v = q[rows, None] + m_vals[None, :]
     row, m = np.nonzero(np.minimum(v - below, above - v) > MEMBERSHIP_MARGIN)
-    n, j = np.divmod(rows[row], bands.grid.n_nodes)
+    n, j = np.divmod(rows[row], bands.bands.shape[1])
+    j += bands.grid.half_index
     in_gap = (gap_values.values > below) & (gap_values.values < above)
     jumps = np.column_stack([v[row, m], n, j, m + 1])  # indices are exact as floats
     kept = np.column_stack([gap_values.values[in_gap], gap_values.fibers[in_gap]])
     k = min(len(jumps), len(kept))
-    return GapJumpReport(above=float(above), jumps=len(jumps), kept=len(kept),
-                         differing=int((jumps[:k] != kept[:k]).any(axis=1).sum())
-                         + abs(len(jumps) - len(kept)))
+    copies = bands.grid.copies(j)
+    n_jumps, n_kept = int(copies.sum()), int(gap_values.grid.copies(kept[:, 2]).sum())
+    return GapJumpReport(above=float(above), jumps=n_jumps, kept=n_kept,
+                         differing=int(copies[:k][(jumps[:k] != kept[:k]).any(axis=1)].sum())
+                         + abs(n_jumps - n_kept))

@@ -5,8 +5,9 @@ operator decomposes over Floquet-Hecke fibers:
 
     theta_fiber = 2 sum_n int_{-pi/L}^{pi/L} mean_m phi(E_n(kappa) - E* + m_m) dkappa,
 
-with the kappa integral done by trapezoid weights on the stored grid.  The
-same quantity has a separated Fourier-side form
+with the kappa integral done by the whole grid's trapezoid rule, folded onto
+the stored kappa >= 0 half by E_n(-kappa) = E_n(kappa) (the grid's
+fold_weights).  The same quantity has a separated Fourier-side form
 
     theta_separated = (1/pi) int phihat(t) (sum_n G_n(t)) A(t) dt,
 
@@ -40,6 +41,8 @@ Only the bands the window sees enter sum_n G_n.  With d_n = min_kappa
 to theta; bands with d_n > 40 alpha are left out, and their summed bound
 (band_prune_bound; it underflows to 0) widens the agreement floor.  All bands
 still set the t grid, and theta_fiber keeps them, so rel_gap checks the pruning.
+Both routes sum the same folded kappa grid with the same weights; a test, not
+the run, compares the folded sums with sums over the whole grid.
 
 Every factor is a sum S(t_k) = sum_j w_j e^{i t_k x_j} on that grid, and
 every function here takes the grid as (K, h).  Only k >= 0 is
@@ -70,13 +73,6 @@ h = 0.0025 (0.29); A_joint and the table primes at N_H = 500 (0.08); band 1
 at the default step (1.27), and A_joint and the table primes at N_H = 20
 (1.37), keep the tables.  trace_report.json counts the rows of the Taylor
 route in taylor_rows.
-
-The geometric factors are also folded in kappa.  The bands are solved on
-kappa >= 0 and mirrored, so E_n(-kappa_j) = E_n(kappa_j) holds bitwise (checked
-before folding), and the trapezoid sum over the whole grid equals the sum
-over kappa >= 0 with weights 1 at kappa = 0, 2 inside and 2 * 1/2 = 1 at pi/L,
-which halves the exp tables and the contraction.  theta_fiber stays on the
-whole grid: it is the independent route that rel_gap checks the fold against.
 
 Both contractions over j are np.einsum without BLAS, and so are the t
 trapezoid sum and the kappa sum of theta_fiber: OpenBLAS splits long dot and
@@ -148,26 +144,19 @@ class TraceReport:
     taylor_rows: int = 0
 
 
-def _kappa_pattern(n_nodes: int) -> np.ndarray:
-    c = np.ones(n_nodes)
-    c[0] = 0.5
-    c[-1] = 0.5
-    return c
-
-
 def theta_fiber(phi, bands: BandStructure, e_star: float, shifts: MassShifts) -> float:
-    """Trapezoid fiber sum 2 sum_n sum_j w_j mean_m phi(E - E* + m).
+    """Trapezoid fiber sum 2 sum_n sum_j w_j mean_m phi(E - E* + m) on kappa >= 0.
 
     phi may be any callable acting elementwise on arrays.  The weights are
-    applied as (2 pi / L) * c_j / (N - 1) with c the half-end trapezoid
-    pattern, so a constant integrand integrates exactly.  The bands are taken
-    one at a time, in order, which bounds the temporaries to (N_kappa, N_H).
+    applied as (2 pi / L) * w_j / (N_kappa - 1) with w the grid's fold_weights,
+    so a constant integrand integrates exactly.  The bands are taken one at a
+    time, in order, which bounds the temporaries to (N_kappa // 2 + 1, N_H).
     """
-    mean_over_modes = np.zeros(bands.grid.n_nodes)
+    w = bands.grid.fold_weights()
+    mean_over_modes = np.zeros(len(w))
     for row in bands.bands - e_star:
         mean_over_modes += np.asarray(phi(row[:, None] + shifts.values)).mean(axis=1)
-    c = _kappa_pattern(bands.grid.n_nodes)
-    raw = float((mean_over_modes * c).sum())
+    raw = float((mean_over_modes * w).sum())
     L = bands.potential.period
     return 2.0 * (2.0 * np.pi / L) * (raw / (bands.grid.n_nodes - 1))
 
@@ -251,20 +240,12 @@ def _mirror(half: np.ndarray) -> np.ndarray:
 
 def _geometric_on_grid(bands: BandStructure, e_star: float, K: int, h: float,
                        rows=slice(None)) -> tuple[np.ndarray, int]:
-    """G_n(t_k) for the bands n in rows, k = -K..K, summed over the kappa >= 0 half grid,
-    and the number of bands summed on the Taylor route."""
-    mid = bands.grid.half_index
-    if not np.array_equal(bands.bands[:, :mid], bands.bands[:, :mid:-1]):
-        raise ValueError(
-            "the geometric factor folds the kappa grid by E_n(-kappa) = E_n(kappa), "
-            "which requires bands[:, j] == bands[:, N_kappa - 1 - j] bitwise"
-        )
-    # Folded trapezoid weights: 1 at kappa = 0, 2 inside, 2 * 1/2 at pi/L.
-    w = np.full(bands.grid.n_nodes - mid, 2.0)
-    w[0] = w[-1] = 1.0
+    """G_n(t_k) for the bands n in rows, k = -K..K, summed over the kappa >= 0 half grid
+    with its fold_weights, and the number of bands summed on the Taylor route."""
+    w = bands.grid.fold_weights()
     L = bands.potential.period
     scale = 2.0 * np.pi / L / (bands.grid.n_nodes - 1)
-    q = bands.bands[rows, mid:] - e_star
+    q = bands.bands[rows] - e_star
     sums = [_half_grid_sums(row[None], w, h, K) for row in q]
     half = np.array([band[0] for band, _ in sums]).reshape(len(q), K + 1)
     return _mirror(scale * half), sum(taylor for _, taylor in sums)

@@ -53,15 +53,15 @@ def trace_grid(bands, e_star, shifts, alpha):
 
 
 def toy_band_structure(rows, period=1.0):
-    """BandStructure from explicit per-band energy rows on a 1-node-per-value grid.
+    """BandStructure from explicit per-band energy rows on the kappa >= 0 nodes.
 
-    rows[n] lists E_n at each grid node; all rows must share a length that is
-    odd and >= 3 (pad constant bands by repetition).
+    rows[n] lists E_n at kappa = 0, ..., pi/L; all rows must share a length
+    >= 2 (pad constant bands by repetition), and the grid has 2 len - 1 nodes.
     """
     bands = np.array(rows, dtype=float)
     return BandStructure(
         potential=PotentialSpec(period=period),
-        grid=QuasiMomentumGrid(n_nodes=bands.shape[1], period=period),
+        grid=QuasiMomentumGrid(n_nodes=2 * bands.shape[1] - 1, period=period),
         truncation=max(1, bands.shape[0]),
         bands=bands,
     )

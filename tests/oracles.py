@@ -1,9 +1,15 @@
 """Reference implementations that the tests compare the library against.
 
-geometric_factor is the unfolded trapezoid sum over the whole kappa grid, one
-t at a time; the library folds the grid onto kappa >= 0 and evaluates whole t
-grids from phase tables.  theta_fiber_whole_array is the fiber sum from one
-(n_bands, N_kappa, N_H) array; the library adds one band at a time.
+The library stores the bands on kappa >= 0 only.  mirrored_bands writes out
+the whole kappa grid by E_n(-kappa) = E_n(kappa), and solved_whole_grid solves
+the negative half afresh instead.  geometric_factor is the unfolded trapezoid
+sum over the whole grid, one t at a time; the library folds the grid onto
+kappa >= 0 and evaluates whole t grids from phase tables.  whole_grid_sums is
+theta_fiber and sum_n G_n over the whole, freshly solved grid with weights
+1/2, 1, ..., 1, 1/2, against which the tests check the library's fold.
+theta_fiber_whole_array is the folded fiber sum from one
+(n_bands, N_kappa // 2 + 1, N_H) array; the library adds one band at a time.
+eta is the coefficient family eta_p(lambda) = p^-(1+epsilon) lambda^2.
 local_factor is A_p at one t and local_factor_grid A_p on a whole t grid,
 straight from the samples; the library sums the primes on phase tables, on
 local Taylor moments or on the cumulant series.  phase_sums is every phase
@@ -19,10 +25,43 @@ one.
 
 import numpy as np
 
-from diracgap.arithmetic import CoefficientFamily, HeckeEnsemble
-from diracgap.floquet import BandStructure, PotentialSpec
+from diracgap.arithmetic import HeckeEnsemble
+from diracgap.floquet import BandStructure, PotentialSpec, fiber_eigenvalues
 from diracgap.shift import Staircase, TestFunction
 from diracgap.zeta import ZeroTable, mapped_staircase, zero_staircase
+
+
+def trapezoid_weights(n_nodes: int) -> np.ndarray:
+    """1/2, 1, ..., 1, 1/2: the trapezoid rule on the whole kappa grid, in grid steps."""
+    c = np.ones(n_nodes)
+    c[0] = c[-1] = 0.5
+    return c
+
+
+def mirrored_bands(bands: BandStructure) -> np.ndarray:
+    """E_n on the whole kappa grid, shape (n_bands, N_kappa): column j < N_kappa // 2 is
+    the stored column of -kappa_j, written out here by E_n(-kappa) = E_n(kappa)."""
+    return np.concatenate([bands.bands[:, :0:-1], bands.bands], axis=1)
+
+
+def solved_whole_grid(bands: BandStructure) -> np.ndarray:
+    """E_n on the whole kappa grid, the negative half solved by fiber_eigenvalues, not mirrored."""
+    g = bands.grid
+    negative = fiber_eigenvalues(bands.potential, g.nodes[:g.half_index], bands.truncation,
+                                 bands.n_bands)
+    return np.concatenate([negative.T, bands.bands], axis=1)
+
+
+def whole_grid_sums(phi, bands: BandStructure, e_star: float, shifts,
+                    t) -> tuple[float, np.ndarray]:
+    """(theta_fiber, sum_n G_n(t)) by the unfolded trapezoid rule over solved_whole_grid."""
+    q = solved_whole_grid(bands) - e_star
+    c = trapezoid_weights(bands.grid.n_nodes)
+    step = 2.0 * np.pi / bands.potential.period / (bands.grid.n_nodes - 1)
+    mean_over_modes = np.asarray(phi(q[:, :, None] + shifts.values)).mean(axis=2)
+    theta = 2.0 * step * float((mean_over_modes * c).sum())
+    phases = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), q))  # (t, n, j)
+    return theta, step * (phases * c).sum(axis=(1, 2))
 
 
 def geometric_factor(bands: BandStructure, e_star: float, n: int, t: float) -> complex:
@@ -32,22 +71,27 @@ def geometric_factor(bands: BandStructure, e_star: float, n: int, t: float) -> c
     """
     if not 0 <= n < bands.n_bands:
         raise ValueError(f"band index {n} not stored (n_bands={bands.n_bands})")
-    q = bands.bands[n] - e_star
-    c = np.ones(bands.grid.n_nodes)
-    c[0] = c[-1] = 0.5
-    raw = complex(np.dot(c, np.exp(1j * t * q)))
+    q = mirrored_bands(bands)[n] - e_star
+    raw = complex(np.dot(trapezoid_weights(bands.grid.n_nodes), np.exp(1j * t * q)))
     L = bands.potential.period
     return (2.0 * np.pi / L) * (raw / (bands.grid.n_nodes - 1))
 
 
 def theta_fiber_whole_array(phi, bands: BandStructure, e_star: float, shifts) -> float:
-    """theta_fiber with every band's values and Gaussian temporaries in one array."""
+    """theta_fiber with every band's values and Gaussian temporaries in one array, on the
+    stored kappa >= 0 half with the whole grid's weights folded onto it: 1, 2, ..., 2, 1."""
     vals = (bands.bands - e_star)[:, :, None] + shifts.values[None, None, :]
     mean_over_modes = np.asarray(phi(vals)).mean(axis=2)
-    c = np.ones(bands.grid.n_nodes)
-    c[0] = c[-1] = 0.5
-    raw = float((mean_over_modes.sum(axis=0) * c).sum())
+    w = np.full(bands.bands.shape[1], 2.0)
+    w[0] = w[-1] = 1.0
+    raw = float((mean_over_modes.sum(axis=0) * w).sum())
     return 2.0 * (2.0 * np.pi / bands.potential.period) * (raw / (bands.grid.n_nodes - 1))
+
+
+def eta(p: int, lam, epsilon: float):
+    """eta_p(lambda) = p^-(1+epsilon) lambda^2, vectorized over lambda."""
+    lam = np.asarray(lam, dtype=float)
+    return p ** -(1.0 + epsilon) * lam * lam
 
 
 def sample_row(ensemble: HeckeEnsemble, p: int) -> np.ndarray:
@@ -55,21 +99,19 @@ def sample_row(ensemble: HeckeEnsemble, p: int) -> np.ndarray:
     return ensemble.samples[ensemble.primes.index(p)]
 
 
-def local_factor(ensemble: HeckeEnsemble, family: CoefficientFamily, p: int, t: float) -> complex:
+def local_factor(ensemble: HeckeEnsemble, epsilon: float, p: int, t: float) -> complex:
     """Empirical local factor A_p(t) = mean_m exp(i t eta_p(lambda_p(m))).
 
     A_p(0) = 1 exactly, |A_p(t)| <= 1, and A_p(-t) = conj(A_p(t)).
     """
-    eta = family.eta(p, sample_row(ensemble, p))
-    return complex(np.mean(np.exp(1j * t * eta)))
+    return complex(np.mean(np.exp(1j * t * eta(p, sample_row(ensemble, p), epsilon))))
 
 
-def local_factor_grid(
-    ensemble: HeckeEnsemble, family: CoefficientFamily, p: int, t_grid: np.ndarray
-) -> np.ndarray:
+def local_factor_grid(ensemble: HeckeEnsemble, epsilon: float, p: int,
+                      t_grid: np.ndarray) -> np.ndarray:
     """A_p evaluated on a whole grid of t values at once."""
-    eta = family.eta(p, sample_row(ensemble, p))
-    return np.exp(1j * np.multiply.outer(np.asarray(t_grid, dtype=float), eta)).mean(axis=1)
+    values = eta(p, sample_row(ensemble, p), epsilon)
+    return np.exp(1j * np.multiply.outer(np.asarray(t_grid, dtype=float), values)).mean(axis=1)
 
 
 def phase_sums(x, w, h: float, K: int) -> np.ndarray:
@@ -104,8 +146,9 @@ def block_entries(q, mass, deformed: bool) -> np.ndarray:
 
 
 def subsample_entries(bands: BandStructure, e_star: float, shifts, nodes, mode_stride: int):
-    """(q, mass) of every band at the kappa nodes, band major, and every mode_stride-th mode."""
-    return (bands.bands[:, nodes] - e_star).ravel(), shifts.values[::mode_stride]
+    """(q, mass) of every band at the whole-grid kappa nodes, band major, and every
+    mode_stride-th mode."""
+    return (mirrored_bands(bands)[:, nodes] - e_star).ravel(), shifts.values[::mode_stride]
 
 
 def dense_block_model(b) -> np.ndarray:

@@ -10,7 +10,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from diracgap import expcli
 from diracgap.arithmetic import (
-    CoefficientFamily,
     generate_primes,
     mass_shifts,
     sample_hecke_ensemble,
@@ -32,7 +31,7 @@ from oracles import block_entries, dense_block_model, subsample_entries, two_hal
 from diracgap.tracekit import arithmetic_factors, compare_trace_representations
 from diracgap.zeta import fit_affine
 
-FAM = CoefficientFamily(0.35)
+EPSILON = 0.35  # the default run's epsilon
 
 
 def report(n, text):
@@ -59,9 +58,10 @@ def test_c02_floquet_evenness_and_convergence():
     b64 = compute_band_structure(pot, grid, M=64, n_bands=8)
     edge_diff = max(np.abs(b32.lowers - b64.lowers).max(), np.abs(b32.uppers - b64.uppers).max())
     assert edge_diff < 1e-8
-    # independent +-kappa solves, no mirroring, full negative half grid
+    # independent -kappa solves, no mirroring, full negative half grid, against the
+    # reversed kappa >= 0 half: its column j holds the node -grid.nodes[j]
     fresh = fiber_eigenvalues(pot, grid.nodes[:grid.half_index], M=32, count=8)
-    worst = float(np.abs(fresh.T - b32.bands[:, :grid.half_index]).max())
+    worst = float(np.abs(fresh.T - b32.bands[:, ::-1][:, :grid.half_index]).max())
     elapsed = time.perf_counter() - t0
     assert worst < 1e-10
     assert elapsed < 10.0
@@ -126,9 +126,13 @@ def test_c05_krein_identity_matrix_scale(default_run):
     assert len(dense[True]) <= 512
     assert in_gap(dense[False]).size == 0  # every background eigenvalue lies in a band
     jumps = in_gap(dense[True])  # each a +1 jump of xi
-    kept = np.isin(r.gap_values.fibers[:, 1], SUBSAMPLE[0]) & (
-        (r.gap_values.fibers[:, 2] - 1) % SUBSAMPLE[1] == 0) & (np.abs(r.gap_values.values) < above)
-    v = r.gap_values.values[kept]
+    # a kept value on kappa >= 0 stands for its fiber j and, off kappa = 0, the mirror
+    # N_kappa - 1 - j: count the subsample nodes among them
+    j, mirror = r.gap_values.fibers[:, 1], r.bands.grid.n_nodes - 1 - r.gap_values.fibers[:, 1]
+    copies = np.isin(j, SUBSAMPLE[0]).astype(int) + ((mirror != j) & np.isin(mirror, SUBSAMPLE[0]))
+    kept = ((r.gap_values.fibers[:, 2] - 1) % SUBSAMPLE[1] == 0) & (
+        np.abs(r.gap_values.values) < above)
+    v = np.repeat(r.gap_values.values[kept], copies[kept])
     assert len(jumps) == 2 * len(v) > 0
     defect = float(np.abs(jumps - np.sort(np.concatenate([v, -v]))).max())
     assert defect < 1e-10
@@ -152,7 +156,7 @@ def test_c06_trace_representation_agreement(default_run):
 def test_c07_euler_factorization():
     primes = generate_primes(20)
     ones = sample_hecke_ensemble(primes, 20, seed=12345, mode="constant_one")
-    shifts = mass_shifts(ones, FAM)
+    shifts = mass_shifts(ones, EPSILON)
     f = arithmetic_factors(shifts, 2500, 0.01)  # |t| <= 25
     sup = float(np.abs(f.a_joint - f.a_prod).max())
     assert sup < 1e-12
@@ -161,7 +165,7 @@ def test_c07_euler_factorization():
     gaps = {}
     for n_h in (100, 10_000):
         ens = sample_hecke_ensemble(primes, n_h, seed=12345)
-        fi = arithmetic_factors(mass_shifts(ens, FAM), 4, 0.5)  # t_small
+        fi = arithmetic_factors(mass_shifts(ens, EPSILON), 4, 0.5)  # t_small
         gaps[n_h] = np.abs(fi.a_joint - fi.a_prod)[at]
     assert np.all(gaps[10_000] < gaps[100])
     report(7, f"constant_one sup gap {sup:.2e} < 1e-12; iid gap shrinks "
@@ -172,9 +176,9 @@ def test_c08_norm_bounds():
     primes = generate_primes(20)
     assert primes[-1] == 71
     ens = sample_hecke_ensemble(primes, 20, seed=12345)
-    shifts = mass_shifts(ens, FAM)
+    shifts = mass_shifts(ens, EPSILON)
     # ||eta_p(T_p)|| is the largest |eta_p| over the modes, bounded by sup |eta_p| = p^-(1+eps)
-    sup = np.array([p ** -(1.0 + FAM.epsilon) for p in primes])
+    sup = np.array([p ** -(1.0 + EPSILON) for p in primes])
     assert np.all(np.abs(shifts.terms).max(axis=1) <= sup * (1 + 1e-12))
     # tails ||M^(S) - M^(S_k)|| over the prefixes of N_P/4, N_P/2 and N_P primes
     tail_norms = [float(np.abs(shifts.terms[k:].sum(axis=0)).max()) for k in (5, 10, 20)]

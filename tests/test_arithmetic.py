@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import local_factor, local_factor_grid
+from oracles import eta, local_factor, local_factor_grid
 from diracgap.arithmetic import (
-    CoefficientFamily,
     HeckeEnsemble,
     generate_primes,
     mass_shifts,
@@ -124,44 +123,51 @@ def test_sample_unit_is_bounded_and_stable(seed, p, m):
     assert x == sample_unit(seed, p, m)
 
 
+EPSILON = 0.35  # the default run's epsilon
+
+
 def test_eta_quadratic_values():
-    fam = CoefficientFamily(epsilon=0.35)
-    assert fam.eta(2, 0.0) == 0.0
-    assert fam.eta(2, 1.0) == 2.0**-1.35
-    assert abs(fam.eta(2, 1.0) - 0.392292) < 1e-6
+    # the terms eta_p(lambda) of the primes 2 and 3 at lambda = 0, 1, -1, 0.7, -0.7
+    ens = HeckeEnsemble(primes=(2, 3), n_modes=5, seed=0, mode="iid_uniform",
+                        samples=np.tile([0.0, 1.0, -1.0, 0.7, -0.7], (2, 1)))
+    terms = mass_shifts(ens, EPSILON).terms
+    assert terms[0, 0] == 0.0
+    assert terms[0, 1] == 2.0**-1.35
+    assert abs(terms[0, 1] - 0.392292) < 1e-6
     # evenness is exact: lambda enters squared
-    assert fam.eta(3, -1.0) == fam.eta(3, 1.0)
-    assert fam.eta(3, -0.7) == fam.eta(3, 0.7)
+    assert terms[1, 2] == terms[1, 1]
+    assert terms[1, 4] == terms[1, 3]
+    # the tests' own family, bitwise
+    assert np.array_equal(terms, [eta(p, row, EPSILON) for p, row in zip(ens.primes, ens.samples)])
 
 
 def test_family_validation():
-    with pytest.raises(ValueError, match="diverges"):
-        CoefficientFamily(epsilon=0.0)
-    with pytest.raises(ValueError, match="diverges"):
-        CoefficientFamily(epsilon=-1.0)
+    ens = sample_hecke_ensemble(generate_primes(3), 4, seed=1)
+    for epsilon in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="diverges"):
+            mass_shifts(ens, epsilon)
 
 
 def test_mass_shifts_zero_samples():
     primes = generate_primes(3)
     ens = HeckeEnsemble(primes=primes, n_modes=4, seed=0, mode="iid_uniform",
                         samples=np.zeros((3, 4)))
-    assert np.array_equal(mass_shifts(ens, CoefficientFamily(0.35)).values, np.zeros(4))
+    assert np.array_equal(mass_shifts(ens, EPSILON).values, np.zeros(4))
 
 
 def test_mass_shifts_constant_one_closed_form():
     ens = sample_hecke_ensemble(generate_primes(2), 5, seed=1, mode="constant_one")
-    shifts = mass_shifts(ens, CoefficientFamily(0.35))
+    shifts = mass_shifts(ens, EPSILON)
     expected = 2.0**-1.35 + 3.0**-1.35
     assert np.all(shifts.values == expected)
     assert abs(expected - 0.6192191191645254) < 1e-15
 
 
 def test_mass_shifts_bounded_by_partial_sum():
-    fam = CoefficientFamily(0.35)
     primes = generate_primes(20)
     ens = sample_hecke_ensemble(primes, 100, seed=5)
-    shifts = mass_shifts(ens, fam)
-    partial = sum(p ** -(1.0 + fam.epsilon) for p in primes)
+    shifts = mass_shifts(ens, EPSILON)
+    partial = sum(p ** -(1.0 + EPSILON) for p in primes)
     assert np.all(shifts.values >= 0.0)
     assert np.all(shifts.values <= partial)
 
@@ -172,33 +178,29 @@ def test_mass_shifts_permutation_equivariance():
     perm = np.array([4, 0, 8, 2, 6, 1, 7, 3, 5])
     permuted = HeckeEnsemble(primes=primes, n_modes=9, seed=3, mode="iid_uniform",
                              samples=ens.samples[:, perm])
-    fam = CoefficientFamily(0.35)
-    assert np.array_equal(mass_shifts(permuted, fam).values,
-                          mass_shifts(ens, fam).values[perm])
+    assert np.array_equal(mass_shifts(permuted, EPSILON).values,
+                          mass_shifts(ens, EPSILON).values[perm])
 
 
 def test_local_factor_unit_mass_at_zero():
     ens = sample_hecke_ensemble(generate_primes(5), 64, seed=11)
-    fam = CoefficientFamily(0.35)
-    assert local_factor(ens, fam, 2, 0.0) == 1.0 + 0.0j
+    assert local_factor(ens, EPSILON, 2, 0.0) == 1.0 + 0.0j
 
 
 def test_local_factor_constant_one_is_pure_phase():
     ens = sample_hecke_ensemble(generate_primes(3), 7, seed=2, mode="constant_one")
-    fam = CoefficientFamily(0.35)
     for p in (2, 3, 5):
         for t in (0.5, 1.0, -2.0):
             expected = complex(np.exp(1j * t * p**-1.35))
-            assert abs(local_factor(ens, fam, p, t) - expected) < 1e-15
+            assert abs(local_factor(ens, EPSILON, p, t) - expected) < 1e-15
 
 
 def test_local_factor_brute_force_oracle():
     ens = sample_hecke_ensemble(generate_primes(1), 10_000, seed=12345)
-    fam = CoefficientFamily(0.35)
-    got = local_factor(ens, fam, 2, 1.0)
+    got = local_factor(ens, EPSILON, 2, 1.0)
     acc = 0.0 + 0.0j
     for lam in ens.samples[0]:
-        acc += complex(math.cos(fam.eta(2, lam)), math.sin(fam.eta(2, lam)))
+        acc += complex(math.cos(eta(2, lam, EPSILON)), math.sin(eta(2, lam, EPSILON)))
     brute = acc / 10_000
     assert abs(got) < 1.0
     assert abs(got - brute) < 1e-12
@@ -206,11 +208,11 @@ def test_local_factor_brute_force_oracle():
 
 def test_local_factor_symmetries():
     ens = sample_hecke_ensemble(generate_primes(4), 33, seed=8)
-    fam = CoefficientFamily(0.35)
     t = np.arange(-15, 16) * 0.2  # negation-symmetric by construction
     for p in ens.primes:
-        vals = local_factor_grid(ens, fam, p, t)
+        vals = local_factor_grid(ens, EPSILON, p, t)
         assert np.all(np.abs(vals) <= 1.0 + 1e-15)
         assert np.allclose(vals[::-1], np.conj(vals), rtol=0, atol=0)
     # grid evaluation agrees with the scalar path
-    assert local_factor_grid(ens, fam, 2, np.array([1.25]))[0] == local_factor(ens, fam, 2, 1.25)
+    assert (local_factor_grid(ens, EPSILON, 2, np.array([1.25]))[0]
+            == local_factor(ens, EPSILON, 2, 1.25))

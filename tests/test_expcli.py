@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracgap import expcli, floquet, tracekit
-from diracgap.arithmetic import CoefficientFamily, generate_primes, sample_hecke_ensemble
+from diracgap import arithmetic, expcli, floquet, tracekit
+from diracgap.arithmetic import generate_primes, sample_hecke_ensemble
 from diracgap.expcli import (
     ValidationError,
     compute_run,
@@ -27,6 +27,7 @@ from diracgap.expcli import (
 from diracgap.floquet import QuasiMomentumGrid, fiber_eigenvalues
 from diracgap.shift import Staircase
 from diracgap.zeta import AffineMap, ZeroTable, load_zero_table, zero_staircase
+from oracles import mirrored_bands
 
 REDUCED = '{"M": 8, "N_kappa": 41, "n_bands": 4, "N_P": 5, "N_H": 5, "K": 5, "T": 40.0}'
 ARTIFACTS = (
@@ -147,6 +148,21 @@ def test_manifest_config_regenerates_the_ensemble_bitwise(tmp_path, doc):
     assert ensemble.samples.tobytes() == result.ensemble.samples.tobytes()
 
 
+def test_counts_keep_their_whole_grid_meaning(default_run):
+    # The bands, gap values and jump lists hold kappa >= 0 only; every count still counts
+    # the whole kappa grid.  The numbers are those of the run that stored both halves.
+    r = default_run
+    assert len(r.gap_values) == 432
+    assert r.model_dimension == 2 * 8 * 201 * 20 == 64320
+    assert (r.gap_jumps.jumps, r.gap_jumps.kept, r.gap_jumps.differing) == (192, 192, 0)
+    assert r.spectrum.multiplicities.tolist() == [2] * 98 + [1] * 20
+    # every listed fiber (n, j, m) comes with its mirror (n, N_kappa - 1 - j, m), once
+    fibers = [tuple(f) for f in r.spectrum.fibers.tolist()]
+    assert len(set(fibers)) == len(fibers) == 216
+    assert {(n, 200 - j, m) for n, j, m in fibers} == set(fibers)
+    assert sum(j == 100 for _, j, _ in fibers) == 20  # kappa = 0 is its own mirror
+
+
 def test_matmodel_report_holds_the_jump_count_and_dimension(tmp_path, default_run):
     # The default run's values, bitwise (JSON floats round-trip exactly).
     expcli.write_artifacts(default_run, tmp_path / "d")
@@ -157,12 +173,13 @@ def test_matmodel_report_holds_the_jump_count_and_dimension(tmp_path, default_ru
 
 
 def test_compute_run_evaluates_each_eta_row_once(monkeypatch):
-    calls = []
-    eta = CoefficientFamily.eta
-    monkeypatch.setattr(CoefficientFamily, "eta",
-                        lambda self, p, lam: calls.append(p) or eta(self, p, lam))
-    compute_run(parse_config(REDUCED.replace('"N_P": 5', '"N_P": 40')))
-    assert calls == list(generate_primes(40))
+    # one mass_shifts call evaluates eta_p once per prime row; the run keeps those rows
+    calls, shifts = [], arithmetic.mass_shifts
+    monkeypatch.setattr(arithmetic, "mass_shifts",
+                        lambda ens, eps: calls.append((ens.primes, eps)) or shifts(ens, eps))
+    result = compute_run(parse_config(REDUCED.replace('"N_P": 5', '"N_P": 40')))
+    assert calls == [(generate_primes(40), result.config.epsilon)]
+    assert result.shifts.terms.shape == (40, result.config.N_H)
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -234,10 +251,11 @@ def test_cli_output_under_a_regular_file_exits_1(tmp_path, capsys, command):
 
 def test_csv_float_format_is_17_digits(tmp_path, reduced_run):
     arts = expcli.write_artifacts(reduced_run, tmp_path / "fmt")
-    line = (tmp_path / "fmt" / "bands.csv").read_text().splitlines()[1]
+    line = (tmp_path / "fmt" / "bands.csv").read_text().splitlines()[2]
     _, kappa, energy = line.split(",")
-    assert float(kappa) == reduced_run.bands.grid.nodes[0]
-    assert float(energy) == reduced_run.bands.bands[0, 0]  # round-trips exactly
+    grid = reduced_run.bands.grid
+    assert float(kappa) == grid.nodes[grid.half_index + 1]  # bands.csv starts at kappa = 0
+    assert float(energy) == reduced_run.bands.bands[0, 1]  # round-trips exactly
 
 
 def test_suite_single_row_matches_standalone(tmp_path):
@@ -293,7 +311,7 @@ def test_small_constant_mass_shifts_unperturbed_positions():
     h = result.staircase.heights
     for k, lam in enumerate(result.spectrum.positive_values):
         n, j, m = result.spectrum.fibers[h[k]:h[k + 1]][0]
-        v = result.bands.bands[n, j] - result.e_star + mass
+        v = mirrored_bands(result.bands)[n, j] - result.e_star + mass
         assert abs(lam - abs(v)) < 1e-10
 
 
@@ -390,25 +408,6 @@ def test_checks_cover_spec_contract(reduced_run):
     ]
 
 
-@pytest.mark.parametrize("j", ["first", "middle", "next_to_zero"])
-def test_a_wrong_kappa_mirror_makes_the_run_raise(monkeypatch, j):
-    # The bands are solved for kappa >= 0 and mirrored; the trace folds the grid
-    # only if the mirror holds bitwise, so a wrong column is an error, not a FAIL.
-    solve = expcli.compute_band_structure
-
-    def wrong_mirror(*args):
-        bands = solve(*args)
-        half = bands.grid.half_index
-        column = {"first": 0, "middle": half // 2, "next_to_zero": half - 1}[j]
-        wrong = bands.bands.copy()
-        wrong[:, column] = np.nextafter(wrong[:, column], np.inf)
-        return replace(bands, bands=wrong)
-
-    monkeypatch.setattr(expcli, "compute_band_structure", wrong_mirror)
-    with pytest.raises(ValueError, match="bitwise"):
-        compute_run(parse_config(REDUCED))
-
-
 # Two runs whose plane-wave truncation M is too small for their bands: band 15
 # moves by 1.6e-3 between M = 8 and 16, and the three-harmonic bands by 1.0e4.
 UNDERRESOLVED = [
@@ -438,8 +437,10 @@ def test_bands_checks_the_truncation_of_what_it_writes(tmp_path, capsys, doc, co
         f"{'FAIL' if code else 'PASS'} band_truncation"]
     run = compute_run(parse_config(doc))
     assert out[0] == str(next(c for c in run.checks if c.name == "band_truncation"))
-    # the files are written either way: one line per band value, and the gaps
-    assert (tmp_path / "b" / "bands.csv").read_text().count("\n") == run.bands.bands.size + 1
+    # the files are written either way: one line per band value on kappa >= 0, and the gaps
+    cfg = run.config
+    assert (tmp_path / "b" / "bands.csv").read_text().count("\n") == (
+        cfg.n_bands * (cfg.N_kappa // 2 + 1) + 1)
     assert (tmp_path / "b" / "gaps.csv").is_file()
 
 

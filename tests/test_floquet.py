@@ -15,6 +15,7 @@ from conftest import toy_band_structure
 from oracles import build_fiber_matrix
 from diracgap import floquet
 from diracgap.floquet import (
+    BandStructure,
     FiberSolveError,
     NoOpenGapError,
     PotentialSpec,
@@ -254,16 +255,39 @@ def test_band_structure_rejects_underresolved_bands():
 
 
 def test_evenness_bitwise_and_independent(mathieu_bands):
-    bands = mathieu_bands
-    n = bands.grid.n_nodes
-    for j in range(n):
-        assert np.array_equal(bands.bands[:, j], bands.bands[:, n - 1 - j])
+    # Only kappa >= 0 is stored; the reversed half array is E_n at -pi/L, ..., 0, whose
+    # nodes are the stored ones negated, bitwise.
+    bands, grid = mathieu_bands, mathieu_bands.grid
+    half = grid.half_index
+    assert bands.bands.shape == (bands.n_bands, half + 1)
+    assert np.array_equal(grid.nodes[:half + 1], -grid.nodes[half:][::-1])
     # Re-solve a few negative nodes independently, without mirroring.
-    pot = bands.potential
     nodes = [0, 17, 60, 99]
-    assert np.all(bands.grid.nodes[nodes] < 0)
-    fresh = fiber_eigenvalues(pot, bands.grid.nodes[nodes], M=32, count=bands.n_bands)
-    assert np.abs(fresh.T - bands.bands[:, nodes]).max() < 1e-10
+    assert np.all(grid.nodes[nodes] < 0)
+    fresh = fiber_eigenvalues(bands.potential, grid.nodes[nodes], M=32, count=bands.n_bands)
+    assert np.abs(fresh.T - bands.bands[:, ::-1][:, nodes]).max() < 1e-10
+
+
+def test_fold_helpers_state_the_mirror_once():
+    # Seven nodes -pi, ..., pi: kappa = 0 is j = 3, the mirror of j is 6 - j.
+    grid = QuasiMomentumGrid(n_nodes=7, period=1.0)
+    assert grid.fold_weights().tolist() == [1.0, 2.0, 2.0, 1.0]
+    assert QuasiMomentumGrid(n_nodes=3, period=1.0).fold_weights().tolist() == [1.0, 1.0]
+    assert grid.copies(np.arange(3, 7)).tolist() == [1, 2, 2, 2]
+    fibers = np.array([[0, 3, 1], [0, 6, 2], [1, 4, 1], [2, 3, 5]])
+    rows, whole = grid.unfold(fibers)
+    assert rows.tolist() == [0, 1, 2, 3, 1, 2]
+    assert whole.tolist() == fibers.tolist() + [[0, 0, 2], [1, 2, 1]]
+    assert fibers[1].tolist() == [0, 6, 2]  # unfold leaves its argument alone
+    assert len(whole) == grid.copies(fibers[:, 1]).sum()
+    empty = np.empty((0, 3), dtype=np.int64)
+    assert [a.shape for a in grid.unfold(empty)] == [(0,), (0, 3)]
+
+
+def test_band_structure_holds_the_kappa_half_only():
+    grid = QuasiMomentumGrid(n_nodes=5, period=1.0)
+    with pytest.raises(ValueError, match="kappa >= 0 half"):
+        BandStructure(potential=PotentialSpec(), grid=grid, truncation=1, bands=np.zeros((1, 5)))
 
 
 def test_band_ordering_and_interlacing(mathieu_bands):

@@ -4,13 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import one_row_shifts, toy_band_structure
+from oracles import mirrored_bands
 from diracgap.arithmetic import (
-    CoefficientFamily,
     HeckeEnsemble,
     generate_primes,
     mass_shifts,
     sample_hecke_ensemble,
 )
+from diracgap.floquet import QuasiMomentumGrid
 from diracgap.gapspec import (
     GROUPING_DECIMALS,
     GROUPING_TOLERANCE,
@@ -24,16 +25,17 @@ from diracgap.gapspec import (
 )
 
 TOY = toy_band_structure([[0.0, 0.5, 1.0], [2.0, 2.5, 3.0]])
-FAM = CoefficientFamily(0.35)  # the default run's epsilon
+EPSILON = 0.35  # the default run's epsilon
 
 
 def brute_force_gap_values(bands, e_star, shifts, intervals):
-    """Plain-Python double loop; independent of the vectorized path."""
+    """Plain-Python double loop over the whole kappa grid; independent of the vectorized path."""
+    whole = mirrored_bands(bands)
     out = []
-    for n in range(bands.bands.shape[0]):
-        for j in range(bands.bands.shape[1]):
+    for n in range(whole.shape[0]):
+        for j in range(whole.shape[1]):
             for m, mass in enumerate(shifts.values, start=1):
-                v = bands.bands[n, j] - e_star + mass
+                v = whole[n, j] - e_star + mass
                 dist = min(
                     max(lo - v, v - hi, 0.0) for lo, hi in intervals
                 )
@@ -92,6 +94,20 @@ def fiber_tuples(gap_values):
     return [tuple(f) for f in gap_values.fibers.tolist()]
 
 
+def assert_matches_the_whole_grid(got, brute):
+    """got, on kappa >= 0, against the brute-force pairs of the whole grid: the same count of
+    +- eigenvalues, the kappa >= 0 values and fibers in order, and the kappa < 0 ones their
+    mirrors (n, N_kappa - 1 - j, m), bitwise."""
+    half, n_nodes = got.grid.half_index, got.grid.n_nodes
+    assert len(got) == len(brute)
+    assert [v for v, _ in brute[1::2]] == [-v for v, _ in brute[::2]]
+    upper = [(v, f) for v, f in brute[::2] if f[1] >= half]
+    lower = [(v, (f[0], n_nodes - 1 - f[1], f[2])) for v, f in brute[::2] if f[1] < half]
+    assert got.values.tolist() == [v for v, _ in upper]
+    assert fiber_tuples(got) == [f for _, f in upper]
+    assert sorted(lower) == sorted((v, f) for v, f in upper if f[1] > half)
+
+
 def spectrum_tuples(spec):
     """(values, multiplicities, groups) as tuples; group k is fibers[h[k]:h[k + 1]]."""
     h = np.concatenate([[0], np.cumsum(spec.multiplicities)]).tolist()
@@ -139,52 +155,68 @@ def test_boundary_value_not_emitted():
 
 
 def test_toy_fiber_emission():
-    bands = toy_band_structure([[1.0, 1.0, 1.0]])
+    bands = toy_band_structure([[1.0, 1.0]])
     got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.6]), TOY_SET)
-    # v = 1.0 - 1.5 + 0.6 = 0.1 inside the central gap, one fiber per node;
-    # each value stands for the pair +-0.1
-    assert got.values.tolist() == pytest.approx([0.1] * 3, abs=1e-15)
+    # v = 1.0 - 1.5 + 0.6 = 0.1 inside the central gap, one fiber per node of kappa >= 0;
+    # each value stands for the pair +-0.1, and the one at pi/L for its mirror at -pi/L too
+    assert got.values.tolist() == pytest.approx([0.1] * 2, abs=1e-15)
     assert len(got) == 6
-    assert fiber_tuples(got) == [(0, 0, 1), (0, 1, 1), (0, 2, 1)]
+    assert fiber_tuples(got) == [(0, 1, 1), (0, 2, 1)]
 
 
 def test_emission_is_lexicographic_and_symmetric(default_run):
     vals = default_run.gap_values
     fibers = fiber_tuples(vals)
     assert fibers == sorted(set(fibers))
-    # the +- closure is implicit: one stored value per emitted pair
-    assert len(vals) == 2 * len(vals.values) == 2 * len(fibers)
+    half = vals.grid.half_index
+    assert min(j for _, j, _ in fibers) >= half
+    # the +- closure and the mirror are implicit: one stored value stands for the pair +-v at
+    # its fiber and, off kappa = 0, at its mirror fiber
+    assert len(vals) == 2 * (2 * len(fibers) - sum(j == half for _, j, _ in fibers))
+
+
+GRID3 = QuasiMomentumGrid(n_nodes=3, period=1.0)  # nodes -pi, 0, pi: j = 1 is kappa = 0
 
 
 def test_aggregate_trivial_cases():
-    bands = toy_band_structure([[1.0, 1.0, 1.0]])
+    bands = toy_band_structure([[1.0, 1.0]])
     got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.6]), TOY_SET)
-    one = GapValues(values=got.values[:1], fibers=got.fibers[:1])  # single fiber's +-0.1
+    # the single fiber at kappa = 0 and its +-0.1
+    one = GapValues(values=got.values[:1], fibers=got.fibers[:1], grid=got.grid)
     spec = aggregate_spectrum(one)
     assert spectrum_tuples(spec) == ((0.1,), (1,), ((tuple(one.fibers[0].tolist()),),))
 
     # two fibers at exactly the same value group with multiplicity 2
-    two = GapValues(values=np.tile(one.values, 2), fibers=np.tile(one.fibers, (2, 1)))
+    two = GapValues(values=np.tile(one.values, 2), fibers=np.tile(one.fibers, (2, 1)),
+                    grid=got.grid)
     spec2 = aggregate_spectrum(two)
     assert spectrum_tuples(spec2)[:2] == ((0.1,), (2,))
     assert spec2.fibers.tolist() == np.tile(one.fibers, (2, 1)).tolist()
 
+    # the fiber at pi/L stands for its mirror at -pi/L as well
+    edge = aggregate_spectrum(
+        GapValues(values=got.values[1:], fibers=got.fibers[1:], grid=got.grid))
+    assert spectrum_tuples(edge) == ((0.1,), (2,), (((0, 0, 1), (0, 2, 1)),))
+
     empty = aggregate_spectrum(
-        GapValues(values=np.empty(0), fibers=np.empty((0, 3), dtype=np.int64)))
+        GapValues(values=np.empty(0), fibers=np.empty((0, 3), dtype=np.int64), grid=GRID3))
     assert spectrum_tuples(empty) == ((), (), ())
     assert empty.fibers.shape == (0, 3)
 
 
 def test_aggregate_chains_at_the_tolerance_and_breaks_ties_by_fiber():
-    # 2e-9 - 1e-9 == 1e-9 exactly: the chain continues at the tolerance itself
-    fibers = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 0, 1)]
-    got = GapValues(values=np.array([2e-9, 1e-9, 3.5e-9, -1e-9]), fibers=np.array(fibers))
+    # 2e-9 - 1e-9 == 1e-9 exactly: the chain continues at the tolerance itself.  The
+    # fibers at j = 2 (kappa = pi) stand for their mirrors at j = 0 too.
+    fibers = [(0, 1, 2), (0, 2, 1), (1, 1, 1), (0, 1, 1)]
+    got = GapValues(values=np.array([2e-9, 1e-9, 3.5e-9, -1e-9]), fibers=np.array(fibers),
+                    grid=GRID3)
     spec = aggregate_spectrum(got)
     assert spectrum_tuples(spec) == (
-        (1e-9, 3.5e-9), (3, 1), (((0, 0, 1), (0, 1, 1), (0, 0, 2)), ((1, 0, 1),)))
+        (1e-9, 3.5e-9), (4, 1), (((0, 0, 1), (0, 1, 1), (0, 2, 1), (0, 1, 2)), ((1, 1, 1),)))
     assert (spec.positive_values.dtype, spec.multiplicities.dtype) == (np.float64, np.int64)
-    assert spec.fibers.shape == (4, 3)
-    pairs = [(s * v, f) for v, f in zip(got.values.tolist(), fibers) for s in (1, -1)]
+    assert spec.fibers.shape == (5, 3)
+    whole = fibers + [(0, 0, 1)]  # the mirror of (0, 2, 1), written out here
+    pairs = [(s * v, f) for v, f in zip(got.values.tolist() + [1e-9], whole) for s in (1, -1)]
     assert brute_force_spectrum(pairs) == spectrum_tuples(spec)
 
 
@@ -194,10 +226,9 @@ def test_golden_configuration_against_brute_force(default_run):
     brute = brute_force_gap_values(
         r.bands, r.e_star, r.shifts, intervals(dirac_band_set(r.bands, r.e_star))
     )
-    assert len(got) == len(brute)
-    assert got.values.tolist() == [v for v, _ in brute[::2]]
-    assert [v for v, _ in brute[1::2]] == (-got.values).tolist()
-    assert fiber_tuples(got) == [f for _, f in brute[::2]] == [f for _, f in brute[1::2]]
+    assert_matches_the_whole_grid(got, brute)
+    assert [f for _, f in brute[::2]] == [f for _, f in brute[1::2]]
+    assert spectrum_tuples(r.spectrum) == brute_force_spectrum(brute)
     # frozen regression anchors for the default configuration
     assert len(got) == 432
     assert len(r.spectrum) == 118
@@ -225,7 +256,7 @@ def test_permutation_invariance_of_spectrum(default_run):
         mode=r.ensemble.mode,
         samples=r.ensemble.samples[:, perm],
     )
-    shifts = mass_shifts(permuted, FAM)
+    shifts = mass_shifts(permuted, EPSILON)
     vals = fiber_gap_eigenvalues(r.bands, r.e_star, shifts, dirac_band_set(r.bands, r.e_star))
     spec = aggregate_spectrum(vals)
     assert spec.positive_values.tolist() == r.spectrum.positive_values.tolist()
@@ -237,7 +268,7 @@ def test_monotone_response_to_pointwise_larger_samples(default_run):
     r = default_run
     ones = sample_hecke_ensemble(r.ensemble.primes, r.ensemble.n_modes,
                                  r.ensemble.seed, mode="constant_one")
-    shifts_hi = mass_shifts(ones, FAM)
+    shifts_hi = mass_shifts(ones, EPSILON)
     assert np.all(shifts_hi.values >= r.shifts.values)
     v_lo = r.bands.bands[..., None] - r.e_star + r.shifts.values
     v_hi = r.bands.bands[..., None] - r.e_star + shifts_hi.values
@@ -257,7 +288,7 @@ MASSES = st.one_of(
 @st.composite
 def toy_problems(draw):
     n_bands = draw(st.integers(1, 3))
-    n_nodes = draw(st.sampled_from([3, 5]))
+    n_nodes = draw(st.sampled_from([2, 3]))  # of kappa >= 0: whole grids of 3 and 5 nodes
     rows = [[2 * n + draw(st.integers(0, 8)) / 8 for _ in range(n_nodes)] for n in range(n_bands)]
     e_star = draw(st.sampled_from([2 * n + 1.5 for n in range(-1, n_bands)]))
     masses = draw(st.lists(MASSES, min_size=1, max_size=6))
@@ -281,9 +312,7 @@ def test_array_path_matches_brute_force(problem):
     shifts = one_row_shifts(masses)
     got = fiber_gap_eigenvalues(bands, e_star, shifts, band_set)
     brute = brute_force_gap_values(bands, e_star, shifts, intervals(band_set))
-    assert len(got) == len(brute)
     assert got.fibers.shape == (len(got.values), 3)
-    assert got.values.tolist() == [v for v, _ in brute[::2]]
-    assert fiber_tuples(got) == [f for _, f in brute[::2]]
+    assert_matches_the_whole_grid(got, brute)
     spec = aggregate_spectrum(got)
     assert spectrum_tuples(spec) == brute_force_spectrum(brute)

@@ -9,7 +9,8 @@ from diracgap.gapspec import GapValues, dirac_band_set, fiber_gap_eigenvalues
 from diracgap.matmodel import chiral_gap_jumps
 from oracles import block_entries, dense_block_model, subsample_entries
 
-# Chiral gap (-0.5, 0.5) around E* = 1.5: q runs over -1.5, -1.0, -0.5 and 0.5, 1.0, 1.5.
+# Chiral gap (-0.5, 0.5) around E* = 1.5: q runs over -1.5, -1.0, -0.5 and 0.5, 1.0, 1.5
+# at kappa = 0, pi/2, pi (j = 2, 3, 4 of the whole grid's 5 nodes).
 TOY = toy_band_structure([[0.0, 0.5, 1.0], [2.0, 2.5, 3.0]])
 
 
@@ -60,16 +61,17 @@ def test_reflection_involution_on_dense_4x4():
 
 
 def test_krein_hand_example():
-    # The shift 0.25 moves fiber (0, 2) from the edge -0.5 to -0.25, inside the
-    # chiral gap; 1.5 + 0.25 leaves the band set too, but above the gap.
+    # The shift 0.25 moves fiber (0, 4) at kappa = pi from the edge -0.5 to -0.25,
+    # inside the chiral gap, and its mirror (0, 0) at -pi with it; 1.5 + 0.25 leaves
+    # the band set too, but above the gap.
     shifts = one_row_shifts([0.0, 0.25])
     kept = fiber_gap_eigenvalues(TOY, 1.5, shifts, dirac_band_set(TOY, 1.5))
     assert kept.values.tolist() == [-0.25, 1.75]
-    assert kept.fibers.tolist() == [[0, 2, 2], [1, 2, 2]]
+    assert kept.fibers.tolist() == [[0, 4, 2], [1, 4, 2]]
     report = jumps_of(TOY, 1.5, shifts)
-    assert (report.above, report.jumps, report.kept, report.differing) == (0.5, 1, 1, 0)
-    lost = GapValues(values=kept.values[1:], fibers=kept.fibers[1:])
-    assert jumps_of(TOY, 1.5, shifts, lost).differing == 1
+    assert (report.above, report.jumps, report.kept, report.differing) == (0.5, 2, 2, 0)
+    lost = GapValues(values=kept.values[1:], fibers=kept.fibers[1:], grid=kept.grid)
+    assert jumps_of(TOY, 1.5, shifts, lost).differing == 2
 
 
 def test_counting_difference_zero_mass(default_run):
@@ -97,7 +99,8 @@ def test_one_wrong_kept_value_fails_the_check(default_run, fault):
         values, fibers = np.delete(values, k), np.delete(fibers, k, axis=0)
     else:
         values[k] = np.nextafter(values[k], np.inf)
-    report = jumps_of(r.bands, r.e_star, r.shifts, GapValues(values=values, fibers=fibers))
+    report = jumps_of(r.bands, r.e_star, r.shifts,
+                      GapValues(values=values, fibers=fibers, grid=r.gap_values.grid))
     assert report.differing > 0
 
 

@@ -55,8 +55,12 @@ def test_staircase_validation():
 def test_golden_staircase_matches_cumulative_recount(default_run):
     s = default_run.staircase
     spectrum = default_run.spectrum
-    # independent recount: sort raw positive emitted values, count <= lambda
-    raw = sorted(abs(v) for v in default_run.gap_values.values.tolist() if v != 0.0)
+    # independent recount: sort raw positive emitted values, each once per fiber of the whole
+    # grid (at kappa = 0 once, elsewhere at kappa_j and -kappa_j), count <= lambda
+    gap_values = default_run.gap_values
+    copies = [1 if j == gap_values.grid.half_index else 2 for j in gap_values.fibers[:, 1].tolist()]
+    raw = sorted(abs(v) for v, c in zip(gap_values.values.tolist(), copies) if v != 0.0
+                 for _ in range(c))
     for lam in np.linspace(0.0, float(s.locations[-1]) * 1.05, 137):
         expected = sum(1 for v in raw if v <= lam)
         assert s(lam) == expected

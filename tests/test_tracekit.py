@@ -11,11 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import one_row_shifts, toy_band_structure, trace_grid
-from oracles import (geometric_factor, local_factor, local_factor_grid, phase_sums, sample_row,
-                     theta_fiber_whole_array)
+from oracles import (eta, geometric_factor, local_factor, local_factor_grid, mirrored_bands,
+                     phase_sums, sample_row, theta_fiber_whole_array, whole_grid_sums)
 from diracgap.arithmetic import (
     MODES,
-    CoefficientFamily,
     HeckeEnsemble,
     generate_primes,
     mass_shifts,
@@ -37,12 +36,12 @@ from diracgap.tracekit import (
     theta_fiber,
 )
 
-FAM = CoefficientFamily(0.35)
+EPSILON = 0.35  # the default run's epsilon
 
 
 def log_coefficients(ens, p, degree):
     """Coefficients of t^1..t^degree in log A_p, from the production series helper."""
-    return tracekit._log_series(FAM.eta(p, sample_row(ens, p))[None], degree)[0]
+    return tracekit._log_series(eta(p, sample_row(ens, p), EPSILON)[None], degree)[0]
 
 
 def zero_shifts(n):
@@ -66,7 +65,8 @@ def test_theta_fiber_brute_force_oracle(default_run):
     r = default_run
     phi = TestFunction(alpha=0.5)
     got = theta_fiber(phi, r.bands, r.e_star, r.shifts)
-    # independent plain-loop summation
+    # independent plain-loop summation over the whole kappa grid
+    whole = mirrored_bands(r.bands)
     n_nodes = r.bands.grid.n_nodes
     h_weight = 2.0 * np.pi / (n_nodes - 1)
     acc = 0.0
@@ -74,7 +74,7 @@ def test_theta_fiber_brute_force_oracle(default_run):
         for j in range(n_nodes):
             w = h_weight * (0.5 if j in (0, n_nodes - 1) else 1.0)
             inner = sum(
-                math.exp(-((r.bands.bands[n, j] - r.e_star + mm) ** 2) / 0.25)
+                math.exp(-((whole[n, j] - r.e_star + mm) ** 2) / 0.25)
                 for mm in r.shifts.values
             )
             acc += w * inner / len(r.shifts.values)
@@ -82,7 +82,7 @@ def test_theta_fiber_brute_force_oracle(default_run):
 
 
 def test_theta_fiber_matches_the_whole_array_sum_bitwise(default_run):
-    # Eight bands of 201 nodes and 20 modes; a mode-by-mode sum changes the last bits here.
+    # Eight bands of 101 nodes and 20 modes; a mode-by-mode sum changes the last bits here.
     r = default_run
     phi = TestFunction(alpha=0.5)
     got = theta_fiber(phi, r.bands, r.e_star, r.shifts)
@@ -127,7 +127,7 @@ def test_arithmetic_factors_at_zero(default_run):
 def test_constant_one_factorizes_exactly():
     primes = generate_primes(20)
     ens = sample_hecke_ensemble(primes, 20, seed=12345, mode="constant_one")
-    shifts = mass_shifts(ens, FAM)
+    shifts = mass_shifts(ens, EPSILON)
     t = np.arange(-2000, 2001) * 0.01
     factors = arithmetic_factors(shifts, 2000, 0.01)
     total = sum(p**-1.35 for p in primes)
@@ -143,7 +143,7 @@ def test_euler_gap_shrinks_with_modes():
     gaps = {}
     for n_h in (100, 10_000):
         ens = sample_hecke_ensemble(primes, n_h, seed=12345)
-        f = arithmetic_factors(mass_shifts(ens, FAM), 4, 0.5)
+        f = arithmetic_factors(mass_shifts(ens, EPSILON), 4, 0.5)
         gaps[n_h] = np.abs(f.a_joint - f.a_prod)[at]
     assert np.all(gaps[10_000] < gaps[100])
 
@@ -167,7 +167,7 @@ def test_table_factors_match_direct_references(default_run):
     assert np.abs(f.a_joint - a_joint).max() <= 1e-13
     a_prod = np.ones(len(t), dtype=complex)
     for p in r.ensemble.primes:
-        a_prod *= local_factor_grid(r.ensemble, FAM, p, t)
+        a_prod *= local_factor_grid(r.ensemble, EPSILON, p, t)
     assert np.abs(f.a_prod - a_prod).max() <= 1e-13
 
 
@@ -248,7 +248,7 @@ def test_folded_geometric_factor_matches_full_grid_oracle(default_run, case):
     folded, _ = tracekit._geometric_on_grid(bands, e_star, K, h)
     # The scalar oracle rounds its phases at about eps |t q|; |t q| <= 700
     # keeps that, summed over the kappa grid, below the 1e-13 bound.
-    q = bands.bands - e_star
+    q = mirrored_bands(bands) - e_star
     k_max = int(700.0 / (h * np.abs(q).max()))
     for k in range(-k_max, k_max + 1):
         for n in range(bands.n_bands):
@@ -264,14 +264,32 @@ def test_folded_geometric_factor_matches_full_grid_oracle(default_run, case):
     assert np.abs(folded - unfolded).max() <= 1e-13
 
 
-def test_geometric_factor_requires_bitwise_mirrored_bands():
-    phi = TestFunction(alpha=0.5)
-    for row in ([1.0, 2.0, 3.0], [1.0, 2.0, np.nextafter(1.0, 2.0)]):
-        with pytest.raises(ValueError, match=r"E_n\(-kappa\) = E_n\(kappa\)"):
-            compare_trace_representations(toy_band_structure([row]), 0.0, zero_shifts(2), phi,
-                                          4, 0.5)
-    mirrored, _ = tracekit._geometric_on_grid(toy_band_structure([[1.0, 2.0, 1.0]]), 0.0, 4, 0.5)
-    assert mirrored[0, 4] == 2.0 * np.pi  # G(0) = 2 pi / L, the folded weights sum to N - 1
+THREE_HARMONICS = PotentialSpec(period=2.0, cosine_coefficients=(2.0, 0.7, 0.3))
+
+
+@pytest.mark.parametrize("case", ["default", "three-harmonic"])
+def test_folded_sums_match_whole_grid_sums_of_fresh_negative_solves(default_run, case):
+    # The library sums kappa >= 0 with the folded weights 1, 2, ..., 2, 1; the oracle
+    # solves kappa < 0 afresh and sums the whole grid with 1/2, 1, ..., 1, 1/2.  A fold
+    # weight of 2 at pi/L or a mirror for kappa = 0 moves both sums by about 1e-2.
+    if case == "default":
+        bands, e_star = default_run.bands, default_run.e_star
+    else:
+        bands = compute_band_structure(THREE_HARMONICS, QuasiMomentumGrid(n_nodes=81, period=2.0),
+                                       16, 6)
+        e_star = select_reference_energy(bands, 0)
+    phi, shifts = TestFunction(alpha=0.5), default_run.shifts
+    K, h = trace_grid(bands, e_star, shifts, phi.alpha)
+    folded = tracekit._geometric_on_grid(bands, e_star, K, h)[0].sum(axis=0)
+    # |t q| <= 700 keeps the phase rounding of either side below the bound
+    k_max = int(700.0 / (h * np.abs(bands.bands - e_star).max()))
+    k = np.arange(-k_max, k_max + 1, max(1, k_max // 20))
+    theta, geometric = whole_grid_sums(phi, bands, e_star, shifts, k * h)
+    assert abs(theta_fiber(phi, bands, e_star, shifts) - theta) <= 1e-13 * abs(theta)
+    assert np.abs(folded[K + k] - geometric).max() <= 1e-12
+    # G(0) = 2 pi / L exactly on the table route: the fold weights sum to N_kappa - 1
+    assert tracekit._geometric_on_grid(toy_band_structure([[1.0, 2.0]]), 0.0, 4, 0.5)[0][0, 4] == (
+        2.0 * np.pi)
 
 
 def test_trace_is_bitwise_stable_across_blas_threads():
@@ -353,7 +371,7 @@ def test_tail_half_width_sets_the_default_grid(mathieu_bands):
 
 def test_geometric_factors_conjugate_symmetry(mathieu_bands):
     ens = sample_hecke_ensemble(generate_primes(2), 2, seed=1)
-    shifts = mass_shifts(ens, FAM)
+    shifts = mass_shifts(ens, EPSILON)
     K, h = 500, 0.05
     geometric, _ = tracekit._geometric_on_grid(mathieu_bands, 9.85, K, h)
     factors = arithmetic_factors(shifts, K, h)
@@ -384,7 +402,7 @@ def test_log_coefficients_match_finite_differences():
     # five-point central differences of log A_2 near t = 0 (principal branch
     # is fine: A_2 stays near 1)
     h = 1e-3
-    f = [complex(np.log(local_factor(ens, FAM, 2, k * h))) for k in (-2, -1, 0, 1, 2)]
+    f = [complex(np.log(local_factor(ens, EPSILON, 2, k * h))) for k in (-2, -1, 0, 1, 2)]
     d1 = (-f[4] + 8 * f[3] - 8 * f[1] + f[0]) / (12 * h)
     d2 = (-f[4] + 16 * f[3] - 30 * f[2] + 16 * f[1] - f[0]) / (12 * h * h)
     assert abs(c[0] - d1) < 1e-6
@@ -397,7 +415,7 @@ def test_log_coefficients_taylor_remainder():
     c = log_coefficients(ens, p, 6)
     t = 0.05
     taylor = sum(ck * t ** (r + 1) for r, ck in enumerate(c))
-    direct = complex(np.log(local_factor(ens, FAM, p, t)))
+    direct = complex(np.log(local_factor(ens, EPSILON, p, t)))
     assert abs(taylor - direct) < 1e-9
 
 
@@ -408,11 +426,11 @@ def test_compare_report_fields(default_run):
     assert r.t_max > 0 and r.h_t > 0
 
 
-def prime_product(ens, family, h, K, sums):
+def prime_product(ens, epsilon, h, K, sums):
     """A_prod on k = 0..K with every prime's A_p from sums(x, w, h, K), in ascending order."""
-    eta = np.array([family.eta(p, row) for p, row in zip(ens.primes, ens.samples)])
+    terms = np.array([eta(p, row, epsilon) for p, row in zip(ens.primes, ens.samples)])
     a = np.ones(K + 1, dtype=complex)
-    for a_p in sums(eta, None, h, K):
+    for a_p in sums(terms, None, h, K):
         a *= a_p / ens.n_modes
     return a
 
@@ -428,9 +446,8 @@ def test_euler_series_matches_the_table_route(n_p, n_h, seed, mode, zero, epsilo
     ens = sample_hecke_ensemble(generate_primes(n_p), n_h, seed, mode)
     if zero:
         ens = replace(ens, samples=np.zeros_like(ens.samples))
-    family = CoefficientFamily(epsilon)
-    f = arithmetic_factors(mass_shifts(ens, family), K, h)
-    assert np.abs(f.a_prod[K:] - prime_product(ens, family, h, K, phase_sums)).max() <= 1e-12
+    f = arithmetic_factors(mass_shifts(ens, epsilon), K, h)
+    assert np.abs(f.a_prod[K:] - prime_product(ens, epsilon, h, K, phase_sums)).max() <= 1e-12
     if zero or mode == "constant_one":  # beta_p = 0: every prime takes the series
         assert f.euler_series_primes == n_p and f.euler_series_bound == 0.0
 
@@ -442,14 +459,14 @@ def test_euler_series_is_at_least_as_close_to_mpmath_as_the_tables():
     ens = sample_hecke_ensemble(generate_primes(1000), 20, seed=3)
     h, K = 0.1, 227
     t = np.arange(-K, K + 1) * h
-    f = arithmetic_factors(mass_shifts(ens, FAM), K, h)
+    f = arithmetic_factors(mass_shifts(ens, EPSILON), K, h)
     assert f.euler_series_primes == 991
-    table = prime_product(ens, FAM, h, K, tracekit._table_sums)
-    eta = np.array([FAM.eta(p, row) for p, row in zip(ens.primes, ens.samples)])
+    table = prime_product(ens, EPSILON, h, K, tracekit._table_sums)
+    terms = np.array([eta(p, row, EPSILON) for p, row in zip(ens.primes, ens.samples)])
     for k in (32, 113, 227):  # t = 3.2, 11.3, 22.7
         tk = mpmath.mpf(float(t[K + k]))
         exact = mpmath.mpf(1)
-        for row in eta:
+        for row in terms:
             exact *= mpmath.fsum(mpmath.expj(tk * mpmath.mpf(float(x))) for x in row) / len(row)
         assert abs(complex(f.a_prod[K + k]) - exact) <= abs(complex(table[k]) - exact)
 
@@ -470,7 +487,7 @@ def test_band_prune_bound_holds_the_mass_of_the_dropped_band(monkeypatch):
     monkeypatch.setattr(tracekit, "BAND_PRUNE_WIDTH", 1.0)
     phi = TestFunction(alpha=0.5)
     shifts = one_row_shifts([0.1, -0.2])
-    band = toy_band_structure([[1.3, 1.0, 0.8, 1.0, 1.3]], period=2.0)
+    band = toy_band_structure([[0.8, 1.0, 1.3]], period=2.0)
     r = compare_trace_representations(band, 0.0, shifts, phi, 250, 0.1)
     assert r.bands_kept == 0 and r.theta_separated == 0.0
     bound = r.band_prune_bound  # d = 0.8 - 0.2
@@ -481,7 +498,7 @@ def test_band_prune_bound_holds_the_mass_of_the_dropped_band(monkeypatch):
 def test_trace_with_no_visible_band_is_finite_and_agrees():
     bands = toy_band_structure([[0.0] * 3, [100.0] * 3])
     ens = sample_hecke_ensemble(generate_primes(3), 4, seed=1)
-    shifts = mass_shifts(ens, FAM)
+    shifts = mass_shifts(ens, EPSILON)
     r = compare_trace_representations(bands, 50.0, shifts, TestFunction(alpha=0.5),
                                       *trace_grid(bands, 50.0, shifts, 0.5))
     assert r.bands_kept == 0
