@@ -6,6 +6,9 @@ an even coefficient family eta_p, and the derived mass shifts
 
     m_m = sum_{p in S} eta_p(lambda_p(m)).
 
+A HeckeEnsemble holds only the primes and the (N_P, N_H) sample array; the
+seed and mode it was drawn with are the run configuration's.
+
 Sampling is fully deterministic and index-keyed: the sample for (seed, p, m)
 is a fixed integer mix of those three values, so regeneration is bitwise
 stable and independent of iteration order or threading.  All integer mixing
@@ -54,33 +57,26 @@ def generate_primes(count: int) -> tuple[int, ...]:
     """First `count` primes, ascending, by sieve of Eratosthenes."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    # Rosser-type overestimate of the nth prime; extend on the rare shortfall.
+    # p_n < n (ln n + ln ln n) for n >= 6 (Rosser and Schoenfeld 1962, (3.13)), and p_5 = 11.
     bound = 15 if count < 6 else int(count * (np.log(count) + np.log(np.log(count)))) + 3
-    while True:
-        sieve = np.ones(bound + 1, dtype=bool)
-        sieve[:2] = False
-        for q in range(2, int(bound**0.5) + 1):
-            if sieve[q]:
-                sieve[q * q :: q] = False
-        primes = np.flatnonzero(sieve)
-        if len(primes) >= count:
-            return tuple(int(p) for p in primes[:count])
-        bound *= 2
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, int(bound**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    return tuple(int(p) for p in np.flatnonzero(sieve)[:count])
 
 
 @dataclass(frozen=True)
 class HeckeEnsemble:
     """Joint synthetic eigenvalue samples lambda_p(m), p in S, m = 1..N_H.
 
-    samples[i, m-1] is the value for the i-th prime and mode m.  The array is
-    a pure function of (seed, primes, n_modes, mode) and regenerates bitwise
-    identically.
+    samples[i, m-1] is the value for the i-th prime and mode m, so N_H is
+    samples.shape[1].  The array is a pure function of (seed, primes, N_H,
+    mode) and regenerates bitwise identically.
     """
 
     primes: tuple[int, ...]
-    n_modes: int
-    seed: int
-    mode: str
     samples: np.ndarray = field(repr=False, compare=False)
 
 
@@ -100,7 +96,7 @@ def sample_hecke_ensemble(
         p = np.array(primes, dtype=np.uint64)[:, None]
         samples = sample_unit(seed, p, np.arange(1, n_modes + 1, dtype=np.uint64))
     samples.setflags(write=False)
-    return HeckeEnsemble(primes=primes, n_modes=n_modes, seed=seed, mode=mode, samples=samples)
+    return HeckeEnsemble(primes=primes, samples=samples)
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,7 @@ def mass_shifts(ensemble: HeckeEnsemble, epsilon: float) -> MassShifts:
                          "sum_p p^-(1+epsilon) diverges otherwise")
     terms = np.array([p ** -(1.0 + epsilon) * lam * lam
                       for p, lam in zip(ensemble.primes, ensemble.samples)])
-    total = np.zeros(ensemble.n_modes)
+    total = np.zeros(ensemble.samples.shape[1])
     for row in terms:
         total += row
     terms.setflags(write=False)

@@ -13,7 +13,8 @@ operator.  The filter runs on the stored kappa >= 0 half: a mirror fiber at
 -kappa_j has the value of its fiber at kappa_j, and the grid's copies and
 unfold count and list it where the whole grid is meant.  Positive survivors
 are grouped into a multiplicity-weighted gap spectrum of three arrays, the
-first two shared by the staircase; the full spectrum is {+-lambda_k}.
+first two shared by the staircase; the full spectrum is {+-lambda_k}.  The
+band set is the pair (lowers, uppers) of interval ends that dirac_band_set returns.
 """
 
 from __future__ import annotations
@@ -28,14 +29,6 @@ from .floquet import BandStructure, QuasiMomentumGrid
 MEMBERSHIP_MARGIN = 1e-8
 GROUPING_TOLERANCE = 1e-9
 GROUPING_DECIMALS = 12
-
-
-@dataclass(frozen=True, eq=False)
-class DiracBandSet:
-    """Disjoint ascending closed intervals [lowers[i], uppers[i]], symmetric under negation."""
-
-    lowers: np.ndarray
-    uppers: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -74,12 +67,14 @@ class GapSpectrum:
         return len(self.positive_values)
 
 
-def dirac_band_set(bands: BandStructure, e_star: float) -> DiracBandSet:
-    """Shift bands by -E*, close under negation, and merge overlaps.
+def dirac_band_set(bands: BandStructure, e_star: float) -> tuple[np.ndarray, np.ndarray]:
+    """The band set (lowers, uppers): bands shifted by -E*, closed under negation, merged.
 
-    E* must lie outside every band (inside a gap); a reference energy inside
-    a band is rejected.  Sorted by lower end, an interval starts a new merged
-    interval when it begins past the running max of the upper ends before it.
+    The closed intervals [lowers[i], uppers[i]] come out disjoint, ascending
+    and symmetric under negation.  E* must lie outside every band (inside a
+    gap); a reference energy inside a band is rejected.  Sorted by lower end,
+    an interval starts a new merged interval when it begins past the running
+    max of the upper ends before it.
     """
     inside = np.flatnonzero((bands.lowers <= e_star) & (e_star <= bands.uppers))
     if len(inside):
@@ -91,13 +86,13 @@ def dirac_band_set(bands: BandStructure, e_star: float) -> DiracBandSet:
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     starts = np.flatnonzero(np.concatenate([[True], lo[1:] > np.maximum.accumulate(hi)[:-1]]))
-    return DiracBandSet(lowers=lo[starts], uppers=np.maximum.reduceat(hi, starts))
+    return lo[starts], np.maximum.reduceat(hi, starts)
 
 
-def band_distance(values, band_set: DiracBandSet) -> np.ndarray:
+def band_distance(values, band_set: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Distance from each value to the union of band intervals (0 if inside)."""
     v = np.atleast_1d(np.asarray(values, dtype=float))
-    lows, highs = band_set.lowers, band_set.uppers
+    lows, highs = band_set
     idx = np.searchsorted(lows, v, side="right") - 1
     dist = np.full(v.shape, np.inf)
     has_left = idx >= 0
@@ -113,7 +108,7 @@ def fiber_gap_eigenvalues(
     bands: BandStructure,
     e_star: float,
     shifts: MassShifts,
-    band_set: DiracBandSet,
+    band_set: tuple[np.ndarray, np.ndarray],
 ) -> GapValues:
     """Enumerate the kappa >= 0 fibers whose +-(E_n(kappa_j) - E* + m_m) pass the gap filter.
 
@@ -126,11 +121,12 @@ def fiber_gap_eigenvalues(
     (rows x modes) candidates are built.  The band set is negation-symmetric,
     so one distance test covers both signs of each candidate.
     """
+    lows, highs = band_set
     q = (bands.bands - e_star).ravel()
     m_vals = shifts.values
     ends = np.stack([q + m_vals.min(), q + m_vals.max()])
-    idx = np.searchsorted(band_set.lowers, ends, side="right") - 1
-    inside = (idx >= 0) & (ends <= band_set.uppers[np.maximum(idx, 0)])
+    idx = np.searchsorted(lows, ends, side="right") - 1
+    inside = (idx >= 0) & (ends <= highs[np.maximum(idx, 0)])
     rows = np.flatnonzero(~(inside.all(axis=0) & (idx[0] == idx[1])))
     v = q[rows, None] + m_vals[None, :]
     row, m = np.nonzero(band_distance(v, band_set) > MEMBERSHIP_MARGIN)

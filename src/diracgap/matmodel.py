@@ -22,7 +22,7 @@ import numpy as np
 
 from .arithmetic import MassShifts
 from .floquet import BandStructure
-from .gapspec import MEMBERSHIP_MARGIN, DiracBandSet, GapValues
+from .gapspec import MEMBERSHIP_MARGIN, GapValues
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def chiral_gap_jumps(
     bands: BandStructure,
     e_star: float,
     shifts: MassShifts,
-    band_set: DiracBandSet,
+    band_set: tuple[np.ndarray, np.ndarray],
     gap_values: GapValues,
 ) -> GapJumpReport:
     """List the jumps of xi inside the chiral gap from the closed form, and compare.
@@ -55,8 +55,9 @@ def chiral_gap_jumps(
     jumps come in (n, j, m) order and must equal, fiber for fiber and bit for
     bit, the gap values lying in the same gap.
     """
-    i = np.searchsorted(band_set.lowers, 0.0, side="right") - 1
-    below, above = band_set.uppers[i], band_set.lowers[i + 1]
+    lows, highs = band_set
+    i = np.searchsorted(lows, 0.0, side="right") - 1
+    below, above = highs[i], lows[i + 1]
     q = (bands.bands - e_star).ravel()
     m_vals = shifts.values
     rows = np.flatnonzero((q + m_vals.min() < above) & (q + m_vals.max() > below))

@@ -150,7 +150,7 @@ def stationary_scan(s: Staircase, phi: TestFunction, t_grid: np.ndarray) -> Stat
     between opposite signs (t = 0) is a root as it stands.
     Longer below-floor runs are flat noise (Gaussian underflow far from every
     jump), counted in a warning.  A grid too coarse to separate adjacent jump
-    locations is flagged in the warnings rather than rejected.
+    locations is named in the warnings rather than rejected.
     """
     t = np.asarray(t_grid, dtype=float)
     if not len(s.locations):

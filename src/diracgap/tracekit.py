@@ -84,7 +84,7 @@ tests/test_source.py rejects any BLAS call in the library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,23 +106,12 @@ EULER_SERIES_S0 = 0.8576766739458992
 # Largest t grid a configuration may ask for; M=64, N_kappa=1001, n_bands=16 uses 18,201.
 MAX_T_POINTS = 2**22
 # Cap on the t step.  The aliasing rule alone would do (h = 0.010012 on the default run,
-# rel_gap 4.2e-14), but dropping the cap moves the trace bits that perfbench/reference pins.
+# rel_gap 1.1e-15), but dropping the cap moves the trace bits that perfbench/reference pins.
 H_MAX = 0.01
 # Taylor route of _half_grid_sums: segments with |s h y| <= TAYLOR_RHO, series
 # cut after TAYLOR_DEGREE, which errs by sum_{r > 26} 2^r / r! ~ 1.3e-20 per unit weight.
 TAYLOR_RHO = 2.0
 TAYLOR_DEGREE = 26
-
-
-@dataclass(frozen=True)
-class TraceFactors:
-    """Arithmetic factors A_joint and A_prod on the symmetric t grid."""
-
-    a_joint: np.ndarray = field(repr=False, compare=False)
-    a_prod: np.ndarray = field(repr=False, compare=False)
-    euler_series_primes: int
-    euler_series_bound: float  # on |log A_prod| lost by truncating the series
-    taylor_rows: int  # rows of A_joint and the A_prod tables summed on the Taylor route
 
 
 @dataclass(frozen=True)
@@ -133,15 +122,15 @@ class TraceReport:
     euler_gap: float
     t_max: float
     h_t: float
-    abs_gap: float = 0.0
+    abs_gap: float
     # L1 mass of the Fourier-side integrand: the quadrature's rounding noise
     # scales with it, so agreement below ~eps * l1_mass is at resolution.
-    l1_mass: float = 0.0
-    bands_kept: int = 0
-    band_prune_bound: float = 0.0
-    euler_series_primes: int = 0
-    euler_series_bound: float = 0.0
-    taylor_rows: int = 0
+    l1_mass: float
+    bands_kept: int
+    band_prune_bound: float
+    euler_series_primes: int
+    euler_series_bound: float  # on |log A_prod| lost by truncating the series
+    taylor_rows: int  # rows summed on the Taylor route: bands, A_joint and A_prod tables
 
 
 def theta_fiber(phi, bands: BandStructure, e_star: float, shifts: MassShifts) -> float:
@@ -287,12 +276,15 @@ def t_grid(alpha: float, n_bands: int, period: float, v_max: float) -> tuple[int
     return K, T / K
 
 
-def arithmetic_factors(shifts: MassShifts, K: int, h: float) -> TraceFactors:
-    """Evaluate A_joint and A_prod on the grid t_k = k h, k = -K..K.
+def arithmetic_factors(shifts: MassShifts, K: int,
+                       h: float) -> tuple[np.ndarray, np.ndarray, int, float, int]:
+    """(a_joint, a_prod, series_primes, series_bound, taylor_rows) on t_k = k h, k = -K..K.
 
     A_joint(t) = mean_m e^{i t m_m}; A_prod(t) = prod_{p in S} A_p(t), with
     A_p(t) = mean_m e^{i t eta_p} from the rows of shifts.terms.  Both equal 1
-    at t = 0.
+    at t = 0.  series_primes take the log series, whose truncation loses at
+    most series_bound of |log A_prod|; taylor_rows counts the rows of A_joint
+    and the A_prod tables summed on the Taylor route.
     """
     joint, taylor = _half_grid_sums(shifts.values[None], None, h, K)
     a_joint = _mirror(joint[0] / len(shifts))
@@ -310,11 +302,8 @@ def arithmetic_factors(shifts: MassShifts, K: int, h: float) -> TraceFactors:
         for a_p in chunk:
             a_prod_half *= a_p / len(shifts)
     q = q[series]
-    return TraceFactors(
-        a_joint=a_joint, a_prod=_mirror(a_prod_half), euler_series_primes=int(series.sum()),
-        euler_series_bound=float((math.log(2) * q ** (EULER_SERIES_DEGREE + 1) / (1 - q)).sum()),
-        taylor_rows=taylor_rows,
-    )
+    bound = float((math.log(2) * q ** (EULER_SERIES_DEGREE + 1) / (1 - q)).sum())
+    return a_joint, _mirror(a_prod_half), int(series.sum()), bound, taylor_rows
 
 
 def _separated_integral(integrand: np.ndarray, h_t: float) -> complex:
@@ -365,30 +354,28 @@ def compare_trace_representations(
     # The fiber sum first: its (n_bands, N_kappa, N_H) temporaries are freed
     # before the phase tables are built, which keeps the peak memory down.
     fiber = theta_fiber(phi, bands, e_star, shifts)
-    factors = arithmetic_factors(shifts, K, h)
+    a_joint, a_prod, series_primes, series_bound, taylor_rows = arithmetic_factors(shifts, K, h)
     d = np.abs(bands.bands - e_star).min(axis=1) - np.abs(shifts.values).max(initial=0.0)
     far = d > BAND_PRUNE_WIDTH * phi.alpha
     pruned = float(np.exp(-(d[far] / phi.alpha) ** 2).sum() * 4.0 * np.pi / bands.potential.period)
     geometric, taylor_bands = _geometric_on_grid(bands, e_star, K, h, np.flatnonzero(~far))
-    t = np.arange(-K, K + 1) * h
-    integrand = phi.fourier(t) * geometric.sum(axis=0) * factors.a_joint
-    h_t = float(t[1] - t[0])  # the step as the grid holds it: it may differ from h in the last bit
-    separated = _separated_integral(integrand, h_t).real
+    integrand = phi.fourier(np.arange(-K, K + 1) * h) * geometric.sum(axis=0) * a_joint
+    separated = _separated_integral(integrand, h).real
     scale = max(abs(fiber), np.finfo(float).tiny)
-    euler_gap = float(np.abs(factors.a_joint - factors.a_prod).max())
-    l1_mass = h_t * float(np.abs(integrand).sum()) / np.pi
+    euler_gap = float(np.abs(a_joint - a_prod).max())
+    l1_mass = h * float(np.abs(integrand).sum()) / np.pi
     return TraceReport(
         theta_fiber=fiber,
         theta_separated=separated,
         rel_gap=abs(fiber - separated) / scale,
         euler_gap=euler_gap,
-        t_max=float(t[-1]),
-        h_t=h_t,
+        t_max=K * h,
+        h_t=h,
         abs_gap=abs(fiber - separated),
         l1_mass=l1_mass,
         bands_kept=len(geometric),
         band_prune_bound=pruned,
-        euler_series_primes=factors.euler_series_primes,
-        euler_series_bound=factors.euler_series_bound,
-        taylor_rows=taylor_bands + factors.taylor_rows,
+        euler_series_primes=series_primes,
+        euler_series_bound=series_bound,
+        taylor_rows=taylor_bands + taylor_rows,
     )

@@ -3,8 +3,7 @@
 The table of nontrivial-zero ordinates is bundled data (first 100 ordinates
 to 9 decimal places) behind a validation gate; nothing is computed from the
 zeta function at runtime.  The alignment lambda -> a lambda + b is the
-least-squares fit of the leading gap eigenvalues onto the leading ordinates,
-with a documented fallback when the unconstrained slope is not positive.
+least-squares fit of the leading gap eigenvalues onto the leading ordinates.
 
 The staircase mismatch E_step(T) is the time-averaged L1 distance between
 two odd integer staircases on [-T, T]: the mapped model staircase (jumps at
@@ -45,7 +44,6 @@ class AffineMap:
 
     a: float
     b: float
-    flagged: bool = False  # least squares gave a <= 0; span fallback used
 
     def __post_init__(self):
         if not (self.a > 0.0 and math.isfinite(self.a) and math.isfinite(self.b)):
@@ -112,9 +110,8 @@ def fit_affine(lambdas, zeros: ZeroTable, K: int) -> AffineMap:
 
     Uses the closed-form normal equations with the centred (two-pass)
     variance and covariance, which do not cancel when the lambda_k are close.
-    If the unconstrained slope is not positive (degenerate alignment), falls
-    back to the span ratio (gamma_K - gamma_1) / (lambda_K - lambda_1) with
-    b matching the means, and flags the result.
+    The lambda_k must be ascending: with the ordinates strictly ascending the
+    slope is then positive (Chebyshev's sum inequality).
     """
     lam = np.asarray(lambdas, dtype=float)
     if K < 2:
@@ -124,17 +121,15 @@ def fit_affine(lambdas, zeros: ZeroTable, K: int) -> AffineMap:
     if len(zeros) < K:
         raise ValueError(f"insufficient zeros: requested K={K}, table holds {len(zeros)}")
     x = lam[:K]
+    if (np.diff(x) < 0.0).any():
+        raise ValueError("eigenvalue list is not ascending")
     y = np.asarray(zeros.ordinates[:K])
     dx, dy = x - np.mean(x), y - np.mean(y)
     var = float(np.mean(dx * dx))
     if x.min() == x.max() or var == 0.0:  # the mean of equal values may round off them
         raise ValueError("degenerate eigenvalue list: all lambda_k equal")
-    cov = float(np.mean(dx * dy))
-    a = cov / var
-    if a > 0.0:
-        return AffineMap(a=a, b=float(np.mean(y) - a * np.mean(x)))
-    a = float((y[-1] - y[0]) / (x[-1] - x[0]))
-    return AffineMap(a=a, b=float(np.mean(y) - a * np.mean(x)), flagged=True)
+    a = float(np.mean(dx * dy)) / var
+    return AffineMap(a=a, b=float(np.mean(y) - a * np.mean(x)))
 
 
 def mapped_staircase(mapped_locations, multiplicities) -> Staircase:
@@ -176,17 +171,15 @@ def diagnostics(lambdas, multiplicities, zeros: ZeroTable, K: int, T: float) -> 
     """Affine fit on the leading K values, Delta_k = (a lambda_k + b) - gamma_k, and E_step(T).
 
     With fewer than K values (a degenerate spectrum, e.g. a near-zero mass
-    deformation) no K-point fit exists: the identity map stands in, flagged,
-    no deviations are reported, and E_step is still well defined.
+    deformation) no K-point fit exists: the identity map stands in, with the flag
+    insufficient-spectrum, no deviations are reported, and E_step is still well defined.
     """
     lam = np.asarray(lambdas, dtype=float)
     short = len(lam) < K
-    affine = AffineMap(a=1.0, b=0.0, flagged=True) if short else fit_affine(lam, zeros, K)
+    affine = AffineMap(a=1.0, b=0.0) if short else fit_affine(lam, zeros, K)
     deltas = () if short else tuple(float(affine(lam[k]) - zeros.ordinates[k]) for k in range(K))
     model, zero = mapped_staircase(affine(lam), multiplicities), zero_staircase(zeros)
     e_step = staircase_mismatch(model, zero, T)
-    flags = (("insufficient-spectrum",) if short
-             else ("affine-fallback",) if affine.flagged else ())
     return DiagnosticsReport(
         K=len(deltas),
         deviations=deltas,
@@ -197,5 +190,5 @@ def diagnostics(lambdas, multiplicities, zeros: ZeroTable, K: int, T: float) -> 
         affine=affine,
         model=model,
         zero=zero,
-        flags=flags,
+        flags=("insufficient-spectrum",) if short else (),
     )

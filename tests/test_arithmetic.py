@@ -52,11 +52,13 @@ def test_generate_primes_basics():
 
 
 def test_generate_primes_against_trial_division():
-    got = generate_primes(100)
-    assert all(is_prime(p) for p in got)
-    assert list(got) == sorted(got)
-    # no prime skipped: every prime below the largest is present
-    assert [n for n in range(2, got[-1] + 1) if is_prime(n)] == list(got)
+    # Every count 1..3,000 against the first primes by trial division.  One sieve
+    # to 15 for n < 6, to n (ln n + ln ln n) + 3 from n = 6 on: Rosser's bound on
+    # p_n leaves no count short of primes, on either side of the switch.
+    reference = [n for n in range(2, 27450) if is_prime(n)]
+    assert len(reference) == 3000
+    for count in range(1, 3001):
+        assert generate_primes(count) == tuple(reference[:count])
 
 
 def test_generate_primes_rejects_nonpositive():
@@ -128,8 +130,7 @@ EPSILON = 0.35  # the default run's epsilon
 
 def test_eta_quadratic_values():
     # the terms eta_p(lambda) of the primes 2 and 3 at lambda = 0, 1, -1, 0.7, -0.7
-    ens = HeckeEnsemble(primes=(2, 3), n_modes=5, seed=0, mode="iid_uniform",
-                        samples=np.tile([0.0, 1.0, -1.0, 0.7, -0.7], (2, 1)))
+    ens = HeckeEnsemble(primes=(2, 3), samples=np.tile([0.0, 1.0, -1.0, 0.7, -0.7], (2, 1)))
     terms = mass_shifts(ens, EPSILON).terms
     assert terms[0, 0] == 0.0
     assert terms[0, 1] == 2.0**-1.35
@@ -150,8 +151,7 @@ def test_family_validation():
 
 def test_mass_shifts_zero_samples():
     primes = generate_primes(3)
-    ens = HeckeEnsemble(primes=primes, n_modes=4, seed=0, mode="iid_uniform",
-                        samples=np.zeros((3, 4)))
+    ens = HeckeEnsemble(primes=primes, samples=np.zeros((3, 4)))
     assert np.array_equal(mass_shifts(ens, EPSILON).values, np.zeros(4))
 
 
@@ -176,8 +176,7 @@ def test_mass_shifts_permutation_equivariance():
     primes = generate_primes(6)
     ens = sample_hecke_ensemble(primes, 9, seed=3)
     perm = np.array([4, 0, 8, 2, 6, 1, 7, 3, 5])
-    permuted = HeckeEnsemble(primes=primes, n_modes=9, seed=3, mode="iid_uniform",
-                             samples=ens.samples[:, perm])
+    permuted = HeckeEnsemble(primes=primes, samples=ens.samples[:, perm])
     assert np.array_equal(mass_shifts(permuted, EPSILON).values,
                           mass_shifts(ens, EPSILON).values[perm])
 

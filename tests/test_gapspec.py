@@ -16,7 +16,6 @@ from diracgap.gapspec import (
     GROUPING_DECIMALS,
     GROUPING_TOLERANCE,
     MEMBERSHIP_MARGIN,
-    DiracBandSet,
     GapValues,
     aggregate_spectrum,
     band_distance,
@@ -71,7 +70,8 @@ def brute_force_spectrum(pairs):
 
 def intervals(band_set):
     """The band set's intervals as (lower, upper) float pairs."""
-    return list(zip(band_set.lowers.tolist(), band_set.uppers.tolist()))
+    lowers, uppers = band_set
+    return list(zip(lowers.tolist(), uppers.tolist()))
 
 
 def brute_force_band_set(bands, e_star):
@@ -87,7 +87,7 @@ def brute_force_band_set(bands, e_star):
     return merged
 
 
-TOY_SET = DiracBandSet(lowers=np.array([-1.5, 0.5]), uppers=np.array([-0.5, 1.5]))
+TOY_SET = (np.array([-1.5, 0.5]), np.array([-0.5, 1.5]))
 
 
 def fiber_tuples(gap_values):
@@ -118,7 +118,7 @@ def spectrum_tuples(spec):
 def test_toy_band_set():
     bs = dirac_band_set(TOY, 1.5)
     assert intervals(bs) == [(-1.5, -0.5), (0.5, 1.5)]
-    assert (bs.lowers.dtype, bs.uppers.dtype) == (np.float64, np.float64)
+    assert (bs[0].dtype, bs[1].dtype) == (np.float64, np.float64)
     # the set equals its own negation
     negated = sorted((-hi, -lo) for lo, hi in intervals(bs))
     assert negated == intervals(bs)
@@ -248,14 +248,8 @@ def test_filtering_idempotent(default_run):
 def test_permutation_invariance_of_spectrum(default_run):
     r = default_run
     rng = np.random.default_rng(1)
-    perm = rng.permutation(r.ensemble.n_modes)
-    permuted = HeckeEnsemble(
-        primes=r.ensemble.primes,
-        n_modes=r.ensemble.n_modes,
-        seed=r.ensemble.seed,
-        mode=r.ensemble.mode,
-        samples=r.ensemble.samples[:, perm],
-    )
+    perm = rng.permutation(r.config.N_H)
+    permuted = HeckeEnsemble(primes=r.ensemble.primes, samples=r.ensemble.samples[:, perm])
     shifts = mass_shifts(permuted, EPSILON)
     vals = fiber_gap_eigenvalues(r.bands, r.e_star, shifts, dirac_band_set(r.bands, r.e_star))
     spec = aggregate_spectrum(vals)
@@ -266,8 +260,8 @@ def test_permutation_invariance_of_spectrum(default_run):
 def test_monotone_response_to_pointwise_larger_samples(default_run):
     # constant_one saturates lambda^2 = 1 >= any iid lambda^2 pointwise
     r = default_run
-    ones = sample_hecke_ensemble(r.ensemble.primes, r.ensemble.n_modes,
-                                 r.ensemble.seed, mode="constant_one")
+    ones = sample_hecke_ensemble(r.ensemble.primes, r.config.N_H, r.config.seed,
+                                 mode="constant_one")
     shifts_hi = mass_shifts(ones, EPSILON)
     assert np.all(shifts_hi.values >= r.shifts.values)
     v_lo = r.bands.bands[..., None] - r.e_star + r.shifts.values

@@ -3,7 +3,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diracgap.zeta import (
@@ -69,7 +69,6 @@ def test_fit_identity():
     fit = fit_affine(lam, zeros, 20)
     assert fit.a == pytest.approx(1.0, abs=1e-12)
     assert fit.b == pytest.approx(0.0, abs=1e-9)
-    assert not fit.flagged
 
 
 def test_fit_exact_affine_preimage():
@@ -102,22 +101,42 @@ def test_fit_of_closely_spaced_lambdas_is_centred():
     gamma = np.array(zeros.ordinates[:3])
     lam = 2700.0 + (gamma - gamma[0]) * 2.5e-7
     fit = fit_affine(lam, zeros, 3)
-    assert not fit.flagged
     assert fit.a == pytest.approx(4e6, rel=1e-6)
     assert np.abs(fit.a * lam + fit.b - gamma).max() < 1e-6 * gamma.max()
 
 
-def test_fit_fallback_when_slope_nonpositive():
-    # For ascending lambda the covariance with ascending gamma is always
-    # >= 0 (Chebyshev sum inequality), so the defensive fallback is only
-    # reachable with out-of-order input; the span ratio must stay positive.
+def test_fit_rejects_non_ascending_lambdas():
+    # Out-of-order input is the only way to a slope <= 0; it is refused.
     zeros = load_zero_table("embedded")
-    lam = np.array([2.0, 30.0, 0.5, 2.1])
-    fit = fit_affine(lam, zeros, 4)
-    assert fit.flagged
-    assert fit.a > 0.0
-    expected_a = (zeros.ordinates[3] - zeros.ordinates[0]) / (lam[3] - lam[0])
-    assert fit.a == pytest.approx(expected_a, rel=1e-12)
+    with pytest.raises(ValueError, match="not ascending"):
+        fit_affine([2.0, 30.0, 0.5, 2.1], zeros, 4)
+    with pytest.raises(ValueError, match="not ascending"):
+        fit_affine([1.0, np.nextafter(1.0, 0.0)], zeros, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.integers(2, 100), start=st.floats(1e-3, 1e6),
+       steps=st.lists(st.one_of(st.integers(0, 3), st.floats(1e-9, 1e3)), min_size=99,
+                      max_size=99))
+@example(K=100, start=1.0, steps=[1] * 99)
+@example(K=100, start=1e6, steps=[0] * 98 + [1])
+@example(K=100, start=1e6, steps=[1] + [0] * 98)
+@example(K=3, start=2700.0, steps=[1, 2] + [0] * 97)
+def test_fit_slope_is_positive_on_ascending_lambdas(K, start, steps):
+    # Ascending lambda against the strictly ascending ordinates: by Chebyshev's sum
+    # inequality the least-squares slope is positive, also for runs an ulp apart.
+    # An integer step is that many ulps, a float step is added.
+    lam = [start]
+    for step in steps[: K - 1]:
+        x = lam[-1]
+        if isinstance(step, int):
+            for _ in range(step):
+                x = np.nextafter(x, np.inf)
+        else:
+            x += step
+        lam.append(float(x))
+    assume(lam[0] < lam[-1])
+    assert fit_affine(lam, load_zero_table(), K).a > 0.0
 
 
 def test_affine_map_validation():
@@ -268,7 +287,7 @@ def test_diagnostics_validation(default_run):
     short = diagnostics(lam[:3], [1] * 3, zeros, K=5, T=10.0)
     assert (short.K, short.deviations, short.mae, short.max_abs) == (0, (), 0.0, 0.0)
     assert short.flags == ("insufficient-spectrum",)
-    assert short.affine == AffineMap(a=1.0, b=0.0, flagged=True)
+    assert short.affine == AffineMap(a=1.0, b=0.0)
     assert short.e_step == mismatch(lam[:3], [1] * 3, zeros, 10.0)
 
 
