@@ -1,12 +1,12 @@
 """Experiment configuration, orchestration, artifact emission, and the CLI.
 
-A single JSON document configures the whole pipeline; its keys are the
-fields of ExperimentConfig, and an empty document is the default
-configuration.  Each value is coerced by the rule of its field's type.
-Validation failures name the standing assumption they violate where one
-applies (B: summability, C: even potential, G: monotone window).  The
-trace's t grid (tracekit.t_grid) is checked with v_max = 0 by validation and
-derived by compute_run after the mass shifts, from the exact v_max.
+A single JSON document configures the whole pipeline: its keys are the
+fields of ExperimentConfig, and {} is the default.  ExperimentConfig checks
+itself when built (by parse_config, directly or by dataclasses.replace): it
+coerces each value by its field type's rule, then names in a ValidationError
+the rule broken, and the assumption where one applies (B: summability, C:
+even potential, G: monotone window).  The trace's t grid (tracekit.t_grid) is
+checked there at v_max = 0 and derived by compute_run from the exact v_max.
 
 A run executes the five pipeline steps (bands, ensemble, mass shifts, gap
 filter, staircase), then the trace-formula cross-check, the matrix-model
@@ -75,8 +75,55 @@ class ExperimentConfig:
     K: int = 20
     T: float = 80.0
 
-
-_DEFAULT = ExperimentConfig()
+    def __post_init__(self):
+        """Coerce each value by its type's rule; a broken rule raises ValidationError naming it."""
+        for f in fields(self):
+            object.__setattr__(self, f.name, _COERCE[f.type](f.name, getattr(self, f.name)))
+        if not self.epsilon > 0.0:
+            raise ValidationError(
+                "Assumption B violated: epsilon must be positive, otherwise "
+                "sum_p p^-(1+epsilon) diverges"
+            )
+        if not self.alpha > 0.0 or not math.isfinite(self.alpha):
+            raise ValidationError(
+                "Assumption G violated: the Gaussian window width alpha must be positive"
+            )
+        if self.N_P < 1:
+            raise ValidationError("N_P must be >= 1")
+        if self.N_H < 1:
+            raise ValidationError("N_H must be >= 1")
+        if self.N_kappa < 3 or self.N_kappa % 2 == 0:
+            raise ValidationError("N_kappa must be odd and >= 3 so kappa = 0 is a node")
+        if self.M < 1:
+            raise ValidationError("M must be >= 1")
+        if self.M < self.potential.harmonic_count:
+            raise ValidationError(
+                f"M={self.M} must be >= the number of potential harmonics "
+                f"R={self.potential.harmonic_count}"
+            )
+        # largest |kappa + 2 pi m / L|: its square is the largest fiber diagonal entry
+        wave_max = (2.0 * self.M + 1.0) * math.pi / self.potential.period
+        if not math.isfinite(4.0 * wave_max * wave_max):
+            raise ValidationError(
+                f"period L={self.potential.period:g} is too small for M={self.M}: the largest fiber "
+                "diagonal entry ((2M+1) pi / L)^2 must stay a factor 4 inside the float range"
+            )
+        if self.n_bands < 1 or self.n_bands > 2 * self.M:
+            raise ValidationError(f"n_bands must lie in [1, 2M] = [1, {2 * self.M}]")
+        if self.gap_index < 0:
+            raise ValidationError("gap_index must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError("seed must fit in 64 unsigned bits")
+        if self.mode not in arithmetic.MODES:
+            raise ValidationError(f"mode must be one of {arithmetic.MODES}")
+        if self.K < 2:
+            raise ValidationError("K must be >= 2 to fit the affine alignment")
+        n_zeros = len(zeta.load_zero_table())
+        if self.K > n_zeros:
+            raise ValidationError(f"K={self.K} exceeds the {n_zeros} zeros of the bundled table")
+        if not (self.T > 0.0 and math.isfinite(2.0 * self.T)):
+            raise ValidationError("T must be positive and 2T finite (the window is [-T, T])")
+        _t_grid(self, 0.0)
 
 
 def _integer(key: str, value) -> int:
@@ -99,7 +146,9 @@ def _real(key: str, value) -> float:
 
 
 def _potential(key: str, doc) -> PotentialSpec:
-    """An even potential; omitted keys take the default potential's values."""
+    """An even potential, as is or from an object whose omitted keys take the default's values."""
+    if isinstance(doc, PotentialSpec):
+        return doc
     if not isinstance(doc, dict):
         raise ValidationError(f"{key} must be an object")
     if any(k.startswith("sine") for k in doc):
@@ -110,10 +159,10 @@ def _potential(key: str, doc) -> PotentialSpec:
     unknown = set(doc) - {f.name for f in fields(PotentialSpec)}
     if unknown:
         raise ValidationError(f"unknown {key} keys: {sorted(unknown)}")
-    coefficients = doc.get("cosine_coefficients", _DEFAULT.potential.cosine_coefficients)
+    coefficients = doc.get("cosine_coefficients", PotentialSpec.mathieu().cosine_coefficients)
     if not isinstance(coefficients, (list, tuple)):
         raise ValidationError(f"{key}.cosine_coefficients must be a list, got {coefficients!r}")
-    period = _real(f"{key}.period", doc.get("period", _DEFAULT.potential.period))
+    period = _real(f"{key}.period", doc.get("period", PotentialSpec.mathieu().period))
     coefficients = tuple(_real(f"{key}.cosine_coefficients[{i}]", c)
                          for i, c in enumerate(coefficients))
     try:
@@ -132,69 +181,17 @@ _COERCE = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON configuration document."""
+    """Parse a JSON configuration document; ExperimentConfig checks its values."""
     try:
         doc = json.loads(text) if text.strip() else {}
     except ValueError as err:  # JSONDecodeError, or an integer literal over the digit limit
         raise ValidationError(f"configuration is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ValidationError("configuration must be a JSON object")
-
     unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValidationError(f"unknown configuration keys: {sorted(unknown)}")
-    cfg = replace(_DEFAULT, **{f.name: _COERCE[f.type](f.name, doc[f.name])
-                               for f in fields(ExperimentConfig) if f.name in doc})
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    if not cfg.epsilon > 0.0:
-        raise ValidationError(
-            "Assumption B violated: epsilon must be positive, otherwise "
-            "sum_p p^-(1+epsilon) diverges"
-        )
-    if not cfg.alpha > 0.0 or not math.isfinite(cfg.alpha):
-        raise ValidationError(
-            "Assumption G violated: the Gaussian window width alpha must be positive"
-        )
-    if cfg.N_P < 1:
-        raise ValidationError("N_P must be >= 1")
-    if cfg.N_H < 1:
-        raise ValidationError("N_H must be >= 1")
-    if cfg.N_kappa < 3 or cfg.N_kappa % 2 == 0:
-        raise ValidationError("N_kappa must be odd and >= 3 so kappa = 0 is a node")
-    if cfg.M < 1:
-        raise ValidationError("M must be >= 1")
-    if cfg.M < cfg.potential.harmonic_count:
-        raise ValidationError(
-            f"M={cfg.M} must be >= the number of potential harmonics "
-            f"R={cfg.potential.harmonic_count}"
-        )
-    # largest |kappa + 2 pi m / L|: its square is the largest fiber diagonal entry
-    wave_max = (2.0 * cfg.M + 1.0) * math.pi / cfg.potential.period
-    if not math.isfinite(4.0 * wave_max * wave_max):
-        raise ValidationError(
-            f"period L={cfg.potential.period:g} is too small for M={cfg.M}: the largest fiber "
-            "diagonal entry ((2M+1) pi / L)^2 must stay a factor 4 inside the float range"
-        )
-    if cfg.n_bands < 1 or cfg.n_bands > 2 * cfg.M:
-        raise ValidationError(f"n_bands must lie in [1, 2M] = [1, {2 * cfg.M}]")
-    if cfg.gap_index < 0:
-        raise ValidationError("gap_index must be >= 0")
-    if not 0 <= cfg.seed < 2**64:
-        raise ValidationError("seed must fit in 64 unsigned bits")
-    if cfg.mode not in arithmetic.MODES:
-        raise ValidationError(f"mode must be one of {arithmetic.MODES}")
-    if cfg.K < 2:
-        raise ValidationError("K must be >= 2 to fit the affine alignment")
-    n_zeros = len(zeta.load_zero_table())
-    if cfg.K > n_zeros:
-        raise ValidationError(f"K={cfg.K} exceeds the {n_zeros} zeros of the bundled table")
-    if not (cfg.T > 0.0 and math.isfinite(2.0 * cfg.T)):
-        raise ValidationError("T must be positive and 2T finite (the window is [-T, T])")
-    _t_grid(cfg, 0.0)
+    return ExperimentConfig(**doc)
 
 
 def _t_grid(cfg: ExperimentConfig, v_max: float) -> tuple[int, float]:
@@ -514,11 +511,9 @@ def scaling_suite(axis: str, values, base: ExperimentConfig, out_dir, *, report=
     configs = []
     for v in values:
         try:
-            cfg = replace(base, **{axis: _integer(axis, v)})
-            validate_config(cfg)
+            configs.append(replace(base, **{axis: v}))
         except ValidationError as err:
             raise ValidationError(f"suite row {axis}={v}: {err}") from None
-        configs.append(cfg)
     rows = []
     for cfg in configs:
         result = compute_run(cfg)

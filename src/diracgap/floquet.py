@@ -29,8 +29,9 @@ chunks of them, one per CPU, are solved concurrently, since ctypes releases
 the GIL for the duration of each LAPACK call.  Every fiber is solved alone
 with the same arguments, so the eigenvalues do not depend on the thread
 count, and they are bitwise those of eigvals_banded.  The absolute tolerance
-is pinned to 2 dlamch('s'), twice the safe minimum, the value the dsbevx
-manual recommends for the most accurate eigenvalues.
+is pinned to twice the safe minimum, 2 finfo(float).tiny (LAPACK's
+dlamch('s')), the value the dsbevx manual recommends for the most accurate
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -63,10 +64,7 @@ _LAPACK = _load_lapack(Path(np.__file__).parent.parent / "numpy.libs")
 _DSBEVX = _LAPACK.scipy_dsbevx_64_
 _DSBEVX.argtypes = [ctypes.c_void_p] * 21 + [ctypes.c_size_t] * 3
 _DSBEVX.restype = None
-_DLAMCH = _LAPACK.scipy_dlamch_64_
-_DLAMCH.argtypes = [ctypes.c_void_p, ctypes.c_size_t]
-_DLAMCH.restype = ctypes.c_double
-SBEVX_ABSTOL = 2.0 * _DLAMCH(b"S", 1)
+SBEVX_ABSTOL = 2.0 * np.finfo(float).tiny
 
 
 class NoOpenGapError(ValueError):

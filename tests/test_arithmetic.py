@@ -111,6 +111,8 @@ def test_ensemble_bounds_and_validation():
         sample_hecke_ensemble(generate_primes(2), 0, seed=1)
     with pytest.raises(ValueError):
         sample_hecke_ensemble(generate_primes(2), 1, seed=1, mode="gaussian")
+    with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+        sample_hecke_ensemble((2, 3), 4, seed=2**64)
 
 
 @settings(max_examples=50, deadline=None)

@@ -83,6 +83,10 @@ def test_structural_rejections():
         ('{"seed": -1}', "seed"),
         ('{"unknown_key": 1}', "unknown"),
         ('{"potential": {"foo": 1}}', "unknown potential"),
+        ('{"potential": 5}', "potential must be an object"),
+        ('{"M": 1, "potential": {"cosine_coefficients": [1.0, 1.0]}}',
+         "must be >= the number of potential harmonics"),
+        ('{"gap_index": -1}', "gap_index must be >= 0"),
         ("[1,2]", "object"),
         ("{not json", "JSON"),
     ]:
@@ -724,15 +728,27 @@ VALID_VALUES = {
 @example(doc={"potential": {"period": 2.0, "cosine_coefficients": [1.5, -0.25]}})
 @example(doc={"h_t": 0.01})
 @example(doc={"t_max": 9.5})
+@example(doc={})
+@example(doc={"N_H": 5.5})
+@example(doc={"K": 2.5})
 def test_any_json_object_is_rejected_or_round_trips(doc):
+    # Parsing a document with only known keys and constructing from it agree:
+    # the same configuration, or the same rejection.
     unknown = set(doc) - {f.name for f in fields(expcli.ExperimentConfig)}
     try:
         cfg = parse_config(json.dumps(doc))
     except ValidationError as err:
         assert not unknown or "unknown configuration keys" in str(err)
+        if not unknown:
+            with pytest.raises(ValidationError) as built:
+                expcli.ExperimentConfig(**doc)
+            assert str(built.value) == str(err)
         return
     assert not unknown
+    assert expcli.ExperimentConfig(**doc) == cfg
     assert parse_config(serialize_config(cfg)) == cfg
+    with pytest.raises(ValidationError, match="M must be an integer, got True"):
+        replace(cfg, M=True)
 
 
 @st.composite

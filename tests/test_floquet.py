@@ -227,6 +227,8 @@ def test_grid_validation():
         QuasiMomentumGrid(n_nodes=40, period=1.0)
     with pytest.raises(ValueError):
         QuasiMomentumGrid(n_nodes=1, period=1.0)
+    with pytest.raises(ValueError, match="period must be positive"):
+        QuasiMomentumGrid(n_nodes=5, period=0.0)
 
 
 def test_free_potential_has_no_open_gaps():
@@ -252,6 +254,10 @@ def test_band_structure_rejects_underresolved_bands():
     grid = QuasiMomentumGrid(n_nodes=5, period=1.0)
     with pytest.raises(ValueError, match="n_bands"):
         compute_band_structure(PotentialSpec.mathieu(), grid, M=2, n_bands=5)
+    with pytest.raises(ValueError, match="n_bands must be >= 1"):
+        compute_band_structure(PotentialSpec.mathieu(), grid, M=8, n_bands=0)
+    with pytest.raises(ValueError, match="periods disagree"):
+        compute_band_structure(PotentialSpec.mathieu(), QuasiMomentumGrid(5, 2.0), M=8, n_bands=4)
 
 
 def test_evenness_bitwise_and_independent(mathieu_bands):
