@@ -602,7 +602,3 @@ def main(argv=None) -> int:
     except Exception as err:
         print(f"error: {type(err).__module__}.{type(err).__name__}: {err}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

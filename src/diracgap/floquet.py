@@ -12,9 +12,10 @@ m = -M..M, each fiber is the real symmetric matrix
 banded with bandwidth R (tridiagonal for a single cosine).  Bands are the
 ranges of the ascending fiber eigenvalues E_n(kappa); evenness of U gives
 E_n(-kappa) = E_n(kappa), so only the kappa >= 0 half of the grid is solved
-and stored; the grid's fold_weights, copies and unfold, the one place that
-knows the fold, turn half-grid sums, counts and fiber lists into whole-grid
-ones.  Band edges and open gaps are derived in one place, BandStructure.
+and stored; fold_weights(grid.half_index) and the grid's copies and unfold,
+the only code that knows the fold, turn half-grid sums, counts and fiber
+lists into whole-grid ones.  Band edges and open gaps are derived in one
+place, BandStructure.
 
 Fiber eigenvalues are computed with a bisection-based banded solver, which
 resolves the low-lying spectrum far below the 1e-10 contract even though the
@@ -65,6 +66,13 @@ _DSBEVX = _LAPACK.scipy_dsbevx_64_
 _DSBEVX.argtypes = [ctypes.c_void_p] * 21 + [ctypes.c_size_t] * 3
 _DSBEVX.restype = None
 SBEVX_ABSTOL = 2.0 * np.finfo(float).tiny
+
+
+def fold_weights(half: int) -> np.ndarray:
+    """The trapezoid weights 1/2, 1, ..., 1, 1/2 of a symmetric grid -half..half folded onto
+    0..half, for a sum whose terms at -x and x have the same real part: 1 at 0, 2 inside and
+    2 * 1/2 = 1 at the end.  The kappa axis (half_index) and the trace's t axis (K) use it."""
+    return np.concatenate([[1.0], np.full(half - 1, 2.0), [1.0]])
 
 
 class NoOpenGapError(ValueError):
@@ -133,11 +141,6 @@ class QuasiMomentumGrid:
     def half_index(self) -> int:
         """Index of the kappa = 0 node."""
         return (self.n_nodes - 1) // 2
-
-    def fold_weights(self) -> np.ndarray:
-        """The whole grid's trapezoid weights 1/2, 1, ..., 1, 1/2 folded onto nodes[half_index:]
-        by E(-kappa) = E(kappa): 1 at kappa = 0, 2 inside and 2 * 1/2 = 1 at pi/L."""
-        return np.concatenate([[1.0], np.full(self.half_index - 1, 2.0), [1.0]])
 
     def copies(self, j: np.ndarray) -> np.ndarray:
         """How many fibers of the whole grid node j >= half_index stands for: 1 at kappa = 0,

@@ -6,8 +6,8 @@ operator decomposes over Floquet-Hecke fibers:
     theta_fiber = 2 sum_n int_{-pi/L}^{pi/L} mean_m phi(E_n(kappa) - E* + m_m) dkappa,
 
 with the kappa integral done by the whole grid's trapezoid rule, folded onto
-the stored kappa >= 0 half by E_n(-kappa) = E_n(kappa) (the grid's
-fold_weights).  The same quantity has a separated Fourier-side form
+the stored kappa >= 0 half by E_n(-kappa) = E_n(kappa) (floquet.fold_weights).
+The same quantity has a separated Fourier-side form
 
     theta_separated = (1/pi) int phihat(t) (sum_n G_n(t)) A(t) dt,
 
@@ -45,15 +45,16 @@ Both routes sum the same folded kappa grid with the same weights; a test, not
 the run, compares the folded sums with sums over the whole grid.
 
 Every factor is a sum S(t_k) = sum_j w_j e^{i t_k x_j} on that grid, and
-every function here takes the grid as (K, h).  Only k >= 0 is
-computed: the sums are real-weighted, so the t < 0 half is the exact
-conjugate mirror S(-t_k) = conj S(t_k), bitwise.  Each call of
-_half_grid_sums (one band, A_joint, or a block of PRIME_CHUNK primes) takes
-one of two routes:
+every function here takes the grid as (K, h).  Only k >= 0 is computed: the
+sums are real-weighted, so S(-t) = conj S(t), and so is the integrand I of
+theta_separated, whose trapezoid sum over k = -K..K is therefore that of
+Re I over k = 0..K with the weights 1, 2, ..., 2, 1 of fold_weights(K), the
+kappa axis's fold.  Each call of _half_grid_sums (one band, A_joint, or a
+block of PRIME_CHUNK primes) takes one of two routes:
 
 - Tables.  With R = ceil(sqrt(K + 1)) and k = b R + r the phase splits as
   e^{i b R h x} e^{i r h x}, so two exp tables of shapes (n_b, J) and (R, J)
-  and one contraction over j replace the (2K + 1, J) table: about
+  and one contraction over j replace the (K + 1, J) table: about
   2 sqrt(K) exps per point x_j and K J multiply-adds per row.
 - Taylor moments.  Write x = mid + y, mid the centre of each row and beta
   the largest |y| of the call, and cut k = 0..K into segments of at most
@@ -89,7 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import MassShifts
-from .floquet import BandStructure
+from .floquet import BandStructure, fold_weights
 from .shift import TestFunction
 
 TAIL_HAT_CUTOFF = 1e-14
@@ -137,11 +138,11 @@ def theta_fiber(phi, bands: BandStructure, e_star: float, shifts: MassShifts) ->
     """Trapezoid fiber sum 2 sum_n sum_j w_j mean_m phi(E - E* + m) on kappa >= 0.
 
     phi may be any callable acting elementwise on arrays.  The weights are
-    applied as (2 pi / L) * w_j / (N_kappa - 1) with w the grid's fold_weights,
+    applied as (2 pi / L) * w_j / (N_kappa - 1) with w = fold_weights(half_index),
     so a constant integrand integrates exactly.  The bands are taken one at a
     time, in order, which bounds the temporaries to (N_kappa // 2 + 1, N_H).
     """
-    w = bands.grid.fold_weights()
+    w = fold_weights(bands.grid.half_index)
     mean_over_modes = np.zeros(len(w))
     for row in bands.bands - e_star:
         mean_over_modes += np.asarray(phi(row[:, None] + shifts.values)).mean(axis=1)
@@ -222,22 +223,17 @@ def _taylor_sums(x: np.ndarray, w: np.ndarray | None, h: float, K: int,
     return series.reshape(len(x), n_seg * span)[:, : K + 1]
 
 
-def _mirror(half: np.ndarray) -> np.ndarray:
-    """Values at k = -K..K from those at k = 0..K, by S(-t) = conj S(t)."""
-    return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
-
-
 def _geometric_on_grid(bands: BandStructure, e_star: float, K: int, h: float,
                        rows=slice(None)) -> tuple[np.ndarray, int]:
-    """G_n(t_k) for the bands n in rows, k = -K..K, summed over the kappa >= 0 half grid
+    """G_n(t_k) for the bands n in rows, k = 0..K, summed over the kappa >= 0 half grid
     with its fold_weights, and the number of bands summed on the Taylor route."""
-    w = bands.grid.fold_weights()
+    w = fold_weights(bands.grid.half_index)
     L = bands.potential.period
     scale = 2.0 * np.pi / L / (bands.grid.n_nodes - 1)
     q = bands.bands[rows] - e_star
     sums = [_half_grid_sums(row[None], w, h, K) for row in q]
     half = np.array([band[0] for band, _ in sums]).reshape(len(q), K + 1)
-    return _mirror(scale * half), sum(taylor for _, taylor in sums)
+    return scale * half, sum(taylor for _, taylor in sums)
 
 
 def tail_half_width(alpha: float, n_bands: int, period: float) -> float:
@@ -278,7 +274,7 @@ def t_grid(alpha: float, n_bands: int, period: float, v_max: float) -> tuple[int
 
 def arithmetic_factors(shifts: MassShifts, K: int,
                        h: float) -> tuple[np.ndarray, np.ndarray, int, float, int]:
-    """(a_joint, a_prod, series_primes, series_bound, taylor_rows) on t_k = k h, k = -K..K.
+    """(a_joint, a_prod, series_primes, series_bound, taylor_rows) on t_k = k h, k = 0..K.
 
     A_joint(t) = mean_m e^{i t m_m}; A_prod(t) = prod_{p in S} A_p(t), with
     A_p(t) = mean_m e^{i t eta_p} from the rows of shifts.terms.  Both equal 1
@@ -287,32 +283,23 @@ def arithmetic_factors(shifts: MassShifts, K: int,
     and the A_prod tables summed on the Taylor route.
     """
     joint, taylor = _half_grid_sums(shifts.values[None], None, h, K)
-    a_joint = _mirror(joint[0] / len(shifts))
+    a_joint = joint[0] / len(shifts)
     taylor_rows = int(taylor)
     eta = shifts.terms
     beta = np.abs(eta - eta.mean(axis=1, keepdims=True)).max(axis=1)
     q = K * h * beta / EULER_SERIES_S0
     series = q <= EULER_SERIES_RATIO
     coef = _log_series(eta[series], EULER_SERIES_DEGREE).sum(axis=0)  # of t^1..t^D
-    a_prod_half = np.exp(np.polyval(np.append(coef[::-1], 0.0), np.arange(K + 1) * h))
+    a_prod = np.exp(np.polyval(np.append(coef[::-1], 0.0), np.arange(K + 1) * h))
     table = eta[~series]
     for lo in range(0, len(table), PRIME_CHUNK):
         chunk, taylor = _half_grid_sums(table[lo : lo + PRIME_CHUNK], None, h, K)
         taylor_rows += taylor * len(chunk)
         for a_p in chunk:
-            a_prod_half *= a_p / len(shifts)
+            a_prod *= a_p / len(shifts)
     q = q[series]
     bound = float((math.log(2) * q ** (EULER_SERIES_DEGREE + 1) / (1 - q)).sum())
-    return a_joint, _mirror(a_prod_half), int(series.sum()), bound, taylor_rows
-
-
-def _separated_integral(integrand: np.ndarray, h_t: float) -> complex:
-    """(1/pi) times the trapezoid rule in t.
-
-    The sum is numpy's own (no BLAS dot), whose order does not depend on
-    the BLAS thread count.
-    """
-    return h_t * complex(integrand.sum() - 0.5 * (integrand[0] + integrand[-1])) / np.pi
+    return a_joint, a_prod, int(series.sum()), bound, taylor_rows
 
 
 def _log_series(eta: np.ndarray, degree: int) -> np.ndarray:
@@ -359,11 +346,12 @@ def compare_trace_representations(
     far = d > BAND_PRUNE_WIDTH * phi.alpha
     pruned = float(np.exp(-(d[far] / phi.alpha) ** 2).sum() * 4.0 * np.pi / bands.potential.period)
     geometric, taylor_bands = _geometric_on_grid(bands, e_star, K, h, np.flatnonzero(~far))
-    integrand = phi.fourier(np.arange(-K, K + 1) * h) * geometric.sum(axis=0) * a_joint
-    separated = _separated_integral(integrand, h).real
+    integrand = phi.fourier(np.arange(K + 1) * h) * geometric.sum(axis=0) * a_joint
+    w = fold_weights(K)  # numpy's own sums, whose order does not depend on the BLAS threads
+    separated = h * float((w * integrand).sum().real) / np.pi
     scale = max(abs(fiber), np.finfo(float).tiny)
     euler_gap = float(np.abs(a_joint - a_prod).max())
-    l1_mass = h * float(np.abs(integrand).sum()) / np.pi
+    l1_mass = h * float((w * np.abs(integrand)).sum()) / np.pi
     return TraceReport(
         theta_fiber=fiber,
         theta_separated=separated,

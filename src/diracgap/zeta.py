@@ -55,10 +55,10 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Per-zero deviations, and the two staircases with their mismatch E_step."""
+    """MAE and max_abs of the affine fit over the first K zeros, and the two staircases with
+    their mismatch E_step."""
 
     K: int
-    deviations: tuple[float, ...]
     mae: float
     max_abs: float
     e_step: float
@@ -172,7 +172,7 @@ def diagnostics(lambdas, multiplicities, zeros: ZeroTable, K: int, T: float) -> 
 
     With fewer than K values (a degenerate spectrum, e.g. a near-zero mass
     deformation) no K-point fit exists: the identity map stands in, with the flag
-    insufficient-spectrum, no deviations are reported, and E_step is still well defined.
+    insufficient-spectrum, K, MAE and max_abs are 0, and E_step is still well defined.
     """
     lam = np.asarray(lambdas, dtype=float)
     short = len(lam) < K
@@ -182,7 +182,6 @@ def diagnostics(lambdas, multiplicities, zeros: ZeroTable, K: int, T: float) -> 
     e_step = staircase_mismatch(model, zero, T)
     return DiagnosticsReport(
         K=len(deltas),
-        deviations=deltas,
         mae=sum(abs(d) for d in deltas) / K,
         max_abs=max((abs(d) for d in deltas), default=0.0),
         e_step=e_step,

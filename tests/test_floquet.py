@@ -22,6 +22,7 @@ from diracgap.floquet import (
     QuasiMomentumGrid,
     compute_band_structure,
     fiber_eigenvalues,
+    fold_weights,
     select_reference_energy,
 )
 
@@ -277,8 +278,8 @@ def test_evenness_bitwise_and_independent(mathieu_bands):
 def test_fold_helpers_state_the_mirror_once():
     # Seven nodes -pi, ..., pi: kappa = 0 is j = 3, the mirror of j is 6 - j.
     grid = QuasiMomentumGrid(n_nodes=7, period=1.0)
-    assert grid.fold_weights().tolist() == [1.0, 2.0, 2.0, 1.0]
-    assert QuasiMomentumGrid(n_nodes=3, period=1.0).fold_weights().tolist() == [1.0, 1.0]
+    assert fold_weights(grid.half_index).tolist() == [1.0, 2.0, 2.0, 1.0]
+    assert fold_weights(QuasiMomentumGrid(n_nodes=3, period=1.0).half_index).tolist() == [1.0, 1.0]
     assert grid.copies(np.arange(3, 7)).tolist() == [1, 2, 2, 2]
     fibers = np.array([[0, 3, 1], [0, 6, 2], [1, 4, 1], [2, 3, 5]])
     rows, whole = grid.unfold(fibers)

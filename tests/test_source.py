@@ -96,6 +96,20 @@ def test_every_public_constant_is_read_by_the_library():
     assert sorted(constants - read) == []
 
 
+def is_main_guard(node):
+    """Whether a statement is `if __name__ == "__main__":`."""
+    return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+            and ast.unparse(node.test) in {"__name__ == '__main__'", "'__main__' == __name__"})
+
+
+def test_only_the_package_main_is_a_script():
+    # `python -m diracgap` and the diracgap console script are the entry points;
+    # a second one in a submodule runs under runpy after the package imported it.
+    scripts = [path.name for path in SOURCES
+               if any(is_main_guard(node) for node in ast.parse(path.read_text()).body)]
+    assert scripts == ["__main__.py"]
+
+
 # The only functions that create directories or open files for writing: _emit,
 # and the writer factories whose writers it runs.
 WRITERS = {"_emit", "_csv", "_json", "_svg"}

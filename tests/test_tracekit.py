@@ -118,9 +118,9 @@ def test_geometric_factor_grid_refinement(mathieu_bands):
 
 def test_arithmetic_factors_at_zero(default_run):
     r = default_run
-    a_joint, a_prod, *_ = arithmetic_factors(r.shifts, 1, 0.5)  # t = -0.5, 0, 0.5
-    assert a_joint[1] == 1.0 + 0.0j
-    assert a_prod[1] == 1.0 + 0.0j
+    a_joint, a_prod, *_ = arithmetic_factors(r.shifts, 1, 0.5)  # t = 0, 0.5
+    assert a_joint[0] == 1.0 + 0.0j
+    assert a_prod[0] == 1.0 + 0.0j
     assert np.all(np.abs(a_joint) <= 1.0 + 1e-15)
 
 
@@ -128,7 +128,7 @@ def test_constant_one_factorizes_exactly():
     primes = generate_primes(20)
     ens = sample_hecke_ensemble(primes, 20, seed=12345, mode="constant_one")
     shifts = mass_shifts(ens, EPSILON)
-    t = np.arange(-2000, 2001) * 0.01
+    t = np.arange(2001) * 0.01
     a_joint, a_prod, *_ = arithmetic_factors(shifts, 2000, 0.01)
     total = sum(p**-1.35 for p in primes)
     closed = np.exp(1j * t * total)
@@ -138,7 +138,7 @@ def test_constant_one_factorizes_exactly():
 
 def test_euler_gap_shrinks_with_modes():
     primes = generate_primes(20)
-    t = np.arange(-4, 5) * 0.5
+    t = np.arange(5) * 0.5
     at = np.isin(t, [0.5, 1.0, 2.0])
     gaps = {}
     for n_h in (100, 10_000):
@@ -157,7 +157,7 @@ def test_table_factors_match_direct_references(default_run):
     pot = PotentialSpec.mathieu()
     bands = compute_band_structure(pot, QuasiMomentumGrid(n_nodes=201, period=1.0), 32, 2)
     e_star = 9.856938576832455
-    t = np.arange(-6000, 6001) * 0.002
+    t = np.arange(6001) * 0.002
     geometric, _ = tracekit._geometric_on_grid(bands, e_star, 6000, 0.002)
     for n in range(bands.n_bands):
         direct = np.array([geometric_factor(bands, e_star, n, tk) for tk in t])
@@ -250,17 +250,16 @@ def test_folded_geometric_factor_matches_full_grid_oracle(default_run, case):
     # keeps that, summed over the kappa grid, below the 1e-13 bound.
     q = mirrored_bands(bands) - e_star
     k_max = int(700.0 / (h * np.abs(q).max()))
-    for k in range(-k_max, k_max + 1):
+    for k in range(k_max + 1):
         for n in range(bands.n_bands):
-            assert abs(folded[n, K + k] - geometric_factor(bands, e_star, n, k * h)) <= 1e-13
+            assert abs(folded[n, k] - geometric_factor(bands, e_star, n, k * h)) <= 1e-13
     # On the whole grid, against the unfolded trapezoid sum from the same
     # phase-sum routes (a band's route depends on its half-range, which the
     # fold keeps): only the fold differs between the two.
     c = np.ones(bands.grid.n_nodes)
     c[0] = c[-1] = 0.5
     scale = 2.0 * np.pi / bands.potential.period / (bands.grid.n_nodes - 1)
-    unfolded = tracekit._mirror(
-        scale * np.concatenate([tracekit._half_grid_sums(row[None], c, h, K)[0] for row in q]))
+    unfolded = scale * np.concatenate([tracekit._half_grid_sums(row[None], c, h, K)[0] for row in q])
     assert np.abs(folded - unfolded).max() <= 1e-13
 
 
@@ -283,12 +282,12 @@ def test_folded_sums_match_whole_grid_sums_of_fresh_negative_solves(default_run,
     folded = tracekit._geometric_on_grid(bands, e_star, K, h)[0].sum(axis=0)
     # |t q| <= 700 keeps the phase rounding of either side below the bound
     k_max = int(700.0 / (h * np.abs(bands.bands - e_star).max()))
-    k = np.arange(-k_max, k_max + 1, max(1, k_max // 20))
+    k = np.arange(0, k_max + 1, max(1, k_max // 20))
     theta, geometric = whole_grid_sums(phi, bands, e_star, shifts, k * h)
     assert abs(theta_fiber(phi, bands, e_star, shifts) - theta) <= 1e-13 * abs(theta)
-    assert np.abs(folded[K + k] - geometric).max() <= 1e-12
+    assert np.abs(folded[k] - geometric).max() <= 1e-12
     # G(0) = 2 pi / L exactly on the table route: the fold weights sum to N_kappa - 1
-    assert tracekit._geometric_on_grid(toy_band_structure([[1.0, 2.0]]), 0.0, 4, 0.5)[0][0, 4] == (
+    assert tracekit._geometric_on_grid(toy_band_structure([[1.0, 2.0]]), 0.0, 4, 0.5)[0][0, 0] == (
         2.0 * np.pi)
 
 
@@ -369,15 +368,47 @@ def test_tail_half_width_sets_the_default_grid(mathieu_bands):
     assert tail_half_width(0.25, 8, 1.0) > T  # a narrower window needs a wider grid
 
 
-def test_geometric_factors_conjugate_symmetry(mathieu_bands):
-    ens = sample_hecke_ensemble(generate_primes(2), 2, seed=1)
-    shifts = mass_shifts(ens, EPSILON)
-    K, h = 500, 0.05
-    geometric, _ = tracekit._geometric_on_grid(mathieu_bands, 9.85, K, h)
-    _, a_prod, *_ = arithmetic_factors(shifts, K, h)
-    # G_n(-t) = conj(G_n(t)) holds bitwise on the symmetric grid
-    assert np.array_equal(geometric[:, ::-1], np.conj(geometric))
-    assert np.array_equal(a_prod[::-1], np.conj(a_prod))
+def test_folded_t_sum_matches_the_whole_grid_trapezoid_at_negative_t():
+    # The library sums Re I on k = 0..K with the weights 1, 2, ..., 2, 1; the oracle takes
+    # sum_n G_n and A_joint directly at every t_k, k = -K..K, on the freshly solved whole
+    # kappa grid, and sums the trapezoid 1/2, 1, ..., 1, 1/2.  Counting k = 0 twice or
+    # weighting the inside by 1 moves theta_separated by 0.035 or 0.098 here.
+    bands = compute_band_structure(THREE_HARMONICS, QuasiMomentumGrid(n_nodes=41, period=2.0),
+                                   16, 6)
+    e_star = select_reference_energy(bands, 0)
+    shifts = mass_shifts(sample_hecke_ensemble(generate_primes(5), 8, seed=3), EPSILON)
+    phi = TestFunction(alpha=0.5)
+    K, h = trace_grid(bands, e_star, shifts, phi.alpha)
+    r = compare_trace_representations(bands, e_star, shifts, phi, K, h)
+    t = np.arange(-K, K + 1) * h
+    _, geometric = whole_grid_sums(phi, bands, e_star, shifts, t)
+    a_joint = np.exp(1j * np.multiply.outer(t, shifts.values)).mean(axis=1)
+    integrand = phi.fourier(t) * geometric * a_joint
+    whole = h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1])).real / np.pi
+    assert abs(r.theta_separated - whole) <= 4 * np.spacing(r.l1_mass)
+
+
+# Wrong t folds: (the entries of the weights 1, 2, ..., 2, 1 on k = 0..K changed, their value).
+T_FOLD_MUTATIONS = {"count k = 0 twice": (0, 2.0), "weight the inside by 1": (slice(1, -1), 1.0)}
+
+
+@pytest.mark.parametrize("mutation", T_FOLD_MUTATIONS)
+def test_trace_agreement_fails_on_a_wrong_t_fold(default_run, monkeypatch, mutation):
+    # Only the t axis's weights change: the kappa half has 51 nodes, the t half K + 1 = 2268.
+    K = round(default_run.trace.t_max / default_run.trace.h_t)
+    at, value = T_FOLD_MUTATIONS[mutation]
+    fold = tracekit.fold_weights
+
+    def t_weights(half):
+        w = fold(half)
+        if half == K:
+            w[at] = value
+        return w
+
+    monkeypatch.setattr(tracekit, "fold_weights", t_weights)
+    r = expcli.compute_run(expcli.parse_config("{}"))
+    assert r.trace.theta_fiber == default_run.trace.theta_fiber
+    assert not next(c for c in r.checks if c.name == "trace_agreement").passed
 
 
 def test_log_coefficients_constant_one():
@@ -447,7 +478,7 @@ def test_euler_series_matches_the_table_route(n_p, n_h, seed, mode, zero, epsilo
         ens = replace(ens, samples=np.zeros_like(ens.samples))
     _, a_prod, series_primes, series_bound, _ = arithmetic_factors(mass_shifts(ens, epsilon),
                                                                    K, h)
-    assert np.abs(a_prod[K:] - prime_product(ens, epsilon, h, K, phase_sums)).max() <= 1e-12
+    assert np.abs(a_prod - prime_product(ens, epsilon, h, K, phase_sums)).max() <= 1e-12
     if zero or mode == "constant_one":  # beta_p = 0: every prime takes the series
         assert series_primes == n_p and series_bound == 0.0
 
@@ -458,17 +489,17 @@ def test_euler_series_is_at_least_as_close_to_mpmath_as_the_tables():
     mpmath.mp.dps = 40
     ens = sample_hecke_ensemble(generate_primes(1000), 20, seed=3)
     h, K = 0.1, 227
-    t = np.arange(-K, K + 1) * h
+    t = np.arange(K + 1) * h
     _, a_prod, series_primes, *_ = arithmetic_factors(mass_shifts(ens, EPSILON), K, h)
     assert series_primes == 991
     table = prime_product(ens, EPSILON, h, K, tracekit._table_sums)
     terms = np.array([eta(p, row, EPSILON) for p, row in zip(ens.primes, ens.samples)])
     for k in (32, 113, 227):  # t = 3.2, 11.3, 22.7
-        tk = mpmath.mpf(float(t[K + k]))
+        tk = mpmath.mpf(float(t[k]))
         exact = mpmath.mpf(1)
         for row in terms:
             exact *= mpmath.fsum(mpmath.expj(tk * mpmath.mpf(float(x))) for x in row) / len(row)
-        assert abs(complex(a_prod[K + k]) - exact) <= abs(complex(table[k]) - exact)
+        assert abs(complex(a_prod[k]) - exact) <= abs(complex(table[k]) - exact)
 
 
 def test_band_pruning_keeps_a_band_at_40_alpha_and_drops_one_an_ulp_beyond():

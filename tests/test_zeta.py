@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from diracgap.expcli import ExperimentConfig
 from diracgap.zeta import (
     AffineMap,
     ZeroTable,
@@ -285,7 +286,7 @@ def test_diagnostics_validation(default_run):
         diagnostics(lam, [1] * 30, zeros, K=5, T=0.0)
     # fewer than K values: the identity map stands in, flagged, with E_step only
     short = diagnostics(lam[:3], [1] * 3, zeros, K=5, T=10.0)
-    assert (short.K, short.deviations, short.mae, short.max_abs) == (0, (), 0.0, 0.0)
+    assert (short.K, short.mae, short.max_abs) == (0, 0.0, 0.0)
     assert short.flags == ("insufficient-spectrum",)
     assert short.affine == AffineMap(a=1.0, b=0.0)
     assert short.e_step == mismatch(lam[:3], [1] * 3, zeros, 10.0)
@@ -293,10 +294,12 @@ def test_diagnostics_validation(default_run):
 
 def test_mae_recomputable(default_run):
     d = default_run.diagnostics
-    assert d.mae == sum(abs(x) for x in d.deviations) / d.K
-    assert d.max_abs == max(abs(x) for x in d.deviations)
-    assert len(d.deviations) == d.K
-    assert all(math.isfinite(x) for x in d.deviations)
+    assert d.K == ExperimentConfig().K
+    lam = default_run.spectrum.positive_values[: d.K]
+    deviations = [float(d.affine(x) - g) for x, g in zip(lam, default_run.zeros.ordinates)]
+    assert d.mae == sum(abs(x) for x in deviations) / d.K
+    assert d.max_abs == max(abs(x) for x in deviations)
+    assert all(math.isfinite(x) for x in deviations)
 
 
 @pytest.mark.slow
