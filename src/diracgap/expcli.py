@@ -15,8 +15,8 @@ artifact set with a manifest of content hashes.  Each consistency check is
 one Check record, a value against a budget; run, verify, plot and each suite
 row print one line per record, and diagnostics.json holds them all.  Reruns
 of the same configuration are byte-identical; no timestamps or environment
-state enter any output.  _emit writes every output file of every subcommand
-and removes what it wrote when a writer fails.
+state enter any output.  Writers yield text; _emit alone writes every output
+file of every subcommand and removes what it wrote when a writer fails.
 
 CLI subcommands: bands, run, suite, plot, verify.  Each prints one `error:`
 line and exits 2 on a rejected configuration, 1 on any other failure.
@@ -79,10 +79,10 @@ class ExperimentConfig:
         """Coerce each value by its type's rule; a broken rule raises ValidationError naming it."""
         for f in fields(self):
             object.__setattr__(self, f.name, _COERCE[f.type](f.name, getattr(self, f.name)))
-        if not self.epsilon > 0.0:
+        if not self.epsilon > 0.0 or not math.isfinite(self.epsilon):
             raise ValidationError(
-                "Assumption B violated: epsilon must be positive, otherwise "
-                "sum_p p^-(1+epsilon) diverges"
+                f"Assumption B violated: epsilon must be finite and positive, got "
+                f"{self.epsilon!r}; sum_p p^-(1+epsilon) diverges for epsilon <= 0"
             )
         if not self.alpha > 0.0 or not math.isfinite(self.alpha):
             raise ValidationError(
@@ -335,7 +335,7 @@ def _consistency_checks(cfg, bands, trace, gap_jumps, diag) -> tuple[Check, ...]
 
 
 # ---------------------------------------------------------------------------
-# artifact emission: _emit writes every output file, with the writers of _csv, _json, _svg
+# artifact emission: _csv, _json, _svg and the manifest yield text, and _emit alone writes it
 
 @dataclass(frozen=True)
 class RunArtifacts:
@@ -343,14 +343,15 @@ class RunArtifacts:
 
 
 def _emit(out_dir, writers: dict) -> dict[str, Path]:
-    """Run each writer on out_dir/name, in order; on any failure remove every file registered."""
+    """Write each writer's text to out_dir/name, in order; on any failure remove every file."""
     out = Path(out_dir)
     paths: dict[str, Path] = {}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, write in writers.items():
+        for name, chunks in writers.items():
             paths[name] = out / name  # registered first: a failing writer may leave a partial file
-            write(paths[name])
+            with paths[name].open("w") as f:
+                f.writelines(chunks)
     except BaseException:
         for path in paths.values():
             path.unlink(missing_ok=True)
@@ -359,24 +360,21 @@ def _emit(out_dir, writers: dict) -> dict[str, Path]:
 
 
 def _csv(header: str, lines):
-    """A writer of a header and the lines, joined in blocks of 4096 lines to bound memory."""
-    def write(path: Path) -> None:
-        rows = iter(lines)
-        with path.open("w") as f:
-            f.write(header + "\n")
-            while block := list(islice(rows, 4096)):
-                f.write("\n".join(block) + "\n")
-    return write
+    """The header and the lines as text, joined in blocks of 4096 lines to bound memory."""
+    yield header + "\n"
+    rows = iter(lines)
+    while block := list(islice(rows, 4096)):
+        yield "\n".join(block) + "\n"
 
 
 def _json(obj):
-    return lambda path: path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    yield json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _svg(result: RunResult):
-    """A writer of the aligned staircase SVG, rendered when it runs."""
+    """The aligned staircase SVG, rendered when _emit reaches it."""
     d = result.diagnostics
-    return lambda path: path.write_text(render_svg(d.model, d.zero, d.affine, d.T))
+    yield render_svg(d.model, d.zero, d.affine, d.T)
 
 
 def _band_writers(bands: BandStructure) -> dict:
@@ -478,19 +476,19 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
         "staircase.svg": _svg(result),
     }
 
-    def manifest(path: Path) -> None:
+    def manifest():  # runs when _emit reaches it, after every other file is written
         hashes = {}
-        for name in sorted(writers):  # streamed: no artifact is held in memory whole
-            with (path.parent / name).open("rb") as f:
+        for name in sorted(writers):  # streamed back: no artifact is held in memory whole
+            with (Path(out_dir) / name).open("rb") as f:
                 hashes[name] = hashlib.file_digest(f, "sha256").hexdigest()
-        _json({
+        yield from _json({
             "config": json.loads(serialize_config(result.config)),
             "config_hash": config_hash(result.config),
             "artifact_hashes": hashes,
             "version": VERSION,
-        })(path)
+        })
 
-    return RunArtifacts(paths=_emit(out_dir, writers | {"manifest.json": manifest}))
+    return RunArtifacts(paths=_emit(out_dir, writers | {"manifest.json": manifest()}))
 
 
 SUITE_AXES = ("N_P", "N_H", "seed")

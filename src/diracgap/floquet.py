@@ -26,8 +26,9 @@ the one in the OpenBLAS that NumPy's wheel bundles and has already loaded,
 numpy.libs/libscipy_openblas64_*.so (64-bit LAPACK integers), bound once at
 import through ctypes; SciPy is not imported.  One call solves a batch of
 fibers: their band storage is built in one NumPy expression, and contiguous
-chunks of them, one per CPU, are solved concurrently, since ctypes releases
-the GIL for the duration of each LAPACK call.  Every fiber is solved alone
+chunks of them, one per CPU, are solved concurrently, each on a thread of its
+own and none on the caller's, since ctypes releases the GIL for the duration
+of each LAPACK call.  Every fiber is solved alone
 with the same arguments, so the eigenvalues do not depend on the thread
 count, and they are bitwise those of eigvals_banded.  The absolute tolerance
 is pinned to twice the safe minimum, 2 finfo(float).tiny (LAPACK's
@@ -221,9 +222,9 @@ def _fiber_band_storage(potential: PotentialSpec, kappas: np.ndarray, M: int) ->
     return ab
 
 
-def _solve_chunk(ab: np.ndarray, count: int, out: np.ndarray, done: list, slot: int) -> None:
-    """dsbevx on the fibers ab[0], ab[1], ... in turn, each one's eigenvalues into its row
-    of out; done[slot] = (fibers solved, dsbevx's info or what the next fiber raised)."""
+def _solve_chunk(ab: np.ndarray, count: int, out: np.ndarray, fibers: range, failures: dict) -> None:
+    """dsbevx on the fibers ab[j], j in fibers, in turn, each one's eigenvalues into out[j].  The
+    first failure ends the chunk: failures[j] holds dsbevx's info or what the call raised."""
     n, ldab = ab.shape[1], ab.shape[2]
     # n, kd, ldab, il, iu, ldq = ldz, then the outputs m and info, all by reference
     ints = np.array([n, ldab - 1, ldab, 1, count, 1, 0, 0], dtype=np.int64)
@@ -231,28 +232,28 @@ def _solve_chunk(ab: np.ndarray, count: int, out: np.ndarray, done: list, slot: 
     w, dummy = np.empty(n), np.empty(1)  # dummy stands for Q, Z and IFAIL, never referenced
     work, iwork = np.empty(7 * n), np.empty(5 * n, dtype=np.int64)
     i, r = ints.ctypes.data, reals.ctypes.data
-    solved = 0
-    try:
-        for fiber in ab:
-            _DSBEVX(b"N", b"I", b"U", i, i + 8, fiber.ctypes.data, i + 16, dummy.ctypes.data,
+    for j in fibers:
+        try:
+            _DSBEVX(b"N", b"I", b"U", i, i + 8, ab[j].ctypes.data, i + 16, dummy.ctypes.data,
                     i + 40, r, r + 8, i + 24, i + 32, r + 16, i + 48, w.ctypes.data,
                     dummy.ctypes.data, i + 40, work.ctypes.data, iwork.ctypes.data,
                     dummy.ctypes.data, i + 56, 1, 1, 1)
-            if ints[7] != 0:
-                break
-            out[solved] = w[:count]
-            solved += 1
-        done[slot] = (solved, int(ints[7]))
-    except Exception as err:  # raised again in the caller's thread, naming the fiber
-        done[slot] = (solved, err)
+        except Exception as err:  # raised again in the caller's thread, naming the fiber
+            failures[j] = err
+            return
+        if ints[7] != 0:
+            failures[j] = int(ints[7])
+            return
+        out[j] = w[:count]
 
 
 def fiber_eigenvalues(potential: PotentialSpec, kappas, M: int, count: int) -> np.ndarray:
     """Lowest `count` eigenvalues of each fiber H(kappa), ascending: shape (len(kappas), count).
 
-    The fibers are split into contiguous chunks, one per CPU this process may run on; the
-    caller's thread solves the first and one thread each the others, with the GIL released
-    inside LAPACK.  Each row depends only on its own fiber, so not on the chunking.
+    The fibers are split into contiguous chunks, one per CPU this process may run on, and
+    each chunk is solved on a thread of its own, with the GIL released inside LAPACK; the
+    caller's thread solves none and waits for them all.  Each row depends only on its own
+    fiber, so not on the chunking.  The lowest failing fiber raises FiberSolveError.
     """
     kappas = np.asarray(kappas, dtype=float)
     _check_fiber_args(potential, kappas, M, count)
@@ -260,21 +261,18 @@ def fiber_eigenvalues(potential: PotentialSpec, kappas, M: int, count: int) -> n
     out = np.empty((len(kappas), count))
     chunks = max(1, min(len(os.sched_getaffinity(0)), len(kappas)))
     bounds = [len(kappas) * k // chunks for k in range(chunks + 1)]
-    done = [None] * chunks
-    threads = [threading.Thread(target=_solve_chunk, args=(ab[lo:hi], count, out[lo:hi], done, k))
-               for k, lo, hi in zip(range(1, chunks), bounds[1:], bounds[2:])]
+    failures = {}
+    threads = [threading.Thread(target=_solve_chunk, args=(ab, count, out, range(lo, hi), failures))
+               for lo, hi in zip(bounds, bounds[1:])]
     for thread in threads:
         thread.start()
-    try:
-        _solve_chunk(ab[:bounds[1]], count, out[:bounds[1]], done, 0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for lo, hi, (solved, info) in zip(bounds, bounds[1:], done):
-        if lo + solved < hi:
-            j, cause = lo + solved, info if isinstance(info, Exception) else None
-            raise FiberSolveError(
-                f"dsbevx failed on fiber {j} (kappa={kappas[j]}): info={info!r}") from cause
+    for thread in threads:
+        thread.join()
+    if failures:
+        j, info = min(failures.items())
+        cause = info if isinstance(info, Exception) else None
+        raise FiberSolveError(
+            f"dsbevx failed on fiber {j} (kappa={kappas[j]}): info={info!r}") from cause
     return out
 
 

@@ -62,6 +62,10 @@ def test_assumption_named_rejections():
         parse_config('{"epsilon": -1}')
     with pytest.raises(ValidationError, match="Assumption B"):
         parse_config('{"epsilon": 0}')
+    with pytest.raises(ValidationError, match="Assumption B"):
+        parse_config('{"epsilon": Infinity}')
+    with pytest.raises(ValidationError, match="Assumption B"):
+        expcli.ExperimentConfig(epsilon=math.inf)
     with pytest.raises(ValidationError, match="Assumption C"):
         parse_config('{"potential": {"sine_coefficients": [1.0]}}')
     with pytest.raises(ValidationError, match="period must be positive and finite"):
@@ -204,19 +208,22 @@ def test_failed_run_removes_partial_artifacts(tmp_path, reduced_run, monkeypatch
     assert list(out.iterdir()) == []
 
 
+# A writer yields text and never sees its path, so fail_csv_midway finds a CSV by its header.
+CSV_HEADERS = {"spectrum.csv": "k,lambda_k,multiplicity", "gaps.csv": "n,beta_n,alpha_n1,width",
+               "suite_N_H.csv": "axis_value,MAE,max_abs,E_step"}
+
+
 def fail_csv_midway(monkeypatch, name):
-    """Make the CSV writer of `name` leave its header behind and raise."""
-    csv = expcli._csv
+    """Make the CSV writer of `name` yield its header and then raise: the file exists when the
+    writer fails."""
+    csv, header = expcli._csv, CSV_HEADERS[name]
 
-    def factory(header, lines):
-        def write(path):
-            if path.name != name:
-                return csv(header, lines)(path)
-            path.write_text(header + "\n")  # the file exists when the writer fails
-            raise OSError("disk full (simulated)")
-        return write
+    def failing():
+        yield header + "\n"
+        raise OSError("disk full (simulated)")
 
-    monkeypatch.setattr(expcli, "_csv", factory)
+    monkeypatch.setattr(expcli, "_csv", lambda head, lines: failing() if head == header
+                        else csv(head, lines))
 
 
 def test_writer_failing_midway_leaves_no_partial_file(tmp_path, reduced_run, monkeypatch):
@@ -224,6 +231,21 @@ def test_writer_failing_midway_leaves_no_partial_file(tmp_path, reduced_run, mon
     out = tmp_path / "broken"
     with pytest.raises(OSError, match="disk full"):
         expcli.write_artifacts(reduced_run, out)
+    assert list(out.iterdir()) == []
+
+
+def test_failing_manifest_leaves_no_file(tmp_path, reduced_run, monkeypatch):
+    out, present = tmp_path / "broken", []
+
+    def failing(*args):
+        present.append(sorted(path.name for path in out.iterdir()))
+        raise OSError("cannot read back (simulated)")
+
+    monkeypatch.setattr(hashlib, "file_digest", failing)
+    with pytest.raises(OSError, match="cannot read back"):
+        expcli.write_artifacts(reduced_run, out)
+    # the manifest hashes the first file only once _emit has written the other ten
+    assert len(present) == 1 and set(ARTIFACTS[:-1]) <= set(present[0])
     assert list(out.iterdir()) == []
 
 

@@ -160,20 +160,22 @@ def test_bands_do_not_depend_on_the_thread_count(monkeypatch):
 
 @pytest.mark.parametrize("failure", ["info", "raise"])
 def test_a_failed_fiber_names_itself_and_leaves_no_thread(monkeypatch, failure):
-    # 21 fibers in 3 chunks of 7: fiber 17 is in the last chunk, solved by a worker thread.
-    # The fake finds it by its m = 0 diagonal entry, kappa^2, read before dsbevx overwrites it.
+    # 21 fibers in 3 chunks of 7: fibers 3 and 17 fail, in the first and the last chunk, each
+    # solved by a worker thread; the lower one is named.  The fake finds them by their m = 0
+    # diagonal entry, kappa^2, read before dsbevx overwrites it.
     grid = QuasiMomentumGrid(n_nodes=41, period=2.0)
-    kappa = grid.nodes[grid.half_index + 17]
+    kappa = grid.nodes[grid.half_index + 3]
+    failing = {grid.nodes[grid.half_index + j] ** 2 for j in (3, 17)}
     M, real, solvers = 16, floquet._DSBEVX, []
 
     def fake(*args):
         ldab = ctypes.c_int64.from_address(args[6]).value
         diagonal = ctypes.c_double.from_address(args[5] + 8 * (M * ldab + ldab - 1)).value
         real(*args)
-        if diagonal == kappa ** 2:
+        if diagonal in failing:
             solvers.append(threading.current_thread())
             if failure == "raise":
-                raise MemoryError("no room for the fiber")
+                raise MemoryError(f"no room for the fiber at kappa^2={diagonal}")
             ctypes.c_int64.from_address(args[21]).value = 1
 
     patch_cpus(monkeypatch, 3)
@@ -181,9 +183,12 @@ def test_a_failed_fiber_names_itself_and_leaves_no_thread(monkeypatch, failure):
     threads = threading.active_count()
     with pytest.raises(FiberSolveError) as err:
         compute_band_structure(THREE_HARMONICS, grid, M=M, n_bands=8)
-    info = "1" if failure == "info" else "MemoryError('no room for the fiber')"
-    assert str(err.value) == f"dsbevx failed on fiber 17 (kappa={kappa}): info={info}"
-    assert solvers != [threading.current_thread()] and len(solvers) == 1
+    cause = MemoryError(f"no room for the fiber at kappa^2={kappa ** 2}")
+    info = "1" if failure == "info" else repr(cause)
+    assert str(err.value) == f"dsbevx failed on fiber 3 (kappa={kappa}): info={info}"
+    assert repr(err.value.__cause__) == ("None" if failure == "info" else repr(cause))
+    assert len(solvers) == 2 and threading.current_thread() not in solvers
+    assert len(set(solvers)) == 2  # one thread per chunk
     assert threading.active_count() == threads
 
 

@@ -110,9 +110,9 @@ def test_only_the_package_main_is_a_script():
     assert scripts == ["__main__.py"]
 
 
-# The only functions that create directories or open files for writing: _emit,
-# and the writer factories whose writers it runs.
-WRITERS = {"_emit", "_csv", "_json", "_svg"}
+# The only function that creates directories or opens files for writing: the
+# writers yield text, and _emit writes it.
+WRITERS = {"_emit"}
 
 
 def writes_output(call):
@@ -128,7 +128,7 @@ def writes_output(call):
     return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
 
 
-def test_output_is_created_only_by_emit_and_the_writer_factories():
+def test_output_is_created_only_by_emit():
     sites = [f"{path.stem}.{getattr(top, 'name', '<module>')}:{call.lineno}"
              for path in SOURCES for top in ast.parse(path.read_text()).body
              for call in ast.walk(top) if isinstance(call, ast.Call) and writes_output(call)
@@ -152,6 +152,16 @@ def test_no_module_imports_scipy():
                for node in ast.walk(ast.parse(path.read_text()))
                for name in imported_modules(node) if name.split(".")[0] == "scipy"]
     assert imports == []
+
+
+def test_only_floquet_starts_threads():
+    # The pipeline runs in one process; the fiber solves on threads of it are the one
+    # measured exception.
+    imports = sorted(f"{path.stem}:{name}" for path in SOURCES
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     for name in imported_modules(node)
+                     if name.split(".")[0] in {"threading", "multiprocessing", "concurrent"})
+    assert imports == ["floquet:threading"]
 
 
 # The BLAS entry points of numpy: OpenBLAS splits long dot and matrix products
