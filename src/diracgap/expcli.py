@@ -81,7 +81,7 @@ class ExperimentConfig:
             object.__setattr__(self, f.name, _COERCE[f.type](f.name, getattr(self, f.name)))
         if not self.epsilon > 0.0 or not math.isfinite(self.epsilon):
             raise ValidationError(
-                f"Assumption B violated: epsilon must be finite and positive, got "
+                "Assumption B violated: epsilon must be finite and positive, got "
                 f"{self.epsilon!r}; sum_p p^-(1+epsilon) diverges for epsilon <= 0"
             )
         if not self.alpha > 0.0 or not math.isfinite(self.alpha):
