@@ -125,11 +125,10 @@ def mass_shifts(ensemble: HeckeEnsemble, epsilon: float) -> MassShifts:
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive (got {epsilon}): the prime sum "
                          "sum_p p^-(1+epsilon) diverges otherwise")
-    terms = np.array([p ** -(1.0 + epsilon) * lam * lam
-                      for p, lam in zip(ensemble.primes, ensemble.samples)])
-    total = np.zeros(ensemble.samples.shape[1])
-    for row in terms:
-        total += row
+    # Python's scalar pow per prime: NumPy's SIMD pow need not round like libm's.
+    coef = np.array([p ** -(1.0 + epsilon) for p in ensemble.primes])
+    terms = coef[:, None] * ensemble.samples * ensemble.samples
+    total = np.cumsum(terms, axis=0)[-1].copy()  # the rows added one after another
     terms.setflags(write=False)
     total.setflags(write=False)
     return MassShifts(values=total, terms=terms)

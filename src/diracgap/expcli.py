@@ -256,7 +256,8 @@ class RunResult:
 
 
 def _scan_grid(staircase: Staircase, alpha: float) -> np.ndarray:
-    """Uniform t grid over +-(lambda_max + 5 alpha), step at most alpha / 8, at most 20,001 points."""
+    """Uniform t grid over +-hi, hi = lambda_max + 5 alpha, with step hi / half and
+    half = min(ceil(hi / (alpha / 8)), 10,000): alpha / 8 or finer until the cap binds."""
     hi = float(staircase.locations.max(initial=0.0)) + 5.0 * alpha
     half = min(int(math.ceil(hi / (alpha / 8.0))), 10000)
     return np.arange(-half, half + 1) * (hi / half)

@@ -135,16 +135,32 @@ def fiber_gap_eigenvalues(
     return GapValues(values=v[row, m], fibers=np.stack([n, j, m + 1], axis=1), grid=bands.grid)
 
 
+def round_decimals(x: np.ndarray) -> np.ndarray:
+    """round(v, GROUPING_DECIMALS) for each v of x, bit for bit, in one NumPy pass.
+
+    p = v 10^12 is within half an ulp of the exact product, so where |p| < 2^52
+    rint(p) rounds that product correctly unless p is a half-integer, and
+    rint(p) / 10^12 is then correct; half-integer p and larger |v| take round.
+    """
+    scale = 10.0**GROUPING_DECIMALS
+    small = np.abs(x) < 2.0**52 / scale
+    p = np.where(small, x, 0.0) * scale
+    out = np.rint(p) / scale
+    rest = ~small | (p % 1.0 == 0.5)
+    out[rest] = [round(v, GROUPING_DECIMALS) for v in x[rest].tolist()]
+    return out
+
+
 def aggregate_spectrum(gap_values: GapValues) -> GapSpectrum:
     """Group the positive values of the whole grid within the grouping tolerance, ascending.
 
-    Each |v| is rounded to 12 decimals (Python's correctly rounded `round`)
-    once, and then stands for its fiber and the fiber's mirror (the grid's
-    unfold); ties sort by fiber, and groups chain while consecutive rounded
-    values are within GROUPING_TOLERANCE.  Multiplicity is group size and the
-    group's smallest rounded value is the representative.
+    Each |v| is rounded to 12 decimals (round_decimals: Python's correctly
+    rounded `round`) once, and then stands for its fiber and the fiber's
+    mirror (the grid's unfold); ties sort by fiber, and groups chain while
+    consecutive rounded values are within GROUPING_TOLERANCE.  Multiplicity
+    is group size and the group's smallest rounded value is the representative.
     """
-    rounded = np.array([round(x, GROUPING_DECIMALS) for x in np.abs(gap_values.values).tolist()])
+    rounded = round_decimals(np.abs(gap_values.values))
     keep = rounded > 0.0
     rows, fib = gap_values.grid.unfold(gap_values.fibers[keep])
     lam = rounded[keep][rows]

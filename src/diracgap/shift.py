@@ -17,11 +17,11 @@ The stationary scan evaluates the translated-trace response
 
     F(t) = sum_k m_k [phi(lambda_k - t) + phi(-lambda_k - t)]
 
-for a Gaussian window phi and locates the zeros of its closed-form
-derivative above a noise floor.  F is even, so t = 0 is stationary; isolated
-pairs produce near-stationary points displaced from +-lambda_k by the
-exponentially small cross term phi'(2 lambda_k), which is why the scan is a
-diagnostic rather than an exact detector.
+for a Gaussian window phi and refines the zeros of its closed-form derivative
+above a noise floor by Newton's method.  F is even, so t = 0 is stationary;
+isolated pairs produce near-stationary points displaced from +-lambda_k by
+the exponentially small cross term phi'(2 lambda_k), which is why the scan
+is a diagnostic rather than an exact detector.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BISECTION_TOLERANCE = 1e-10
+REFINE_PASSES = 64  # cap on the Newton passes over the scan's brackets
 NOISE_FLOOR = 1e-12  # relative to max|F'| on the scan grid
 WINDOW_ALPHAS = 8.0  # half-width of the summation window, in units of alpha
 TILE_CELLS = 1 << 14  # cells per evaluation tile (~128 KiB per float array)
@@ -105,7 +106,7 @@ class StationaryScan:
     warnings: tuple[str, ...]
 
 
-def trace_response_derivative(s: Staircase, phi: TestFunction, t):
+def trace_response_derivative(s: Staircase, phi: TestFunction, t, curvature: bool = False):
     """Closed-form F'(t) from the jumps with |lambda_k - |t|| <= 8 alpha.
 
     A dropped term is below exp(-64) of the largest (a truncated Gauss
@@ -113,6 +114,9 @@ def trace_response_derivative(s: Staircase, phi: TestFunction, t):
     + (-lambda_k - t) phi(-lambda_k - t) and the window depends on |t| only,
     so F'(-t) = -F'(t) bitwise and F'(0) = 0 exactly.  F' is therefore
     evaluated once per distinct |t| whose window holds a jump, and signed.
+    With curvature, the pair (F', F'') with F'' summed from the same window,
+    (2 / alpha^2) sum_k m_k sum_{x = +-lambda_k} phi(x - t) (2 (x - t)^2 / alpha^2 - 1);
+    F'' is even, so it is not signed.
     """
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
@@ -124,7 +128,7 @@ def trace_response_derivative(s: Staircase, phi: TestFunction, t):
     u, first, inverse = np.unique(np.abs(flat[seen]), return_index=True, return_inverse=True)
     lo, count = lo[seen[first]], count[seen[first]]
     scale = 2.0 / (phi.alpha * phi.alpha)
-    value = np.zeros(len(u))
+    value, second = np.zeros(len(u)), np.zeros(len(u) if curvature else 0)
     rows = np.arange(len(u))
     while len(rows):
         widest = np.maximum.accumulate(count[rows[:TILE_CELLS]])
@@ -134,20 +138,31 @@ def trace_response_derivative(s: Staircase, phi: TestFunction, t):
         idx = np.minimum(lo[block, None] + offset, len(lam) - 1)
         x, tt = lam[idx], u[block, None]
         terms = w[idx] * scale * ((x - tt) * phi(x - tt) + (-x - tt) * phi(-x - tt))
+        inside = offset < count[block, None]
         # cumsum adds strictly left to right, unlike sum's pairwise blocking.
-        value[block] = np.cumsum(np.where(offset < count[block, None], terms, 0.0), axis=1)[:, -1]
+        value[block] = np.cumsum(np.where(inside, terms, 0.0), axis=1)[:, -1]
+        if curvature:
+            terms = w[idx] * scale * (phi(x - tt) * ((x - tt) ** 2 * scale - 1.0)
+                                      + phi(-x - tt) * ((x + tt) ** 2 * scale - 1.0))
+            second[block] = np.cumsum(np.where(inside, terms, 0.0), axis=1)[:, -1]
     out = np.zeros(len(flat))
     out[seen] = np.where(flat[seen] < 0.0, -value[inverse], value[inverse])
-    return out.reshape(t.shape)
+    if not curvature:
+        return out.reshape(t.shape)
+    curv = np.zeros(len(flat))
+    curv[seen] = second[inverse]
+    return out.reshape(t.shape), curv.reshape(t.shape)
 
 
 def stationary_scan(s: Staircase, phi: TestFunction, t_grid: np.ndarray) -> StationaryScan:
     """Locate stationary points of the translated trace on a uniform grid.
 
     Grid values of F' at or below NOISE_FLOOR * max|F'| count as zero.  Sign
-    changes between above-floor neighbours are bisected together to 1e-10, or
-    to two adjacent floats (wider once |t| > 2^19); a below-floor point
-    between opposite signs (t = 0) is a root as it stands.
+    changes between above-floor neighbours are refined together by Newton
+    steps on F' from their midpoints, a step out of its bracket replaced by the
+    midpoint (rtsafe), to a step of 1e-10 / 4, a 1e-10 bracket or a step that
+    no longer moves (wider once |t| > 2^19); a below-floor point between
+    opposite signs (t = 0) is a root as it stands.
     Longer below-floor runs are flat noise (Gaussian underflow far from every
     jump), counted in a warning.  A grid too coarse to separate adjacent jump
     locations is named in the warnings rather than rejected.
@@ -178,21 +193,26 @@ def stationary_scan(s: Staircase, phi: TestFunction, t_grid: np.ndarray) -> Stat
                         f"the noise floor {floor:.3g}; they are not reported as roots")
 
     lo, hi, f_lo = t[cross], t[cross + 1], deriv[cross]
-    live = np.flatnonzero(hi - lo > BISECTION_TOLERANCE)
-    while len(live):
-        mid = 0.5 * (lo[live] + hi[live])
-        # Two adjacent floats have no float between them: such a bracket is done.
-        moved = (lo[live] < mid) & (mid < hi[live])
-        live, mid = live[moved], mid[moved]
-        f_mid = trace_response_derivative(s, phi, mid)
-        exact = f_mid == 0.0  # collapse the bracket onto mid
-        up = exact | ((f_lo[live] > 0) == (f_mid > 0))
-        lo[live[up]], f_lo[live[up]] = mid[up], f_mid[up]
-        hi[live[exact | ~up]] = mid[exact | ~up]
-        live = live[hi[live] - lo[live] > BISECTION_TOLERANCE]
+    x, live = 0.5 * (lo + hi), np.flatnonzero(hi - lo > BISECTION_TOLERANCE)
+    for _ in range(REFINE_PASSES):
+        if not len(live):
+            break
+        f, df = trace_response_derivative(s, phi, x[live], curvature=True)
+        up = (f_lo[live] > 0) == (f > 0)  # x replaces the end whose sign it shares
+        lo[live[up]], f_lo[live[up]] = x[live[up]], f[up]
+        hi[live[~up]] = x[live[~up]]
+        step = np.divide(f, df, out=np.full_like(f, np.inf), where=df != 0.0)
+        new = x[live] - step
+        inside = (lo[live] <= new) & (new <= hi[live])
+        new = np.where(inside, new, 0.5 * (lo[live] + hi[live]))
+        # F' = 0 exactly gives a zero step onto the end x has just become.
+        done = ((inside & (np.abs(step) <= BISECTION_TOLERANCE / 4))
+                | (hi[live] - lo[live] <= BISECTION_TOLERANCE) | (new == x[live]))
+        x[live] = new
+        live = live[~done]
 
     order = np.argsort(np.concatenate([isolated, cross + 0.5]))
-    roots = np.concatenate([t[isolated], 0.5 * (lo + hi)])[order]
+    roots = np.concatenate([t[isolated], x])[order]
     rising = np.concatenate([sign[isolated - 1], deriv[cross]])[order] > 0
     return StationaryScan(roots=tuple(roots.tolist()),
                           kinds=tuple(np.where(rising, "max", "min").tolist()),

@@ -40,7 +40,8 @@ Only the bands the window sees enter sum_n G_n.  With d_n = min_kappa
 |E_n - E*| - max_m |m_m|, band n adds at most 2 (2 pi / L) e^{-d_n^2 / alpha^2}
 to theta; bands with d_n > 40 alpha are left out, and their summed bound
 (band_prune_bound; it underflows to 0) widens the agreement floor.  All bands
-still set the t grid, and theta_fiber keeps them, so rel_gap checks the pruning.
+set the t grid; theta_fiber skips those with d_n^2 > 746 alpha^2, whose Gaussians
+are 0.0, so rel_gap checks the pruning only at a width below 27.3 alpha.
 Both routes sum the same folded kappa grid with the same weights; a test, not
 the run, compares the folded sums with sums over the whole grid.
 
@@ -99,6 +100,7 @@ TAIL_BOUND = 1e-10
 PRIME_CHUNK = 16
 # A band farther than this many alpha from the window is left out of sum_n G_n.
 BAND_PRUNE_WIDTH = 40.0
+UNDERFLOW_EXPONENT = 746.0  # exp(-x) is exactly 0.0 in float64 for x > 745.14
 # Primes with q_p = T beta_p / EULER_SERIES_S0 <= EULER_SERIES_RATIO take the
 # log series of A_p to this degree; EULER_SERIES_S0 solves e^s - 1 - s = 1/2.
 EULER_SERIES_DEGREE = 30
@@ -134,8 +136,9 @@ class TraceReport:
     taylor_rows: int  # rows summed on the Taylor route: bands, A_joint and A_prod tables
 
 
-def theta_fiber(phi, bands: BandStructure, e_star: float, shifts: MassShifts) -> float:
-    """Trapezoid fiber sum 2 sum_n sum_j w_j mean_m phi(E - E* + m) on kappa >= 0.
+def theta_fiber(phi, bands: BandStructure, e_star: float, shifts: MassShifts,
+                rows=slice(None)) -> float:
+    """Trapezoid fiber sum 2 sum_n sum_j w_j mean_m phi(E - E* + m) on kappa >= 0, n in rows.
 
     phi may be any callable acting elementwise on arrays.  The weights are
     applied as (2 pi / L) * w_j / (N_kappa - 1) with w = fold_weights(half_index),
@@ -144,7 +147,7 @@ def theta_fiber(phi, bands: BandStructure, e_star: float, shifts: MassShifts) ->
     """
     w = fold_weights(bands.grid.half_index)
     mean_over_modes = np.zeros(len(w))
-    for row in bands.bands - e_star:
+    for row in bands.bands[rows] - e_star:
         mean_over_modes += np.asarray(phi(row[:, None] + shifts.values)).mean(axis=1)
     raw = float((mean_over_modes * w).sum())
     L = bands.potential.period
@@ -338,11 +341,12 @@ def compare_trace_representations(
     G_n is left out for the bands farther than BAND_PRUNE_WIDTH * alpha from
     the window, d_n = min_kappa |E_n - E*| - max_m |m_m|.
     """
-    # The fiber sum first: its (n_bands, N_kappa, N_H) temporaries are freed
-    # before the phase tables are built, which keeps the peak memory down.
-    fiber = theta_fiber(phi, bands, e_star, shifts)
-    a_joint, a_prod, series_primes, series_bound, taylor_rows = arithmetic_factors(shifts, K, h)
     d = np.abs(bands.bands - e_star).min(axis=1) - np.abs(shifts.values).max(initial=0.0)
+    # The fiber sum first: its (N_kappa // 2 + 1, N_H) temporaries are freed
+    # before the phase tables are built, which keeps the peak memory down.
+    seen = np.flatnonzero(d <= math.sqrt(UNDERFLOW_EXPONENT) * phi.alpha)
+    fiber = theta_fiber(phi, bands, e_star, shifts, seen)
+    a_joint, a_prod, series_primes, series_bound, taylor_rows = arithmetic_factors(shifts, K, h)
     far = d > BAND_PRUNE_WIDTH * phi.alpha
     pruned = float(np.exp(-(d[far] / phi.alpha) ** 2).sum() * 4.0 * np.pi / bands.potential.period)
     geometric, taylor_bands = _geometric_on_grid(bands, e_star, K, h, np.flatnonzero(~far))

@@ -9,7 +9,9 @@ theta_fiber and sum_n G_n over the whole, freshly solved grid with weights
 1/2, 1, ..., 1, 1/2, against which the tests check the library's fold.
 theta_fiber_whole_array is the folded fiber sum from one
 (n_bands, N_kappa // 2 + 1, N_H) array; the library adds one band at a time.
-eta is the coefficient family eta_p(lambda) = p^-(1+epsilon) lambda^2.
+eta is the coefficient family eta_p(lambda) = p^-(1+epsilon) lambda^2, and
+mass_shifts_loop the mass shifts built one prime row at a time and added
+into a running total, where the library takes one array product and cumsum.
 local_factor is A_p at one t and local_factor_grid A_p on a whole t grid,
 straight from the samples; the library sums the primes on phase tables, on
 local Taylor moments or on the cumulant series.  phase_sums is every phase
@@ -92,6 +94,16 @@ def eta(p: int, lam, epsilon: float):
     """eta_p(lambda) = p^-(1+epsilon) lambda^2, vectorized over lambda."""
     lam = np.asarray(lam, dtype=float)
     return p ** -(1.0 + epsilon) * lam * lam
+
+
+def mass_shifts_loop(ensemble: HeckeEnsemble, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """(values, terms): one eta_p row per prime, added into a zero total in ascending-prime order."""
+    terms = np.array([p ** -(1.0 + epsilon) * lam * lam
+                      for p, lam in zip(ensemble.primes, ensemble.samples)])
+    total = np.zeros(ensemble.samples.shape[1])
+    for row in terms:
+        total += row
+    return total, terms
 
 
 def sample_row(ensemble: HeckeEnsemble, p: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import eta, local_factor, local_factor_grid
+from oracles import eta, local_factor, local_factor_grid, mass_shifts_loop
 from diracgap.arithmetic import (
     HeckeEnsemble,
     generate_primes,
@@ -217,3 +217,14 @@ def test_local_factor_symmetries():
     # grid evaluation agrees with the scalar path
     assert (local_factor_grid(ens, EPSILON, 2, np.array([1.25]))[0]
             == local_factor(ens, EPSILON, 2, 1.25))
+
+
+@pytest.mark.parametrize("n_p, n_h, seed", [
+    (1000, 20, 3), (1000, 20, 12345), (20, 500, 12345), (300, 300, 12345),
+])
+def test_mass_shifts_match_the_row_loop_bitwise(n_p, n_h, seed):
+    ensemble = sample_hecke_ensemble(generate_primes(n_p), n_h, seed)
+    shifts = mass_shifts(ensemble, 0.35)
+    values, terms = mass_shifts_loop(ensemble, 0.35)
+    assert shifts.values.tobytes() == values.tobytes()
+    assert shifts.terms.tobytes() == terms.tobytes()

@@ -21,6 +21,7 @@ from diracgap.gapspec import (
     band_distance,
     dirac_band_set,
     fiber_gap_eigenvalues,
+    round_decimals,
 )
 
 TOY = toy_band_structure([[0.0, 0.5, 1.0], [2.0, 2.5, 3.0]])
@@ -310,3 +311,28 @@ def test_array_path_matches_brute_force(problem):
     assert_matches_the_whole_grid(got, brute)
     spec = aggregate_spectrum(got)
     assert spectrum_tuples(spec) == brute_force_spectrum(brute)
+
+
+def python_round(x):
+    return np.array([round(v, GROUPING_DECIMALS) for v in np.asarray(x, dtype=float).tolist()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=-1e5, max_value=1e5), min_size=1, max_size=200))
+def test_round_decimals_is_python_round_bitwise(values):
+    x = np.array(values)
+    assert round_decimals(x).tobytes() == python_round(x).tobytes()
+
+
+def test_round_decimals_on_ties_zero_and_the_fallback():
+    rng = np.random.default_rng(7)
+    # m / 8192 with m odd is an exact binary tie at the 12th decimal (10^12 = 2^12 5^12),
+    # which round sends to even; (k + 0.5) 10^-12 is a decimal tie that the binary
+    # value misses by less than an ulp, on either side.
+    exact_ties = (2.0 * rng.integers(0, 8192 * 4503 // 2, 20000) + 1.0) / 8192.0
+    near_ties = (rng.integers(0, 10**15, 20000) + 0.5) / 1e12
+    edges = [0.0, -0.0, 5e-13, -5e-13, 1.5e-12, 2.5e-12, 5e-324, 2.0**52 / 1e12,
+             np.nextafter(2.0**52 / 1e12, 0.0), 4503.6, -4503.6, 1e5, 1e300, np.inf, -np.inf]
+    for x in (exact_ties, near_ties, np.array(edges), 10.0 ** rng.uniform(-15.0, 6.0, 20000)):
+        assert round_decimals(x).tobytes() == python_round(x).tobytes()
+    assert np.all((exact_ties * 1e12) % 1.0 == 0.5)  # the ties are exact

@@ -1,7 +1,9 @@
 """Windowed F' evaluation and the noise-floored stationary scan.
 
-The oracles here are the direct forms the library replaced: F' summed over
-every jump, and a scalar bisection of one bracket at a time.
+The oracles here are the direct forms the library replaced: F' and F''
+summed over every jump, and a scalar bisection of one bracket at a time,
+against which the library's Newton refinement of all brackets together is
+checked.
 """
 
 import math
@@ -11,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import staircase_of
+from diracgap import expcli, shift
 from diracgap.shift import (
     BISECTION_TOLERANCE,
     NOISE_FLOOR,
+    REFINE_PASSES,
     Staircase,
     TestFunction,
     stationary_scan,
@@ -29,6 +33,17 @@ def direct_derivative(s, phi, t):
     total = np.zeros_like(t)
     for lam, w in zip(s.locations, s.weights):
         total += w * (2.0 / a2) * ((lam - t) * phi(lam - t) + (-lam - t) * phi(-lam - t))
+    return total
+
+
+def direct_curvature(s, phi, t):
+    """F''(t) summed over every jump, in ascending order (no window)."""
+    t = np.asarray(t, dtype=float)
+    a2 = phi.alpha * phi.alpha
+    total = np.zeros_like(t)
+    for lam, w in zip(s.locations, s.weights):
+        total += w * (2.0 / a2) * (phi(lam - t) * (2.0 * (lam - t) ** 2 / a2 - 1.0)
+                                   + phi(-lam - t) * (2.0 * (lam + t) ** 2 / a2 - 1.0))
     return total
 
 
@@ -149,3 +164,90 @@ def test_far_outlier_leaves_the_empty_stretch_without_roots():
     assert any(abs(r - 600.0) < 0.02 for r in maxima)
     assert any(abs(r + 600.0) < 0.02 for r in maxima)
     assert any("flat runs" in w for w in scan.warnings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    locs=st.lists(st.floats(min_value=0.01, max_value=30.0), min_size=1, max_size=50,
+                  unique=True),
+    weights=st.lists(st.integers(min_value=1, max_value=3), min_size=50, max_size=50),
+    alpha=st.floats(min_value=0.05, max_value=1.0),
+    probes=st.lists(st.floats(min_value=-40.0, max_value=40.0), min_size=1, max_size=20),
+)
+def test_curvature_matches_the_direct_sum_and_a_central_difference(locs, weights, alpha, probes):
+    s = Staircase(locations=tuple(sorted(locs)), weights=tuple(weights[: len(locs)]))
+    phi = TestFunction(alpha=alpha)
+    t = np.concatenate([np.linspace(-32.0, 32.0, 401), probes, locs])
+    first, second = trace_response_derivative(s, phi, t, curvature=True)
+    assert first.tobytes() == trace_response_derivative(s, phi, t).tobytes()
+    # |phi(x) (2 x^2 / alpha^2 - 1)| <= 1, so each jump adds at most 2 (2 / alpha^2).
+    scale = sum(s.weights) * 4.0 / (alpha * alpha)
+    assert np.abs(second - direct_curvature(s, phi, t)).max() <= 1e-12 * scale
+    delta = 1e-5 * alpha
+    central = (trace_response_derivative(s, phi, t + delta)
+               - trace_response_derivative(s, phi, t - delta)) / (2.0 * delta)
+    assert np.abs(second - central).max() <= 1e-6 * scale
+    # F'' is even: the window is deduplicated by |t| and F'' is not signed.
+    assert trace_response_derivative(s, phi, -t, curvature=True)[1].tobytes() == second.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gaps=st.lists(st.floats(min_value=4.0, max_value=20.0), min_size=1, max_size=10),
+    weights=st.lists(st.integers(min_value=1, max_value=3), min_size=10, max_size=10),
+    alpha=st.floats(min_value=0.05, max_value=1.0),
+    per_alpha=st.integers(min_value=8, max_value=40),
+)
+def test_refined_roots_match_scalar_bisection_on_random_staircases(gaps, weights, alpha,
+                                                                   per_alpha):
+    # Jumps at least 4 alpha apart, and 2 alpha from 0, keep one root per grid bracket.
+    locs = 2.0 * alpha + alpha * np.cumsum([0.0] + gaps[:-1])
+    s = Staircase(locations=locs, weights=weights[: len(locs)])
+    phi = TestFunction(alpha=alpha)
+    step = alpha / per_alpha
+    half = int(math.ceil((locs[-1] + 5.0 * alpha) / step))
+    t = np.arange(-half, half + 1) * step
+    scan = stationary_scan(s, phi, t)
+    d = trace_response_derivative(s, phi, t)
+    sign = np.where(np.abs(d) > NOISE_FLOOR * np.abs(d).max(), np.sign(d), 0.0)
+    # Below-floor grid points between opposite signs are roots as they stand (t = 0 is one).
+    expected = [(float(t[i]), "max" if sign[i - 1] > 0 else "min") for i in range(1, len(t) - 1)
+                if sign[i] == 0 and sign[i - 1] * sign[i + 1] < 0]
+    expected += [(scalar_bisection(s, phi, float(t[i]), float(t[i + 1])),
+                  "max" if sign[i] > 0 else "min")
+                 for i in range(len(t) - 1) if sign[i] * sign[i + 1] < 0]
+    expected.sort()
+    roots = np.array(scan.roots)
+    assert len(roots) == len(expected) > 1
+    assert np.abs(roots - [r for r, _ in expected]).max() <= BISECTION_TOLERANCE
+    assert list(scan.kinds) == [k for _, k in expected]
+    assert np.array_equal(roots, -roots[::-1])  # bitwise, but for the sign of t = 0
+
+
+def test_a_newton_step_that_leaves_the_bracket_falls_back_and_converges(monkeypatch):
+    # One jump at 1 with alpha = 0.5: F'' vanishes at |t - 1| = alpha / sqrt(2) = 0.354,
+    # and the bracket's midpoint 1.34 lies near there, so its Newton step leaves it.
+    s = staircase_of([(1.0, 1)])
+    phi = TestFunction(alpha=0.5)
+    lo, hi = 0.7, 1.98
+    f, df = trace_response_derivative(s, phi, 0.5 * (lo + hi), curvature=True)
+    assert not lo <= 0.5 * (lo + hi) - f / df <= hi
+    calls = []
+    counted = trace_response_derivative
+    monkeypatch.setattr(shift, "trace_response_derivative",
+                        lambda *a, **k: calls.append(1) or counted(*a, **k))
+    scan = stationary_scan(s, phi, np.array([lo, hi]))
+    assert len(scan.roots) == 1 and scan.kinds == ("max",)
+    assert abs(scan.roots[0] - scalar_bisection(s, phi, lo, hi)) <= BISECTION_TOLERANCE
+    assert len(calls) <= 1 + REFINE_PASSES
+
+
+def test_default_run_refines_its_brackets_in_a_few_window_sums(monkeypatch):
+    # A work count, not a timing: the grid takes one call and Newton a few more,
+    # where bisection to 1e-10 from the alpha / 8 grid took 30.
+    calls = []
+    counted = shift.trace_response_derivative
+    monkeypatch.setattr(shift, "trace_response_derivative",
+                        lambda *a, **k: calls.append(1) or counted(*a, **k))
+    expcli.compute_run(expcli.parse_config("{}"))
+    assert 2 <= len(calls) <= 1 + 6

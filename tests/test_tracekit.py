@@ -557,3 +557,41 @@ def test_default_run_keeps_two_bands_and_sends_the_primes_from_23_to_the_series(
     r = default_run.trace
     assert (r.bands_kept, r.euler_series_primes) == (2, 12)
     assert r.band_prune_bound == 0.0 and 0.0 < r.euler_series_bound < 1e-22
+
+
+@pytest.mark.parametrize("config", [
+    "{}", '{"N_H": 500}', '{"M": 64, "N_kappa": 1001, "n_bands": 16}', '{"alpha": 0.1}',
+])
+def test_fiber_sum_over_the_bands_that_do_not_underflow_is_the_all_band_sum_bitwise(
+        config, monkeypatch):
+    # The bands left out lie more than sqrt(746) alpha from the window: their every
+    # Gaussian is exactly 0.0, so the sum keeps its bits.  The run sums 2 bands of
+    # 8 or 16, a work count that fails if the all-band loop comes back.
+    summed = []
+    every_band = tracekit.theta_fiber
+
+    def spy(phi, bands, e_star, shifts, rows=slice(None)):
+        summed.append(len(bands.bands[rows]))
+        return every_band(phi, bands, e_star, shifts, rows)
+
+    monkeypatch.setattr(tracekit, "theta_fiber", spy)
+    r = expcli.compute_run(expcli.parse_config(config))
+    phi = TestFunction(alpha=r.config.alpha)
+    assert summed == [2] and r.bands.n_bands >= 8
+    assert r.trace.theta_fiber.hex() == every_band(phi, r.bands, r.e_star, r.shifts).hex()
+
+
+def test_fiber_sum_keeps_a_band_whose_gaussians_are_subnormal_and_drops_one_that_underflows(
+        monkeypatch):
+    # alpha = 0.5: the band at 13.6 is 27.2 alpha from the window, e^{-739.84} ~ 1e-321,
+    # a subnormal; the one at -13.7 is 27.4 alpha away, e^{-750.76} = 0.0 exactly.
+    summed = []
+    every_band = tracekit.theta_fiber
+    monkeypatch.setattr(tracekit, "theta_fiber", lambda phi, bands, e_star, shifts, rows:
+                        summed.append(list(rows)) or every_band(phi, bands, e_star, shifts, rows))
+    bands = toy_band_structure([[-13.7] * 3, [13.6] * 3])
+    phi = TestFunction(alpha=0.5)
+    r = compare_trace_representations(bands, 0.0, one_row_shifts([0.0]), phi, 500, 0.05)
+    assert summed == [[1]]
+    assert r.theta_fiber > 0.0
+    assert r.theta_fiber == every_band(phi, bands, 0.0, one_row_shifts([0.0]))
