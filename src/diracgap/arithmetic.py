@@ -64,7 +64,7 @@ def generate_primes(count: int) -> tuple[int, ...]:
     for q in range(2, int(bound**0.5) + 1):
         if sieve[q]:
             sieve[q * q :: q] = False
-    return tuple(int(p) for p in np.flatnonzero(sieve)[:count])
+    return tuple(np.flatnonzero(sieve)[:count].tolist())
 
 
 @dataclass(frozen=True)

@@ -446,8 +446,10 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
         "massshifts.csv": _csv("m,mass", (
             f"{m},{v:.17g}" for m, v in enumerate(result.shifts.values.tolist(), start=1)
         )),
+        # lambda_k is rounded to 12 decimals: repr, the shortest text that parses back to
+        # it, drops the noise digits that .17g writes after them.
         "spectrum.csv": _csv("k,lambda_k,multiplicity", (
-            f"{k},{lam:.17g},{mult}" for k, (lam, mult) in enumerate(zip(
+            f"{k},{lam!r},{mult}" for k, (lam, mult) in enumerate(zip(
                 spectrum.positive_values.tolist(), spectrum.multiplicities.tolist()), start=1)
         )),
         "spectrum_fibers.csv": _csv("k,n,j,m", (

@@ -28,13 +28,17 @@ A_joint (the empirical joint measure) is what enters theta_separated; the
 prime product A_prod = prod_p A_p is reported separately, because strict
 multiplicativity of the empirical joint measure holds only in expectation
 at finite N_H (it is exact in constant_one mode).  Write eta_p = c_p + y with
-c_p = mean_m eta_p and beta_p = max_m |y|.  For |z| beta_p <= s0, where
-e^{s0} - 1 - s0 = 1/2, |log mean_m e^{z y}| <= ln 2, so by Cauchy the log
-series of A_p (its cumulants) cut after degree D = 30 errs by at most
-ln 2 q^{D+1} / (1 - q) on |t| <= T, with q = T beta_p / s0.  The primes with
-q <= 0.2 (euler_series_primes; summed bound euler_series_bound) take that
-series: their coefficients are summed, one polynomial is evaluated on the
-grid and exponentiated.  The few with large phases take the phase tables.
+c_p = low + mean_m (eta_p - low), low = min_m eta_p (the mean, taken so that a
+constant row gets y = 0 exactly), and beta_p = max_m |y|.  For |z| beta_p <= s0,
+where e^{s0} - 1 - s0 = 1/2, |log mean_m e^{z y}| <= ln 2, so by Cauchy the log
+series of A_p (its cumulants) cut after degree D errs by at most
+ln 2 q^{D+1} / (1 - q) on |t| <= T, with q = T beta_p / s0.  The n primes with
+q <= 0.2 (euler_series_primes) take that series, each cut at the least
+D_p <= 30 whose bound is within 2^-80 / n, or at 30 where none is;
+euler_series_bound sums the bounds at D_p, at most 2^-80 above the bound of a
+common cut at 30.  On N_P = 1000 the median series prime stops at degree 7.
+Their coefficients are summed, one polynomial is evaluated on the grid and
+exponentiated.  The few with large phases take the phase tables.
 
 Only the bands the window sees enter sum_n G_n.  With d_n = min_kappa
 |E_n - E*| - max_m |m_m|, band n adds at most 2 (2 pi / L) e^{-d_n^2 / alpha^2}
@@ -102,8 +106,11 @@ PRIME_CHUNK = 16
 BAND_PRUNE_WIDTH = 40.0
 UNDERFLOW_EXPONENT = 746.0  # exp(-x) is exactly 0.0 in float64 for x > 745.14
 # Primes with q_p = T beta_p / EULER_SERIES_S0 <= EULER_SERIES_RATIO take the
-# log series of A_p to this degree; EULER_SERIES_S0 solves e^s - 1 - s = 1/2.
+# log series of A_p, each cut at the least degree D_p <= EULER_SERIES_DEGREE whose
+# tail bound is within EULER_SERIES_TOLERANCE / (number of series primes);
+# EULER_SERIES_S0 solves e^s - 1 - s = 1/2.
 EULER_SERIES_DEGREE = 30
+EULER_SERIES_TOLERANCE = 2.0**-80
 EULER_SERIES_RATIO = 0.2
 EULER_SERIES_S0 = 0.8576766739458992
 # Largest t grid a configuration may ask for; M=64, N_kappa=1001, n_bands=16 uses 18,201.
@@ -289,10 +296,11 @@ def arithmetic_factors(shifts: MassShifts, K: int,
     a_joint = joint[0] / len(shifts)
     taylor_rows = int(taylor)
     eta = shifts.terms
-    beta = np.abs(eta - eta.mean(axis=1, keepdims=True)).max(axis=1)
-    q = K * h * beta / EULER_SERIES_S0
+    mu, y = _centred(eta)
+    q = K * h * np.abs(y).max(axis=1) / EULER_SERIES_S0
     series = q <= EULER_SERIES_RATIO
-    coef = _log_series(eta[series], EULER_SERIES_DEGREE).sum(axis=0)  # of t^1..t^D
+    degrees, bound = _series_degrees(q[series])
+    coef = _log_series(mu[series], y[series], degrees)  # of t^1..t^max(degrees)
     a_prod = np.exp(np.polyval(np.append(coef[::-1], 0.0), np.arange(K + 1) * h))
     table = eta[~series]
     for lo in range(0, len(table), PRIME_CHUNK):
@@ -300,31 +308,53 @@ def arithmetic_factors(shifts: MassShifts, K: int,
         taylor_rows += taylor * len(chunk)
         for a_p in chunk:
             a_prod *= a_p / len(shifts)
-    q = q[series]
-    bound = float((math.log(2) * q ** (EULER_SERIES_DEGREE + 1) / (1 - q)).sum())
     return a_joint, a_prod, int(series.sum()), bound, taylor_rows
 
 
-def _log_series(eta: np.ndarray, degree: int) -> np.ndarray:
-    """c[i, r - 1], the coefficient of t^r in log mean_m e^{i t eta[i, m]}, r = 1..degree.
+def _centred(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, y) with eta = mu + y row by row, mu = low + mean_m (eta - low) and low the
+    row minimum, so a constant row gets y = 0 exactly."""
+    low = eta.min(axis=1, keepdims=True)
+    mu = low + (eta - low).mean(axis=1, keepdims=True)
+    return mu[:, 0], eta - mu
 
-    With eta = mu + y (mu the mean over m), mean_m e^{z y} = sum_r a_r z^r with
-    a_r = mean_m y^r / r!, and its logarithm sum_r l_r z^r (l_r = kappa_r / r!, the
-    cumulants) follows from l' M = M': r l_r = r a_r - sum_{j<r} j l_j a_{r-j}.
-    Then c_r = l_r i^r, plus i mu at r = 1.
+
+def _series_degrees(q: np.ndarray) -> tuple[np.ndarray, float]:
+    """(D, bound): D_p is the least D in 1..EULER_SERIES_DEGREE with
+    ln 2 q_p^{D+1} / (1 - q_p) <= EULER_SERIES_TOLERANCE / len(q), or EULER_SERIES_DEGREE
+    where none is, and bound sums that tail bound at D_p over p."""
+    tail = math.log(2) * q ** np.arange(2, EULER_SERIES_DEGREE + 2)[:, None] / (1 - q)
+    cut = EULER_SERIES_TOLERANCE / max(len(q), 1)
+    degrees = np.minimum(1 + (tail > cut).sum(axis=0), EULER_SERIES_DEGREE)
+    return degrees, float(tail[degrees - 1, np.arange(len(q))].sum())
+
+
+def _log_series(mu: np.ndarray, y: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """c[r - 1], the coefficient of t^r in sum_p log mean_m e^{i t (mu[p] + y[p, m])}, each
+    row's series cut after degrees[p], r = 1..max(degrees).
+
+    mean_m e^{z y} = sum_r a_r z^r with a_r = mean_m y^r / r!, and its logarithm
+    sum_r l_r z^r (l_r = kappa_r / r!, the cumulants) follows from l' M = M':
+    r l_r = r a_r - sum_{j<r} j l_j a_{r-j}.  Then c_r = i^r sum_p l_r, plus i sum_p mu
+    at r = 1.  The rows go in descending degree, so step r touches only the first
+    count(degrees >= r): the powers stay (prime, mode), so each mean runs over the
+    contiguous mode axis, and the recursion runs (degree, prime).
     """
-    mu = eta.mean(axis=1)
-    y = eta - mu[:, None]
-    a = np.ones((len(eta), degree + 1))
+    order = np.argsort(-degrees, kind="stable")
+    y, degrees = y[order], degrees[order]
+    top = int(degrees.max(initial=0))
+    a = np.zeros((top + 1, len(y)))
+    rl = np.zeros_like(a)  # r l_r
     power = np.ones_like(y)
-    for r in range(1, degree + 1):
-        power = power * y / r
-        a[:, r] = power.mean(axis=1)
-    ell = np.zeros_like(a)
-    for r in range(1, degree + 1):
-        ell[:, r] = a[:, r] - (np.arange(1, r) * ell[:, 1:r] * a[:, r - 1 : 0 : -1]).sum(axis=1) / r
-    c = ell[:, 1:] * np.array([1, 1j, -1, -1j])[np.arange(1, degree + 1) % 4]
-    c[:, 0] += 1j * mu
+    for r in range(1, top + 1):
+        live = int(np.count_nonzero(degrees >= r))
+        power = power[:live] * y[:live] / r
+        a[r, :live] = power.mean(axis=1)
+        rl[r, :live] = r * a[r, :live] - np.einsum(
+            "jp,jp->p", rl[1:r, :live], a[r - 1 : 0 : -1, :live], optimize=False)
+    r = np.arange(1, top + 1)
+    c = rl[1:].sum(axis=1) / r * np.array([1, 1j, -1, -1j])[r % 4]
+    c[:1] += 1j * np.cumsum(mu)[-1:]  # row after row, in the order mass_shifts adds them
     return c
 
 

@@ -14,9 +14,12 @@ mass_shifts_loop the mass shifts built one prime row at a time and added
 into a running total, where the library takes one array product and cumsum.
 local_factor is A_p at one t and local_factor_grid A_p on a whole t grid,
 straight from the samples; the library sums the primes on phase tables, on
-local Taylor moments or on the cumulant series.  phase_sums is every phase
-sum of the trace from its full exp table, summed in order; the library sums
-them on two-level tables or on local Taylor moments.  build_fiber_matrix
+local Taylor moments or on the cumulant series.  log_series is that series
+with one degree for every prime, one prime per row; the library cuts each
+prime where its own tail bound ends and sums the rows' coefficients.
+phase_sums is every phase sum of the trace from its full exp table, summed
+in order; the library sums them on two-level tables or on local Taylor
+moments.  build_fiber_matrix
 and dense_block_model write out the dense matrices that the library keeps as
 banded or diagonal data, the latter on the fibers and modes that
 subsample_entries picks.  trace_response sums
@@ -124,6 +127,29 @@ def local_factor_grid(ensemble: HeckeEnsemble, epsilon: float, p: int,
     """A_p evaluated on a whole grid of t values at once."""
     values = eta(p, sample_row(ensemble, p), epsilon)
     return np.exp(1j * np.multiply.outer(np.asarray(t_grid, dtype=float), values)).mean(axis=1)
+
+
+def log_series(eta: np.ndarray, degree: int) -> np.ndarray:
+    """c[i, r - 1], the coefficient of t^r in log mean_m e^{i t eta[i, m]}, r = 1..degree.
+
+    With eta = mu + y (mu the mean over m), mean_m e^{z y} = sum_r a_r z^r with
+    a_r = mean_m y^r / r!, and its logarithm sum_r l_r z^r (l_r = kappa_r / r!, the
+    cumulants) follows from l' M = M': r l_r = r a_r - sum_{j<r} j l_j a_{r-j}.
+    Then c_r = l_r i^r, plus i mu at r = 1.  Every row is cut at the same degree.
+    """
+    mu = eta.mean(axis=1)
+    y = eta - mu[:, None]
+    a = np.ones((len(eta), degree + 1))
+    power = np.ones_like(y)
+    for r in range(1, degree + 1):
+        power = power * y / r
+        a[:, r] = power.mean(axis=1)
+    ell = np.zeros_like(a)
+    for r in range(1, degree + 1):
+        ell[:, r] = a[:, r] - (np.arange(1, r) * ell[:, 1:r] * a[:, r - 1 : 0 : -1]).sum(axis=1) / r
+    c = ell[:, 1:] * np.array([1, 1j, -1, -1j])[np.arange(1, degree + 1) % 4]
+    c[:, 0] += 1j * mu
+    return c
 
 
 def phase_sums(x, w, h: float, K: int) -> np.ndarray:

@@ -49,6 +49,7 @@ def test_generate_primes_basics():
     twenty = generate_primes(20)
     assert twenty[-1] == 71
     assert len(twenty) == 20
+    assert all(type(p) is int for p in twenty)  # Python ints, not NumPy scalars
 
 
 def test_generate_primes_against_trial_division():

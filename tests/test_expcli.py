@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields, replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,18 @@ def test_spectrum_csv_rebuilds_the_staircase(tmp_path, default_run):
     for x in (lam, -lam):
         probes = np.concatenate([np.nextafter(x, 0.0), x, np.nextafter(x, 2.0 * x)])
         assert np.array_equal(default_run.staircase(probes), xi(probes))
+
+
+@pytest.mark.parametrize("doc", ["{}", '{"N_H": 500, "seed": 3}'])
+def test_spectrum_csv_writes_the_rounded_values_in_their_shortest_form(tmp_path, doc):
+    # lambda_k is rounded to 12 decimals: its text parses back bitwise, and below
+    # 2^52 / 10^12 ~ 4503.6, where a 12-decimal value has a double of its own, it
+    # shows no digit past the 12th decimal (.17g wrote 0.27727211622600001).
+    run = compute_run(parse_config(doc))
+    expcli.write_artifacts(run, tmp_path)
+    text = [row.split(",")[1] for row in (tmp_path / "spectrum.csv").read_text().splitlines()[1:]]
+    assert np.array_equal(np.array([float(v) for v in text]), run.spectrum.positive_values)
+    assert all(-Decimal(v).as_tuple().exponent <= 12 for v in text if abs(float(v)) < 4503.6)
 
 
 @pytest.mark.parametrize("doc", [REDUCED, REDUCED[:-1] + ', "seed": 18446744073709551615}',

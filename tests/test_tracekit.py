@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import one_row_shifts, toy_band_structure, trace_grid
-from oracles import (eta, geometric_factor, local_factor, local_factor_grid, mirrored_bands,
-                     phase_sums, sample_row, theta_fiber_whole_array, whole_grid_sums)
+from oracles import (eta, geometric_factor, local_factor, local_factor_grid, log_series,
+                     mirrored_bands, phase_sums, sample_row, theta_fiber_whole_array,
+                     whole_grid_sums)
 from diracgap.arithmetic import (
     MODES,
     HeckeEnsemble,
@@ -41,7 +42,8 @@ EPSILON = 0.35  # the default run's epsilon
 
 def log_coefficients(ens, p, degree):
     """Coefficients of t^1..t^degree in log A_p, from the production series helper."""
-    return tracekit._log_series(eta(p, sample_row(ens, p), EPSILON)[None], degree)[0]
+    return tracekit._log_series(*tracekit._centred(eta(p, sample_row(ens, p), EPSILON)[None]),
+                                np.array([degree]))
 
 
 def zero_shifts(n):
@@ -134,6 +136,15 @@ def test_constant_one_factorizes_exactly():
     closed = np.exp(1j * t * total)
     assert np.abs(a_joint - closed).max() < 1e-12
     assert np.abs(a_joint - a_prod).max() < 1e-12
+
+
+def test_constant_one_series_adds_the_phases_in_the_order_of_the_mass_shifts():
+    # A constant row is centred to y = 0 exactly, so its series is the phase t mu_p
+    # alone.  Added row after row, as mass_shifts adds the eta rows, the phases
+    # (|t sum mu| up to 233 here) round as A_joint's do; a pairwise sum left 3.8e-13.
+    ens = sample_hecke_ensemble(generate_primes(1000), 20, seed=12345, mode="constant_one")
+    a_joint, a_prod, *_ = arithmetic_factors(mass_shifts(ens, 0.05), 11000, 0.01)
+    assert np.abs(a_joint - a_prod).max() < 1e-13
 
 
 def test_euler_gap_shrinks_with_modes():
@@ -447,6 +458,66 @@ def test_log_coefficients_taylor_remainder():
     taylor = sum(ck * t ** (r + 1) for r, ck in enumerate(c))
     direct = complex(np.log(local_factor(ens, EPSILON, p, t)))
     assert abs(taylor - direct) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_p=st.integers(1, 60), n_h=st.integers(1, 30), seed=st.integers(0, 2**64 - 1),
+       mode=st.sampled_from(MODES), zero=st.booleans(), epsilon=st.floats(0.1, 4.0),
+       K=st.integers(1, 3000), h=st.floats(0.002, 0.1))
+@example(n_p=1000, n_h=20, seed=3, mode="iid_uniform", zero=False, epsilon=0.35, K=2267, h=0.01)
+@example(n_p=20, n_h=500, seed=3, mode="iid_uniform", zero=False, epsilon=0.35, K=2267, h=0.01)
+def test_per_prime_series_gives_the_a_prod_of_the_degree_30_series(n_p, n_h, seed, mode, zero,
+                                                                    epsilon, K, h):
+    ens = sample_hecke_ensemble(generate_primes(n_p), n_h, seed, mode)
+    if zero:
+        ens = replace(ens, samples=np.zeros_like(ens.samples))
+    terms = mass_shifts(ens, epsilon).terms
+    mu, y = tracekit._centred(terms)
+    q = K * h * np.abs(y).max(axis=1) / tracekit.EULER_SERIES_S0
+    series = q <= tracekit.EULER_SERIES_RATIO
+    degrees, _ = tracekit._series_degrees(q[series])
+    t = np.arange(K + 1) * h
+
+    def a_prod(coef):
+        return np.exp(np.polyval(np.append(coef[::-1], 0.0), t))
+
+    got = a_prod(tracekit._log_series(mu[series], y[series], degrees))
+    want = a_prod(log_series(terms[series], tracekit.EULER_SERIES_DEGREE).sum(axis=0))
+    assert np.abs(got - want).max() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.lists(st.floats(0.0, tracekit.EULER_SERIES_RATIO), min_size=1, max_size=60))
+@example(q=[0.0])
+@example(q=[tracekit.EULER_SERIES_RATIO] * 3)
+def test_each_series_prime_takes_the_least_degree_whose_tail_is_within_its_share(q):
+    degrees, bound = tracekit._series_degrees(np.array(q))
+    cut = tracekit.EULER_SERIES_TOLERANCE / len(q)
+    top = tracekit.EULER_SERIES_DEGREE
+
+    def tail(q_p, d):
+        return math.log(2) * q_p ** (d + 1) / (1 - q_p)
+
+    for q_p, d in zip(q, degrees.tolist()):
+        assert 1 <= d <= top
+        assert tail(q_p, d) <= cut or d == top
+        assert d == 1 or tail(q_p, d - 1) > cut
+    assert bound == pytest.approx(math.fsum(map(tail, q, degrees.tolist())), rel=1e-12, abs=0.0)
+    # at most the bound of the fixed degree-30 cut, plus the tolerance the cuts share
+    assert bound <= math.fsum(tail(q_p, top) for q_p in q) + tracekit.EULER_SERIES_TOLERANCE
+
+
+def test_primes_1000_does_a_third_of_the_fixed_degree_series_work(monkeypatch):
+    # At N_P = 1000 the median series prime has q_p ~ 2.4e-4: its tail is below the
+    # tolerance by degree 7, where the fixed cut took every prime to degree 30.
+    cut = []
+    series = tracekit._log_series
+    monkeypatch.setattr(tracekit, "_log_series",
+                        lambda mu, y, degrees: cut.append(degrees) or series(mu, y, degrees))
+    r = expcli.compute_run(expcli.parse_config('{"N_P": 1000, "seed": 3}'))
+    (degrees,) = cut
+    assert len(degrees) == r.trace.euler_series_primes == 991
+    assert degrees.sum() <= tracekit.EULER_SERIES_DEGREE * len(degrees) / 3
 
 
 def test_compare_report_fields(default_run):
