@@ -12,13 +12,13 @@ A run executes the five pipeline steps (bands, ensemble, mass shifts, gap
 filter, staircase), then the trace-formula cross-check, the matrix-model
 verification, and the zero-alignment diagnostics, and finally writes the
 artifact set with a manifest of content hashes.  Each consistency check is
-one Check record, a value against a budget; run, verify, plot and each suite
-row print one line per record, and diagnostics.json holds them all.  Reruns
+one Check record, a value against a budget; run, verify and each suite row
+print one line per record, and diagnostics.json holds them all.  Reruns
 of the same configuration are byte-identical; no timestamps or environment
 state enter any output.  Writers yield text; _emit alone writes every output
 file of every subcommand and removes what it wrote when a writer fails.
 
-CLI subcommands: bands, run, suite, plot, verify.  Each prints one `error:`
+CLI subcommands: bands, run, suite, verify.  Each prints one `error:`
 line and exits 2 on a rejected configuration, 1 on any other failure.
 """
 
@@ -313,15 +313,14 @@ def _band_truncation_check(bands: BandStructure) -> Check:
 
 def _consistency_checks(cfg, bands, trace, gap_jumps, diag) -> tuple[Check, ...]:
     # A trace far below the quadrature noise floor (eps-scale of the integrand's L1 mass)
-    # cannot be resolved relatively: agreement at the floor is the criterion there.  The
-    # floor also holds the bounded mass of the bands the Fourier side leaves out.
-    noise_floor = 1e-12 * trace.l1_mass + trace.band_prune_bound
+    # cannot be resolved relatively: agreement at the floor is the criterion there.
+    noise_floor = 1e-12 * trace.l1_mass
     diag_values = (diag.mae, diag.max_abs, diag.e_step, diag.affine.a, diag.affine.b)
     checks = [
         Check("trace_agreement", trace.abs_gap,
               max(TRACE_REL_GAP * max(abs(trace.theta_fiber), np.finfo(float).tiny), noise_floor),
               f"|theta_fiber - theta_separated|; budget max({TRACE_REL_GAP} |theta_fiber|, "
-              "1e-12 l1_mass + band_prune_bound)"),
+              "1e-12 l1_mass)"),
         Check("krein_identity", gap_jumps.differing, 0,
               f"jumps of xi in the chiral gap (-{gap_jumps.above:.6g}, {gap_jumps.above:.6g}) not "
               f"equal to the kept gap values ({gap_jumps.jumps} jumps, {gap_jumps.kept} kept)"),
@@ -549,7 +548,6 @@ def main(argv=None) -> int:
         ("bands", "compute the band structure and write bands.csv / gaps.csv"),
         ("run", "execute the full pipeline and write all artifacts"),
         ("suite", "run a scaling suite along one axis"),
-        ("plot", "render the aligned staircase SVG only"),
         ("verify", "run the pipeline and print one line per consistency check"),
     ):
         p = sub.add_parser(name, help=blurb)
@@ -594,8 +592,6 @@ def main(argv=None) -> int:
             if args.command == "run":
                 paths = write_artifacts(result, args.out).paths
                 print(f"wrote {len(paths)} artifacts to {Path(args.out)}")
-            elif args.command == "plot":
-                print(f"wrote {_emit(args.out, {'staircase.svg': _svg(result)})['staircase.svg']}")
         return 0 if all(passed) else 1
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -40,12 +40,10 @@ common cut at 30.  On N_P = 1000 the median series prime stops at degree 7.
 Their coefficients are summed, one polynomial is evaluated on the grid and
 exponentiated.  The few with large phases take the phase tables.
 
-Only the bands the window sees enter sum_n G_n.  With d_n = min_kappa
-|E_n - E*| - max_m |m_m|, band n adds at most 2 (2 pi / L) e^{-d_n^2 / alpha^2}
-to theta; bands with d_n > 40 alpha are left out, and their summed bound
-(band_prune_bound; it underflows to 0) widens the agreement floor.  All bands
-set the t grid; theta_fiber skips those with d_n^2 > 746 alpha^2, whose Gaussians
-are 0.0, so rel_gap checks the pruning only at a width below 27.3 alpha.
+Only the bands the window sees enter either route.  With d_n = min_kappa
+|E_n - E*| - max_m |m_m|, a band with d_n^2 > 746 alpha^2 (UNDERFLOW_EXPONENT)
+has every fiber Gaussian exactly 0.0, so theta_fiber keeps its bits without
+it, and sum_n G_n leaves out the same bands.  All bands set the t grid.
 Both routes sum the same folded kappa grid with the same weights; a test, not
 the run, compares the folded sums with sums over the whole grid.
 
@@ -102,8 +100,6 @@ TAIL_HAT_CUTOFF = 1e-14
 TAIL_BOUND = 1e-10
 # Primes per block of the A_prod tables, which bounds their size for any N_P.
 PRIME_CHUNK = 16
-# A band farther than this many alpha from the window is left out of sum_n G_n.
-BAND_PRUNE_WIDTH = 40.0
 UNDERFLOW_EXPONENT = 746.0  # exp(-x) is exactly 0.0 in float64 for x > 745.14
 # Primes with q_p = T beta_p / EULER_SERIES_S0 <= EULER_SERIES_RATIO take the
 # log series of A_p, each cut at the least degree D_p <= EULER_SERIES_DEGREE whose
@@ -136,8 +132,7 @@ class TraceReport:
     # L1 mass of the Fourier-side integrand: the quadrature's rounding noise
     # scales with it, so agreement below ~eps * l1_mass is at resolution.
     l1_mass: float
-    bands_kept: int
-    band_prune_bound: float
+    bands_kept: int  # the bands both routes sum
     euler_series_primes: int
     euler_series_bound: float  # on |log A_prod| lost by truncating the series
     taylor_rows: int  # rows summed on the Taylor route: bands, A_joint and A_prod tables
@@ -368,18 +363,16 @@ def compare_trace_representations(
 ) -> TraceReport:
     """Run both trace routes on one configuration, on the t grid (K, h), and report the gaps.
 
-    G_n is left out for the bands farther than BAND_PRUNE_WIDTH * alpha from
-    the window, d_n = min_kappa |E_n - E*| - max_m |m_m|.
+    Both routes sum the bands the window sees, d_n = min_kappa |E_n - E*| - max_m |m_m|
+    at most sqrt(UNDERFLOW_EXPONENT) alpha; the Gaussians of the others are all 0.0.
     """
     d = np.abs(bands.bands - e_star).min(axis=1) - np.abs(shifts.values).max(initial=0.0)
+    seen = np.flatnonzero(d <= math.sqrt(UNDERFLOW_EXPONENT) * phi.alpha)
     # The fiber sum first: its (N_kappa // 2 + 1, N_H) temporaries are freed
     # before the phase tables are built, which keeps the peak memory down.
-    seen = np.flatnonzero(d <= math.sqrt(UNDERFLOW_EXPONENT) * phi.alpha)
     fiber = theta_fiber(phi, bands, e_star, shifts, seen)
     a_joint, a_prod, series_primes, series_bound, taylor_rows = arithmetic_factors(shifts, K, h)
-    far = d > BAND_PRUNE_WIDTH * phi.alpha
-    pruned = float(np.exp(-(d[far] / phi.alpha) ** 2).sum() * 4.0 * np.pi / bands.potential.period)
-    geometric, taylor_bands = _geometric_on_grid(bands, e_star, K, h, np.flatnonzero(~far))
+    geometric, taylor_bands = _geometric_on_grid(bands, e_star, K, h, seen)
     integrand = phi.fourier(np.arange(K + 1) * h) * geometric.sum(axis=0) * a_joint
     w = fold_weights(K)  # numpy's own sums, whose order does not depend on the BLAS threads
     separated = h * float((w * integrand).sum().real) / np.pi
@@ -395,8 +388,7 @@ def compare_trace_representations(
         h_t=h,
         abs_gap=abs(fiber - separated),
         l1_mass=l1_mass,
-        bands_kept=len(geometric),
-        band_prune_bound=pruned,
+        bands_kept=len(seen),
         euler_series_primes=series_primes,
         euler_series_bound=series_bound,
         taylor_rows=taylor_bands + taylor_rows,

@@ -276,7 +276,7 @@ def test_cli_writer_failing_midway_leaves_no_file(tmp_path, capsys, monkeypatch,
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["bands", "run", "plot"])
+@pytest.mark.parametrize("command", ["bands", "run"])
 def test_cli_output_under_a_regular_file_exits_1(tmp_path, capsys, command):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(REDUCED)
@@ -406,15 +406,13 @@ def test_cli_bands_and_run(tmp_path):
     assert (tmp_path / "r" / "manifest.json").is_file()
 
 
-def test_cli_verify_and_plot(tmp_path, capsys):
+def test_cli_verify(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(REDUCED)
     assert main(["verify", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4  # every check of an iid_uniform run
     assert "FAIL" not in out
-    assert main(["plot", "--config", str(cfg_path), "--out", str(tmp_path / "p")]) == 0
-    assert (tmp_path / "p" / "staircase.svg").is_file()
 
 
 def test_cli_suite(tmp_path):
@@ -485,14 +483,14 @@ def test_bands_checks_the_truncation_of_what_it_writes(tmp_path, capsys, doc, co
 
 @pytest.mark.parametrize("doc,code", [("{}", 0), (UNDERRESOLVED[0], 1)],
                          ids=["default", "M8-16-bands"])
-def test_plot_and_suite_report_every_run(tmp_path, capsys, doc, code):
-    # plot and each suite row print the check lines of verify; a failing check exits 1
+def test_run_and_suite_report_every_run(tmp_path, capsys, doc, code):
+    # run and each suite row print the check lines of verify; a failing check exits 1
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(doc)
-    assert main(["plot", "--config", str(cfg_path), "--out", str(tmp_path / "p")]) == code
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == code
     out = capsys.readouterr().out.splitlines()
     assert ("FAIL band_truncation" in [ln.split(":")[0] for ln in out]) == bool(code)
-    assert out[-1] == f"wrote {tmp_path / 'p' / 'staircase.svg'}"
+    assert out[-1] == f"wrote 11 artifacts to {tmp_path / 'r'}"
     assert main(["suite", "--config", str(cfg_path), "--axis", "seed", "--values", "1,2",
                  "--out", str(tmp_path / "s")]) == code
     out = capsys.readouterr().out.splitlines()
@@ -633,7 +631,7 @@ def test_t_grid_rechecked_with_the_band_energies_exits_2(tmp_path, capsys, doc):
 
 
 def test_run_whose_window_sees_no_band_passes(tmp_path):
-    # At alpha = 0.01 every band is >= 0.55 > 40 alpha from the window.
+    # At alpha = 0.01 every band is >= 0.55 > sqrt(746) alpha from the window.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"M": 16, "N_kappa": 81, "n_bands": 6, "N_P": 8, "N_H": 8,'
                         ' "alpha": 0.01, "K": 5, "T": 40.0}')

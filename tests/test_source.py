@@ -6,8 +6,11 @@ from collections import defaultdict
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import diracgap
-from diracgap.expcli import ExperimentConfig, compute_run, parse_config, write_artifacts
+from diracgap.expcli import ExperimentConfig, compute_run, main, parse_config, write_artifacts
+from diracgap.tracekit import TraceReport
 
 SOURCES = sorted(Path(diracgap.__file__).parent.glob("*.py"))
 # Defaults that only callers outside src/ pass: the tests call main(argv),
@@ -236,11 +239,28 @@ def test_the_array_field_check_sees_every_form():
     assert list(compared_array_fields(ast.parse(code))) == ["A.x", "A.y", "B.x"]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_lists_the_files_run_writes(tmp_path):
     # The sentence of README.md that begins "`run` writes" names every artifact,
     # in the order write_artifacts writes them.
-    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    readme = " ".join(README.read_text().split())
     sentence = re.search(r"`run` writes (.*?)\.\s", readme).group(1)
     listed = re.findall(r"`([\w.]+\.\w+)`", sentence)
     run = compute_run(parse_config('{"M": 8, "N_kappa": 41, "n_bands": 4, "N_P": 5, "N_H": 5}'))
     assert listed == list(write_artifacts(run, tmp_path).paths)
+
+
+def test_readme_names_every_subcommand_report_field_and_check(capsys):
+    # README's `diracgap <subcommand>` block lists exactly the parser's subcommands,
+    # and every trace_report.json key and every check name appears in backticks.
+    readme = README.read_text()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    parsed = re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert sorted(re.findall(r"^diracgap (\w+) ", readme, re.MULTILINE)) == sorted(parsed)
+    checks = {call.args[0].value for path in SOURCES for call in ast.walk(ast.parse(path.read_text()))
+              if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Check"}
+    named = {f.name for f in fields(TraceReport)} | checks
+    assert checks and sorted(named - set(re.findall(r"`(\w+)`", readme))) == []

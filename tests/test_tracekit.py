@@ -573,28 +573,24 @@ def test_euler_series_is_at_least_as_close_to_mpmath_as_the_tables():
         assert abs(complex(a_prod[k]) - exact) <= abs(complex(table[k]) - exact)
 
 
-def test_band_pruning_keeps_a_band_at_40_alpha_and_drops_one_an_ulp_beyond():
-    # max|m| = 0.5: the band at 20.5 is d = 20 = 40 alpha from the window, the
-    # one at -nextafter(20.5) an ulp farther; the band at 1..2 is always kept.
-    edge = 20.5
+def test_both_routes_keep_a_band_at_sqrt_746_alpha_and_drop_one_an_ulp_beyond(monkeypatch):
+    # max|m| = 0.5: the band at edge is d = sqrt(746) alpha from the window, the one at
+    # -nextafter(edge) an ulp farther; the band at 1..2 is always kept.
+    alpha = 0.5
+    cut = math.sqrt(tracekit.UNDERFLOW_EXPONENT) * alpha
+    edge = cut + 0.5
+    assert edge - 0.5 == cut  # both lie in [8, 16), where 0.5 is a whole number of ulps
+    summed = {}  # the rows each route was given, passed last
+    for name in ("theta_fiber", "_geometric_on_grid"):
+        def spy(*args, route=getattr(tracekit, name), name=name):
+            summed[name] = list(args[-1])
+            return route(*args)
+        monkeypatch.setattr(tracekit, name, spy)
     bands = toy_band_structure([[-np.nextafter(edge, np.inf)] * 3, [1.0, 2.0, 1.0], [edge] * 3])
     r = compare_trace_representations(bands, 0.0, one_row_shifts([0.25, -0.5]),
-                                      TestFunction(alpha=0.5), 500, 0.05)
-    assert r.bands_kept == 2
-    assert r.band_prune_bound == 0.0  # 2 (2 pi / L) e^{-1600} underflows
-
-
-def test_band_prune_bound_holds_the_mass_of_the_dropped_band(monkeypatch):
-    # At width 1 alpha the bound does not underflow: it must hold theta_fiber of the band.
-    monkeypatch.setattr(tracekit, "BAND_PRUNE_WIDTH", 1.0)
-    phi = TestFunction(alpha=0.5)
-    shifts = one_row_shifts([0.1, -0.2])
-    band = toy_band_structure([[0.8, 1.0, 1.3]], period=2.0)
-    r = compare_trace_representations(band, 0.0, shifts, phi, 250, 0.1)
-    assert r.bands_kept == 0 and r.theta_separated == 0.0
-    bound = r.band_prune_bound  # d = 0.8 - 0.2
-    assert bound == pytest.approx(4.0 * np.pi / 2.0 * np.exp(-(0.6 / 0.5) ** 2), rel=1e-15)
-    assert 0.0 < theta_fiber(phi, band, 0.0, shifts) <= bound
+                                      TestFunction(alpha=alpha), 500, 0.05)
+    assert summed == {"theta_fiber": [1, 2], "_geometric_on_grid": [1, 2]}
+    assert r.bands_kept == len(summed["theta_fiber"])
 
 
 def test_trace_with_no_visible_band_is_finite_and_agrees():
@@ -606,7 +602,7 @@ def test_trace_with_no_visible_band_is_finite_and_agrees():
     assert r.bands_kept == 0
     assert r.theta_fiber == 0.0 and r.theta_separated == 0.0  # every fiber value is >= 49 from 0
     assert all(math.isfinite(x) for x in (r.rel_gap, r.abs_gap, r.l1_mass, r.euler_gap))
-    assert r.abs_gap <= 1e-12 * r.l1_mass + r.band_prune_bound
+    assert r.abs_gap <= 1e-12 * r.l1_mass
 
 
 def test_default_run_t_grid_is_pinned(default_run):
@@ -627,8 +623,16 @@ def test_default_run_keeps_two_bands_and_sends_the_primes_from_23_to_the_series(
     # q_p = T beta_p / s0 is 0.30 at p = 19 and 0.18 at p = 23 on this run
     r = default_run.trace
     assert (r.bands_kept, r.euler_series_primes) == (2, 12)
-    assert r.band_prune_bound == 0.0 and 0.0 < r.euler_series_bound < 1e-22
+    assert 0.0 < r.euler_series_bound < 1e-22
 
+
+
+def test_wide_window_sums_only_the_bands_whose_gaussians_do_not_underflow():
+    # At alpha = 2 the fourth band lies between sqrt(746) alpha and 40 alpha from the
+    # window: every Gaussian of it is 0.0, so neither route sums it.
+    r = expcli.compute_run(expcli.parse_config('{"alpha": 2.0, "seed": 3}'))
+    assert r.trace.bands_kept == 3
+    assert r.all_checks_pass
 
 @pytest.mark.parametrize("config", [
     "{}", '{"N_H": 500}', '{"M": 64, "N_kappa": 1001, "n_bands": 16}', '{"alpha": 0.1}',
