@@ -15,8 +15,8 @@ artifact set with a manifest of content hashes.  Each consistency check is
 one Check record, a value against a budget; run, verify and each suite row
 print one line per record, and diagnostics.json holds them all.  Reruns
 of the same configuration are byte-identical; no timestamps or environment
-state enter any output.  Writers yield text; _emit alone writes every output
-file of every subcommand and removes what it wrote when a writer fails.
+state enter any output.  Writers build each file's whole text; _emit alone
+writes every output file of every subcommand, removing what it wrote if one fails.
 
 CLI subcommands: bands, run, suite, verify.  Each prints one `error:`
 line and exits 2 on a rejected configuration, 1 on any other failure.
@@ -30,7 +30,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -204,7 +203,7 @@ def _t_grid(cfg: ExperimentConfig, v_max: float) -> tuple[int, float]:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON for hashing and manifests; parse round-trips exactly."""
-    return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
+    return _json(asdict(cfg))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -335,23 +334,22 @@ def _consistency_checks(cfg, bands, trace, gap_jumps, diag) -> tuple[Check, ...]
 
 
 # ---------------------------------------------------------------------------
-# artifact emission: _csv, _json, _svg and the manifest yield text, and _emit alone writes it
+# artifact emission: _csv, _json and render_svg build each file's text, and _emit alone writes it
 
 @dataclass(frozen=True)
 class RunArtifacts:
     paths: dict
 
 
-def _emit(out_dir, writers: dict) -> dict[str, Path]:
-    """Write each writer's text to out_dir/name, in order; on any failure remove every file."""
+def _emit(out_dir, texts: dict[str, str]) -> dict[str, Path]:
+    """Write each text's UTF-8 bytes to out_dir/name in order; on any failure remove every file."""
     out = Path(out_dir)
     paths: dict[str, Path] = {}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, chunks in writers.items():
-            paths[name] = out / name  # registered first: a failing writer may leave a partial file
-            with paths[name].open("w") as f:
-                f.writelines(chunks)
+        for name, text in texts.items():
+            paths[name] = out / name  # registered first: a failed write may leave a partial file
+            paths[name].write_bytes(text.encode())
     except BaseException:
         for path in paths.values():
             path.unlink(missing_ok=True)
@@ -359,25 +357,16 @@ def _emit(out_dir, writers: dict) -> dict[str, Path]:
     return paths
 
 
-def _csv(header: str, lines):
-    """The header and the lines as text, joined in blocks of 4096 lines to bound memory."""
-    yield header + "\n"
-    rows = iter(lines)
-    while block := list(islice(rows, 4096)):
-        yield "\n".join(block) + "\n"
+def _csv(header: str, lines) -> str:
+    """The header and the lines, each ending in a newline."""
+    return "\n".join([header, *lines]) + "\n"
 
 
-def _json(obj):
-    yield json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _svg(result: RunResult):
-    """The aligned staircase SVG, rendered when _emit reaches it."""
-    d = result.diagnostics
-    yield render_svg(d.model, d.zero, d.affine, d.T)
-
-
-def _band_writers(bands: BandStructure) -> dict:
+def _band_texts(bands: BandStructure) -> dict[str, str]:
     """bands.csv (kappa >= 0 only) and gaps.csv, written by both `run` and `bands`."""
     nodes = [f"{kappa:.17g}" for kappa in bands.grid.nodes[bands.grid.half_index:].tolist()]
     beta, alpha = bands.uppers.tolist(), bands.lowers.tolist()
@@ -439,9 +428,9 @@ def render_svg(model: Staircase, zero: Staircase, affine: zeta.AffineMap, T: flo
 
 def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
     """Write the full artifact set, manifest last; on any failure remove what was written."""
-    spectrum = result.spectrum
+    spectrum, d = result.spectrum, result.diagnostics
     group = np.repeat(np.arange(1, len(spectrum) + 1), spectrum.multiplicities)  # of each fiber
-    writers = _band_writers(result.bands) | {
+    texts = _band_texts(result.bands) | {
         "massshifts.csv": _csv("m,mass", (
             f"{m},{v:.17g}" for m, v in enumerate(result.shifts.values.tolist(), start=1)
         )),
@@ -463,34 +452,28 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
             "dimension": result.model_dimension,
         }),
         "diagnostics.json": _json({
-            "K": result.diagnostics.K,
-            "a": result.affine.a,
-            "b": result.affine.b,
-            "MAE": result.diagnostics.mae,
-            "max_abs": result.diagnostics.max_abs,
-            "E_step": result.diagnostics.e_step,
-            "T": result.diagnostics.T,
-            "flags": list(result.diagnostics.flags),
+            "K": d.K,
+            "a": d.affine.a,
+            "b": d.affine.b,
+            "MAE": d.mae,
+            "max_abs": d.max_abs,
+            "E_step": d.e_step,
+            "T": d.T,
+            "flags": list(d.flags),
             "scan_warnings": list(result.scan.warnings),
             "stationary_roots": len(result.scan.roots),
             "checks": [asdict(c) | {"passed": c.passed} for c in result.checks],
         }),
-        "staircase.svg": _svg(result),
+        "staircase.svg": render_svg(d.model, d.zero, d.affine, d.T),
     }
-
-    def manifest():  # runs when _emit reaches it, after every other file is written
-        hashes = {}
-        for name in sorted(writers):  # streamed back: no artifact is held in memory whole
-            with (Path(out_dir) / name).open("rb") as f:
-                hashes[name] = hashlib.file_digest(f, "sha256").hexdigest()
-        yield from _json({
-            "config": json.loads(serialize_config(result.config)),
-            "config_hash": config_hash(result.config),
-            "artifact_hashes": hashes,
-            "version": VERSION,
-        })
-
-    return RunArtifacts(paths=_emit(out_dir, writers | {"manifest.json": manifest()}))
+    texts["manifest.json"] = _json({
+        "config": asdict(result.config),
+        "config_hash": config_hash(result.config),
+        "artifact_hashes": {name: hashlib.sha256(texts[name].encode()).hexdigest()
+                            for name in sorted(texts)},
+        "version": VERSION,
+    })
+    return RunArtifacts(paths=_emit(out_dir, texts))
 
 
 SUITE_AXES = ("N_P", "N_H", "seed")
@@ -574,7 +557,7 @@ def main(argv=None) -> int:
             bands = compute_band_structure(cfg.potential, grid, cfg.M, cfg.n_bands)
             check = _band_truncation_check(bands)
             print(check)
-            paths = _emit(args.out, _band_writers(bands))
+            paths = _emit(args.out, _band_texts(bands))
             print(f"wrote {paths['bands.csv']} and {paths['gaps.csv']}")
             return 0 if check.passed else 1
         passed = []  # whether each computed run passed its checks

@@ -1,4 +1,6 @@
+import builtins
 import hashlib
+import io
 import json
 import math
 import os
@@ -210,37 +212,33 @@ def test_reruns_are_byte_identical(tmp_path):
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
-def test_failed_run_removes_partial_artifacts(tmp_path, reduced_run, monkeypatch):
-    def failing(*args):
+def fail_write_midway(monkeypatch, name):
+    """Make the write of the file `name` write half its bytes and then raise; the returned list
+    receives the names in its directory at that moment."""
+    write_bytes, present = Path.write_bytes, []
+
+    def failing(path, data):
+        if path.name != name:
+            return write_bytes(path, data)
+        write_bytes(path, data[:len(data) // 2])
+        present.extend(sorted(p.name for p in path.parent.iterdir()))
         raise OSError("disk full (simulated)")
 
-    monkeypatch.setattr(expcli, "render_svg", failing)  # in the 10th writer, after 9 files
+    monkeypatch.setattr(Path, "write_bytes", failing)
+    return present
+
+
+def test_failed_run_removes_partial_artifacts(tmp_path, reduced_run, monkeypatch):
+    present = fail_write_midway(monkeypatch, "staircase.svg")  # the 10th file, after nine
     out = tmp_path / "broken"
     with pytest.raises(OSError, match="disk full"):
         expcli.write_artifacts(reduced_run, out)
+    assert present == sorted(ARTIFACTS[:10])
     assert list(out.iterdir()) == []
 
 
-# A writer yields text and never sees its path, so fail_csv_midway finds a CSV by its header.
-CSV_HEADERS = {"spectrum.csv": "k,lambda_k,multiplicity", "gaps.csv": "n,beta_n,alpha_n1,width",
-               "suite_N_H.csv": "axis_value,MAE,max_abs,E_step"}
-
-
-def fail_csv_midway(monkeypatch, name):
-    """Make the CSV writer of `name` yield its header and then raise: the file exists when the
-    writer fails."""
-    csv, header = expcli._csv, CSV_HEADERS[name]
-
-    def failing():
-        yield header + "\n"
-        raise OSError("disk full (simulated)")
-
-    monkeypatch.setattr(expcli, "_csv", lambda head, lines: failing() if head == header
-                        else csv(head, lines))
-
-
 def test_writer_failing_midway_leaves_no_partial_file(tmp_path, reduced_run, monkeypatch):
-    fail_csv_midway(monkeypatch, "spectrum.csv")
+    fail_write_midway(monkeypatch, "spectrum.csv")
     out = tmp_path / "broken"
     with pytest.raises(OSError, match="disk full"):
         expcli.write_artifacts(reduced_run, out)
@@ -248,18 +246,53 @@ def test_writer_failing_midway_leaves_no_partial_file(tmp_path, reduced_run, mon
 
 
 def test_failing_manifest_leaves_no_file(tmp_path, reduced_run, monkeypatch):
-    out, present = tmp_path / "broken", []
-
-    def failing(*args):
-        present.append(sorted(path.name for path in out.iterdir()))
-        raise OSError("cannot read back (simulated)")
-
-    monkeypatch.setattr(hashlib, "file_digest", failing)
-    with pytest.raises(OSError, match="cannot read back"):
+    present = fail_write_midway(monkeypatch, "manifest.json")  # written last, after ten
+    out = tmp_path / "broken"
+    with pytest.raises(OSError, match="disk full"):
         expcli.write_artifacts(reduced_run, out)
-    # the manifest hashes the first file only once _emit has written the other ten
-    assert len(present) == 1 and set(ARTIFACTS[:-1]) <= set(present[0])
+    assert present == sorted(ARTIFACTS)
     assert list(out.iterdir()) == []
+
+
+def test_failing_svg_render_creates_no_output_directory(tmp_path, capsys, monkeypatch):
+    # every text is built before _emit creates the directory
+    def failing(*args):
+        raise RuntimeError("render failed (simulated)")
+
+    monkeypatch.setattr(expcli, "render_svg", failing)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(REDUCED)
+    out = tmp_path / "broken"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "error: builtins.RuntimeError: render failed (simulated)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_hashes_the_bytes_written_without_reading_any_back(
+        tmp_path, reduced_run, monkeypatch):
+    out = (tmp_path / "out").resolve()
+
+    def no_digest(*args):
+        raise AssertionError("an artifact was hashed by reading it back")
+
+    def guarded(opener):
+        def open_(file, mode="r", *args, **kwargs):
+            if (isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+")
+                    and Path(file).resolve().is_relative_to(out)):
+                raise AssertionError(f"{file} was opened for reading")
+            return opener(file, mode, *args, **kwargs)
+        return open_
+
+    monkeypatch.setattr(hashlib, "file_digest", no_digest)
+    monkeypatch.setattr(builtins, "open", guarded(builtins.open))
+    monkeypatch.setattr(io, "open", guarded(io.open))
+    monkeypatch.setattr(Path, "open", guarded(Path.open))
+    paths = expcli.write_artifacts(reduced_run, out).paths
+    monkeypatch.undo()
+    assert sorted(p.name for p in out.iterdir()) == sorted(paths) == sorted(ARTIFACTS)
+    hashes = json.loads((out / "manifest.json").read_text())["artifact_hashes"]
+    assert hashes == {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                      for name in sorted(ARTIFACTS[:-1])}
 
 
 @pytest.mark.parametrize("command,name", [
@@ -269,7 +302,7 @@ def test_failing_manifest_leaves_no_file(tmp_path, reduced_run, monkeypatch):
 def test_cli_writer_failing_midway_leaves_no_file(tmp_path, capsys, monkeypatch, command, name):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(REDUCED)
-    fail_csv_midway(monkeypatch, name)
+    fail_write_midway(monkeypatch, name)
     out = tmp_path / "broken"
     assert main([*command, "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "error: builtins.OSError: disk full (simulated)" in capsys.readouterr().err
@@ -400,10 +433,12 @@ def test_cli_bands_and_run(tmp_path):
     free.write_text(REDUCED.replace('"M": 8', '"potential": {"cosine_coefficients": []}, "M": 8'))
     for path, out in ((cfg_path, tmp_path / "b"), (free, tmp_path / "free")):
         assert main(["bands", "--config", str(path), "--out", str(out)]) == 0
-        assert (out / "bands.csv").is_file()
-        assert (out / "gaps.csv").is_file()
+        assert sorted(p.name for p in out.iterdir()) == ["bands.csv", "gaps.csv"]
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
     assert (tmp_path / "r" / "manifest.json").is_file()
+    for name in ("bands.csv", "gaps.csv"):  # one writer for both subcommands
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
+    assert (tmp_path / "free" / "gaps.csv").read_bytes() == b"n,beta_n,alpha_n1,width\n"
 
 
 def test_cli_verify(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_only_the_package_main_is_a_script():
 
 
 # The only function that creates directories or opens files for writing: the
-# writers yield text, and _emit writes it.
+# writers build each file's text, and _emit writes its bytes.
 WRITERS = {"_emit"}
 
 
