@@ -429,7 +429,8 @@ def render_svg(model: Staircase, zero: Staircase, affine: zeta.AffineMap, T: flo
 def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
     """Write the full artifact set, manifest last; on any failure remove what was written."""
     spectrum, d = result.spectrum, result.diagnostics
-    group = np.repeat(np.arange(1, len(spectrum) + 1), spectrum.multiplicities)  # of each fiber
+    # k of each fiber row; a row off kappa = 0 also stands for its mirror, as in bands.csv
+    group = np.searchsorted(spectrum.starts, np.arange(len(spectrum.fibers)), side="right")
     texts = _band_texts(result.bands) | {
         "massshifts.csv": _csv("m,mass", (
             f"{m},{v:.17g}" for m, v in enumerate(result.shifts.values.tolist(), start=1)

@@ -12,10 +12,10 @@ m = -M..M, each fiber is the real symmetric matrix
 banded with bandwidth R (tridiagonal for a single cosine).  Bands are the
 ranges of the ascending fiber eigenvalues E_n(kappa); evenness of U gives
 E_n(-kappa) = E_n(kappa), so only the kappa >= 0 half of the grid is solved
-and stored; fold_weights(grid.half_index) and the grid's copies and unfold,
-the only code that knows the fold, turn half-grid sums, counts and fiber
-lists into whole-grid ones.  Band edges and open gaps are derived in one
-place, BandStructure.
+and stored; fold_weights(grid.half_index) weights and the grid's copies
+counts the mirror, nothing lists it: they turn half-grid sums and counts
+into whole-grid ones.  Band edges and open gaps are derived in one place,
+BandStructure.
 
 Fiber eigenvalues are computed with a bisection-based banded solver, which
 resolves the low-lying spectrum far below the 1e-10 contract even though the
@@ -129,8 +129,8 @@ class QuasiMomentumGrid:
     def __post_init__(self):
         if self.n_nodes < 3 or self.n_nodes % 2 == 0:
             raise ValueError(f"n_nodes must be odd and >= 3, got {self.n_nodes}")
-        if not self.period > 0.0:
-            raise ValueError("period must be positive")
+        if not (self.period > 0.0 and math.isfinite(self.period)):
+            raise ValueError(f"period must be positive and finite, got {self.period}")
         half = (self.n_nodes - 1) // 2
         edge = np.pi / self.period
         positive = np.array([edge * j / half for j in range(half + 1)])
@@ -147,15 +147,6 @@ class QuasiMomentumGrid:
         """How many fibers of the whole grid node j >= half_index stands for: 1 at kappa = 0,
         2 elsewhere (kappa_j and its mirror -kappa_j)."""
         return 1 + (j > self.half_index)
-
-    def unfold(self, fibers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, whole): whole lists the fibers (n, j, m), then the mirror (n, N_kappa - 1 - j, m)
-        of each with j > half_index, in order; whole[i] repeats fibers[rows[i]]."""
-        k = len(fibers)
-        rows = np.concatenate([np.arange(k), np.flatnonzero(fibers[:, 1] > self.half_index)])
-        whole = fibers[rows]
-        whole[k:, 1] = self.n_nodes - 1 - whole[k:, 1]
-        return rows, whole
 
 
 @dataclass(frozen=True, eq=False)

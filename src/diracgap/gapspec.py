@@ -9,11 +9,11 @@ which is a gap eigenvalue exactly when it clears every interval of the
 symmetric band set by more than a membership margin.  Values are filtered
 against the full chiral band set (bands and their negations), not just the
 gap containing E*, since that set is the essential spectrum of the doubled
-operator.  The filter runs on the stored kappa >= 0 half: a mirror fiber at
--kappa_j has the value of its fiber at kappa_j, and the grid's copies and
-unfold count and list it where the whole grid is meant.  Positive survivors
-are grouped into a multiplicity-weighted gap spectrum of three arrays, the
-first two shared by the staircase; the full spectrum is {+-lambda_k}.  The
+operator.  The filter and the grouping run on the stored kappa >= 0 half: a
+mirror fiber at -kappa_j has the value of its fiber at kappa_j, and the
+grid's copies counts it where the whole grid is meant; nothing lists it.
+Positive survivors are grouped into a multiplicity-weighted gap spectrum,
+its first two arrays shared by the staircase; the full spectrum is {+-lambda_k}.  The
 band set is the pair (lowers, uppers) of interval ends that dirac_band_set returns.
 """
 
@@ -51,17 +51,19 @@ class GapValues:
 
 @dataclass(frozen=True, eq=False)
 class GapSpectrum:
-    """Sorted positive gap eigenvalues with multiplicities and their fibers.
+    """Sorted positive gap eigenvalues with multiplicities and their kappa >= 0 fibers.
 
     positive_values[k] (float64, ascending) carries multiplicity
-    multiplicities[k] (int64).  fibers holds the (n, j, m) fibers, one row
-    each, in group order: group k is fibers[h[k]:h[k + 1]], h the heights
-    [0, cumsum(multiplicities)] of the staircase built on these arrays.
+    multiplicities[k] (int64), counted on the whole grid.  fibers holds the
+    kept (n, j, m) fibers with j >= half_index, one row each, in group order:
+    group k is fibers[starts[k]:starts[k + 1]], the last running to the end,
+    and each row off kappa = 0 stands for its mirror fiber too.
     """
 
     positive_values: np.ndarray
     multiplicities: np.ndarray
     fibers: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.positive_values)
@@ -152,23 +154,23 @@ def round_decimals(x: np.ndarray) -> np.ndarray:
 
 
 def aggregate_spectrum(gap_values: GapValues) -> GapSpectrum:
-    """Group the positive values of the whole grid within the grouping tolerance, ascending.
+    """Group the positive values of the kappa >= 0 fibers within the grouping tolerance, ascending.
 
     Each |v| is rounded to 12 decimals (round_decimals: Python's correctly
-    rounded `round`) once, and then stands for its fiber and the fiber's
-    mirror (the grid's unfold); ties sort by fiber, and groups chain while
-    consecutive rounded values are within GROUPING_TOLERANCE.  Multiplicity
-    is group size and the group's smallest rounded value is the representative.
+    rounded `round`) once; ties sort by fiber, and groups chain while
+    consecutive rounded values are within GROUPING_TOLERANCE.  A mirror has
+    its fiber's value, so multiplicity is the group's sum of the grid's
+    copies; the group's smallest rounded value is the representative.
     """
     rounded = round_decimals(np.abs(gap_values.values))
     keep = rounded > 0.0
-    rows, fib = gap_values.grid.unfold(gap_values.fibers[keep])
-    lam = rounded[keep][rows]
+    lam, fib = rounded[keep], gap_values.fibers[keep]
     order = np.lexsort((fib[:, 2], fib[:, 1], fib[:, 0], lam))
-    lam = lam[order]
+    lam, fib = lam[order], fib[order]
     starts = np.flatnonzero(np.concatenate([[True], np.diff(lam) > GROUPING_TOLERANCE])[: lam.size])
     return GapSpectrum(
         positive_values=lam[starts],
-        multiplicities=np.diff(np.append(starts, lam.size)),
-        fibers=fib[order],
+        multiplicities=np.add.reduceat(gap_values.grid.copies(fib[:, 1]), starts),
+        fibers=fib,
+        starts=starts,
     )

@@ -65,11 +65,11 @@ class TestFunction:
 class Staircase:
     """Odd right-continuous step function stored by its positive jumps.
 
-    locations (float64, strictly positive, ascending) and weights (int64,
-    positive) are arrays; arrays of those dtypes are kept without a copy, so
-    the run's staircase shares the gap spectrum's.  Calling it evaluates xi
-    elementwise: the height after the jumps at or below |x|, negated for
-    x < 0, so xi(-x) = -xi(x) and xi(0) = 0 exactly.
+    locations (float64, strictly positive, ascending) and weights (positive
+    integers below 2**63, stored as int64) are arrays; arrays of those dtypes
+    are kept without a copy, so the run's staircase shares the gap spectrum's.
+    Calling it evaluates xi elementwise: the height after the jumps at or
+    below |x|, negated for x < 0, so xi(-x) = -xi(x) and xi(0) = 0 exactly.
     """
 
     locations: np.ndarray
@@ -78,15 +78,16 @@ class Staircase:
 
     def __post_init__(self):
         x = np.asarray(self.locations, dtype=float)
-        w = np.asarray(self.weights, dtype=np.int64)
+        w = np.asarray(self.weights)
         if x.shape != w.shape or x.ndim != 1:
             raise ValueError("locations and weights must be 1-d and of equal length")
         if not np.all(x > 0.0):
             raise ValueError("jump locations must be strictly positive")
         if np.any(x[1:] < x[:-1]):
             raise ValueError("jump locations must be ascending")
-        if not np.all(w > 0):
-            raise ValueError("jump weights must be positive integers")
+        if not np.all((w > 0) & (w < 2.0**63) & (w == np.rint(w))):
+            raise ValueError("jump weights must be positive integers below 2**63")
+        w = w.astype(np.int64, copy=False)
         object.__setattr__(self, "locations", x)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "heights", np.concatenate([[0], np.cumsum(w)]))

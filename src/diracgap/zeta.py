@@ -141,7 +141,7 @@ def mapped_staircase(mapped_locations, multiplicities) -> Staircase:
     """
     v = np.asarray(mapped_locations, dtype=float)
     keep = v != 0.0
-    v, w = np.abs(v[keep]), np.asarray(multiplicities, dtype=np.int64)[keep]
+    v, w = np.abs(v[keep]), np.asarray(multiplicities)[keep]
     order = np.lexsort((w, v))
     return Staircase(locations=v[order], weights=w[order])
 
@@ -157,8 +157,8 @@ def staircase_mismatch(model: Staircase, zero: Staircase, T: float) -> float:
     The integrand is exactly even, so this is (1/T) times the integral over
     [0, T], summed left to right over the breakpoint intervals.
     """
-    if not T > 0.0:
-        raise ValueError(f"T must be positive, got {T}")
+    if not (T > 0.0 and math.isfinite(T)):
+        raise ValueError(f"T must be positive and finite, got {T}")
     jumps = np.concatenate([model.locations, zero.locations])
     points = np.unique(np.concatenate([[0.0, T], jumps[jumps < T]]))
     widths = np.diff(points)

@@ -36,12 +36,14 @@ def one_row_shifts(values):
 def staircase_of(pairs):
     """The staircase a run builds on a hand-built gap spectrum of (lambda_k, m_k) pairs.
 
-    Every group's fibers are m_k rows (0, 0, 1): group k is fibers[h[k]:h[k + 1]].
+    Every group's fibers are m_k rows (0, 0, 1): group k starts at starts[k].
     """
+    multiplicities = np.array([m for _, m in pairs], dtype=np.int64)
     spec = GapSpectrum(
         positive_values=np.array([v for v, _ in pairs], dtype=float),
-        multiplicities=np.array([m for _, m in pairs], dtype=np.int64),
-        fibers=np.tile([0, 0, 1], (sum(m for _, m in pairs), 1)),
+        multiplicities=multiplicities,
+        fibers=np.tile([0, 0, 1], (multiplicities.sum(), 1)),
+        starts=np.cumsum(multiplicities) - multiplicities,
     )
     return Staircase(spec.positive_values, spec.multiplicities)
 

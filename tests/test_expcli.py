@@ -179,11 +179,29 @@ def test_counts_keep_their_whole_grid_meaning(default_run):
     assert r.model_dimension == 2 * 8 * 201 * 20 == 64320
     assert (r.gap_jumps.jumps, r.gap_jumps.kept, r.gap_jumps.differing) == (192, 192, 0)
     assert r.spectrum.multiplicities.tolist() == [2] * 98 + [1] * 20
-    # every listed fiber (n, j, m) comes with its mirror (n, N_kappa - 1 - j, m), once
+    # the spectrum lists its kappa >= 0 fibers only; each (n, j, m) off kappa = 0 also stands
+    # for its mirror (n, N_kappa - 1 - j, m), and that rule rebuilds the whole grid's 216, once
     fibers = [tuple(f) for f in r.spectrum.fibers.tolist()]
-    assert len(set(fibers)) == len(fibers) == 216
-    assert {(n, 200 - j, m) for n, j, m in fibers} == set(fibers)
+    assert len(fibers) == 118
+    assert int(r.bands.grid.copies(r.spectrum.fibers[:, 1]).sum()) == 216
+    whole = fibers + [(n, 200 - j, m) for n, j, m in fibers if j > 100]
+    assert len(set(whole)) == len(whole) == 216
+    assert {(n, 200 - j, m) for n, j, m in whole} == set(whole)
     assert sum(j == 100 for _, j, _ in fibers) == 20  # kappa = 0 is its own mirror
+
+
+def test_spectrum_fibers_rows_hold_kappa_half_and_count_each_multiplicity(tmp_path, default_run):
+    # Like bands.csv, spectrum_fibers.csv writes kappa >= 0 only: a row off kappa = 0 stands
+    # for its mirror fiber too, so a group's rows count its multiplicity by the grid's copies.
+    expcli.write_artifacts(default_run, tmp_path / "d")
+    rows = np.loadtxt(tmp_path / "d" / "spectrum_fibers.csv", delimiter=",", skiprows=1,
+                      dtype=np.int64)
+    spectrum = np.loadtxt(tmp_path / "d" / "spectrum.csv", delimiter=",", skiprows=1)
+    grid = default_run.bands.grid
+    k, j = rows[:, 0], rows[:, 2]
+    assert j.min() >= grid.half_index
+    counted = np.bincount(k, weights=grid.copies(j), minlength=len(spectrum) + 1)
+    assert counted.tolist() == [0] + spectrum[:, 2].tolist()
 
 
 def test_matmodel_report_holds_the_jump_count_and_dimension(tmp_path, default_run):
@@ -380,9 +398,8 @@ def test_small_constant_mass_shifts_unperturbed_positions():
     mass = float(result.shifts.values[0])
     assert 0 < mass < 0.01
     # jump locations are exactly |E - E* + mass| for the surviving fibers
-    h = result.staircase.heights
     for k, lam in enumerate(result.spectrum.positive_values):
-        n, j, m = result.spectrum.fibers[h[k]:h[k + 1]][0]
+        n, j, m = result.spectrum.fibers[result.spectrum.starts[k]]
         v = mirrored_bands(result.bands)[n, j] - result.e_star + mass
         assert abs(lam - abs(v)) < 1e-10
 

@@ -237,6 +237,12 @@ def test_grid_validation():
         QuasiMomentumGrid(n_nodes=5, period=0.0)
 
 
+def test_grid_rejects_an_infinite_period():
+    # the nodes of an infinite period would all be zero; PotentialSpec has the same rule
+    with pytest.raises(ValueError, match="period must be positive and finite"):
+        QuasiMomentumGrid(n_nodes=3, period=float("inf"))
+
+
 def test_free_potential_has_no_open_gaps():
     grid = QuasiMomentumGrid(n_nodes=41, period=1.0)
     bands = compute_band_structure(PotentialSpec(), grid, M=8, n_bands=4)
@@ -281,19 +287,12 @@ def test_evenness_bitwise_and_independent(mathieu_bands):
 
 
 def test_fold_helpers_state_the_mirror_once():
-    # Seven nodes -pi, ..., pi: kappa = 0 is j = 3, the mirror of j is 6 - j.
+    # Seven nodes -pi, ..., pi: kappa = 0 is j = 3, and j > 3 also stands for its mirror 6 - j.
     grid = QuasiMomentumGrid(n_nodes=7, period=1.0)
     assert fold_weights(grid.half_index).tolist() == [1.0, 2.0, 2.0, 1.0]
     assert fold_weights(QuasiMomentumGrid(n_nodes=3, period=1.0).half_index).tolist() == [1.0, 1.0]
     assert grid.copies(np.arange(3, 7)).tolist() == [1, 2, 2, 2]
-    fibers = np.array([[0, 3, 1], [0, 6, 2], [1, 4, 1], [2, 3, 5]])
-    rows, whole = grid.unfold(fibers)
-    assert rows.tolist() == [0, 1, 2, 3, 1, 2]
-    assert whole.tolist() == fibers.tolist() + [[0, 0, 2], [1, 2, 1]]
-    assert fibers[1].tolist() == [0, 6, 2]  # unfold leaves its argument alone
-    assert len(whole) == grid.copies(fibers[:, 1]).sum()
-    empty = np.empty((0, 3), dtype=np.int64)
-    assert [a.shape for a in grid.unfold(empty)] == [(0,), (0, 3)]
+    assert grid.copies(np.empty(0, dtype=np.int64)).shape == (0,)
 
 
 def test_band_structure_holds_the_kappa_half_only():

@@ -11,6 +11,7 @@ from diracgap.arithmetic import (
     mass_shifts,
     sample_hecke_ensemble,
 )
+from diracgap.expcli import compute_run, parse_config
 from diracgap.floquet import QuasiMomentumGrid
 from diracgap.gapspec import (
     GROUPING_DECIMALS,
@@ -109,11 +110,31 @@ def assert_matches_the_whole_grid(got, brute):
     assert sorted(lower) == sorted((v, f) for v, f in upper if f[1] > half)
 
 
-def spectrum_tuples(spec):
-    """(values, multiplicities, groups) as tuples; group k is fibers[h[k]:h[k + 1]]."""
-    h = np.concatenate([[0], np.cumsum(spec.multiplicities)]).tolist()
-    groups = tuple(tuple(map(tuple, spec.fibers[a:b].tolist())) for a, b in zip(h, h[1:]))
+def group_rows(spec):
+    """The listed kappa >= 0 rows of each group: group k is fibers[starts[k]:starts[k + 1]]."""
+    ends = np.append(spec.starts, len(spec.fibers)).tolist()
+    return tuple(tuple(map(tuple, spec.fibers[a:b].tolist())) for a, b in zip(ends, ends[1:]))
+
+
+def spectrum_tuples(spec, grid):
+    """(values, multiplicities, groups) as tuples on the whole grid: group k is its listed
+    rows and the mirror (n, N_kappa - 1 - j, m) of each row off kappa = 0, written out here,
+    as a sorted multiset."""
+    groups = tuple(
+        tuple(sorted(rows + tuple((n, grid.n_nodes - 1 - j, m) for n, j, m in rows
+                                  if j > grid.half_index)))
+        for rows in group_rows(spec))
     return tuple(spec.positive_values.tolist()), tuple(spec.multiplicities.tolist()), groups
+
+
+def assert_spectrum_matches_brute_force(spec, grid, pairs):
+    """spec against brute_force_spectrum of the whole-grid pairs: the same values and
+    multiplicities, each group's listed rows in the oracle's order of the group's kappa >= 0
+    fibers, and each group with its mirrors written out the oracle's whole group."""
+    lams, mults, groups = brute_force_spectrum(pairs)
+    assert spectrum_tuples(spec, grid) == (lams, mults, tuple(tuple(sorted(g)) for g in groups))
+    assert group_rows(spec) == tuple(
+        tuple(f for f in g if f[1] >= grid.half_index) for g in groups)
 
 
 def test_toy_band_set():
@@ -185,24 +206,27 @@ def test_aggregate_trivial_cases():
     # the single fiber at kappa = 0 and its +-0.1
     one = GapValues(values=got.values[:1], fibers=got.fibers[:1], grid=got.grid)
     spec = aggregate_spectrum(one)
-    assert spectrum_tuples(spec) == ((0.1,), (1,), ((tuple(one.fibers[0].tolist()),),))
+    assert spectrum_tuples(spec, got.grid) == ((0.1,), (1,), (((0, 1, 1),),))
 
     # two fibers at exactly the same value group with multiplicity 2
     two = GapValues(values=np.tile(one.values, 2), fibers=np.tile(one.fibers, (2, 1)),
                     grid=got.grid)
     spec2 = aggregate_spectrum(two)
-    assert spectrum_tuples(spec2)[:2] == ((0.1,), (2,))
+    assert spectrum_tuples(spec2, got.grid)[:2] == ((0.1,), (2,))
     assert spec2.fibers.tolist() == np.tile(one.fibers, (2, 1)).tolist()
+    assert spec2.starts.tolist() == [0]
 
-    # the fiber at pi/L stands for its mirror at -pi/L as well
+    # the fiber at pi/L stands for its mirror at -pi/L as well, which is counted, not listed
     edge = aggregate_spectrum(
         GapValues(values=got.values[1:], fibers=got.fibers[1:], grid=got.grid))
-    assert spectrum_tuples(edge) == ((0.1,), (2,), (((0, 0, 1), (0, 2, 1)),))
+    assert spectrum_tuples(edge, got.grid) == ((0.1,), (2,), (((0, 0, 1), (0, 2, 1)),))
+    assert edge.fibers.tolist() == [[0, 2, 1]]
 
     empty = aggregate_spectrum(
         GapValues(values=np.empty(0), fibers=np.empty((0, 3), dtype=np.int64), grid=GRID3))
-    assert spectrum_tuples(empty) == ((), (), ())
-    assert empty.fibers.shape == (0, 3)
+    assert spectrum_tuples(empty, GRID3) == ((), (), ())
+    assert (empty.fibers.shape, empty.starts.shape) == ((0, 3), (0,))
+    assert empty.multiplicities.dtype == np.int64
 
 
 def test_aggregate_chains_at_the_tolerance_and_breaks_ties_by_fiber():
@@ -212,13 +236,15 @@ def test_aggregate_chains_at_the_tolerance_and_breaks_ties_by_fiber():
     got = GapValues(values=np.array([2e-9, 1e-9, 3.5e-9, -1e-9]), fibers=np.array(fibers),
                     grid=GRID3)
     spec = aggregate_spectrum(got)
-    assert spectrum_tuples(spec) == (
-        (1e-9, 3.5e-9), (4, 1), (((0, 0, 1), (0, 1, 1), (0, 2, 1), (0, 1, 2)), ((1, 1, 1),)))
+    assert spectrum_tuples(spec, GRID3) == (
+        (1e-9, 3.5e-9), (4, 1), (((0, 0, 1), (0, 1, 1), (0, 1, 2), (0, 2, 1)), ((1, 1, 1),)))
     assert (spec.positive_values.dtype, spec.multiplicities.dtype) == (np.float64, np.int64)
-    assert spec.fibers.shape == (5, 3)
+    # the kept rows only, sorted by rounded value, then fiber, whatever the input order
+    assert spec.fibers.tolist() == [[0, 1, 1], [0, 2, 1], [0, 1, 2], [1, 1, 1]]
+    assert spec.starts.tolist() == [0, 3]
     whole = fibers + [(0, 0, 1)]  # the mirror of (0, 2, 1), written out here
     pairs = [(s * v, f) for v, f in zip(got.values.tolist() + [1e-9], whole) for s in (1, -1)]
-    assert brute_force_spectrum(pairs) == spectrum_tuples(spec)
+    assert_spectrum_matches_brute_force(spec, GRID3, pairs)
 
 
 def test_golden_configuration_against_brute_force(default_run):
@@ -229,13 +255,27 @@ def test_golden_configuration_against_brute_force(default_run):
     )
     assert_matches_the_whole_grid(got, brute)
     assert [f for _, f in brute[::2]] == [f for _, f in brute[1::2]]
-    assert spectrum_tuples(r.spectrum) == brute_force_spectrum(brute)
+    assert_spectrum_matches_brute_force(r.spectrum, got.grid, brute)
     # frozen regression anchors for the default configuration
     assert len(got) == 432
     assert len(r.spectrum) == 118
     assert sum(r.spectrum.multiplicities) == 216
     assert r.spectrum.positive_values[0] == pytest.approx(0.472105106768, abs=1e-9)
     assert r.spectrum.positive_values[-1] == pytest.approx(622.326281748686, abs=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 19")
+def test_one_more_band_keeps_every_value_and_adds_only_above_the_old_top_band(default_run):
+    # At a fixed M, a ninth band may add values only above the old top band's upper edge
+    # minus E* (621.7985), where the 8-band set ends; every 8-band value must stay.  Compared
+    # within the eigenvalue contract, not bitwise: dsbevx's bits depend on the requested
+    # count, and E* moves by 1 ulp between the two runs.
+    old, new = default_run, compute_run(parse_config('{"n_bands": 9}'))
+    lam_old, lam_new = old.spectrum.positive_values, new.spectrum.positive_values
+    dist = np.abs(lam_old[:, None] - lam_new[None, :])
+    assert lam_old[dist.min(axis=1) > 1e-10].tolist() == []
+    added = lam_new[dist.min(axis=0) > 1e-10]
+    assert np.all(added > old.bands.uppers[-1] - old.e_star)
 
 
 def test_filtering_idempotent(default_run):
@@ -310,7 +350,7 @@ def test_array_path_matches_brute_force(problem):
     assert got.fibers.shape == (len(got.values), 3)
     assert_matches_the_whole_grid(got, brute)
     spec = aggregate_spectrum(got)
-    assert spectrum_tuples(spec) == brute_force_spectrum(brute)
+    assert_spectrum_matches_brute_force(spec, got.grid, brute)
 
 
 def python_round(x):

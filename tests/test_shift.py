@@ -16,6 +16,7 @@ from diracgap.shift import (
     stationary_scan,
     trace_response_derivative,
 )
+from diracgap.zeta import diagnostics, load_zero_table
 from oracles import trace_response
 
 
@@ -50,6 +51,20 @@ def test_staircase_validation():
         Staircase(locations=(0.1, 0.2), weights=(1,))
     with pytest.raises(ValueError):
         Staircase(locations=np.ones((1, 1)), weights=np.ones((1, 1), dtype=np.int64))
+
+
+def test_staircase_rejects_fractional_weights():
+    # a fractional weight is rejected, not cut to an integer ([1.5, 2.7] would give xi(3) = 3)
+    # a whole float past int64 (1e20) is rejected too, not overflowed by the int64 cast
+    for weights in ([1.5, 2.7], [1.0, 0.5], [1.0, np.inf], [1.0, np.nan], [1.0, 1e20]):
+        with pytest.raises(ValueError, match="jump weights must be positive integers"):
+            Staircase(locations=[1.0, 2.0], weights=weights)
+    # the public diagnostics hands its multiplicities to Staircase unconverted
+    with pytest.raises(ValueError, match="jump weights must be positive integers"):
+        diagnostics([1.0, 2.0], [1.5, 2.7], load_zero_table("embedded"), K=5, T=10.0)
+    # integral values of another dtype are kept, as int64
+    s = Staircase(locations=[1.0, 2.0], weights=[1.0, 2.0])
+    assert s.weights.dtype == np.int64 and s.heights.tolist() == [0, 1, 3]
 
 
 def test_golden_staircase_matches_cumulative_recount(default_run):

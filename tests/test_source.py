@@ -1,9 +1,10 @@
 """Checks on the library source itself, read as syntax trees."""
 
 import ast
+import json
 import re
 from collections import defaultdict
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -264,3 +265,11 @@ def test_readme_names_every_subcommand_report_field_and_check(capsys):
               if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Check"}
     named = {f.name for f in fields(TraceReport)} | checks
     assert checks and sorted(named - set(re.findall(r"`(\w+)`", readme))) == []
+
+
+def test_readme_configuration_block_is_the_default_config():
+    # README's "Configuration keys (all optional)" JSON block is ExperimentConfig's
+    # defaults, key for key, with the potential as a JSON object.
+    block = re.search(r"Configuration keys \(all optional\):\s*```json\n(.*?)```",
+                      README.read_text(), re.DOTALL).group(1)
+    assert json.loads(block) == json.loads(json.dumps(asdict(ExperimentConfig())))

@@ -292,6 +292,13 @@ def test_diagnostics_validation(default_run):
     assert short.e_step == mismatch(lam[:3], [1] * 3, zeros, 10.0)
 
 
+def test_staircase_mismatch_rejects_an_infinite_window():
+    # the mean over [-T, T] of an infinite window is NaN; ExperimentConfig rejects it too
+    zero = zero_staircase(load_zero_table("embedded"))
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        staircase_mismatch(zero, zero, T=float("inf"))
+
+
 def test_mae_recomputable(default_run):
     d = default_run.diagnostics
     assert d.K == ExperimentConfig().K
