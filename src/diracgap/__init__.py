@@ -4,9 +4,9 @@ Submodules follow the pipeline order: `floquet` (band structure of the even
 periodic background), `arithmetic` (primes, deterministic synthetic Hecke
 ensembles, mass shifts), `gapspec` (gap-eigenvalue enumeration), `shift`
 (spectral-shift staircases and scans), `tracekit` (trace-formula
-cross-checks), `matmodel` (the spectral shift's jumps in the chiral gap
-against the gap filter), `zeta` (zero-ordinate alignment diagnostics), and
-`expcli` (configuration, orchestration, artifacts, CLI).
+cross-checks), `zeta` (zero-ordinate alignment diagnostics), and `expcli`
+(configuration, orchestration, artifacts, CLI).  `matmodel` holds only the
+docstring of the block matrix models.
 """
 
 from .expcli import VERSION as __version__  # noqa: F401

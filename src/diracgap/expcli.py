@@ -9,14 +9,14 @@ even potential, G: monotone window).  The trace's t grid (tracekit.t_grid) is
 checked there at v_max = 0 and derived by compute_run from the exact v_max.
 
 A run executes the five pipeline steps (bands, ensemble, mass shifts, gap
-filter, staircase), then the trace-formula cross-check, the matrix-model
-verification, and the zero-alignment diagnostics, and finally writes the
-artifact set with a manifest of content hashes.  Each consistency check is
-one Check record, a value against a budget; run, verify and each suite row
-print one line per record, and diagnostics.json holds them all.  Reruns
-of the same configuration are byte-identical; no timestamps or environment
-state enter any output.  Writers build each file's whole text; _emit alone
-writes every output file of every subcommand, removing what it wrote if one fails.
+filter, staircase), then the trace-formula cross-check and the zero-alignment
+diagnostics, and finally writes the artifact set with a manifest of content
+hashes.  Each consistency check is one Check record, a value against a
+budget; run, verify and each suite row print one line per record, and
+diagnostics.json holds them all.  Reruns of the same configuration are
+byte-identical; no timestamps or environment state enter any output.
+Writers build each file's whole text; _emit alone writes every output file
+of every subcommand, removing what it wrote if one fails.
 
 CLI subcommands: bands, run, suite, verify.  Each prints one `error:`
 line and exits 2 on a rejected configuration, 1 on any other failure.
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arithmetic, gapspec, matmodel, tracekit, zeta
+from . import arithmetic, gapspec, tracekit, zeta
 from .floquet import (
     GAP_TOLERANCE,
     BandStructure,
@@ -241,7 +241,6 @@ class RunResult:
     spectrum: gapspec.GapSpectrum
     staircase: Staircase
     trace: tracekit.TraceReport
-    gap_jumps: matmodel.GapJumpReport
     model_dimension: int
     zeros: zeta.ZeroTable
     affine: zeta.AffineMap
@@ -287,17 +286,14 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
     phi = TestFunction(alpha=cfg.alpha)
     trace = tracekit.compare_trace_representations(bands, e_star, shifts, phi, K, h)
 
-    gap_jumps = matmodel.chiral_gap_jumps(bands, e_star, shifts, band_set, gap_values)
-
     zeros = zeta.load_zero_table()
     diag = zeta.diagnostics(staircase.locations, staircase.weights, zeros, cfg.K, cfg.T)
     scan = stationary_scan(staircase, phi, _scan_grid(staircase, cfg.alpha))
 
-    checks = _consistency_checks(cfg, bands, trace, gap_jumps, diag)
+    checks = _consistency_checks(cfg, bands, trace, diag)
     return RunResult(
         config=cfg, bands=bands, e_star=e_star, ensemble=ensemble, shifts=shifts,
         gap_values=gap_values, spectrum=spectrum, staircase=staircase, trace=trace,
-        gap_jumps=gap_jumps,
         model_dimension=2 * bands.n_bands * bands.grid.n_nodes * len(shifts), zeros=zeros,
         affine=diag.affine, diagnostics=diag, scan=scan, checks=checks,
     )
@@ -310,7 +306,7 @@ def _band_truncation_check(bands: BandStructure) -> Check:
         f"max_n |E_n(M) - E_n(2M)| at kappa = 0, a middle node, pi/L, M={bands.truncation}")
 
 
-def _consistency_checks(cfg, bands, trace, gap_jumps, diag) -> tuple[Check, ...]:
+def _consistency_checks(cfg, bands, trace, diag) -> tuple[Check, ...]:
     # A trace far below the quadrature noise floor (eps-scale of the integrand's L1 mass)
     # cannot be resolved relatively: agreement at the floor is the criterion there.
     noise_floor = 1e-12 * trace.l1_mass
@@ -320,9 +316,6 @@ def _consistency_checks(cfg, bands, trace, gap_jumps, diag) -> tuple[Check, ...]
               max(TRACE_REL_GAP * max(abs(trace.theta_fiber), np.finfo(float).tiny), noise_floor),
               f"|theta_fiber - theta_separated|; budget max({TRACE_REL_GAP} |theta_fiber|, "
               "1e-12 l1_mass)"),
-        Check("krein_identity", gap_jumps.differing, 0,
-              f"jumps of xi in the chiral gap (-{gap_jumps.above:.6g}, {gap_jumps.above:.6g}) not "
-              f"equal to the kept gap values ({gap_jumps.jumps} jumps, {gap_jumps.kept} kept)"),
         _band_truncation_check(bands),
         Check("diagnostics_finite", sum(not math.isfinite(v) for v in diag_values), 0,
               "non-finite values among MAE, max_abs, E_step, a, b"),
@@ -448,10 +441,6 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
             f"{r:.17g},{k}" for r, k in zip(result.scan.roots, result.scan.kinds)
         )),
         "trace_report.json": _json(asdict(result.trace)),
-        "matmodel_report.json": _json({
-            "chiral_gap_jumps": result.gap_jumps.jumps,
-            "dimension": result.model_dimension,
-        }),
         "diagnostics.json": _json({
             "K": d.K,
             "a": d.affine.a,

@@ -155,16 +155,19 @@ def staircase_mismatch(model: Staircase, zero: Staircase, T: float) -> float:
     """Exact (1/2T) integral of |xi_model - xi_zero| over [-T, T].
 
     The integrand is exactly even, so this is (1/T) times the integral over
-    [0, T], summed left to right over the breakpoint intervals.
+    [0, T], summed left to right over the breakpoint intervals.  For T >= 1
+    the widths are scaled by 2^-e, T = f 2^e with f in [0.5, 1), so the sum
+    cannot overflow; scaling by a power of 2 is exact, so no bit changes.
     """
     if not (T > 0.0 and math.isfinite(T)):
         raise ValueError(f"T must be positive and finite, got {T}")
+    e = max(math.frexp(T)[1], 0)
     jumps = np.concatenate([model.locations, zero.locations])
     points = np.unique(np.concatenate([[0.0, T], jumps[jumps < T]]))
-    widths = np.diff(points)
+    widths = np.diff(points) * math.ldexp(1.0, -e)
     mid = 0.5 * (points[:-1] + points[1:])
     # cumsum adds strictly left to right, as the interval-by-interval sweep did.
-    return float(np.cumsum(widths * np.abs(model(mid) - zero(mid)))[-1]) / T
+    return float(np.cumsum(widths * np.abs(model(mid) - zero(mid)))[-1]) / math.ldexp(T, -e)
 
 
 def diagnostics(lambdas, multiplicities, zeros: ZeroTable, K: int, T: float) -> DiagnosticsReport:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracgap import arithmetic, expcli, floquet, tracekit
+from diracgap import arithmetic, expcli, floquet, tracekit, zeta
 from diracgap.arithmetic import generate_primes, sample_hecke_ensemble
 from diracgap.expcli import (
     ValidationError,
@@ -35,7 +35,7 @@ from oracles import mirrored_bands
 REDUCED = '{"M": 8, "N_kappa": 41, "n_bands": 4, "N_P": 5, "N_H": 5, "K": 5, "T": 40.0}'
 ARTIFACTS = (
     "bands.csv", "gaps.csv", "massshifts.csv", "spectrum.csv", "spectrum_fibers.csv",
-    "stationary.csv", "trace_report.json", "matmodel_report.json", "diagnostics.json",
+    "stationary.csv", "trace_report.json", "diagnostics.json",
     "staircase.svg", "manifest.json",
 )
 
@@ -172,12 +172,11 @@ def test_manifest_config_regenerates_the_ensemble_bitwise(tmp_path, doc):
 
 
 def test_counts_keep_their_whole_grid_meaning(default_run):
-    # The bands, gap values and jump lists hold kappa >= 0 only; every count still counts
+    # The bands and gap values hold kappa >= 0 only; every count still counts
     # the whole kappa grid.  The numbers are those of the run that stored both halves.
     r = default_run
     assert len(r.gap_values) == 432
     assert r.model_dimension == 2 * 8 * 201 * 20 == 64320
-    assert (r.gap_jumps.jumps, r.gap_jumps.kept, r.gap_jumps.differing) == (192, 192, 0)
     assert r.spectrum.multiplicities.tolist() == [2] * 98 + [1] * 20
     # the spectrum lists its kappa >= 0 fibers only; each (n, j, m) off kappa = 0 also stands
     # for its mirror (n, N_kappa - 1 - j, m), and that rule rebuilds the whole grid's 216, once
@@ -202,15 +201,6 @@ def test_spectrum_fibers_rows_hold_kappa_half_and_count_each_multiplicity(tmp_pa
     assert j.min() >= grid.half_index
     counted = np.bincount(k, weights=grid.copies(j), minlength=len(spectrum) + 1)
     assert counted.tolist() == [0] + spectrum[:, 2].tolist()
-
-
-def test_matmodel_report_holds_the_jump_count_and_dimension(tmp_path, default_run):
-    # The default run's values, bitwise (JSON floats round-trip exactly).
-    expcli.write_artifacts(default_run, tmp_path / "d")
-    assert json.loads((tmp_path / "d" / "matmodel_report.json").read_text()) == {
-        "chiral_gap_jumps": 192,
-        "dimension": 64320,
-    }
 
 
 def test_compute_run_evaluates_each_eta_row_once(monkeypatch):
@@ -247,11 +237,11 @@ def fail_write_midway(monkeypatch, name):
 
 
 def test_failed_run_removes_partial_artifacts(tmp_path, reduced_run, monkeypatch):
-    present = fail_write_midway(monkeypatch, "staircase.svg")  # the 10th file, after nine
+    present = fail_write_midway(monkeypatch, "staircase.svg")  # the 9th file, after eight
     out = tmp_path / "broken"
     with pytest.raises(OSError, match="disk full"):
         expcli.write_artifacts(reduced_run, out)
-    assert present == sorted(ARTIFACTS[:10])
+    assert present == sorted(ARTIFACTS[:9])
     assert list(out.iterdir()) == []
 
 
@@ -264,7 +254,7 @@ def test_writer_failing_midway_leaves_no_partial_file(tmp_path, reduced_run, mon
 
 
 def test_failing_manifest_leaves_no_file(tmp_path, reduced_run, monkeypatch):
-    present = fail_write_midway(monkeypatch, "manifest.json")  # written last, after ten
+    present = fail_write_midway(monkeypatch, "manifest.json")  # written last, after nine
     out = tmp_path / "broken"
     with pytest.raises(OSError, match="disk full"):
         expcli.write_artifacts(reduced_run, out)
@@ -382,7 +372,6 @@ def test_zero_mass_run_degrades_gracefully(tmp_path):
     )
     result = compute_run(cfg)
     assert len(result.spectrum) == 0  # mass ~ 2^-51 stays inside the margin
-    assert (result.gap_jumps.jumps, result.gap_jumps.differing) == (0, 0)
     assert "insufficient-spectrum" in result.diagnostics.flags
     assert result.all_checks_pass
     expcli.write_artifacts(result, tmp_path / "zm")
@@ -463,7 +452,7 @@ def test_cli_verify(tmp_path, capsys):
     cfg_path.write_text(REDUCED)
     assert main(["verify", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 4  # every check of an iid_uniform run
+    assert out.count("PASS") == 3  # every check of an iid_uniform run
     assert "FAIL" not in out
 
 
@@ -493,7 +482,7 @@ def test_cli_bad_inputs(tmp_path, capsys):
 
 def test_checks_cover_spec_contract(reduced_run):
     assert [c.name for c in reduced_run.checks] == [
-        "trace_agreement", "krein_identity", "band_truncation", "diagnostics_finite",
+        "trace_agreement", "band_truncation", "diagnostics_finite",
     ]
 
 
@@ -542,7 +531,7 @@ def test_run_and_suite_report_every_run(tmp_path, capsys, doc, code):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == code
     out = capsys.readouterr().out.splitlines()
     assert ("FAIL band_truncation" in [ln.split(":")[0] for ln in out]) == bool(code)
-    assert out[-1] == f"wrote 11 artifacts to {tmp_path / 'r'}"
+    assert out[-1] == f"wrote 10 artifacts to {tmp_path / 'r'}"
     assert main(["suite", "--config", str(cfg_path), "--axis", "seed", "--values", "1,2",
                  "--out", str(tmp_path / "s")]) == code
     out = capsys.readouterr().out.splitlines()
@@ -550,7 +539,7 @@ def test_run_and_suite_report_every_run(tmp_path, capsys, doc, code):
     for seed in (1, 2):
         prefix = f"seed={seed}: "
         lines = [ln.removeprefix(prefix) for ln in out if ln.startswith(prefix)]
-        assert len([ln for ln in lines if ln.startswith(("PASS", "FAIL"))]) == 4
+        assert len([ln for ln in lines if ln.startswith(("PASS", "FAIL"))]) == 3
         assert ("FAIL band_truncation" in [ln.split(":")[0] for ln in lines]) == bool(code)
         run = compute_run(replace(parse_config(doc), seed=seed))
         assert [ln for ln in lines if ln.startswith("WARN")] == [
@@ -955,3 +944,16 @@ def test_python_dash_m_runs_without_runpy_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "PASS trace_agreement" in proc.stdout
+
+
+def test_verify_passes_a_window_whose_mismatch_sum_would_overflow(tmp_path, capsys, default_run):
+    # Every warning is an error here, so an overflow in E_step's sum would fail the run.
+    # Past the last jump the integrand is |216 - 100|: the model's total weight less the
+    # table's 100 zeros, and that is E_step when T is large.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"T": 1e307}')
+    assert main(["verify", "--config", str(cfg_path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    d = default_run.diagnostics
+    assert zeta.staircase_mismatch(d.model, d.zero, 1e307) == 116.0
+    assert zeta.staircase_mismatch(d.model, d.zero, 5e-324) == 0.0  # no scale below T = 1

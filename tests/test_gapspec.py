@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from diracgap.arithmetic import (
     mass_shifts,
     sample_hecke_ensemble,
 )
+from diracgap import gapspec
 from diracgap.expcli import compute_run, parse_config
 from diracgap.floquet import QuasiMomentumGrid
 from diracgap.gapspec import (
@@ -262,6 +265,21 @@ def test_golden_configuration_against_brute_force(default_run):
     assert sum(r.spectrum.multiplicities) == 216
     assert r.spectrum.positive_values[0] == pytest.approx(0.472105106768, abs=1e-9)
     assert r.spectrum.positive_values[-1] == pytest.approx(622.326281748686, abs=1e-6)
+
+
+def test_any_inside_prefilter_loses_values_the_brute_force_keeps(default_run):
+    # Drop every row with one end inside a band, not only rows inside one band: rows
+    # whose masses carry them across a gap then lose the values that land in it.
+    source = inspect.getsource(gapspec.fiber_gap_eigenvalues)
+    kept_rows = "~(inside.all(axis=0) & (idx[0] == idx[1]))"
+    assert source.count(kept_rows) == 1
+    namespace = dict(vars(gapspec))
+    exec(source.replace(kept_rows, "~inside.any(axis=0)"), namespace)
+    r = default_run
+    band_set = dirac_band_set(r.bands, r.e_star)
+    got = namespace["fiber_gap_eigenvalues"](r.bands, r.e_star, r.shifts, band_set)
+    brute = brute_force_gap_values(r.bands, r.e_star, r.shifts, intervals(band_set))
+    assert (len(got), len(brute)) == (280, 432)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 19")

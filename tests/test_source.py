@@ -168,6 +168,18 @@ def test_only_floquet_starts_threads():
     assert imports == ["floquet:threading"]
 
 
+def test_no_module_reads_the_environment():
+    # A run depends on its configuration alone: no module reads os.environ,
+    # os.environb or os.getenv, as an attribute or imported from os.
+    names = {"environ", "environb", "getenv"}
+    reads = sorted(f"{path.stem}:{node.lineno}" for path in SOURCES
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute) and node.attr in names
+                   or isinstance(node, ast.ImportFrom) and node.module == "os"
+                   and names & {alias.name for alias in node.names})
+    assert reads == []
+
+
 # The BLAS entry points of numpy: OpenBLAS splits long dot and matrix products
 # across its threads, so their last bits depend on the thread count.
 BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}
