@@ -189,6 +189,43 @@ def test_toy_fiber_emission():
     assert fiber_tuples(got) == [(0, 1, 1), (0, 2, 1)]
 
 
+def test_two_band_hand_example_keeps_the_chiral_gap_value_and_the_one_above():
+    # The shift 0.25 moves fiber (0, 4) at kappa = pi from the edge -0.5 to -0.25,
+    # inside the chiral gap, and its mirror (0, 0) at -pi with it; 1.5 + 0.25 leaves
+    # the band set too, but above the top band.
+    shifts = one_row_shifts([0.0, 0.25])
+    got = fiber_gap_eigenvalues(TOY, 1.5, shifts, dirac_band_set(TOY, 1.5))
+    assert got.values.tolist() == [-0.25, 1.75]
+    assert got.fibers.tolist() == [[0, 4, 2], [1, 4, 2]]
+    brute = brute_force_gap_values(TOY, 1.5, shifts, intervals(TOY_SET))
+    assert_matches_the_whole_grid(got, brute)
+
+
+def test_zero_mass_keeps_no_value_on_the_default_bands(default_run):
+    # With every m = 0 each v = E_n(kappa) - E* lies in band n's own interval.
+    r = default_run
+    shifts = one_row_shifts(np.zeros(4))
+    band_set = dirac_band_set(r.bands, r.e_star)
+    assert len(fiber_gap_eigenvalues(r.bands, r.e_star, shifts, band_set)) == 0
+    assert brute_force_gap_values(r.bands, r.e_star, shifts, intervals(band_set)) == []
+
+
+@pytest.mark.parametrize("fault", ["drop", "ulp"])
+def test_brute_force_comparison_catches_one_wrong_kept_value(default_run, fault):
+    r = default_run
+    brute = brute_force_gap_values(
+        r.bands, r.e_star, r.shifts, intervals(dirac_band_set(r.bands, r.e_star)))
+    values, fibers = r.gap_values.values.copy(), r.gap_values.fibers
+    k = int(np.flatnonzero(np.abs(values) < 0.99)[7])  # a kept value inside the chiral gap
+    if fault == "drop":
+        values, fibers = np.delete(values, k), np.delete(fibers, k, axis=0)
+    else:
+        values[k] = np.nextafter(values[k], np.inf)
+    wrong = GapValues(values=values, fibers=fibers, grid=r.gap_values.grid)
+    with pytest.raises(AssertionError):
+        assert_matches_the_whole_grid(wrong, brute)
+
+
 def test_emission_is_lexicographic_and_symmetric(default_run):
     vals = default_run.gap_values
     fibers = fiber_tuples(vals)
