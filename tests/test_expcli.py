@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from diracgap import arithmetic, expcli, floquet, tracekit, zeta
 from diracgap.arithmetic import generate_primes, sample_hecke_ensemble
 from diracgap.expcli import (
+    StationaryScan,
     ValidationError,
     compute_run,
     config_hash,
@@ -35,8 +36,7 @@ from oracles import mirrored_bands
 REDUCED = '{"M": 8, "N_kappa": 41, "n_bands": 4, "N_P": 5, "N_H": 5, "K": 5, "T": 40.0}'
 ARTIFACTS = (
     "bands.csv", "gaps.csv", "massshifts.csv", "spectrum.csv", "spectrum_fibers.csv",
-    "stationary.csv", "trace_report.json", "diagnostics.json",
-    "staircase.svg", "manifest.json",
+    "trace_report.json", "diagnostics.json", "staircase.svg", "manifest.json",
 )
 
 
@@ -113,8 +113,11 @@ def test_config_round_trip():
 def test_run_experiment_writes_full_artifact_set(tmp_path, reduced_run):
     arts = expcli.write_artifacts(reduced_run, tmp_path / "run")
     assert list(arts.paths) == list(ARTIFACTS)  # written in this order, manifest last
-    for name in ARTIFACTS:
-        assert (tmp_path / "run" / name).is_file()
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(ARTIFACTS)
+    assert not (tmp_path / "run" / "stationary.csv").exists()  # the scan is retired
+    assert reduced_run.scan == StationaryScan() == StationaryScan(roots=(), warnings=())
+    diag = json.loads((tmp_path / "run" / "diagnostics.json").read_text())
+    assert sorted(diag) == ["E_step", "K", "MAE", "T", "a", "b", "checks", "flags", "max_abs"]
     spectrum_csv = (tmp_path / "run" / "spectrum.csv").read_text().splitlines()
     assert spectrum_csv[0] == "k,lambda_k,multiplicity"
     assert len(spectrum_csv) > 1  # nonempty spectrum
@@ -237,11 +240,11 @@ def fail_write_midway(monkeypatch, name):
 
 
 def test_failed_run_removes_partial_artifacts(tmp_path, reduced_run, monkeypatch):
-    present = fail_write_midway(monkeypatch, "staircase.svg")  # the 9th file, after eight
+    present = fail_write_midway(monkeypatch, "staircase.svg")  # the 8th file, after seven
     out = tmp_path / "broken"
     with pytest.raises(OSError, match="disk full"):
         expcli.write_artifacts(reduced_run, out)
-    assert present == sorted(ARTIFACTS[:9])
+    assert present == sorted(ARTIFACTS[:8])
     assert list(out.iterdir()) == []
 
 
@@ -254,7 +257,7 @@ def test_writer_failing_midway_leaves_no_partial_file(tmp_path, reduced_run, mon
 
 
 def test_failing_manifest_leaves_no_file(tmp_path, reduced_run, monkeypatch):
-    present = fail_write_midway(monkeypatch, "manifest.json")  # written last, after nine
+    present = fail_write_midway(monkeypatch, "manifest.json")  # written last, after eight
     out = tmp_path / "broken"
     with pytest.raises(OSError, match="disk full"):
         expcli.write_artifacts(reduced_run, out)
@@ -418,7 +421,7 @@ def test_svg_deterministic(reduced_run):
 
 def test_a_run_builds_three_staircases(tmp_path, monkeypatch):
     # The run's staircase, then the mapped model and zero staircases of the
-    # diagnostics; the scan, E_step and the SVG reuse them instead of rebuilding.
+    # diagnostics; E_step and the SVG reuse them instead of rebuilding.
     built = []
     post_init = Staircase.__post_init__
     monkeypatch.setattr(Staircase, "__post_init__", lambda s: built.append(s) or post_init(s))
@@ -486,6 +489,39 @@ def test_checks_cover_spec_contract(reduced_run):
     ]
 
 
+# In constant_one mode euler_gap is the rounding of the phase t m, which grows with the
+# window's t_max: here it is 1.3e-12 at t_max = 1754, and a run without a fault passes.
+EULER_LONG_WINDOW = '{"mode": "constant_one", "N_P": 1000, "epsilon": 0.01, "alpha": 0.006}'
+
+
+def test_euler_budget_passes_a_long_window_without_a_fault(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(EULER_LONG_WINDOW)
+    assert main(["verify", "--config", str(cfg_path)]) == 0
+    check = compute_run(parse_config(EULER_LONG_WINDOW)).checks[-1]
+    assert check.name == "euler_factorization_exact" and 1e-12 < check.value
+    assert 2 * check.value <= check.budget < 4 * check.value  # a margin, and not a loose one
+    assert f"PASS euler_factorization_exact: {check.value:.4g}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc", ['{"mode": "constant_one"}', EULER_LONG_WINDOW],
+                         ids=["constant_one", "long-window"])
+def test_euler_check_fails_an_a_prod_moved_by_ten_budgets_at_one_t(monkeypatch, doc):
+    cfg = parse_config(doc)
+    budget = compute_run(cfg).checks[-1].budget
+    factors = tracekit.arithmetic_factors
+
+    def moved(*args):
+        a_joint, a_prod, *rest = factors(*args)
+        a_prod = a_prod.copy()
+        a_prod[len(a_prod) // 2] += 10.0 * budget
+        return a_joint, a_prod, *rest
+
+    monkeypatch.setattr(tracekit, "arithmetic_factors", moved)
+    assert [c.name for c in compute_run(cfg).checks if not c.passed] == [
+        "euler_factorization_exact"]
+
+
 # Two runs whose plane-wave truncation M is too small for their bands: band 15
 # moves by 1.6e-3 between M = 8 and 16, and the three-harmonic bands by 1.0e4.
 UNDERRESOLVED = [
@@ -531,19 +567,18 @@ def test_run_and_suite_report_every_run(tmp_path, capsys, doc, code):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == code
     out = capsys.readouterr().out.splitlines()
     assert ("FAIL band_truncation" in [ln.split(":")[0] for ln in out]) == bool(code)
-    assert out[-1] == f"wrote 10 artifacts to {tmp_path / 'r'}"
+    assert out[-1] == f"wrote 9 artifacts to {tmp_path / 'r'}"
+    assert [ln for ln in out if "WARN" in ln] == []  # the scan and its warnings are retired
     assert main(["suite", "--config", str(cfg_path), "--axis", "seed", "--values", "1,2",
                  "--out", str(tmp_path / "s")]) == code
     out = capsys.readouterr().out.splitlines()
     assert len((tmp_path / "s" / "suite_seed.csv").read_text().splitlines()) == 3
+    assert [ln for ln in out if "WARN" in ln] == []
     for seed in (1, 2):
         prefix = f"seed={seed}: "
         lines = [ln.removeprefix(prefix) for ln in out if ln.startswith(prefix)]
         assert len([ln for ln in lines if ln.startswith(("PASS", "FAIL"))]) == 3
         assert ("FAIL band_truncation" in [ln.split(":")[0] for ln in lines]) == bool(code)
-        run = compute_run(replace(parse_config(doc), seed=seed))
-        assert [ln for ln in lines if ln.startswith("WARN")] == [
-            f"WARN scan: {w}" for w in run.scan.warnings]
 
 
 def test_every_fiber_solve_goes_through_floquet(monkeypatch):
@@ -851,7 +886,7 @@ def cheap_configs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(doc=cheap_configs())
-# |t| > 2^19: a bisection bracket ends as two adjacent floats wider than 1e-10
+# a window of width 1000 over the bands of period 0.001
 @example(doc={"potential": {"period": 0.001, "cosine_coefficients": [-30.0]}, "M": 5,
               "N_kappa": 5, "alpha": 1000.0, "n_bands": 2})
 # the grid's edge node rounds one ulp past pi/L
@@ -886,20 +921,6 @@ def test_check_lines_match_the_diagnostics_checks(tmp_path, capsys, doc):
         assert line == (f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['value']:.4g} "
                         f"{'<=' if c['passed'] else '>'} {c['budget']:.4g} ({c['meaning']})")
     assert code == (0 if all(c["passed"] for c in checks) else 1)
-
-
-def test_scan_warnings_reach_diagnostics_and_cli(tmp_path, capsys):
-    assert main(["run", "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out.splitlines()
-    diag = json.loads((tmp_path / "diagnostics.json").read_text())
-    spacing = [w for w in diag["scan_warnings"] if "minimum jump spacing" in w]
-    assert len(spacing) == 2
-    warn_lines = [ln for ln in out if ln.startswith("WARN scan: ")]
-    assert warn_lines == [f"WARN scan: {w}" for w in diag["scan_warnings"]]
-    last_check = max(i for i, ln in enumerate(out) if ln.startswith(("PASS", "FAIL")))
-    assert min(out.index(ln) for ln in warn_lines) > last_check
-    rows = (tmp_path / "stationary.csv").read_text().splitlines()
-    assert diag["stationary_roots"] == len(rows) - 1
 
 
 def old_staircase_value(jumps, cum, x):

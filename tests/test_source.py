@@ -265,9 +265,10 @@ def test_readme_lists_the_files_run_writes(tmp_path):
     assert listed == list(write_artifacts(run, tmp_path).paths)
 
 
-def test_readme_names_every_subcommand_report_field_and_check(capsys):
+def test_readme_names_every_subcommand_report_field_and_check(capsys, tmp_path, default_run):
     # README's `diracgap <subcommand>` block lists exactly the parser's subcommands,
-    # and every trace_report.json key and every check name appears in backticks.
+    # and every trace_report.json key, diagnostics.json key and check name appears in
+    # backticks.
     readme = README.read_text()
     with pytest.raises(SystemExit):
         main(["--help"])
@@ -275,7 +276,9 @@ def test_readme_names_every_subcommand_report_field_and_check(capsys):
     assert sorted(re.findall(r"^diracgap (\w+) ", readme, re.MULTILINE)) == sorted(parsed)
     checks = {call.args[0].value for path in SOURCES for call in ast.walk(ast.parse(path.read_text()))
               if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Check"}
-    named = {f.name for f in fields(TraceReport)} | checks
+    write_artifacts(default_run, tmp_path)
+    diagnostics = set(json.loads((tmp_path / "diagnostics.json").read_text()))
+    named = {f.name for f in fields(TraceReport)} | diagnostics | checks
     assert checks and sorted(named - set(re.findall(r"`(\w+)`", readme))) == []
 
 
