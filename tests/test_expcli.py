@@ -124,6 +124,41 @@ def test_run_experiment_writes_full_artifact_set(tmp_path, reduced_run):
     assert reduced_run.all_checks_pass
 
 
+# The default run, three larger ensembles or grids (bands_wide is perfbench's workload),
+# the constant_one run (which flags insufficient-spectrum) and two cheaper windows or grids.
+RETIRED_SCAN_CONFIGS = {
+    "default": {}, "primes_1000": {"N_P": 1000}, "modes_500": {"N_H": 500},
+    "bands_wide": {"M": 64, "N_kappa": 1001, "n_bands": 16}, "constant_one": {"mode": "constant_one"},
+    "alpha_0.1": {"alpha": 0.1}, "kappa_3": {"N_kappa": 3},
+}
+
+
+@pytest.mark.parametrize("doc", RETIRED_SCAN_CONFIGS.values(), ids=RETIRED_SCAN_CONFIGS)
+def test_no_run_writes_or_prints_the_retired_scan(tmp_path, capsys, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"wrote 9 artifacts to {tmp_path / 'r'}"
+    assert [ln for ln in out if ln.startswith(("PASS", "FAIL"))] == out[:-1]  # no WARN line
+    assert sorted(p.name for p in (tmp_path / "r").iterdir()) == sorted(ARTIFACTS)
+    diag = json.loads((tmp_path / "r" / "diagnostics.json").read_text())
+    assert sorted(diag) == ["E_step", "K", "MAE", "T", "a", "b", "checks", "flags", "max_abs"]
+    assert diag["flags"] == (["insufficient-spectrum"] if doc.get("mode") == "constant_one" else [])
+
+
+def test_the_retired_scan_record_is_empty_frozen_and_not_settable(reduced_run):
+    scan = reduced_run.scan
+    assert scan == StationaryScan() and (scan.roots, scan.warnings) == ((), ())
+    assert [f.name for f in fields(StationaryScan)] == ["roots", "warnings"]
+    with pytest.raises(AttributeError):
+        scan.roots = (1.0,)
+    # compute_run passes no scan, and no caller can: the field takes no argument
+    assert [f.name for f in fields(expcli.RunResult) if not f.init] == ["scan"]
+    with pytest.raises(ValueError, match="init=False"):
+        replace(reduced_run, scan=StationaryScan(roots=(1.0,)))
+
+
 def test_manifest_hashes_and_config_echo(tmp_path, reduced_run):
     arts = expcli.write_artifacts(reduced_run, tmp_path / "m")
     manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
@@ -520,6 +555,24 @@ def test_euler_check_fails_an_a_prod_moved_by_ten_budgets_at_one_t(monkeypatch, 
     monkeypatch.setattr(tracekit, "arithmetic_factors", moved)
     assert [c.name for c in compute_run(cfg).checks if not c.passed] == [
         "euler_factorization_exact"]
+
+
+# constant_one runs over ensembles, windows and the long windows of alpha 0.004 - 0.008
+# (0.006 is EULER_LONG_WINDOW above); budget / euler_gap reads 2.3 (alpha 0.02) to 17 (N_H 2000).
+EULER_MARGIN_CONFIGS = {
+    "default": {}, "N_P_200": {"N_P": 200}, "N_P_1000": {"N_P": 1000}, "N_H_500": {"N_H": 500},
+    "N_H_2000": {"N_H": 2000}, "alpha_0.02": {"alpha": 0.02}, "alpha_0.1": {"alpha": 0.1},
+    "epsilon_0.01": {"epsilon": 0.01},
+    **{f"long-window-alpha_{a}": {"N_P": 1000, "epsilon": 0.01, "alpha": a}
+       for a in (0.004, 0.005, 0.007, 0.008)},
+}
+
+
+@pytest.mark.parametrize("doc", EULER_MARGIN_CONFIGS.values(), ids=EULER_MARGIN_CONFIGS)
+def test_euler_budget_keeps_a_twofold_margin(doc):
+    check = compute_run(parse_config(json.dumps(dict(doc, mode="constant_one")))).checks[-1]
+    assert check.name == "euler_factorization_exact" and check.passed
+    assert 0.0 < 2 * check.value <= check.budget
 
 
 # Two runs whose plane-wave truncation M is too small for their bands: band 15
