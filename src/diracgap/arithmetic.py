@@ -128,7 +128,9 @@ def mass_shifts(ensemble: HeckeEnsemble, epsilon: float) -> MassShifts:
     # Python's scalar pow per prime: NumPy's SIMD pow need not round like libm's.
     coef = np.array([p ** -(1.0 + epsilon) for p in ensemble.primes])
     terms = coef[:, None] * ensemble.samples * ensemble.samples
-    total = np.cumsum(terms, axis=0)[-1].copy()  # the rows added one after another
+    # NumPy sums pairwise only along the fast axis in memory; along any other it adds the
+    # rows one after another.  Axis 0 is the fast axis only with one mode.
+    total = terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms, axis=0)[-1]
     terms.setflags(write=False)
     total.setflags(write=False)
     return MassShifts(values=total, terms=terms)

@@ -78,6 +78,15 @@ at the default step (1.27), and A_joint and the table primes at N_H = 20
 (1.37), keep the tables.  trace_report.json counts the rows of the Taylor
 route in taylor_rows.
 
+Two temporaries outgrow the (rows, K + 1) sums they feed: the Taylor route's
+phases and moments, (rows, n_seg + D + 1, J), and theta_fiber's Gaussians,
+(nodes, N_H).  Both are built in blocks of BLOCK_ELEMENTS elements, or of one
+row or kappa node where that is more.  Each row and each node is summed alone,
+and a Taylor call's beta, mid and segment centres are the whole call's, so no
+block moves a bit; only one row of the mode axis (A_joint) can outgrow the
+budget.  Horner's evaluation and the table route stay whole, being about the
+size of the output, and so does PRIME_CHUNK's grouping, which fixes beta.
+
 Both contractions over j are np.einsum without BLAS, and so are the t
 trapezoid sum and the kappa sum of theta_fiber: OpenBLAS splits long dot and
 matrix products across its threads, so their last bits depend on the thread
@@ -118,6 +127,9 @@ H_MAX = 0.01
 # cut after TAYLOR_DEGREE, which errs by sum_{r > 26} 2^r / r! ~ 1.3e-20 per unit weight.
 TAYLOR_RHO = 2.0
 TAYLOR_DEGREE = 26
+# Elements per block of the temporaries wider than their output: the Taylor route's phases
+# and moments, (rows, n_seg + D + 1, J), and theta_fiber's Gaussians, (nodes, N_H).
+BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -145,12 +157,16 @@ def theta_fiber(phi, bands: BandStructure, e_star: float, shifts: MassShifts,
     phi may be any callable acting elementwise on arrays.  The weights are
     applied as (2 pi / L) * w_j / (N_kappa - 1) with w = fold_weights(half_index),
     so a constant integrand integrates exactly.  The bands are taken one at a
-    time, in order, which bounds the temporaries to (N_kappa // 2 + 1, N_H).
+    time, in order, and their Gaussians for blocks of kappa nodes under BLOCK_ELEMENTS;
+    each node's mean over the modes is the same in any block.
     """
     w = fold_weights(bands.grid.half_index)
     mean_over_modes = np.zeros(len(w))
+    step = max(1, BLOCK_ELEMENTS // len(shifts))
     for row in bands.bands[rows] - e_star:
-        mean_over_modes += np.asarray(phi(row[:, None] + shifts.values)).mean(axis=1)
+        for lo in range(0, len(w), step):
+            gauss = np.asarray(phi(row[lo : lo + step, None] + shifts.values))
+            mean_over_modes[lo : lo + step] += gauss.mean(axis=1)
     raw = float((mean_over_modes * w).sum())
     L = bands.potential.period
     return 2.0 * (2.0 * np.pi / L) * (raw / (bands.grid.n_nodes - 1))
@@ -211,13 +227,17 @@ def _taylor_sums(x: np.ndarray, w: np.ndarray | None, h: float, K: int,
     span = 2 * half + 1
     n_seg = -(-(K + 1) // span)
     centre = (half + span * np.arange(n_seg)) * h
-    phase = np.exp(1j * (centre[:, None] * x[:, None, :]))  # (rows, n_seg, J)
-    # Real values stored as complex: einsum then runs its same-type inner loop.
-    moments = np.empty((len(x), TAYLOR_DEGREE + 1, x.shape[1]), dtype=complex)
-    moments[:, 0] = 1.0 if w is None else w
-    for r in range(1, TAYLOR_DEGREE + 1):
-        moments[:, r] = moments[:, r - 1].real * u / r
-    m = np.einsum("icj,irj->icr", phase, moments, optimize=False)  # (rows, n_seg, D + 1)
+    m = np.empty((len(x), n_seg, TAYLOR_DEGREE + 1), dtype=complex)
+    step = max(1, BLOCK_ELEMENTS // ((n_seg + TAYLOR_DEGREE + 1) * x.shape[1]))
+    for lo in range(0, len(x), step):
+        rows = slice(lo, lo + step)
+        phase = np.exp(1j * (centre[:, None] * x[rows, None, :]))  # (rows, n_seg, J)
+        # Real values stored as complex: einsum then runs its same-type inner loop.
+        moments = np.empty((len(phase), TAYLOR_DEGREE + 1, x.shape[1]), dtype=complex)
+        moments[:, 0] = 1.0 if w is None else w
+        for r in range(1, TAYLOR_DEGREE + 1):
+            moments[:, r] = moments[:, r - 1].real * u[rows] / r
+        np.einsum("icj,irj->icr", phase, moments, out=m[rows], optimize=False)
     s = np.arange(-half, half + 1) * h
     z = 1j * beta * s
     series = np.zeros((len(x), n_seg, span), dtype=complex)
@@ -317,11 +337,31 @@ def _centred(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _series_degrees(q: np.ndarray) -> tuple[np.ndarray, float]:
     """(D, bound): D_p is the least D in 1..EULER_SERIES_DEGREE with
     ln 2 q_p^{D+1} / (1 - q_p) <= EULER_SERIES_TOLERANCE / len(q), or EULER_SERIES_DEGREE
-    where none is, and bound sums that tail bound at D_p over p."""
-    tail = math.log(2) * q ** np.arange(2, EULER_SERIES_DEGREE + 2)[:, None] / (1 - q)
+    where none is, and bound sums that tail bound at D_p over p.
+
+    The bound holds from D + 1 >= x = log(cut (1 - q) / ln 2) / log q on, so D_p is
+    g - 1 or g for g = floor(x + 1e-6) (rounding moves x by far less), and only the
+    tails at those two degrees are taken.
+    """
     cut = EULER_SERIES_TOLERANCE / max(len(q), 1)
-    degrees = np.minimum(1 + (tail > cut).sum(axis=0), EULER_SERIES_DEGREE)
-    return degrees, float(tail[degrees - 1, np.arange(len(q))].sum())
+    with np.errstate(divide="ignore"):  # q = 0: log q = -inf, so x = 0
+        x = np.log(cut * (1 - q) / math.log(2)) / np.log(q)
+    guess = np.clip(np.floor(x + 1e-6), 2, EULER_SERIES_DEGREE).astype(int)
+    order = np.argsort(guess, kind="stable")
+    q, guess = q[order], guess[order]
+    powers = np.empty((2, len(q)))  # q^g and q^(g + 1), for the tails at g - 1 and g
+    starts = np.flatnonzero(np.diff(guess, prepend=0)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(q)]):
+        # One float exponent per call, broadcast along q as in a (degree, prime) table:
+        # NumPy's SIMD pow rounds an array of exponents differently.
+        g = float(guess[lo])
+        np.power(q[lo:hi], [[g], [g + 1]], out=powers[:, lo:hi])
+    below, at_guess = math.log(2) * powers / (1 - q)
+    fits = below <= cut
+    degrees, tail = np.empty_like(guess), np.empty(len(q))
+    degrees[order] = guess - fits
+    tail[order] = np.where(fits, below, at_guess)
+    return degrees, float(tail.sum())
 
 
 def _log_series(mu: np.ndarray, y: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -368,8 +408,7 @@ def compare_trace_representations(
     """
     d = np.abs(bands.bands - e_star).min(axis=1) - np.abs(shifts.values).max(initial=0.0)
     seen = np.flatnonzero(d <= math.sqrt(UNDERFLOW_EXPONENT) * phi.alpha)
-    # The fiber sum first: its (N_kappa // 2 + 1, N_H) temporaries are freed
-    # before the phase tables are built, which keeps the peak memory down.
+    # The fiber sum first: its blocks of Gaussians are freed before the phase sums start.
     fiber = theta_fiber(phi, bands, e_star, shifts, seen)
     a_joint, a_prod, series_primes, series_bound, taylor_rows = arithmetic_factors(shifts, K, h)
     geometric, taylor_bands = _geometric_on_grid(bands, e_star, K, h, seen)

@@ -8,15 +8,18 @@ kappa >= 0 and evaluates whole t grids from phase tables.  whole_grid_sums is
 theta_fiber and sum_n G_n over the whole, freshly solved grid with weights
 1/2, 1, ..., 1, 1/2, against which the tests check the library's fold.
 theta_fiber_whole_array is the folded fiber sum from one
-(n_bands, N_kappa // 2 + 1, N_H) array; the library adds one band at a time.
-eta is the coefficient family eta_p(lambda) = p^-(1+epsilon) lambda^2, and
-mass_shifts_loop the mass shifts built one prime row at a time and added
-into a running total, where the library takes one array product and cumsum.
+(n_bands, N_kappa // 2 + 1, N_H) array; the library adds one band at a time,
+in blocks of kappa nodes.  eta is the coefficient family
+eta_p(lambda) = p^-(1+epsilon) lambda^2, and mass_shifts_loop the mass shifts
+built one prime row at a time and added into a running total, where the
+library takes one array product and one sum over the prime axis.
 local_factor is A_p at one t and local_factor_grid A_p on a whole t grid,
 straight from the samples; the library sums the primes on phase tables, on
 local Taylor moments or on the cumulant series.  log_series is that series
 with one degree for every prime, one prime per row; the library cuts each
 prime where its own tail bound ends and sums the rows' coefficients.
+series_degrees_table finds those degrees from the whole (degree, prime) table
+of tail bounds; the library takes each prime's tail at two degrees only.
 phase_sums is every phase sum of the trace from its full exp table, summed
 in order; the library sums them on two-level tables or on local Taylor
 moments.  build_fiber_matrix
@@ -27,6 +30,8 @@ F(t) over every jump, where the library's F' sums only the jumps near |t|,
 and two_half_mismatch sweeps both halves of [-T, T], where the library sweeps
 one.
 """
+
+import math
 
 import numpy as np
 
@@ -150,6 +155,14 @@ def log_series(eta: np.ndarray, degree: int) -> np.ndarray:
     c = ell[:, 1:] * np.array([1, 1j, -1, -1j])[np.arange(1, degree + 1) % 4]
     c[:, 0] += 1j * mu
     return c
+
+
+def series_degrees_table(q: np.ndarray, cut: float, top: int) -> tuple[np.ndarray, float]:
+    """(D, bound): D_p = 1 + the number of D in 1..top whose tail bound
+    ln 2 q_p^{D+1} / (1 - q_p) exceeds cut, at most top, and the bounds at D_p summed."""
+    tail = math.log(2) * q ** np.arange(2, top + 2)[:, None] / (1 - q)
+    degrees = np.minimum(1 + (tail > cut).sum(axis=0), top)
+    return degrees, float(tail[degrees - 1, np.arange(len(q))].sum())
 
 
 def phase_sums(x, w, h: float, K: int) -> np.ndarray:

@@ -221,7 +221,8 @@ def test_local_factor_symmetries():
 
 
 @pytest.mark.parametrize("n_p, n_h, seed", [
-    (1000, 20, 3), (1000, 20, 12345), (20, 500, 12345), (300, 300, 12345),
+    (1000, 20, 3), (1000, 20, 12345), (20, 500, 12345), (300, 300, 12345), (1000, 500, 3),
+    (1000, 1, 3),  # one mode: the prime axis is the fast one, where np.sum goes pairwise
 ])
 def test_mass_shifts_match_the_row_loop_bitwise(n_p, n_h, seed):
     ensemble = sample_hecke_ensemble(generate_primes(n_p), n_h, seed)

@@ -3,6 +3,7 @@ import os
 from dataclasses import replace
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import one_row_shifts, toy_band_structure, trace_grid
 from oracles import (eta, geometric_factor, local_factor, local_factor_grid, log_series,
-                     mirrored_bands, phase_sums, sample_row, theta_fiber_whole_array,
-                     whole_grid_sums)
+                     mirrored_bands, phase_sums, sample_row, series_degrees_table,
+                     theta_fiber_whole_array, whole_grid_sums)
 from diracgap.arithmetic import (
     MODES,
     HeckeEnsemble,
@@ -489,7 +490,10 @@ def test_per_prime_series_gives_the_a_prod_of_the_degree_30_series(n_p, n_h, see
 @settings(max_examples=60, deadline=None)
 @given(q=st.lists(st.floats(0.0, tracekit.EULER_SERIES_RATIO), min_size=1, max_size=60))
 @example(q=[0.0])
+@example(q=[0.2])
 @example(q=[tracekit.EULER_SERIES_RATIO] * 3)
+@example(q=[1.0924144669714166e-12])  # ln 2 q^2 / (1 - q) is 2^-80, the cut, exactly
+@example(q=np.geomspace(1e-12, tracekit.EULER_SERIES_RATIO, 1000).tolist())
 def test_each_series_prime_takes_the_least_degree_whose_tail_is_within_its_share(q):
     degrees, bound = tracekit._series_degrees(np.array(q))
     cut = tracekit.EULER_SERIES_TOLERANCE / len(q)
@@ -505,6 +509,23 @@ def test_each_series_prime_takes_the_least_degree_whose_tail_is_within_its_share
     assert bound == pytest.approx(math.fsum(map(tail, q, degrees.tolist())), rel=1e-12, abs=0.0)
     # at most the bound of the fixed degree-30 cut, plus the tolerance the cuts share
     assert bound <= math.fsum(tail(q_p, top) for q_p in q) + tracekit.EULER_SERIES_TOLERANCE
+
+
+@pytest.mark.parametrize("config", [
+    '{"N_P": 1000, "seed": 3}', '{"N_P": 1000, "epsilon": 0.01, "alpha": 0.02}', "{}",
+    '{"N_H": 500}',
+])
+def test_series_degrees_keep_the_bits_of_the_whole_degree_table(config):
+    # The degrees and euler_series_bound that the degree-by-degree table gave, bit for bit.
+    r = expcli.compute_run(expcli.parse_config(config))
+    K, h = trace_grid(r.bands, r.e_star, r.shifts, r.config.alpha)
+    q = K * h * np.abs(tracekit._centred(r.shifts.terms)[1]).max(axis=1) / tracekit.EULER_SERIES_S0
+    q = q[q <= tracekit.EULER_SERIES_RATIO]
+    degrees, bound = tracekit._series_degrees(q)
+    want = series_degrees_table(q, tracekit.EULER_SERIES_TOLERANCE / len(q),
+                                tracekit.EULER_SERIES_DEGREE)
+    assert degrees.tolist() == want[0].tolist()
+    assert bound.hex() == want[1].hex() == r.trace.euler_series_bound.hex()
 
 
 def test_primes_1000_does_a_third_of_the_fixed_degree_series_work(monkeypatch):
@@ -670,3 +691,38 @@ def test_fiber_sum_keeps_a_band_whose_gaussians_are_subnormal_and_drops_one_that
     assert summed == [[1]]
     assert r.theta_fiber > 0.0
     assert r.theta_fiber == every_band(phi, bands, 0.0, one_row_shifts([0.0]))
+
+
+@pytest.mark.parametrize("config", [
+    "{}", '{"N_H": 500}', '{"N_H": 2000}', '{"alpha": 0.02}', '{"N_H": 500, "alpha": 0.02}',
+])
+def test_blocks_change_no_bit_of_the_trace_report(config, monkeypatch):
+    # A budget of 1 makes every row and kappa node its own block, 2**62 makes one block
+    # of everything.  Both alpha = 0.02 runs send every prime to the tables in two
+    # PRIME_CHUNK calls, on the Taylor route at N_H = 500, each with its own beta.
+    cfg = expcli.parse_config(config)
+    report = expcli.compute_run(cfg).trace
+    for budget in (1, 2**62):
+        monkeypatch.setattr(tracekit, "BLOCK_ELEMENTS", budget)
+        assert expcli.compute_run(cfg).trace == report
+
+
+def heap_peak(work) -> int:
+    """Bytes of the largest traced heap while work() runs."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_temporaries_stay_under_the_block_budget():
+    # Whole-array temporaries peaked at 9.5 MiB here and at 3.42 MiB for the N_H = 500 run.
+    r = expcli.compute_run(expcli.parse_config('{"N_H": 2000, "seed": 3}'))
+    K, h = trace_grid(r.bands, r.e_star, r.shifts, r.config.alpha)
+    phi = TestFunction(alpha=r.config.alpha)
+    assert heap_peak(lambda: compare_trace_representations(
+        r.bands, r.e_star, r.shifts, phi, K, h)) <= 4 * 2**20
+    cfg = expcli.parse_config('{"N_H": 500, "seed": 3}')
+    assert heap_peak(lambda: expcli.compute_run(cfg)) <= 2.5 * 2**20
