@@ -289,7 +289,7 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
     zeros = zeta.load_zero_table()
     diag = zeta.diagnostics(staircase.locations, staircase.weights, zeros, cfg.K, cfg.T)
 
-    checks = _consistency_checks(cfg, bands, shifts, trace, diag)
+    checks = _consistency_checks(cfg, bands, shifts, trace)
     return RunResult(
         config=cfg, bands=bands, e_star=e_star, ensemble=ensemble, shifts=shifts,
         gap_values=gap_values, spectrum=spectrum, staircase=staircase, trace=trace,
@@ -315,19 +315,16 @@ def _euler_budget(trace: tracekit.TraceReport, shifts: arithmetic.MassShifts) ->
     return float(np.finfo(float).eps) * (4.0 * (trace.t_max + trace.h_t) * m + len(shifts) + 6)
 
 
-def _consistency_checks(cfg, bands, shifts, trace, diag) -> tuple[Check, ...]:
+def _consistency_checks(cfg, bands, shifts, trace) -> tuple[Check, ...]:
     # A trace far below the quadrature noise floor (eps-scale of the integrand's L1 mass)
     # cannot be resolved relatively: agreement at the floor is the criterion there.
     noise_floor = 1e-12 * trace.l1_mass
-    diag_values = (diag.mae, diag.max_abs, diag.e_step, diag.affine.a, diag.affine.b)
     checks = [
         Check("trace_agreement", trace.abs_gap,
               max(TRACE_REL_GAP * max(abs(trace.theta_fiber), np.finfo(float).tiny), noise_floor),
               f"|theta_fiber - theta_separated|; budget max({TRACE_REL_GAP} |theta_fiber|, "
               "1e-12 l1_mass)"),
         _band_truncation_check(bands),
-        Check("diagnostics_finite", sum(not math.isfinite(v) for v in diag_values), 0,
-              "non-finite values among MAE, max_abs, E_step, a, b"),
     ]
     if cfg.mode == "constant_one":
         checks.append(Check("euler_factorization_exact", trace.euler_gap,

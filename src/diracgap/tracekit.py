@@ -34,9 +34,10 @@ where e^{s0} - 1 - s0 = 1/2, |log mean_m e^{z y}| <= ln 2, so by Cauchy the log
 series of A_p (its cumulants) cut after degree D errs by at most
 ln 2 q^{D+1} / (1 - q) on |t| <= T, with q = T beta_p / s0.  The n primes with
 q <= 0.2 (euler_series_primes) take that series, each cut at the least
-D_p <= 30 whose bound is within 2^-80 / n, or at 30 where none is;
-euler_series_bound sums the bounds at D_p, at most 2^-80 above the bound of a
-common cut at 30.  On N_P = 1000 the median series prime stops at degree 7.
+D_p <= 30 whose bound is within 2^-80 / n, or at 30 where none is, as read
+off one (degree, prime) table of the bounds; euler_series_bound sums the
+bounds at D_p, at most 2^-80 above the bound of a common cut at 30.  On
+N_P = 1000 the median series prime stops at degree 7.
 Their coefficients are summed, one polynomial is evaluated on the grid and
 exponentiated.  The few with large phases take the phase tables.
 
@@ -335,33 +336,14 @@ def _centred(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _series_degrees(q: np.ndarray) -> tuple[np.ndarray, float]:
-    """(D, bound): D_p is the least D in 1..EULER_SERIES_DEGREE with
-    ln 2 q_p^{D+1} / (1 - q_p) <= EULER_SERIES_TOLERANCE / len(q), or EULER_SERIES_DEGREE
-    where none is, and bound sums that tail bound at D_p over p.
-
-    The bound holds from D + 1 >= x = log(cut (1 - q) / ln 2) / log q on, so D_p is
-    g - 1 or g for g = floor(x + 1e-6) (rounding moves x by far less), and only the
-    tails at those two degrees are taken.
-    """
+    """(D, bound) from one (degree, prime) table of the tail bounds ln 2 q_p^{D+1} / (1 - q_p),
+    D = 1..EULER_SERIES_DEGREE: D_p is the least D whose bound is within
+    EULER_SERIES_TOLERANCE / len(q), or EULER_SERIES_DEGREE where none is (the bounds fall
+    with D), and bound sums the bounds at D_p over p."""
+    tail = math.log(2) * q ** np.arange(2, EULER_SERIES_DEGREE + 2)[:, None] / (1 - q)
     cut = EULER_SERIES_TOLERANCE / max(len(q), 1)
-    with np.errstate(divide="ignore"):  # q = 0: log q = -inf, so x = 0
-        x = np.log(cut * (1 - q) / math.log(2)) / np.log(q)
-    guess = np.clip(np.floor(x + 1e-6), 2, EULER_SERIES_DEGREE).astype(int)
-    order = np.argsort(guess, kind="stable")
-    q, guess = q[order], guess[order]
-    powers = np.empty((2, len(q)))  # q^g and q^(g + 1), for the tails at g - 1 and g
-    starts = np.flatnonzero(np.diff(guess, prepend=0)).tolist()
-    for lo, hi in zip(starts, starts[1:] + [len(q)]):
-        # One float exponent per call, broadcast along q as in a (degree, prime) table:
-        # NumPy's SIMD pow rounds an array of exponents differently.
-        g = float(guess[lo])
-        np.power(q[lo:hi], [[g], [g + 1]], out=powers[:, lo:hi])
-    below, at_guess = math.log(2) * powers / (1 - q)
-    fits = below <= cut
-    degrees, tail = np.empty_like(guess), np.empty(len(q))
-    degrees[order] = guess - fits
-    tail[order] = np.where(fits, below, at_guess)
-    return degrees, float(tail.sum())
+    degrees = np.minimum(1 + (tail > cut).sum(axis=0), EULER_SERIES_DEGREE)
+    return degrees, float(tail[degrees - 1, np.arange(len(q))].sum())
 
 
 def _log_series(mu: np.ndarray, y: np.ndarray, degrees: np.ndarray) -> np.ndarray:

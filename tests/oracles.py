@@ -17,9 +17,8 @@ local_factor is A_p at one t and local_factor_grid A_p on a whole t grid,
 straight from the samples; the library sums the primes on phase tables, on
 local Taylor moments or on the cumulant series.  log_series is that series
 with one degree for every prime, one prime per row; the library cuts each
-prime where its own tail bound ends and sums the rows' coefficients.
-series_degrees_table finds those degrees from the whole (degree, prime) table
-of tail bounds; the library takes each prime's tail at two degrees only.
+prime where its own tail bound ends, read off one (degree, prime) table of
+the bounds, and sums the rows' coefficients.
 phase_sums is every phase sum of the trace from its full exp table, summed
 in order; the library sums them on two-level tables or on local Taylor
 moments.  build_fiber_matrix
@@ -30,8 +29,6 @@ F(t) over every jump, where the library's F' sums only the jumps near |t|,
 and two_half_mismatch sweeps both halves of [-T, T], where the library sweeps
 one.
 """
-
-import math
 
 import numpy as np
 
@@ -155,14 +152,6 @@ def log_series(eta: np.ndarray, degree: int) -> np.ndarray:
     c = ell[:, 1:] * np.array([1, 1j, -1, -1j])[np.arange(1, degree + 1) % 4]
     c[:, 0] += 1j * mu
     return c
-
-
-def series_degrees_table(q: np.ndarray, cut: float, top: int) -> tuple[np.ndarray, float]:
-    """(D, bound): D_p = 1 + the number of D in 1..top whose tail bound
-    ln 2 q_p^{D+1} / (1 - q_p) exceeds cut, at most top, and the bounds at D_p summed."""
-    tail = math.log(2) * q ** np.arange(2, top + 2)[:, None] / (1 - q)
-    degrees = np.minimum(1 + (tail > cut).sum(axis=0), top)
-    return degrees, float(tail[degrees - 1, np.arange(len(q))].sum())
 
 
 def phase_sums(x, w, h: float, K: int) -> np.ndarray:

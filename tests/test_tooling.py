@@ -1,10 +1,14 @@
-"""Checks on the test configuration in pyproject.toml."""
+"""Checks on the test configuration in pyproject.toml and on the tests' xfail markers."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROADMAP = PYPROJECT.parent / "ROADMAP.md"
+TESTS = Path(__file__).resolve().parent
 
 ONE_FAILING_ONE_PASSING = '''
 from hypothesis import given, strategies as st
@@ -34,3 +38,51 @@ def test_a_failing_hypothesis_test_is_reported_and_the_session_goes_on(tmp_path)
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "Falsifying example: test_fails(" in proc.stdout
     assert "1 failed, 1 passed" in proc.stdout
+
+
+XPASSING = '''
+import pytest
+
+
+@pytest.mark.xfail(reason="fixed since")
+def test_fixed():
+    pass
+'''
+
+
+def test_an_xfail_test_that_passes_fails_the_session(tmp_path):
+    (tmp_path / "test_toy.py").write_text(XPASSING)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "-rX", "test_toy.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "[XPASS(strict)] fixed since" in proc.stdout
+    assert "1 failed" in proc.stdout and proc.returncode == 1
+
+
+def open_roadmap_items() -> set[int]:
+    """The numbers of ROADMAP's open items, leaving out those whose title says they are done."""
+    text = ROADMAP.read_text()
+    section = text[text.index("## Open items"):text.index("**Measured and not pursued.**")]
+    items = re.findall(r"^(\d+)\. \*\*(.*?)\*\*", section, re.M | re.S)
+    return {int(n) for n, title in items if not title.startswith("Done")}
+
+
+def test_every_xfail_names_an_open_roadmap_item():
+    # A known defect is marked by the item that fixes it; that fix must then remove the marker.
+    open_items = open_roadmap_items()
+    assert {2, 19} <= open_items and 20 not in open_items
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        marks = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "xfail"]
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and n.func in marks]
+        assert len(calls) == len(marks), f"{path.name}: an xfail without a reason"
+        for call in calls:
+            where = f"{path.name}:{call.lineno}"
+            kw = {k.arg: k.value for k in call.keywords}
+            reason = kw.get("reason")
+            assert isinstance(reason, ast.Constant), f"{where}: reason= must be a literal"
+            m = re.fullmatch(r"ROADMAP item (\d+)", str(reason.value))
+            assert m and int(m[1]) in open_items, f"{where}: {reason.value!r}"
+            assert "strict" not in kw or ast.literal_eval(kw["strict"]) is True, where

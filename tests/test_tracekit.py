@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import one_row_shifts, toy_band_structure, trace_grid
 from oracles import (eta, geometric_factor, local_factor, local_factor_grid, log_series,
-                     mirrored_bands, phase_sums, sample_row, series_degrees_table,
-                     theta_fiber_whole_array, whole_grid_sums)
+                     mirrored_bands, phase_sums, sample_row, theta_fiber_whole_array,
+                     whole_grid_sums)
 from diracgap.arithmetic import (
     MODES,
     HeckeEnsemble,
@@ -487,45 +487,47 @@ def test_per_prime_series_gives_the_a_prod_of_the_degree_30_series(n_p, n_h, see
     assert np.abs(got - want).max() <= 1e-13
 
 
+# Runs whose series primes are checked with the rest, each against its own euler_series_bound.
+SERIES_RUNS = ['{"N_P": 1000, "seed": 3}', '{"N_P": 1000, "epsilon": 0.01, "alpha": 0.02}', "{}",
+               '{"N_H": 500}']
+
+
 @settings(max_examples=60, deadline=None)
-@given(q=st.lists(st.floats(0.0, tracekit.EULER_SERIES_RATIO), min_size=1, max_size=60))
-@example(q=[0.0])
-@example(q=[0.2])
-@example(q=[tracekit.EULER_SERIES_RATIO] * 3)
-@example(q=[1.0924144669714166e-12])  # ln 2 q^2 / (1 - q) is 2^-80, the cut, exactly
-@example(q=np.geomspace(1e-12, tracekit.EULER_SERIES_RATIO, 1000).tolist())
-def test_each_series_prime_takes_the_least_degree_whose_tail_is_within_its_share(q):
-    degrees, bound = tracekit._series_degrees(np.array(q))
+@given(q=st.lists(st.floats(0.0, tracekit.EULER_SERIES_RATIO), min_size=1, max_size=60),
+       config=st.none())
+@example(q=[0.0], config=None)
+@example(q=[0.2], config=None)
+@example(q=[tracekit.EULER_SERIES_RATIO] * 3, config=None)
+@example(q=[1.0924144669714166e-12], config=None)  # ln 2 q^2 / (1 - q) is 2^-80 exactly
+@example(q=np.geomspace(1e-12, tracekit.EULER_SERIES_RATIO, 1000).tolist(), config=None)
+@example(q=None, config=SERIES_RUNS[0])
+@example(q=None, config=SERIES_RUNS[1])
+@example(q=None, config=SERIES_RUNS[2])
+@example(q=None, config=SERIES_RUNS[3])
+def test_each_series_prime_takes_the_least_degree_whose_tail_is_within_its_share(q, config):
+    if config is not None:
+        r = expcli.compute_run(expcli.parse_config(config))
+        K, h = trace_grid(r.bands, r.e_star, r.shifts, r.config.alpha)
+        y = tracekit._centred(r.shifts.terms)[1]
+        q = K * h * np.abs(y).max(axis=1) / tracekit.EULER_SERIES_S0
+        q = q[q <= tracekit.EULER_SERIES_RATIO]
+    q = np.array(q)
+    degrees, bound = tracekit._series_degrees(q)
     cut = tracekit.EULER_SERIES_TOLERANCE / len(q)
     top = tracekit.EULER_SERIES_DEGREE
-
-    def tail(q_p, d):
-        return math.log(2) * q_p ** (d + 1) / (1 - q_p)
-
-    for q_p, d in zip(q, degrees.tolist()):
+    # tail[d - 1, p] at degree d, from NumPy's pow on the same q array and exponent table as
+    # the library: Python's ** rounds some of these powers differently.
+    tail = math.log(2) * q ** np.arange(2, top + 2)[:, None] / (1 - q)
+    for p, d in enumerate(degrees.tolist()):
         assert 1 <= d <= top
-        assert tail(q_p, d) <= cut or d == top
-        assert d == 1 or tail(q_p, d - 1) > cut
-    assert bound == pytest.approx(math.fsum(map(tail, q, degrees.tolist())), rel=1e-12, abs=0.0)
+        assert tail[d - 1, p] <= cut or d == top
+        assert d == 1 or tail[d - 2, p] > cut
+    assert bound == pytest.approx(math.fsum(tail[degrees - 1, np.arange(len(q))]), rel=1e-12,
+                                  abs=0.0)
     # at most the bound of the fixed degree-30 cut, plus the tolerance the cuts share
-    assert bound <= math.fsum(tail(q_p, top) for q_p in q) + tracekit.EULER_SERIES_TOLERANCE
-
-
-@pytest.mark.parametrize("config", [
-    '{"N_P": 1000, "seed": 3}', '{"N_P": 1000, "epsilon": 0.01, "alpha": 0.02}', "{}",
-    '{"N_H": 500}',
-])
-def test_series_degrees_keep_the_bits_of_the_whole_degree_table(config):
-    # The degrees and euler_series_bound that the degree-by-degree table gave, bit for bit.
-    r = expcli.compute_run(expcli.parse_config(config))
-    K, h = trace_grid(r.bands, r.e_star, r.shifts, r.config.alpha)
-    q = K * h * np.abs(tracekit._centred(r.shifts.terms)[1]).max(axis=1) / tracekit.EULER_SERIES_S0
-    q = q[q <= tracekit.EULER_SERIES_RATIO]
-    degrees, bound = tracekit._series_degrees(q)
-    want = series_degrees_table(q, tracekit.EULER_SERIES_TOLERANCE / len(q),
-                                tracekit.EULER_SERIES_DEGREE)
-    assert degrees.tolist() == want[0].tolist()
-    assert bound.hex() == want[1].hex() == r.trace.euler_series_bound.hex()
+    assert bound <= math.fsum(tail[-1]) + tracekit.EULER_SERIES_TOLERANCE
+    if config is not None:
+        assert bound == r.trace.euler_series_bound
 
 
 def test_primes_1000_does_a_third_of_the_fixed_degree_series_work(monkeypatch):
