@@ -487,31 +487,9 @@ def test_per_prime_series_gives_the_a_prod_of_the_degree_30_series(n_p, n_h, see
     assert np.abs(got - want).max() <= 1e-13
 
 
-# Runs whose series primes are checked with the rest, each against its own euler_series_bound.
-SERIES_RUNS = ['{"N_P": 1000, "seed": 3}', '{"N_P": 1000, "epsilon": 0.01, "alpha": 0.02}', "{}",
-               '{"N_H": 500}']
-
-
-@settings(max_examples=60, deadline=None)
-@given(q=st.lists(st.floats(0.0, tracekit.EULER_SERIES_RATIO), min_size=1, max_size=60),
-       config=st.none())
-@example(q=[0.0], config=None)
-@example(q=[0.2], config=None)
-@example(q=[tracekit.EULER_SERIES_RATIO] * 3, config=None)
-@example(q=[1.0924144669714166e-12], config=None)  # ln 2 q^2 / (1 - q) is 2^-80 exactly
-@example(q=np.geomspace(1e-12, tracekit.EULER_SERIES_RATIO, 1000).tolist(), config=None)
-@example(q=None, config=SERIES_RUNS[0])
-@example(q=None, config=SERIES_RUNS[1])
-@example(q=None, config=SERIES_RUNS[2])
-@example(q=None, config=SERIES_RUNS[3])
-def test_each_series_prime_takes_the_least_degree_whose_tail_is_within_its_share(q, config):
-    if config is not None:
-        r = expcli.compute_run(expcli.parse_config(config))
-        K, h = trace_grid(r.bands, r.e_star, r.shifts, r.config.alpha)
-        y = tracekit._centred(r.shifts.terms)[1]
-        q = K * h * np.abs(y).max(axis=1) / tracekit.EULER_SERIES_S0
-        q = q[q <= tracekit.EULER_SERIES_RATIO]
-    q = np.array(q)
+def _check_least_degrees(q: np.ndarray) -> float:
+    """Assert that each prime of q takes the least degree whose tail is within its share,
+    and return _series_degrees' bound."""
     degrees, bound = tracekit._series_degrees(q)
     cut = tracekit.EULER_SERIES_TOLERANCE / len(q)
     top = tracekit.EULER_SERIES_DEGREE
@@ -526,8 +504,32 @@ def test_each_series_prime_takes_the_least_degree_whose_tail_is_within_its_share
                                   abs=0.0)
     # at most the bound of the fixed degree-30 cut, plus the tolerance the cuts share
     assert bound <= math.fsum(tail[-1]) + tracekit.EULER_SERIES_TOLERANCE
-    if config is not None:
-        assert bound == r.trace.euler_series_bound
+    return bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.lists(st.floats(0.0, tracekit.EULER_SERIES_RATIO), min_size=1, max_size=60))
+@example(q=[0.0])
+@example(q=[0.2])
+@example(q=[tracekit.EULER_SERIES_RATIO] * 3)
+@example(q=[1.0924144669714166e-12])  # ln 2 q^2 / (1 - q) is 2^-80, the cut, exactly
+@example(q=np.geomspace(1e-12, tracekit.EULER_SERIES_RATIO, 1000).tolist())
+def test_each_series_prime_takes_the_least_degree_whose_tail_is_within_its_share(q):
+    _check_least_degrees(np.array(q))
+
+
+@pytest.mark.parametrize("config", [
+    '{"N_P": 1000, "seed": 3}', '{"N_P": 1000, "epsilon": 0.01, "alpha": 0.02}', "{}",
+    '{"N_H": 500}',
+])
+def test_series_degrees_keep_the_bits_of_the_whole_degree_table(config):
+    # The run's series primes take the least degrees of the whole (degree, prime) table of
+    # tail bounds, and the run reports their bound bit for bit.
+    r = expcli.compute_run(expcli.parse_config(config))
+    K, h = trace_grid(r.bands, r.e_star, r.shifts, r.config.alpha)
+    q = K * h * np.abs(tracekit._centred(r.shifts.terms)[1]).max(axis=1) / tracekit.EULER_SERIES_S0
+    bound = _check_least_degrees(q[q <= tracekit.EULER_SERIES_RATIO])
+    assert bound.hex() == r.trace.euler_series_bound.hex()
 
 
 def test_primes_1000_does_a_third_of_the_fixed_degree_series_work(monkeypatch):
