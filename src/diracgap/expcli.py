@@ -334,7 +334,7 @@ def _consistency_checks(cfg, bands, shifts, trace) -> tuple[Check, ...]:
 
 
 # ---------------------------------------------------------------------------
-# artifact emission: _csv, _json and render_svg build each file's text, and _emit alone writes it
+# artifact emission: _csv and _json build each file's text, and _emit alone writes it
 
 @dataclass(frozen=True)
 class RunArtifacts:
@@ -382,50 +382,6 @@ def _band_texts(bands: BandStructure) -> dict[str, str]:
     }
 
 
-def render_svg(model: Staircase, zero: Staircase, affine: zeta.AffineMap, T: float) -> str:
-    """Deterministic SVG of the mapped model and zero staircases on [-T, T]."""
-    width, height, pad = 900.0, 480.0, 45.0
-    y_max = max(int(model(T)), int(zero(T)), 1)
-
-    def x_pix(x):
-        return pad + (x + T) / (2.0 * T) * (width - 2.0 * pad)
-
-    def y_pix(y):
-        return height / 2.0 - y * (height / 2.0 - pad) / y_max
-
-    def step_path(s: Staircase) -> str:
-        """(-T, xi(-T)), then the values before and after each jump in (-T, T), then (T, xi(T))."""
-        jumps = s.locations
-        b = np.unique(np.concatenate([-jumps[jumps < T], jumps[jumps < T]]))
-        before = s(np.where(b < 0, b, np.nextafter(b, -np.inf)))
-        after = s(np.where(b > 0, b, np.nextafter(b, np.inf)))
-        xs = [-T] + np.repeat(b, 2).tolist() + [T]
-        ys = [int(s(-T))] + np.stack([before, after], axis=1).ravel().tolist() + [int(s(T))]
-        return " ".join(f"{x_pix(x):.3f},{y_pix(y):.3f}" for x, y in zip(xs, ys))
-
-    model_path = step_path(model)
-    zero_path = step_path(zero)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-        f'<line x1="{pad:.1f}" y1="{height / 2:.1f}" x2="{width - pad:.1f}" '
-        f'y2="{height / 2:.1f}" stroke="#999" stroke-width="1"/>',
-        f'<line x1="{x_pix(0.0):.3f}" y1="{pad:.1f}" x2="{x_pix(0.0):.3f}" '
-        f'y2="{height - pad:.1f}" stroke="#999" stroke-width="1"/>',
-        f'<polyline fill="none" stroke="#d62728" stroke-width="1.2" points="{zero_path}"/>',
-        f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.2" points="{model_path}"/>',
-        f'<text x="{pad:.1f}" y="20" font-family="monospace" font-size="13" '
-        f'fill="#1f77b4">mapped gap staircase (a={affine.a:.6g}, b={affine.b:.6g})</text>',
-        f'<text x="{pad:.1f}" y="36" font-family="monospace" font-size="13" '
-        f'fill="#d62728">signed zero staircase</text>',
-        f'<text x="{width - pad - 120:.1f}" y="{height - 12:.1f}" font-family="monospace" '
-        f'font-size="12" fill="#555">window [-{T:.6g}, {T:.6g}]</text>',
-        "</svg>",
-    ]
-    return "\n".join(parts) + "\n"
-
-
 def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
     """Write the full artifact set, manifest last; on any failure remove what was written."""
     spectrum, d = result.spectrum, result.diagnostics
@@ -456,7 +412,6 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
             "flags": list(d.flags),
             "checks": [asdict(c) | {"passed": c.passed} for c in result.checks],
         }),
-        "staircase.svg": render_svg(d.model, d.zero, d.affine, d.T),
     }
     texts["manifest.json"] = _json({
         "config": asdict(result.config),

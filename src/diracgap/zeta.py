@@ -8,17 +8,17 @@ least-squares fit of the leading gap eigenvalues onto the leading ordinates.
 The staircase mismatch E_step(T) is the time-averaged L1 distance between
 two odd integer staircases on [-T, T]: the mapped model staircase (jumps at
 +-(a lambda_k + b) with weights m_k) and the signed zero staircase (unit
-jumps at +-gamma_k), `shift.Staircase`s that `diagnostics` builds once and
-keeps for the SVG.  The integrand is piecewise constant, so the integral is
-evaluated exactly by a breakpoint sweep.  Both staircases are exactly odd in
-floating point, so the integrand is exactly even and one half is swept.
+jumps at +-gamma_k), two `shift.Staircase`s that `diagnostics` builds.  The
+integrand is piecewise constant, so the integral is evaluated exactly by a
+breakpoint sweep.  Both staircases are exactly odd in floating point, so the
+integrand is exactly even and one half is swept.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +55,8 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """MAE and max_abs of the affine fit over the first K zeros, and the two staircases with
-    their mismatch E_step."""
+    """MAE and max_abs of the affine fit over the first K zeros, and the staircase mismatch
+    E_step."""
 
     K: int
     mae: float
@@ -64,8 +64,6 @@ class DiagnosticsReport:
     e_step: float
     T: float
     affine: AffineMap
-    model: Staircase = field(repr=False)
-    zero: Staircase = field(repr=False)
     flags: tuple[str, ...] = ()
 
 
@@ -190,7 +188,5 @@ def diagnostics(lambdas, multiplicities, zeros: ZeroTable, K: int, T: float) -> 
         e_step=e_step,
         T=T,
         affine=affine,
-        model=model,
-        zero=zero,
         flags=("insufficient-spectrum",) if short else (),
     )

@@ -24,19 +24,17 @@ from diracgap.expcli import (
     config_hash,
     main,
     parse_config,
-    render_svg,
     scaling_suite,
     serialize_config,
 )
 from diracgap.floquet import QuasiMomentumGrid, fiber_eigenvalues
 from diracgap.shift import Staircase
-from diracgap.zeta import AffineMap, ZeroTable, load_zero_table, zero_staircase
 from oracles import mirrored_bands
 
 REDUCED = '{"M": 8, "N_kappa": 41, "n_bands": 4, "N_P": 5, "N_H": 5, "K": 5, "T": 40.0}'
 ARTIFACTS = (
     "bands.csv", "gaps.csv", "massshifts.csv", "spectrum.csv", "spectrum_fibers.csv",
-    "trace_report.json", "diagnostics.json", "staircase.svg", "manifest.json",
+    "trace_report.json", "diagnostics.json", "manifest.json",
 )
 
 
@@ -139,7 +137,7 @@ def test_no_run_writes_or_prints_the_retired_scan(tmp_path, capsys, doc):
     cfg_path.write_text(json.dumps(doc))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[-1] == f"wrote 9 artifacts to {tmp_path / 'r'}"
+    assert out[-1] == f"wrote 8 artifacts to {tmp_path / 'r'}"
     assert [ln for ln in out if ln.startswith(("PASS", "FAIL"))] == out[:-1]  # no WARN line
     assert sorted(p.name for p in (tmp_path / "r").iterdir()) == sorted(ARTIFACTS)
     diag = json.loads((tmp_path / "r" / "diagnostics.json").read_text())
@@ -275,11 +273,11 @@ def fail_write_midway(monkeypatch, name):
 
 
 def test_failed_run_removes_partial_artifacts(tmp_path, reduced_run, monkeypatch):
-    present = fail_write_midway(monkeypatch, "staircase.svg")  # the 8th file, after seven
+    present = fail_write_midway(monkeypatch, "diagnostics.json")  # the 7th file, after six
     out = tmp_path / "broken"
     with pytest.raises(OSError, match="disk full"):
         expcli.write_artifacts(reduced_run, out)
-    assert present == sorted(ARTIFACTS[:8])
+    assert present == sorted(ARTIFACTS[:7])
     assert list(out.iterdir()) == []
 
 
@@ -292,7 +290,7 @@ def test_writer_failing_midway_leaves_no_partial_file(tmp_path, reduced_run, mon
 
 
 def test_failing_manifest_leaves_no_file(tmp_path, reduced_run, monkeypatch):
-    present = fail_write_midway(monkeypatch, "manifest.json")  # written last, after eight
+    present = fail_write_midway(monkeypatch, "manifest.json")  # written last, after seven
     out = tmp_path / "broken"
     with pytest.raises(OSError, match="disk full"):
         expcli.write_artifacts(reduced_run, out)
@@ -300,12 +298,12 @@ def test_failing_manifest_leaves_no_file(tmp_path, reduced_run, monkeypatch):
     assert list(out.iterdir()) == []
 
 
-def test_failing_svg_render_creates_no_output_directory(tmp_path, capsys, monkeypatch):
+def test_failing_text_builder_creates_no_output_directory(tmp_path, capsys, monkeypatch):
     # every text is built before _emit creates the directory
     def failing(*args):
         raise RuntimeError("render failed (simulated)")
 
-    monkeypatch.setattr(expcli, "render_svg", failing)
+    monkeypatch.setattr(expcli, "_band_texts", failing)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(REDUCED)
     out = tmp_path / "broken"
@@ -413,7 +411,7 @@ def test_zero_mass_run_degrades_gracefully(tmp_path):
     assert "insufficient-spectrum" in result.diagnostics.flags
     assert result.all_checks_pass
     expcli.write_artifacts(result, tmp_path / "zm")
-    assert (tmp_path / "zm" / "staircase.svg").is_file()
+    assert (tmp_path / "zm" / "spectrum.csv").read_text() == "k,lambda_k,multiplicity\n"
 
 
 def test_small_constant_mass_shifts_unperturbed_positions():
@@ -431,40 +429,19 @@ def test_small_constant_mass_shifts_unperturbed_positions():
         assert abs(lam - abs(v)) < 1e-10
 
 
-def test_svg_empty_staircase():
-    zeros = load_zero_table("embedded")
-    svg = render_svg(Staircase(locations=(), weights=()), zero_staircase(zeros),
-                     AffineMap(1.0, 0.0), 80.0)
-    assert svg.count("<polyline") == 2
-    assert "svg" in svg and "zero staircase" in svg
-
-
-def test_svg_identical_jump_sets_overlap():
-    zeros = ZeroTable(ordinates=(14.0, 21.0, 25.0))
-    model = Staircase(locations=(14.0, 21.0, 25.0), weights=(1, 1, 1))
-    svg = render_svg(model, zero_staircase(zeros), AffineMap(1.0, 0.0), 30.0)
-    points = [ln.split('points="')[1].split('"')[0]
-              for ln in svg.splitlines() if "polyline" in ln]
-    assert len(points) == 2
-    assert points[0] == points[1]
-
-
-def test_svg_deterministic(reduced_run):
-    d = reduced_run.diagnostics
-    assert render_svg(d.model, d.zero, d.affine, 40.0) == render_svg(d.model, d.zero, d.affine, 40.0)
-
-
 def test_a_run_builds_three_staircases(tmp_path, monkeypatch):
-    # The run's staircase, then the mapped model and zero staircases of the
-    # diagnostics; E_step and the SVG reuse them instead of rebuilding.
+    # The run's staircase, then the mapped model and zero staircases that E_step
+    # compares; all three are built in compute_run, and writing builds none.
     built = []
     post_init = Staircase.__post_init__
     monkeypatch.setattr(Staircase, "__post_init__", lambda s: built.append(s) or post_init(s))
     result = compute_run(parse_config(REDUCED))
-    expcli.write_artifacts(result, tmp_path)
     assert len(built) == 3
     assert built[0] is result.staircase
-    assert built[1] is result.diagnostics.model and built[2] is result.diagnostics.zero
+    assert zeta.staircase_mismatch(built[1], built[2], result.config.T) == result.diagnostics.e_step
+    assert built[2].locations.tolist() == list(zeta.load_zero_table().ordinates)
+    expcli.write_artifacts(result, tmp_path)
+    assert len(built) == 3
     # the run's staircase holds the gap spectrum's arrays, not copies
     assert result.staircase.locations is result.spectrum.positive_values
     assert result.staircase.weights is result.spectrum.multiplicities
@@ -628,7 +605,7 @@ def test_run_and_suite_report_every_run(tmp_path, capsys, doc, code):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == code
     out = capsys.readouterr().out.splitlines()
     assert ("FAIL band_truncation" in [ln.split(":")[0] for ln in out]) == bool(code)
-    assert out[-1] == f"wrote 9 artifacts to {tmp_path / 'r'}"
+    assert out[-1] == f"wrote 8 artifacts to {tmp_path / 'r'}"
     assert [ln for ln in out if "WARN" in ln] == []  # the scan and its warnings are retired
     assert main(["suite", "--config", str(cfg_path), "--axis", "seed", "--values", "1,2",
                  "--out", str(tmp_path / "s")]) == code
@@ -1036,6 +1013,8 @@ def test_verify_passes_a_window_whose_mismatch_sum_would_overflow(tmp_path, caps
     cfg_path.write_text('{"T": 1e307}')
     assert main(["verify", "--config", str(cfg_path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    d = default_run.diagnostics
-    assert zeta.staircase_mismatch(d.model, d.zero, 1e307) == 116.0
-    assert zeta.staircase_mismatch(d.model, d.zero, 5e-324) == 0.0  # no scale below T = 1
+    model = zeta.mapped_staircase(default_run.diagnostics.affine(default_run.staircase.locations),
+                                  default_run.staircase.weights)
+    zero = zeta.zero_staircase(zeta.load_zero_table())
+    assert zeta.staircase_mismatch(model, zero, 1e307) == 116.0
+    assert zeta.staircase_mismatch(model, zero, 5e-324) == 0.0  # no scale below T = 1

@@ -256,13 +256,15 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_lists_the_files_run_writes(tmp_path):
-    # The sentence of README.md that begins "`run` writes" names every artifact,
-    # in the order write_artifacts writes them.
+    # The sentence of README.md that begins "`run` writes" counts and names every
+    # artifact, in the order write_artifacts writes them.
     readme = " ".join(README.read_text().split())
     sentence = re.search(r"`run` writes (.*?)\.\s", readme).group(1)
     listed = re.findall(r"`([\w.]+\.\w+)`", sentence)
     run = compute_run(parse_config('{"M": 8, "N_kappa": 41, "n_bands": 4, "N_P": 5, "N_H": 5}'))
-    assert listed == list(write_artifacts(run, tmp_path).paths)
+    written = list(write_artifacts(run, tmp_path).paths)
+    assert listed == written
+    assert re.match(r"these (\d+) files: ", sentence).group(1) == str(len(written))
 
 
 def test_readme_names_every_subcommand_report_field_and_check(capsys, tmp_path, default_run):

@@ -309,13 +309,19 @@ def test_mae_recomputable(default_run):
     assert all(math.isfinite(x) for x in deviations)
 
 
-@pytest.mark.slow
 def test_embedded_table_matches_mpmath_zetazero():
     # The table rounds each ordinate to 9 decimals, so the deviation from the
     # high-precision value is at most half a unit there; 1e-12 covers the
-    # double-precision representation of ordinates up to ~240.
+    # double-precision representation of ordinates up to ~240.  Hardy's Z changes
+    # sign across each gamma_n +- tol, so a zero lies in each interval; the
+    # intervals are disjoint and ascending, and nzeros counts exactly as many
+    # zeros up to past the last one, so the n-th interval holds the n-th zero.
     mpmath = pytest.importorskip("mpmath")
-    table = load_zero_table("embedded")
-    worst = max(abs(float(mpmath.zetazero(n).imag) - gamma)
-                for n, gamma in enumerate(table.ordinates, start=1))
-    assert worst <= 0.5e-9 + 1e-12
+    table = load_zero_table("embedded").ordinates
+    tol = 0.5e-9 + 1e-12
+    with mpmath.workdps(25):
+        for gamma in table:
+            lo, hi = mpmath.mpf(gamma) - tol, mpmath.mpf(gamma) + tol
+            assert mpmath.sign(mpmath.siegelz(lo)) * mpmath.sign(mpmath.siegelz(hi)) < 0, gamma
+        assert all(a + tol < b - tol for a, b in zip(table, table[1:]))
+        assert mpmath.nzeros(mpmath.mpf(table[-1]) + mpmath.mpf("0.01")) == len(table) == 100
