@@ -414,6 +414,20 @@ def test_zero_mass_run_degrades_gracefully(tmp_path):
     assert (tmp_path / "zm" / "spectrum.csv").read_text() == "k,lambda_k,multiplicity\n"
 
 
+def test_written_files_redraw_the_aligned_staircases(tmp_path, reduced_run):
+    # README's recipe: the spectrum.csv jumps moved to |a lambda_k + b| with a, b from
+    # diagnostics.json, against the bundled zero table, give back E_step bit for bit
+    expcli.write_artifacts(reduced_run, tmp_path)
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+    lam = np.array([float(r.split(",")[1]) for r in rows])
+    mult = np.array([int(r.split(",")[2]) for r in rows])
+    assert len(lam) >= reduced_run.config.K
+    model = zeta.mapped_staircase(diag["a"] * lam + diag["b"], mult)
+    zero = zeta.zero_staircase(zeta.load_zero_table())
+    assert zeta.staircase_mismatch(model, zero, diag["T"]) == diag["E_step"]
+
+
 def test_small_constant_mass_shifts_unperturbed_positions():
     cfg = parse_config(
         '{"M": 8, "N_kappa": 41, "n_bands": 4, "N_P": 5, "N_H": 5, "K": 2,'

@@ -292,6 +292,28 @@ def test_diagnostics_validation(default_run):
     assert short.e_step == mismatch(lam[:3], [1] * 3, zeros, 10.0)
 
 
+def test_e_step_of_an_empty_spectrum_is_the_zero_staircase_alone():
+    # a zero-mass run has no jumps: the model staircase is empty and E_step is the
+    # mean of |xi_zero| over [-T, T], here 1, 2 and 3 on the three intervals past gamma_1
+    zeros = ZeroTable(ordinates=(GAMMA1, GAMMA2, GAMMA3))
+    report = diagnostics(np.array([]), np.array([], dtype=np.int64), zeros, K=5, T=30.0)
+    assert report.flags == ("insufficient-spectrum",)
+    expected = ((GAMMA2 - GAMMA1) + 2 * (GAMMA3 - GAMMA2) + 3 * (30.0 - GAMMA3)) / 30.0
+    assert report.e_step == pytest.approx(expected, rel=1e-15)
+    assert report.e_step == mismatch([], [], zeros, 30.0)
+
+
+def test_staircase_mismatch_is_symmetric_in_its_arguments(default_run):
+    # the breakpoints are the union of both jump sets and |x - y| = |y - x| exactly,
+    # so swapping the model and zero staircases changes no bit
+    model = mapped_staircase(default_run.affine(default_run.spectrum.positive_values),
+                             default_run.spectrum.multiplicities)
+    zero = zero_staircase(default_run.zeros)
+    for T in (10.0, 40.0, default_run.diagnostics.T, 1e3):
+        assert staircase_mismatch(model, zero, T) == staircase_mismatch(zero, model, T)
+    assert staircase_mismatch(model, zero, default_run.diagnostics.T) == default_run.diagnostics.e_step
+
+
 def test_staircase_mismatch_rejects_an_infinite_window():
     # the mean over [-T, T] of an infinite window is NaN; ExperimentConfig rejects it too
     zero = zero_staircase(load_zero_table("embedded"))
