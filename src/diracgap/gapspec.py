@@ -91,21 +91,6 @@ def dirac_band_set(bands: BandStructure, e_star: float) -> tuple[np.ndarray, np.
     return lo[starts], np.maximum.reduceat(hi, starts)
 
 
-def band_distance(values, band_set: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Distance from each value to the union of band intervals (0 if inside)."""
-    v = np.atleast_1d(np.asarray(values, dtype=float))
-    lows, highs = band_set
-    idx = np.searchsorted(lows, v, side="right") - 1
-    dist = np.full(v.shape, np.inf)
-    has_left = idx >= 0
-    inside = has_left & (v <= highs[np.maximum(idx, 0)])
-    dist[has_left] = v[has_left] - highs[idx[has_left]]
-    has_right = idx + 1 < len(lows)
-    dist[has_right] = np.minimum(dist[has_right], lows[idx[has_right] + 1] - v[has_right])
-    dist[inside] = 0.0
-    return dist
-
-
 def fiber_gap_eigenvalues(
     bands: BandStructure,
     e_star: float,
@@ -119,9 +104,9 @@ def fiber_gap_eigenvalues(
 
     Rounding is monotone, so every v = q_nj + m of a row (n, j) lies between
     q_nj + min(m) and q_nj + max(m).  A row whose two ends lie in one closed
-    band interval has distance 0 everywhere and is dropped before the
-    (rows x modes) candidates are built.  The band set is negation-symmetric,
-    so one distance test covers both signs of each candidate.
+    band interval is dropped before the (rows x modes) candidates are built.
+    A candidate v is kept when v - (upper end below v) and (lower end above
+    v) - v both exceed MEMBERSHIP_MARGIN; the set is symmetric, so -v is too.
     """
     lows, highs = band_set
     q = (bands.bands - e_star).ravel()
@@ -131,7 +116,10 @@ def fiber_gap_eigenvalues(
     inside = (idx >= 0) & (ends <= highs[np.maximum(idx, 0)])
     rows = np.flatnonzero(~(inside.all(axis=0) & (idx[0] == idx[1])))
     v = q[rows, None] + m_vals[None, :]
-    row, m = np.nonzero(band_distance(v, band_set) > MEMBERSHIP_MARGIN)
+    i = np.searchsorted(lows, v, side="right") - 1  # the interval at or below v, -1 if none
+    above = v - np.append(highs, -np.inf)[i]  # +inf where i = -1
+    below = np.append(lows, np.inf)[i + 1] - v  # +inf past the last interval
+    row, m = np.nonzero((above > MEMBERSHIP_MARGIN) & (below > MEMBERSHIP_MARGIN))
     n, j = np.divmod(rows[row], bands.bands.shape[1])
     j += bands.grid.half_index
     return GapValues(values=v[row, m], fibers=np.stack([n, j, m + 1], axis=1), grid=bands.grid)

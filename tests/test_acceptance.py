@@ -27,7 +27,7 @@ from diracgap.shift import TestFunction
 from conftest import trace_grid
 from oracles import block_entries, dense_block_model, subsample_entries, two_half_mismatch
 from diracgap.tracekit import arithmetic_factors, compare_trace_representations
-from diracgap.zeta import fit_affine
+from diracgap.zeta import fit_affine, load_zero_table
 
 EPSILON = 0.35  # the default run's epsilon
 
@@ -196,9 +196,9 @@ def test_c09_staircase_oddness_and_estep_symmetry(default_run):
         assert s(-x) == -s(x)
         count += 1
     # E_step sweeps one half; both halves, swept at mirrored midpoints, agree bitwise.
-    mapped = default_run.affine(np.array(default_run.spectrum.positive_values))
+    mapped = default_run.diagnostics.affine(np.array(default_run.spectrum.positive_values))
     e_step, pos, neg = two_half_mismatch(
-        mapped, default_run.spectrum.multiplicities, default_run.zeros, 80.0
+        mapped, default_run.spectrum.multiplicities, load_zero_table(), 80.0
     )
     assert pos == neg
     assert default_run.diagnostics.e_step == e_step
@@ -206,10 +206,10 @@ def test_c09_staircase_oddness_and_estep_symmetry(default_run):
 
 
 def test_c11_affine_fit_optimality(default_run):
-    zeros = default_run.zeros
+    zeros = load_zero_table()
     lam = np.array(default_run.spectrum.positive_values)
     K = default_run.config.K
-    fit = default_run.affine
+    fit = default_run.diagnostics.affine
     gamma = np.array(zeros.ordinates[:K])
 
     def residual(a, b):

@@ -976,7 +976,7 @@ def test_check_lines_match_the_diagnostics_checks(tmp_path, capsys, doc):
 
 
 def old_staircase_value(jumps, cum, x):
-    """The SVG staircase as first written: a scan over every jump per call."""
+    """The staircase evaluator as first written: a scan over every jump per call."""
     if x == 0.0:
         return 0
     sign = 1 if x > 0 else -1
@@ -994,7 +994,7 @@ def old_staircase_value(jumps, cum, x):
     weights=st.lists(st.integers(min_value=1, max_value=5), min_size=30, max_size=30),
     probes=st.lists(st.floats(min_value=-120.0, max_value=120.0), min_size=1, max_size=10),
 )
-def test_svg_staircase_value_matches_the_old_loop(jumps, weights, probes):
+def test_staircase_value_matches_the_old_loop(jumps, weights, probes):
     jumps = sorted(jumps)
     weights = weights[: len(jumps)]
     cum = [sum(weights[: k + 1]) for k in range(len(jumps))]

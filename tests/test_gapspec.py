@@ -22,7 +22,6 @@ from diracgap.gapspec import (
     MEMBERSHIP_MARGIN,
     GapValues,
     aggregate_spectrum,
-    band_distance,
     dirac_band_set,
     fiber_gap_eigenvalues,
     round_decimals,
@@ -30,6 +29,11 @@ from diracgap.gapspec import (
 
 TOY = toy_band_structure([[0.0, 0.5, 1.0], [2.0, 2.5, 3.0]])
 EPSILON = 0.35  # the default run's epsilon
+
+
+def brute_force_distance(v, intervals):
+    """Distance from v to the union of the closed intervals, 0 inside one: a min over all."""
+    return min(max(lo - v, v - hi, 0.0) for lo, hi in intervals)
 
 
 def brute_force_gap_values(bands, e_star, shifts, intervals):
@@ -40,10 +44,7 @@ def brute_force_gap_values(bands, e_star, shifts, intervals):
         for j in range(whole.shape[1]):
             for m, mass in enumerate(shifts.values, start=1):
                 v = whole[n, j] - e_star + mass
-                dist = min(
-                    max(lo - v, v - hi, 0.0) for lo, hi in intervals
-                )
-                if dist > MEMBERSHIP_MARGIN:
+                if brute_force_distance(v, intervals) > MEMBERSHIP_MARGIN:
                     out.append((v, (n, j, m)))
                     out.append((-v, (n, j, m)))
     return out
@@ -166,17 +167,28 @@ def test_band_set_symmetry_mathieu(mathieu_bands):
     assert negated == intervals(bs)
 
 
-def test_band_distance():
-    d = band_distance([0.0, 0.5, 0.6, -2.0, 1.7], TOY_SET)
-    assert np.allclose(d, [0.5, 0.0, 0.0, 0.5, 0.2])
-
-
 def test_boundary_value_not_emitted():
     # fiber at E = 2.0 with zero mass: v = 0.5 is a band edge, distance 0
     bands = toy_band_structure([[2.0, 2.0, 2.0]])
     got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.0]), TOY_SET)
     assert len(got) == 0
     assert got.values.shape == (0,) and got.fibers.shape == (0, 3)
+
+
+def test_margin_is_the_difference_from_the_band_edge():
+    # v = (0.25 - 1.0) + 1e-8 = -0.74999999 lies 1.0000000050e-8 above the edge -0.75, past
+    # the margin; the widened edge -0.75 + 1e-8 rounds to v itself, so a filter comparing
+    # v > highs + margin would drop the fiber that the difference and the oracle keep.
+    bands = toy_band_structure([[0.0, 0.125, 0.25]])
+    shifts = one_row_shifts([MEMBERSHIP_MARGIN])
+    band_set = dirac_band_set(bands, 1.0)
+    assert intervals(band_set) == [(-1.0, -0.75), (0.75, 1.0)]
+    got = fiber_gap_eigenvalues(bands, 1.0, shifts, band_set)
+    assert fiber_tuples(got) == [(0, 4, 1)]
+    assert got.values.tolist() == [-0.75 + MEMBERSHIP_MARGIN]
+    assert got.values[0] + 0.75 > MEMBERSHIP_MARGIN
+    brute = brute_force_gap_values(bands, 1.0, shifts, intervals(band_set))
+    assert_matches_the_whole_grid(got, brute)
 
 
 def test_toy_fiber_emission():
@@ -335,10 +347,10 @@ def test_one_more_band_keeps_every_value_and_adds_only_above_the_old_top_band(de
 
 def test_filtering_idempotent(default_run):
     r = default_run
-    values = r.gap_values.values
-    band_set = dirac_band_set(r.bands, r.e_star)
-    assert (band_distance(values, band_set) > MEMBERSHIP_MARGIN).all()
-    assert (band_distance(-values, band_set) > MEMBERSHIP_MARGIN).all()
+    band_set = intervals(dirac_band_set(r.bands, r.e_star))
+    for v in r.gap_values.values.tolist():
+        assert brute_force_distance(v, band_set) > MEMBERSHIP_MARGIN
+        assert brute_force_distance(-v, band_set) > MEMBERSHIP_MARGIN
 
 
 def test_permutation_invariance_of_spectrum(default_run):
