@@ -6,7 +6,7 @@ itself when built (by parse_config, directly or by dataclasses.replace): it
 coerces each value by its field type's rule, then names in a ValidationError
 the rule broken, and the assumption where one applies (B: summability, C:
 even potential, G: monotone window).  The trace's t grid (tracekit.t_grid) is
-checked there at v_max = 0 and derived by compute_run from the exact v_max.
+checked there at v_max = 0; the trace derives it from the exact v_max.
 
 A run executes the five pipeline steps (bands, ensemble, mass shifts, gap
 filter, staircase), then the trace-formula cross-check and the zero-alignment
@@ -39,7 +39,6 @@ from .floquet import (
     GAP_TOLERANCE,
     BandStructure,
     PotentialSpec,
-    QuasiMomentumGrid,
     compute_band_structure,
     select_reference_energy,
     truncation_defect,
@@ -121,7 +120,10 @@ class ExperimentConfig:
             raise ValidationError(f"K={self.K} exceeds the {n_zeros} zeros of the bundled table")
         if not (self.T > 0.0 and math.isfinite(2.0 * self.T)):
             raise ValidationError("T must be positive and 2T finite (the window is [-T, T])")
-        _t_grid(self, 0.0)
+        try:
+            tracekit.t_grid(self.alpha, self.n_bands, self.potential.period, 0.0)
+        except tracekit.GridError as err:
+            raise ValidationError(str(err)) from None
 
 
 def _integer(key: str, value) -> int:
@@ -192,14 +194,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**doc)
 
 
-def _t_grid(cfg: ExperimentConfig, v_max: float) -> tuple[int, float]:
-    """(K, h) of the trace's t grid; a grid over tracekit.MAX_T_POINTS is a ValidationError."""
-    try:
-        return tracekit.t_grid(cfg.alpha, cfg.n_bands, cfg.potential.period, v_max)
-    except ValueError as err:
-        raise ValidationError(str(err)) from None
-
-
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON for hashing and manifests; parse round-trips exactly."""
     return _json(asdict(cfg))
@@ -263,11 +257,10 @@ class RunResult:
 
 def compute_run(cfg: ExperimentConfig) -> RunResult:
     """Execute the full pipeline for one configuration (no file output)."""
-    grid = QuasiMomentumGrid(n_nodes=cfg.N_kappa, period=cfg.potential.period)
-    bands = compute_band_structure(cfg.potential, grid, cfg.M, cfg.n_bands)
+    bands = compute_band_structure(cfg.potential, cfg.N_kappa, cfg.M, cfg.n_bands)
     try:
         e_star = select_reference_energy(bands, cfg.gap_index)
-    except ValueError as err:  # NoOpenGapError, or gap_index beyond the open gaps
+    except ValueError as err:  # NoOpenGapError, gap_index beyond the open gaps, E* on an edge
         raise ValidationError(
             f"gap_index={cfg.gap_index} must select an open gap (width > {GAP_TOLERANCE:g}): {err}"
         ) from err
@@ -275,16 +268,15 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
     primes = arithmetic.generate_primes(cfg.N_P)
     ensemble = arithmetic.sample_hecke_ensemble(primes, cfg.N_H, cfg.seed, cfg.mode)
     shifts = arithmetic.mass_shifts(ensemble, cfg.epsilon)
-    K, h = _t_grid(cfg, float(np.abs(bands.bands - e_star).max()
-                              + np.abs(shifts.values).max(initial=0.0)))
+    try:  # first of the stages after the shifts, so a t grid too large is rejected first
+        trace = tracekit.compare_trace_representations(
+            bands, e_star, shifts, TestFunction(alpha=cfg.alpha))
+    except tracekit.GridError as err:
+        raise ValidationError(str(err)) from None
 
-    band_set = gapspec.dirac_band_set(bands, e_star)
-    gap_values = gapspec.fiber_gap_eigenvalues(bands, e_star, shifts, band_set)
+    gap_values = gapspec.fiber_gap_eigenvalues(bands, e_star, shifts)
     spectrum = gapspec.aggregate_spectrum(gap_values)
     staircase = Staircase(spectrum.positive_values, spectrum.multiplicities)  # shares the arrays
-
-    trace = tracekit.compare_trace_representations(
-        bands, e_star, shifts, TestFunction(alpha=cfg.alpha), K, h)
 
     zeros = zeta.load_zero_table()
     diag = zeta.diagnostics(staircase.locations, staircase.weights, zeros, cfg.K, cfg.T)
@@ -498,8 +490,7 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
 
         if args.command == "bands":
-            grid = QuasiMomentumGrid(n_nodes=cfg.N_kappa, period=cfg.potential.period)
-            bands = compute_band_structure(cfg.potential, grid, cfg.M, cfg.n_bands)
+            bands = compute_band_structure(cfg.potential, cfg.N_kappa, cfg.M, cfg.n_bands)
             check = _band_truncation_check(bands)
             print(check)
             paths = _emit(args.out, _band_texts(bands))

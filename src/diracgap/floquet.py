@@ -267,13 +267,10 @@ def fiber_eigenvalues(potential: PotentialSpec, kappas, M: int, count: int) -> n
     return out
 
 
-def compute_band_structure(
-    potential: PotentialSpec,
-    grid: QuasiMomentumGrid,
-    M: int,
-    n_bands: int,
-) -> BandStructure:
-    """Solve every fiber on the kappa >= 0 half grid in one batch.
+def compute_band_structure(potential: PotentialSpec, n_nodes: int, M: int,
+                           n_bands: int) -> BandStructure:
+    """Solve every fiber on the kappa >= 0 half of the n_nodes grid over the potential's
+    Brillouin zone, QuasiMomentumGrid(n_nodes, potential.period), in one batch.
 
     Only the lowest n_bands <= 2M eigenvalues per fiber are kept;
     truncation_defect measures how well M resolves them.  E_n(-kappa) = E_n(kappa)
@@ -284,9 +281,7 @@ def compute_band_structure(
         raise ValueError("n_bands must be >= 1")
     if n_bands > 2 * M:
         raise ValueError(f"n_bands={n_bands} exceeds 2M={2 * M}; increase M")
-    if grid.period != potential.period:
-        raise ValueError("grid and potential periods disagree")
-
+    grid = QuasiMomentumGrid(n_nodes, potential.period)
     bands = np.ascontiguousarray(
         fiber_eigenvalues(potential, grid.nodes[grid.half_index:], M, n_bands).T)
     bands.setflags(write=False)
@@ -304,7 +299,7 @@ def truncation_defect(bands: BandStructure) -> float:
 
 
 def select_reference_energy(bands: BandStructure, gap_index: int) -> float:
-    """Midpoint of the selected open gap."""
+    """Midpoint of the selected open gap; ValueError if it rounds onto an edge of the gap."""
     if not len(bands.gaps):
         raise NoOpenGapError(
             "no open gaps in the band structure; increase the potential strength"
@@ -314,4 +309,9 @@ def select_reference_energy(bands: BandStructure, gap_index: int) -> float:
             f"gap_index={gap_index} out of range; {len(bands.gaps)} open gaps available"
         )
     n = bands.gaps[gap_index]
-    return float(0.5 * (bands.uppers[n] + bands.lowers[n + 1]))
+    beta, alpha = float(bands.uppers[n]), float(bands.lowers[n + 1])
+    e_star = 0.5 * (beta + alpha)
+    if not beta < e_star < alpha:
+        raise ValueError(f"the midpoint {e_star!r} of the gap ({beta!r}, {alpha!r}) rounds "
+                         "onto one of its edges")
+    return e_star

@@ -14,7 +14,8 @@ mirror fiber at -kappa_j has the value of its fiber at kappa_j, and the
 grid's copies counts it where the whole grid is meant; nothing lists it.
 Positive survivors are grouped into a multiplicity-weighted gap spectrum,
 its first two arrays shared by the staircase; the full spectrum is {+-lambda_k}.  The
-band set is the pair (lowers, uppers) of interval ends that dirac_band_set returns.
+band set is the pair (lowers, uppers) of interval ends that dirac_band_set returns;
+fiber_gap_eigenvalues builds it from its bands and E*.
 """
 
 from __future__ import annotations
@@ -91,12 +92,7 @@ def dirac_band_set(bands: BandStructure, e_star: float) -> tuple[np.ndarray, np.
     return lo[starts], np.maximum.reduceat(hi, starts)
 
 
-def fiber_gap_eigenvalues(
-    bands: BandStructure,
-    e_star: float,
-    shifts: MassShifts,
-    band_set: tuple[np.ndarray, np.ndarray],
-) -> GapValues:
+def fiber_gap_eigenvalues(bands: BandStructure, e_star: float, shifts: MassShifts) -> GapValues:
     """Enumerate the kappa >= 0 fibers whose +-(E_n(kappa_j) - E* + m_m) pass the gap filter.
 
     Fibers come in lexicographic (n, j, m) order, so the result is
@@ -108,7 +104,7 @@ def fiber_gap_eigenvalues(
     A candidate v is kept when v - (upper end below v) and (lower end above
     v) - v both exceed MEMBERSHIP_MARGIN; the set is symmetric, so -v is too.
     """
-    lows, highs = band_set
+    lows, highs = dirac_band_set(bands, e_star)
     q = (bands.bands - e_star).ravel()
     m_vals = shifts.values
     ends = np.stack([q + m_vals.min(), q + m_vals.max()])

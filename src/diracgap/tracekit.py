@@ -22,7 +22,9 @@ Only t_grid knows the t grid t_k = k h, k = -K..K: from alpha, n_bands, L and
 v_max = max |E_n - E* + m_m| it sets K h by the tail rule phihat(T) < 1e-14
 (widened until the analytic tail bound drops below 1e-10) and h so that the
 trapezoid aliasing images phi(v - 2 pi k / h) are negligible for every fiber
-value v, and it rejects a grid over MAX_T_POINTS points.
+value v, and it rejects a grid over MAX_T_POINTS points with a GridError.
+compare_trace_representations derives the grid itself, from the bands and
+shifts it is given.
 
 A_joint (the empirical joint measure) is what enters theta_separated; the
 prime product A_prod = prod_p A_p is reported separately, because strict
@@ -49,7 +51,7 @@ Both routes sum the same folded kappa grid with the same weights; a test, not
 the run, compares the folded sums with sums over the whole grid.
 
 Every factor is a sum S(t_k) = sum_j w_j e^{i t_k x_j} on that grid, and
-every function here takes the grid as (K, h).  Only k >= 0 is computed: the
+each summing function takes the grid as (K, h).  Only k >= 0 is computed: the
 sums are real-weighted, so S(-t) = conj S(t), and so is the integrand I of
 theta_separated, whose trapezoid sum over k = -K..K is therefore that of
 Re I over k = 0..K with the weights 1, 2, ..., 2, 1 of fold_weights(K), the
@@ -131,6 +133,10 @@ TAYLOR_DEGREE = 26
 # Elements per block of the temporaries wider than their output: the Taylor route's phases
 # and moments, (rows, n_seg + D + 1, J), and theta_fiber's Gaussians, (nodes, N_H).
 BLOCK_ELEMENTS = 2**15
+
+
+class GridError(ValueError):
+    """A t grid of more than MAX_T_POINTS points."""
 
 
 @dataclass(frozen=True)
@@ -285,15 +291,15 @@ def t_grid(alpha: float, n_bands: int, period: float, v_max: float) -> tuple[int
 
     K h is tail_half_width.  The step obeys h <= H_MAX and keeps 2 pi / h
     beyond v_max by 8 alpha + 1, so the trapezoid aliasing images of phi are
-    negligible.  ValueError if the grid has more than MAX_T_POINTS points.
+    negligible.  GridError if the grid has more than MAX_T_POINTS points.
     """
     T = tail_half_width(alpha, n_bands, period)
     h = min(H_MAX, 2.0 * math.pi / (v_max + 8.0 * alpha + 1.0))
     steps = T / h if h > 0.0 else math.inf
     if not (math.isfinite(steps) and 2 * math.ceil(steps) + 1 <= MAX_T_POINTS):
-        raise ValueError(f"the t grid needs 2*ceil(T/h)+1 > MAX_T_POINTS={MAX_T_POINTS} points "
-                         f"(half-width T={T:.6g}, step h={h:.6g} from alpha and "
-                         f"v_max={v_max:.6g}, the largest |E - E* + m| known)")
+        raise GridError(f"the t grid needs 2*ceil(T/h)+1 > MAX_T_POINTS={MAX_T_POINTS} points "
+                        f"(half-width T={T:.6g}, step h={h:.6g} from alpha and "
+                        f"v_max={v_max:.6g}, the largest |E - E* + m| known)")
     K = max(math.ceil(steps), 1)
     return K, T / K
 
@@ -375,20 +381,19 @@ def _log_series(mu: np.ndarray, y: np.ndarray, degrees: np.ndarray) -> np.ndarra
     return c
 
 
-def compare_trace_representations(
-    bands: BandStructure,
-    e_star: float,
-    shifts: MassShifts,
-    phi: TestFunction,
-    K: int,
-    h: float,
-) -> TraceReport:
-    """Run both trace routes on one configuration, on the t grid (K, h), and report the gaps.
+def compare_trace_representations(bands: BandStructure, e_star: float, shifts: MassShifts,
+                                  phi: TestFunction) -> TraceReport:
+    """Run both trace routes on one configuration and report the gaps.
 
+    The t grid is t_grid's for v_max = max |E_n - E*| + max_m |m_m|, the largest fiber
+    value; a grid over MAX_T_POINTS points raises GridError before any sum is taken.
     Both routes sum the bands the window sees, d_n = min_kappa |E_n - E*| - max_m |m_m|
     at most sqrt(UNDERFLOW_EXPONENT) alpha; the Gaussians of the others are all 0.0.
     """
-    d = np.abs(bands.bands - e_star).min(axis=1) - np.abs(shifts.values).max(initial=0.0)
+    distance, m_max = np.abs(bands.bands - e_star), np.abs(shifts.values).max(initial=0.0)
+    K, h = t_grid(phi.alpha, bands.n_bands, bands.potential.period,
+                  float(distance.max() + m_max))
+    d = distance.min(axis=1) - m_max
     seen = np.flatnonzero(d <= math.sqrt(UNDERFLOW_EXPONENT) * phi.alpha)
     # The fiber sum first: its blocks of Gaussians are freed before the phase sums start.
     fiber = theta_fiber(phi, bands, e_star, shifts, seen)

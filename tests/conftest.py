@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diracgap import expcli, tracekit
+from diracgap import expcli
 from diracgap.arithmetic import MassShifts
 from diracgap.floquet import (
     BandStructure,
@@ -16,9 +16,7 @@ from diracgap.shift import Staircase
 @pytest.fixture(scope="session")
 def mathieu_bands():
     """Production-default band structure: Mathieu, M=32, N_kappa=201, 8 bands."""
-    pot = PotentialSpec.mathieu()
-    grid = QuasiMomentumGrid(n_nodes=201, period=1.0)
-    return compute_band_structure(pot, grid, M=32, n_bands=8)
+    return compute_band_structure(PotentialSpec.mathieu(), 201, M=32, n_bands=8)
 
 
 @pytest.fixture(scope="session")
@@ -46,12 +44,6 @@ def staircase_of(pairs):
         starts=np.cumsum(multiplicities) - multiplicities,
     )
     return Staircase(spec.positive_values, spec.multiplicities)
-
-
-def trace_grid(bands, e_star, shifts, alpha):
-    """(K, h) of the t grid that compute_run derives for these bands and shifts."""
-    v_max = float(np.abs(bands.bands - e_star).max() + np.abs(shifts.values).max(initial=0.0))
-    return tracekit.t_grid(alpha, bands.n_bands, bands.potential.period, v_max)
 
 
 def toy_band_structure(rows, period=1.0):

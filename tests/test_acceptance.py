@@ -18,13 +18,11 @@ from diracgap.arithmetic import (
 )
 from diracgap.floquet import (
     PotentialSpec,
-    QuasiMomentumGrid,
     compute_band_structure,
     fiber_eigenvalues,
 )
 from diracgap.gapspec import MEMBERSHIP_MARGIN, dirac_band_set
 from diracgap.shift import TestFunction
-from conftest import trace_grid
 from oracles import block_entries, dense_block_model, subsample_entries, two_half_mismatch
 from diracgap.tracekit import arithmetic_factors, compare_trace_representations
 from diracgap.zeta import fit_affine, load_zero_table
@@ -38,8 +36,7 @@ def report(n, text):
 
 def test_c01_free_potential_control():
     t0 = time.perf_counter()
-    grid = QuasiMomentumGrid(n_nodes=41, period=1.0)
-    bands = compute_band_structure(PotentialSpec(), grid, M=8, n_bands=5)
+    bands = compute_band_structure(PotentialSpec(), 41, M=8, n_bands=5)
     elapsed = time.perf_counter() - t0
     widths = (bands.lowers[1:] - bands.uppers[:-1]).tolist()
     assert len(widths) == 4 and all(w < 1e-8 for w in widths)
@@ -50,10 +47,10 @@ def test_c01_free_potential_control():
 
 def test_c02_floquet_evenness_and_convergence():
     pot = PotentialSpec.mathieu()
-    grid = QuasiMomentumGrid(n_nodes=201, period=1.0)
     t0 = time.perf_counter()
-    b32 = compute_band_structure(pot, grid, M=32, n_bands=8)
-    b64 = compute_band_structure(pot, grid, M=64, n_bands=8)
+    b32 = compute_band_structure(pot, 201, M=32, n_bands=8)
+    b64 = compute_band_structure(pot, 201, M=64, n_bands=8)
+    grid = b32.grid
     edge_diff = max(np.abs(b32.lowers - b64.lowers).max(), np.abs(b32.uppers - b64.uppers).max())
     assert edge_diff < 1e-8
     # independent -kappa solves, no mirroring, full negative half grid, against the
@@ -140,8 +137,7 @@ def test_c05_krein_identity_matrix_scale(default_run):
 def test_c06_trace_representation_agreement(default_run):
     t0 = time.perf_counter()
     r = default_run
-    grid = trace_grid(r.bands, r.e_star, r.shifts, 0.5)
-    rep = compare_trace_representations(r.bands, r.e_star, r.shifts, TestFunction(alpha=0.5), *grid)
+    rep = compare_trace_representations(r.bands, r.e_star, r.shifts, TestFunction(alpha=0.5))
     elapsed = time.perf_counter() - t0
     assert rep.h_t <= 0.01
     assert rep.rel_gap < 1e-6

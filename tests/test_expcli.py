@@ -724,6 +724,9 @@ def test_strict_config_rejections(tmp_path, capsys, doc, rule):
     ('{"potential": {"period": 1.0, "cosine_coefficients": [1e-9]}}', "no open gaps"),
     ('{"potential": {"period": 1e-150}}', "no open gaps"),
     ('{"gap_index": 7}', "3 open gaps available"),
+    # bands near 4e13, where one ulp (0.0078) opens a gap whose midpoint rounds onto its edge
+    ('{"potential": {"period": 1e-06, "cosine_coefficients": [1.0]}, "gap_index": 1,'
+     ' "alpha": 1e10}', "rounds onto one of its edges"),
 ])
 def test_config_errors_found_by_the_compute_stage_exit_2(tmp_path, capsys, doc, rule):
     # Whether a gap is open is known only once the bands are solved.
@@ -793,7 +796,7 @@ def test_t_grid_precheck_is_the_lower_bound_at_the_limit():
         return 2.0 * np.pi / (T / steps) - 8.0 * 0.5 - 1.0
 
     assert tracekit.t_grid(0.5, 8, 1.0, v_max(K - 0.5))[0] == K
-    with pytest.raises(ValueError, match="MAX_T_POINTS"):
+    with pytest.raises(tracekit.GridError, match="MAX_T_POINTS"):
         tracekit.t_grid(0.5, 8, 1.0, v_max(K + 0.5))
 
 
@@ -809,6 +812,17 @@ def test_t_grid_check_counts_the_mass_shifts(monkeypatch):
     monkeypatch.setattr(tracekit, "MAX_T_POINTS", 2 * K_bands + 1)
     with pytest.raises(ValidationError, match="MAX_T_POINTS"):
         compute_run(cfg)
+
+
+def test_a_failing_trace_exits_1(monkeypatch, capsys):
+    # Only the t grid's GridError is a rejected configuration: any other error of the
+    # trace stage, a ValueError included, is a failure of the program.
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(tracekit, "theta_fiber", boom)
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().err == "error: builtins.ValueError: boom\n"
 
 
 @pytest.mark.parametrize("doc", [REDUCED, '{"n_bands": 16}'])  # h = H_MAX; h set by v_max
@@ -943,6 +957,9 @@ def cheap_configs(draw):
               "N_kappa": 5, "alpha": 1000.0, "n_bands": 2})
 # the grid's edge node rounds one ulp past pi/L
 @example(doc={"potential": {"period": 1e-40}, "N_kappa": 7})
+# one ulp of the bands near 4e13 opens the second gap, whose midpoint rounds onto its edge
+@example(doc={"potential": {"period": 1e-06, "cosine_coefficients": [1.0]}, "gap_index": 1,
+              "alpha": 1e10})
 # lambda_1..3 spread 7.4e-6 near 1e3: a one-pass variance cancels to below 0
 @example(doc={"potential": {"period": 1000.0, "cosine_coefficients": [-1e-09, -10000.0]},
               "M": 4, "N_kappa": 9, "N_P": 7, "N_H": 4, "alpha": 0.2, "epsilon": 0.001,

@@ -149,11 +149,10 @@ THREE_HARMONICS = PotentialSpec(period=2.0, cosine_coefficients=(2.0, 0.7, 0.3))
 
 def test_bands_do_not_depend_on_the_thread_count(monkeypatch):
     # 21 half-grid fibers in 1, 2, 3 or 7 chunks, and 3 truncation fibers, fewer than 7
-    grid = QuasiMomentumGrid(n_nodes=41, period=2.0)
     solved = {}
     for cpus in (1, 2, 3, 7):
         patch_cpus(monkeypatch, cpus)
-        bands = compute_band_structure(THREE_HARMONICS, grid, M=16, n_bands=8)
+        bands = compute_band_structure(THREE_HARMONICS, 41, M=16, n_bands=8)
         solved[cpus] = (bands.bands.tobytes(), floquet.truncation_defect(bands))
     assert len(set(solved.values())) == 1
 
@@ -182,7 +181,7 @@ def test_a_failed_fiber_names_itself_and_leaves_no_thread(monkeypatch, failure):
     monkeypatch.setattr(floquet, "_DSBEVX", fake)
     threads = threading.active_count()
     with pytest.raises(FiberSolveError) as err:
-        compute_band_structure(THREE_HARMONICS, grid, M=M, n_bands=8)
+        compute_band_structure(THREE_HARMONICS, grid.n_nodes, M=M, n_bands=8)
     cause = MemoryError(f"no room for the fiber at kappa^2={kappa ** 2}")
     info = "1" if failure == "info" else repr(cause)
     assert str(err.value) == f"dsbevx failed on fiber 3 (kappa={kappa}): info={info}"
@@ -244,8 +243,7 @@ def test_grid_rejects_an_infinite_period():
 
 
 def test_free_potential_has_no_open_gaps():
-    grid = QuasiMomentumGrid(n_nodes=41, period=1.0)
-    bands = compute_band_structure(PotentialSpec(), grid, M=8, n_bands=4)
+    bands = compute_band_structure(PotentialSpec(), 41, M=8, n_bands=4)
     assert bands.gaps.tolist() == []
     for n in range(3):
         assert bands.lowers[n + 1] - bands.uppers[n] < 1e-8
@@ -263,13 +261,10 @@ def test_band_structure_derives_edges_and_gaps_once(mathieu_bands):
 
 
 def test_band_structure_rejects_underresolved_bands():
-    grid = QuasiMomentumGrid(n_nodes=5, period=1.0)
     with pytest.raises(ValueError, match="n_bands"):
-        compute_band_structure(PotentialSpec.mathieu(), grid, M=2, n_bands=5)
+        compute_band_structure(PotentialSpec.mathieu(), 5, M=2, n_bands=5)
     with pytest.raises(ValueError, match="n_bands must be >= 1"):
-        compute_band_structure(PotentialSpec.mathieu(), grid, M=8, n_bands=0)
-    with pytest.raises(ValueError, match="periods disagree"):
-        compute_band_structure(PotentialSpec.mathieu(), QuasiMomentumGrid(5, 2.0), M=8, n_bands=4)
+        compute_band_structure(PotentialSpec.mathieu(), 5, M=8, n_bands=0)
 
 
 def test_evenness_bitwise_and_independent(mathieu_bands):
@@ -326,9 +321,17 @@ def test_reference_energy(mathieu_bands):
         select_reference_energy(toy, 1)
 
 
+def test_reference_energy_rejects_a_midpoint_that_rounds_onto_an_edge():
+    # At 2^40 one ulp is 2^-12, wider than GAP_TOLERANCE: the gap of one ulp is open, and
+    # its midpoint rounds to even, onto the lower edge.
+    bands = toy_band_structure([[2.0**40] * 2, [2.0**40 + 2.0**-12] * 2])
+    assert bands.gaps.tolist() == [0]
+    with pytest.raises(ValueError, match="rounds onto one of its edges"):
+        select_reference_energy(bands, 0)
+
+
 def test_reference_energy_requires_open_gap():
-    grid = QuasiMomentumGrid(n_nodes=21, period=1.0)
-    bands = compute_band_structure(PotentialSpec(), grid, M=6, n_bands=3)
+    bands = compute_band_structure(PotentialSpec(), 21, M=6, n_bands=3)
     with pytest.raises(NoOpenGapError, match="potential strength"):
         select_reference_energy(bands, 0)
 
@@ -342,15 +345,13 @@ def test_potential_validation():
 
 def test_truncation_convergence_fast():
     # Cheap variant of the M-doubling invariant (full check in acceptance).
-    grid = QuasiMomentumGrid(n_nodes=21, period=1.0)
-    e16 = compute_band_structure(PotentialSpec.mathieu(), grid, M=16, n_bands=6)
-    e32 = compute_band_structure(PotentialSpec.mathieu(), grid, M=32, n_bands=6)
+    e16 = compute_band_structure(PotentialSpec.mathieu(), 21, M=16, n_bands=6)
+    e32 = compute_band_structure(PotentialSpec.mathieu(), 21, M=32, n_bands=6)
     diff = max(np.abs(e16.lowers - e32.lowers).max(), np.abs(e16.uppers - e32.uppers).max())
     assert diff < 1e-8
 
 
 def test_band_structure_runtime_is_desk_scale():
-    grid = QuasiMomentumGrid(n_nodes=201, period=1.0)
     t0 = time.perf_counter()
-    compute_band_structure(PotentialSpec.mathieu(), grid, M=32, n_bands=8)
+    compute_band_structure(PotentialSpec.mathieu(), 201, M=32, n_bands=8)
     assert time.perf_counter() - t0 < 5.0

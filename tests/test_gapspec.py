@@ -93,7 +93,7 @@ def brute_force_band_set(bands, e_star):
     return merged
 
 
-TOY_SET = (np.array([-1.5, 0.5]), np.array([-0.5, 1.5]))
+TOY_SET = [(-1.5, -0.5), (0.5, 1.5)]  # the intervals of TOY's band set at E* = 1.5
 
 
 def fiber_tuples(gap_values):
@@ -143,7 +143,7 @@ def assert_spectrum_matches_brute_force(spec, grid, pairs):
 
 def test_toy_band_set():
     bs = dirac_band_set(TOY, 1.5)
-    assert intervals(bs) == [(-1.5, -0.5), (0.5, 1.5)]
+    assert intervals(bs) == TOY_SET
     assert (bs[0].dtype, bs[1].dtype) == (np.float64, np.float64)
     # the set equals its own negation
     negated = sorted((-hi, -lo) for lo, hi in intervals(bs))
@@ -170,7 +170,7 @@ def test_band_set_symmetry_mathieu(mathieu_bands):
 def test_boundary_value_not_emitted():
     # fiber at E = 2.0 with zero mass: v = 0.5 is a band edge, distance 0
     bands = toy_band_structure([[2.0, 2.0, 2.0]])
-    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.0]), TOY_SET)
+    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.0]))
     assert len(got) == 0
     assert got.values.shape == (0,) and got.fibers.shape == (0, 3)
 
@@ -183,7 +183,7 @@ def test_margin_is_the_difference_from_the_band_edge():
     shifts = one_row_shifts([MEMBERSHIP_MARGIN])
     band_set = dirac_band_set(bands, 1.0)
     assert intervals(band_set) == [(-1.0, -0.75), (0.75, 1.0)]
-    got = fiber_gap_eigenvalues(bands, 1.0, shifts, band_set)
+    got = fiber_gap_eigenvalues(bands, 1.0, shifts)
     assert fiber_tuples(got) == [(0, 4, 1)]
     assert got.values.tolist() == [-0.75 + MEMBERSHIP_MARGIN]
     assert got.values[0] + 0.75 > MEMBERSHIP_MARGIN
@@ -193,7 +193,7 @@ def test_margin_is_the_difference_from_the_band_edge():
 
 def test_toy_fiber_emission():
     bands = toy_band_structure([[1.0, 1.0]])
-    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.6]), TOY_SET)
+    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.6]))
     # v = 1.0 - 1.5 + 0.6 = 0.1 inside the central gap, one fiber per node of kappa >= 0;
     # each value stands for the pair +-0.1, and the one at pi/L for its mirror at -pi/L too
     assert got.values.tolist() == pytest.approx([0.1] * 2, abs=1e-15)
@@ -206,10 +206,10 @@ def test_two_band_hand_example_keeps_the_chiral_gap_value_and_the_one_above():
     # inside the chiral gap, and its mirror (0, 0) at -pi with it; 1.5 + 0.25 leaves
     # the band set too, but above the top band.
     shifts = one_row_shifts([0.0, 0.25])
-    got = fiber_gap_eigenvalues(TOY, 1.5, shifts, dirac_band_set(TOY, 1.5))
+    got = fiber_gap_eigenvalues(TOY, 1.5, shifts)
     assert got.values.tolist() == [-0.25, 1.75]
     assert got.fibers.tolist() == [[0, 4, 2], [1, 4, 2]]
-    brute = brute_force_gap_values(TOY, 1.5, shifts, intervals(TOY_SET))
+    brute = brute_force_gap_values(TOY, 1.5, shifts, TOY_SET)
     assert_matches_the_whole_grid(got, brute)
 
 
@@ -218,7 +218,7 @@ def test_zero_mass_keeps_no_value_on_the_default_bands(default_run):
     r = default_run
     shifts = one_row_shifts(np.zeros(4))
     band_set = dirac_band_set(r.bands, r.e_star)
-    assert len(fiber_gap_eigenvalues(r.bands, r.e_star, shifts, band_set)) == 0
+    assert len(fiber_gap_eigenvalues(r.bands, r.e_star, shifts)) == 0
     assert brute_force_gap_values(r.bands, r.e_star, shifts, intervals(band_set)) == []
 
 
@@ -254,7 +254,7 @@ GRID3 = QuasiMomentumGrid(n_nodes=3, period=1.0)  # nodes -pi, 0, pi: j = 1 is k
 
 def test_aggregate_trivial_cases():
     bands = toy_band_structure([[1.0, 1.0]])
-    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.6]), TOY_SET)
+    got = fiber_gap_eigenvalues(bands, 1.5, one_row_shifts([0.6]))
     # the single fiber at kappa = 0 and its +-0.1
     one = GapValues(values=got.values[:1], fibers=got.fibers[:1], grid=got.grid)
     spec = aggregate_spectrum(one)
@@ -326,7 +326,7 @@ def test_any_inside_prefilter_loses_values_the_brute_force_keeps(default_run):
     exec(source.replace(kept_rows, "~inside.any(axis=0)"), namespace)
     r = default_run
     band_set = dirac_band_set(r.bands, r.e_star)
-    got = namespace["fiber_gap_eigenvalues"](r.bands, r.e_star, r.shifts, band_set)
+    got = namespace["fiber_gap_eigenvalues"](r.bands, r.e_star, r.shifts)
     brute = brute_force_gap_values(r.bands, r.e_star, r.shifts, intervals(band_set))
     assert (len(got), len(brute)) == (280, 432)
 
@@ -359,7 +359,7 @@ def test_permutation_invariance_of_spectrum(default_run):
     perm = rng.permutation(r.config.N_H)
     permuted = HeckeEnsemble(primes=r.ensemble.primes, samples=r.ensemble.samples[:, perm])
     shifts = mass_shifts(permuted, EPSILON)
-    vals = fiber_gap_eigenvalues(r.bands, r.e_star, shifts, dirac_band_set(r.bands, r.e_star))
+    vals = fiber_gap_eigenvalues(r.bands, r.e_star, shifts)
     spec = aggregate_spectrum(vals)
     assert spec.positive_values.tolist() == r.spectrum.positive_values.tolist()
     assert spec.multiplicities.tolist() == r.spectrum.multiplicities.tolist()
@@ -412,7 +412,7 @@ def test_array_path_matches_brute_force(problem):
     band_set = dirac_band_set(bands, e_star)
     assert intervals(band_set) == brute_force_band_set(bands, e_star)
     shifts = one_row_shifts(masses)
-    got = fiber_gap_eigenvalues(bands, e_star, shifts, band_set)
+    got = fiber_gap_eigenvalues(bands, e_star, shifts)
     brute = brute_force_gap_values(bands, e_star, shifts, intervals(band_set))
     assert got.fibers.shape == (len(got.values), 3)
     assert_matches_the_whole_grid(got, brute)

@@ -290,3 +290,13 @@ def test_readme_configuration_block_is_the_default_config():
     block = re.search(r"Configuration keys \(all optional\):\s*```json\n(.*?)```",
                       README.read_text(), re.DOTALL).group(1)
     assert json.loads(block) == json.loads(json.dumps(asdict(ExperimentConfig())))
+
+
+def test_readme_library_example_runs(default_run):
+    # README's "Library use" block runs as written: its stage-by-stage calls match the
+    # library's signatures, and its trace is the default run's.
+    block = re.search(r"## Library use\s*```python\n(.*?)```", README.read_text(),
+                      re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["trace"] == default_run.trace

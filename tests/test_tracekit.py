@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import one_row_shifts, toy_band_structure, trace_grid
+from conftest import one_row_shifts, toy_band_structure
 from oracles import (eta, geometric_factor, local_factor, local_factor_grid, log_series,
                      mirrored_bands, phase_sums, sample_row, theta_fiber_whole_array,
                      whole_grid_sums)
@@ -25,7 +25,6 @@ from diracgap.arithmetic import (
 from diracgap import expcli, tracekit
 from diracgap.floquet import (
     PotentialSpec,
-    QuasiMomentumGrid,
     compute_band_structure,
     select_reference_energy,
 )
@@ -49,6 +48,11 @@ def log_coefficients(ens, p, degree):
 
 def zero_shifts(n):
     return one_row_shifts(np.zeros(n))
+
+
+def grid_of(report):
+    """(K, h) of the t grid a trace report was summed on, read back from t_max = K h."""
+    return round(report.t_max / report.h_t), report.h_t
 
 
 def test_theta_fiber_zero_function():
@@ -112,7 +116,7 @@ def test_geometric_factor_grid_refinement(mathieu_bands):
     # doubled kappa grid as the refinement oracle (trapezoid on a smooth
     # periodic integrand converges spectrally)
     pot = PotentialSpec.mathieu()
-    fine = compute_band_structure(pot, QuasiMomentumGrid(n_nodes=401, period=1.0), 32, 1)
+    fine = compute_band_structure(pot, 401, 32, 1)
     e_star = 9.856938576832455
     coarse_val = geometric_factor(mathieu_bands, e_star, 0, 1.0)
     fine_val = geometric_factor(fine, e_star, 0, 1.0)
@@ -167,7 +171,7 @@ def test_table_factors_match_direct_references(default_run):
     # within 1e-13 of the exact sum and the bound would test rounding only.
     r = default_run
     pot = PotentialSpec.mathieu()
-    bands = compute_band_structure(pot, QuasiMomentumGrid(n_nodes=201, period=1.0), 32, 2)
+    bands = compute_band_structure(pot, 201, 32, 2)
     e_star = 9.856938576832455
     t = np.arange(6001) * 0.002
     geometric, _ = tracekit._geometric_on_grid(bands, e_star, 6000, 0.002)
@@ -253,10 +257,9 @@ def test_folded_geometric_factor_matches_full_grid_oracle(default_run, case):
         bands, e_star = default_run.bands, default_run.e_star
     else:
         pot = PotentialSpec(period=2.0, cosine_coefficients=(2.0, 0.7, 0.3))
-        bands = compute_band_structure(pot, QuasiMomentumGrid(n_nodes=81, period=2.0), 16, 6)
+        bands = compute_band_structure(pot, 81, 16, 6)
         e_star = select_reference_energy(bands, 0)
-    h = default_run.trace.h_t
-    K = round(default_run.trace.t_max / h)
+    K, h = grid_of(default_run.trace)
     folded, _ = tracekit._geometric_on_grid(bands, e_star, K, h)
     # The scalar oracle rounds its phases at about eps |t q|; |t q| <= 700
     # keeps that, summed over the kappa grid, below the 1e-13 bound.
@@ -286,11 +289,10 @@ def test_folded_sums_match_whole_grid_sums_of_fresh_negative_solves(default_run,
     if case == "default":
         bands, e_star = default_run.bands, default_run.e_star
     else:
-        bands = compute_band_structure(THREE_HARMONICS, QuasiMomentumGrid(n_nodes=81, period=2.0),
-                                       16, 6)
+        bands = compute_band_structure(THREE_HARMONICS, 81, 16, 6)
         e_star = select_reference_energy(bands, 0)
     phi, shifts = TestFunction(alpha=0.5), default_run.shifts
-    K, h = trace_grid(bands, e_star, shifts, phi.alpha)
+    K, h = grid_of(compare_trace_representations(bands, e_star, shifts, phi))
     folded = tracekit._geometric_on_grid(bands, e_star, K, h)[0].sum(axis=0)
     # |t q| <= 700 keeps the phase rounding of either side below the bound
     k_max = int(700.0 / (h * np.abs(bands.bands - e_star).max()))
@@ -332,29 +334,27 @@ def test_separated_matches_fiber_on_golden_run(default_run):
 
 def test_separated_zero_mass_consistency():
     pot = PotentialSpec.mathieu()
-    bands = compute_band_structure(pot, QuasiMomentumGrid(n_nodes=41, period=1.0), 8, 4)
+    bands = compute_band_structure(pot, 41, 8, 4)
     e_star = 9.856938576832455
     shifts = zero_shifts(3)
     phi = TestFunction(alpha=0.5)
-    K, h = trace_grid(bands, e_star, shifts, phi.alpha)
-    a_joint, *_ = arithmetic_factors(shifts, K, h)
+    r = compare_trace_representations(bands, e_star, shifts, phi)
+    a_joint, *_ = arithmetic_factors(shifts, *grid_of(r))
     assert np.all(a_joint == 1.0 + 0.0j)  # A == 1 when mass vanishes
     fiber = theta_fiber(phi, bands, e_star, shifts)
-    separated = compare_trace_representations(bands, e_star, shifts, phi, K, h).theta_separated
-    assert abs(fiber - separated) / abs(fiber) < 1e-6
+    assert abs(fiber - r.theta_separated) / abs(fiber) < 1e-6
 
 
 def test_separated_saturation_limit():
     # phi ~= 1 on the whole finite spectrum: theta -> 2 (2pi/L) n_bands
     pot = PotentialSpec.mathieu()
-    bands = compute_band_structure(pot, QuasiMomentumGrid(n_nodes=41, period=1.0), 8, 4)
+    bands = compute_band_structure(pot, 41, 8, 4)
     e_star = 9.856938576832455
     shifts = zero_shifts(2)
     phi = TestFunction(alpha=1e5)
     fiber = theta_fiber(phi, bands, e_star, shifts)
     assert fiber == pytest.approx(2.0 * 2.0 * np.pi * 4, rel=1e-4)
-    grid = trace_grid(bands, e_star, shifts, phi.alpha)
-    separated = compare_trace_representations(bands, e_star, shifts, phi, *grid).theta_separated
+    separated = compare_trace_representations(bands, e_star, shifts, phi).theta_separated
     assert abs(fiber - separated) / abs(fiber) < 1e-6
 
 
@@ -385,13 +385,12 @@ def test_folded_t_sum_matches_the_whole_grid_trapezoid_at_negative_t():
     # sum_n G_n and A_joint directly at every t_k, k = -K..K, on the freshly solved whole
     # kappa grid, and sums the trapezoid 1/2, 1, ..., 1, 1/2.  Counting k = 0 twice or
     # weighting the inside by 1 moves theta_separated by 0.035 or 0.098 here.
-    bands = compute_band_structure(THREE_HARMONICS, QuasiMomentumGrid(n_nodes=41, period=2.0),
-                                   16, 6)
+    bands = compute_band_structure(THREE_HARMONICS, 41, 16, 6)
     e_star = select_reference_energy(bands, 0)
     shifts = mass_shifts(sample_hecke_ensemble(generate_primes(5), 8, seed=3), EPSILON)
     phi = TestFunction(alpha=0.5)
-    K, h = trace_grid(bands, e_star, shifts, phi.alpha)
-    r = compare_trace_representations(bands, e_star, shifts, phi, K, h)
+    r = compare_trace_representations(bands, e_star, shifts, phi)
+    K, h = grid_of(r)
     t = np.arange(-K, K + 1) * h
     _, geometric = whole_grid_sums(phi, bands, e_star, shifts, t)
     a_joint = np.exp(1j * np.multiply.outer(t, shifts.values)).mean(axis=1)
@@ -407,7 +406,7 @@ T_FOLD_MUTATIONS = {"count k = 0 twice": (0, 2.0), "weight the inside by 1": (sl
 @pytest.mark.parametrize("mutation", T_FOLD_MUTATIONS)
 def test_trace_agreement_fails_on_a_wrong_t_fold(default_run, monkeypatch, mutation):
     # Only the t axis's weights change: the kappa half has 51 nodes, the t half K + 1 = 2268.
-    K = round(default_run.trace.t_max / default_run.trace.h_t)
+    K, _ = grid_of(default_run.trace)
     at, value = T_FOLD_MUTATIONS[mutation]
     fold = tracekit.fold_weights
 
@@ -526,7 +525,7 @@ def test_series_degrees_keep_the_bits_of_the_whole_degree_table(config):
     # The run's series primes take the least degrees of the whole (degree, prime) table of
     # tail bounds, and the run reports their bound bit for bit.
     r = expcli.compute_run(expcli.parse_config(config))
-    K, h = trace_grid(r.bands, r.e_star, r.shifts, r.config.alpha)
+    K, h = grid_of(r.trace)
     q = K * h * np.abs(tracekit._centred(r.shifts.terms)[1]).max(axis=1) / tracekit.EULER_SERIES_S0
     bound = _check_least_degrees(q[q <= tracekit.EULER_SERIES_RATIO])
     assert bound.hex() == r.trace.euler_series_bound.hex()
@@ -613,7 +612,7 @@ def test_both_routes_keep_a_band_at_sqrt_746_alpha_and_drop_one_an_ulp_beyond(mo
         monkeypatch.setattr(tracekit, name, spy)
     bands = toy_band_structure([[-np.nextafter(edge, np.inf)] * 3, [1.0, 2.0, 1.0], [edge] * 3])
     r = compare_trace_representations(bands, 0.0, one_row_shifts([0.25, -0.5]),
-                                      TestFunction(alpha=alpha), 500, 0.05)
+                                      TestFunction(alpha=alpha))
     assert summed == {"theta_fiber": [1, 2], "_geometric_on_grid": [1, 2]}
     assert r.bands_kept == len(summed["theta_fiber"])
 
@@ -622,8 +621,7 @@ def test_trace_with_no_visible_band_is_finite_and_agrees():
     bands = toy_band_structure([[0.0] * 3, [100.0] * 3])
     ens = sample_hecke_ensemble(generate_primes(3), 4, seed=1)
     shifts = mass_shifts(ens, EPSILON)
-    r = compare_trace_representations(bands, 50.0, shifts, TestFunction(alpha=0.5),
-                                      *trace_grid(bands, 50.0, shifts, 0.5))
+    r = compare_trace_representations(bands, 50.0, shifts, TestFunction(alpha=0.5))
     assert r.bands_kept == 0
     assert r.theta_fiber == 0.0 and r.theta_separated == 0.0  # every fiber value is >= 49 from 0
     assert all(math.isfinite(x) for x in (r.rel_gap, r.abs_gap, r.l1_mass, r.euler_gap))
@@ -691,7 +689,7 @@ def test_fiber_sum_keeps_a_band_whose_gaussians_are_subnormal_and_drops_one_that
                         summed.append(list(rows)) or every_band(phi, bands, e_star, shifts, rows))
     bands = toy_band_structure([[-13.7] * 3, [13.6] * 3])
     phi = TestFunction(alpha=0.5)
-    r = compare_trace_representations(bands, 0.0, one_row_shifts([0.0]), phi, 500, 0.05)
+    r = compare_trace_representations(bands, 0.0, one_row_shifts([0.0]), phi)
     assert summed == [[1]]
     assert r.theta_fiber > 0.0
     assert r.theta_fiber == every_band(phi, bands, 0.0, one_row_shifts([0.0]))
@@ -724,9 +722,8 @@ def heap_peak(work) -> int:
 def test_trace_temporaries_stay_under_the_block_budget():
     # Whole-array temporaries peaked at 9.5 MiB here and at 3.42 MiB for the N_H = 500 run.
     r = expcli.compute_run(expcli.parse_config('{"N_H": 2000, "seed": 3}'))
-    K, h = trace_grid(r.bands, r.e_star, r.shifts, r.config.alpha)
     phi = TestFunction(alpha=r.config.alpha)
     assert heap_peak(lambda: compare_trace_representations(
-        r.bands, r.e_star, r.shifts, phi, K, h)) <= 4 * 2**20
+        r.bands, r.e_star, r.shifts, phi)) <= 4 * 2**20
     cfg = expcli.parse_config('{"N_H": 500, "seed": 3}')
     assert heap_peak(lambda: expcli.compute_run(cfg)) <= 2.5 * 2**20
