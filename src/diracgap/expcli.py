@@ -5,8 +5,10 @@ fields of ExperimentConfig, and {} is the default.  ExperimentConfig checks
 itself when built (by parse_config, directly or by dataclasses.replace): it
 coerces each value by its field type's rule, then names in a ValidationError
 the rule broken, and the assumption where one applies (B: summability, C:
-even potential, G: monotone window).  The trace's t grid (tracekit.t_grid) is
-checked there at v_max = 0; the trace derives it from the exact v_max.
+even potential, G: monotone window); its rules read only its values and the
+bundled zero table.  The stage that derives a quantity checks its rule: the
+bands whether the selected gap is open, the trace whether its t grid fits
+MAX_T_POINTS; compute_run raises both as ValidationError, `bands` checks neither.
 
 A run executes the five pipeline steps (bands, ensemble, mass shifts, gap
 filter, staircase), then the trace-formula cross-check and the zero-alignment
@@ -37,6 +39,7 @@ import numpy as np
 from . import arithmetic, gapspec, tracekit, zeta
 from .floquet import (
     GAP_TOLERANCE,
+    GAP_ULPS,
     BandStructure,
     PotentialSpec,
     compute_band_structure,
@@ -91,13 +94,9 @@ class ExperimentConfig:
             raise ValidationError("N_H must be >= 1")
         if self.N_kappa < 3 or self.N_kappa % 2 == 0:
             raise ValidationError("N_kappa must be odd and >= 3 so kappa = 0 is a node")
-        if self.M < 1:
-            raise ValidationError("M must be >= 1")
-        if self.M < self.potential.harmonic_count:
-            raise ValidationError(
-                f"M={self.M} must be >= the number of potential harmonics "
-                f"R={self.potential.harmonic_count}"
-            )
+        if self.M < max(1, self.potential.harmonic_count):
+            raise ValidationError(f"M={self.M} must be >= max(1, R) with R="
+                                  f"{self.potential.harmonic_count} potential harmonics")
         # largest |kappa + 2 pi m / L|: its square is the largest fiber diagonal entry
         wave_max = (2.0 * self.M + 1.0) * math.pi / self.potential.period
         if not math.isfinite(4.0 * wave_max * wave_max):
@@ -120,10 +119,6 @@ class ExperimentConfig:
             raise ValidationError(f"K={self.K} exceeds the {n_zeros} zeros of the bundled table")
         if not (self.T > 0.0 and math.isfinite(2.0 * self.T)):
             raise ValidationError("T must be positive and 2T finite (the window is [-T, T])")
-        try:
-            tracekit.t_grid(self.alpha, self.n_bands, self.potential.period, 0.0)
-        except tracekit.GridError as err:
-            raise ValidationError(str(err)) from None
 
 
 def _integer(key: str, value) -> int:
@@ -260,10 +255,10 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
     bands = compute_band_structure(cfg.potential, cfg.N_kappa, cfg.M, cfg.n_bands)
     try:
         e_star = select_reference_energy(bands, cfg.gap_index)
-    except ValueError as err:  # NoOpenGapError, gap_index beyond the open gaps, E* on an edge
+    except ValueError as err:  # NoOpenGapError, or gap_index beyond the open gaps
         raise ValidationError(
-            f"gap_index={cfg.gap_index} must select an open gap (width > {GAP_TOLERANCE:g}): {err}"
-        ) from err
+            f"gap_index={cfg.gap_index} must select an open gap (width > {GAP_TOLERANCE:g} and "
+            f"{GAP_ULPS} ulps of each edge): {err}") from err
 
     primes = arithmetic.generate_primes(cfg.N_P)
     ensemble = arithmetic.sample_hecke_ensemble(primes, cfg.N_H, cfg.seed, cfg.mode)

@@ -81,7 +81,9 @@ def test_structural_rejections():
         ('{"N_P": 0}', "N_P"),
         ('{"N_kappa": 200}', "odd"),
         ('{"M": 2, "n_bands": 5}', "n_bands"),
-        ('{"M": 0}', "M must"),
+        ('{"M": 0}', r"M=0 must be >= max\(1, R\) with R=1 potential harmonics"),
+        ('{"M": 0, "potential": {"cosine_coefficients": []}}',
+         r"M=0 must be >= max\(1, R\) with R=0 potential harmonics"),
         ('{"mode": "gaussian"}', "mode"),
         ('{"K": 1}', "K"),
         ('{"T": -3}', "T"),
@@ -90,7 +92,7 @@ def test_structural_rejections():
         ('{"potential": {"foo": 1}}', "unknown potential"),
         ('{"potential": 5}', "potential must be an object"),
         ('{"M": 1, "potential": {"cosine_coefficients": [1.0, 1.0]}}',
-         "must be >= the number of potential harmonics"),
+         r"M=1 must be >= max\(1, R\) with R=2 potential harmonics"),
         ('{"gap_index": -1}', "gap_index must be >= 0"),
         ("[1,2]", "object"),
         ("{not json", "JSON"),
@@ -702,10 +704,6 @@ def test_narrow_window_trace_is_noise_floor_limited():
     ('{"K": 101}', "exceeds the 100 zeros"),
     ('{"T": 1e308}', "2T finite"),
     ('{"alpha": "0.5"}', "alpha must be a number"),
-    ('{"alpha": 1e-9}', "MAX_T_POINTS"),
-    ('{"alpha": 1e300}', "MAX_T_POINTS"),
-    ('{"alpha": 1e308}', "MAX_T_POINTS"),  # 8 alpha overflows: h = 0
-    ('{"alpha": 1e-200}', "MAX_T_POINTS"),
     ('{"h_t": 0.01}', "unknown configuration keys"),
     ('{"t_max": 9.5}', "unknown configuration keys"),
     ('{"potential": {"period": 1e-300}}', "too small for M=32: the largest fiber diagonal"),
@@ -724,9 +722,17 @@ def test_strict_config_rejections(tmp_path, capsys, doc, rule):
     ('{"potential": {"period": 1.0, "cosine_coefficients": [1e-9]}}', "no open gaps"),
     ('{"potential": {"period": 1e-150}}', "no open gaps"),
     ('{"gap_index": 7}', "3 open gaps available"),
-    # bands near 4e13, where one ulp (0.0078) opens a gap whose midpoint rounds onto its edge
+    # bands near 4e13, where one ulp (0.0078) is wider than GAP_TOLERANCE: the second gap,
+    # 1 ulp wide, is rounding, not a gap
     ('{"potential": {"period": 1e-06, "cosine_coefficients": [1.0]}, "gap_index": 1,'
-     ' "alpha": 1e10}', "rounds onto one of its edges"),
+     ' "alpha": 1e10}', "1 open gaps available"),
+    # bands near 1.2e15, whose second gap is 2 ulps wide
+    ('{"potential": {"period": 1.7782794100389227e-07, "cosine_coefficients": [1.0]},'
+     ' "gap_index": 1, "alpha": 1e10, "M": 3, "n_bands": 4, "N_kappa": 5, "N_P": 1, "N_H": 2,'
+     ' "K": 2, "T": 1e-6}', "no open gaps"),
+    # the gaps of a cosine 1e-300 times smaller than the band scale are rounding
+    ('{"potential": {"period": 1e-151}}', "no open gaps"),
+    ('{"potential": {"period": 1e-40}, "N_kappa": 7}', "no open gaps"),
 ])
 def test_config_errors_found_by_the_compute_stage_exit_2(tmp_path, capsys, doc, rule):
     # Whether a gap is open is known only once the bands are solved.
@@ -742,11 +748,11 @@ def test_config_errors_found_by_the_compute_stage_exit_2(tmp_path, capsys, doc, 
 
 
 @pytest.mark.parametrize("doc", [
-    '{"potential": {"period": 1e-151}}',
+    '{"potential": {"period": 1e-151, "cosine_coefficients": [1e300]}}',
     '{"potential": {"period": 1e-140, "cosine_coefficients": [1e280]}}',
     '{"potential": {"period": 1.0, "cosine_coefficients": [2.0, 0.0, 1e30]}}',
     # the grid's edge node rounds one ulp past pi/L; the zone check must take it
-    '{"potential": {"period": 1e-40}, "N_kappa": 7}',
+    '{"potential": {"period": 1e-40, "cosine_coefficients": [1e80]}, "N_kappa": 7}',
 ])
 def test_t_grid_rechecked_with_the_band_energies_exits_2(tmp_path, capsys, doc):
     # The step 2 pi / (v_max + 8 alpha + 1) shrinks with the bands, which are known
@@ -759,6 +765,28 @@ def test_t_grid_rechecked_with_the_band_energies_exits_2(tmp_path, capsys, doc):
         assert main([*command, "--config", str(cfg_path)]) == 2
         assert "MAX_T_POINTS" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# at alpha = 1e308, 8 alpha overflows and the step is 0
+@pytest.mark.parametrize("alpha", ["1e-9", "1e300", "1e308", "1e-200"])
+def test_the_t_grid_rule_is_checked_by_the_trace_stage_alone(tmp_path, capsys, alpha):
+    # The configuration is valid; only a run's trace stage builds the t grid, and rejects it.
+    doc = f'{{"alpha": {alpha}}}'
+    cfg = parse_config(doc)
+    with pytest.raises(ValidationError, match="MAX_T_POINTS"):
+        compute_run(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(doc)
+    for command in (["verify"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(cfg_path)]) == 2
+        assert "MAX_T_POINTS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # `bands` builds no t grid, and alpha does not enter the bands
+    assert main(["bands", "--config", str(cfg_path), "--out", str(tmp_path / "bands")]) == 0
+    assert main(["bands", "--out", str(tmp_path / "default")]) == 0
+    for name in ("bands.csv", "gaps.csv"):
+        written = [(tmp_path / out / name).read_bytes() for out in ("bands", "default")]
+        assert written[0] == written[1], name
 
 
 def test_run_whose_window_sees_no_band_passes(tmp_path):
@@ -833,10 +861,10 @@ def test_compute_run_derives_the_t_grid_once(monkeypatch, doc):
         calls.append((args, t_grid(*args)))
         return calls[-1][1]
 
-    cfg = parse_config(doc)
     monkeypatch.setattr(tracekit, "t_grid", counted)
+    cfg = parse_config(doc)
     r = compute_run(cfg)
-    [(args, (K, h))] = calls
+    [(args, (K, h))] = calls  # parse_config makes none
     v_max = np.abs(r.bands.bands - r.e_star).max() + np.abs(r.shifts.values).max()
     assert args == (cfg.alpha, cfg.n_bands, cfg.potential.period, v_max)
     assert (r.trace.t_max, r.trace.h_t) == (K * h, h)
@@ -957,9 +985,13 @@ def cheap_configs(draw):
               "N_kappa": 5, "alpha": 1000.0, "n_bands": 2})
 # the grid's edge node rounds one ulp past pi/L
 @example(doc={"potential": {"period": 1e-40}, "N_kappa": 7})
-# one ulp of the bands near 4e13 opens the second gap, whose midpoint rounds onto its edge
+# near 4e13 one ulp is wider than GAP_TOLERANCE, and the second gap is 1 ulp wide
 @example(doc={"potential": {"period": 1e-06, "cosine_coefficients": [1.0]}, "gap_index": 1,
               "alpha": 1e10})
+# near 1.2e15 the second gap is 2 ulps wide
+@example(doc={"potential": {"period": 1.7782794100389227e-07, "cosine_coefficients": [1.0]},
+              "gap_index": 1, "alpha": 1e10, "M": 3, "n_bands": 4, "N_kappa": 5, "N_P": 1,
+              "N_H": 2, "K": 2, "T": 1e-6})
 # lambda_1..3 spread 7.4e-6 near 1e3: a one-pass variance cancels to below 0
 @example(doc={"potential": {"period": 1000.0, "cosine_coefficients": [-1e-09, -10000.0]},
               "M": 4, "N_kappa": 9, "N_P": 7, "N_H": 4, "alpha": 0.2, "epsilon": 0.001,
@@ -969,6 +1001,9 @@ def test_cheap_configurations_are_rejected_or_run_to_finite_results(doc):
         result = compute_run(parse_config(json.dumps(doc)))
     except ValidationError:
         return
+    bands, n = result.bands, result.bands.gaps[result.config.gap_index]
+    beta, alpha = float(bands.uppers[n]), float(bands.lowers[n + 1])
+    assert alpha - beta > 64 * max(math.ulp(beta), math.ulp(alpha))  # not rounding alone
     trace = [getattr(result.trace, f.name) for f in fields(result.trace)]
     d = result.diagnostics
     values = [*trace, d.mae, d.max_abs, d.e_step, d.affine.a, d.affine.b]

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvals_banded, lapack
 
 from conftest import toy_band_structure
@@ -64,8 +66,12 @@ def test_fiber_matrix_rejections():
         fiber_eigenvalues(pot, [0.0], M=0, count=1)
     with pytest.raises(ValueError, match=r"one-dimensional, got shape \(\)"):
         fiber_eigenvalues(pot, 0.0, M=4, count=1)
-    with pytest.raises(ValueError, match="non-finite"):
+    # a NaN kappa passes the zone check, and the band storage rejects it
+    with pytest.raises(ValueError, match="infs or NaNs"):
         fiber_eigenvalues(pot, [0.0, float("nan")], M=4, count=1)
+    for kappa in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"kappa={kappa} outside the Brillouin"):
+            fiber_eigenvalues(pot, [0.0, kappa], M=4, count=1)
     with pytest.raises(ValueError, match="Brillouin"):
         fiber_eigenvalues(pot, [0.0, 4.0], M=4, count=1)
     # kappa = 1e-13 is 3e6 times pi/L here: the zone's slack is relative to pi/L
@@ -253,8 +259,9 @@ def test_band_structure_derives_edges_and_gaps_once(mathieu_bands):
     bands = mathieu_bands
     assert bands.lowers.tolist() == [float(row.min()) for row in bands.bands]
     assert bands.uppers.tolist() == [float(row.max()) for row in bands.bands]
-    widths = bands.lowers[1:] - bands.uppers[:-1]
-    assert bands.gaps.tolist() == [n for n, w in enumerate(widths.tolist()) if w > 1e-6]
+    edges = zip(bands.uppers[:-1].tolist(), bands.lowers[1:].tolist())
+    assert bands.gaps.tolist() == [n for n, (lo, hi) in enumerate(edges) if hi - lo > 1e-6
+                                   and hi - lo > 64 * max(math.ulp(lo), math.ulp(hi))]
     for derived in (bands.lowers, bands.uppers, bands.gaps):
         assert not derived.flags.writeable
     assert bands == bands and bands != toy_band_structure([[0.0, 1.0, 0.0]])
@@ -263,7 +270,7 @@ def test_band_structure_derives_edges_and_gaps_once(mathieu_bands):
 def test_band_structure_rejects_underresolved_bands():
     with pytest.raises(ValueError, match="n_bands"):
         compute_band_structure(PotentialSpec.mathieu(), 5, M=2, n_bands=5)
-    with pytest.raises(ValueError, match="n_bands must be >= 1"):
+    with pytest.raises(ValueError, match="requested 0 eigenvalues from a fiber of size 17"):
         compute_band_structure(PotentialSpec.mathieu(), 5, M=8, n_bands=0)
 
 
@@ -321,13 +328,30 @@ def test_reference_energy(mathieu_bands):
         select_reference_energy(toy, 1)
 
 
-def test_reference_energy_rejects_a_midpoint_that_rounds_onto_an_edge():
-    # At 2^40 one ulp is 2^-12, wider than GAP_TOLERANCE: the gap of one ulp is open, and
-    # its midpoint rounds to even, onto the lower edge.
-    bands = toy_band_structure([[2.0**40] * 2, [2.0**40 + 2.0**-12] * 2])
-    assert bands.gaps.tolist() == [0]
-    with pytest.raises(ValueError, match="rounds onto one of its edges"):
-        select_reference_energy(bands, 0)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_gap_must_be_wider_than_64_ulps_of_its_edges(sign):
+    # At 2^40 one ulp is 2^-12, so 64 ulps are 2^-6, far wider than GAP_TOLERANCE; below
+    # zero the larger edge is the lower one.
+    assert floquet.GAP_ULPS == 64 and floquet.GAP_TOLERANCE < 2.0**-6
+    for ulps, gaps in ((64, []), (65, [0])):
+        edges = sorted([sign * 2.0**40, sign * (2.0**40 + ulps * 2.0**-12)])
+        bands = toy_band_structure([[edges[0]] * 2, [edges[1]] * 2])
+        assert bands.gaps.tolist() == gaps, ulps
+    assert edges[0] < select_reference_energy(bands, 0) < edges[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge=st.floats(-1e300, 1e300), ulps=st.integers(1, 200))
+def test_the_midpoint_of_an_open_gap_lies_strictly_inside_it(edge, ulps):
+    # the upper edge lies `ulps` representable floats above the lower one
+    upper = edge
+    for _ in range(ulps):
+        upper = math.nextafter(upper, math.inf)
+    bands = toy_band_structure([[edge] * 2, [upper] * 2])
+    if ulps <= 64:  # no more than 64 ulps of the edge whose ulp is the larger
+        assert bands.gaps.tolist() == []
+    if bands.gaps.tolist():
+        assert edge < select_reference_energy(bands, 0) < upper
 
 
 def test_reference_energy_requires_open_gap():

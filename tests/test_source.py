@@ -86,6 +86,21 @@ def test_every_config_field_is_read_by_the_pipeline():
     assert sorted({f.name for f in fields(ExperimentConfig)} - read) == []
 
 
+def test_the_config_checks_no_rule_of_the_trace_stage():
+    # The t grid's rule reads the band energies, which only the trace stage has: a check
+    # in ExperimentConfig would state the rule a second time, at a guessed v_max.
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    [post_init] = [f for c in trees["expcli"].body
+                   if isinstance(c, ast.ClassDef) and c.name == "ExperimentConfig"
+                   for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+    named = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(post_init)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    defined = {name for node in trees["tracekit"].body for name in
+               ([node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else
+                [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)])}
+    assert "tracekit" not in named and sorted(named & defined) == []
+
+
 def test_every_public_constant_is_read_by_the_library():
     # A public constant that no module reads exists only for the tests, which
     # can state the value themselves.
