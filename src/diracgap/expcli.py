@@ -44,7 +44,7 @@ from .floquet import (
     PotentialSpec,
     compute_band_structure,
     select_reference_energy,
-    truncation_defect,
+    truncation_bound,
 )
 from .shift import Staircase, TestFunction
 
@@ -287,9 +287,8 @@ def compute_run(cfg: ExperimentConfig) -> RunResult:
 
 def _band_truncation_check(bands: BandStructure) -> Check:
     """Whether the truncation M resolves the band edges the gap filter uses."""
-    return Check(
-        "band_truncation", truncation_defect(bands), gapspec.MEMBERSHIP_MARGIN,
-        f"max_n |E_n(M) - E_n(2M)| at kappa = 0, a middle node, pi/L, M={bands.truncation}")
+    return Check("band_truncation", truncation_bound(bands), gapspec.MEMBERSHIP_MARGIN,
+                 f"bound on max_n E_n(M) - E_n from the potential, M={bands.truncation}")
 
 
 def _euler_budget(trace: tracekit.TraceReport, shifts: arithmetic.MassShifts) -> float:

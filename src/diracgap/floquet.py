@@ -15,7 +15,7 @@ E_n(-kappa) = E_n(kappa), so only the kappa >= 0 half of the grid is solved
 and stored; fold_weights(grid.half_index) weights and the grid's copies
 counts the mirror, nothing lists it: they turn half-grid sums and counts
 into whole-grid ones.  Band edges and open gaps are derived in one place,
-BandStructure.
+BandStructure; truncation_bound bounds how far the cut at |m| <= M lifts them.
 
 Fiber eigenvalues are computed with a bisection-based banded solver, which
 resolves the low-lying spectrum far below the 1e-10 contract even though the
@@ -273,10 +273,9 @@ def compute_band_structure(potential: PotentialSpec, n_nodes: int, M: int,
     """Solve every fiber on the kappa >= 0 half of the n_nodes grid over the potential's
     Brillouin zone, QuasiMomentumGrid(n_nodes, potential.period), in one batch.
 
-    Only the lowest n_bands <= 2M eigenvalues per fiber are kept;
-    truncation_defect measures how well M resolves them.  E_n(-kappa) = E_n(kappa)
-    holds exactly, so the negative half is never stored; BandStructure derives the
-    edges and open gaps.
+    Only the lowest n_bands <= 2M eigenvalues per fiber are kept, each at most truncation_bound
+    above the untruncated fiber's, in the run's only fiber solve.  E_n(-kappa) = E_n(kappa) holds
+    exactly, so the negative half is never stored; BandStructure derives the edges and open gaps.
     """
     if n_bands > 2 * M:
         raise ValueError(f"n_bands={n_bands} exceeds 2M={2 * M}; increase M")
@@ -287,14 +286,20 @@ def compute_band_structure(potential: PotentialSpec, n_nodes: int, M: int,
     return BandStructure(potential=potential, grid=grid, truncation=M, bands=bands)
 
 
-def truncation_defect(bands: BandStructure) -> float:
-    """max_n |E_n(M) - E_n(2M)| at kappa = 0, a middle node and pi/L: a Hill operator's
-    band edges lie at 0 and pi/L, so this is the truncation error of the gap filter's edges."""
-    h = bands.grid.half_index
-    columns = [0, h // 2, h]
-    kappas = bands.grid.nodes[h:][columns]
-    fine = fiber_eigenvalues(bands.potential, kappas, 2 * bands.truncation, bands.n_bands)
-    return float(np.abs(bands.bands[:, columns] - fine.T).max())
+def truncation_bound(bands: BandStructure) -> float:
+    """A bound on E_n(M) - E_n >= 0 over the kept bands and the grid, E_n the untruncated fiber's
+    (README, band_truncation).  With S = sum_r |c_r|, E_top = uppers[-1], d_k = ((2k+1) pi/L)^2,
+    tau = sqrt(n_bands) prod (S/2)/(d_k - S - E_top) over k = M, M-R, ... >= R while the
+    denominator exceeds S/2 bounds the weight of the first n_bands eigenvectors past row M; the
+    bound is (W tau^2 + S tau/2)/(1 - tau^2), W = E_top + S, or W if tau >= 1 (rounding aside)."""
+    pot, tau = bands.potential, math.sqrt(bands.n_bands)
+    R, S, top = pot.harmonic_count, sum(map(abs, pot.cosine_coefficients)), float(bands.uppers[-1])
+    for k in range(bands.truncation, R - 1, -max(R, 1)):
+        denominator = ((2 * k + 1) * math.pi / pot.period) ** 2 - S - top
+        if denominator <= S / 2:
+            break
+        tau *= S / 2 / denominator
+    return top + S if tau >= 1.0 else ((top + S) * tau ** 2 + S * tau / 2) / (1.0 - tau ** 2)
 
 
 def select_reference_energy(bands: BandStructure, gap_index: int) -> float:

@@ -27,7 +27,7 @@ from diracgap.expcli import (
     scaling_suite,
     serialize_config,
 )
-from diracgap.floquet import QuasiMomentumGrid, fiber_eigenvalues
+from diracgap.floquet import compute_band_structure, fiber_eigenvalues, truncation_bound
 from diracgap.shift import Staircase
 from oracles import mirrored_bands
 
@@ -576,8 +576,9 @@ def test_euler_budget_keeps_a_twofold_margin(doc):
     assert 0.0 < 2 * check.value <= check.budget
 
 
-# Two runs whose plane-wave truncation M is too small for their bands: band 15
-# moves by 1.6e-3 between M = 8 and 16, and the three-harmonic bands by 1.0e4.
+# Two runs whose plane-wave truncation M is too small for their bands: truncation_bound
+# reads 0.3985 on the first (band 15 moves by 1.6e-3 between M = 8 and 16) and 1.866e4, its
+# E_top + S fallback, on the second (the three-harmonic bands move by 1.0e4).
 UNDERRESOLVED = [
     '{"M": 8, "n_bands": 16}',
     '{"potential": {"period": 1000.0, "cosine_coefficients": [2.0, -10000.0, 0.5]}, "M": 5,'
@@ -592,6 +593,19 @@ def test_verify_fails_an_underresolved_truncation(tmp_path, capsys, doc):
     assert main(["verify", "--config", str(cfg_path)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert [ln.split(":")[0] for ln in out if ln.startswith("FAIL")] == ["FAIL band_truncation"]
+
+
+@pytest.mark.parametrize("M", [3, 16])
+def test_verify_passes_a_resolved_truncation_at_a_large_band_scale(tmp_path, capsys, M):
+    # Bands up to 1.6e8, where one ulp is 3e-8, above the 1e-8 budget: a check that read
+    # rounding would fail at any M.  The bound reads 5.1e-9 and 3.6e-49.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "potential": {"period": 0.001, "cosine_coefficients": [1.0, 0.0, 0.3]}, "gap_index": 1,
+        "alpha": 1e10, "M": M, "n_bands": 4, "N_kappa": 5, "N_P": 1, "N_H": 2, "K": 2, "T": 1e-6}))
+    assert main(["verify", "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in out] == ["PASS trace_agreement", "PASS band_truncation"]
 
 
 @pytest.mark.parametrize("doc,code", [("{}", 0), (UNDERRESOLVED[0], 1)],
@@ -635,28 +649,49 @@ def test_run_and_suite_report_every_run(tmp_path, capsys, doc, code):
         assert ("FAIL band_truncation" in [ln.split(":")[0] for ln in lines]) == bool(code)
 
 
-def test_every_fiber_solve_goes_through_floquet(monkeypatch):
-    # One batch for the half grid and one for the band_truncation check's three nodes
-    # at 2M: a counter on floquet.fiber_eigenvalues sees every solve of a run.
+def test_every_fiber_solve_goes_through_floquet(monkeypatch, tmp_path):
+    # One batch, the half grid, for a run and for `bands`: the band_truncation check solves
+    # nothing, and a counter on floquet.fiber_eigenvalues sees every solve.
     calls, solve = [], floquet.fiber_eigenvalues
     monkeypatch.setattr(floquet, "fiber_eigenvalues",
                         lambda *a: calls.append((a[2], len(a[1]))) or solve(*a))
     result = compute_run(parse_config(REDUCED))
     M, fibers = result.config.M, result.config.N_kappa // 2 + 1
-    assert calls == [(M, fibers), (2 * M, 3)]
+    assert calls == [(M, fibers)]
+    calls.clear()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(REDUCED)
+    assert main(["bands", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
+    assert calls == [(M, fibers)]
 
 
-@pytest.mark.parametrize("doc", ["{}", UNDERRESOLVED[0]], ids=["default", "M8-16-bands"])
+# The default run, the default potential at M = 4..10, the three-harmonic potential of period 2
+# at M = 4..8, a strong cosine at M = 2..8, and both underresolved runs.
+TRUNCATIONS = {
+    "default": "{}",
+    **{f"default-M{M}": json.dumps({"M": M}) for M in range(4, 11)},
+    **{f"three-harmonics-M{M}": json.dumps({"potential": {
+        "period": 2.0, "cosine_coefficients": [2.0, 0.7, 0.3]}, "M": M}) for M in range(4, 9)},
+    **{f"cosine-20-M{M}": json.dumps({"potential": {"cosine_coefficients": [20.0]}, "M": M,
+                                      "n_bands": 4}) for M in range(2, 9)},
+    "M8-16-bands": UNDERRESOLVED[0], "M5-three-harmonics": UNDERRESOLVED[1],
+}
+
+
+@pytest.mark.parametrize("doc", TRUNCATIONS.values(), ids=TRUNCATIONS)
 def test_a_finer_truncation_never_raises_a_band(doc):
-    # Rayleigh-Ritz: the 2M basis holds the M basis, so E_n(2M) <= E_n(M) up to rounding.
-    # Each solve errs by about eps max|E| (1.3 eps max|E| at most, measured on six configs).
+    # Min-max: the 4M+8 basis holds the M basis and is a compression of the untruncated fiber,
+    # so 0 <= E_n(M) - E_n(4M+8) <= E_n(M) - E_n <= truncation_bound.  Each solve errs by
+    # about eps max|E|, which 64 ulps of max|E| cover on both sides.
     cfg = parse_config(doc)
-    grid = QuasiMomentumGrid(n_nodes=cfg.N_kappa, period=cfg.potential.period)
+    bands = compute_band_structure(cfg.potential, cfg.N_kappa, cfg.M, cfg.n_bands)
+    bound, grid = truncation_bound(bands), bands.grid
     for kappa in (0.0, grid.nodes[(grid.half_index + cfg.N_kappa - 1) // 2], grid.nodes[-1]):
         coarse, fine = (fiber_eigenvalues(cfg.potential, [kappa], M, cfg.n_bands)[0]
-                        for M in (cfg.M, 2 * cfg.M))
-        slack = 4.0 * np.finfo(float).eps * np.abs(coarse).max()
-        assert np.all(fine <= coarse + slack)
+                        for M in (cfg.M, 4 * cfg.M + 8))
+        slack = 64 * np.spacing(np.abs(coarse).max())
+        assert np.all(coarse - fine >= -slack)
+        assert np.all(coarse - fine <= bound + slack)
 
 
 @pytest.mark.parametrize("name,doc", [

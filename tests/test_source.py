@@ -183,6 +183,16 @@ def test_only_floquet_starts_threads():
     assert imports == ["floquet:threading"]
 
 
+def test_the_fibers_are_solved_at_one_site():
+    # A run makes one batch of fiber solves, compute_band_structure's: a second route (a
+    # re-solve at a finer truncation, say) would have to name fiber_eigenvalues again.
+    sites = [f"{path.stem}.{getattr(top, 'name', '<module>')}"
+             for path in SOURCES for top in ast.parse(path.read_text()).body
+             for node in ast.walk(top) if "fiber_eigenvalues" in (
+                 getattr(node, "id", None), getattr(node, "attr", None))]
+    assert sites == ["floquet.compute_band_structure"]
+
+
 def test_no_module_reads_the_environment():
     # A run depends on its configuration alone: no module reads os.environ,
     # os.environb or os.getenv, as an attribute or imported from os.
