@@ -78,10 +78,6 @@ def fold_weights(half: int) -> np.ndarray:
     return np.concatenate([[1.0], np.full(half - 1, 2.0), [1.0]])
 
 
-class NoOpenGapError(ValueError):
-    """Raised when a reference energy is requested but no gap is open."""
-
-
 class FiberSolveError(RuntimeError):
     """Eigensolver failure on a single quasi-momentum fiber."""
 
@@ -303,14 +299,12 @@ def truncation_bound(bands: BandStructure) -> float:
 
 
 def select_reference_energy(bands: BandStructure, gap_index: int) -> float:
-    """Midpoint of the selected open gap, strictly inside it by BandStructure's open-gap rule."""
-    if not len(bands.gaps):
-        raise NoOpenGapError(
-            "no open gaps in the band structure; increase the potential strength"
-        )
+    """Midpoint of the selected open gap, strictly inside it by BandStructure's open-gap rule;
+    a gap_index that selects no open gap raises a ValueError stating the rule."""
     if not 0 <= gap_index < len(bands.gaps):
+        found = f"{len(bands.gaps)} open gaps available" if len(bands.gaps) else "no open gaps"
         raise ValueError(
-            f"gap_index={gap_index} out of range; {len(bands.gaps)} open gaps available"
-        )
+            f"gap_index={gap_index} must select an open gap (width > {GAP_TOLERANCE:g} and "
+            f"{GAP_ULPS} ulps of each edge): {found} among the {bands.n_bands} bands")
     n = bands.gaps[gap_index]
     return 0.5 * (float(bands.uppers[n]) + float(bands.lowers[n + 1]))

@@ -56,7 +56,7 @@ class AffineMap:
 @dataclass(frozen=True)
 class DiagnosticsReport:
     """MAE and max_abs of the affine fit over the first K zeros, and the staircase mismatch
-    E_step."""
+    E_step.  The record is the schema of diagnostics.json: that file is its asdict, plus checks."""
 
     K: int
     mae: float

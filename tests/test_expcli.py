@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -36,6 +36,8 @@ ARTIFACTS = (
     "bands.csv", "gaps.csv", "massshifts.csv", "spectrum.csv", "spectrum_fibers.csv",
     "trace_report.json", "diagnostics.json", "manifest.json",
 )
+# the fields of zeta.DiagnosticsReport and the run's checks
+DIAGNOSTICS_KEYS = ["K", "T", "affine", "checks", "e_step", "flags", "mae", "max_abs"]
 
 
 @pytest.fixture(scope="module")
@@ -117,11 +119,25 @@ def test_run_experiment_writes_full_artifact_set(tmp_path, reduced_run):
     assert not (tmp_path / "run" / "stationary.csv").exists()  # the scan is retired
     assert reduced_run.scan == StationaryScan() == StationaryScan(roots=(), warnings=())
     diag = json.loads((tmp_path / "run" / "diagnostics.json").read_text())
-    assert sorted(diag) == ["E_step", "K", "MAE", "T", "a", "b", "checks", "flags", "max_abs"]
+    assert sorted(diag) == DIAGNOSTICS_KEYS
     spectrum_csv = (tmp_path / "run" / "spectrum.csv").read_text().splitlines()
     assert spectrum_csv[0] == "k,lambda_k,multiplicity"
     assert len(spectrum_csv) > 1  # nonempty spectrum
     assert reduced_run.all_checks_pass
+
+
+@pytest.mark.parametrize("doc", [REDUCED, '{"mode": "constant_one"}'],
+                         ids=["reduced", "constant_one"])
+def test_diagnostics_json_is_the_diagnostics_record_and_the_checks(tmp_path, doc):
+    # The file is asdict(DiagnosticsReport) plus the checks, every float with its bits;
+    # constant_one's record flags insufficient-spectrum.
+    result = compute_run(parse_config(doc))
+    expcli.write_artifacts(result, tmp_path)
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert diag.pop("checks") == [asdict(c) | {"passed": c.passed} for c in result.checks]
+    record = asdict(result.diagnostics)
+    assert diag == record | {"flags": list(record["flags"])}
+    assert bool(diag["flags"]) == ("constant_one" in doc)
 
 
 # The default run, three larger ensembles or grids (bands_wide is perfbench's workload),
@@ -143,7 +159,7 @@ def test_no_run_writes_or_prints_the_retired_scan(tmp_path, capsys, doc):
     assert [ln for ln in out if ln.startswith(("PASS", "FAIL"))] == out[:-1]  # no WARN line
     assert sorted(p.name for p in (tmp_path / "r").iterdir()) == sorted(ARTIFACTS)
     diag = json.loads((tmp_path / "r" / "diagnostics.json").read_text())
-    assert sorted(diag) == ["E_step", "K", "MAE", "T", "a", "b", "checks", "flags", "max_abs"]
+    assert sorted(diag) == DIAGNOSTICS_KEYS
     assert diag["flags"] == (["insufficient-spectrum"] if doc.get("mode") == "constant_one" else [])
 
 
@@ -417,17 +433,18 @@ def test_zero_mass_run_degrades_gracefully(tmp_path):
 
 
 def test_written_files_redraw_the_aligned_staircases(tmp_path, reduced_run):
-    # README's recipe: the spectrum.csv jumps moved to |a lambda_k + b| with a, b from
-    # diagnostics.json, against the bundled zero table, give back E_step bit for bit
+    # README's recipe: the spectrum.csv jumps moved to |a lambda_k + b| with affine.a and
+    # affine.b from diagnostics.json, against the bundled zero table, give back e_step bit
+    # for bit
     expcli.write_artifacts(reduced_run, tmp_path)
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
     lam = np.array([float(r.split(",")[1]) for r in rows])
     mult = np.array([int(r.split(",")[2]) for r in rows])
     assert len(lam) >= reduced_run.config.K
-    model = zeta.mapped_staircase(diag["a"] * lam + diag["b"], mult)
+    model = zeta.mapped_staircase(diag["affine"]["a"] * lam + diag["affine"]["b"], mult)
     zero = zeta.zero_staircase(zeta.load_zero_table())
-    assert zeta.staircase_mismatch(model, zero, diag["T"]) == diag["E_step"]
+    assert zeta.staircase_mismatch(model, zero, diag["T"]) == diag["e_step"]
 
 
 def test_small_constant_mass_shifts_unperturbed_positions():
@@ -780,6 +797,22 @@ def test_config_errors_found_by_the_compute_stage_exit_2(tmp_path, capsys, doc, 
         err = capsys.readouterr().err
         assert "must select an open gap" in err and rule in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"n_bands": 1}, {"potential": {"cosine_coefficients": []}}, {"gap_index": 7},
+    {"n_bands": 2, "gap_index": 1},
+])
+def test_a_closed_gap_is_named_once_with_the_rule_and_the_band_count(tmp_path, capsys, doc):
+    # floquet alone words the open-gap rule: one error line, gap_index named once, and the
+    # number of bands the open gaps were counted among
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert err.count("gap_index=") == 1 and "must select an open gap" in err
+    assert f"among the {doc.get('n_bands', 8)} bands" in err
 
 
 @pytest.mark.parametrize("doc", [

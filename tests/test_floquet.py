@@ -19,7 +19,6 @@ from diracgap import floquet
 from diracgap.floquet import (
     BandStructure,
     FiberSolveError,
-    NoOpenGapError,
     PotentialSpec,
     QuasiMomentumGrid,
     compute_band_structure,
@@ -326,7 +325,8 @@ def test_reference_energy(mathieu_bands):
     assert abs(e_star - 9.856938576832455) < 1e-9
     toy = toy_band_structure([[0.0, 0.5, 1.0], [2.0, 2.5, 3.0]])
     assert select_reference_energy(toy, 0) == 1.5
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="gap_index=1 must select an open gap .*: 1 open gaps "
+                       "available among the 2 bands"):
         select_reference_energy(toy, 1)
 
 
@@ -358,7 +358,7 @@ def test_the_midpoint_of_an_open_gap_lies_strictly_inside_it(edge, ulps):
 
 def test_reference_energy_requires_open_gap():
     bands = compute_band_structure(PotentialSpec(), 21, M=6, n_bands=3)
-    with pytest.raises(NoOpenGapError, match="potential strength"):
+    with pytest.raises(ValueError, match="no open gaps among the 3 bands"):
         select_reference_energy(bands, 0)
 
 

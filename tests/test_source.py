@@ -294,8 +294,8 @@ def test_readme_lists_the_files_run_writes(tmp_path):
 
 def test_readme_names_every_subcommand_report_field_and_check(capsys, tmp_path, default_run):
     # README's `diracgap <subcommand>` block lists exactly the parser's subcommands,
-    # and every trace_report.json key, diagnostics.json key and check name appears in
-    # backticks.
+    # and every trace_report.json key, diagnostics.json key (`affine.a` for a nested one)
+    # and check name appears in backticks.
     readme = README.read_text()
     with pytest.raises(SystemExit):
         main(["--help"])
@@ -304,9 +304,11 @@ def test_readme_names_every_subcommand_report_field_and_check(capsys, tmp_path, 
     checks = {call.args[0].value for path in SOURCES for call in ast.walk(ast.parse(path.read_text()))
               if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Check"}
     write_artifacts(default_run, tmp_path)
-    diagnostics = set(json.loads((tmp_path / "diagnostics.json").read_text()))
-    named = {f.name for f in fields(TraceReport)} | diagnostics | checks
-    assert checks and sorted(named - set(re.findall(r"`(\w+)`", readme))) == []
+    diagnostics = json.loads((tmp_path / "diagnostics.json").read_text())
+    nested = {f"{key}.{inner}" for key, value in diagnostics.items() if isinstance(value, dict)
+              for inner in value}
+    named = {f.name for f in fields(TraceReport)} | set(diagnostics) | nested | checks
+    assert nested and checks and sorted(named - set(re.findall(r"`([\w.]+)`", readme))) == []
 
 
 def test_readme_configuration_block_is_the_default_config():

@@ -1,9 +1,11 @@
-"""Checks on the test configuration in pyproject.toml and on the tests' xfail markers."""
+"""Checks on the test configuration in pyproject.toml, on the tests' imports and on their
+xfail markers."""
 
 import ast
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -86,3 +88,30 @@ def test_every_xfail_names_an_open_roadmap_item():
             m = re.fullmatch(r"ROADMAP item (\d+)", str(reason.value))
             assert m and int(m[1]) in open_items, f"{where}: {reason.value!r}"
             assert "strict" not in kw or ast.literal_eval(kw["strict"]) is True, where
+
+
+def imported_top_modules(tree: ast.Module) -> set[str]:
+    """The top-level modules a test file imports, or asks pytest.importorskip for."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip"
+              and node.args and isinstance(node.args[0], ast.Constant)):
+            names.add(node.args[0].value)
+    return {name.split(".")[0] for name in names}
+
+
+def test_every_module_the_tests_import_is_a_declared_dependency():
+    # A test dependency that pyproject.toml does not declare is missing from an install of
+    # ".[test]": importorskip then skips its test without failing, and an import fails.
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", req)[0].lower().replace("-", "_") for req in requirements}
+    allowed = set(sys.stdlib_module_names) | {"diracgap", "oracles", "conftest"} | declared
+    undeclared = sorted(f"{path.name}:{name}" for path in sorted(TESTS.glob("*.py"))
+                        for name in imported_top_modules(ast.parse(path.read_text()))
+                        if name not in allowed)
+    assert undeclared == []

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -580,7 +581,6 @@ def test_euler_series_matches_the_table_route(n_p, n_h, seed, mode, zero, epsilo
 
 @pytest.mark.slow
 def test_euler_series_is_at_least_as_close_to_mpmath_as_the_tables():
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     ens = sample_hecke_ensemble(generate_primes(1000), 20, seed=3)
     h, K = 0.1, 227

@@ -1,6 +1,7 @@
 import math
 from bisect import bisect_right
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -341,7 +342,6 @@ def test_embedded_table_matches_mpmath_zetazero():
     # sign across each gamma_n +- tol, so a zero lies in each interval; the
     # intervals are disjoint and ascending, and nzeros counts exactly as many
     # zeros up to past the last one, so the n-th interval holds the n-th zero.
-    mpmath = pytest.importorskip("mpmath")
     table = load_zero_table("embedded").ordinates
     tol = 0.5e-9 + 1e-12
     with mpmath.workdps(25):
