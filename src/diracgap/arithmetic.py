@@ -17,7 +17,7 @@ uses splitmix64 (the standard finalizer constants) on the key
     seed XOR (p * 0x9E3779B97F4A7C15) XOR (m * 0xBF58476D1CE4E5B9)
 
 with mode indices m = 1..N_H, and the 53 high bits of the output mapped
-affinely onto [-1, 1).
+affinely onto [-1, 1).  The mix runs in blocks of primes under BLOCK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 MODES = ("iid_uniform", "constant_one")
+# Elements per block of every temporary that would grow with the (N_P, N_H) samples or
+# outgrow its output: the sampler's mix, and in tracekit the Euler factors' centred rows
+# and powers, the Taylor route's phases and moments and theta_fiber's Gaussians.
+BLOCK_ELEMENTS = 2**15
 
 
 def splitmix64(x: int) -> int:
@@ -93,8 +97,13 @@ def sample_hecke_ensemble(
     if mode == "constant_one":
         samples = np.ones((len(primes), n_modes))
     else:
+        # Each sample is keyed by its own (seed, p, m), so the blocks move no bit.
+        samples = np.empty((len(primes), n_modes))
         p = np.array(primes, dtype=np.uint64)[:, None]
-        samples = sample_unit(seed, p, np.arange(1, n_modes + 1, dtype=np.uint64))
+        m = np.arange(1, n_modes + 1, dtype=np.uint64)
+        step = max(1, BLOCK_ELEMENTS // n_modes)
+        for lo in range(0, len(primes), step):
+            samples[lo : lo + step] = sample_unit(seed, p[lo : lo + step], m)
     samples.setflags(write=False)
     return HeckeEnsemble(primes=primes, samples=samples)
 
@@ -118,13 +127,15 @@ def mass_shifts(ensemble: HeckeEnsemble, epsilon: float) -> MassShifts:
     """m_m = sum_{p in S} eta_p(lambda_p(m)), accumulated in ascending-prime order.
 
     eta_p(lambda) = p^-(1+epsilon) lambda^2 is the even quadratic family, with
-    sup norm p^-(1+epsilon) on [-1, 1]; epsilon > 0 is required for summability
-    of sum_p ||eta_p||_inf.  Each eta_p row is evaluated once, and the
-    summation order is fixed for float reproducibility.
+    sup norm p^-(1+epsilon) on [-1, 1]; a finite epsilon > 0 is required for
+    summability of sum_p ||eta_p||_inf (an infinite one would zero every coefficient).
+    Each eta_p row is evaluated once, and the summation order is fixed for float
+    reproducibility.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive (got {epsilon}): the prime sum "
-                         "sum_p p^-(1+epsilon) diverges otherwise")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive (got {epsilon}): the prime "
+                         "sum sum_p p^-(1+epsilon) diverges for epsilon <= 0 and vanishes at "
+                         "infinity")
     # Python's scalar pow per prime: NumPy's SIMD pow need not round like libm's.
     coef = np.array([p ** -(1.0 + epsilon) for p in ensemble.primes])
     terms = coef[:, None] * ensemble.samples * ensemble.samples

@@ -27,7 +27,6 @@ line and exits 2 on a rejected configuration, 1 on any other failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -35,6 +34,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
+
+# CPython's built-in SHA-256, hashlib's own fallback: hashlib would load OpenSSL, about
+# 3.5 MiB of resident memory in every process, for the same digests.
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    from _sha256 import sha256  # CPython 3.11
 
 from . import arithmetic, gapspec, tracekit, zeta
 from .floquet import (
@@ -193,7 +199,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
+    return sha256(serialize_config(cfg).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -389,7 +395,7 @@ def write_artifacts(result: RunResult, out_dir) -> RunArtifacts:
     texts["manifest.json"] = _json({
         "config": asdict(result.config),
         "config_hash": config_hash(result.config),
-        "artifact_hashes": {name: hashlib.sha256(texts[name].encode()).hexdigest()
+        "artifact_hashes": {name: sha256(texts[name].encode()).hexdigest()
                             for name in sorted(texts)},
         "version": VERSION,
     })

@@ -81,14 +81,15 @@ at the default step (1.27), and A_joint and the table primes at N_H = 20
 (1.37), keep the tables.  trace_report.json counts the rows of the Taylor
 route in taylor_rows.
 
-Two temporaries outgrow the (rows, K + 1) sums they feed: the Taylor route's
-phases and moments, (rows, n_seg + D + 1, J), and theta_fiber's Gaussians,
-(nodes, N_H).  Both are built in blocks of BLOCK_ELEMENTS elements, or of one
-row or kappa node where that is more.  Each row and each node is summed alone,
-and a Taylor call's beta, mid and segment centres are the whole call's, so no
-block moves a bit; only one row of the mode axis (A_joint) can outgrow the
-budget.  Horner's evaluation and the table route stay whole, being about the
-size of the output, and so does PRIME_CHUNK's grouping, which fixes beta.
+Three kinds of temporary outgrow what they feed: the Taylor route's phases
+and moments, (rows, n_seg + D + 1, J), theta_fiber's Gaussians, (nodes, N_H),
+and the Euler factors' centred rows and running powers, (primes, N_H).  All
+are built in blocks of arithmetic.BLOCK_ELEMENTS elements, or of one row or
+kappa node where that is more.  Each row and each node is summed alone, and a
+Taylor call's beta, mid and segment centres are the whole call's, so no block
+moves a bit; only one row of the mode axis (A_joint) can outgrow the budget.
+Horner's evaluation and the table route stay whole, being about the size of
+the output, and so does PRIME_CHUNK's grouping, which fixes beta.
 
 Both contractions over j are np.einsum without BLAS, and so are the t
 trapezoid sum and the kappa sum of theta_fiber: OpenBLAS splits long dot and
@@ -104,7 +105,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import MassShifts
+from .arithmetic import BLOCK_ELEMENTS, MassShifts
 from .floquet import BandStructure, fold_weights
 from .shift import TestFunction
 
@@ -130,9 +131,6 @@ H_MAX = 0.01
 # cut after TAYLOR_DEGREE, which errs by sum_{r > 26} 2^r / r! ~ 1.3e-20 per unit weight.
 TAYLOR_RHO = 2.0
 TAYLOR_DEGREE = 26
-# Elements per block of the temporaries wider than their output: the Taylor route's phases
-# and moments, (rows, n_seg + D + 1, J), and theta_fiber's Gaussians, (nodes, N_H).
-BLOCK_ELEMENTS = 2**15
 
 
 class GridError(ValueError):
@@ -318,15 +316,16 @@ def arithmetic_factors(shifts: MassShifts, K: int,
     a_joint = joint[0] / len(shifts)
     taylor_rows = int(taylor)
     eta = shifts.terms
-    mu, y = _centred(eta)
-    q = K * h * np.abs(y).max(axis=1) / EULER_SERIES_S0
+    mu, beta = _centred(eta)
+    q = K * h * beta / EULER_SERIES_S0
     series = q <= EULER_SERIES_RATIO
-    degrees, bound = _series_degrees(q[series])
-    coef = _log_series(mu[series], y[series], degrees)  # of t^1..t^max(degrees)
+    degrees = np.zeros(len(eta), dtype=np.int64)  # degree 0: the row takes the tables
+    degrees[series], bound = _series_degrees(q[series])
+    coef = _log_series(eta, mu, degrees)  # of t^1..t^max(degrees)
     a_prod = np.exp(np.polyval(np.append(coef[::-1], 0.0), np.arange(K + 1) * h))
-    table = eta[~series]
+    table = np.flatnonzero(~series)
     for lo in range(0, len(table), PRIME_CHUNK):
-        chunk, taylor = _half_grid_sums(table[lo : lo + PRIME_CHUNK], None, h, K)
+        chunk, taylor = _half_grid_sums(eta[table[lo : lo + PRIME_CHUNK]], None, h, K)
         taylor_rows += taylor * len(chunk)
         for a_p in chunk:
             a_prod *= a_p / len(shifts)
@@ -334,11 +333,18 @@ def arithmetic_factors(shifts: MassShifts, K: int,
 
 
 def _centred(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, y) with eta = mu + y row by row, mu = low + mean_m (eta - low) and low the
-    row minimum, so a constant row gets y = 0 exactly."""
-    low = eta.min(axis=1, keepdims=True)
-    mu = low + (eta - low).mean(axis=1, keepdims=True)
-    return mu[:, 0], eta - mu
+    """(mu, beta) row by row: eta = mu + y with mu = low + mean_m (eta - low), low the row
+    minimum, so a constant row gets y = 0 exactly, and beta = max_m |y|.  The rows are
+    taken in blocks under BLOCK_ELEMENTS."""
+    mu, beta = np.empty(len(eta)), np.empty(len(eta))
+    step = max(1, BLOCK_ELEMENTS // eta.shape[1])
+    for lo in range(0, len(eta), step):
+        block = eta[lo : lo + step]
+        low = block.min(axis=1, keepdims=True)
+        centre = low + (block - low).mean(axis=1, keepdims=True)
+        mu[lo : lo + step] = centre[:, 0]
+        beta[lo : lo + step] = np.abs(block - centre).max(axis=1)
+    return mu, beta
 
 
 def _series_degrees(q: np.ndarray) -> tuple[np.ndarray, float]:
@@ -352,32 +358,40 @@ def _series_degrees(q: np.ndarray) -> tuple[np.ndarray, float]:
     return degrees, float(tail[degrees - 1, np.arange(len(q))].sum())
 
 
-def _log_series(mu: np.ndarray, y: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """c[r - 1], the coefficient of t^r in sum_p log mean_m e^{i t (mu[p] + y[p, m])}, each
-    row's series cut after degrees[p], r = 1..max(degrees).
+def _log_series(eta: np.ndarray, mu: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """c[r - 1], the coefficient of t^r in sum_p log mean_m e^{i t eta[p, m]} over the rows
+    with degrees[p] > 0, each row's series cut after degrees[p], r = 1..max(degrees);
+    mu[p] is the row's centre from _centred.
 
-    mean_m e^{z y} = sum_r a_r z^r with a_r = mean_m y^r / r!, and its logarithm
-    sum_r l_r z^r (l_r = kappa_r / r!, the cumulants) follows from l' M = M':
+    With y = eta - mu, mean_m e^{z y} = sum_r a_r z^r with a_r = mean_m y^r / r!, and its
+    logarithm sum_r l_r z^r (l_r = kappa_r / r!, the cumulants) follows from l' M = M':
     r l_r = r a_r - sum_{j<r} j l_j a_{r-j}.  Then c_r = i^r sum_p l_r, plus i sum_p mu
-    at r = 1.  The rows go in descending degree, so step r touches only the first
-    count(degrees >= r): the powers stay (prime, mode), so each mean runs over the
-    contiguous mode axis, and the recursion runs (degree, prime).
+    at r = 1.  The rows go in descending degree, in blocks under BLOCK_ELEMENTS, so step
+    r touches only the block's rows with degrees >= r: the powers stay (prime, mode), so
+    each mean runs over the contiguous mode axis, and the recursion runs (degree, prime).
     """
-    order = np.argsort(-degrees, kind="stable")
-    y, degrees = y[order], degrees[order]
+    kept = np.flatnonzero(degrees)  # ascending, the order mass_shifts adds the rows in
+    order = kept[np.argsort(-degrees[kept], kind="stable")]
+    degrees = degrees[order]
     top = int(degrees.max(initial=0))
-    a = np.zeros((top + 1, len(y)))
+    a = np.zeros((top + 1, len(order)))
+    step = max(1, BLOCK_ELEMENTS // eta.shape[1])
+    for lo in range(0, len(order), step):
+        rows = order[lo : lo + step]
+        y = eta[rows] - mu[rows, None]
+        power = np.ones_like(y)
+        for r in range(1, int(degrees[lo]) + 1):
+            live = int(np.count_nonzero(degrees[lo : lo + step] >= r))
+            power = power[:live] * y[:live] / r
+            a[r, lo : lo + live] = power.mean(axis=1)
     rl = np.zeros_like(a)  # r l_r
-    power = np.ones_like(y)
     for r in range(1, top + 1):
         live = int(np.count_nonzero(degrees >= r))
-        power = power[:live] * y[:live] / r
-        a[r, :live] = power.mean(axis=1)
         rl[r, :live] = r * a[r, :live] - np.einsum(
             "jp,jp->p", rl[1:r, :live], a[r - 1 : 0 : -1, :live], optimize=False)
     r = np.arange(1, top + 1)
     c = rl[1:].sum(axis=1) / r * np.array([1, 1j, -1, -1j])[r % 4]
-    c[:1] += 1j * np.cumsum(mu)[-1:]  # row after row, in the order mass_shifts adds them
+    c[:1] += 1j * np.cumsum(mu[kept])[-1:]  # row after row
     return c
 
 

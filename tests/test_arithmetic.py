@@ -152,6 +152,14 @@ def test_family_validation():
             mass_shifts(ens, epsilon)
 
 
+def test_family_rejects_an_infinite_epsilon():
+    # p^-(1 + inf) is 0.0 for every prime: the shifts would all be zero, where the
+    # configuration rejects the same epsilon as Assumption B.
+    ens = sample_hecke_ensemble(generate_primes(3), 4, seed=1)
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        mass_shifts(ens, math.inf)
+
+
 def test_mass_shifts_zero_samples():
     primes = generate_primes(3)
     ens = HeckeEnsemble(primes=primes, samples=np.zeros((3, 4)))

@@ -1124,6 +1124,21 @@ def test_staircase_value_matches_the_old_loop(jumps, weights, probes):
             assert staircase(y) == old_staircase_value(jumps, cum, y)
 
 
+def test_a_run_and_its_manifest_leave_openssl_unloaded(tmp_path):
+    # The manifest's SHA-256 is CPython's built-in one: hashlib would load OpenSSL's
+    # _hashlib, about 3.5 MiB of resident memory, in every process that writes a run.
+    code = ("import sys; from diracgap import expcli; "
+            "expcli.write_artifacts(expcli.compute_run(expcli.parse_config(sys.argv[1])), "
+            "sys.argv[2]); print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    src = str(Path(expcli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code, REDUCED, str(tmp_path / "run")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(ARTIFACTS)
+
+
 def test_python_dash_m_runs_without_runpy_warning(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(REDUCED)

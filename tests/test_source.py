@@ -164,12 +164,20 @@ def imported_modules(node):
     return []
 
 
-def test_no_module_imports_scipy():
-    # floquet calls the LAPACK in NumPy's own OpenBLAS; SciPy is a test dependency
-    # only, and an import of scipy.linalg costs about 0.4 s of start-up.
-    imports = [f"{path.stem}:{node.lineno}" for path in SOURCES
-               for node in ast.walk(ast.parse(path.read_text()))
-               for name in imported_modules(node) if name.split(".")[0] == "scipy"]
+# Packages no library module may import, with the reason for each.
+FORBIDDEN_IMPORTS = {
+    # floquet calls the LAPACK in NumPy's own OpenBLAS; SciPy is a test dependency only.
+    "scipy": "an import of scipy.linalg costs about 0.4 s of start-up",
+    # expcli takes the manifest's SHA-256 from CPython's built-in _sha256 or _sha2.
+    "hashlib": "it loads OpenSSL, about 3.5 MiB of resident memory in every process",
+    "_hashlib": "it is hashlib's OpenSSL binding",
+}
+
+
+def test_no_module_imports_a_forbidden_package():
+    imports = [f"{path.stem}:{node.lineno} {name} ({FORBIDDEN_IMPORTS[name.split('.')[0]]})"
+               for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+               for name in imported_modules(node) if name.split(".")[0] in FORBIDDEN_IMPORTS]
     assert imports == []
 
 

@@ -23,7 +23,7 @@ from diracgap.arithmetic import (
     mass_shifts,
     sample_hecke_ensemble,
 )
-from diracgap import expcli, tracekit
+from diracgap import arithmetic, expcli, tracekit
 from diracgap.floquet import (
     PotentialSpec,
     compute_band_structure,
@@ -43,8 +43,8 @@ EPSILON = 0.35  # the default run's epsilon
 
 def log_coefficients(ens, p, degree):
     """Coefficients of t^1..t^degree in log A_p, from the production series helper."""
-    return tracekit._log_series(*tracekit._centred(eta(p, sample_row(ens, p), EPSILON)[None]),
-                                np.array([degree]))
+    row = eta(p, sample_row(ens, p), EPSILON)[None]
+    return tracekit._log_series(row, tracekit._centred(row)[0], np.array([degree]))
 
 
 def zero_shifts(n):
@@ -473,8 +473,8 @@ def test_per_prime_series_gives_the_a_prod_of_the_degree_30_series(n_p, n_h, see
     if zero:
         ens = replace(ens, samples=np.zeros_like(ens.samples))
     terms = mass_shifts(ens, epsilon).terms
-    mu, y = tracekit._centred(terms)
-    q = K * h * np.abs(y).max(axis=1) / tracekit.EULER_SERIES_S0
+    mu, beta = tracekit._centred(terms)
+    q = K * h * beta / tracekit.EULER_SERIES_S0
     series = q <= tracekit.EULER_SERIES_RATIO
     degrees, _ = tracekit._series_degrees(q[series])
     t = np.arange(K + 1) * h
@@ -482,7 +482,7 @@ def test_per_prime_series_gives_the_a_prod_of_the_degree_30_series(n_p, n_h, see
     def a_prod(coef):
         return np.exp(np.polyval(np.append(coef[::-1], 0.0), t))
 
-    got = a_prod(tracekit._log_series(mu[series], y[series], degrees))
+    got = a_prod(tracekit._log_series(terms[series], mu[series], degrees))
     want = a_prod(log_series(terms[series], tracekit.EULER_SERIES_DEGREE).sum(axis=0))
     assert np.abs(got - want).max() <= 1e-13
 
@@ -527,7 +527,7 @@ def test_series_degrees_keep_the_bits_of_the_whole_degree_table(config):
     # tail bounds, and the run reports their bound bit for bit.
     r = expcli.compute_run(expcli.parse_config(config))
     K, h = grid_of(r.trace)
-    q = K * h * np.abs(tracekit._centred(r.shifts.terms)[1]).max(axis=1) / tracekit.EULER_SERIES_S0
+    q = K * h * tracekit._centred(r.shifts.terms)[1] / tracekit.EULER_SERIES_S0
     bound = _check_least_degrees(q[q <= tracekit.EULER_SERIES_RATIO])
     assert bound.hex() == r.trace.euler_series_bound.hex()
 
@@ -537,8 +537,9 @@ def test_primes_1000_does_a_third_of_the_fixed_degree_series_work(monkeypatch):
     # tolerance by degree 7, where the fixed cut took every prime to degree 30.
     cut = []
     series = tracekit._log_series
-    monkeypatch.setattr(tracekit, "_log_series",
-                        lambda mu, y, degrees: cut.append(degrees) or series(mu, y, degrees))
+    # The run passes every prime's degree, 0 for a prime that takes the tables.
+    monkeypatch.setattr(tracekit, "_log_series", lambda eta, mu, degrees: cut.append(
+        degrees[degrees > 0]) or series(eta, mu, degrees))
     r = expcli.compute_run(expcli.parse_config('{"N_P": 1000, "seed": 3}'))
     (degrees,) = cut
     assert len(degrees) == r.trace.euler_series_primes == 991
@@ -709,6 +710,29 @@ def test_blocks_change_no_bit_of_the_trace_report(config, monkeypatch):
         assert expcli.compute_run(cfg).trace == report
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n_p, n_h", [(200, 400), (2000, 20)])
+def test_blocks_of_primes_change_no_bit_of_the_samples_or_the_euler_factors(
+        n_p, n_h, mode, monkeypatch):
+    # Both shapes take several blocks of primes at the default budget; a budget of 64 puts
+    # one prime in each block at N_H = 400 and three at N_H = 20.  In iid mode the first
+    # few primes take the tables and the rest the series.
+    assert n_p * n_h > arithmetic.BLOCK_ELEMENTS
+
+    def run():
+        ens = sample_hecke_ensemble(generate_primes(n_p), n_h, 3, mode)
+        return ens.samples, tracekit.arithmetic_factors(mass_shifts(ens, EPSILON), 2267, 0.01)
+
+    samples, (a_joint, a_prod, *rest) = run()
+    monkeypatch.setattr(arithmetic, "BLOCK_ELEMENTS", 64)
+    monkeypatch.setattr(tracekit, "BLOCK_ELEMENTS", 64)
+    blocked, (blocked_joint, blocked_prod, *blocked_rest) = run()
+    assert blocked.tobytes() == samples.tobytes()
+    assert blocked_joint.tobytes() == a_joint.tobytes()
+    assert blocked_prod.tobytes() == a_prod.tobytes()
+    assert blocked_rest == rest
+
+
 def heap_peak(work) -> int:
     """Bytes of the largest traced heap while work() runs."""
     tracemalloc.start()
@@ -727,3 +751,16 @@ def test_trace_temporaries_stay_under_the_block_budget():
         r.bands, r.e_star, r.shifts, phi)) <= 4 * 2**20
     cfg = expcli.parse_config('{"N_H": 500, "seed": 3}')
     assert heap_peak(lambda: expcli.compute_run(cfg)) <= 2.5 * 2**20
+
+
+def test_the_ensemble_and_its_euler_factors_stay_under_the_block_budget():
+    # 300 primes of 2,000 modes take 19 blocks.  Built whole, the sampler's mix peaked at
+    # 18.4 MiB for its 4.6 MiB result, the Euler factors' centred rows and powers at
+    # 18.1 MiB, and the run at 27.3 MiB.
+    cfg = expcli.parse_config('{"N_P": 300, "N_H": 2000, "seed": 3}')
+    r = expcli.compute_run(cfg)
+    K, h = grid_of(r.trace)
+    assert heap_peak(lambda: sample_hecke_ensemble(r.ensemble.primes, cfg.N_H, cfg.seed)) <= (
+        r.ensemble.samples.nbytes + 2 * 2**20)
+    assert heap_peak(lambda: tracekit.arithmetic_factors(r.shifts, K, h)) <= 3 * 2**20
+    assert heap_peak(lambda: expcli.compute_run(cfg)) <= 13 * 2**20
