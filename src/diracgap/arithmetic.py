@@ -33,8 +33,10 @@ _MIX2 = 0x94D049BB133111EB
 
 MODES = ("iid_uniform", "constant_one")
 # Elements per block of every temporary that would grow with the (N_P, N_H) samples or
-# outgrow its output: the sampler's mix, and in tracekit the Euler factors' centred rows
-# and powers, the Taylor route's phases and moments and theta_fiber's Gaussians.
+# outgrow its output, a block holding at least one row: the sampler's mix, and in
+# tracekit the Euler factors' centred rows and powers, theta_fiber's Gaussians, the
+# Taylor route's phases and moments, and the phase-sum rows themselves (the tables, the
+# contraction, the Horner series and its phase rotation).
 BLOCK_ELEMENTS = 2**15
 
 

@@ -81,15 +81,14 @@ at the default step (1.27), and A_joint and the table primes at N_H = 20
 (1.37), keep the tables.  trace_report.json counts the rows of the Taylor
 route in taylor_rows.
 
-Three kinds of temporary outgrow what they feed: the Taylor route's phases
-and moments, (rows, n_seg + D + 1, J), theta_fiber's Gaussians, (nodes, N_H),
-and the Euler factors' centred rows and running powers, (primes, N_H).  All
-are built in blocks of arithmetic.BLOCK_ELEMENTS elements, or of one row or
-kappa node where that is more.  Each row and each node is summed alone, and a
-Taylor call's beta, mid and segment centres are the whole call's, so no block
-moves a bit; only one row of the mode axis (A_joint) can outgrow the budget.
-Horner's evaluation and the table route stay whole, being about the size of
-the output, and so does PRIME_CHUNK's grouping, which fixes beta.
+The temporaries arithmetic.BLOCK_ELEMENTS lists are built in blocks of rows
+(kappa nodes for theta_fiber), at most max(1, BLOCK_ELEMENTS // row size) of
+them (_row_blocks).  Each row and each node is summed alone, and a call's
+route, beta, segment centres and rows' mid are the whole call's, so no block
+moves a bit.  Both routes yield their rows block by block, and
+arithmetic_factors multiplies each A_p into A_prod as it arrives, so the table
+primes never stand as one (primes, K + 1) array.  The Taylor moments m stay
+whole: the route needs span > D + 1, so they are smaller than their rows.
 
 Both contractions over j are np.einsum without BLAS, and so are the t
 trapezoid sum and the kappa sum of theta_fiber: OpenBLAS splits long dot and
@@ -101,6 +100,7 @@ tests/test_source.py rejects any BLAS call in the library.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +111,8 @@ from .shift import TestFunction
 
 TAIL_HAT_CUTOFF = 1e-14
 TAIL_BOUND = 1e-10
-# Primes per block of the A_prod tables, which bounds their size for any N_P.
+# Table primes per call of _half_grid_sums.  A call's rows share one route and one beta,
+# so the grouping fixes A_prod's bits; BLOCK_ELEMENTS bounds the rows' memory.
 PRIME_CHUNK = 16
 UNDERFLOW_EXPONENT = 746.0  # exp(-x) is exactly 0.0 in float64 for x > 745.14
 # Primes with q_p = T beta_p / EULER_SERIES_S0 <= EULER_SERIES_RATIO take the
@@ -167,20 +168,25 @@ def theta_fiber(phi, bands: BandStructure, e_star: float, shifts: MassShifts,
     """
     w = fold_weights(bands.grid.half_index)
     mean_over_modes = np.zeros(len(w))
-    step = max(1, BLOCK_ELEMENTS // len(shifts))
     for row in bands.bands[rows] - e_star:
-        for lo in range(0, len(w), step):
-            gauss = np.asarray(phi(row[lo : lo + step, None] + shifts.values))
-            mean_over_modes[lo : lo + step] += gauss.mean(axis=1)
+        for nodes in _row_blocks(len(w), len(shifts)):
+            gauss = np.asarray(phi(row[nodes, None] + shifts.values))
+            mean_over_modes[nodes] += gauss.mean(axis=1)
     raw = float((mean_over_modes * w).sum())
     L = bands.potential.period
     return 2.0 * (2.0 * np.pi / L) * (raw / (bands.grid.n_nodes - 1))
 
 
+def _row_blocks(n_rows: int, row_size: int) -> Iterator[slice]:
+    """Slices of range(n_rows), each of at most max(1, BLOCK_ELEMENTS // row_size) rows."""
+    step = max(1, BLOCK_ELEMENTS // row_size)
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
 def _half_grid_sums(x: np.ndarray, w: np.ndarray | None, h: float,
-                    K: int) -> tuple[np.ndarray, bool]:
-    """S[i, k] = sum_j w_j e^{i k h x[i, j]} for k = 0..K (w = None means all ones),
-    and whether the Taylor route summed them.
+                    K: int) -> tuple[Iterator[np.ndarray], bool]:
+    """The rows S[i, k] = sum_j w_j e^{i k h x[i, j]}, k = 0..K (w = None means all ones),
+    yielded in order, and whether the Taylor route sums them.
 
     The Taylor route serves the rows whose phases turn slowly: it takes
     (D + 1)(K / span + K / J) multiply-adds against the K J of the tables.
@@ -196,28 +202,30 @@ def _half_grid_sums(x: np.ndarray, w: np.ndarray | None, h: float,
     return _taylor_sums(x, w, h, K, half), True
 
 
-def _table_sums(x: np.ndarray, w: np.ndarray | None, h: float, K: int) -> np.ndarray:
-    """The half-grid sums from two-level phase tables.
+def _table_sums(x: np.ndarray, w: np.ndarray | None, h: float, K: int) -> Iterator[np.ndarray]:
+    """The half-grid sums from two-level phase tables, row by row.
 
     k = b R + r with R = ceil(sqrt(K + 1)): one exp per entry of an (n_b, J)
     and an (R, J) table, and a fixed-order einsum contraction over j.
     """
     R = math.isqrt(K) + 1
     n_b = -(-(K + 1) // R)
-    rows = x[:, None, :]
-    coarse = np.exp(1j * ((np.arange(n_b) * R * h)[:, None] * rows))
-    fine = np.exp(1j * ((np.arange(R) * h)[:, None] * rows))
-    if w is not None:
-        fine *= w
-    # Both tables are contiguous along j, the summed axis: einsum then runs
-    # its dot-product inner loop.
-    sums = np.einsum("ibj,irj->ibr", coarse, fine, optimize=False)
-    return sums.reshape(len(x), n_b * R)[:, : K + 1]
+    for block in _row_blocks(len(x), n_b * R):
+        rows = x[block, None, :]
+        coarse = np.exp(1j * ((np.arange(n_b) * R * h)[:, None] * rows))
+        fine = np.exp(1j * ((np.arange(R) * h)[:, None] * rows))
+        if w is not None:
+            fine *= w
+        # Both tables are contiguous along j, the summed axis: einsum then runs
+        # its dot-product inner loop.
+        sums = np.einsum("ibj,irj->ibr", coarse, fine, optimize=False)
+        yield from sums.reshape(len(rows), n_b * R)[:, : K + 1]
 
 
 def _taylor_sums(x: np.ndarray, w: np.ndarray | None, h: float, K: int,
-                 half: int) -> np.ndarray:
-    """The half-grid sums from local Taylor moments, on segments of 2 half + 1 points.
+                 half: int) -> Iterator[np.ndarray]:
+    """The half-grid sums from local Taylor moments, on segments of 2 half + 1 points,
+    row by row.
 
     Each row is x = mid + beta u, mid its centre and |u| <= 1.  With t_c = k_c h
     a segment centre and k = k_c + s, S = e^{i s h mid} sum_r (i s h beta)^r m_r,
@@ -233,9 +241,7 @@ def _taylor_sums(x: np.ndarray, w: np.ndarray | None, h: float, K: int,
     n_seg = -(-(K + 1) // span)
     centre = (half + span * np.arange(n_seg)) * h
     m = np.empty((len(x), n_seg, TAYLOR_DEGREE + 1), dtype=complex)
-    step = max(1, BLOCK_ELEMENTS // ((n_seg + TAYLOR_DEGREE + 1) * x.shape[1]))
-    for lo in range(0, len(x), step):
-        rows = slice(lo, lo + step)
+    for rows in _row_blocks(len(x), (n_seg + TAYLOR_DEGREE + 1) * x.shape[1]):
         phase = np.exp(1j * (centre[:, None] * x[rows, None, :]))  # (rows, n_seg, J)
         # Real values stored as complex: einsum then runs its same-type inner loop.
         moments = np.empty((len(phase), TAYLOR_DEGREE + 1, x.shape[1]), dtype=complex)
@@ -245,12 +251,14 @@ def _taylor_sums(x: np.ndarray, w: np.ndarray | None, h: float, K: int,
         np.einsum("icj,irj->icr", phase, moments, out=m[rows], optimize=False)
     s = np.arange(-half, half + 1) * h
     z = 1j * beta * s
-    series = np.zeros((len(x), n_seg, span), dtype=complex)
-    for r in range(TAYLOR_DEGREE, -1, -1):
-        series *= z
-        series += m[:, :, r, None]
-    series *= np.exp(1j * np.multiply.outer(mid, s))[:, None, :]
-    return series.reshape(len(x), n_seg * span)[:, : K + 1]
+    for rows in _row_blocks(len(x), n_seg * span):
+        turn = np.exp(1j * np.multiply.outer(mid[rows], s))[:, None, :]
+        series = np.zeros((len(turn), n_seg, span), dtype=complex)
+        for r in range(TAYLOR_DEGREE, -1, -1):
+            series *= z
+            series += m[rows, :, r, None]
+        series *= turn
+        yield from series.reshape(len(turn), n_seg * span)[:, : K + 1]
 
 
 def _geometric_on_grid(bands: BandStructure, e_star: float, K: int, h: float,
@@ -262,7 +270,7 @@ def _geometric_on_grid(bands: BandStructure, e_star: float, K: int, h: float,
     scale = 2.0 * np.pi / L / (bands.grid.n_nodes - 1)
     q = bands.bands[rows] - e_star
     sums = [_half_grid_sums(row[None], w, h, K) for row in q]
-    half = np.array([band[0] for band, _ in sums]).reshape(len(q), K + 1)
+    half = np.array([g for band, _ in sums for g in band]).reshape(len(q), K + 1)
     return scale * half, sum(taylor for _, taylor in sums)
 
 
@@ -310,10 +318,13 @@ def arithmetic_factors(shifts: MassShifts, K: int,
     A_p(t) = mean_m e^{i t eta_p} from the rows of shifts.terms.  Both equal 1
     at t = 0.  series_primes take the log series, whose truncation loses at
     most series_bound of |log A_prod|; taylor_rows counts the rows of A_joint
-    and the A_prod tables summed on the Taylor route.
+    and the A_prod tables summed on the Taylor route.  The table primes go
+    PRIME_CHUNK to a call, and each A_p is multiplied into a_prod as its block
+    of rows arrives.
     """
     joint, taylor = _half_grid_sums(shifts.values[None], None, h, K)
-    a_joint = joint[0] / len(shifts)
+    (a_joint,) = joint  # runs the route to its end, which frees its temporaries
+    a_joint = a_joint / len(shifts)
     taylor_rows = int(taylor)
     eta = shifts.terms
     mu, beta = _centred(eta)
@@ -325,9 +336,10 @@ def arithmetic_factors(shifts: MassShifts, K: int,
     a_prod = np.exp(np.polyval(np.append(coef[::-1], 0.0), np.arange(K + 1) * h))
     table = np.flatnonzero(~series)
     for lo in range(0, len(table), PRIME_CHUNK):
-        chunk, taylor = _half_grid_sums(eta[table[lo : lo + PRIME_CHUNK]], None, h, K)
+        chunk = eta[table[lo : lo + PRIME_CHUNK]]
+        rows, taylor = _half_grid_sums(chunk, None, h, K)
         taylor_rows += taylor * len(chunk)
-        for a_p in chunk:
+        for a_p in rows:
             a_prod *= a_p / len(shifts)
     return a_joint, a_prod, int(series.sum()), bound, taylor_rows
 
@@ -337,13 +349,12 @@ def _centred(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     minimum, so a constant row gets y = 0 exactly, and beta = max_m |y|.  The rows are
     taken in blocks under BLOCK_ELEMENTS."""
     mu, beta = np.empty(len(eta)), np.empty(len(eta))
-    step = max(1, BLOCK_ELEMENTS // eta.shape[1])
-    for lo in range(0, len(eta), step):
-        block = eta[lo : lo + step]
+    for rows in _row_blocks(len(eta), eta.shape[1]):
+        block = eta[rows]
         low = block.min(axis=1, keepdims=True)
         centre = low + (block - low).mean(axis=1, keepdims=True)
-        mu[lo : lo + step] = centre[:, 0]
-        beta[lo : lo + step] = np.abs(block - centre).max(axis=1)
+        mu[rows] = centre[:, 0]
+        beta[rows] = np.abs(block - centre).max(axis=1)
     return mu, beta
 
 
@@ -375,13 +386,12 @@ def _log_series(eta: np.ndarray, mu: np.ndarray, degrees: np.ndarray) -> np.ndar
     degrees = degrees[order]
     top = int(degrees.max(initial=0))
     a = np.zeros((top + 1, len(order)))
-    step = max(1, BLOCK_ELEMENTS // eta.shape[1])
-    for lo in range(0, len(order), step):
-        rows = order[lo : lo + step]
+    for block in _row_blocks(len(order), eta.shape[1]):
+        rows, lo = order[block], block.start
         y = eta[rows] - mu[rows, None]
         power = np.ones_like(y)
         for r in range(1, int(degrees[lo]) + 1):
-            live = int(np.count_nonzero(degrees[lo : lo + step] >= r))
+            live = int(np.count_nonzero(degrees[block] >= r))
             power = power[:live] * y[:live] / r
             a[r, lo : lo + live] = power.mean(axis=1)
     rl = np.zeros_like(a)  # r l_r
